@@ -149,14 +149,17 @@ def _min_time_generation(n, attrs, budgets) -> GenSchedule | None:
     return GenSchedule(x, width, x if width else 0.0)
 
 
-def schedule_with_policy(policy: Policy, inp: SolveInput) -> SolveOutcome:
+def schedule_with_policy(
+    policy: Policy, inp: SolveInput, bounds: tuple[float, float] | None = None
+) -> SolveOutcome:
     """Per-client schedule under the policy's objective.
 
     Cost-driven policies defer to the exact solver.  MC_T and MLPG take the
     fastest feasible schedule (width-maxed everywhere); MC_FC minimizes
     spectrum+compute spend by stretching time across the window; the
     single-process-optimal trio maxes out its named process and solves the
-    rest for cost.
+    rest for cost.  `bounds` is (mtv, mutv) of the input when the caller
+    already has it.
     """
     if policy in (
         Policy.SISCC,
@@ -166,10 +169,14 @@ def schedule_with_policy(policy: Policy, inp: SolveInput) -> SolveOutcome:
         Policy.ML_SCC,
         Policy.MP_TSC,
     ):
-        return constrained_schedule(inp)
+        return constrained_schedule(inp, bounds=bounds)
 
-    n_max = mtv(inp.attrs, inp.task, inp.budgets, inp.quanta)
-    n_unc = mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta)
+    if bounds is None:
+        bounds = (
+            mtv(inp.attrs, inp.task, inp.budgets, inp.quanta),
+            mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta),
+        )
+    n_max, n_unc = bounds
     if inp.n == 0:
         return SolveOutcome(OutcomeKind.OPTIMAL, ScheduleDecision(), 0.0, n_unc, n_max)
     if inp.n > n_max:
@@ -177,7 +184,7 @@ def schedule_with_policy(policy: Policy, inp: SolveInput) -> SolveOutcome:
     t_b = inp.budgets.t_budget
     if math.isinf(t_b) or math.isinf(inp.budgets.freq_cells) or math.isinf(inp.budgets.compute_cells):
         # width/time-greedy objectives are only meaningful under scarcity
-        return constrained_schedule(inp)
+        return constrained_schedule(inp, bounds=bounds)
 
     procs = _consumption_processes(inp.n, inp.task, inp.prices, inp.budgets, inp.quanta)
 

@@ -8,6 +8,7 @@ rejected so typos fail loudly.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -113,6 +114,14 @@ SCHEMA = _obj(
         "output": _obj({"trajectories": {"type": "boolean"}}),
     }
 )
+
+
+@functools.cache
+def _validator():
+    """SCHEMA's validator, with the schema itself checked once per process."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
 
 
 def default_config() -> dict:
@@ -243,9 +252,10 @@ def load_config(source: dict | str | Path | None = None) -> ExperimentConfig:
     else:
         override = source
     merged = _deep_merge(default_config(), override)
-    try:
-        jsonschema.validate(merged, SCHEMA)
-    except jsonschema.ValidationError as err:
+    # the same error jsonschema.validate would raise, without re-checking the
+    # constant schema on every call
+    err = jsonschema.exceptions.best_match(_validator().iter_errors(merged))
+    if err is not None:
         path = "/".join(str(p) for p in err.absolute_path)
         raise ConfigError(err.message, path) from err
     return ExperimentConfig(raw=merged)

@@ -36,9 +36,6 @@ class CostCurve:
         """Cost of the (n+1)-th sample."""
         return self.cost(n + 1) - self.cost(n)
 
-    def materialize(self) -> list[float]:
-        return [self.cost(n) for n in range(self.mtv + 1)]
-
     @classmethod
     def from_samples(cls, samples) -> "CostCurve":
         curve = cls(lambda n: samples[n], len(samples) - 1)
@@ -222,15 +219,23 @@ def allocate_workloads(
 ) -> tuple[Allocation, WelfareReport]:
     """Greedy marginal-welfare workload assignment with block improvement.
 
-    Samples are granted one at a time to the highest-marginal client (ties by
-    id) until the aggregate gain reaches gain_floor, then only while marginals
-    stay positive and the gain stays under gain_floor + gain_window.  A
+    Samples are granted one at a time to the highest-marginal client until
+    the aggregate gain reaches gain_floor, then only while marginals stay
+    positive and the gain stays under gain_floor + gain_window.  A
     whole-load coordinate-ascent pass then lifts profitable clients over
     their fixed activation costs (seeded both from the greedy result and from
     a gain-saturated start; the better outcome wins).  Clients that would end
     up with a negative profit are removed and their load re-auctioned.
     Raises GainShortfallError when the floor is unreachable within capacity,
     the cap, the window ceiling, or rationality.
+
+    Each grant scans the clients in id order and keeps the first one unless a
+    later client beats the current best by more than 1e-9.  That tie rule is
+    not a total order (it is not transitive), so the scan stays linear; a
+    heap could pick a different client.  A client's marginal welfare depends
+    only on its own load, so it is cached and recomputed only for the client
+    that was just granted a sample, and the open-client count is a running
+    counter: a greedy pass costs O(grants + clients) curve lookups.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -269,24 +274,37 @@ def allocate_workloads(
     for _ in range(len(quotes) + 1):
         load = {q.client_id: 0 for q in quotes}
         gain = 0.0
+        opened = 0
+        # marginal welfare of each client's next sample at its current load;
+        # only a grant changes a client's load, so only a grant invalidates
+        marginal: dict[str, float] = {}
 
         def grantable(require_positive: bool):
-            active = {cid for cid, n in load.items() if n > 0}
             best = None
             for q in quotes:
                 cid = q.client_id
                 if cid in excluded or load[cid] >= q.mtv or q.gain_rate <= 0:
                     continue
-                if load[cid] == 0 and len(active) >= max_active:
+                if load[cid] == 0 and opened >= max_active:
                     continue
                 if gain + q.gain_rate >= ceiling - _TOL:
                     continue
-                delta = _marginal_welfare(q, load[cid], prices, alpha, beta)
+                delta = marginal.get(cid)
+                if delta is None:
+                    delta = marginal[cid] = _marginal_welfare(q, load[cid], prices, alpha, beta)
                 if require_positive and delta <= _TOL:
                     continue
                 if best is None or delta > best[0] + _TOL:
                     best = (delta, cid)
             return best
+
+        def grant(cid: str) -> None:
+            nonlocal gain, opened
+            if load[cid] == 0:
+                opened += 1
+            load[cid] += 1
+            gain += by_id[cid].gain_rate
+            del marginal[cid]
 
         while gain < gain_floor - _TOL:
             pick = grantable(require_positive=False)
@@ -297,16 +315,9 @@ def allocate_workloads(
                     else "capacity exhausted"
                 )
                 raise GainShortfallError(reason, max_achievable(excluded))
-            _, cid = pick
-            load[cid] += 1
-            gain += by_id[cid].gain_rate
-        while True:
-            pick = grantable(require_positive=True)
-            if pick is None:
-                break
-            _, cid = pick
-            load[cid] += 1
-            gain += by_id[cid].gain_rate
+            grant(pick[1])
+        while (pick := grantable(require_positive=True)) is not None:
+            grant(pick[1])
 
         load = _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded

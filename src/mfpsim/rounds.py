@@ -40,7 +40,6 @@ class Placement:
 @dataclass
 class RoundPlan:
     ir_index: int
-    cr_pair: tuple[int, int]
     t_delta: int
     budget: int
     placements: list[Placement] = field(default_factory=list)
@@ -211,7 +210,7 @@ def plan_round(
             [int(d.consumption_time) for d in prev_consumption.values()], time_cells
         )
     budget = min(time_cells, t_delta)
-    plan = RoundPlan(ir_index, (ir_index, ir_index + 1), t_delta, budget)
+    plan = RoundPlan(ir_index, t_delta, budget)
 
     for cid in sorted(prev_consumption):
         decision = prev_consumption[cid]

@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,34 +211,31 @@ class _ClientRound:
     task: object
     budgets: Budgets
     n: int = 0
+    bounds: tuple[float, float] | None = None  # (mtv, mutv) under `budgets`
     decision: ScheduleDecision | None = None
     quantized: ScheduleDecision | None = None
-    solve_budgets: Budgets | None = None
     note: str = ""
 
 
-def _with_cons_cap(budgets: Budgets, cap: float) -> Budgets:
-    return Budgets(
-        budgets.time_cells,
-        budgets.freq_cells,
-        budgets.compute_cells,
-        cycle_cells=budgets.cycle_cells,
-        gen_freq_cells=budgets.gen_freq_cells,
-        cons_freq_cells=cap,
-    )
-
-
-def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined):
+def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bounds=None):
     """Policy solve with the spectrum split internalized.
 
     In pipelined mode a client's transfer chain shares its window with the
     client's sensing of the following round, so after the plain solve the
     transfers are re-solved with their bandwidth capped beside the sensing
-    block.  When the capped chain cannot carry the workload, the uncapped
-    schedule stands (the placement-time tightening loop still guards the
-    actual grids).  Returns (outcome, budgets_used).
+    block.  When the plain solve's transfer widths already fit under the cap,
+    the re-solve is skipped: the plain optimum is feasible under the tighter
+    box, and the problem is convex, so a box that does not bind leaves the
+    optimum unchanged.  The capped budgets are still returned, because the
+    integer realization works against them.  When the capped chain cannot
+    carry the workload, the uncapped schedule stands (the placement-time
+    tightening loop still guards the actual grids).  `bounds` is (mtv, mutv)
+    under `budgets`; it does not hold under the capped budgets.  Returns
+    (outcome, budgets_used).
     """
-    out = schedule_with_policy(policy, SolveInput(n, at, task, prices, budgets, quanta))
+    out = schedule_with_policy(
+        policy, SolveInput(n, at, task, prices, budgets, quanta), bounds=bounds
+    )
     if not pipelined or out.kind != OutcomeKind.OPTIMAL or out.decision is None:
         return out, budgets
     sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)
@@ -247,7 +244,9 @@ def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined):
     cap = max(1.0, budgets.freq_cells - sensing_width)
     if cap >= budgets.cons_bandwidth:
         return out, budgets
-    capped = _with_cons_cap(budgets, cap)
+    capped = replace(budgets, cons_freq_cells=cap)
+    if max(out.decision.comm_down.b, out.decision.comm_up.b) <= cap:
+        return out, capped
     out2 = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
     if out2.kind != OutcomeKind.OPTIMAL:
         return out, budgets
@@ -516,13 +515,7 @@ def _build_quotes(
         if prev is not None:
             peak = max(prev.comm_down.b, prev.comm_up.b)
             if peak > 0:
-                my_budgets = Budgets(
-                    budgets.time_cells,
-                    budgets.freq_cells,
-                    budgets.compute_cells,
-                    cycle_cells=budgets.cycle_cells,
-                    gen_freq_cells=max(0.0, budgets.freq_cells - peak),
-                )
+                my_budgets = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
         cap = mtv(at, task, my_budgets, quanta)
         entry = _ClientRound(cid=cid, attrs=at, quote=None, task=task, budgets=my_budgets)
         clients[cid] = entry
@@ -533,10 +526,13 @@ def _build_quotes(
         if at.label_dist is not None and global_dist is not None:
             q = max(0.0, qod(at.label_dist, global_dist))
         n_unc = mutv(at, task, prices, my_budgets, quanta)
+        entry.bounds = (cap, n_unc)
         cap_i = int(min(cap, 10**7))
 
-        def cost_fn(n, _at=at, _task=task, _budgets=my_budgets):
-            out, _ = _policy_solve(policy, n, _at, _task, prices, _budgets, quanta, pipelined)
+        def cost_fn(n, _at=at, _task=task, _budgets=my_budgets, _bounds=entry.bounds):
+            out, _ = _policy_solve(
+                policy, n, _at, _task, prices, _budgets, quanta, pipelined, _bounds
+            )
             if out.kind != OutcomeKind.OPTIMAL:
                 return math.inf
             return out.cost
@@ -586,7 +582,7 @@ def _solve_and_quantize(clients, policy, prices, quanta, pipelined) -> None:
         if c.n <= 0:
             continue
         out, used = _policy_solve(
-            policy, c.n, c.attrs, c.task, prices, c.budgets, quanta, pipelined
+            policy, c.n, c.attrs, c.task, prices, c.budgets, quanta, pipelined, c.bounds
         )
         if out.kind != OutcomeKind.OPTIMAL:
             c.note = "workload infeasible at solve time"
@@ -606,7 +602,6 @@ def _solve_and_quantize(clients, policy, prices, quanta, pipelined) -> None:
             c.n = 0
             continue
         c.decision = out.decision
-        c.solve_budgets = used
         c.quantized = quantized
 
 
@@ -624,13 +619,7 @@ def _place_round(
         # re-solve against the real grids: the heuristic transfer cap is
         # dropped, only the observed sensing bandwidth limit applies
         c = clients[cid]
-        tightened = Budgets(
-            c.budgets.time_cells,
-            c.budgets.freq_cells,
-            c.budgets.compute_cells,
-            cycle_cells=c.budgets.cycle_cells,
-            gen_freq_cells=float(free_bandwidth),
-        )
+        tightened = replace(c.budgets, gen_freq_cells=float(free_bandwidth))
         out = schedule_with_policy(
             policy, SolveInput(c.n, c.attrs, c.task, prices, tightened, quanta)
         )

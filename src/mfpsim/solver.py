@@ -424,17 +424,25 @@ def _consumption_decision(splits) -> tuple[TransferSchedule, ComputeSchedule, Tr
     )
 
 
-def constrained_schedule(inp: SolveInput, explain: bool = False) -> SolveOutcome:
+def constrained_schedule(
+    inp: SolveInput, explain: bool = False, bounds: tuple[float, float] | None = None
+) -> SolveOutcome:
     """Cheapest full schedule for workload `inp.n` under pool limits.
 
     Dispatch: workloads at or below mutv reuse the box-free closed forms;
     between mutv and mtv the binding-set enumeration runs; above mtv the
-    outcome is infeasible.
+    outcome is infeasible.  `bounds` is (mtv, mutv) of the input when the
+    caller already has it: neither depends on the workload, so a caller
+    solving many workloads for one client computes them once.
     """
     if inp.n < 0:
         raise ValueError("workload must be nonnegative")
-    n_max = mtv(inp.attrs, inp.task, inp.budgets, inp.quanta)
-    n_unc = mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta)
+    if bounds is None:
+        bounds = (
+            mtv(inp.attrs, inp.task, inp.budgets, inp.quanta),
+            mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta),
+        )
+    n_max, n_unc = bounds
     trace: dict | None = {"candidates": []} if explain else None
 
     if inp.n == 0:

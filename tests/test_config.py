@@ -1,8 +1,9 @@
 import json
 
+import jsonschema
 import pytest
 
-from mfpsim.config import config_hash, default_config, load_config
+from mfpsim.config import SCHEMA, _deep_merge, config_hash, default_config, load_config
 from mfpsim.errors import ConfigError
 
 
@@ -34,6 +35,19 @@ def test_bad_value_rejected():
         load_config({"policy": "BOGUS"})
     with pytest.raises(ConfigError):
         load_config({"resources": {"scale": [1.0, 1.0]}})
+
+
+def test_two_errors_report_what_jsonschema_validate_reports():
+    # the scan meets scenario.n_clients first; jsonschema's best match is the
+    # shallower error
+    override = {"scenario": {"n_clients": 0}, "output": 5}
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(_deep_merge(default_config(), override), SCHEMA)
+    for _ in range(2):  # the cached validator answers the same every time
+        with pytest.raises(ConfigError) as err:
+            load_config(override)
+        assert err.value.path == "output"
+        assert str(err.value) == f"output: {expected.value.message}"
 
 
 def test_scale_floors_with_minimum_one(tmp_path):

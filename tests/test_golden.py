@@ -1,0 +1,141 @@
+"""Golden output hashes: the byte-for-byte behaviour gate for refactors.
+
+Each entry is a tiny config (two or three rounds, six clients) and the
+sha256 of every output file it produces.  Together they cover all twelve
+policies, both scheduling modes, a resource shortage and the cumulative gain
+target.  A change that moves any hash changes what the simulator computes;
+such a change must list every moved hash and the reason in CHANGES.md.
+"""
+
+import pytest
+
+from mfpsim.baselines import Policy
+from mfpsim.config import load_config
+from mfpsim.runner import run
+
+TINY = {"rounds": 2, "scenario": {"n_clients": 6, "n_targets": 30}}
+
+
+def _tiny(seed, policy="SISCC", mode="zeros", **extra):
+    return {**TINY, "seed": seed, "policy": policy, "mode": mode, **extra}
+
+
+CONFIGS = {
+    "comm_opt": _tiny(3, "COMM_OPT"),
+    "comp_opt": _tiny(4, "COMP_OPT", mode="serial"),
+    "mc_fc": _tiny(10, "MC_FC", mode="serial"),
+    "mc_t": _tiny(9, "MC_T"),
+    "ml_c": _tiny(5, "ML_C"),
+    "ml_cc": _tiny(6, "ML_CC", mode="serial"),
+    "ml_scc": _tiny(7, "ML_SCC"),
+    "mlpg": _tiny(11, "MLPG"),
+    "mp_tsc": _tiny(8, "MP_TSC"),
+    "sens_opt": _tiny(2, "SENS_OPT"),
+    "siscc": _tiny(0),
+    "siscc_cumulative": _tiny(
+        22,
+        rounds=3,
+        market={"gain_target_mode": "cumulative", "gain_floor": 3.0, "gain_window": 4.0},
+    ),
+    "siscc_shortage": _tiny(21, resources={"scale": [0.5, 0.5, 0.5]}),
+    "wiscc": _tiny(1, "WISCC", mode="serial"),
+}
+
+GOLDEN = {
+    "comm_opt": {
+        "clients.jsonl": "ce3b3d4d17ef4edde9a6d9e5519f904942d6c5988bbe350582eb6858afb3c856",
+        "run.json": "c60478a0a02e15af3176cdfe6535ff6d9b3f7ee50d8e8c3dcb08f8f362cf0a3d",
+        "summary.csv": "b4ecd3a74d23c221e366f3eb0fb467566fe124a34e62e62ef8e732bd36d47d82",
+        "timeline.csv": "1c2b97ee8f9f3621e98d68e92c375a1e2376833627357a56f98acc71d3c44899",
+    },
+    "comp_opt": {
+        "clients.jsonl": "c9fa6390f5a97ce7f368c547994c89287d31d780d6b4b8b88a6fb7a14e5baa69",
+        "run.json": "5eef5f1131f92c7652a6365a7a0fb687dacb718a1092568724776a6d6ebebdad",
+        "summary.csv": "604e21e1395dc6b30eae526e60a2eb9d15fd73ef939cd3fa1f49b11a23f5e328",
+        "timeline.csv": "454e2095715a103835c9269a60b49f7924cf4de912c4c0ea37fb4fcdf5216150",
+    },
+    "mc_fc": {
+        "clients.jsonl": "a423896ec524796cab0d84b9976cab59978e5db7585a49687ef4603e94ca8c3b",
+        "run.json": "a57e5176932c72d22641dd76674ae63343525087454a6d99c73bdefa93d2c403",
+        "summary.csv": "b726a36e1d08b0237237ae5d099bb935a99341f562f1d17fb39d327da90da420",
+        "timeline.csv": "526a7d70749ae79da57159d27c571bfe76199a79110a46be2aa0606720716310",
+    },
+    "mc_t": {
+        "clients.jsonl": "4734b8c1b739d47efecd10fb96c00a395fa5507442cc16677f8cb9e2c52d6b1d",
+        "run.json": "37091fbc3c0c8fe5820efca3fcae985e80a9ad5a180ddca6234104e5d7b6934d",
+        "summary.csv": "ae598912f02635da7fdc1c064fa49cbe082f04124d53d3f47aba49dd2ec80c82",
+        "timeline.csv": "19d53aaa5c41bc67870262222032538bfb816efb538e9a306d37e817fb1d7e08",
+    },
+    "ml_c": {
+        "clients.jsonl": "fa8a7281d002784a8a002ecc332e3094203fd2ed4b704c945cb395fd2c597c7f",
+        "run.json": "c4e89521bf66ba5d6d97a2ecde8def338127a4e4c161a002e230495f6dedd807",
+        "summary.csv": "06c40942bde5a7e9ffb9fc26bd9862a35da7b98d091f2dcee713c9cde4b7d1bb",
+        "timeline.csv": "a38a2b79bb46c42861080017cf64882554a19491f57903516ec3354374532e13",
+    },
+    "ml_cc": {
+        "clients.jsonl": "bea264e3e136a349511e70bd7182e80f2f5e59bfd4d9afb84d5550a80d295878",
+        "run.json": "42556324db35b92d79f9db2400f4cf34f03369cce211d4f3ad269d7d775193ad",
+        "summary.csv": "c5bd8fbffc0b9d53e5fc496a47818ba82fbbe6692448e5a59c4cc8e3ef2672b2",
+        "timeline.csv": "926582b10dd6e5fc5107d18b265658fb0a2d16515cc7848e867593a5e7a7c715",
+    },
+    "ml_scc": {
+        "clients.jsonl": "94c688c584b93a1b116777b22a29a76731aded783118f938c2a01093e2f8bdf5",
+        "run.json": "fe35c44bc5377f350e50a18173854a10bdf2508675ecbf5091973a1303b01170",
+        "summary.csv": "2e06c9c55503aeefe6ef7a66b9a585d116189b883b6771d964f93b254331b32d",
+        "timeline.csv": "d160b306316e07f13653e53c2b0967691c02649647bd4f30a658cbfb2ad4e5cb",
+    },
+    "mlpg": {
+        "clients.jsonl": "535e1dffc86f7dcd5d3487299bb8a7a226dbf42ab7274f071c2b5a42f32f348c",
+        "run.json": "900bd692a6e8631f80012f2fedc565580b507944eb05224a1b1302d3279f8f3c",
+        "summary.csv": "3c0f732a2a3f5ead42f719121f542c420e5132804f22f6d61e9b387ce528c304",
+        "timeline.csv": "61686386d5891f325a3f180081ebf621b9b4ed607133dbd111ffac7bc44cfd6b",
+    },
+    "mp_tsc": {
+        "clients.jsonl": "83543ba1c00373af02213a201bb04bd0635edabe257f98df03c5661c337c8c40",
+        "run.json": "1baddde1509d8ac6a14eca30ccd48f00a0f2a47b5a2a576680f2f42620b2df18",
+        "summary.csv": "3813694696da5055e0a7dc07b3c153e03d54138c469ea66bd76f35642991fc88",
+        "timeline.csv": "20afa2748037d9a979d2873ebaa41d7ec48c1d3f30b347ecde780717af5addf5",
+    },
+    "sens_opt": {
+        "clients.jsonl": "b7e5cb0586eb06aa32ae899747d83c5d56619b65b4c95f88f6e687b1efb6e4f5",
+        "run.json": "41c504d0fa7923231147b714c7b79872a24884152b471f5682a9ae6629e3348c",
+        "summary.csv": "7bb39bff195fea35f3a8a160d6865ed3f66d052a3e5a4679765ff65004bd5502",
+        "timeline.csv": "3e6599359807259e127e9ece38a1282569118c22e3600a0ac5fd16ba26467987",
+    },
+    "siscc": {
+        "clients.jsonl": "888fc598d1dbda31fd5b7eb22841888c983c3fb351c9e0d34f9939fa002997f1",
+        "run.json": "8500a49a30efaa85eb25374f1aa9253afbb29145496ebfb571ff9e143d1d1bc5",
+        "summary.csv": "1818922332b3c634f5cdeb5ebb655cd7d4ba77d96a98fad6b23929f998501974",
+        "timeline.csv": "6140851561d29595090160dfbb6e0695183073964692c8ae388e26b5796520f5",
+    },
+    "siscc_cumulative": {
+        "clients.jsonl": "d396efbc62c34f99058c5298a973c646c0488706632e1cfab852f4630d7c0f0d",
+        "run.json": "32a5c19a985e437815904473d4a0f1e8173ce7a03efbaddc2cc02c7872aa748d",
+        "summary.csv": "1f6dc910ba9b1476ca3cecf92499e9f6e4f669974fe6c885bb8b680f227a6da9",
+        "timeline.csv": "6286240404216d4bb82d36be69db2d1ca89419086891c5cc85796772e777c31c",
+    },
+    "siscc_shortage": {
+        "clients.jsonl": "201df47823053a5ba2e208e86639440246e50ad741e678e69018a714ba6247d8",
+        "run.json": "6a3902f4a1caf3d1ecda70c9a86ae6f4b26b6f184886dd5b0be2963b5dfc3546",
+        "summary.csv": "14a6bbe9d0ebfe41054d068dfcf0f62fdf89ce4fa920966155e82c3bb351b895",
+        "timeline.csv": "4ec5f29ee6277facde141582f4556a46e2fcc00685b6f4189a0e385a71981a0b",
+    },
+    "wiscc": {
+        "clients.jsonl": "8a4db195c50c7054081520f716be52fd6d6463347840d6f553ec9ebeac3cff94",
+        "run.json": "f0706d0e84f36424c321a3bec314c1fd586833d44c16247d0037f0aea49e4029",
+        "summary.csv": "6669713a4eef4038ea48738ec4d58d0fa71063b0fa25a00dda03a7ae8fe5f63f",
+        "timeline.csv": "b45613f097e47b40b7562528cc86a30d43f64fdc9f4b8037bec2c652c42dacf9",
+    },
+}
+
+
+def test_golden_covers_every_policy_and_mode():
+    cfgs = [load_config(c) for c in CONFIGS.values()]
+    assert {c.policy for c in cfgs} == set(Policy)
+    assert {c.mode for c in cfgs} == {"zeros", "serial"}
+    assert set(CONFIGS) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_output_hashes(name):
+    assert run(load_config(CONFIGS[name])).output_hashes() == GOLDEN[name]

@@ -193,3 +193,30 @@ class TestAllocate:
         _, r_small = allocate_workloads(small, pv, 0.15, 20.0, 1)
         _, r_big = allocate_workloads(big, pv, 0.15, 20.0, 1)
         assert r_big.welfare >= r_small.welfare - 1e-9
+
+    def test_greedy_lookups_grow_with_grants_not_grants_times_clients(self):
+        class CountingCurve(CostCurve):
+            def __init__(self, samples, counter):
+                super().__init__(lambda n: samples[n], len(samples) - 1)
+                self._counter = counter
+
+            def cost(self, n):
+                self._counter[0] += 1
+                return super().cost(n)
+
+        for n_clients in (10, 30):
+            lookups = [0]
+            quotes = [
+                ClientQuote(
+                    f"c{i:02d}", 1.0, 400, 400, 0.01,
+                    CountingCurve(quadratic_curve(400, 0.1 + 0.01 * i, 0.002 + 1e-4 * i), lookups),
+                )
+                for i in range(n_clients)
+            ]
+            alloc, report = allocate_workloads(quotes, self.prices(), 5.0, 100.0, n_clients)
+            assert report.audit() == []
+            assert len(alloc.active) == n_clients  # nobody excluded: one greedy pass
+            assert alloc.total_samples > 100 * n_clients
+            # a rescan of every client's marginal per grant would need
+            # 2 * clients lookups per grant
+            assert lookups[0] <= 3 * (alloc.total_samples + n_clients)

@@ -1,15 +1,25 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from mfpsim.baselines import Policy, schedule_with_policy
 from mfpsim.config import load_config
+from mfpsim.costs import ConsumptionTask, PriceVector
+from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import (
     SUMMARY_COLUMNS,
+    _policy_solve,
     load_summary_csv,
     run,
     sweep,
     validate_summary_rows,
 )
+from mfpsim.scenario import StatusAttributes
+from mfpsim.solver import Budgets, OutcomeKind, SolveInput, mtv, mutv
 
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
 
@@ -136,3 +146,73 @@ def test_sweep_shares_seed_and_merges():
 def test_serial_mode_budget_is_full_window():
     serial = run(load_config({**SMALL, "mode": "serial"}))
     assert all(r["t_delta_cells"] == 10 for r in serial.summary_rows)
+
+
+@st.composite
+def solve_cases(draw, b=st.just(0.0) | st.floats(1e-3, 0.5)):
+    """One client's solve in the ranges the packaged scenario produces."""
+    bits = st.sampled_from([0.0, 1e7, 1e8, 4e8])
+    at = StatusAttributes(
+        a=draw(st.floats(0.0, 60.0)),
+        b=draw(b),
+        rho_tar=0.0,
+        label_dist=None,
+    )
+    task = ConsumptionTask(
+        d_down_bits=draw(bits),
+        d_up_bits=draw(bits),
+        cycles_per_sample=draw(st.floats(50.0, 1000.0)),
+        eff_down=draw(st.floats(0.5, 40.0)),
+        eff_up=draw(st.floats(0.5, 40.0)),
+    )
+    freq = float(draw(st.integers(20, 400)))
+    budgets = Budgets(
+        10.0,
+        freq,
+        float(draw(st.integers(2, 10))),
+        cycle_cells=float(draw(st.integers(3, 10))),
+        gen_freq_cells=draw(st.none() | st.floats(0.0, freq)),
+    )
+    prices = PriceVector(
+        time=draw(st.floats(0.2, 5.0)),
+        freq=draw(st.floats(0.01, 0.5)),
+        compute=draw(st.floats(0.1, 2.0)),
+        sample=1.0,
+        gain=1000.0,
+    )
+    quanta = ResourceQuanta(1.0, 1e6, 1e5)
+    n_max = mtv(at, task, budgets, quanta)
+    assume(n_max >= 1)
+    n = draw(st.integers(1, int(min(n_max, 10**6))))
+    return n, at, task, prices, budgets, quanta
+
+
+# the cap only exists beside a wireless sensing block, so b > 0
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from(list(Policy)), solve_cases(b=st.floats(1e-2, 0.5)))
+def test_capped_resolve_skip_matches_forced_resolve(policy, case):
+    n, at, task, prices, budgets, quanta = case
+    plain = schedule_with_policy(policy, SolveInput(n, at, task, prices, budgets, quanta))
+    assume(plain.kind == OutcomeKind.OPTIMAL)
+    sensing_width = math.ceil(plain.decision.gen.b_ws - 1e-9)
+    cap = max(1.0, budgets.freq_cells - sensing_width)
+    assume(sensing_width > 0 and cap < budgets.cons_bandwidth)
+    assume(max(plain.decision.comm_down.b, plain.decision.comm_up.b) <= cap)
+
+    out, used = _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined=True)
+    capped = replace(budgets, cons_freq_cells=cap)
+    forced = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
+    assert used == capped
+    assert forced.kind == OutcomeKind.OPTIMAL
+    assert out.cost == forced.cost
+    assert out.decision == forced.decision
+
+
+@settings(max_examples=100, deadline=None)
+@given(solve_cases())
+def test_precomputed_bounds_give_the_same_outcome(case):
+    n, at, task, prices, budgets, quanta = case
+    inp = SolveInput(n, at, task, prices, budgets, quanta)
+    bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
+    for policy in Policy:
+        assert schedule_with_policy(policy, inp, bounds=bounds) == schedule_with_policy(policy, inp)
