@@ -16,6 +16,7 @@ from .costs import (
     GenSchedule,
     PriceVector,
     ScheduleDecision,
+    over_product,
 )
 from .market import ClientQuote
 from .solver import (
@@ -208,7 +209,7 @@ def schedule_with_policy(
         if inp.n <= a * t_b:
             gen = GenSchedule(inp.n / a, 0.0, 0.0) if a > 0 else None
         elif b > 0:
-            y = (inp.n - a * t_b) / (b * t_b)
+            y = over_product(inp.n - a * t_b, b, t_b)
             gen = GenSchedule(t_b, y, t_b) if y <= inp.budgets.gen_bandwidth * (1 + 1e-9) else None
         else:
             gen = None

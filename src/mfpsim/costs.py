@@ -34,6 +34,19 @@ class PriceVector:
             raise ValueError("all prices must be strictly positive")
 
 
+def over_product(num: float, b: float, factor: float) -> float:
+    """num / (b * factor) for a wireless coefficient b > 0.
+
+    When the product underflows to 0 (a subnormal b such as 5e-324 times a
+    price below 1/2), the quotient is taken in two steps: it may overflow
+    to inf, the value of a useless wireless link, but it never raises
+    ZeroDivisionError.  A product that does not underflow gives the
+    one-step quotient, so results for normal b are unchanged.
+    """
+    prod = b * factor
+    return num / prod if prod else num / factor / b
+
+
 @dataclass(frozen=True)
 class GenSchedule:
     """Sensing allocation: visual time, wireless bandwidth, wireless time (cells)."""
@@ -142,7 +155,7 @@ def unconstrained_gen_schedule(
     if a <= 0 and b <= 0:
         raise InfeasibleError("client has zero sensing capability but nonzero workload")
     if b > 0:
-        x0 = math.sqrt(n * prices.freq / (b * prices.time))
+        x0 = math.sqrt(over_product(n * prices.freq, b, prices.time))
         y0 = (math.sqrt(n * b * prices.time / prices.freq) - a) / b
         if y0 >= 0:
             sched = GenSchedule(x0, y0, x0)

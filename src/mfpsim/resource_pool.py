@@ -175,6 +175,11 @@ class SharedResourcePool:
             raise ValueError(f"column {col} out of range [0,{self.time_cells})")
         return int((self._tc[:, col] != _FREE).sum())
 
+    def column_loads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupied cells per time column of the frequency grid and of the
+        compute grid: every column's `per_quantum_*_load` in one call."""
+        return (self._tf != _FREE).sum(axis=0), (self._tc != _FREE).sum(axis=0)
+
     def free_bandwidth(self, col: int) -> int:
         return self.freq_cells - self.per_quantum_bandwidth_load(col)
 

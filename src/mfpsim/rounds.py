@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .costs import ScheduleDecision
 from .errors import ResourceConflictError
 from .resource_pool import GridRegion, SharedResourcePool
@@ -126,10 +128,8 @@ def free_sensing_bandwidth(pool: SharedResourcePool, span_cols: int) -> int:
     overlapped transfers (bottom-packed) are in place."""
     if span_cols <= 0:
         return pool.freq_cells
-    peak = max(
-        pool.per_quantum_bandwidth_load(c) for c in range(min(span_cols, pool.time_cells))
-    )
-    return pool.freq_cells - peak
+    bandwidth, _ = pool.column_loads()
+    return pool.freq_cells - int(bandwidth[:span_cols].max())
 
 
 def place_generation(
@@ -155,13 +155,18 @@ def place_generation(
 
 
 def audit_window(pool: SharedResourcePool) -> list[str]:
-    """Per-column capacity checks; reservations make these unbreakable, so any
-    finding indicates an engine bug."""
+    """Per-column capacity checks, by column, bandwidth before compute.
+
+    These cannot fire: a column's occupied-cell count is at most the number
+    of rows of its grid, and the frequency and compute grids have exactly
+    `freq_cells` and `compute_cells` rows."""
+    bandwidth, compute = pool.column_loads()
+    over = (bandwidth > pool.freq_cells) | (compute > pool.compute_cells)
     bad = []
-    for col in range(pool.time_cells):
-        if pool.per_quantum_bandwidth_load(col) > pool.freq_cells:
+    for col in np.flatnonzero(over).tolist():
+        if bandwidth[col] > pool.freq_cells:
             bad.append(f"bandwidth_over_capacity:col{col}")
-        if pool.per_quantum_compute_load(col) > pool.compute_cells:
+        if compute[col] > pool.compute_cells:
             bad.append(f"compute_over_capacity:col{col}")
     return bad
 

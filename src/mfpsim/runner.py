@@ -40,6 +40,7 @@ from .scenario import (
     spectral_efficiency,
     status_attributes,
     step_mobility,
+    target_distances,
 )
 from .sensing import qod
 from .solver import (
@@ -212,7 +213,6 @@ class _ClientRound:
     budgets: Budgets
     n: int = 0
     bounds: tuple[float, float] | None = None  # (mtv, mutv) under `budgets`
-    decision: ScheduleDecision | None = None
     quantized: ScheduleDecision | None = None
     note: str = ""
 
@@ -497,10 +497,12 @@ def _build_quotes(
     the sensing bandwidth already reduced by that chain's peak, so the market
     never allocates a workload the spectrum cannot host.
     """
-    global_dist = global_label_distribution(state, geometry, profile.mode)
+    distances = target_distances(state) if state.n_targets else None
+    global_dist = global_label_distribution(state, geometry, profile.mode, distances)
     clients: dict[str, _ClientRound] = {}
     for i, cid in enumerate(client_ids):
-        at = status_attributes(state, i, geometry, channel, profile, quanta)
+        row = None if distances is None else distances[i]
+        at = status_attributes(state, i, geometry, channel, profile, quanta, distances=row)
         dist = float(np.linalg.norm(state.client_pos[i] - state.server_pos))
         dist = max(dist, 1.0)
         eff_down = spectral_efficiency(
@@ -601,7 +603,6 @@ def _solve_and_quantize(clients, policy, prices, quanta, pipelined) -> None:
             c.note = "no integral schedule fits the window"
             c.n = 0
             continue
-        c.decision = out.decision
         c.quantized = quantized
 
 
@@ -629,7 +630,6 @@ def _place_round(
             policy, SolveInput(c.n, c.attrs, c.task, prices, tightened, quanta)
         )
         if q is not None:
-            c.decision = out.decision
             c.quantized = q
             c.note = "sensing re-solved after spectrum tightening"
         return q

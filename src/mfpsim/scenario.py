@@ -183,11 +183,40 @@ def step_mobility(state: ScenarioState, seed: int, dt: float) -> ScenarioState:
     )
 
 
+def target_distances(state: ScenarioState) -> np.ndarray:
+    """(Nc, Nt) client-to-target distances for one round.
+
+    Row c is bitwise equal to `np.linalg.norm(target_pos - client_pos[c],
+    axis=1)`: both square the per-axis differences and add x before y, then
+    take the root.  The matrix is built in place from the two axis
+    differences, so the only temporaries are two (Nc, Nt) buffers.
+    """
+    cp, tp = state.client_pos, state.target_pos
+    d = tp[:, 0] - cp[:, 0, None]
+    d *= d
+    dy = tp[:, 1] - cp[:, 1, None]
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
+def _distance_row(state: ScenarioState, client: int, distances: np.ndarray | None) -> np.ndarray:
+    if distances is not None:
+        return distances
+    return np.linalg.norm(state.target_pos - state.client_pos[client], axis=1)
+
+
 def targets_in_domain(
-    state: ScenarioState, client: int, geometry: SensingGeometry
+    state: ScenarioState,
+    client: int,
+    geometry: SensingGeometry,
+    distances: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of targets inside the visual disc and in the wireless-only annulus."""
-    d = np.linalg.norm(state.target_pos - state.client_pos[client], axis=1)
+    """Indices of targets inside the visual disc and in the wireless-only annulus.
+
+    `distances` is the client's row of `target_distances`; without it the
+    row is computed for this client alone (same bits)."""
+    d = _distance_row(state, client, distances)
     in_vsd = np.flatnonzero(d <= geometry.d_vs)
     in_wsd_only = np.flatnonzero((d > geometry.d_vs) & (d <= geometry.d_ws))
     return in_vsd, in_wsd_only
@@ -242,6 +271,7 @@ def status_attributes(
     channel: ChannelParams,
     profile: SensingProfile,
     quanta: ResourceQuanta,
+    distances: np.ndarray | None = None,
 ) -> StatusAttributes:
     """Per-round sample-rate coefficients and sensed label distribution.
 
@@ -250,21 +280,27 @@ def status_attributes(
 
     rho is the global target density; the wireless SNR uses the mean gain over
     targets currently in the wireless disc, frozen for the round.
+
+    `distances` is the client's row of `target_distances`; the result is
+    bitwise equal with or without it.  The per-target gains stay scalar
+    `channel_gain` calls: numpy's log10 and power differ from `math.log10`
+    and `**` in the last bit on a few percent of inputs, which would move
+    `b` and every output derived from it.
     """
     n_targets = state.n_targets
     if n_targets == 0:
         return StatusAttributes(0.0, 0.0, 0.0, None)
 
     rho = n_targets / state.area_m**2
-    in_vsd, in_annulus = targets_in_domain(state, client, geometry)
+    row = _distance_row(state, client, distances)
+    in_vsd, in_annulus = targets_in_domain(state, client, geometry, row)
 
     a = rho * geometry.s_vs * profile.visual_efficiency * profile.frame_rate_hz * quanta.time_s
     b = 0.0
     wireless_idx = np.concatenate([in_vsd, in_annulus])
     if wireless_idx.size:
-        d = np.linalg.norm(state.target_pos[wireless_idx] - state.client_pos[client], axis=1)
-        d = np.maximum(d, 1.0)
-        gains = np.array([channel_gain(x, channel) for x in d])
+        d = np.maximum(row[wireless_idx], 1.0)
+        gains = np.array([channel_gain(x, channel) for x in d.tolist()])
         tx_w = 10 ** ((channel.tx_power_sensing_dbm - 30) / 10)
         snr = tx_w * float(gains.mean()) / (channel.noise_density_w_per_hz * quanta.freq_hz)
         b = (
@@ -283,7 +319,7 @@ def status_attributes(
         a = 0.0
         sensed = in_annulus
     else:
-        sensed = np.concatenate([in_vsd, in_annulus])
+        sensed = wireless_idx
 
     label_dist = None
     if sensed.size:
@@ -301,18 +337,26 @@ def status_attributes(
 
 
 def global_label_distribution(
-    state: ScenarioState, geometry: SensingGeometry, mode: str = "msg"
+    state: ScenarioState,
+    geometry: SensingGeometry,
+    mode: str = "msg",
+    distances: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Empirical class distribution over the union of all clients' sensed targets."""
+    """Empirical class distribution over the union of all clients' sensed targets.
+
+    `distances` is the round's `target_distances` matrix (computed here when
+    not given).  A target is sensed when any client's row puts it in a disc
+    the mode uses, so the result is bitwise equal to the union of every
+    client's `targets_in_domain`.
+    """
     if state.n_targets == 0:
         return None
+    d = target_distances(state) if distances is None else distances
     sensed = np.zeros(state.n_targets, dtype=bool)
-    for c in range(state.n_clients):
-        in_vsd, in_annulus = targets_in_domain(state, c, geometry)
-        if mode in ("msg", "vsg"):
-            sensed[in_vsd] = True
-        if mode in ("msg", "wsg"):
-            sensed[in_annulus] = True
+    if mode in ("msg", "vsg"):
+        sensed |= (d <= geometry.d_vs).any(axis=0)
+    if mode in ("msg", "wsg"):
+        sensed |= ((d > geometry.d_vs) & (d <= geometry.d_ws)).any(axis=0)
     if not sensed.any():
         return None
     counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)

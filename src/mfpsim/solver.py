@@ -32,6 +32,7 @@ from .costs import (
     PriceVector,
     ScheduleDecision,
     TransferSchedule,
+    over_product,
     unconstrained_comm_schedule,
     unconstrained_comp_schedule,
     unconstrained_gen_schedule,
@@ -151,13 +152,13 @@ def _solve_generation(n, a, b, prices: PriceVector, t_max, b_max):
         return GenSchedule(), 0.0, frozenset()
     candidates = []  # (x, y, active ids)
     if b > 0:
-        x0 = math.sqrt(n * prices.freq / (b * prices.time))
+        x0 = math.sqrt(over_product(n * prices.freq, b, prices.time))
         y0 = (math.sqrt(n * b * prices.time / prices.freq) - a) / b
         candidates.append((x0, y0, frozenset()))
         if not math.isinf(b_max) and a + b * b_max > 0:
             candidates.append((n / (a + b * b_max), b_max, frozenset({GEN_BANDWIDTH})))
         if not math.isinf(t_max) and t_max > 0:
-            candidates.append((t_max, (n - a * t_max) / (b * t_max), frozenset({GEN_TIME})))
+            candidates.append((t_max, over_product(n - a * t_max, b, t_max), frozenset({GEN_TIME})))
     if a > 0:
         candidates.append((n / a, 0.0, frozenset()))
 
@@ -201,7 +202,7 @@ def _gen_mutv(a, b, prices: PriceVector, t_max, b_max) -> float:
     bound_b = (
         math.inf
         if math.isinf(b_max)
-        else (a + b * b_max) ** 2 * prices.freq / (b * prices.time)
+        else over_product((a + b * b_max) ** 2 * prices.freq, b, prices.time)
     )
     return min(bound_t, bound_b)
 
@@ -543,7 +544,10 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
         if rem <= _TOL * max(1.0, n):
             y = 0
         elif b > 0:
-            y = math.ceil(rem / (b * x) - _TOL)
+            y = rem / (b * x) - _TOL
+            if y > b_int:  # before ceil: y overflows to inf for a subnormal b
+                continue
+            y = math.ceil(y)
         else:
             continue
         if y > b_int:

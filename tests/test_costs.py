@@ -63,6 +63,13 @@ class TestUnconstrainedGen:
         with pytest.raises(InfeasibleError):
             unconstrained_gen_schedule(5, attrs(0, 0), prices())
 
+    def test_subnormal_wireless_coefficient(self):
+        # 5e-324 * 0.2 underflows to 0: the balanced optimum is out of reach,
+        # so the pure-visual schedule stands
+        sched, cost = unconstrained_gen_schedule(4, attrs(1, 5e-324), prices(t=0.2))
+        assert (sched.t_vs, sched.b_ws, sched.t_ws) == (4.0, 0.0, 0.0)
+        assert cost == 4.0 * 0.2
+
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(300):

@@ -149,8 +149,13 @@ def test_serial_mode_budget_is_full_window():
 
 
 @st.composite
-def solve_cases(draw, b=st.just(0.0) | st.floats(1e-3, 0.5)):
-    """One client's solve in the ranges the packaged scenario produces."""
+def solve_cases(
+    draw,
+    b=st.sampled_from([0.0, 5e-324]) | st.floats(1e-3, 0.5) | st.floats(0.0, 1e-300),
+):
+    """One client's solve in the ranges the packaged scenario produces, plus
+    wireless coefficients so small (down to subnormal) that their products
+    with prices or cell counts underflow to 0."""
     bits = st.sampled_from([0.0, 1e7, 1e8, 4e8])
     at = StatusAttributes(
         a=draw(st.floats(0.0, 60.0)),

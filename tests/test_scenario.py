@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import (
@@ -16,6 +18,7 @@ from mfpsim.scenario import (
     spectral_efficiency,
     status_attributes,
     step_mobility,
+    target_distances,
     targets_in_domain,
 )
 
@@ -153,3 +156,136 @@ def test_global_label_distribution_union():
     assert dist is not None
     assert dist[0] == pytest.approx(0.5) and dist[1] == pytest.approx(0.5)
     assert dist[5] == 0.0
+
+
+# Offsets at exactly 50 m (the default d_vs) and 100 m (d_ws): integer
+# Pythagorean legs, so the distance to an integer client position is exact.
+BOUNDARY_OFFSETS = [(30, 40), (-40, 30), (50, 0), (0, -50), (60, 80), (-80, -60), (100, 0)]
+
+
+@st.composite
+def fleet_states(draw, max_clients=6, max_targets=40):
+    """Several clients at integer positions; targets anywhere, or exactly on
+    a client's visual or wireless disc boundary."""
+    n_clients = draw(st.integers(1, max_clients))
+    clients = [
+        (float(draw(st.integers(0, 500))), float(draw(st.integers(0, 500))))
+        for _ in range(n_clients)
+    ]
+    anywhere = st.tuples(st.floats(0, 500), st.floats(0, 500))
+    targets = []
+    for _ in range(draw(st.integers(0, max_targets))):
+        if draw(st.booleans()):
+            cx, cy = clients[draw(st.integers(0, n_clients - 1))]
+            dx, dy = draw(st.sampled_from(BOUNDARY_OFFSETS))
+            targets.append((cx + dx, cy + dy))
+        else:
+            targets.append(draw(anywhere))
+    n_classes = draw(st.integers(1, 10))
+    return ScenarioState(
+        area_m=500.0,
+        client_pos=np.array(clients, dtype=float),
+        client_vel=np.zeros((n_clients, 2)),
+        target_pos=np.array(targets, dtype=float).reshape(-1, 2),
+        target_vel=np.zeros((len(targets), 2)),
+        target_class=np.array(
+            [draw(st.integers(0, n_classes - 1)) for _ in targets], dtype=int
+        ),
+        server_pos=np.array([250.0, 250.0]),
+        n_classes=n_classes,
+        max_speed=30.0,
+    )
+
+
+def test_boundary_offsets_land_exactly_on_the_discs():
+    geom = SensingGeometry()
+    rows = [(100 + dx, 100 + dy, 0) for dx, dy in BOUNDARY_OFFSETS]
+    d = target_distances(single_client_state((100, 100), rows))[0]
+    assert sorted(set(d.tolist())) == [geom.d_vs, geom.d_ws]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet_states(max_clients=12, max_targets=60))
+def test_target_distance_rows_match_per_client_norm_bitwise(state):
+    d = target_distances(state)
+    assert d.shape == (state.n_clients, state.n_targets)
+    for c in range(state.n_clients):
+        ref = np.linalg.norm(state.target_pos - state.client_pos[c], axis=1)
+        assert d[c].tobytes() == ref.tobytes()
+
+
+def test_target_distance_rows_match_on_generated_scenarios():
+    for seed in range(5):
+        state = step_mobility(make_scenario(seed, 50, 120), seed=seed, dt=3.0)
+        d = target_distances(state)
+        for c in range(state.n_clients):
+            ref = np.linalg.norm(state.target_pos - state.client_pos[c], axis=1)
+            assert d[c].tobytes() == ref.tobytes()
+
+
+def _assert_same_status(x, y):
+    assert x.a == y.a and x.b == y.b and x.rho_tar == y.rho_tar
+    assert x.n_visual_targets == y.n_visual_targets
+    assert x.n_wireless_targets == y.n_wireless_targets
+    if x.label_dist is None:
+        assert y.label_dist is None
+    else:
+        assert np.array_equal(x.label_dist, y.label_dist)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet_states(), st.sampled_from(["msg", "vsg", "wsg"]))
+def test_status_with_distance_row_equals_single_client_path(state, mode):
+    geom, ch, q = SensingGeometry(), ChannelParams(), ResourceQuanta()
+    profile = SensingProfile(mode=mode)
+    d = target_distances(state)
+    for c in range(state.n_clients):
+        row = d[c]
+        _assert_same_status(
+            status_attributes(state, c, geom, ch, profile, q, distances=row),
+            status_attributes(state, c, geom, ch, profile, q),
+        )
+        with_row = targets_in_domain(state, c, geom, row)
+        without = targets_in_domain(state, c, geom)
+        assert all(np.array_equal(x, y) for x, y in zip(with_row, without))
+
+
+def test_status_with_distance_row_and_no_targets():
+    state = single_client_state((250, 250), [])
+    args = (state, 0, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
+    _assert_same_status(
+        status_attributes(*args, distances=target_distances(state)[0]), status_attributes(*args)
+    )
+
+
+def _reference_label_union(state, geometry, mode):
+    """The per-client union: every client's targets_in_domain, one by one."""
+    if state.n_targets == 0:
+        return None
+    sensed = np.zeros(state.n_targets, dtype=bool)
+    for c in range(state.n_clients):
+        in_vsd, in_annulus = targets_in_domain(state, c, geometry)
+        if mode in ("msg", "vsg"):
+            sensed[in_vsd] = True
+        if mode in ("msg", "wsg"):
+            sensed[in_annulus] = True
+    if not sensed.any():
+        return None
+    counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)
+    return counts / counts.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet_states(max_clients=12, max_targets=60), st.sampled_from(["msg", "vsg", "wsg"]))
+def test_global_label_distribution_matrix_equals_per_client_union(state, mode):
+    geom = SensingGeometry()
+    ref = _reference_label_union(state, geom, mode)
+    d = target_distances(state) if state.n_targets else None
+    for got in (
+        global_label_distribution(state, geom, mode, d),
+        global_label_distribution(state, geom, mode),
+    ):
+        if ref is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, ref)

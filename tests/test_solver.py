@@ -336,6 +336,21 @@ class TestConsumptionEnumeration:
         assert _enumerate_consumption(procs, 1.0, 4.0) is None
 
 
+def test_subnormal_wireless_coefficient_solves_and_realizes():
+    # b * time_price and b * t_max underflow to 0 for b = 5e-324
+    budgets = Budgets(4.0, 5.0, 5.0, cycle_cells=0.4)
+    pv = prices(t=0.2)
+    assert mutv(attrs(0.0, 5e-324), ZERO_TASK, pv, budgets, UNIT) < 1
+    at = attrs(20.0, 5e-324)
+    out = solve(6, 20.0, 5e-324, budgets, pv=pv)
+    assert out.kind == OutcomeKind.OPTIMAL
+    assert (out.decision.gen.t_vs, out.decision.gen.b_ws) == (6 / 20.0, 0.0)
+    q = realize_schedule(6, at, ZERO_TASK, pv, Budgets(4.0, 5.0, 5.0), UNIT)
+    assert (q.gen.t_vs, q.gen.b_ws) == (1, 0)
+    q = realize_schedule(30, attrs(1.0, 5e-324), ZERO_TASK, pv, Budgets(4.0, 5.0, 5.0), UNIT)
+    assert q is None
+
+
 class TestMOurs:
     def test_dispatch(self):
         budgets = Budgets(4, 4, 4)
