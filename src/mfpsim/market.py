@@ -236,6 +236,15 @@ def allocate_workloads(
     only on its own load, so it is cached and recomputed only for the client
     that was just granted a sample, and the open-client count is a running
     counter: a greedy pass costs O(grants + clients) curve lookups.
+
+    A rationality pass does not rerun the greedy from scratch.  The previous
+    pass's grants are kept in order, with the first scan at which each client
+    became the running best.  Excluding clients that never led a scan leaves
+    every scan's pick unchanged, since they never changed `best`; so the next
+    pass replays the grants before the earliest scan any excluded client led
+    (all of them when none did) and resumes scanning from there.  Replaying
+    the same grants in the same order rebuilds the same loads, open count and
+    gain, the gain by the same float additions in the same order.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -271,6 +280,8 @@ def allocate_workloads(
     def welfare_of(load: dict[str, int]) -> float:
         return build_report(by_id, load, prices, alpha, beta).welfare
 
+    picks: list[str] = []  # the greedy's grants, in order
+    first_led: dict[str, int] = {}  # scan (index into picks) a client first led
     for _ in range(len(quotes) + 1):
         load = {q.client_id: 0 for q in quotes}
         gain = 0.0
@@ -278,24 +289,27 @@ def allocate_workloads(
         # marginal welfare of each client's next sample at its current load;
         # only a grant changes a client's load, so only a grant invalidates
         marginal: dict[str, float] = {}
+        bidders = [q for q in quotes if q.client_id not in excluded and q.gain_rate > 0]
 
         def grantable(require_positive: bool):
+            step = len(picks)
             best = None
-            for q in quotes:
+            for q in bidders:
                 cid = q.client_id
-                if cid in excluded or load[cid] >= q.mtv or q.gain_rate <= 0:
-                    continue
-                if load[cid] == 0 and opened >= max_active:
+                n = load[cid]
+                if n >= q.mtv or (n == 0 and opened >= max_active):
                     continue
                 if gain + q.gain_rate >= ceiling - _TOL:
                     continue
                 delta = marginal.get(cid)
                 if delta is None:
-                    delta = marginal[cid] = _marginal_welfare(q, load[cid], prices, alpha, beta)
+                    delta = marginal[cid] = _marginal_welfare(q, n, prices, alpha, beta)
                 if require_positive and delta <= _TOL:
                     continue
                 if best is None or delta > best[0] + _TOL:
                     best = (delta, cid)
+                    if cid not in first_led:
+                        first_led[cid] = step
             return best
 
         def grant(cid: str) -> None:
@@ -304,8 +318,10 @@ def allocate_workloads(
                 opened += 1
             load[cid] += 1
             gain += by_id[cid].gain_rate
-            del marginal[cid]
+            marginal.pop(cid, None)
 
+        for cid in picks:
+            grant(cid)
         while gain < gain_floor - _TOL:
             pick = grantable(require_positive=False)
             if pick is None:
@@ -315,8 +331,10 @@ def allocate_workloads(
                     else "capacity exhausted"
                 )
                 raise GainShortfallError(reason, max_achievable(excluded))
+            picks.append(pick[1])
             grant(pick[1])
         while (pick := grantable(require_positive=True)) is not None:
+            picks.append(pick[1])
             grant(pick[1])
 
         load = _block_polish(
@@ -339,4 +357,7 @@ def allocate_workloads(
             allocation = Allocation(workloads=workloads, active=tuple(sorted(workloads)))
             return allocation, report
         excluded.update(losers)
+        keep = min((first_led[c] for c in losers if c in first_led), default=len(picks))
+        del picks[keep:]
+        first_led = {c: s for c, s in first_led.items() if s < keep}
     raise GainShortfallError("rationality loop failed to settle", max_achievable(excluded))

@@ -70,6 +70,14 @@ class ResourceConsumption:
         )
 
 
+def _covers_cells(region: GridRegion | None) -> bool:
+    return (
+        region is not None
+        and region.row_stop > region.row_start
+        and region.col_stop > region.col_start
+    )
+
+
 class SharedResourcePool:
     """Boolean-occupancy pool with per-cell service tags for audit."""
 
@@ -129,21 +137,43 @@ class SharedResourcePool:
                     f"already held by service {other!r}"
                 )
 
-        cols_before = self._owned_cols(sid)
-        tf_rows_before = self._owned_rows(self._tf, sid)
-        tc_rows_before = self._owned_rows(self._tc, sid)
-
+        # Only region cells change, and after the write every row and column
+        # of a non-empty region holds the service: the newly counted rows and
+        # columns are the region's ones the service did not hold before.
+        tf = tf if _covers_cells(tf) else None
+        tc = tc if _covers_cells(tc) else None
+        consumption = ResourceConsumption(
+            time_cells=self._new_cols(sid, [r for r in (tf, tc) if r is not None]),
+            freq_cells=self._new_rows(self._tf, sid, tf),
+            compute_cells=self._new_rows(self._tc, sid, tc),
+        )
         for grid, region in ((self._tf, tf), (self._tc, tc)):
             if region is None:
                 continue
             block = grid[region.row_start : region.row_stop, region.col_start : region.col_stop]
             block[block == _FREE] = sid
+        return consumption
 
-        return ResourceConsumption(
-            time_cells=int((self._owned_cols(sid) & ~cols_before).sum()),
-            freq_cells=int((self._owned_rows(self._tf, sid) & ~tf_rows_before).sum()),
-            compute_cells=int((self._owned_rows(self._tc, sid) & ~tc_rows_before).sum()),
-        )
+    @staticmethod
+    def _new_rows(grid: np.ndarray, sid: int, region: GridRegion | None) -> int:
+        """Rows of `region` in which `sid` holds no cell yet."""
+        if region is None:
+            return 0
+        held = (grid[region.row_start : region.row_stop] == sid).any(axis=1)
+        return region.row_stop - region.row_start - int(np.count_nonzero(held))
+
+    def _new_cols(self, sid: int, regions: list[GridRegion]) -> int:
+        """Time columns covered by `regions` in which `sid` holds no cell of
+        either grid yet."""
+        if not regions:
+            return 0
+        lo = min(r.col_start for r in regions)
+        hi = max(r.col_stop for r in regions)
+        covered = np.zeros(hi - lo, dtype=bool)
+        for r in regions:
+            covered[r.col_start - lo : r.col_stop - lo] = True
+        held = (self._tf[:, lo:hi] == sid).any(axis=0) | (self._tc[:, lo:hi] == sid).any(axis=0)
+        return int(np.count_nonzero(covered & ~held))
 
     def _owned_cols(self, sid: int) -> np.ndarray:
         return (self._tf == sid).any(axis=0) | (self._tc == sid).any(axis=0)
@@ -163,25 +193,10 @@ class SharedResourcePool:
             compute_cells=int(self._owned_rows(self._tc, sid).sum()),
         )
 
-    def per_quantum_bandwidth_load(self, col: int) -> int:
-        """Occupied frequency cells in one time column (spectrum-sharing audit)."""
-        if not 0 <= col < self.time_cells:
-            raise ValueError(f"column {col} out of range [0,{self.time_cells})")
-        return int((self._tf[:, col] != _FREE).sum())
-
-    def per_quantum_compute_load(self, col: int) -> int:
-        """Occupied compute cells in one time column."""
-        if not 0 <= col < self.time_cells:
-            raise ValueError(f"column {col} out of range [0,{self.time_cells})")
-        return int((self._tc[:, col] != _FREE).sum())
-
     def column_loads(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupied cells per time column of the frequency grid and of the
-        compute grid: every column's `per_quantum_*_load` in one call."""
+        compute grid."""
         return (self._tf != _FREE).sum(axis=0), (self._tc != _FREE).sum(axis=0)
-
-    def free_bandwidth(self, col: int) -> int:
-        return self.freq_cells - self.per_quantum_bandwidth_load(col)
 
     def snapshot(self) -> dict:
         """JSON-serializable dump of dimensions and occupied cells with service tags."""

@@ -6,14 +6,12 @@ R+1 windows instead of the serial 2R.  The window length (cycle) is fixed by
 the previous round's slowest finisher.  Placement policy inside a window:
 downloads start at column 0, uploads end at the cycle boundary, compute sits
 between them, and sensing spans from column 0 on the opposite edge of the
-frequency grid; a per-column audit guards the shared spectrum.
+frequency grid, narrowed to the rows the transfers leave free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .costs import ScheduleDecision
 from .errors import ResourceConflictError
@@ -154,23 +152,6 @@ def place_generation(
     return [Placement(client_id, PROC_SENSE, 0, t, b, 0)]
 
 
-def audit_window(pool: SharedResourcePool) -> list[str]:
-    """Per-column capacity checks, by column, bandwidth before compute.
-
-    These cannot fire: a column's occupied-cell count is at most the number
-    of rows of its grid, and the frequency and compute grids have exactly
-    `freq_cells` and `compute_cells` rows."""
-    bandwidth, compute = pool.column_loads()
-    over = (bandwidth > pool.freq_cells) | (compute > pool.compute_cells)
-    bad = []
-    for col in np.flatnonzero(over).tolist():
-        if bandwidth[col] > pool.freq_cells:
-            bad.append(f"bandwidth_over_capacity:col{col}")
-        if compute[col] > pool.compute_cells:
-            bad.append(f"compute_over_capacity:col{col}")
-    return bad
-
-
 def audit_chain_order(placements: list[Placement]) -> list[str]:
     """Serial-order checks within a window: download before compute before
     upload.  The sensing -> compute order across windows is structural: a
@@ -249,8 +230,5 @@ def plan_round(
         if not placed and cid not in plan.dropped:
             plan.dropped[cid] = "sensing does not fit the shared window"
 
-    plan.audit_violations = []
-    for pool in pools.values():
-        plan.audit_violations += audit_window(pool)
-    plan.audit_violations += audit_chain_order(plan.placements)
+    plan.audit_violations = audit_chain_order(plan.placements)
     return plan

@@ -21,8 +21,10 @@ the exact optimum.  Thresholds:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .costs import (
@@ -254,6 +256,20 @@ def _consumption_processes(
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _box_sets(n_live: int, boxable: tuple[int, ...], forced: frozenset[int]):
+    """(boxed, free) index tuples of the live sub-processes, boxed sets by
+    size in `itertools.combinations` order, those missing a forced box left
+    out.  A chain has three sub-processes, so there are a few dozen keys."""
+    return tuple(
+        (boxed, tuple(i for i in range(n_live) if i not in boxed))
+        for boxed in itertools.chain.from_iterable(
+            itertools.combinations(boxable, k) for k in range(len(boxable) + 1)
+        )
+        if forced.issubset(boxed)
+    )
+
+
 def _enumerate_consumption(
     procs: list[_Process],
     time_price: float,
@@ -270,63 +286,84 @@ def _enumerate_consumption(
 
     Returns (splits, cost, active_ids) with splits: name -> (time, width),
     or None when even the fastest chain misses the budget.
+
+    It keeps the operation order of a straightforward enumeration with a
+    (time, width) dict per candidate, so costs and splits match it bit for
+    bit: candidates are index subsets of the live sub-processes by size,
+    each with the time price before the budget's tau; every float comes
+    from the same operands in the same order; every sum stays a builtin
+    `sum()` over the live sub-processes in chain order (the zeros of idle
+    ones add nothing).  Per-call invariants are computed once, a candidate
+    is two small lists, and the splits dict and active set are built only
+    for the winner.
     """
     live = [p for p in procs if p.volume > 0]
-    splits = {p.name: (0.0, 0.0) for p in procs}
     if not live:
-        return splits, 0.0, frozenset()
+        return {p.name: (0.0, 0.0) for p in procs}, 0.0, frozenset()
     if any(p.width_max <= 0 for p in live):
         return None
-    if sum(p.volume / p.width_max for p in live) > t_budget * (1 + _TOL):
+    t_box = [p.volume / p.width_max for p in live]
+    if sum(t_box) > t_budget * (1 + _TOL):
         return None
 
-    boxable = [p for p in live if not math.isinf(p.width_max)]
-    forced_live = forced_boxes & {p.name for p in boxable}
-    best = None
-    best_key = None
-    for boxed in itertools.chain.from_iterable(
-        itertools.combinations(boxable, k) for k in range(len(boxable) + 1)
-    ):
-        names = {p.name for p in boxed}
-        if not forced_live <= names:
-            continue
-        free = [p for p in live if p.name not in names]
-        t_floor = sum(p.volume / p.width_max for p in boxed)
+    volume = [p.volume for p in live]
+    w_box = [p.width_max for p in live]
+    w_cap = [w * (1 + _TOL) for w in w_box]
+    w_price = [p.width_price for p in live]
+    vol_price = [p.volume * p.width_price for p in live]
+    root = [math.sqrt(v) for v in vol_price]
+    boxable = tuple(i for i, p in enumerate(live) if not math.isinf(p.width_max))
+    forced = frozenset(i for i in boxable if live[i].name in forced_boxes)
+    finite_budget = not math.isinf(t_budget)
+    t_over = t_budget * (1 + _TOL) + _TOL
+    t_binds = t_budget * (1 - _TOL) - _TOL
+
+    best = None  # (times, widths, boxed, budget binds)
+    best_cost = best_t = best_w = 0.0
+    for boxed, free in _box_sets(len(live), boxable, forced):
         taus = [time_price]
-        if free and not math.isinf(t_budget):
-            rem = t_budget - t_floor
+        if free and finite_budget:
+            rem = t_budget - sum([t_box[i] for i in boxed])
             if rem > _TOL:
-                taus.append((sum(math.sqrt(p.volume * p.width_price) for p in free) / rem) ** 2)
+                taus.append((sum([root[i] for i in free]) / rem) ** 2)
         for tau in taus:
             if tau <= 0:
                 continue
-            cand = dict(splits)
-            ok = True
-            for p in boxed:
-                cand[p.name] = (p.volume / p.width_max, p.width_max)
-            for p in free:
-                x = math.sqrt(p.volume * p.width_price / tau)
-                w = p.volume / x
-                if w > p.width_max * (1 + _TOL):
-                    ok = False
+            times = t_box[:]
+            widths = w_box[:]
+            for i in free:
+                x = math.sqrt(vol_price[i] / tau)
+                w = volume[i] / x
+                if w > w_cap[i]:
                     break
-                cand[p.name] = (x, w)
-            if not ok:
-                continue
-            total_t = sum(t for t, _ in cand.values())
-            if total_t > t_budget * (1 + _TOL) + _TOL:
-                continue
-            cost = time_price * total_t + sum(
-                p.width_price * cand[p.name][1] for p in live
-            )
-            active = frozenset(names)
-            if not math.isinf(t_budget) and total_t >= t_budget * (1 - _TOL) - _TOL:
-                active = active | {CONS_TIME}
-            key = (total_t, sum(cand[p.name][1] for p in live))
-            if best is None or cost < best[1] - _TOL or (cost <= best[1] + _TOL and key < best_key):
-                best = (cand, cost, active)
-                best_key = key
-    return best
+                times[i] = x
+                widths[i] = w
+            else:
+                total_t = sum(times)
+                if total_t > t_over:
+                    continue
+                cost = time_price * total_t + sum(map(operator.mul, w_price, widths))
+                width_sum = sum(widths)
+                if (
+                    best is None
+                    or cost < best_cost - _TOL
+                    or (
+                        cost <= best_cost + _TOL
+                        and (total_t < best_t or (total_t == best_t and width_sum < best_w))
+                    )
+                ):
+                    best = (times, widths, boxed, finite_budget and total_t >= t_binds)
+                    best_cost, best_t, best_w = cost, total_t, width_sum
+    if best is None:
+        return None
+    times, widths, boxed, binds = best
+    splits = {p.name: (0.0, 0.0) for p in procs}
+    for i, p in enumerate(live):
+        splits[p.name] = (times[i], widths[i])
+    active = frozenset(live[i].name for i in boxed)
+    if binds:
+        active = active | {CONS_TIME}
+    return splits, best_cost, active
 
 
 def _cons_mtv(procs: list[_Process] | None, task, t_budget, quanta) -> float:

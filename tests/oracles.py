@@ -3,6 +3,11 @@
 These deliberately share no code with the engine: the sensing side sweeps the
 time axis with bandwidth pinned by the yield equality, the consumption side
 sweeps a 2-D time grid with a prefix-min over the third sub-process.
+
+The last two are straightforward forms of engine fast paths, which the tests
+compare with `==`: the binding-set enumeration with a dict per candidate, and
+the workload allocation rerunning its greedy from scratch on every
+rationality pass.
 """
 
 from __future__ import annotations
@@ -150,3 +155,186 @@ def allocation_exhaustive(quotes, price_sample, price_gain, gain_floor, gain_cei
         if best is None or welfare > best[0]:
             best = (welfare, combo)
     return best
+
+
+# ---------------------------------------------------------------------------
+# straightforward forms of two engine fast paths, which must reproduce them
+# bit for bit
+
+
+def enumerate_consumption_reference(procs, time_price, t_budget, forced_boxes=frozenset()):
+    """The binding-set enumeration with one (time, width) dict per candidate:
+    the form `solver._enumerate_consumption` must match exactly."""
+    tol = 1e-9
+    live = [p for p in procs if p.volume > 0]
+    splits = {p.name: (0.0, 0.0) for p in procs}
+    if not live:
+        return splits, 0.0, frozenset()
+    if any(p.width_max <= 0 for p in live):
+        return None
+    if sum(p.volume / p.width_max for p in live) > t_budget * (1 + tol):
+        return None
+
+    boxable = [p for p in live if not math.isinf(p.width_max)]
+    forced_live = forced_boxes & {p.name for p in boxable}
+    best = None
+    best_key = None
+    for boxed in itertools.chain.from_iterable(
+        itertools.combinations(boxable, k) for k in range(len(boxable) + 1)
+    ):
+        names = {p.name for p in boxed}
+        if not forced_live <= names:
+            continue
+        free = [p for p in live if p.name not in names]
+        t_floor = sum(p.volume / p.width_max for p in boxed)
+        taus = [time_price]
+        if free and not math.isinf(t_budget):
+            rem = t_budget - t_floor
+            if rem > tol:
+                taus.append((sum(math.sqrt(p.volume * p.width_price) for p in free) / rem) ** 2)
+        for tau in taus:
+            if tau <= 0:
+                continue
+            cand = dict(splits)
+            ok = True
+            for p in boxed:
+                cand[p.name] = (p.volume / p.width_max, p.width_max)
+            for p in free:
+                x = math.sqrt(p.volume * p.width_price / tau)
+                w = p.volume / x
+                if w > p.width_max * (1 + tol):
+                    ok = False
+                    break
+                cand[p.name] = (x, w)
+            if not ok:
+                continue
+            total_t = sum(t for t, _ in cand.values())
+            if total_t > t_budget * (1 + tol) + tol:
+                continue
+            cost = time_price * total_t + sum(p.width_price * cand[p.name][1] for p in live)
+            active = frozenset(names)
+            if not math.isinf(t_budget) and total_t >= t_budget * (1 - tol) - tol:
+                active = active | {"cons_time"}
+            key = (total_t, sum(cand[p.name][1] for p in live))
+            if best is None or cost < best[1] - tol or (cost <= best[1] + tol and key < best_key):
+                best = (cand, cost, active)
+                best_key = key
+    return best
+
+
+def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_active,
+                                 alpha=1.0, beta=1.0):
+    """`market.allocate_workloads` with every rationality pass rerunning the
+    greedy from scratch and rescanning every client's marginal per grant.
+    The block polish, the saturated start and the report are the engine's
+    own: the fast path leaves them as they are."""
+    from mfpsim.errors import GainShortfallError
+    from mfpsim.market import Allocation, _block_polish, _marginal_welfare, build_report
+
+    tol = 1e-9
+    if gain_window <= 0:
+        raise ValueError("gain window must be positive")
+    if max_active < 1:
+        raise ValueError("need at least one admissible client")
+    quotes = sorted(quotes, key=lambda q: q.client_id)
+    by_id = {q.client_id: q for q in quotes}
+    ceiling = gain_floor + gain_window
+    excluded = set()
+
+    def max_achievable():
+        rates = sorted(
+            (q.gain_rate * q.mtv for q in quotes if q.client_id not in excluded and q.mtv > 0),
+            reverse=True,
+        )
+        return sum(rates[:max_active])
+
+    def saturated_start():
+        load = {q.client_id: 0 for q in quotes}
+        gain = 0.0
+        opened = 0
+        for q in sorted(quotes, key=lambda q: (-q.gain_rate * q.mtv, q.client_id)):
+            if opened >= max_active or q.client_id in excluded or q.gain_rate <= 0:
+                continue
+            n = min(q.mtv, int((ceiling - gain - tol) // q.gain_rate))
+            if n >= 1:
+                load[q.client_id] = n
+                gain += q.gain_rate * n
+                opened += 1
+        return load
+
+    def polish(load):
+        return _block_polish(
+            quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
+        )
+
+    for _ in range(len(quotes) + 1):
+        load = {q.client_id: 0 for q in quotes}
+        gain = 0.0
+
+        def grantable(require_positive):
+            opened = sum(1 for n in load.values() if n > 0)
+            best = None
+            for q in quotes:
+                cid = q.client_id
+                if cid in excluded or load[cid] >= q.mtv or q.gain_rate <= 0:
+                    continue
+                if load[cid] == 0 and opened >= max_active:
+                    continue
+                if gain + q.gain_rate >= ceiling - tol:
+                    continue
+                delta = _marginal_welfare(q, load[cid], prices, alpha, beta)
+                if require_positive and delta <= tol:
+                    continue
+                if best is None or delta > best[0] + tol:
+                    best = (delta, cid)
+            return best
+
+        while gain < gain_floor - tol:
+            pick = grantable(False)
+            if pick is None:
+                reason = (
+                    "gain step overshoots the window"
+                    if max_achievable() + tol >= gain_floor
+                    else "capacity exhausted"
+                )
+                raise GainShortfallError(reason, max_achievable())
+            load[pick[1]] += 1
+            gain += by_id[pick[1]].gain_rate
+        while (pick := grantable(True)) is not None:
+            load[pick[1]] += 1
+            gain += by_id[pick[1]].gain_rate
+
+        load = polish(load)
+        alt = saturated_start()
+        if sum(by_id[c].gain_rate * n for c, n in alt.items()) >= gain_floor - tol:
+            alt = polish(alt)
+            welfare = build_report(by_id, alt, prices, alpha, beta).welfare
+            if welfare > build_report(by_id, load, prices, alpha, beta).welfare + tol:
+                load = alt
+
+        report = build_report(by_id, load, prices, alpha, beta)
+        losers = sorted(cid for cid, p in report.client_profits.items() if p < -tol)
+        if not losers:
+            if report.server_profit < -tol:
+                raise GainShortfallError("server rationality", max_achievable())
+            workloads = {cid: n for cid, n in load.items() if n > 0}
+            return Allocation(workloads=workloads, active=tuple(sorted(workloads))), report
+        excluded.update(losers)
+    raise GainShortfallError("rationality loop failed to settle", max_achievable())
+
+
+def snapshot_counts(snapshot, service=None):
+    """Occupancy counts read from `SharedResourcePool.snapshot()`.
+
+    Returns (bandwidth, compute, consumption): occupied cells per time column
+    of the frequency and the compute grid, and, for `service`, the numbers of
+    distinct time columns, frequency rows and compute rows it holds."""
+    n = snapshot["time_cells"]
+    loads = {"tf": [0] * n, "tc": [0] * n}
+    cols, rows = set(), {"tf": set(), "tc": set()}
+    for cell in snapshot["occupied"]:
+        loads[cell["grid"]][cell["col"]] += 1
+        if cell["service"] == service:
+            cols.add(cell["col"])
+            rows[cell["grid"]].add(cell["row"])
+    return loads["tf"], loads["tc"], (len(cols), len(rows["tf"]), len(rows["tc"]))

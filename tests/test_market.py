@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpsim.costs import ConsumptionTask, PriceVector
 from mfpsim.errors import GainShortfallError
@@ -19,7 +21,8 @@ from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, SolveInput, constrained_schedule, mtv
 
-from oracles import allocation_exhaustive
+import mfpsim.market as market
+from oracles import allocate_workloads_reference, allocation_exhaustive
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
@@ -33,6 +36,16 @@ def quote(cid, rate, samples):
         gain_rate=rate,
         curve=CostCurve.from_samples(samples),
     )
+
+
+class CountingCurve(CostCurve):
+    def __init__(self, samples, counter):
+        super().__init__(lambda n: samples[n], len(samples) - 1)
+        self._counter = counter
+
+    def cost(self, n):
+        self._counter[0] += 1
+        return super().cost(n)
 
 
 def quadratic_curve(mtv, lin, quad):
@@ -195,15 +208,6 @@ class TestAllocate:
         assert r_big.welfare >= r_small.welfare - 1e-9
 
     def test_greedy_lookups_grow_with_grants_not_grants_times_clients(self):
-        class CountingCurve(CostCurve):
-            def __init__(self, samples, counter):
-                super().__init__(lambda n: samples[n], len(samples) - 1)
-                self._counter = counter
-
-            def cost(self, n):
-                self._counter[0] += 1
-                return super().cost(n)
-
         for n_clients in (10, 30):
             lookups = [0]
             quotes = [
@@ -220,3 +224,79 @@ class TestAllocate:
             # a rescan of every client's marginal per grant would need
             # 2 * clients lookups per grant
             assert lookups[0] <= 3 * (alloc.total_samples + n_clients)
+
+    def test_rationality_passes_replay_instead_of_rescanning(self, monkeypatch):
+        # five cheap clients fill up first; ten clients with an activation
+        # cost are opened one per pass by the last grants (the cap leaves room
+        # for one more), end at a loss and are excluded: eleven passes
+        polishes = [0]
+
+        def counting_polish(*args):
+            polishes[0] += 1
+            return polish(*args)
+
+        polish = market._block_polish
+        monkeypatch.setattr(market, "_block_polish", counting_polish)
+        lookups = [0]
+        cheap = [0.5 * n for n in range(201)]
+        dear = [0.0, 3.1, 3.2]
+        quotes = [
+            ClientQuote(f"a{i}", 1.0, 200, 200, 0.01, CountingCurve(cheap, lookups))
+            for i in range(5)
+        ] + [
+            ClientQuote(f"b{i}", 1.0, 2, 2, 0.01, CountingCurve(dear, lookups))
+            for i in range(10)
+        ]
+        prices = self.prices(gain=300.0)
+        alloc, report = allocate_workloads(quotes, prices, 1.0, 100.0, 6)
+        assert polishes[0] == 2 * 11
+        assert alloc.workloads == {f"a{i}": 200 for i in range(5)}
+        assert report.audit() == []
+        # one greedy pass's worth (the bound of the test above) plus 10 per
+        # client and pass for the scans after the replayed grants and the
+        # polish; rerunning every pass from scratch takes about 22k
+        assert lookups[0] <= 3 * (alloc.total_samples + len(quotes)) + 10 * len(quotes) * 11
+        assert (alloc, report) == allocate_workloads_reference(quotes, prices, 1.0, 100.0, 6)
+
+
+@st.composite
+def markets(draw):
+    """Small quote sets that exercise the rationality loop: activation costs
+    that leave clients at a loss (several exclusion passes), shared curves and
+    offsets below, at and above 1e-9 (tied and near-tied marginals), binding
+    caps, zero gain rates, tight and wide gain windows."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        cap = draw(st.integers(1, 25))
+        act = draw(st.sampled_from([0.0, 0.5, 2.0, 8.0]))
+        lin = draw(st.floats(0.0, 2.0))
+        quad = draw(st.floats(0.0, 0.1))
+        shapes.append([0.0] + [act + lin * n + quad * n * n for n in range(1, cap + 1)])
+    quotes = []
+    for i in range(draw(st.integers(1, 7))):
+        base = draw(st.sampled_from(shapes))
+        tilt = draw(st.sampled_from([0.0, 0.0, 4e-10, 1e-9, 1.5e-9]))
+        samples = [c + tilt * n for n, c in enumerate(base)]
+        rate = draw(st.sampled_from([0.0, 0.02, 0.05, 0.05, 0.1]))
+        quotes.append(quote(f"c{i}", rate, samples))
+    prices = PriceVector(sample=1.0, gain=draw(st.floats(5.0, 80.0)))
+    floor = draw(st.floats(0.0, 1.0))
+    window = draw(st.floats(0.05, 10.0))
+    cap = draw(st.integers(1, len(quotes)))
+    return quotes, prices, floor, window, cap
+
+
+def _outcome(allocate, case):
+    try:
+        return allocate(*case)
+    except GainShortfallError as err:
+        return type(err), err.reason, err.max_gain
+
+
+@settings(max_examples=400, deadline=None)
+@given(markets())
+def test_allocation_equals_from_scratch_reference(case):
+    got = _outcome(allocate_workloads, case)
+    ref = _outcome(allocate_workloads_reference, case)
+    assert got == ref
+    assert repr(got) == repr(ref)  # same floats bit for bit, same dict orders

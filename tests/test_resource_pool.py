@@ -13,6 +13,8 @@ from mfpsim.resource_pool import (
     new_pool,
 )
 
+from oracles import snapshot_counts
+
 
 def region(rows, cols):
     return GridRegion(rows[0], rows[1], cols[0], cols[1])
@@ -79,26 +81,27 @@ def test_compute_grid_counts_and_shared_time_axis():
     assert got == ResourceConsumption(time_cells=0, freq_cells=1, compute_cells=0)
 
 
-def test_per_quantum_loads():
+def test_column_loads():
     pool = new_pool(10, 4, 10)
-    assert pool.per_quantum_bandwidth_load(5) == 0
+    assert pool.column_loads()[0][5] == 0
     pool.reserve("a", tf=region((0, 3), (3, 4)))
-    assert pool.per_quantum_bandwidth_load(3) == 3
-    assert pool.per_quantum_bandwidth_load(2) == 0
-    pool.reserve("b", tf=region((3, 4), (3, 4)))
-    assert pool.per_quantum_bandwidth_load(3) == 4
-    assert pool.free_bandwidth(3) == 0
+    bandwidth, compute = pool.column_loads()
+    assert bandwidth[3] == 3 and bandwidth[2] == 0
+    pool.reserve("b", tf=region((3, 4), (3, 4)), tc=region((0, 2), (2, 5)))
+    bandwidth, compute = pool.column_loads()
+    assert bandwidth[3] == 4
+    assert list(compute) == [0, 0, 2, 2, 2, 0, 0, 0, 0, 0]
     with pytest.raises(ResourceConflictError):
         pool.reserve("c", tf=region((0, 1), (3, 4)))
-    with pytest.raises(ValueError):
-        pool.per_quantum_bandwidth_load(10)
+    ref_bandwidth, ref_compute, _ = snapshot_counts(pool.snapshot())
+    assert list(bandwidth) == ref_bandwidth and list(compute) == ref_compute
 
 
 def test_saturated_column_capacity():
     pool = new_pool(4, 4, 4)
     pool.reserve("a", tf=region((0, 2), (0, 1)))
     pool.reserve("b", tf=region((2, 4), (0, 1)))
-    assert pool.per_quantum_bandwidth_load(0) == 4
+    assert pool.column_loads()[0][0] == 4
 
 
 def test_snapshot_is_json_ready_and_sorted():
@@ -134,3 +137,34 @@ def test_def2_counts_order_independent(order, data):
     base_total, base_final = run(range(5))
     perm_total, perm_final = run(order)
     assert base_total == perm_total == base_final == perm_final
+
+
+@st.composite
+def any_region(draw, rows, cols):
+    """Any region of a rows x cols grid, empty ones included."""
+    r0, r1 = sorted(draw(st.integers(0, rows)) for _ in range(2))
+    c0, c1 = sorted(draw(st.integers(0, cols)) for _ in range(2))
+    return GridRegion(r0, r1, c0, c1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reserve_counts_equal_whole_grid_reference(data):
+    # the newly counted rows and columns of a reserve are the growth of the
+    # service's distinct rows and columns over both whole grids
+    t, f, c = (data.draw(st.integers(1, n)) for n in (8, 6, 5))
+    pool = new_pool(t, f, c)
+    for _ in range(data.draw(st.integers(1, 12))):
+        service = f"s{data.draw(st.integers(0, 2))}"
+        tf = data.draw(st.none() | any_region(f, t))
+        tc = data.draw(st.none() | any_region(c, t))
+        before = pool.snapshot()
+        try:
+            got = pool.reserve(service, tf=tf, tc=tc)
+        except ResourceConflictError:
+            assert pool.snapshot() == before
+            continue
+        _, _, held_before = snapshot_counts(before, service)
+        _, _, held_after = snapshot_counts(pool.snapshot(), service)
+        expect = tuple(a - b for a, b in zip(held_after, held_before))
+        assert (got.time_cells, got.freq_cells, got.compute_cells) == expect

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpsim.costs import ConsumptionTask, PriceVector, total_min_cost_unconstrained
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import (
+    COMPUTE,
     CONS_TIME,
+    DOWN_BANDWIDTH,
     GEN_BANDWIDTH,
     GEN_TIME,
+    UP_BANDWIDTH,
     Budgets,
     OutcomeKind,
     SolveInput,
+    _Process,
     _consumption_processes,
     _enumerate_consumption,
     constrained_schedule,
@@ -22,7 +28,12 @@ from mfpsim.solver import (
     realize_schedule,
 )
 
-from oracles import consumption_by_multiplier, consumption_grid_min, gen_grid_min
+from oracles import (
+    consumption_by_multiplier,
+    consumption_grid_min,
+    enumerate_consumption_reference,
+    gen_grid_min,
+)
 
 UNIT = ResourceQuanta(time_s=1.0, freq_hz=1.0, compute_cycles_per_s=1.0)
 ZERO_TASK = ConsumptionTask(0, 0, 0, 1, 1)
@@ -310,8 +321,6 @@ class TestConstrainedSchedule:
 
 class TestConsumptionEnumeration:
     def test_matches_multiplier_bisection(self):
-        from mfpsim.solver import _Process
-
         rng = np.random.default_rng(9)
         for _ in range(300):
             vols = rng.uniform(0.05, 20, 3)
@@ -330,10 +339,52 @@ class TestConsumptionEnumeration:
             assert got[1] == pytest.approx(ref, rel=1e-6)
 
     def test_returns_none_when_floor_exceeds_budget(self):
-        from mfpsim.solver import _Process
-
         procs = [_Process("d", 10.0, 1.0, 2.0)]
         assert _enumerate_consumption(procs, 1.0, 4.0) is None
+
+
+@st.composite
+def chains(draw):
+    """Consumption chains that make every kind of candidate win: idle links,
+    infinite, zero and exactly-at-the-optimum width limits, budgets that are
+    infinite, barely feasible or exactly the box-free chain time, forced
+    boxes, and the near-zero time price of the MC_FC baseline."""
+    time_price = draw(st.sampled_from([1e-12]) | st.floats(0.05, 20.0))
+    procs, free_time = [], []
+    for name in (DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH):
+        volume = draw(st.sampled_from([0.0]) | st.floats(1e-3, 50.0))
+        price = draw(st.floats(0.05, 20.0))
+        free_width = math.sqrt(volume * time_price / price)
+        width_max = draw(
+            st.sampled_from([math.inf, 0.0, free_width])
+            | st.floats(0.2, 3.0).map(lambda f: free_width * f)
+            | st.floats(1e-3, 50.0)
+        )
+        procs.append(_Process(name, volume, price, width_max))
+        if volume > 0:
+            free_time.append(math.sqrt(volume * price / time_price))
+    floor = sum(p.volume / p.width_max for p in procs if p.volume > 0 and p.width_max > 0)
+    t_budget = draw(
+        st.sampled_from([math.inf, floor, sum(free_time)])
+        | st.floats(0.9, 4.0).map(lambda f: floor * f)
+        | st.floats(1e-3, 100.0)
+    )
+    forced = draw(st.frozensets(st.sampled_from([DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH])))
+    return procs, time_price, t_budget, forced
+
+
+@settings(max_examples=600, deadline=None)
+@given(chains())
+def test_enumeration_equals_dict_per_candidate_reference(case):
+    got = _enumerate_consumption(*case)
+    ref = enumerate_consumption_reference(*case)
+    if ref is None:
+        assert got is None
+        return
+    splits, cost, active = got
+    assert list(splits.items()) == list(ref[0].items())
+    assert cost == ref[1]
+    assert active == ref[2]
 
 
 def test_subnormal_wireless_coefficient_solves_and_realizes():
