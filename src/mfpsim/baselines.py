@@ -1,14 +1,15 @@
 """Benchmark client-selection and scheduling policies.
 
-Each policy keeps the full constraint set and changes only the objective:
-latency-ranked selection, width-greedy or time-greedy scheduling, or
-gain-at-any-cost allocation.  SISCC is the engine's own welfare-driven
-pipeline and serves as the reference.
+Each policy keeps the full constraint set and differs from SISCC, the
+engine's own welfare-driven pipeline, only in what its row of `POLICIES`
+states: latency-ranked pre-selection, width-greedy or time-greedy scheduling
+and realization, a quality-blind gain rate, or gain-at-any-cost allocation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,29 +50,6 @@ class Policy(str, Enum):
     MLPG = "MLPG"
 
 
-SELECTION_POLICIES = frozenset({Policy.ML_C, Policy.ML_CC, Policy.ML_SCC, Policy.MP_TSC})
-
-# whole-cell realization objectives per policy: (sensing side, chain side)
-_REALIZE_OBJECTIVES = {
-    Policy.MC_T: ("time", "time"),
-    Policy.MLPG: ("time", "time"),
-    Policy.MC_FC: ("width", "width"),
-    Policy.SENS_OPT: ("time", "cost"),
-    Policy.COMM_OPT: ("cost", "comm_time"),
-    Policy.COMP_OPT: ("cost", "comp_time"),
-}
-
-
-def realize_with_policy(policy: Policy, inp: SolveInput):
-    """Best whole-cell schedule for the policy's objective (true prices break
-    ties); None when no integral schedule fits the window."""
-    gen_obj, cons_obj = _REALIZE_OBJECTIVES.get(policy, ("cost", "cost"))
-    return realize_schedule(
-        inp.n, inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta,
-        gen_objective=gen_obj, cons_objective=cons_obj,
-    )
-
-
 @dataclass(frozen=True)
 class SelectionMetrics:
     """Per-client figures the latency/product rankings are built from, all at
@@ -84,16 +62,62 @@ class SelectionMetrics:
     peak_sample_rate: float  # best per-cell yield: a + b * bandwidth
 
 
-def selection_key(policy: Policy, quote: ClientQuote, metrics: SelectionMetrics):
-    if policy == Policy.ML_C:
-        return metrics.comm_latency
-    if policy == Policy.ML_CC:
-        return metrics.comm_latency + metrics.comp_latency
-    if policy == Policy.ML_SCC:
-        return metrics.comm_latency + metrics.comp_latency + metrics.sensing_latency
-    if policy == Policy.MP_TSC:
-        return -(metrics.sensed_targets * metrics.peak_sample_rate)
-    raise ValueError(f"{policy} is not a latency/product selection policy")
+@dataclass(frozen=True)
+class PolicySpec:
+    """Everything a policy changes relative to SISCC.
+
+    schedule: per-client objective; "cost" is the exact solver, "time" the
+        fastest schedule, "width" the narrowest, and "sensing"/"comm"/"comp"
+        the fastest named process with the rest solved for cost.
+    realize: whole-cell realization objectives, (sensing side, chain side).
+    rank: pre-selection key over SelectionMetrics (ascending), or None for no
+        pre-selection.
+    mean_rate: the market sees every client at the mean gain rate
+        (quality-blind).
+    saturate: gain-greedy saturated allocation instead of the market, and no
+        individual-rationality drop at settlement.
+    """
+
+    schedule: str = "cost"
+    realize: tuple[str, str] = ("cost", "cost")
+    rank: Callable[[SelectionMetrics], float] | None = None
+    mean_rate: bool = False
+    saturate: bool = False
+
+
+POLICIES: dict[Policy, PolicySpec] = {
+    Policy.SISCC: PolicySpec(),
+    Policy.WISCC: PolicySpec(mean_rate=True),
+    Policy.SENS_OPT: PolicySpec(schedule="sensing", realize=("time", "cost")),
+    Policy.COMM_OPT: PolicySpec(schedule="comm", realize=("cost", "comm_time")),
+    Policy.COMP_OPT: PolicySpec(schedule="comp", realize=("cost", "comp_time")),
+    Policy.ML_C: PolicySpec(rank=lambda m: m.comm_latency),
+    Policy.ML_CC: PolicySpec(rank=lambda m: m.comm_latency + m.comp_latency),
+    Policy.ML_SCC: PolicySpec(
+        rank=lambda m: m.comm_latency + m.comp_latency + m.sensing_latency
+    ),
+    Policy.MP_TSC: PolicySpec(rank=lambda m: -(m.sensed_targets * m.peak_sample_rate)),
+    Policy.MC_T: PolicySpec(schedule="time", realize=("time", "time")),
+    Policy.MC_FC: PolicySpec(schedule="width", realize=("width", "width")),
+    Policy.MLPG: PolicySpec(schedule="time", realize=("time", "time"), saturate=True),
+}
+
+# chain widths the communication/computation-optimal objectives pin at their
+# maximum
+_FORCED_BOXES = {
+    "comm": frozenset({"down_bandwidth", "up_bandwidth"}),
+    "comp": frozenset({"compute"}),
+}
+
+
+def realize_with_policy(policy: Policy, inp: SolveInput):
+    """Best whole-cell schedule for the policy's objective (true prices break
+    ties); None when no integral schedule fits the window."""
+    gen_obj, cons_obj = POLICIES[policy].realize
+    return realize_schedule(
+        inp.n, inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta,
+        gen_objective=gen_obj, cons_objective=cons_obj,
+    )
 
 
 def select_clients(
@@ -115,17 +139,16 @@ def select_clients(
     if k > len(quotes):
         raise ValueError("cannot select more clients than quoted")
     quotes = sorted(quotes, key=lambda q: q.client_id)
-    if policy in SELECTION_POLICIES:
-        ranked = sorted(
-            quotes, key=lambda q: (selection_key(policy, q, metrics[q.client_id]), q.client_id)
-        )
+    spec = POLICIES[policy]
+    if spec.rank is not None:
+        ranked = sorted(quotes, key=lambda q: (spec.rank(metrics[q.client_id]), q.client_id))
         return [q.client_id for q in ranked[:k]]
     if prices is None:
         raise ValueError("welfare-ranked selection needs prices")
     mean_rate = sum(q.gain_rate for q in quotes) / len(quotes) if quotes else 0.0
 
     def opening_welfare(q: ClientQuote) -> float:
-        rate = mean_rate if policy == Policy.WISCC else q.gain_rate
+        rate = mean_rate if spec.mean_rate else q.gain_rate
         if q.mtv < 1:
             return -math.inf
         marginal = q.curve.cost(1) - q.curve.cost(0)
@@ -162,14 +185,8 @@ def schedule_with_policy(
     rest for cost.  `bounds` is (mtv, mutv) of the input when the caller
     already has it.
     """
-    if policy in (
-        Policy.SISCC,
-        Policy.WISCC,
-        Policy.ML_C,
-        Policy.ML_CC,
-        Policy.ML_SCC,
-        Policy.MP_TSC,
-    ):
+    objective = POLICIES[policy].schedule
+    if objective == "cost":
         return constrained_schedule(inp, bounds=bounds)
 
     if bounds is None:
@@ -188,21 +205,9 @@ def schedule_with_policy(
         return constrained_schedule(inp, bounds=bounds)
 
     procs = _consumption_processes(inp.n, inp.task, inp.prices, inp.budgets, inp.quanta)
-
-    def build(gen, splits):
-        decision = ScheduleDecision(gen, *_consumption_decision(splits))
-        return SolveOutcome(
-            OutcomeKind.OPTIMAL, decision, decision.cost(inp.prices), n_unc, n_max
-        )
-
-    if policy in (Policy.MC_T, Policy.MLPG):
+    if objective in ("time", "sensing"):
         gen = _min_time_generation(inp.n, inp.attrs, inp.budgets)
-        splits = {p.name: ((p.volume / p.width_max, p.width_max) if p.volume > 0 else (0.0, 0.0)) for p in procs}
-        if gen is None or sum(t for t, _ in splits.values()) > t_b * (1 + 1e-9):
-            return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
-        return build(gen, splits)
-
-    if policy == Policy.MC_FC:
+    elif objective == "width":
         # widths as narrow as the window allows: time price ~ 0 in the solve,
         # true prices in the reported cost
         a, b = inp.attrs.a, inp.attrs.b
@@ -213,28 +218,23 @@ def schedule_with_policy(
             gen = GenSchedule(t_b, y, t_b) if y <= inp.budgets.gen_bandwidth * (1 + 1e-9) else None
         else:
             gen = None
-        cons = _enumerate_consumption(procs, 1e-12, t_b)
-        if gen is None or cons is None:
-            return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
-        return build(gen, cons[0])
+    else:
+        gen_best = _solve_generation(
+            inp.n, inp.attrs.a, inp.attrs.b, inp.prices, t_b, inp.budgets.gen_bandwidth
+        )
+        gen = gen_best[0] if gen_best else None
 
-    if policy in (Policy.SENS_OPT, Policy.COMM_OPT, Policy.COMP_OPT):
-        if policy == Policy.SENS_OPT:
-            gen = _min_time_generation(inp.n, inp.attrs, inp.budgets)
-            forced = frozenset()
-        else:
-            gen_best = _solve_generation(
-                inp.n, inp.attrs.a, inp.attrs.b, inp.prices, t_b, inp.budgets.gen_bandwidth
-            )
-            gen = gen_best[0] if gen_best else None
-            forced = (
-                frozenset({"down_bandwidth", "up_bandwidth"})
-                if policy == Policy.COMM_OPT
-                else frozenset({"compute"})
-            )
-        cons = _enumerate_consumption(procs, inp.prices.time, t_b, forced_boxes=forced)
-        if gen is None or cons is None:
-            return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
-        return build(gen, cons[0])
-
-    raise ValueError(f"unknown policy {policy}")
+    if objective == "time":
+        splits = {p.name: ((p.volume / p.width_max, p.width_max) if p.volume > 0 else (0.0, 0.0)) for p in procs}
+        if sum(t for t, _ in splits.values()) > t_b * (1 + 1e-9):
+            splits = None
+    else:
+        time_price = 1e-12 if objective == "width" else inp.prices.time
+        cons = _enumerate_consumption(
+            procs, time_price, t_b, forced_boxes=_FORCED_BOXES.get(objective, frozenset())
+        )
+        splits = None if cons is None else cons[0]
+    if gen is None or splits is None:
+        return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
+    decision = ScheduleDecision(gen, *_consumption_decision(splits))
+    return SolveOutcome(OutcomeKind.OPTIMAL, decision, decision.cost(inp.prices), n_unc, n_max)

@@ -15,11 +15,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .config import load_config
+from .config import config_hash, load_config
 from .costs import ConsumptionTask, PriceVector
 from .errors import ConfigError
 from .resource_pool import ResourceQuanta
-from .runner import run, sweep
+from .runner import SUMMARY_COLUMNS, _csv_text, run, sweep
 from .scenario import StatusAttributes
 from .solver import Budgets, OutcomeKind, SolveInput, constrained_schedule
 
@@ -63,15 +63,8 @@ def _config_overrides(args) -> dict:
 
 
 def _load(args):
-    base = json.loads(Path(args.config).read_text()) if args.config else {}
-    overrides = _config_overrides(args)
-    merged = base
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = {**merged[key], **value}
-        else:
-            merged[key] = value
-    return load_config(merged)
+    # defaults, then the file, then the flags; validated once
+    return load_config(args.config, _config_overrides(args))
 
 
 def _add_common(parser):
@@ -89,12 +82,7 @@ def _add_common(parser):
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    record = run(config)
+    record = run(_load(args))
     if args.out:
         for path in record.write(args.out):
             print(path)
@@ -103,22 +91,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = _load(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     values = _parse_values(args.values)
-    try:
-        records, merged = sweep(config, args.axis, values)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    records, merged = sweep(_load(args), args.axis, values)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        from .runner import SUMMARY_COLUMNS, _csv_text
-
         text = _csv_text(["swept_value"] + SUMMARY_COLUMNS, merged)
         (outdir / "sweep.csv").write_text(text)
         for value, record in zip(values, records):
@@ -157,14 +134,7 @@ def _cmd_solve_one(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = _load(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    from .config import config_hash
-
-    print(json.dumps({"valid": True, "config_hash": config_hash(config)}, indent=2))
+    print(json.dumps({"valid": True, "config_hash": config_hash(_load(args))}, indent=2))
     return EXIT_OK
 
 
@@ -206,7 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--time-quantum", type=float, default=1.0)
     p_solve.add_argument("--freq-quantum", type=float, default=1.0)
     p_solve.add_argument("--compute-quantum", type=float, default=1.0)
-    p_solve.add_argument("--explain", action="store_true", help="include the candidate trace")
+    p_solve.add_argument(
+        "--explain",
+        action="store_true",
+        help="add a trace: the solution path taken and, on the active-set path, "
+        "the binding sensing and chain constraints",
+    )
     p_solve.set_defaults(fn=_cmd_solve_one)
 
     p_val = sub.add_parser("validate-config", help="check a config file against the schema")
@@ -217,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -118,10 +118,19 @@ SCHEMA = _obj(
 
 @functools.cache
 def _validator():
-    """SCHEMA's validator, with the schema itself checked once per process."""
+    """SCHEMA's validator, with the schema itself checked once per process.
+
+    A "number" must be finite: Python's `json` reads Infinity and NaN, and
+    NaN passes every bound check.
+    """
     cls = jsonschema.validators.validator_for(SCHEMA)
     cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
+    finite = cls.TYPE_CHECKER.redefine(
+        "number",
+        lambda checker, x: cls.TYPE_CHECKER.is_type(x, "number")
+        and (not isinstance(x, float) or math.isfinite(x)),
+    )
+    return jsonschema.validators.extend(cls, type_checker=finite)(SCHEMA)
 
 
 def default_config() -> dict:
@@ -237,21 +246,32 @@ class ExperimentConfig:
         )
 
 
-def load_config(source: dict | str | Path | None = None) -> ExperimentConfig:
-    """Merge `source` over the shipped defaults and validate.
+def load_config(
+    source: dict | str | Path | None = None, overrides: dict | None = None
+) -> ExperimentConfig:
+    """Merge `source` (a dict or a JSON file), then `overrides`, over the
+    shipped defaults and validate once, so an override can fix a bad value
+    in `source`.
 
-    Raises ConfigError with the JSON path of the first offending key.
+    Raises ConfigError with the JSON path of the first offending key, or with
+    the file's path when it cannot be read or its top level is not an object.
     """
-    if source is None:
-        override: dict = {}
-    elif isinstance(source, (str, Path)):
+    where = ""
+    if isinstance(source, (str, Path)):
+        where = str(source)
         try:
-            override = json.loads(Path(source).read_text())
+            source = json.loads(Path(source).read_text())
+        except OSError as err:
+            raise ConfigError(f"cannot read: {err.strerror or err}", where) from err
         except json.JSONDecodeError as err:
-            raise ConfigError(f"not valid JSON: {err}", str(source)) from err
-    else:
-        override = source
-    merged = _deep_merge(default_config(), override)
+            raise ConfigError(f"not valid JSON: {err}", where) from err
+    elif source is None:
+        source = {}
+    merged = default_config()
+    for layer in (source, overrides or {}):
+        if not isinstance(layer, dict):
+            raise ConfigError("top level must be a JSON object", where)
+        merged = _deep_merge(merged, layer)
     # the same error jsonschema.validate would raise, without re-checking the
     # constant schema on every call
     err = jsonschema.exceptions.best_match(_validator().iter_errors(merged))

@@ -9,6 +9,7 @@ welfare, driving the aggregate gain into the requested target window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costs import PriceVector
@@ -208,6 +209,33 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
     return load
 
 
+def saturated_load(
+    quotes: list[ClientQuote],
+    ceiling: float,
+    max_active: int,
+    excluded: set[str] | frozenset[str] = frozenset(),
+) -> dict[str, int]:
+    """Gain-greedy load: the strongest earners (gain rate x capacity, ties by
+    id) to capacity, the last one partly, so the gain stays under `ceiling`.
+
+    At most `max_active` clients, none of `excluded`.  Returns the nonzero
+    loads in grant order.  An infinite ceiling (`gain_floor + gain_window`
+    can overflow) loads every client to capacity.
+    """
+    load: dict[str, int] = {}
+    gain = 0.0
+    for q in sorted(quotes, key=lambda q: (-q.gain_rate * q.mtv, q.client_id)):
+        if len(load) >= max_active:
+            break
+        if q.client_id in excluded or q.gain_rate <= 0:
+            continue
+        n = min(q.mtv, int((ceiling - gain - _TOL) // q.gain_rate)) if math.isfinite(ceiling) else q.mtv
+        if n >= 1:
+            load[q.client_id] = n
+            gain += q.gain_rate * n
+    return load
+
+
 def allocate_workloads(
     quotes: list[ClientQuote],
     prices: PriceVector,
@@ -261,21 +289,6 @@ def allocate_workloads(
             reverse=True,
         )
         return sum(rates[:max_active])
-
-    def saturated_start() -> dict[str, int]:
-        load = {q.client_id: 0 for q in quotes}
-        gain = 0.0
-        order = sorted(quotes, key=lambda q: (-q.gain_rate * q.mtv, q.client_id))
-        opened = 0
-        for q in order:
-            if opened >= max_active or q.client_id in excluded or q.gain_rate <= 0:
-                continue
-            n = min(q.mtv, int((ceiling - gain - _TOL) // q.gain_rate))
-            if n >= 1:
-                load[q.client_id] = n
-                gain += q.gain_rate * n
-                opened += 1
-        return load
 
     def welfare_of(load: dict[str, int]) -> float:
         return build_report(by_id, load, prices, alpha, beta).welfare
@@ -340,7 +353,9 @@ def allocate_workloads(
         load = _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
         )
-        alt = saturated_start()
+        alt = {q.client_id: 0 for q in quotes} | saturated_load(
+            quotes, ceiling, max_active, excluded
+        )
         if sum(by_id[c].gain_rate * n for c, n in alt.items()) >= gain_floor - _TOL:
             alt = _block_polish(
                 quotes, alt, prices, gain_floor, ceiling, max_active, alpha, beta, excluded

@@ -21,17 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    SELECTION_POLICIES,
-    Policy,
+    POLICIES,
     SelectionMetrics,
     realize_with_policy,
     schedule_with_policy,
     select_clients,
 )
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, load_config
 from .costs import ScheduleDecision
 from .errors import GainShortfallError
-from .market import ClientQuote, CostCurve, allocate_workloads, build_report
+from .market import ClientQuote, CostCurve, allocate_workloads, build_report, saturated_load
 from .resource_pool import new_pool
 from .rounds import cycle_length, plan_round
 from .scenario import (
@@ -104,8 +103,8 @@ class RunRecord:
                 "rounds": len(self.summary_rows),
                 "cr_count": self.cr_count,
                 "audit_violations": self.audit_violations,
-                "total_welfare": sum(r["welfare"] for r in self.summary_rows),
-                "total_gain": sum(r["gain"] for r in self.summary_rows),
+                "total_welfare": self.total_welfare,
+                "total_gain": self.total_gain,
             },
             indent=2,
             sort_keys=True,
@@ -253,30 +252,12 @@ def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bound
     return out2, capped
 
 
-def _saturated_allocation(quotes, ceiling, max_active):
-    """Gain-greedy fallback/MLPG allocation: load the strongest earners to
-    capacity, partial-loading the last one to stay under the ceiling."""
-    order = sorted(quotes, key=lambda q: (-q.gain_rate * q.mtv, q.client_id))
-    load: dict[str, int] = {}
-    gain = 0.0
-    for q in order:
-        if len(load) >= max_active:
-            break
-        if q.gain_rate <= 0 or q.mtv < 1:
-            continue
-        room = ceiling - gain
-        n = min(q.mtv, int((room - 1e-9) // q.gain_rate)) if math.isfinite(ceiling) else q.mtv
-        if n >= 1:
-            load[q.client_id] = n
-            gain += q.gain_rate * n
-    return load
-
-
 def run(config: ExperimentConfig) -> RunRecord:
     """Execute the configured simulation; deterministic in (config, seed)."""
     record = RunRecord(config=config.raw, config_hash=config_hash(config), seed=config.seed)
     sc = config.scenario
     policy = config.policy
+    spec = POLICIES[policy]
     geometry = config.geometry()
     channel = config.channel()
     profile = config.profile()
@@ -318,7 +299,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         quotes = [c.quote for c in clients.values() if c.quote is not None]
 
         shortfall = False
-        if policy in SELECTION_POLICIES:
+        if spec.rank is not None:
             metrics = _selection_metrics(clients, budgets, quanta)
             k = min(market["max_active_clients"], len(quotes))
             chosen = set(select_clients(policy, quotes, metrics, k, prices=prices))
@@ -328,13 +309,11 @@ def run(config: ExperimentConfig) -> RunRecord:
 
         if ceiling <= 0:  # cumulative target already met in earlier rounds
             workloads: dict[str, int] = {}
-        elif policy == Policy.MLPG:
-            workloads = _saturated_allocation(
-                quotes_in_play, ceiling, market["max_active_clients"]
-            )
+        elif spec.saturate:
+            workloads = saturated_load(quotes_in_play, ceiling, market["max_active_clients"])
         else:
             alloc_quotes = quotes_in_play
-            if policy == Policy.WISCC and quotes_in_play:
+            if spec.mean_rate and quotes_in_play:
                 mean_rate = sum(q.gain_rate for q in quotes_in_play) / len(quotes_in_play)
                 alloc_quotes = [
                     ClientQuote(q.client_id, q.qod, q.mtv, q.mutv, mean_rate, q.curve)
@@ -353,9 +332,7 @@ def run(config: ExperimentConfig) -> RunRecord:
                 workloads = dict(allocation.workloads)
             except GainShortfallError:
                 shortfall = True
-                workloads = _saturated_allocation(
-                    quotes_in_play, ceiling, market["max_active_clients"]
-                )
+                workloads = saturated_load(quotes_in_play, ceiling, market["max_active_clients"])
 
         for cid, n in workloads.items():
             clients[cid].n = n
@@ -380,7 +357,7 @@ def run(config: ExperimentConfig) -> RunRecord:
             cid: c.quantized.cost(prices) for cid, c in active.items()
         }
         payments = dict(report.client_payments)
-        if policy != Policy.MLPG:
+        if not spec.saturate:
             for cid in sorted(active):
                 if payments.get(cid, 0.0) - realized_costs[cid] < -1e-9:
                     active[cid].note = "unprofitable after quantization"
@@ -665,36 +642,15 @@ def _place_round(
 def sweep(config: ExperimentConfig, axis: str, values: list) -> tuple[list[RunRecord], list[dict]]:
     """One run per value of a dotted config path, shared seed; returns the
     records plus merged per-round summary rows keyed by the swept value."""
-    from .config import load_config
-
     records = []
     merged = []
+    *parents, leaf = axis.split(".")
     for value in values:
-        override: dict = {}
-        cursor = override
-        parts = axis.split(".")
-        for part in parts[:-1]:
-            cursor[part] = {}
-            cursor = cursor[part]
-        cursor[parts[-1]] = value
-        cfg = load_config(_merge_raw(config.raw, override))
-        rec = run(cfg)
+        override = {leaf: value}
+        for part in reversed(parents):
+            override = {part: override}
+        rec = run(load_config(config.raw, override))
         records.append(rec)
         for row in rec.summary_rows:
             merged.append({"swept_value": value, **row})
     return records, merged
-
-
-def _merge_raw(base: dict, override: dict) -> dict:
-    import copy
-
-    merged = copy.deepcopy(base)
-    stack = [(merged, override)]
-    while stack:
-        dst, src = stack.pop()
-        for k, v in src.items():
-            if isinstance(v, dict) and isinstance(dst.get(k), dict):
-                stack.append((dst[k], v))
-            else:
-                dst[k] = v
-    return merged

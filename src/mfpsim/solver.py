@@ -481,7 +481,7 @@ def constrained_schedule(
             mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta),
         )
     n_max, n_unc = bounds
-    trace: dict | None = {"candidates": []} if explain else None
+    trace: dict | None = {} if explain else None
 
     if inp.n == 0:
         return SolveOutcome(OutcomeKind.OPTIMAL, ScheduleDecision(), 0.0, n_unc, n_max, trace=trace)

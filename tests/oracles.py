@@ -4,10 +4,10 @@ These deliberately share no code with the engine: the sensing side sweeps the
 time axis with bandwidth pinned by the yield equality, the consumption side
 sweeps a 2-D time grid with a prefix-min over the third sub-process.
 
-The last two are straightforward forms of engine fast paths, which the tests
-compare with `==`: the binding-set enumeration with a dict per candidate, and
-the workload allocation rerunning its greedy from scratch on every
-rationality pass.
+The last ones are straightforward or earlier forms of engine code, which the
+tests compare with `==`: the binding-set enumeration with a dict per
+candidate, the workload allocation rerunning its greedy from scratch on every
+rationality pass, and the runner's former saturated allocation.
 """
 
 from __future__ import annotations
@@ -321,6 +321,26 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
             return Allocation(workloads=workloads, active=tuple(sorted(workloads))), report
         excluded.update(losers)
     raise GainShortfallError("rationality loop failed to settle", max_achievable())
+
+
+def saturated_allocation_reference(quotes, ceiling, max_active):
+    """The runner's former gain-greedy fallback/MLPG allocation: load the
+    strongest earners to capacity, partial-loading the last one to stay
+    under the ceiling."""
+    order = sorted(quotes, key=lambda q: (-q.gain_rate * q.mtv, q.client_id))
+    load = {}
+    gain = 0.0
+    for q in order:
+        if len(load) >= max_active:
+            break
+        if q.gain_rate <= 0 or q.mtv < 1:
+            continue
+        room = ceiling - gain
+        n = min(q.mtv, int((room - 1e-9) // q.gain_rate)) if math.isfinite(ceiling) else q.mtv
+        if n >= 1:
+            load[q.client_id] = n
+            gain += q.gain_rate * n
+    return load
 
 
 def snapshot_counts(snapshot, service=None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfpsim.baselines import (
+    POLICIES,
     Policy,
     SelectionMetrics,
     schedule_with_policy,
@@ -29,6 +30,10 @@ def quote(cid, rate=0.05, mtv_=10, first_marginal=0.1):
 
 def metric(comm=1.0, comp=1.0, sense=1.0, targets=5, rate=2.0):
     return SelectionMetrics(comm, comp, sense, targets, rate)
+
+
+def test_policy_table_covers_every_policy():
+    assert set(POLICIES) == set(Policy)
 
 
 class TestSelection:

@@ -112,3 +112,59 @@ def test_sweep_bad_axis_is_config_error(tmp_path, capsys):
         ]
     )
     assert code == EXIT_CONFIG
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_flag_fixes_a_bad_value_in_the_config_file(tmp_path, capsys):
+    cfg = _write(tmp_path, "bogus.json", json.dumps({"policy": "BOGUS"}))
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["validate-config", "--config", cfg, "--policy", "MLPG"]) == EXIT_OK
+    body = json.loads(capsys.readouterr().out)
+    assert body["valid"] is True
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "5"]])
+def test_non_object_config_file_exits_2(tmp_path, capsys, flags):
+    cfg = _write(tmp_path, "list.json", "[1,2]")
+    assert main(["run", "--config", cfg, *flags]) == EXIT_CONFIG
+    assert "list.json: top level must be a JSON object" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "inf.json", '{"market": {"gain_window": Infinity}}')
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("market/gain_window") == 2
+
+
+def test_sweep_non_finite_value_exits_2(tmp_path, capsys):
+    code = main(
+        [
+            "sweep", "--config", _tiny(tmp_path), "--rounds", "1",
+            "--axis", "market.gain_window", "--values", "Infinity",
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "market/gain_window" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_solve_one_explain_trace(capsys):
+    code = main(
+        [
+            "solve-one", "--n", "4", "--a", "1", "--b", "1",
+            "--time-cells", "1", "--freq-cells", "10", "--explain",
+        ]
+    )
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert code == EXIT_OK
+    assert trace == {"solution": "active-set", "gen_active": ["gen_time"], "cons_active": []}

@@ -78,3 +78,44 @@ def test_defaults_document_is_complete():
     raw = default_config()
     assert raw["resources"]["time_cells"] == 10
     assert raw["scenario"]["channel"]["tx_power_server_dbm"] == 55.0
+
+
+def test_overrides_merge_after_the_source_and_validate_once():
+    cfg = load_config({"policy": "BOGUS", "rounds": 4}, {"policy": "MLPG"})
+    assert cfg.policy.value == "MLPG" and cfg.rounds == 4
+    with pytest.raises(ConfigError) as err:
+        load_config({"rounds": 4}, {"scenario": {"n_clientz": 5}})
+    assert err.value.path == "scenario.n_clientz"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_number_rejected_with_path(value):
+    with pytest.raises(ConfigError) as err:
+        load_config({"market": {"gain_window": value}})
+    assert err.value.path == "market/gain_window"
+    with pytest.raises(ConfigError) as err:
+        load_config({"resources": {"scale": [1.0, value, 1.0]}})
+    assert err.value.path == "resources/scale/1"
+
+
+def test_non_finite_number_in_file_rejected(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"market": {"gain_window": Infinity}}')
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.path == "market/gain_window"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"x"'])
+def test_file_top_level_must_be_an_object(tmp_path, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path, {"seed": 5})
+    assert err.value.path == str(path)
+
+
+def test_unreadable_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(tmp_path / "missing.json")
+    assert err.value.path == str(tmp_path / "missing.json")

@@ -2,8 +2,8 @@
 
 Each entry is a tiny config (two or three rounds, six clients) and the
 sha256 of every output file it produces.  Together they cover all twelve
-policies, both scheduling modes, a resource shortage and the cumulative gain
-target.  A change that moves any hash changes what the simulator computes;
+policies, both scheduling modes, a resource shortage, the cumulative gain
+target and the saturated fallback after a gain shortfall.  A change that moves any hash changes what the simulator computes;
 such a change must list every moved hash and the reason in CHANGES.md.
 """
 
@@ -38,6 +38,8 @@ CONFIGS = {
         market={"gain_target_mode": "cumulative", "gain_floor": 3.0, "gain_window": 4.0},
     ),
     "siscc_shortage": _tiny(21, resources={"scale": [0.5, 0.5, 0.5]}),
+    # a floor no allocation reaches: every round takes the saturated fallback
+    "siscc_shortfall": _tiny(23, market={"gain_floor": 30.0, "gain_window": 4.0}),
     "wiscc": _tiny(1, "WISCC", mode="serial"),
 }
 
@@ -120,6 +122,12 @@ GOLDEN = {
         "summary.csv": "14a6bbe9d0ebfe41054d068dfcf0f62fdf89ce4fa920966155e82c3bb351b895",
         "timeline.csv": "4ec5f29ee6277facde141582f4556a46e2fcc00685b6f4189a0e385a71981a0b",
     },
+    "siscc_shortfall": {
+        "clients.jsonl": "29514f4d40096a83056af3fd854e72b671fe347eb63f6663eae586067a5db953",
+        "run.json": "95505983b0aa3363430526ab450afa48bec95a74a223d33cc56b25924aa6447f",
+        "summary.csv": "2a2a5fe04e67a1e0ccf1a258e16db949b2defa19d098e61496f6cdd2c0ad4da5",
+        "timeline.csv": "75111d074fceb33ee8c5aebee2b7fee475d95814c8f5f8739061bd0e15588e7f",
+    },
     "wiscc": {
         "clients.jsonl": "8a4db195c50c7054081520f716be52fd6d6463347840d6f553ec9ebeac3cff94",
         "run.json": "f0706d0e84f36424c321a3bec314c1fd586833d44c16247d0037f0aea49e4029",
@@ -134,6 +142,11 @@ def test_golden_covers_every_policy_and_mode():
     assert {c.policy for c in cfgs} == set(Policy)
     assert {c.mode for c in cfgs} == {"zeros", "serial"}
     assert set(CONFIGS) == set(GOLDEN)
+
+
+def test_golden_reaches_the_shortfall_fallback():
+    rows = run(load_config(CONFIGS["siscc_shortfall"])).summary_rows
+    assert rows and all(r["shortfall"] and r["active_count"] > 0 for r in rows)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

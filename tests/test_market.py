@@ -15,6 +15,7 @@ from mfpsim.market import (
     app_payment,
     build_report,
     client_payment,
+    saturated_load,
     social_welfare,
 )
 from mfpsim.resource_pool import ResourceQuanta
@@ -22,7 +23,11 @@ from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, SolveInput, constrained_schedule, mtv
 
 import mfpsim.market as market
-from oracles import allocate_workloads_reference, allocation_exhaustive
+from oracles import (
+    allocate_workloads_reference,
+    allocation_exhaustive,
+    saturated_allocation_reference,
+)
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
@@ -300,3 +305,32 @@ def test_allocation_equals_from_scratch_reference(case):
     ref = _outcome(allocate_workloads_reference, case)
     assert got == ref
     assert repr(got) == repr(ref)  # same floats bit for bit, same dict orders
+
+
+@st.composite
+def saturation_cases(draw):
+    """Quote sets for the saturated load: rates and capacities from small
+    sets so gain_rate * mtv ties often (also 0.1 * 20 against 0.2 * 10),
+    zero rates, zero capacities, binding caps, exclusions and an infinite
+    ceiling."""
+    quotes = []
+    for i in range(draw(st.integers(0, 8))):
+        cap = draw(st.sampled_from([0, 1, 5, 10, 20]))
+        rate = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3]))
+        quotes.append(quote(f"c{i}", rate, [0.0] * (cap + 1)))
+    ceiling = draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 2.0, 3.7, 100.0, math.inf]))
+    cap = draw(st.integers(1, 9))
+    excluded = frozenset(q.client_id for q in quotes if draw(st.booleans()))
+    return draw(st.permutations(quotes)), ceiling, cap, excluded
+
+
+@settings(max_examples=400, deadline=None)
+@given(saturation_cases())
+def test_saturated_load_equals_former_runner_allocation(case):
+    quotes, ceiling, cap, excluded = case
+    got = saturated_load(quotes, ceiling, cap, excluded)
+    kept = [q for q in quotes if q.client_id not in excluded]
+    ref = saturated_allocation_reference(kept, ceiling, cap)
+    assert list(got.items()) == list(ref.items())  # same loads, same grant order
+    if not excluded:
+        assert list(saturated_load(quotes, ceiling, cap).items()) == list(ref.items())
