@@ -35,7 +35,6 @@ from .market import (
 )
 from .resource_pool import (
     GridRegion,
-    ResourceConsumption,
     ResourceQuanta,
     SharedResourcePool,
     new_pool,

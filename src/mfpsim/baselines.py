@@ -15,7 +15,6 @@ from enum import Enum
 
 from .costs import (
     GenSchedule,
-    PriceVector,
     ScheduleDecision,
     over_product,
 )
@@ -125,36 +124,19 @@ def select_clients(
     quotes: list[ClientQuote],
     metrics: dict[str, SelectionMetrics],
     k: int,
-    prices: PriceVector | None = None,
-    alpha: float = 1.0,
-    beta: float = 1.0,
 ) -> list[str]:
     """Pick up to k client ids under the policy's ranking.
 
     Latency policies rank ascending on their latency sum; the target-product
-    policy ranks descending on count x capacity; welfare policies rank by a
-    client's opening marginal welfare (quality-blind for the workload-only
-    variant).  Ties break on client id.
+    policy ranks descending on count x capacity.  Ties break on client id.
+    A policy without a ranking (`PolicySpec.rank` is None) raises ValueError.
     """
     if k > len(quotes):
         raise ValueError("cannot select more clients than quoted")
-    quotes = sorted(quotes, key=lambda q: q.client_id)
     spec = POLICIES[policy]
-    if spec.rank is not None:
-        ranked = sorted(quotes, key=lambda q: (spec.rank(metrics[q.client_id]), q.client_id))
-        return [q.client_id for q in ranked[:k]]
-    if prices is None:
-        raise ValueError("welfare-ranked selection needs prices")
-    mean_rate = sum(q.gain_rate for q in quotes) / len(quotes) if quotes else 0.0
-
-    def opening_welfare(q: ClientQuote) -> float:
-        rate = mean_rate if spec.mean_rate else q.gain_rate
-        if q.mtv < 1:
-            return -math.inf
-        marginal = q.curve.cost(1) - q.curve.cost(0)
-        return alpha * (prices.gain * rate - prices.sample) + beta * (prices.sample - marginal)
-
-    ranked = sorted(quotes, key=lambda q: (-opening_welfare(q), q.client_id))
+    if spec.rank is None:
+        raise ValueError(f"policy {Policy(policy).value} has no selection ranking")
+    ranked = sorted(quotes, key=lambda q: (spec.rank(metrics[q.client_id]), q.client_id))
     return [q.client_id for q in ranked[:k]]
 
 

@@ -20,12 +20,10 @@ class GainShortfallError(RuntimeError):
     instead of aborting a whole simulation.
     """
 
-    def __init__(self, reason: str, max_gain: float, allocation=None, report=None):
+    def __init__(self, reason: str, max_gain: float):
         super().__init__(f"gain target unreachable ({reason}); max achievable {max_gain:.6g}")
         self.reason = reason
         self.max_gain = max_gain
-        self.allocation = allocation
-        self.report = report
 
 
 class ConfigError(ValueError):

@@ -127,16 +127,24 @@ def social_welfare(server_profit: float, client_profit_sum: float, alpha: float,
 def build_report(
     quotes: dict[str, ClientQuote],
     workloads: dict[str, int],
+    costs: dict[str, float],
     prices: PriceVector,
     alpha: float,
     beta: float,
 ) -> WelfareReport:
+    """Settle one round: payments, profits and welfare of `workloads`.
+
+    `costs` holds the resource cost of each client with a nonzero workload:
+    its curve cost while the market allocates, its quantized schedule's cost
+    at settlement.  Welfare takes the clients' side as total payment minus
+    total cost.
+    """
     gain = sum(quotes[cid].gain_rate * n for cid, n in workloads.items())
     payments = {cid: client_payment(n, prices.sample) for cid, n in workloads.items() if n > 0}
-    costs = {cid: quotes[cid].curve.cost(workloads[cid]) for cid in payments}
     profits = {cid: payments[cid] - costs[cid] for cid in payments}
     p_app = app_payment(gain, prices.gain)
-    server = p_app - sum(payments.values())
+    paid = sum(payments.values())
+    server = p_app - paid
     return WelfareReport(
         gain=gain,
         app_payment=p_app,
@@ -144,7 +152,7 @@ def build_report(
         client_costs=costs,
         client_profits=profits,
         server_profit=server,
-        welfare=social_welfare(server, sum(profits.values()), alpha, beta),
+        welfare=social_welfare(server, paid - sum(costs.values()), alpha, beta),
         alpha=alpha,
         beta=beta,
     )
@@ -185,7 +193,7 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
             active_others = sum(1 for k, n in load.items() if n > 0 and k != cid)
             gain_others = gain - q.gain_rate * current
             room = ceiling - gain_others
-            hi = min(q.mtv, int((room - _TOL) // q.gain_rate))
+            hi = int(min(q.mtv, (room - _TOL) // q.gain_rate))
             candidates = {0, current}
             if hi >= 1 and (current > 0 or active_others < max_active):
                 candidates.add(hi)
@@ -229,7 +237,7 @@ def saturated_load(
             break
         if q.client_id in excluded or q.gain_rate <= 0:
             continue
-        n = min(q.mtv, int((ceiling - gain - _TOL) // q.gain_rate)) if math.isfinite(ceiling) else q.mtv
+        n = int(min(q.mtv, (ceiling - gain - _TOL) // q.gain_rate)) if math.isfinite(ceiling) else q.mtv
         if n >= 1:
             load[q.client_id] = n
             gain += q.gain_rate * n
@@ -290,8 +298,9 @@ def allocate_workloads(
         )
         return sum(rates[:max_active])
 
-    def welfare_of(load: dict[str, int]) -> float:
-        return build_report(by_id, load, prices, alpha, beta).welfare
+    def report_of(load: dict[str, int]) -> WelfareReport:
+        costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
+        return build_report(by_id, load, costs, prices, alpha, beta)
 
     picks: list[str] = []  # the greedy's grants, in order
     first_led: dict[str, int] = {}  # scan (index into picks) a client first led
@@ -353,6 +362,7 @@ def allocate_workloads(
         load = _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
         )
+        report = report_of(load)
         alt = {q.client_id: 0 for q in quotes} | saturated_load(
             quotes, ceiling, max_active, excluded
         )
@@ -360,10 +370,10 @@ def allocate_workloads(
             alt = _block_polish(
                 quotes, alt, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
             )
-            if welfare_of(alt) > welfare_of(load) + _TOL:
-                load = alt
+            alt_report = report_of(alt)
+            if alt_report.welfare > report.welfare + _TOL:
+                load, report = alt, alt_report
 
-        report = build_report(by_id, load, prices, alpha, beta)
         losers = sorted(cid for cid, p in report.client_profits.items() if p < -_TOL)
         if not losers:
             if report.server_profit < -_TOL:

@@ -2,9 +2,8 @@
 
 Each client holds, per communication round, two occupancy grids sharing one
 time axis: a frequency x time grid and a compute-rate x time grid.  Cells are
-claimed by named services and never released within a round.  Consumption is
-counted per direction: a time column, frequency row, or compute row counts
-once per service, the first time the service touches it.
+claimed by named services and never released within a round; each occupied
+cell keeps the tag of the service that claimed it.
 
 Pools are single-writer per round.  Concurrent reads are safe; interleaved
 reservations on one pool are not, so callers serialize writes per client.
@@ -54,30 +53,6 @@ class GridRegion:
             raise ValueError("region stop must be >= start")
 
 
-@dataclass(frozen=True)
-class ResourceConsumption:
-    """First-occupancy counts per direction: time columns, frequency rows, compute rows."""
-
-    time_cells: int = 0
-    freq_cells: int = 0
-    compute_cells: int = 0
-
-    def __add__(self, other: "ResourceConsumption") -> "ResourceConsumption":
-        return ResourceConsumption(
-            self.time_cells + other.time_cells,
-            self.freq_cells + other.freq_cells,
-            self.compute_cells + other.compute_cells,
-        )
-
-
-def _covers_cells(region: GridRegion | None) -> bool:
-    return (
-        region is not None
-        and region.row_stop > region.row_start
-        and region.col_stop > region.col_start
-    )
-
-
 class SharedResourcePool:
     """Boolean-occupancy pool with per-cell service tags for audit."""
 
@@ -111,12 +86,12 @@ class SharedResourcePool:
         service: str,
         tf: GridRegion | None = None,
         tc: GridRegion | None = None,
-    ) -> ResourceConsumption:
-        """Claim cells for `service` and return the newly counted consumption.
+    ) -> None:
+        """Claim the cells of `tf` and `tc` for `service`.
 
-        Cells already held by the same service are skipped (never
-        double-counted); cells held by another service raise
-        ResourceConflictError and leave the pool untouched.
+        Cells the service already holds stay as they are; a cell held by
+        another service raises ResourceConflictError and leaves the pool
+        untouched.
         """
         sid = self._sid(service)
         if tf is not None:
@@ -124,6 +99,7 @@ class SharedResourcePool:
         if tc is not None:
             self._check_bounds(self._tc, tc, "tc")
 
+        blocks = []
         for grid, region, name in ((self._tf, tf, "tf"), (self._tc, tc, "tc")):
             if region is None:
                 continue
@@ -136,62 +112,9 @@ class SharedResourcePool:
                     f"{name} cell ({region.row_start + r},{region.col_start + c}) "
                     f"already held by service {other!r}"
                 )
-
-        # Only region cells change, and after the write every row and column
-        # of a non-empty region holds the service: the newly counted rows and
-        # columns are the region's ones the service did not hold before.
-        tf = tf if _covers_cells(tf) else None
-        tc = tc if _covers_cells(tc) else None
-        consumption = ResourceConsumption(
-            time_cells=self._new_cols(sid, [r for r in (tf, tc) if r is not None]),
-            freq_cells=self._new_rows(self._tf, sid, tf),
-            compute_cells=self._new_rows(self._tc, sid, tc),
-        )
-        for grid, region in ((self._tf, tf), (self._tc, tc)):
-            if region is None:
-                continue
-            block = grid[region.row_start : region.row_stop, region.col_start : region.col_stop]
+            blocks.append(block)
+        for block in blocks:
             block[block == _FREE] = sid
-        return consumption
-
-    @staticmethod
-    def _new_rows(grid: np.ndarray, sid: int, region: GridRegion | None) -> int:
-        """Rows of `region` in which `sid` holds no cell yet."""
-        if region is None:
-            return 0
-        held = (grid[region.row_start : region.row_stop] == sid).any(axis=1)
-        return region.row_stop - region.row_start - int(np.count_nonzero(held))
-
-    def _new_cols(self, sid: int, regions: list[GridRegion]) -> int:
-        """Time columns covered by `regions` in which `sid` holds no cell of
-        either grid yet."""
-        if not regions:
-            return 0
-        lo = min(r.col_start for r in regions)
-        hi = max(r.col_stop for r in regions)
-        covered = np.zeros(hi - lo, dtype=bool)
-        for r in regions:
-            covered[r.col_start - lo : r.col_stop - lo] = True
-        held = (self._tf[:, lo:hi] == sid).any(axis=0) | (self._tc[:, lo:hi] == sid).any(axis=0)
-        return int(np.count_nonzero(covered & ~held))
-
-    def _owned_cols(self, sid: int) -> np.ndarray:
-        return (self._tf == sid).any(axis=0) | (self._tc == sid).any(axis=0)
-
-    @staticmethod
-    def _owned_rows(grid: np.ndarray, sid: int) -> np.ndarray:
-        return (grid == sid).any(axis=1)
-
-    def consumption_of(self, service: str) -> ResourceConsumption:
-        """Total first-occupancy counts accumulated by `service` in this pool."""
-        sid = self._service_index.get(service)
-        if sid is None:
-            return ResourceConsumption()
-        return ResourceConsumption(
-            time_cells=int(self._owned_cols(sid).sum()),
-            freq_cells=int(self._owned_rows(self._tf, sid).sum()),
-            compute_cells=int(self._owned_rows(self._tc, sid).sum()),
-        )
 
     def column_loads(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupied cells per time column of the frequency grid and of the

@@ -302,7 +302,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         if spec.rank is not None:
             metrics = _selection_metrics(clients, budgets, quanta)
             k = min(market["max_active_clients"], len(quotes))
-            chosen = set(select_clients(policy, quotes, metrics, k, prices=prices))
+            chosen = set(select_clients(policy, quotes, metrics, k))
             quotes_in_play = [q for q in quotes if q.client_id in chosen]
         else:
             quotes_in_play = quotes
@@ -344,40 +344,30 @@ def run(config: ExperimentConfig) -> RunRecord:
         )
         windows_used = 2 * r if serial else r
 
-        # settle on what actually fit
+        # settle on what actually fit, at the quantized schedules' costs
         active = {
             cid: c for cid, c in clients.items() if c.n > 0 and c.quantized is not None
         }
-        by_id = {c.quote.client_id: c.quote for c in clients.values() if c.quote}
-        report = build_report(
-            by_id, {cid: c.n for cid, c in active.items()}, prices,
-            market["alpha"], market["beta"],
-        )
-        realized_costs = {
-            cid: c.quantized.cost(prices) for cid, c in active.items()
-        }
-        payments = dict(report.client_payments)
+        costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
         if not spec.saturate:
             for cid in sorted(active):
-                if payments.get(cid, 0.0) - realized_costs[cid] < -1e-9:
+                if prices.sample * active[cid].n - costs[cid] < -1e-9:
                     active[cid].note = "unprofitable after quantization"
                     active[cid].n = 0
+                    del costs[cid]
             active = {cid: c for cid, c in active.items() if c.n > 0}
-            report = build_report(
-                by_id, {cid: c.n for cid, c in active.items()}, prices,
-                market["alpha"], market["beta"],
-            )
-            realized_costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
+        by_id = {c.quote.client_id: c.quote for c in clients.values() if c.quote}
+        report = build_report(
+            by_id, {cid: c.n for cid, c in active.items()}, costs, prices,
+            market["alpha"], market["beta"],
+        )
 
         gain = report.gain
         if gain < floor - 1e-9:
             shortfall = True
         cumulative_gain += gain
         payments_total = sum(report.client_payments.values())
-        costs_total = sum(realized_costs.values())
-        profits_total = payments_total - costs_total
-        server_profit = report.app_payment - payments_total
-        welfare = market["alpha"] * server_profit + market["beta"] * profits_total
+        costs_total = sum(report.client_costs.values())
         record.summary_rows.append(
             {
                 "round": r,
@@ -385,9 +375,9 @@ def run(config: ExperimentConfig) -> RunRecord:
                 "app_payment": report.app_payment,
                 "payments_total": payments_total,
                 "costs_total": costs_total,
-                "server_profit": server_profit,
-                "client_profits_total": profits_total,
-                "welfare": welfare,
+                "server_profit": report.server_profit,
+                "client_profits_total": payments_total - costs_total,
+                "welfare": report.welfare,
                 "active_count": len(active),
                 "t_delta_cells": t_delta,
                 "shortfall": shortfall,
@@ -402,8 +392,8 @@ def run(config: ExperimentConfig) -> RunRecord:
                 "qod": c.quote.qod if c.quote else 0.0,
                 "gain_rate": c.quote.gain_rate if c.quote else 0.0,
                 "payment": report.client_payments.get(cid, 0.0),
-                "cost": realized_costs.get(cid, 0.0),
-                "profit": report.client_payments.get(cid, 0.0) - realized_costs.get(cid, 0.0),
+                "cost": report.client_costs.get(cid, 0.0),
+                "profit": report.client_profits.get(cid, 0.0),
                 "mtv": c.quote.mtv if c.quote else -1,
                 "mutv": c.quote.mutv if c.quote else -1,
                 "note": c.note,

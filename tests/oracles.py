@@ -262,6 +262,10 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
                 opened += 1
         return load
 
+    def report_of(load):
+        costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
+        return build_report(by_id, load, costs, prices, alpha, beta)
+
     def polish(load):
         return _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
@@ -308,11 +312,10 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
         alt = saturated_start()
         if sum(by_id[c].gain_rate * n for c, n in alt.items()) >= gain_floor - tol:
             alt = polish(alt)
-            welfare = build_report(by_id, alt, prices, alpha, beta).welfare
-            if welfare > build_report(by_id, load, prices, alpha, beta).welfare + tol:
+            if report_of(alt).welfare > report_of(load).welfare + tol:
                 load = alt
 
-        report = build_report(by_id, load, prices, alpha, beta)
+        report = report_of(load)
         losers = sorted(cid for cid, p in report.client_profits.items() if p < -tol)
         if not losers:
             if report.server_profit < -tol:
@@ -343,18 +346,11 @@ def saturated_allocation_reference(quotes, ceiling, max_active):
     return load
 
 
-def snapshot_counts(snapshot, service=None):
-    """Occupancy counts read from `SharedResourcePool.snapshot()`.
-
-    Returns (bandwidth, compute, consumption): occupied cells per time column
-    of the frequency and the compute grid, and, for `service`, the numbers of
-    distinct time columns, frequency rows and compute rows it holds."""
+def snapshot_counts(snapshot):
+    """Occupied cells per time column of the frequency and of the compute
+    grid, read from `SharedResourcePool.snapshot()`."""
     n = snapshot["time_cells"]
     loads = {"tf": [0] * n, "tc": [0] * n}
-    cols, rows = set(), {"tf": set(), "tc": set()}
     for cell in snapshot["occupied"]:
         loads[cell["grid"]][cell["col"]] += 1
-        if cell["service"] == service:
-            cols.add(cell["col"])
-            rows[cell["grid"]].add(cell["row"])
-    return loads["tf"], loads["tc"], (len(cols), len(rows["tf"]), len(rows["tc"]))
+    return loads["tf"], loads["tc"]

@@ -41,8 +41,16 @@ class TestSelection:
         quotes = [quote("a"), quote("b"), quote("c")]
         metrics = {q.client_id: metric() for q in quotes}
         for policy in Policy:
-            got = select_clients(policy, quotes, metrics, 3, prices=PriceVector())
-            assert sorted(got) == ["a", "b", "c"]
+            if POLICIES[policy].rank is not None:
+                assert sorted(select_clients(policy, quotes, metrics, 3)) == ["a", "b", "c"]
+
+    def test_unranked_policy_selects_nobody(self):
+        quotes = [quote("a"), quote("b")]
+        metrics = {q.client_id: metric() for q in quotes}
+        for policy in Policy:
+            if POLICIES[policy].rank is None:
+                with pytest.raises(ValueError, match="no selection ranking"):
+                    select_clients(policy, quotes, metrics, 1)
 
     def test_zero_latency_client_first_under_ml_c(self):
         quotes = [quote("a"), quote("b")]
@@ -64,27 +72,6 @@ class TestSelection:
         quotes = [quote("a"), quote("b")]
         metrics = {"a": metric(targets=10, rate=1.0), "b": metric(targets=2, rate=3.0)}
         assert select_clients(Policy.MP_TSC, quotes, metrics, 1) == ["a"]
-
-    def test_welfare_selection_sees_quality_where_latency_does_not(self):
-        # nearest client (zero latency) has useless data; welfare ranking skips it
-        near_bad = ClientQuote("near", 0.0, 10, 10, 0.0, CostCurve.from_samples([0.0] * 11))
-        far_good = ClientQuote(
-            "far", 1.0, 10, 10, 0.2, CostCurve.from_samples([0.01 * n for n in range(11)])
-        )
-        quotes = [near_bad, far_good]
-        metrics = {"near": metric(comm=0.0), "far": metric(comm=9.0)}
-        assert select_clients(Policy.ML_C, quotes, metrics, 1) == ["near"]
-        assert select_clients(Policy.SISCC, quotes, metrics, 1, prices=PriceVector(gain=100)) == [
-            "far"
-        ]
-
-    def test_quality_blind_ranking_uses_costs_only(self):
-        hi_q = ClientQuote("hq", 1.0, 10, 10, 0.2, CostCurve.from_samples([0.5 * n for n in range(11)]))
-        lo_q = ClientQuote("lq", 0.1, 10, 10, 0.02, CostCurve.from_samples([0.1 * n for n in range(11)]))
-        metrics = {"hq": metric(), "lq": metric()}
-        pv = PriceVector(gain=100)
-        assert select_clients(Policy.SISCC, [hi_q, lo_q], metrics, 1, prices=pv) == ["hq"]
-        assert select_clients(Policy.WISCC, [hi_q, lo_q], metrics, 1, prices=pv) == ["lq"]
 
     def test_oversubscription_rejected(self):
         with pytest.raises(ValueError):

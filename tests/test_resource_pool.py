@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mfpsim.errors import ResourceConflictError
 from mfpsim.resource_pool import (
     GridRegion,
-    ResourceConsumption,
     ResourceQuanta,
     new_pool,
 )
@@ -45,23 +44,16 @@ def test_new_pool_rejects_zero_dimension():
         new_pool(10, 0, 1)
 
 
-def test_reserve_counts_first_occupancy_per_direction():
-    pool = new_pool(10, 4, 10)
-    got = pool.reserve("svc", tf=region((0, 3), (0, 2)))
-    assert got == ResourceConsumption(time_cells=2, freq_cells=3, compute_cells=0)
-    # overlapping follow-up by the same service only counts the new column
-    got = pool.reserve("svc", tf=region((0, 3), (1, 3)))
-    assert got == ResourceConsumption(time_cells=1, freq_cells=0, compute_cells=0)
-    assert pool.consumption_of("svc") == ResourceConsumption(3, 3, 0)
-
-
 def test_reserve_conflict_with_other_service():
     pool = new_pool(10, 4, 10)
-    pool.reserve("a", tf=region((0, 2), (0, 1)))
+    pool.reserve("a", tf=region((0, 2), (0, 1)), tc=region((0, 1), (0, 1)))
+    before = pool.snapshot()
+    with pytest.raises(ResourceConflictError):
+        pool.reserve("b", tf=region((2, 4), (1, 2)), tc=region((0, 1), (0, 1)))
     with pytest.raises(ResourceConflictError):
         pool.reserve("b", tf=region((1, 3), (0, 1)))
-    # failed call must not leave partial marks
-    assert pool.consumption_of("b") == ResourceConsumption()
+    # a failed call leaves no partial marks, on either grid
+    assert pool.snapshot() == before
 
 
 def test_reserve_out_of_bounds():
@@ -70,15 +62,6 @@ def test_reserve_out_of_bounds():
         pool.reserve("a", tf=region((0, 5), (0, 1)))
     with pytest.raises(ValueError):
         pool.reserve("a", tc=region((0, 1), (0, 11)))
-
-
-def test_compute_grid_counts_and_shared_time_axis():
-    pool = new_pool(10, 4, 6)
-    got = pool.reserve("svc", tc=region((0, 2), (3, 5)))
-    assert got == ResourceConsumption(time_cells=2, freq_cells=0, compute_cells=2)
-    # same columns via the tf grid add bandwidth rows but no new time
-    got = pool.reserve("svc", tf=region((0, 1), (3, 5)))
-    assert got == ResourceConsumption(time_cells=0, freq_cells=1, compute_cells=0)
 
 
 def test_column_loads():
@@ -93,7 +76,7 @@ def test_column_loads():
     assert list(compute) == [0, 0, 2, 2, 2, 0, 0, 0, 0, 0]
     with pytest.raises(ResourceConflictError):
         pool.reserve("c", tf=region((0, 1), (3, 4)))
-    ref_bandwidth, ref_compute, _ = snapshot_counts(pool.snapshot())
+    ref_bandwidth, ref_compute = snapshot_counts(pool.snapshot())
     assert list(bandwidth) == ref_bandwidth and list(compute) == ref_compute
 
 
@@ -115,30 +98,6 @@ def test_snapshot_is_json_ready_and_sorted():
     assert all(c["service"] == "x" for c in snap["occupied"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.permutations(range(5)), st.data())
-def test_def2_counts_order_independent(order, data):
-    # non-overlapping single-column stripes: reserve order must not change totals
-    rows = data.draw(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=5, max_size=5)
-    )
-    regions = []
-    for col, (r0, height) in enumerate(rows):
-        r1 = min(r0 + height, 4)
-        regions.append(region((r0, r1), (col, col + 1)))
-
-    def run(perm):
-        pool = new_pool(5, 4, 2)
-        total = ResourceConsumption()
-        for i in perm:
-            total = total + pool.reserve("svc", tf=regions[i])
-        return total, pool.consumption_of("svc")
-
-    base_total, base_final = run(range(5))
-    perm_total, perm_final = run(order)
-    assert base_total == perm_total == base_final == perm_final
-
-
 @st.composite
 def any_region(draw, rows, cols):
     """Any region of a rows x cols grid, empty ones included."""
@@ -149,9 +108,9 @@ def any_region(draw, rows, cols):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_reserve_counts_equal_whole_grid_reference(data):
-    # the newly counted rows and columns of a reserve are the growth of the
-    # service's distinct rows and columns over both whole grids
+def test_reserve_claims_equal_whole_grid_reference(data):
+    # a reserve tags every free cell of its regions with the service and
+    # changes nothing else; a conflicting one changes nothing at all
     t, f, c = (data.draw(st.integers(1, n)) for n in (8, 6, 5))
     pool = new_pool(t, f, c)
     for _ in range(data.draw(st.integers(1, 12))):
@@ -159,12 +118,20 @@ def test_reserve_counts_equal_whole_grid_reference(data):
         tf = data.draw(st.none() | any_region(f, t))
         tc = data.draw(st.none() | any_region(c, t))
         before = pool.snapshot()
+        held = {(d["grid"], d["row"], d["col"]): d["service"] for d in before["occupied"]}
+        claimed = {
+            (name, row, col)
+            for name, r in (("tf", tf), ("tc", tc))
+            if r is not None
+            for row in range(r.row_start, r.row_stop)
+            for col in range(r.col_start, r.col_stop)
+        }
         try:
-            got = pool.reserve(service, tf=tf, tc=tc)
+            pool.reserve(service, tf=tf, tc=tc)
         except ResourceConflictError:
+            assert any(held.get(cell, service) != service for cell in claimed)
             assert pool.snapshot() == before
             continue
-        _, _, held_before = snapshot_counts(before, service)
-        _, _, held_after = snapshot_counts(pool.snapshot(), service)
-        expect = tuple(a - b for a, b in zip(held_after, held_before))
-        assert (got.time_cells, got.freq_cells, got.compute_cells) == expect
+        expect = held | {cell: service for cell in claimed}
+        after = {(d["grid"], d["row"], d["col"]): d["service"] for d in pool.snapshot()["occupied"]}
+        assert after == expect

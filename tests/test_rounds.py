@@ -193,7 +193,7 @@ def reserved_pools(draw):
 @settings(max_examples=200, deadline=None)
 @given(reserved_pools())
 def test_window_scans_equal_per_column_reference(pool):
-    bandwidth, _, _ = snapshot_counts(pool.snapshot())
+    bandwidth, _ = snapshot_counts(pool.snapshot())
     for span in range(-1, pool.time_cells + 3):
         ref = pool.freq_cells
         if span > 0:

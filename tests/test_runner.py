@@ -21,6 +21,9 @@ from mfpsim.runner import (
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, OutcomeKind, SolveInput, mtv, mutv
 
+import mfpsim.runner as runner
+from test_golden import CONFIGS
+
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
 
 
@@ -221,3 +224,35 @@ def test_precomputed_bounds_give_the_same_outcome(case):
     bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
     for policy in Policy:
         assert schedule_with_policy(policy, inp, bounds=bounds) == schedule_with_policy(policy, inp)
+
+
+@pytest.mark.parametrize("policy", ["SISCC", "MLPG"])
+def test_huge_gain_window_runs(policy):
+    # (room - 1e-9) // gain_rate overflows to inf: the load caps at capacity
+    rec = run(load_config({
+        "policy": policy,
+        "market": {"gain_window": 1e308},
+        "scenario": {"n_clients": 4, "n_targets": 20},
+        "rounds": 1,
+    }))
+    assert len(rec.summary_rows) == 1
+    assert rec.summary_rows[0]["active_count"] >= 1
+    assert rec.audit_violations == []
+
+
+def test_settlement_solves_no_curve_point(monkeypatch):
+    # settlement pays the quantized schedules' costs; MLPG's saturated
+    # allocation reads no curve either, so no curve point is ever solved
+    calls = []
+    curve_cls = runner.CostCurve
+
+    def counting_curve(cost_fn, mtv):
+        def counted(n):
+            calls.append(n)
+            return cost_fn(n)
+
+        return curve_cls(counted, mtv)
+
+    monkeypatch.setattr(runner, "CostCurve", counting_curve)
+    run(load_config(CONFIGS["mlpg"]))
+    assert calls == []
