@@ -63,7 +63,6 @@ from .solver import (
     SolveInput,
     SolveOutcome,
     constrained_schedule,
-    m_ours,
     mtv,
     mutv,
     realize_schedule,

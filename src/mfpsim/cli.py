@@ -38,6 +38,27 @@ def _parse_scale(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad scale component: {err}") from err
 
 
+def _number(positive: bool, allow_inf: bool = False, cast=float):
+    """argparse type: a number >= 0 (> 0 when `positive`), finite unless
+    `allow_inf`."""
+
+    def number(text: str):
+        value = cast(text)  # argparse reports a ValueError as an invalid value
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(f"must be {'>' if positive else '>='} 0, got {text!r}")
+        return value
+
+    return number
+
+
+_COUNT = _number(positive=False, cast=int)
+_NONNEG = _number(positive=False)
+_POSITIVE = _number(positive=True)
+_CELLS = _number(positive=True, allow_inf=True)
+
+
 def _parse_values(text: str) -> list:
     values = []
     for chunk in text.split(","):
@@ -158,24 +179,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_solve = sub.add_parser("solve-one", help="solve one client schedule and print JSON")
-    p_solve.add_argument("--n", type=int, required=True, help="workload in samples")
-    p_solve.add_argument("--a", type=float, required=True, help="visual sample rate per time cell")
-    p_solve.add_argument("--b", type=float, required=True, help="wireless rate per time x freq cell")
-    p_solve.add_argument("--price-time", type=float, default=1.0)
-    p_solve.add_argument("--price-freq", type=float, default=1.0)
-    p_solve.add_argument("--price-compute", type=float, default=1.0)
-    p_solve.add_argument("--time-cells", type=float, default=math.inf)
-    p_solve.add_argument("--freq-cells", type=float, default=math.inf)
-    p_solve.add_argument("--compute-cells", type=float, default=math.inf)
-    p_solve.add_argument("--cycle-cells", type=float, default=math.inf)
-    p_solve.add_argument("--d-down", type=float, default=0.0, help="download bits")
-    p_solve.add_argument("--d-up", type=float, default=0.0, help="upload bits")
-    p_solve.add_argument("--cycles-per-sample", type=float, default=0.0)
-    p_solve.add_argument("--eff-down", type=float, default=1.0)
-    p_solve.add_argument("--eff-up", type=float, default=1.0)
-    p_solve.add_argument("--time-quantum", type=float, default=1.0)
-    p_solve.add_argument("--freq-quantum", type=float, default=1.0)
-    p_solve.add_argument("--compute-quantum", type=float, default=1.0)
+    p_solve.add_argument("--n", type=_COUNT, required=True, help="workload in samples")
+    p_solve.add_argument("--a", type=_NONNEG, required=True, help="visual sample rate per time cell")
+    p_solve.add_argument("--b", type=_NONNEG, required=True, help="wireless rate per time x freq cell")
+    p_solve.add_argument("--price-time", type=_POSITIVE, default=1.0)
+    p_solve.add_argument("--price-freq", type=_POSITIVE, default=1.0)
+    p_solve.add_argument("--price-compute", type=_POSITIVE, default=1.0)
+    p_solve.add_argument("--time-cells", type=_CELLS, default=math.inf)
+    p_solve.add_argument("--freq-cells", type=_CELLS, default=math.inf)
+    p_solve.add_argument("--compute-cells", type=_CELLS, default=math.inf)
+    p_solve.add_argument("--cycle-cells", type=_CELLS, default=math.inf)
+    p_solve.add_argument("--d-down", type=_NONNEG, default=0.0, help="download bits")
+    p_solve.add_argument("--d-up", type=_NONNEG, default=0.0, help="upload bits")
+    p_solve.add_argument("--cycles-per-sample", type=_NONNEG, default=0.0)
+    p_solve.add_argument("--eff-down", type=_NONNEG, default=1.0)
+    p_solve.add_argument("--eff-up", type=_NONNEG, default=1.0)
+    p_solve.add_argument("--time-quantum", type=_POSITIVE, default=1.0)
+    p_solve.add_argument("--freq-quantum", type=_POSITIVE, default=1.0)
+    p_solve.add_argument("--compute-quantum", type=_POSITIVE, default=1.0)
     p_solve.add_argument(
         "--explain",
         action="store_true",

@@ -37,11 +37,6 @@ class CostCurve:
         """Cost of the (n+1)-th sample."""
         return self.cost(n + 1) - self.cost(n)
 
-    @classmethod
-    def from_samples(cls, samples) -> "CostCurve":
-        curve = cls(lambda n: samples[n], len(samples) - 1)
-        return curve
-
 
 @dataclass(frozen=True)
 class ClientQuote:

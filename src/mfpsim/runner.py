@@ -1,10 +1,19 @@
 """Seeded multi-round simulation loop and result records.
 
-One round: sample the scenario, turn each client's state into a quote
-(capacity bounds, quality, min-cost curve under the active policy), allocate
-workloads toward the gain target, quantize the winning schedules, place them
-into the shared per-window pools next to the previous round's transfer chain,
-and settle payments on what actually fit.  Output rows are plain dicts so the
+`run()` builds one frozen per-run context and runs each round as five
+stages over it:
+
+- scenario and quotes: the scenario steps, the window's cycle is fixed, and
+  each client's state becomes a quote (capacity bounds, quality, min-cost
+  curve under the active policy);
+- selection and allocation: workloads toward the gain target;
+- solve and quantize: the winners' schedules, in whole cells;
+- placement: into the shared per-window pools, next to the previous round's
+  transfer chain when pipelined;
+- settlement: payments on what actually fit, and the round's rows.
+
+The stages call the engine through this module's globals, which is where
+the benchmark's tracer wraps them.  Output rows are plain dicts so the
 CSV/JSONL writers stay trivial and byte-reproducible.
 """
 
@@ -22,17 +31,18 @@ import numpy as np
 
 from .baselines import (
     POLICIES,
+    Policy,
     SelectionMetrics,
     realize_with_policy,
     schedule_with_policy,
     select_clients,
 )
 from .config import ExperimentConfig, config_hash, load_config
-from .costs import ScheduleDecision
+from .costs import PriceVector, ScheduleDecision
 from .errors import GainShortfallError
 from .market import ClientQuote, CostCurve, allocate_workloads, build_report, saturated_load
-from .resource_pool import new_pool
-from .rounds import cycle_length, plan_round
+from .resource_pool import ResourceQuanta, new_pool
+from .rounds import cycle_length, plan_round, rounds_to_complete
 from .scenario import (
     global_label_distribution,
     make_scenario,
@@ -215,6 +225,25 @@ class _ClientRound:
     quantized: ScheduleDecision | None = None
     note: str = ""
 
+    def drop(self, note: str) -> None:
+        """Take the client out of the round, saying why."""
+        self.note = note
+        self.n = 0
+        self.quantized = None
+
+
+@dataclass(frozen=True)
+class _RunContext:
+    """What every stage of one run reads; fixed for the whole run."""
+
+    config: ExperimentConfig
+    policy: Policy
+    prices: PriceVector
+    quanta: ResourceQuanta
+    cells: tuple[int, int, int]  # (time, freq, compute) pool cells after scaling
+    pipelined: bool
+    client_ids: tuple[str, ...]
+
 
 def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bounds=None):
     """Policy solve with the spectrum split internalized.
@@ -252,20 +281,33 @@ def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bound
     return out2, capped
 
 
+def _quantize(ctx, c, budgets, capped, bounds=None) -> ScheduleDecision | str:
+    """Solve `c`'s workload under `budgets` (with the spectrum-split cap when
+    `capped`) and realize it in whole cells.  A realization that fails under
+    the cap is retried at full grid width.  Returns the schedule, or the note
+    the client is dropped with."""
+    out, used = _policy_solve(
+        ctx.policy, c.n, c.attrs, c.task, ctx.prices, budgets, ctx.quanta, capped, bounds
+    )
+    if out.kind != OutcomeKind.OPTIMAL:
+        return "workload infeasible at solve time"
+    for grid in (used,) if used is budgets else (used, budgets):
+        schedule = realize_with_policy(
+            ctx.policy, SolveInput(c.n, c.attrs, c.task, ctx.prices, grid, ctx.quanta)
+        )
+        if schedule is not None:
+            return schedule
+    return "no integral schedule fits the window"
+
+
 def run(config: ExperimentConfig) -> RunRecord:
     """Execute the configured simulation; deterministic in (config, seed)."""
     record = RunRecord(config=config.raw, config_hash=config_hash(config), seed=config.seed)
     sc = config.scenario
-    policy = config.policy
-    spec = POLICIES[policy]
-    geometry = config.geometry()
-    channel = config.channel()
-    profile = config.profile()
-    quanta = config.quanta()
-    prices = config.prices()
-    market = config.market
-    t_cells, b_cells, f_cells = config.scaled_cells()
-
+    ctx = _RunContext(
+        config, config.policy, config.prices(), config.quanta(), config.scaled_cells(),
+        config.mode != "serial", tuple(f"c{i:03d}" for i in range(sc["n_clients"])),
+    )
     state = make_scenario(
         seed=config.seed,
         n_clients=sc["n_clients"],
@@ -275,152 +317,33 @@ def run(config: ExperimentConfig) -> RunRecord:
         max_speed=sc["max_speed_mps"],
     )
     step_seeds = np.random.SeedSequence(config.seed).generate_state(max(config.rounds, 1) + 1)
-    client_ids = [f"c{i:03d}" for i in range(sc["n_clients"])]
-    serial = config.mode == "serial"
-
     prev_cons: dict[str, ScheduleDecision] = {}
-    prev_durations: list[int] = []
     cumulative_gain = 0.0
-    windows_used = 0
 
     for r in range(1, config.rounds + 1):
-        state = step_mobility(state, int(step_seeds[r - 1]), dt=t_cells * quanta.time_s)
+        state = step_mobility(state, int(step_seeds[r - 1]), dt=ctx.cells[0] * ctx.quanta.time_s)
         if config.output["trajectories"]:
-            record.trajectory_rows += _trajectory_rows(state, client_ids, r)
-
-        t_delta = t_cells if serial else cycle_length(prev_durations, t_cells)
-        budgets = Budgets(float(t_cells), float(b_cells), float(f_cells), cycle_cells=float(t_delta))
-
-        clients = _build_quotes(
-            state, client_ids, config, geometry, channel, profile, quanta, prices, budgets,
-            policy, {} if serial else prev_cons, not serial,
-        )
-        floor, ceiling = _round_targets(market, cumulative_gain)
-        quotes = [c.quote for c in clients.values() if c.quote is not None]
-
-        shortfall = False
-        if spec.rank is not None:
-            metrics = _selection_metrics(clients, budgets, quanta)
-            k = min(market["max_active_clients"], len(quotes))
-            chosen = set(select_clients(policy, quotes, metrics, k))
-            quotes_in_play = [q for q in quotes if q.client_id in chosen]
-        else:
-            quotes_in_play = quotes
-
-        if ceiling <= 0:  # cumulative target already met in earlier rounds
-            workloads: dict[str, int] = {}
-        elif spec.saturate:
-            workloads = saturated_load(quotes_in_play, ceiling, market["max_active_clients"])
-        else:
-            alloc_quotes = quotes_in_play
-            if spec.mean_rate and quotes_in_play:
-                mean_rate = sum(q.gain_rate for q in quotes_in_play) / len(quotes_in_play)
-                alloc_quotes = [
-                    ClientQuote(q.client_id, q.qod, q.mtv, q.mutv, mean_rate, q.curve)
-                    for q in quotes_in_play
-                ]
-            try:
-                allocation, _ = allocate_workloads(
-                    alloc_quotes,
-                    prices,
-                    floor,
-                    ceiling - floor,
-                    market["max_active_clients"],
-                    market["alpha"],
-                    market["beta"],
-                )
-                workloads = dict(allocation.workloads)
-            except GainShortfallError:
-                shortfall = True
-                workloads = saturated_load(quotes_in_play, ceiling, market["max_active_clients"])
-
-        for cid, n in workloads.items():
-            clients[cid].n = n
-
-        _solve_and_quantize(clients, policy, prices, quanta, not serial)
-        _place_round(
-            record, clients, prev_cons, r, t_cells, b_cells, f_cells, policy, prices, quanta,
-            budgets, serial,
-        )
-        windows_used = 2 * r if serial else r
-
-        # settle on what actually fit, at the quantized schedules' costs
-        active = {
-            cid: c for cid, c in clients.items() if c.n > 0 and c.quantized is not None
-        }
-        costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
-        if not spec.saturate:
-            for cid in sorted(active):
-                if prices.sample * active[cid].n - costs[cid] < -1e-9:
-                    active[cid].note = "unprofitable after quantization"
-                    active[cid].n = 0
-                    del costs[cid]
-            active = {cid: c for cid, c in active.items() if c.n > 0}
-        by_id = {c.quote.client_id: c.quote for c in clients.values() if c.quote}
-        report = build_report(
-            by_id, {cid: c.n for cid, c in active.items()}, costs, prices,
-            market["alpha"], market["beta"],
-        )
-
-        gain = report.gain
-        if gain < floor - 1e-9:
-            shortfall = True
+            record.trajectory_rows += _trajectory_rows(state, ctx.client_ids, r)
+        budgets, clients = _scenario_and_quotes(ctx, state, prev_cons)
+        floor, ceiling = _round_targets(config.market, cumulative_gain)
+        shortfall = _select_and_allocate(ctx, clients, budgets, floor, ceiling)
+        _solve_and_quantize(ctx, clients)
+        _place_round(ctx, record, r, clients, prev_cons, budgets)
+        gain, prev_cons = _settle(ctx, record, r, clients, budgets, floor, shortfall)
         cumulative_gain += gain
-        payments_total = sum(report.client_payments.values())
-        costs_total = sum(report.client_costs.values())
-        record.summary_rows.append(
-            {
-                "round": r,
-                "gain": gain,
-                "app_payment": report.app_payment,
-                "payments_total": payments_total,
-                "costs_total": costs_total,
-                "server_profit": report.server_profit,
-                "client_profits_total": payments_total - costs_total,
-                "welfare": report.welfare,
-                "active_count": len(active),
-                "t_delta_cells": t_delta,
-                "shortfall": shortfall,
-            }
-        )
-        for cid in client_ids:
-            c = clients[cid]
-            row = {
-                "round": r,
-                "client": cid,
-                "n": c.n,
-                "qod": c.quote.qod if c.quote else 0.0,
-                "gain_rate": c.quote.gain_rate if c.quote else 0.0,
-                "payment": report.client_payments.get(cid, 0.0),
-                "cost": report.client_costs.get(cid, 0.0),
-                "profit": report.client_profits.get(cid, 0.0),
-                "mtv": c.quote.mtv if c.quote else -1,
-                "mutv": c.quote.mutv if c.quote else -1,
-                "note": c.note,
-            }
-            record.client_rows.append(row)
-
-        prev_cons = {cid: c.quantized for cid, c in active.items()}
-        # the next window's cycle is this window's critical path: upcoming
-        # transfer chains plus the sensing spans that just ran
-        prev_durations = [int(d.consumption_time) for d in prev_cons.values()] + [
-            int(d.gen.t_vs) for d in prev_cons.values()
-        ]
 
     # trailing window for the last round's transfer chain
-    if not serial and config.rounds >= 1:
-        pools = {cid: new_pool(t_cells, b_cells, f_cells) for cid in prev_cons} or {
-            client_ids[0]: new_pool(t_cells, b_cells, f_cells)
+    if ctx.pipelined and config.rounds >= 1:
+        pools = {cid: new_pool(*ctx.cells) for cid in prev_cons} or {
+            ctx.client_ids[0]: new_pool(*ctx.cells)
         }
-        plan = plan_round(config.rounds + 1, t_cells, pools, prev_cons, {})
+        plan = plan_round(config.rounds + 1, ctx.cells[0], pools, prev_cons, {})
         record.timeline_rows += plan.timeline_rows()
         record.audit_violations += plan.audit_violations
-        windows_used = config.rounds + 1
-    record.cr_count = windows_used if config.rounds else 0
+    if config.rounds:
+        record.cr_count = rounds_to_complete(config.rounds, config.mode)
 
-    bad = validate_summary_rows(record.summary_rows)
-    if bad:
-        record.audit_violations += bad
+    record.audit_violations += validate_summary_rows(record.summary_rows)
     return record
 
 
@@ -454,20 +377,29 @@ def _trajectory_rows(state, client_ids, r):
     return rows
 
 
-def _build_quotes(
-    state, client_ids, config, geometry, channel, profile, quanta, prices, budgets, policy,
-    prev_cons, pipelined,
-) -> dict[str, _ClientRound]:
-    """Quotes for every client: capacity bounds, quality, lazy cost curve.
+def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _ClientRound]]:
+    """The round's budgets, and a quote for every client: capacity bounds,
+    quality and a lazy cost curve.
 
-    A client sharing its window with last round's transfer chain quotes with
-    the sensing bandwidth already reduced by that chain's peak, so the market
+    Pipelined, the cycle is the last window's critical path (the transfer
+    chains due now plus the sensing spans that just ran), and a client
+    sharing its window with last round's transfer chain quotes with the
+    sensing bandwidth already reduced by that chain's peak, so the market
     never allocates a workload the spectrum cannot host.
     """
+    config, quanta = ctx.config, ctx.quanta
+    t_cells, b_cells, f_cells = ctx.cells
+    durations = [int(d.consumption_time) for d in prev_cons.values()] + [
+        int(d.gen.t_vs) for d in prev_cons.values()
+    ]
+    t_delta = cycle_length(durations, t_cells) if ctx.pipelined else t_cells
+    budgets = Budgets(float(t_cells), float(b_cells), float(f_cells), cycle_cells=float(t_delta))
+
+    geometry, channel, profile = config.geometry(), config.channel(), config.profile()
     distances = target_distances(state) if state.n_targets else None
     global_dist = global_label_distribution(state, geometry, profile.mode, distances)
     clients: dict[str, _ClientRound] = {}
-    for i, cid in enumerate(client_ids):
+    for i, cid in enumerate(ctx.client_ids):
         row = None if distances is None else distances[i]
         at = status_attributes(state, i, geometry, channel, profile, quanta, distances=row)
         dist = float(np.linalg.norm(state.client_pos[i] - state.server_pos))
@@ -480,7 +412,7 @@ def _build_quotes(
         )
         task = config.task_for(eff_down, eff_up)
         my_budgets = budgets
-        prev = prev_cons.get(cid)
+        prev = prev_cons.get(cid) if ctx.pipelined else None
         if prev is not None:
             peak = max(prev.comm_down.b, prev.comm_up.b)
             if peak > 0:
@@ -494,13 +426,13 @@ def _build_quotes(
         q = 0.0
         if at.label_dist is not None and global_dist is not None:
             q = max(0.0, qod(at.label_dist, global_dist))
-        n_unc = mutv(at, task, prices, my_budgets, quanta)
+        n_unc = mutv(at, task, ctx.prices, my_budgets, quanta)
         entry.bounds = (cap, n_unc)
         cap_i = int(min(cap, 10**7))
 
         def cost_fn(n, _at=at, _task=task, _budgets=my_budgets, _bounds=entry.bounds):
             out, _ = _policy_solve(
-                policy, n, _at, _task, prices, _budgets, quanta, pipelined, _bounds
+                ctx.policy, n, _at, _task, ctx.prices, _budgets, quanta, ctx.pipelined, _bounds
             )
             if out.kind != OutcomeKind.OPTIMAL:
                 return math.inf
@@ -514,7 +446,7 @@ def _build_quotes(
             gain_rate=config.market["gain_factor"] * q,
             curve=CostCurve(cost_fn, cap_i),
         )
-    return clients
+    return budgets, clients
 
 
 def _selection_metrics(clients, budgets, quanta) -> dict[str, SelectionMetrics]:
@@ -545,88 +477,153 @@ def _selection_metrics(clients, budgets, quanta) -> dict[str, SelectionMetrics]:
     return metrics
 
 
-def _solve_and_quantize(clients, policy, prices, quanta, pipelined) -> None:
+def _select_and_allocate(ctx, clients, budgets, floor, ceiling) -> bool:
+    """Set every client's workload toward the gain window [floor, ceiling).
+    Returns True when the market cannot reach the floor and the saturated
+    fallback allocates instead."""
+    spec = POLICIES[ctx.policy]
+    market = ctx.config.market
+    quotes = [c.quote for c in clients.values() if c.quote is not None]
+    if spec.rank is not None:
+        metrics = _selection_metrics(clients, budgets, ctx.quanta)
+        k = min(market["max_active_clients"], len(quotes))
+        chosen = set(select_clients(ctx.policy, quotes, metrics, k))
+        quotes = [q for q in quotes if q.client_id in chosen]
+
+    shortfall = False
+    if ceiling <= 0:  # cumulative target already met in earlier rounds
+        workloads: dict[str, int] = {}
+    elif spec.saturate:
+        workloads = saturated_load(quotes, ceiling, market["max_active_clients"])
+    else:
+        alloc_quotes = quotes
+        if spec.mean_rate and quotes:
+            mean_rate = sum(q.gain_rate for q in quotes) / len(quotes)
+            alloc_quotes = [
+                ClientQuote(q.client_id, q.qod, q.mtv, q.mutv, mean_rate, q.curve)
+                for q in quotes
+            ]
+        try:
+            allocation, _ = allocate_workloads(
+                alloc_quotes, ctx.prices, floor, ceiling - floor,
+                market["max_active_clients"], market["alpha"], market["beta"],
+            )
+            workloads = dict(allocation.workloads)
+        except GainShortfallError:
+            shortfall = True
+            workloads = saturated_load(quotes, ceiling, market["max_active_clients"])
+
+    for cid, n in workloads.items():
+        clients[cid].n = n
+    return shortfall
+
+
+def _solve_and_quantize(ctx, clients) -> None:
+    """A whole-cell schedule for every client holding a workload."""
     for cid in sorted(clients):
         c = clients[cid]
         if c.n <= 0:
             continue
-        out, used = _policy_solve(
-            policy, c.n, c.attrs, c.task, prices, c.budgets, quanta, pipelined, c.bounds
-        )
-        if out.kind != OutcomeKind.OPTIMAL:
-            c.note = "workload infeasible at solve time"
-            c.n = 0
-            continue
-        quantized = realize_with_policy(
-            policy, SolveInput(c.n, c.attrs, c.task, prices, used, quanta)
-        )
-        if quantized is None and used is not c.budgets:
-            # the spectrum-split cap is a heuristic; retry at full grid width
-            used = c.budgets
-            quantized = realize_with_policy(
-                policy, SolveInput(c.n, c.attrs, c.task, prices, used, quanta)
-            )
-        if quantized is None:
-            c.note = "no integral schedule fits the window"
-            c.n = 0
-            continue
-        c.quantized = quantized
+        schedule = _quantize(ctx, c, c.budgets, ctx.pipelined, c.bounds)
+        if isinstance(schedule, str):
+            c.drop(schedule)
+        else:
+            c.quantized = schedule
 
 
-def _place_round(
-    record, clients, prev_cons, r, t_cells, b_cells, f_cells, policy, prices, quanta,
-    budgets, serial,
-) -> object:
+def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
     """Reserve this round's sensing next to the previous chain (pipelined) or
     in separate windows (serial); re-solve sensing once on spectrum clashes."""
     involved = sorted(set(prev_cons) | {cid for cid, c in clients.items() if c.n > 0})
-    pools = {cid: new_pool(t_cells, b_cells, f_cells) for cid in involved}
-    generation = {cid: clients[cid].quantized for cid, c in clients.items() if c.n > 0}
+    pools = {cid: new_pool(*ctx.cells) for cid in involved}
+    generation = {cid: c.quantized for cid, c in clients.items() if c.n > 0}
 
     def resolve(cid, free_bandwidth):
         # re-solve against the real grids: the heuristic transfer cap is
         # dropped, only the observed sensing bandwidth limit applies
         c = clients[cid]
         tightened = replace(c.budgets, gen_freq_cells=float(free_bandwidth))
-        out = schedule_with_policy(
-            policy, SolveInput(c.n, c.attrs, c.task, prices, tightened, quanta)
-        )
-        if out.kind != OutcomeKind.OPTIMAL:
+        schedule = _quantize(ctx, c, tightened, capped=False)
+        if isinstance(schedule, str):
             return None
-        q = realize_with_policy(
-            policy, SolveInput(c.n, c.attrs, c.task, prices, tightened, quanta)
-        )
-        if q is not None:
-            c.quantized = q
-            c.note = "sensing re-solved after spectrum tightening"
-        return q
+        c.quantized = schedule
+        c.note = "sensing re-solved after spectrum tightening"
+        return schedule
 
-    t_delta = int(budgets.t_budget)
-    if serial:
-        gen_plan = plan_round(
-            r, t_cells, pools, {}, generation, resolve_tightened=resolve, t_delta=t_delta
+    t_cells, t_delta = ctx.cells[0], int(budgets.t_budget)
+    plans = [
+        plan_round(
+            r, t_cells, pools, prev_cons if ctx.pipelined else {}, generation,
+            resolve_tightened=resolve, t_delta=t_delta,
         )
-        cons_pools = {cid: new_pool(t_cells, b_cells, f_cells) for cid in involved}
+    ]
+    if not ctx.pipelined:  # the chains run in a window of their own
+        cons_pools = {cid: new_pool(*ctx.cells) for cid in involved}
         cons = {cid: c.quantized for cid, c in clients.items() if c.n > 0 and c.quantized}
-        cons_plan = plan_round(r, t_cells, cons_pools, cons, {}, t_delta=t_delta)
-        plans = [gen_plan, cons_plan]
-    else:
-        plans = [
-            plan_round(
-                r, t_cells, pools, prev_cons, generation,
-                resolve_tightened=resolve, t_delta=t_delta,
-            )
-        ]
+        plans.append(plan_round(r, t_cells, cons_pools, cons, {}, t_delta=t_delta))
 
     for plan in plans:
         record.timeline_rows += plan.timeline_rows()
         record.audit_violations += plan.audit_violations
         for cid, reason in plan.dropped.items():
-            if cid in clients and clients[cid].n > 0:
-                clients[cid].note = reason
-                clients[cid].n = 0
-                clients[cid].quantized = None
-    return plans[0]
+            if clients[cid].n > 0:
+                clients[cid].drop(reason)
+
+
+def _settle(ctx, record, r, clients, budgets, floor, shortfall):
+    """Pay for what actually fit, at the quantized schedules' costs, and
+    record the round.  Returns the round's gain and the transfer chains that
+    run in the next window."""
+    prices, market = ctx.prices, ctx.config.market
+    active = {cid: c for cid, c in clients.items() if c.n > 0 and c.quantized is not None}
+    costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
+    if not POLICIES[ctx.policy].saturate:
+        for cid in sorted(active):
+            if prices.sample * active[cid].n - costs[cid] < -1e-9:
+                active.pop(cid).drop("unprofitable after quantization")
+                del costs[cid]
+    by_id = {c.quote.client_id: c.quote for c in clients.values() if c.quote}
+    report = build_report(
+        by_id, {cid: c.n for cid, c in active.items()}, costs, prices,
+        market["alpha"], market["beta"],
+    )
+
+    gain = report.gain
+    payments_total = sum(report.client_payments.values())
+    costs_total = sum(report.client_costs.values())
+    record.summary_rows.append(
+        {
+            "round": r,
+            "gain": gain,
+            "app_payment": report.app_payment,
+            "payments_total": payments_total,
+            "costs_total": costs_total,
+            "server_profit": report.server_profit,
+            "client_profits_total": payments_total - costs_total,
+            "welfare": report.welfare,
+            "active_count": len(active),
+            "t_delta_cells": int(budgets.cycle_cells),
+            "shortfall": shortfall or gain < floor - 1e-9,
+        }
+    )
+    for cid in ctx.client_ids:
+        c = clients[cid]
+        record.client_rows.append(
+            {
+                "round": r,
+                "client": cid,
+                "n": c.n,
+                "qod": c.quote.qod if c.quote else 0.0,
+                "gain_rate": c.quote.gain_rate if c.quote else 0.0,
+                "payment": report.client_payments.get(cid, 0.0),
+                "cost": report.client_costs.get(cid, 0.0),
+                "profit": report.client_profits.get(cid, 0.0),
+                "mtv": c.quote.mtv if c.quote else -1,
+                "mutv": c.quote.mutv if c.quote else -1,
+                "note": c.note,
+            }
+        )
+    return gain, {cid: c.quantized for cid, c in active.items()}
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list) -> tuple[list[RunRecord], list[dict]]:

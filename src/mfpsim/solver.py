@@ -100,7 +100,6 @@ class SolveInput:
 class OutcomeKind:
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
-    NOT_PARTICIPATING = "NotParticipating"
 
 
 @dataclass(frozen=True)
@@ -531,20 +530,6 @@ def constrained_schedule(
         gen_active | cons_active,
         trace=trace,
     )
-
-
-def m_ours(inputs: list[SolveInput], participating: list[bool]) -> list[SolveOutcome]:
-    """Per-client dispatch: inactive clients sit out, active ones get the
-    constrained solve; errors are folded into outcomes, never raised."""
-    outcomes = []
-    for inp, active in zip(inputs, participating):
-        if not active:
-            outcomes.append(
-                SolveOutcome(OutcomeKind.NOT_PARTICIPATING, None, None, 0, 0)
-            )
-        else:
-            outcomes.append(constrained_schedule(inp))
-    return outcomes
 
 
 # ---------------------------------------------------------------------------

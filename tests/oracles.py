@@ -7,7 +7,9 @@ sweeps a 2-D time grid with a prefix-min over the third sub-process.
 The last ones are straightforward or earlier forms of engine code, which the
 tests compare with `==`: the binding-set enumeration with a dict per
 candidate, the workload allocation rerunning its greedy from scratch on every
-rationality pass, and the runner's former saturated allocation.
+rationality pass, and the runner's former saturated allocation.  The
+market tests build their cost curves from fixed tables with
+`curve_from_samples`.
 """
 
 from __future__ import annotations
@@ -354,3 +356,10 @@ def snapshot_counts(snapshot):
     for cell in snapshot["occupied"]:
         loads[cell["grid"]][cell["col"]] += 1
     return loads["tf"], loads["tc"]
+
+
+def curve_from_samples(samples):
+    """A cost curve over a fixed table of costs: c(n) = samples[n]."""
+    from mfpsim.market import CostCurve
+
+    return CostCurve(lambda n: samples[n], len(samples) - 1)

@@ -11,10 +11,12 @@ from mfpsim.baselines import (
     select_clients,
 )
 from mfpsim.costs import ConsumptionTask, PriceVector
-from mfpsim.market import ClientQuote, CostCurve
+from mfpsim.market import ClientQuote
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, OutcomeKind, SolveInput, constrained_schedule, mtv
+
+from oracles import curve_from_samples
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
@@ -25,7 +27,7 @@ def attrs(a, b):
 
 def quote(cid, rate=0.05, mtv_=10, first_marginal=0.1):
     samples = [first_marginal * n for n in range(mtv_ + 1)]
-    return ClientQuote(cid, 1.0, mtv_, mtv_, rate, CostCurve.from_samples(samples))
+    return ClientQuote(cid, 1.0, mtv_, mtv_, rate, curve_from_samples(samples))
 
 
 def metric(comm=1.0, comp=1.0, sense=1.0, targets=5, rate=2.0):

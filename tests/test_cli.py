@@ -33,6 +33,25 @@ def test_solve_one_infeasible_exit_code(capsys):
     assert out["mtv"] == 8
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "-1", "--a", "1", "--b", "1"],
+        ["--n", "1", "--a", "1", "--b", "1", "--price-time", "0"],
+        ["--n", "1", "--a", "1", "--b", "1", "--time-quantum", "0"],
+        ["--n", "1", "--a", "1", "--b", "1", "--d-down", "-5"],
+        ["--n", "1", "--a", "nan", "--b", "1"],
+        ["--n", "1", "--a", "-1", "--b", "1"],
+    ],
+    ids=["n-negative", "price-zero", "quantum-zero", "bits-negative", "rate-nan", "rate-negative"],
+)
+def test_solve_one_rejects_out_of_range_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-one", *flags])
+    assert exc.value.code == EXIT_CONFIG
+    assert "must be" in capsys.readouterr().err
+
+
 def test_solve_one_zero_workload(capsys):
     code = main(["solve-one", "--n", "0", "--a", "1", "--b", "1"])
     out = json.loads(capsys.readouterr().out)

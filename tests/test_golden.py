@@ -3,8 +3,12 @@
 Each entry is a tiny config (two or three rounds, six clients) and the
 sha256 of every output file it produces.  Together they cover all twelve
 policies, both scheduling modes, a resource shortage, the cumulative gain
-target and the saturated fallback after a gain shortfall.  A change that moves any hash changes what the simulator computes;
-such a change must list every moved hash and the reason in CHANGES.md.
+target, the saturated fallback after a gain shortfall, the two drops after
+the market has allocated (no whole-cell schedule fits the window; the
+quantized schedule costs more than it earns) and a whole-cell realization
+that succeeds only on the full-width retry.  A change that moves any
+hash changes what the simulator computes; such a change must list every
+moved hash and the reason in CHANGES.md.
 """
 
 import pytest
@@ -41,6 +45,28 @@ CONFIGS = {
     # a floor no allocation reaches: every round takes the saturated fallback
     "siscc_shortfall": _tiny(23, market={"gain_floor": 30.0, "gain_window": 4.0}),
     "wiscc": _tiny(1, "WISCC", mode="serial"),
+    # a narrow compute grid at a dear spectrum price: whole-cell realization
+    # fails, also on the full-width retry after the capped one
+    "wiscc_no_integral": _tiny(
+        511554,
+        "WISCC",
+        scenario={"n_clients": 6, "n_targets": 100},
+        resources={"scale": [0.5, 1.0, 0.1]},
+        prices={"freq": 0.5},
+    ),
+    # the same squeeze under SISCC: a rounded-up schedule loses money
+    "siscc_unprofitable": _tiny(
+        30, resources={"scale": [0.5, 1.0, 0.1]}, prices={"freq": 0.5}
+    ),
+    # a narrow spectrum and large uploads: a client's realization under the
+    # spectrum-split cap fails and the full-width retry keeps it in the round
+    "siscc_full_width_retry": _tiny(
+        23406,
+        scenario={"n_clients": 6, "n_targets": 100},
+        resources={"scale": [1.0, 0.1, 0.3]},
+        prices={"freq": 2.0},
+        task={"model_up_bits": 1e9},
+    ),
 }
 
 GOLDEN = {
@@ -134,6 +160,24 @@ GOLDEN = {
         "summary.csv": "6669713a4eef4038ea48738ec4d58d0fa71063b0fa25a00dda03a7ae8fe5f63f",
         "timeline.csv": "b45613f097e47b40b7562528cc86a30d43f64fdc9f4b8037bec2c652c42dacf9",
     },
+    "wiscc_no_integral": {
+        "clients.jsonl": "bfb861490ef72439e06c8aa61202882827f7e82f9d0af2526261cf9c84c23373",
+        "run.json": "fca10403c3648f5e81983bff562842892dc00249b0f77e71c2a82f34d7f2139b",
+        "summary.csv": "16e563dbbf315a3d188f786ee79111d584467a214c4f2083c53b03e67faf28be",
+        "timeline.csv": "32227dc3420e9c85b9e9cf2d37fbf1968c31573b3eebdb2dd1464cb64fe5a4d2",
+    },
+    "siscc_unprofitable": {
+        "clients.jsonl": "8ba011297f3e76b16c9485f0980d445f72aa38819773243b20ea9c443a64ec9c",
+        "run.json": "89675200981793e4bcad56b1560f655d30e375a84701d0060e34140bba15e809",
+        "summary.csv": "789d19da3b4698131bcbb6fbf42c92e10ff9da1771191bdfb27c978433d3ab8c",
+        "timeline.csv": "55f0b34287a9483cad9904065bb21bc90a49dfaef5ecbe68bcbe0a9508e891e2",
+    },
+    "siscc_full_width_retry": {
+        "clients.jsonl": "dbdaafde1479f0cfc49146b104b1c7554928a8172791479c56e06fe49642fc3a",
+        "run.json": "13b827cb99fa62c202682da9da56f958f6c5b56f84da2f8a9786c88d5f17bbf7",
+        "summary.csv": "4c955a776c03e70ea06cddef5751e46c3f1989c5ec9a86616ff3858f20a8c9d1",
+        "timeline.csv": "008f3891b6e32142f0b397361eb9b02951b7d86e5998fd133b893931a239901a",
+    },
 }
 
 
@@ -147,6 +191,18 @@ def test_golden_covers_every_policy_and_mode():
 def test_golden_reaches_the_shortfall_fallback():
     rows = run(load_config(CONFIGS["siscc_shortfall"])).summary_rows
     assert rows and all(r["shortfall"] and r["active_count"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "name, note",
+    [
+        ("wiscc_no_integral", "no integral schedule fits the window"),
+        ("siscc_unprofitable", "unprofitable after quantization"),
+    ],
+)
+def test_golden_reaches_the_drop_path(name, note):
+    rows = run(load_config(CONFIGS[name])).client_rows
+    assert any(r["note"] == note for r in rows)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -26,6 +26,7 @@ import mfpsim.market as market
 from oracles import (
     allocate_workloads_reference,
     allocation_exhaustive,
+    curve_from_samples,
     saturated_allocation_reference,
 )
 
@@ -39,7 +40,7 @@ def quote(cid, rate, samples):
         mtv=len(samples) - 1,
         mutv=len(samples) - 1,
         gain_rate=rate,
-        curve=CostCurve.from_samples(samples),
+        curve=curve_from_samples(samples),
     )
 
 

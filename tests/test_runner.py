@@ -1,14 +1,15 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mfpsim.baselines import Policy, schedule_with_policy
+from mfpsim.baselines import Policy, realize_with_policy, schedule_with_policy
 from mfpsim.config import load_config
-from mfpsim.costs import ConsumptionTask, PriceVector
+from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, TransferSchedule
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import (
     SUMMARY_COLUMNS,
@@ -256,3 +257,72 @@ def test_settlement_solves_no_curve_point(monkeypatch):
     monkeypatch.setattr(runner, "CostCurve", counting_curve)
     run(load_config(CONFIGS["mlpg"]))
     assert calls == []
+
+
+def test_placement_resolves_sensing_beside_a_wider_chain(monkeypatch):
+    # take round 1's placement inputs, then put a chain beside one client's
+    # sensing block that is wider than the quote assumed (it assumed none):
+    # placement re-solves the sensing under the rows the chain leaves free.
+    # MC_T with large models: the re-solved chain is wide enough that the
+    # spectrum-split cap, which the re-solve must not apply, would change it
+    place = runner._place_round
+    calls = []
+    monkeypatch.setattr(runner, "_place_round", lambda *args: calls.append(args))
+    bits = {"model_down_bits": 1e9, "model_up_bits": 1e9}
+    run(load_config({**SMALL, "rounds": 1, "policy": "MC_T", "task": bits}))
+    ctx, record, r, clients, prev_cons, budgets = calls[0]
+    assert prev_cons == {}
+    cid = min(cid for cid, c in clients.items() if c.n > 0)
+    c = clients[cid]
+    c.n //= 4  # off the capacity edge, so a narrower block can still carry it
+    runner._solve_and_quantize(ctx, {cid: c})
+    free = int(c.quantized.gen.b_ws) - 1
+    assert free >= 1
+    chain = ScheduleDecision(comm_down=TransferSchedule(t=1, b=ctx.cells[1] - free))
+
+    place(ctx, record, r, clients, {cid: chain}, budgets)
+
+    assert c.note == "sensing re-solved after spectrum tightening"
+    tightened = replace(c.budgets, gen_freq_cells=float(free))
+    assert c.quantized == realize_with_policy(
+        ctx.policy, SolveInput(c.n, c.attrs, c.task, ctx.prices, tightened, ctx.quanta)
+    )
+    assert 0 < c.quantized.gen.b_ws <= free
+
+
+@st.composite
+def tiny_runs(draw):
+    """One to two rounds of up to four clients, over every policy, mode,
+    sensing mode, resource scaling and gain target."""
+    scale = st.sampled_from([0.5, 0.75, 1.0])
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "rounds": draw(st.integers(1, 2)),
+        "policy": draw(st.sampled_from([p.value for p in Policy])),
+        "mode": draw(st.sampled_from(["zeros", "serial"])),
+        "scenario": {
+            "n_clients": draw(st.integers(1, 4)),
+            "n_targets": draw(st.integers(0, 40)),
+            "sensing_mode": draw(st.sampled_from(["msg", "vsg", "wsg"])),
+        },
+        "resources": {"scale": [draw(scale), draw(scale), draw(scale)]},
+        "market": {
+            "gain_target_mode": draw(st.sampled_from(["per_round", "cumulative"])),
+            "gain_floor": draw(st.sampled_from([0.0, 2.0, 12.0])),
+        },
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_runs())
+def test_whole_run_properties(raw):
+    config = load_config(raw)
+    with mock.patch.object(runner, "plan_round", wraps=runner.plan_round) as plan:
+        rec = run(config)
+    assert rec.audit_violations == []
+    assert run(config).output_texts() == rec.output_texts()
+    rounds = config.rounds
+    windows = rounds + 1 if config.mode == "zeros" else 2 * rounds
+    assert plan.call_count == rec.cr_count == windows
+    if config.policy != Policy.MLPG:
+        assert all(row["profit"] >= -1e-9 for row in rec.client_rows)

@@ -22,7 +22,6 @@ from mfpsim.solver import (
     _consumption_processes,
     _enumerate_consumption,
     constrained_schedule,
-    m_ours,
     mtv,
     mutv,
     realize_schedule,
@@ -400,32 +399,6 @@ def test_subnormal_wireless_coefficient_solves_and_realizes():
     assert (q.gen.t_vs, q.gen.b_ws) == (1, 0)
     q = realize_schedule(30, attrs(1.0, 5e-324), ZERO_TASK, pv, Budgets(4.0, 5.0, 5.0), UNIT)
     assert q is None
-
-
-class TestMOurs:
-    def test_dispatch(self):
-        budgets = Budgets(4, 4, 4)
-        inputs = [
-            SolveInput(4, attrs(1, 1), ZERO_TASK, prices(), budgets, UNIT),
-            SolveInput(0, attrs(1, 1), ZERO_TASK, prices(), budgets, UNIT),
-            SolveInput(10_000, attrs(1, 1), ZERO_TASK, prices(), budgets, UNIT),
-        ]
-        outcomes = m_ours(inputs, [False, True, True])
-        assert outcomes[0].kind == OutcomeKind.NOT_PARTICIPATING
-        assert outcomes[1].kind == OutcomeKind.OPTIMAL and outcomes[1].cost == 0.0
-        assert outcomes[2].kind == OutcomeKind.INFEASIBLE
-
-    def test_matches_per_client_solve(self):
-        rng = np.random.default_rng(10)
-        inputs, expected = [], []
-        for _ in range(20):
-            at, task, pv, budgets = random_instance(rng)
-            n = int(rng.integers(0, 12))
-            inputs.append(SolveInput(n, at, task, pv, budgets, UNIT))
-            expected.append(constrained_schedule(inputs[-1]))
-        outs = m_ours(inputs, [True] * len(inputs))
-        assert [o.kind for o in outs] == [e.kind for e in expected]
-        assert [o.cost for o in outs] == [e.cost for e in expected]
 
 
 class TestRealizeSchedule:
