@@ -9,6 +9,7 @@ welfare, driving the aggregate gain into the requested target window.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -260,22 +261,34 @@ def allocate_workloads(
     Raises GainShortfallError when the floor is unreachable within capacity,
     the cap, the window ceiling, or rationality.
 
-    Each grant scans the clients in id order and keeps the first one unless a
-    later client beats the current best by more than 1e-9.  That tie rule is
-    not a total order (it is not transitive), so the scan stays linear; a
-    heap could pick a different client.  A client's marginal welfare depends
-    only on its own load, so it is cached and recomputed only for the client
-    that was just granted a sample, and the open-client count is a running
-    counter: a greedy pass costs O(grants + clients) curve lookups.
+    Each grant goes to the client an id-ordered scan picks: the scan keeps
+    the first open client unless a later one beats the current best by more
+    than 1e-9.  That tie rule is not a total order, but the scan's pick lies
+    within 1e-9 of the largest marginal M (on reaching M's client it either
+    takes it or already holds a best >= M - 1e-9, and the best only rises),
+    so when every other marginal is below M - 1e-9 it picks M's client
+    whatever the id order.  The marginals sit in a max-heap with lazy
+    deletion, keyed (-marginal, id rank, load it was computed at); an entry
+    goes when its client has been granted since or has closed, and within a
+    pass a client closes for good, since loads, the open-client count and the
+    gain only grow.  A grant takes the heap top when it clears the runner-up
+    by more than 1e-9 and runs the scan otherwise (for the rest of the pass
+    once a marginal is NaN, which orders nothing).  A client's marginal
+    depends only on its own load, so it is computed once per load, for the
+    clients and at the grants where a scan alone would compute it, and the
+    open-client count is a running counter: a greedy pass costs
+    O(grants + clients) curve lookups.
 
     A rationality pass does not rerun the greedy from scratch.  The previous
-    pass's grants are kept in order, with the first scan at which each client
-    became the running best.  Excluding clients that never led a scan leaves
-    every scan's pick unchanged, since they never changed `best`; so the next
-    pass replays the grants before the earliest scan any excluded client led
-    (all of them when none did) and resumes scanning from there.  Replaying
-    the same grants in the same order rebuilds the same loads, open count and
-    gain, the gain by the same float additions in the same order.
+    pass's grants are kept in order, with the first grant at which each
+    client led: became the scan's running best, or was a heap grant's pick.
+    Excluding clients that never led leaves every grant's pick unchanged: a
+    scan's pick never depended on them, and a heap pick stays clear of the
+    clients that remain.  So the next pass replays the grants before the
+    earliest one any excluded client led (all of them when none did) and
+    resumes from there.  Replaying the same grants in the same order rebuilds
+    the same loads, open count and gain, the gain by the same float
+    additions in the same order.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -298,35 +311,72 @@ def allocate_workloads(
         return build_report(by_id, load, costs, prices, alpha, beta)
 
     picks: list[str] = []  # the greedy's grants, in order
-    first_led: dict[str, int] = {}  # scan (index into picks) a client first led
+    first_led: dict[str, int] = {}  # grant (index into picks) a client first led
     for _ in range(len(quotes) + 1):
         load = {q.client_id: 0 for q in quotes}
         gain = 0.0
         opened = 0
-        # marginal welfare of each client's next sample at its current load;
-        # only a grant changes a client's load, so only a grant invalidates
-        marginal: dict[str, float] = {}
         bidders = [q for q in quotes if q.client_id not in excluded and q.gain_rate > 0]
+        rank = {q.client_id: i for i, q in enumerate(bidders)}
+        # marginal welfare of each open client's next sample at its current
+        # load; only a grant changes a load, so a client is priced again only
+        # at the first grant after its own
+        marginal: dict[str, float] = {}
+        unpriced = set(range(len(bidders)))  # ranks whose marginal is due
+        heap: list[tuple[float, int, int]] = []  # (-marginal, rank, load)
+        ordered = True  # False once a NaN marginal has broken the heap order
+
+        def closed(q) -> bool:
+            n = load[q.client_id]
+            return (
+                n >= q.mtv
+                or (n == 0 and opened >= max_active)
+                or gain + q.gain_rate >= ceiling - _TOL
+            )
+
+        def heap_top(require_positive: bool):
+            while heap:
+                neg, i, n = heap[0]
+                q = bidders[i]
+                if n == load[q.client_id] and not closed(q) and not (
+                    require_positive and -neg <= _TOL
+                ):
+                    return heap[0]
+                heapq.heappop(heap)
+            return None
 
         def grantable(require_positive: bool):
+            nonlocal ordered
             step = len(picks)
+            for i in sorted(unpriced):
+                q = bidders[i]
+                if not closed(q):
+                    n = load[q.client_id]
+                    delta = marginal[q.client_id] = _marginal_welfare(q, n, prices, alpha, beta)
+                    ordered = ordered and delta == delta
+                    heapq.heappush(heap, (-delta, i, n))
+            unpriced.clear()
+            if ordered:
+                top = heap_top(require_positive)
+                if top is None:
+                    return None
+                heapq.heappop(heap)
+                runner_up = heap_top(require_positive)
+                if runner_up is None or -top[0] > -runner_up[0] + _TOL:
+                    cid = bidders[top[1]].client_id
+                    first_led.setdefault(cid, step)
+                    return -top[0], cid
+                heapq.heappush(heap, top)
             best = None
             for q in bidders:
-                cid = q.client_id
-                n = load[cid]
-                if n >= q.mtv or (n == 0 and opened >= max_active):
+                if closed(q):
                     continue
-                if gain + q.gain_rate >= ceiling - _TOL:
-                    continue
-                delta = marginal.get(cid)
-                if delta is None:
-                    delta = marginal[cid] = _marginal_welfare(q, n, prices, alpha, beta)
+                delta = marginal[q.client_id]
                 if require_positive and delta <= _TOL:
                     continue
                 if best is None or delta > best[0] + _TOL:
-                    best = (delta, cid)
-                    if cid not in first_led:
-                        first_led[cid] = step
+                    best = (delta, q.client_id)
+                    first_led.setdefault(q.client_id, step)
             return best
 
         def grant(cid: str) -> None:
@@ -335,7 +385,7 @@ def allocate_workloads(
                 opened += 1
             load[cid] += 1
             gain += by_id[cid].gain_rate
-            marginal.pop(cid, None)
+            unpriced.add(rank[cid])
 
         for cid in picks:
             grant(cid)

@@ -534,9 +534,9 @@ def _solve_and_quantize(ctx, clients) -> None:
 def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
     """Reserve this round's sensing next to the previous chain (pipelined) or
     in separate windows (serial); re-solve sensing once on spectrum clashes."""
-    involved = sorted(set(prev_cons) | {cid for cid, c in clients.items() if c.n > 0})
-    pools = {cid: new_pool(*ctx.cells) for cid in involved}
     generation = {cid: c.quantized for cid, c in clients.items() if c.n > 0}
+    chains = prev_cons if ctx.pipelined else {}
+    pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(generation))}
 
     def resolve(cid, free_bandwidth):
         # re-solve against the real grids: the heuristic transfer cap is
@@ -553,13 +553,12 @@ def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
     t_cells, t_delta = ctx.cells[0], int(budgets.t_budget)
     plans = [
         plan_round(
-            r, t_cells, pools, prev_cons if ctx.pipelined else {}, generation,
-            resolve_tightened=resolve, t_delta=t_delta,
+            r, t_cells, pools, chains, generation, resolve_tightened=resolve, t_delta=t_delta
         )
     ]
     if not ctx.pipelined:  # the chains run in a window of their own
-        cons_pools = {cid: new_pool(*ctx.cells) for cid in involved}
         cons = {cid: c.quantized for cid, c in clients.items() if c.n > 0 and c.quantized}
+        cons_pools = {cid: new_pool(*ctx.cells) for cid in sorted(cons)}
         plans.append(plan_round(r, t_cells, cons_pools, cons, {}, t_delta=t_delta))
 
     for plan in plans:

@@ -43,6 +43,9 @@ from .resource_pool import ResourceQuanta
 from .scenario import StatusAttributes
 
 _TOL = 1e-9
+# relative margin of the box-free exit's cost gaps: far above the few ulps
+# by which a computed candidate cost can miss its exact value
+_EXIT_SLACK = 1e-12
 INFEASIBLE_SENTINEL = -1
 
 GEN_TIME = "gen_time"
@@ -295,6 +298,28 @@ def _enumerate_consumption(
     ones add nothing).  Per-call invariants are computed once, a candidate
     is two small lists, and the splits dict and active set are built only
     for the winner.
+
+    Box-free exit.  With no forced box, the first candidate (no box, time
+    price tp) is evaluated on its own and returned when it is feasible and
+    no other candidate can come within the 1e-9 tie window of its cost;
+    otherwise the full enumeration runs.  Every candidate gives each live
+    sub-process i a time t > 0 and the width v_i / t, and
+    tp*t + p_i*v_i/t = 2*sqrt(tp*p_i*v_i) + tp*(t - x_i)**2 / t, where
+    x_i = sqrt(v_i*p_i/tp) is its free time and w_i = v_i / x_i its free
+    width.  A candidate therefore costs the first one's cost plus a sum of
+    nonnegative gaps:
+      * a boxed sub-process sits at t_box_i = v_i / w_max_i and adds
+        tp*(x_i - t_box_i)**2 / t_box_i = p_i*(w_max_i - w_i)**2 / w_max_i,
+        so a candidate with any box costs at least the smallest box gap
+        more;
+      * the box-free candidate at the budget's tau stretches every free
+        time by T / S (T the budget, S = sum(x)) and adds tp*(T - S)**2 / T.
+    Away from underflow, every cost is a sum of nonnegative terms whose
+    computed value is off by a few ulps of its size.  When each gap g
+    clears g - 1e-9 > 1e-12 * (cost + g + 1e-9), far above those ulps,
+    every other candidate's computed cost exceeds the first one's by more
+    than 1e-9, so the tie rule never lets it replace the first.  A NaN or
+    infinite gap fails the test, so such inputs enumerate.
     """
     live = [p for p in procs if p.volume > 0]
     if not live:
@@ -319,42 +344,67 @@ def _enumerate_consumption(
 
     best = None  # (times, widths, boxed, budget binds)
     best_cost = best_t = best_w = 0.0
-    for boxed, free in _box_sets(len(live), boxable, forced):
-        taus = [time_price]
-        if free and finite_budget:
-            rem = t_budget - sum([t_box[i] for i in boxed])
-            if rem > _TOL:
-                taus.append((sum([root[i] for i in free]) / rem) ** 2)
-        for tau in taus:
-            if tau <= 0:
-                continue
-            times = t_box[:]
-            widths = w_box[:]
-            for i in free:
-                x = math.sqrt(vol_price[i] / tau)
-                w = volume[i] / x
-                if w > w_cap[i]:
-                    break
-                times[i] = x
-                widths[i] = w
-            else:
-                total_t = sum(times)
-                if total_t > t_over:
-                    continue
+    if not forced and time_price > 0:
+        # the first candidate, from the loop's operands in the loop's order
+        times, widths = t_box[:], w_box[:]
+        for i in range(len(live)):
+            x = math.sqrt(vol_price[i] / time_price)
+            w = volume[i] / x
+            if w > w_cap[i]:
+                break
+            times[i] = x
+            widths[i] = w
+        else:
+            total_t = sum(times)
+            if total_t <= t_over:
                 cost = time_price * total_t + sum(map(operator.mul, w_price, widths))
-                width_sum = sum(widths)
-                if (
-                    best is None
-                    or cost < best_cost - _TOL
-                    or (
-                        cost <= best_cost + _TOL
-                        and (total_t < best_t or (total_t == best_t and width_sum < best_w))
-                    )
-                ):
-                    best = (times, widths, boxed, finite_budget and total_t >= t_binds)
-                    best_cost, best_t, best_w = cost, total_t, width_sum
+                gaps = []
+                for i in boxable:
+                    d = w_box[i] - widths[i]
+                    gaps.append(w_price[i] * d * d / w_box[i])
+                if finite_budget:
+                    d = t_budget - total_t
+                    gaps.append(time_price * d * d / t_budget if t_budget > 0 else 0.0)
+                if all(g - _TOL > _EXIT_SLACK * (cost + g + _TOL) for g in gaps):
+                    best = (times, widths, (), finite_budget and total_t >= t_binds)
+                    best_cost = cost
     if best is None:
-        return None
+        for boxed, free in _box_sets(len(live), boxable, forced):
+            taus = [time_price]
+            if free and finite_budget:
+                rem = t_budget - sum([t_box[i] for i in boxed])
+                if rem > _TOL:
+                    taus.append((sum([root[i] for i in free]) / rem) ** 2)
+            for tau in taus:
+                if tau <= 0:
+                    continue
+                times = t_box[:]
+                widths = w_box[:]
+                for i in free:
+                    x = math.sqrt(vol_price[i] / tau)
+                    w = volume[i] / x
+                    if w > w_cap[i]:
+                        break
+                    times[i] = x
+                    widths[i] = w
+                else:
+                    total_t = sum(times)
+                    if total_t > t_over:
+                        continue
+                    cost = time_price * total_t + sum(map(operator.mul, w_price, widths))
+                    width_sum = sum(widths)
+                    if (
+                        best is None
+                        or cost < best_cost - _TOL
+                        or (
+                            cost <= best_cost + _TOL
+                            and (total_t < best_t or (total_t == best_t and width_sum < best_w))
+                        )
+                    ):
+                        best = (times, widths, boxed, finite_budget and total_t >= t_binds)
+                        best_cost, best_t, best_w = cost, total_t, width_sum
+        if best is None:
+            return None
     times, widths, boxed, binds = best
     splits = {p.name: (0.0, 0.0) for p in procs}
     for i, p in enumerate(live):

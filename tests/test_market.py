@@ -213,6 +213,28 @@ class TestAllocate:
         _, r_big = allocate_workloads(big, pv, 0.15, 20.0, 1)
         assert r_big.welfare >= r_small.welfare - 1e-9
 
+    def test_near_tie_goes_to_the_scan_pick_not_the_largest_marginal(self):
+        # b's first marginal beats a's by 5e-10, inside the 1e-9 tie window,
+        # so the id-ordered scan opens a and the heap must not take its top.
+        # With one admissible client the greedy fills a alone (8 samples) and
+        # the gain-saturated start, b at its capacity of 30, wins; opening b
+        # would stop b at 20 samples, which that start no longer beats.
+        def convex(first, step, cap):
+            costs = [0.0]
+            for n in range(cap):
+                costs.append(costs[-1] + first + step * n)
+            return costs
+
+        quotes = [
+            quote("a", 0.05, convex(1.0, 0.5, 10)),
+            quote("b", 0.05, convex(1.0 - 5e-10, 0.2, 30)),
+        ]
+        prices = self.prices(sample=5.0)
+        alloc, report = allocate_workloads(quotes, prices, 0.05, 10.0, 1)
+        assert alloc.workloads == {"b": 30}
+        assert report.audit() == []
+        assert (alloc, report) == allocate_workloads_reference(quotes, prices, 0.05, 10.0, 1)
+
     def test_greedy_lookups_grow_with_grants_not_grants_times_clients(self):
         for n_clients in (10, 30):
             lookups = [0]

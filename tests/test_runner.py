@@ -152,6 +152,22 @@ def test_serial_mode_budget_is_full_window():
     assert all(r["t_delta_cells"] == 10 for r in serial.summary_rows)
 
 
+@pytest.mark.parametrize("mode", ["zeros", "serial"])
+def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, mode):
+    # serial placement never puts last round's chains in this round's window,
+    # so it builds no pool for a client that only ran a chain last round
+    seen = []
+    plan_round = runner.plan_round
+
+    def checked(ir, t_cells, pools, prev_consumption, generation, **kwargs):
+        seen.append(set(pools) == set(prev_consumption) | set(generation))
+        return plan_round(ir, t_cells, pools, prev_consumption, generation, **kwargs)
+
+    monkeypatch.setattr(runner, "plan_round", checked)
+    run(load_config({"seed": 3, "mode": mode}))
+    assert seen and all(seen)
+
+
 @st.composite
 def solve_cases(
     draw,

@@ -27,6 +27,8 @@ from mfpsim.solver import (
     realize_schedule,
 )
 
+import mfpsim.solver as solver
+
 from oracles import (
     consumption_by_multiplier,
     consumption_grid_min,
@@ -347,21 +349,33 @@ def chains(draw):
     """Consumption chains that make every kind of candidate win: idle links,
     infinite, zero and exactly-at-the-optimum width limits, budgets that are
     infinite, barely feasible or exactly the box-free chain time, forced
-    boxes, and the near-zero time price of the MC_FC baseline."""
+    boxes, and the near-zero time price of the MC_FC baseline.  One chain in
+    four sits near the box-free exit's guard: no forced box, every width
+    limit free_width * (1 + d) and the budget sum(free_time) * (1 + d), with
+    d from 0 to 1e-4 on both sides of where the cost gaps clear 1e-9, and
+    down to -1e-9, where the box-free chain is still feasible but a shorter
+    candidate ties with it."""
     time_price = draw(st.sampled_from([1e-12]) | st.floats(0.05, 20.0))
+    near_guard = draw(st.integers(0, 3)) == 0
+    slack = st.sampled_from([-5e-10, 0.0, 1e-6]) | st.floats(-1e-9, 1e-4)
     procs, free_time = [], []
     for name in (DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH):
         volume = draw(st.sampled_from([0.0]) | st.floats(1e-3, 50.0))
         price = draw(st.floats(0.05, 20.0))
         free_width = math.sqrt(volume * time_price / price)
-        width_max = draw(
-            st.sampled_from([math.inf, 0.0, free_width])
-            | st.floats(0.2, 3.0).map(lambda f: free_width * f)
-            | st.floats(1e-3, 50.0)
-        )
+        if near_guard:
+            width_max = free_width * (1 + draw(slack))
+        else:
+            width_max = draw(
+                st.sampled_from([math.inf, 0.0, free_width])
+                | st.floats(0.2, 3.0).map(lambda f: free_width * f)
+                | st.floats(1e-3, 50.0)
+            )
         procs.append(_Process(name, volume, price, width_max))
         if volume > 0:
             free_time.append(math.sqrt(volume * price / time_price))
+    if near_guard:
+        return procs, time_price, sum(free_time) * (1 + draw(slack)), frozenset()
     floor = sum(p.volume / p.width_max for p in procs if p.volume > 0 and p.width_max > 0)
     t_budget = draw(
         st.sampled_from([math.inf, floor, sum(free_time)])
@@ -372,9 +386,7 @@ def chains(draw):
     return procs, time_price, t_budget, forced
 
 
-@settings(max_examples=600, deadline=None)
-@given(chains())
-def test_enumeration_equals_dict_per_candidate_reference(case):
+def _assert_same_as_reference(case):
     got = _enumerate_consumption(*case)
     ref = enumerate_consumption_reference(*case)
     if ref is None:
@@ -384,6 +396,39 @@ def test_enumeration_equals_dict_per_candidate_reference(case):
     assert list(splits.items()) == list(ref[0].items())
     assert cost == ref[1]
     assert active == ref[2]
+
+
+@settings(max_examples=800, deadline=None)
+@given(chains())
+def test_enumeration_equals_dict_per_candidate_reference(case):
+    _assert_same_as_reference(case)
+
+
+def test_box_free_exit_and_full_enumeration_both_reached(monkeypatch):
+    # the full enumeration is the only caller of _box_sets.  With these
+    # prices the smallest cost gap, 0.316 * d**2 for the upload box, clears
+    # 1e-9 from d of about 5.6e-5 on; a budget just under the box-free chain
+    # time leaves that chain feasible but ties it with the budget's tau
+    calls = []
+    box_sets = solver._box_sets
+    monkeypatch.setattr(solver, "_box_sets", lambda *a: calls.append(a) or box_sets(*a))
+    names = (DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH)
+    volumes, prices = (3.0, 5.0, 2.0), (0.05, 0.5, 0.05)
+    free_width = [math.sqrt(v / p) for v, p in zip(volumes, prices)]
+    chain_time = sum(math.sqrt(v * p) for v, p in zip(volumes, prices))
+    enumerated, expected = [], []
+    for d in (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+        procs = [
+            _Process(name, v, p, w * (1 + d))
+            for name, v, p, w in zip(names, volumes, prices, free_width)
+        ]
+        for t_budget in (chain_time * (1 + d), chain_time * (1 - 5e-10), math.inf):
+            del calls[:]
+            _assert_same_as_reference((procs, 1.0, t_budget, frozenset()))
+            enumerated.append(bool(calls))
+            expected.append(d < 5e-5 or t_budget < chain_time)
+    assert enumerated == expected
+    assert True in enumerated and False in enumerated
 
 
 def test_subnormal_wireless_coefficient_solves_and_realizes():
