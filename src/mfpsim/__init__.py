@@ -11,7 +11,6 @@ from .costs import (
     ScheduleDecision,
     TransferSchedule,
     gen_cost,
-    total_min_cost_unconstrained,
     unconstrained_comm_schedule,
     unconstrained_comp_schedule,
     unconstrained_gen_schedule,
@@ -55,7 +54,7 @@ from .scenario import (
     step_mobility,
     targets_in_domain,
 )
-from .sensing import learning_gain, qod, sample_yield
+from .sensing import qod
 from .baselines import realize_with_policy
 from .solver import (
     Budgets,

@@ -2,8 +2,9 @@
 
 Subcommands: run (one simulation), sweep (one run per value of a config
 path), solve-one (direct access to the per-client scheduler), and
-validate-config.  Exit codes: 0 success, 2 configuration error, 3 infeasible
-workload or unreachable gain target.
+validate-config.  Exit codes: 0 success, 2 configuration error, 3 (solve-one
+only) infeasible workload.  A run that cannot reach its gain floor records a
+shortfall for the round and exits 0.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_solve_one(args) -> int:
     quanta = ResourceQuanta(args.time_quantum, args.freq_quantum, args.compute_quantum)
-    attrs = StatusAttributes(a=args.a, b=args.b, rho_tar=0.0, label_dist=None)
+    attrs = StatusAttributes(a=args.a, b=args.b, label_dist=None)
     prices = PriceVector(
         time=args.price_time, freq=args.price_freq, compute=args.price_compute
     )

@@ -28,6 +28,8 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+# 10 ** ((p - 30) / 10) watts overflows a float near 3110 dBm
+_TX_POWER = {"type": "number", "maximum": 300}
 
 
 def _obj(properties: dict, required: list[str] | None = None) -> dict:
@@ -63,13 +65,13 @@ SCHEMA = _obj(
                     {
                         "carrier_hz": _POS,
                         "noise_density_w_per_hz": _POS,
-                        "tx_power_server_dbm": _NUM,
-                        "tx_power_client_dbm": _NUM,
-                        "tx_power_sensing_dbm": _NUM,
+                        "tx_power_server_dbm": _TX_POWER,
+                        "tx_power_client_dbm": _TX_POWER,
+                        "tx_power_sensing_dbm": _TX_POWER,
                         "sensitivity_ws_dbm": _NUM,
                         "sensitivity_wc_dbm": _NUM,
                         "pathloss_exponent": _POS,
-                        "reference_loss_db": _NUM,
+                        "reference_loss_db": _NONNEG,
                     }
                 ),
             }

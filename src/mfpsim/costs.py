@@ -193,18 +193,3 @@ def unconstrained_comp_schedule(
     f = math.sqrt(vol * prices.time / prices.compute)
     return ComputeSchedule(t, f), t * prices.time + f * prices.compute
 
-
-def total_min_cost_unconstrained(
-    n: float,
-    attrs: StatusAttributes,
-    task: ConsumptionTask,
-    prices: PriceVector,
-    quanta: ResourceQuanta = ResourceQuanta(),
-) -> float:
-    """Sum of the four sub-process minima; the chain is strictly serial, so the
-    total optimum decomposes."""
-    _, c_gen = unconstrained_gen_schedule(n, attrs, prices)
-    _, c_down = unconstrained_comm_schedule(task.d_down_bits, task.eff_down, prices, quanta)
-    _, c_up = unconstrained_comm_schedule(task.d_up_bits, task.eff_up, prices, quanta)
-    _, c_comp = unconstrained_comp_schedule(n * task.cycles_per_sample, prices, quanta)
-    return c_gen + c_down + c_comp + c_up

@@ -59,7 +59,6 @@ class ClientQuote:
 @dataclass(frozen=True)
 class Allocation:
     workloads: dict[str, int]
-    active: tuple[str, ...]
 
     @property
     def total_samples(self) -> int:
@@ -424,7 +423,7 @@ def allocate_workloads(
             if report.server_profit < -_TOL:
                 raise GainShortfallError("server rationality", max_achievable(excluded))
             workloads = {cid: n for cid, n in load.items() if n > 0}
-            allocation = Allocation(workloads=workloads, active=tuple(sorted(workloads)))
+            allocation = Allocation(workloads=workloads)
             return allocation, report
         excluded.update(losers)
         keep = min((first_led[c] for c in losers if c in first_led), default=len(picks))

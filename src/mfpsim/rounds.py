@@ -6,7 +6,9 @@ R+1 windows instead of the serial 2R.  The window length (cycle) is fixed by
 the previous round's slowest finisher.  Placement policy inside a window:
 downloads start at column 0, uploads end at the cycle boundary, compute sits
 between them, and sensing spans from column 0 on the opposite edge of the
-frequency grid, narrowed to the rows the transfers leave free.
+frequency grid, in the rows the transfers leave free.  Quotes already size
+sensing beside the previous chain's peak width, so a block that does not fit
+is dropped.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ class Placement:
 @dataclass
 class RoundPlan:
     ir_index: int
-    t_delta: int
-    budget: int
     placements: list[Placement] = field(default_factory=list)
     dropped: dict[str, str] = field(default_factory=dict)
-    tightened: dict[str, int] = field(default_factory=dict)
+    tightened: dict[str, int] = field(default_factory=dict)  # stays empty; perfbench reads it
     audit_violations: list[str] = field(default_factory=list)
 
     def timeline_rows(self) -> list[dict]:
@@ -177,7 +177,6 @@ def plan_round(
     pools: dict[str, SharedResourcePool],
     prev_consumption: dict[str, ScheduleDecision],
     generation: dict[str, ScheduleDecision],
-    resolve_tightened=None,
     t_delta: int | None = None,
 ) -> RoundPlan:
     """Place the previous round's consumption and this round's sensing into
@@ -186,17 +185,15 @@ def plan_round(
     The cycle defaults to the previous round's slowest consumption chain
     (bootstrap: the full window); callers running the full pipeline pass the
     frozen cycle they budgeted against.  A client whose chain misses the
-    window is dropped with a reason.  When sensing collides with overlapped
-    transfers on the frequency grid, `resolve_tightened(client_id,
-    free_bandwidth)` may supply a re-solved, narrower sensing schedule;
-    returning None drops the client.
+    window, or whose sensing block does not fit the rows the overlapped
+    transfers leave free, is dropped with a reason.
     """
     if t_delta is None:
         t_delta = cycle_length(
             [int(d.consumption_time) for d in prev_consumption.values()], time_cells
         )
     budget = min(time_cells, t_delta)
-    plan = RoundPlan(ir_index, t_delta, budget)
+    plan = RoundPlan(ir_index)
 
     for cid in sorted(prev_consumption):
         decision = prev_consumption[cid]
@@ -210,24 +207,10 @@ def plan_round(
     for cid in sorted(generation):
         decision = generation[cid]
         pool = pools[cid]
-        placed = False
-        for attempt in (0, 1):
-            span = int(decision.gen.t_vs)
-            width = int(decision.gen.b_ws)
-            free = free_sensing_bandwidth(pool, span)
-            if width <= free and span <= budget:
-                plan.placements += place_generation(
-                    pool, cid, f"ir{ir_index}:{cid}", decision, budget
-                )
-                placed = True
-                break
-            if attempt == 1 or resolve_tightened is None:
-                break
-            plan.tightened[cid] = free
-            decision = resolve_tightened(cid, free)
-            if decision is None:
-                break
-        if not placed and cid not in plan.dropped:
+        span = int(decision.gen.t_vs)
+        if int(decision.gen.b_ws) <= free_sensing_bandwidth(pool, span) and span <= budget:
+            plan.placements += place_generation(pool, cid, f"ir{ir_index}:{cid}", decision, budget)
+        elif cid not in plan.dropped:
             plan.dropped[cid] = "sensing does not fit the shared window"
 
     plan.audit_violations = audit_chain_order(plan.placements)

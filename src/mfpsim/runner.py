@@ -20,7 +20,6 @@ CSV/JSONL writers stay trivial and byte-reproducible.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -131,12 +130,6 @@ class RunRecord:
             out["trajectories.csv"] = self.trajectories_csv()
         return out
 
-    def output_hashes(self) -> dict[str, str]:
-        return {
-            name: hashlib.sha256(text.encode()).hexdigest()
-            for name, text in sorted(self.output_texts().items())
-        }
-
     def write(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -245,7 +238,7 @@ class _RunContext:
     client_ids: tuple[str, ...]
 
 
-def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bounds=None):
+def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     """Policy solve with the spectrum split internalized.
 
     In pipelined mode a client's transfer chain shares its window with the
@@ -256,15 +249,15 @@ def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bound
     box, and the problem is convex, so a box that does not bind leaves the
     optimum unchanged.  The capped budgets are still returned, because the
     integer realization works against them.  When the capped chain cannot
-    carry the workload, the uncapped schedule stands (the placement-time
-    tightening loop still guards the actual grids).  `bounds` is (mtv, mutv)
+    carry the workload, the uncapped schedule stands.  `bounds` is (mtv, mutv)
     under `budgets`; it does not hold under the capped budgets.  Returns
     (outcome, budgets_used).
     """
+    policy, prices, quanta = ctx.policy, ctx.prices, ctx.quanta
     out = schedule_with_policy(
         policy, SolveInput(n, at, task, prices, budgets, quanta), bounds=bounds
     )
-    if not pipelined or out.kind != OutcomeKind.OPTIMAL or out.decision is None:
+    if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL or out.decision is None:
         return out, budgets
     sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)
     if sensing_width <= 0:
@@ -279,25 +272,6 @@ def _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined, bound
     if out2.kind != OutcomeKind.OPTIMAL:
         return out, budgets
     return out2, capped
-
-
-def _quantize(ctx, c, budgets, capped, bounds=None) -> ScheduleDecision | str:
-    """Solve `c`'s workload under `budgets` (with the spectrum-split cap when
-    `capped`) and realize it in whole cells.  A realization that fails under
-    the cap is retried at full grid width.  Returns the schedule, or the note
-    the client is dropped with."""
-    out, used = _policy_solve(
-        ctx.policy, c.n, c.attrs, c.task, ctx.prices, budgets, ctx.quanta, capped, bounds
-    )
-    if out.kind != OutcomeKind.OPTIMAL:
-        return "workload infeasible at solve time"
-    for grid in (used,) if used is budgets else (used, budgets):
-        schedule = realize_with_policy(
-            ctx.policy, SolveInput(c.n, c.attrs, c.task, ctx.prices, grid, ctx.quanta)
-        )
-        if schedule is not None:
-            return schedule
-    return "no integral schedule fits the window"
 
 
 def run(config: ExperimentConfig) -> RunRecord:
@@ -334,9 +308,7 @@ def run(config: ExperimentConfig) -> RunRecord:
 
     # trailing window for the last round's transfer chain
     if ctx.pipelined and config.rounds >= 1:
-        pools = {cid: new_pool(*ctx.cells) for cid in prev_cons} or {
-            ctx.client_ids[0]: new_pool(*ctx.cells)
-        }
+        pools = {cid: new_pool(*ctx.cells) for cid in prev_cons}
         plan = plan_round(config.rounds + 1, ctx.cells[0], pools, prev_cons, {})
         record.timeline_rows += plan.timeline_rows()
         record.audit_violations += plan.audit_violations
@@ -396,12 +368,11 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
     budgets = Budgets(float(t_cells), float(b_cells), float(f_cells), cycle_cells=float(t_delta))
 
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
-    distances = target_distances(state) if state.n_targets else None
-    global_dist = global_label_distribution(state, geometry, profile.mode, distances)
+    distances = target_distances(state)
+    global_dist = global_label_distribution(state, distances, geometry, profile.mode)
     clients: dict[str, _ClientRound] = {}
     for i, cid in enumerate(ctx.client_ids):
-        row = None if distances is None else distances[i]
-        at = status_attributes(state, i, geometry, channel, profile, quanta, distances=row)
+        at = status_attributes(state, distances[i], geometry, channel, profile, quanta)
         dist = float(np.linalg.norm(state.client_pos[i] - state.server_pos))
         dist = max(dist, 1.0)
         eff_down = spectral_efficiency(
@@ -431,9 +402,7 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
         cap_i = int(min(cap, 10**7))
 
         def cost_fn(n, _at=at, _task=task, _budgets=my_budgets, _bounds=entry.bounds):
-            out, _ = _policy_solve(
-                ctx.policy, n, _at, _task, ctx.prices, _budgets, quanta, ctx.pipelined, _bounds
-            )
+            out, _ = _policy_solve(ctx, n, _at, _task, _budgets, _bounds)
             if out.kind != OutcomeKind.OPTIMAL:
                 return math.inf
             return out.cost
@@ -519,43 +488,37 @@ def _select_and_allocate(ctx, clients, budgets, floor, ceiling) -> bool:
 
 
 def _solve_and_quantize(ctx, clients) -> None:
-    """A whole-cell schedule for every client holding a workload."""
+    """A whole-cell schedule for every client holding a workload: the policy
+    solve (with the spectrum-split cap when pipelined), then realization in
+    whole cells.  A realization that fails under the cap is retried at full
+    grid width."""
     for cid in sorted(clients):
         c = clients[cid]
         if c.n <= 0:
             continue
-        schedule = _quantize(ctx, c, c.budgets, ctx.pipelined, c.bounds)
-        if isinstance(schedule, str):
-            c.drop(schedule)
+        out, used = _policy_solve(ctx, c.n, c.attrs, c.task, c.budgets, c.bounds)
+        if out.kind != OutcomeKind.OPTIMAL:
+            c.drop("workload infeasible at solve time")
+            continue
+        for grid in (used,) if used is c.budgets else (used, c.budgets):
+            c.quantized = realize_with_policy(
+                ctx.policy, SolveInput(c.n, c.attrs, c.task, ctx.prices, grid, ctx.quanta)
+            )
+            if c.quantized is not None:
+                break
         else:
-            c.quantized = schedule
+            c.drop("no integral schedule fits the window")
 
 
 def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
     """Reserve this round's sensing next to the previous chain (pipelined) or
-    in separate windows (serial); re-solve sensing once on spectrum clashes."""
+    in separate windows (serial); a client whose sensing or chain does not
+    fit is dropped."""
     generation = {cid: c.quantized for cid, c in clients.items() if c.n > 0}
     chains = prev_cons if ctx.pipelined else {}
     pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(generation))}
-
-    def resolve(cid, free_bandwidth):
-        # re-solve against the real grids: the heuristic transfer cap is
-        # dropped, only the observed sensing bandwidth limit applies
-        c = clients[cid]
-        tightened = replace(c.budgets, gen_freq_cells=float(free_bandwidth))
-        schedule = _quantize(ctx, c, tightened, capped=False)
-        if isinstance(schedule, str):
-            return None
-        c.quantized = schedule
-        c.note = "sensing re-solved after spectrum tightening"
-        return schedule
-
     t_cells, t_delta = ctx.cells[0], int(budgets.t_budget)
-    plans = [
-        plan_round(
-            r, t_cells, pools, chains, generation, resolve_tightened=resolve, t_delta=t_delta
-        )
-    ]
+    plans = [plan_round(r, t_cells, pools, chains, generation, t_delta=t_delta)]
     if not ctx.pipelined:  # the chains run in a window of their own
         cons = {cid: c.quantized for cid, c in clients.items() if c.n > 0 and c.quantized}
         cons_pools = {cid: new_pool(*ctx.cells) for cid in sorted(cons)}

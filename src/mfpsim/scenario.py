@@ -88,7 +88,6 @@ class StatusAttributes:
 
     a: float
     b: float
-    rho_tar: float
     label_dist: np.ndarray | None
     n_visual_targets: int = 0
     n_wireless_targets: int = 0
@@ -107,7 +106,6 @@ class ScenarioState:
     server_pos: np.ndarray  # (2,)
     n_classes: int
     max_speed: float
-    round_index: int = 0
 
     @property
     def n_clients(self) -> int:
@@ -179,7 +177,6 @@ def step_mobility(state: ScenarioState, seed: int, dt: float) -> ScenarioState:
         client_vel=cv,
         target_pos=tp,
         target_vel=tv,
-        round_index=state.round_index + 1,
     )
 
 
@@ -200,25 +197,13 @@ def target_distances(state: ScenarioState) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def _distance_row(state: ScenarioState, client: int, distances: np.ndarray | None) -> np.ndarray:
-    if distances is not None:
-        return distances
-    return np.linalg.norm(state.target_pos - state.client_pos[client], axis=1)
-
-
 def targets_in_domain(
-    state: ScenarioState,
-    client: int,
-    geometry: SensingGeometry,
-    distances: np.ndarray | None = None,
+    distances: np.ndarray, geometry: SensingGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of targets inside the visual disc and in the wireless-only annulus.
-
-    `distances` is the client's row of `target_distances`; without it the
-    row is computed for this client alone (same bits)."""
-    d = _distance_row(state, client, distances)
-    in_vsd = np.flatnonzero(d <= geometry.d_vs)
-    in_wsd_only = np.flatnonzero((d > geometry.d_vs) & (d <= geometry.d_ws))
+    """Indices of targets inside the visual disc and in the wireless-only
+    annulus, from one client's row of `target_distances`."""
+    in_vsd = np.flatnonzero(distances <= geometry.d_vs)
+    in_wsd_only = np.flatnonzero((distances > geometry.d_vs) & (distances <= geometry.d_ws))
     return in_vsd, in_wsd_only
 
 
@@ -242,7 +227,7 @@ def link_budget(
     distance_m: float, tx_power_dbm: float, sensitivity_dbm: float, params: ChannelParams
 ) -> LinkBudget:
     gain = channel_gain(distance_m, params)
-    gain_db = 10 * math.log10(gain)
+    gain_db = 10 * math.log10(gain) if gain > 0 else -math.inf  # 0: the gain underflowed
     rx = tx_power_dbm + gain_db
     return LinkBudget(gain, gain_db, rx, rx >= sensitivity_dbm)
 
@@ -266,12 +251,11 @@ def spectral_efficiency(
 
 def status_attributes(
     state: ScenarioState,
-    client: int,
+    distances: np.ndarray,
     geometry: SensingGeometry,
     channel: ChannelParams,
     profile: SensingProfile,
     quanta: ResourceQuanta,
-    distances: np.ndarray | None = None,
 ) -> StatusAttributes:
     """Per-round sample-rate coefficients and sensed label distribution.
 
@@ -281,25 +265,23 @@ def status_attributes(
     rho is the global target density; the wireless SNR uses the mean gain over
     targets currently in the wireless disc, frozen for the round.
 
-    `distances` is the client's row of `target_distances`; the result is
-    bitwise equal with or without it.  The per-target gains stay scalar
-    `channel_gain` calls: numpy's log10 and power differ from `math.log10`
-    and `**` in the last bit on a few percent of inputs, which would move
-    `b` and every output derived from it.
+    `distances` is the client's row of `target_distances`.  The per-target
+    gains stay scalar `channel_gain` calls: numpy's log10 and power differ
+    from `math.log10` and `**` in the last bit on a few percent of inputs,
+    which would move `b` and every output derived from it.
     """
     n_targets = state.n_targets
     if n_targets == 0:
-        return StatusAttributes(0.0, 0.0, 0.0, None)
+        return StatusAttributes(0.0, 0.0, None)
 
     rho = n_targets / state.area_m**2
-    row = _distance_row(state, client, distances)
-    in_vsd, in_annulus = targets_in_domain(state, client, geometry, row)
+    in_vsd, in_annulus = targets_in_domain(distances, geometry)
 
     a = rho * geometry.s_vs * profile.visual_efficiency * profile.frame_rate_hz * quanta.time_s
     b = 0.0
     wireless_idx = np.concatenate([in_vsd, in_annulus])
     if wireless_idx.size:
-        d = np.maximum(row[wireless_idx], 1.0)
+        d = np.maximum(distances[wireless_idx], 1.0)
         gains = np.array([channel_gain(x, channel) for x in d.tolist()])
         tx_w = 10 ** ((channel.tx_power_sensing_dbm - 30) / 10)
         snr = tx_w * float(gains.mean()) / (channel.noise_density_w_per_hz * quanta.freq_hz)
@@ -329,7 +311,6 @@ def status_attributes(
     return StatusAttributes(
         a=a,
         b=b,
-        rho_tar=rho,
         label_dist=label_dist,
         n_visual_targets=int(in_vsd.size),
         n_wireless_targets=int(in_annulus.size),
@@ -338,25 +319,23 @@ def status_attributes(
 
 def global_label_distribution(
     state: ScenarioState,
+    distances: np.ndarray,
     geometry: SensingGeometry,
     mode: str = "msg",
-    distances: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Empirical class distribution over the union of all clients' sensed targets.
 
-    `distances` is the round's `target_distances` matrix (computed here when
-    not given).  A target is sensed when any client's row puts it in a disc
-    the mode uses, so the result is bitwise equal to the union of every
-    client's `targets_in_domain`.
+    `distances` is the round's `target_distances` matrix.  A target is sensed
+    when any client's row puts it in a disc the mode uses, so the result is
+    bitwise equal to the union of every client's `targets_in_domain`.
     """
     if state.n_targets == 0:
         return None
-    d = target_distances(state) if distances is None else distances
     sensed = np.zeros(state.n_targets, dtype=bool)
     if mode in ("msg", "vsg"):
-        sensed |= (d <= geometry.d_vs).any(axis=0)
+        sensed |= (distances <= geometry.d_vs).any(axis=0)
     if mode in ("msg", "wsg"):
-        sensed |= ((d > geometry.d_vs) & (d <= geometry.d_ws)).any(axis=0)
+        sensed |= ((distances > geometry.d_vs) & (distances <= geometry.d_ws)).any(axis=0)
     if not sensed.any():
         return None
     counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)

@@ -1,26 +1,8 @@
-"""Multimodal sample yield, quality of data, and the analytic gain model."""
+"""Quality of data: how well a client's sensed labels match the global mix."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .scenario import StatusAttributes
-
-
-def sample_yield(attrs: StatusAttributes, t_vs: float, b_ws: float, t_ws: float) -> int:
-    """Samples produced by visual sensing for t_vs time cells plus wireless
-    sensing over b_ws frequency cells for t_ws time cells.
-
-    Wireless sensing rides along the visual window, so t_ws <= t_vs.  The floor
-    is applied once, on the combined yield.
-    """
-    if min(t_vs, b_ws, t_ws) < 0:
-        raise ValueError("resource amounts must be nonnegative")
-    if t_ws > t_vs:
-        raise ValueError("wireless sensing time cannot exceed visual sensing time")
-    return int(math.floor(attrs.a * t_vs + attrs.b * t_ws * b_ws))
 
 
 def qod(local: np.ndarray, global_: np.ndarray) -> float:
@@ -32,13 +14,3 @@ def qod(local: np.ndarray, global_: np.ndarray) -> float:
         raise ValueError(f"distribution length mismatch: {local.shape} vs {global_.shape}")
     return 1.0 - 0.5 * float(np.abs(local - global_).sum())
 
-
-def learning_gain(n_samples: int | float, q: float, gain_factor: float) -> float:
-    """Analytic per-client learning contribution: gain_factor * q * n."""
-    if n_samples < 0:
-        raise ValueError("sample count must be nonnegative")
-    if not 0 <= q <= 1 + 1e-12:
-        raise ValueError("qod must lie in [0, 1]")
-    if gain_factor <= 0:
-        raise ValueError("gain factor must be positive")
-    return gain_factor * q * n_samples

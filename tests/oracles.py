@@ -7,13 +7,16 @@ sweeps a 2-D time grid with a prefix-min over the third sub-process.
 The last ones are straightforward or earlier forms of engine code, which the
 tests compare with `==`: the binding-set enumeration with a dict per
 candidate, the workload allocation rerunning its greedy from scratch on every
-rationality pass, and the runner's former saturated allocation.  The
-market tests build their cost curves from fixed tables with
-`curve_from_samples`.
+rationality pass, the runner's former saturated allocation, the sum of the
+four unconstrained sub-process minima, and one client's target distances
+taken on their own.  The market tests build their cost curves from fixed
+tables with `curve_from_samples`; the golden and determinism tests compare
+runs by `output_hashes`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -323,7 +326,7 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
             if report.server_profit < -tol:
                 raise GainShortfallError("server rationality", max_achievable())
             workloads = {cid: n for cid, n in load.items() if n > 0}
-            return Allocation(workloads=workloads, active=tuple(sorted(workloads))), report
+            return Allocation(workloads=workloads), report
         excluded.update(losers)
     raise GainShortfallError("rationality loop failed to settle", max_achievable())
 
@@ -363,3 +366,33 @@ def curve_from_samples(samples):
     from mfpsim.market import CostCurve
 
     return CostCurve(lambda n: samples[n], len(samples) - 1)
+
+
+def total_min_cost_unconstrained(n, attrs, task, prices, quanta):
+    """Sum of the four sub-process minima; the chain is strictly serial, so the
+    total optimum decomposes."""
+    from mfpsim.costs import (
+        unconstrained_comm_schedule,
+        unconstrained_comp_schedule,
+        unconstrained_gen_schedule,
+    )
+
+    _, c_gen = unconstrained_gen_schedule(n, attrs, prices)
+    _, c_down = unconstrained_comm_schedule(task.d_down_bits, task.eff_down, prices, quanta)
+    _, c_up = unconstrained_comm_schedule(task.d_up_bits, task.eff_up, prices, quanta)
+    _, c_comp = unconstrained_comp_schedule(n * task.cycles_per_sample, prices, quanta)
+    return c_gen + c_down + c_comp + c_up
+
+
+def distance_row(state, client):
+    """One client's distances to every target, computed for that client
+    alone; `scenario.target_distances` must match it bit for bit."""
+    return np.linalg.norm(state.target_pos - state.client_pos[client], axis=1)
+
+
+def output_hashes(record):
+    """sha256 of every output file of a `RunRecord`, by file name."""
+    return {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in sorted(record.output_texts().items())
+    }

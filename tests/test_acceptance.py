@@ -28,6 +28,7 @@ from mfpsim.scenario import (
     SensingProfile,
     global_label_distribution,
     status_attributes,
+    target_distances,
 )
 from mfpsim.sensing import qod
 from mfpsim.solver import (
@@ -39,7 +40,7 @@ from mfpsim.solver import (
     mutv,
 )
 
-from oracles import consumption_grid_min, gen_grid_min
+from oracles import consumption_grid_min, gen_grid_min, output_hashes
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
@@ -51,7 +52,7 @@ def _pass(cid, text):
 def attrs(a, b):
     from mfpsim.scenario import StatusAttributes
 
-    return StatusAttributes(a=a, b=b, rho_tar=0.0, label_dist=None)
+    return StatusAttributes(a=a, b=b, label_dist=None)
 
 
 def random_instance(rng):
@@ -361,10 +362,11 @@ def _mode_gain(state, mode, seed):
     budgets = Budgets(8.0, 40.0, 8.0)
     pv = PriceVector(time=1.0, freq=0.05, compute=0.5, sample=1.0, gain=1000.0)
     task = ConsumptionTask(1e8, 1e8, 500.0, 12.0, 8.0)
-    global_dist = global_label_distribution(state, geometry, mode)
+    distances = target_distances(state)
+    global_dist = global_label_distribution(state, distances, geometry, mode)
     quotes = []
     for i in range(state.n_clients):
-        at = status_attributes(state, i, geometry, channel, profile, quanta)
+        at = status_attributes(state, distances[i], geometry, channel, profile, quanta)
         cap = mtv(at, task, budgets, quanta)
         if cap < 1 or global_dist is None or at.label_dist is None:
             continue
@@ -420,7 +422,7 @@ def test_criterion_10_byte_determinism():
     cfg = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 11}
     a = run(load_config(cfg))
     b = run(load_config(cfg))
-    assert a.output_hashes() == b.output_hashes()
+    assert output_hashes(a) == output_hashes(b)
     serial = {**cfg, "mode": "serial"}
-    assert run(load_config(serial)).output_hashes() == run(load_config(serial)).output_hashes()
+    assert output_hashes(run(load_config(serial))) == output_hashes(run(load_config(serial)))
     _pass(10, "identical config+seed reproduces identical output hashes")

@@ -22,7 +22,7 @@ UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
 
 def attrs(a, b):
-    return StatusAttributes(a=a, b=b, rho_tar=0.0, label_dist=None)
+    return StatusAttributes(a=a, b=b, label_dist=None)
 
 
 def quote(cid, rate=0.05, mtv_=10, first_marginal=0.1):

@@ -76,6 +76,34 @@ def test_run_config_error_exit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "channel, key",
+    [
+        ({"tx_power_server_dbm": 4000}, "tx_power_server_dbm"),
+        ({"tx_power_client_dbm": 4000}, "tx_power_client_dbm"),
+        ({"tx_power_sensing_dbm": 4000}, "tx_power_sensing_dbm"),
+        ({"reference_loss_db": -4000}, "reference_loss_db"),
+    ],
+    ids=["tx-server", "tx-client", "tx-sensing", "reference-loss"],
+)
+def test_run_rejects_channel_values_that_overflow(tmp_path, capsys, channel, key):
+    # 10 ** (dB / 10) overflows a float for these
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 1, "scenario": {"channel": channel}}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_run_with_underflowing_path_gain(tmp_path, capsys):
+    # the linear gain underflows to 0: every link is unusable, and the run
+    # completes with nobody sensing wirelessly or transferring
+    cfg = tmp_path / "cfg.json"
+    channel = {"pathloss_exponent": 150}
+    cfg.write_text(json.dumps({"rounds": 1, "scenario": {"n_clients": 3, "channel": channel}}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rounds"] == 1
+
+
 def test_validate_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rounds": 2}))

@@ -8,7 +8,6 @@ from mfpsim.costs import (
     GenSchedule,
     PriceVector,
     gen_cost,
-    total_min_cost_unconstrained,
     unconstrained_comm_schedule,
     unconstrained_comp_schedule,
     unconstrained_gen_schedule,
@@ -17,13 +16,13 @@ from mfpsim.errors import InfeasibleError, LinkUnusableError
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 
-from oracles import gen_grid_min
+from oracles import gen_grid_min, total_min_cost_unconstrained
 
 UNIT = ResourceQuanta(time_s=1.0, freq_hz=1.0, compute_cycles_per_s=1.0)
 
 
 def attrs(a, b):
-    return StatusAttributes(a=a, b=b, rho_tar=0.0, label_dist=None)
+    return StatusAttributes(a=a, b=b, label_dist=None)
 
 
 def prices(t=1.0, b=1.0, f=1.0):

@@ -17,6 +17,8 @@ from mfpsim.baselines import Policy
 from mfpsim.config import load_config
 from mfpsim.runner import run
 
+from oracles import output_hashes
+
 TINY = {"rounds": 2, "scenario": {"n_clients": 6, "n_targets": 30}}
 
 
@@ -207,4 +209,4 @@ def test_golden_reaches_the_drop_path(name, note):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_output_hashes(name):
-    assert run(load_config(CONFIGS[name])).output_hashes() == GOLDEN[name]
+    assert output_hashes(run(load_config(CONFIGS[name]))) == GOLDEN[name]

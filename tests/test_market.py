@@ -86,7 +86,7 @@ class TestAllocate:
         alloc, report = allocate_workloads(
             quotes, self.prices(), gain_floor=0.5, gain_window=10.0, max_active=1
         )
-        assert alloc.active == ("c1",)
+        assert set(alloc.workloads) == {"c1"}
         assert alloc.workloads["c1"] >= 10
         assert report.audit() == []
 
@@ -135,7 +135,7 @@ class TestAllocate:
                 quotes, self.prices(), floor, gain_window=50.0, max_active=3
             )
             assert floor - 1e-9 <= report.gain < floor + 50.0
-            assert len(alloc.active) <= 3
+            assert len(alloc.workloads) <= 3
             assert report.audit() == []
 
     def test_rationality_removal_reallocates(self):
@@ -145,7 +145,7 @@ class TestAllocate:
         alloc, report = allocate_workloads(
             quotes, self.prices(), gain_floor=0.5, gain_window=10.0, max_active=2
         )
-        assert "b" not in alloc.active
+        assert "b" not in alloc.workloads
         assert alloc.workloads.get("a", 0) >= 10
         assert all(p >= -1e-9 for p in report.client_profits.values())
 
@@ -198,7 +198,7 @@ class TestAllocate:
         )
 
     def test_more_pool_capacity_never_hurts_welfare(self):
-        att = StatusAttributes(a=2.0, b=1.0, rho_tar=0, label_dist=None)
+        att = StatusAttributes(a=2.0, b=1.0, label_dist=None)
         task = ConsumptionTask(10, 10, 1.0, 1.0, 1.0)
         pv = PriceVector(time=0.2, freq=0.1, compute=0.1, sample=1.0, gain=50.0)
 
@@ -247,7 +247,7 @@ class TestAllocate:
             ]
             alloc, report = allocate_workloads(quotes, self.prices(), 5.0, 100.0, n_clients)
             assert report.audit() == []
-            assert len(alloc.active) == n_clients  # nobody excluded: one greedy pass
+            assert len(alloc.workloads) == n_clients  # nobody excluded: one greedy pass
             assert alloc.total_samples > 100 * n_clients
             # a rescan of every client's marginal per grant would need
             # 2 * clients lookups per grant

@@ -7,6 +7,7 @@ from mfpsim.errors import ResourceConflictError
 from mfpsim.resource_pool import GridRegion, new_pool
 from mfpsim.rounds import (
     PROC_SENSE,
+    PROC_UP,
     audit_chain_order,
     cycle_length,
     free_sensing_bandwidth,
@@ -109,41 +110,25 @@ class TestPlanRound:
         prev = {"a": consumption(1, 2, 1, 1, 1, 2), "b": consumption(1, 2, 2, 1, 1, 2)}
         gen = {"a": sensing(3, 2), "b": sensing(3, 2)}
         plan = plan_round(2, 10, pools, prev, gen)
-        assert plan.t_delta == 4
-        assert plan.budget == 4
+        # the cycle is b's 4-cell chain: every upload ends on its boundary
+        assert [p.end_col for p in plan.placements if p.process == PROC_UP] == [4, 4]
         assert plan.dropped == {}
         assert plan.audit_violations == []
 
     def test_bootstrap_round(self):
+        # no chain yet: the sensing budget is the full window
         pools = {"a": new_pool(10, 8, 4)}
-        plan = plan_round(1, 10, pools, {}, {"a": sensing(6, 3)})
-        assert plan.t_delta == 10 and plan.budget == 10
-        assert len(plan.placements) == 1
-
-    def test_spectrum_collision_triggers_tighten_and_resolve(self):
-        pools = {"a": new_pool(10, 8, 4)}
-        prev = {"a": consumption(2, 6, 1, 1, 1, 6)}  # transfers hog 6 of 8 rows
-        wide = {"a": sensing(4, 4)}  # wants 4 rows but only 2 are free
-
-        calls = []
-
-        def resolve(cid, free):
-            calls.append((cid, free))
-            return sensing(4, free)  # narrower re-solve inside the same budget
-
-        plan = plan_round(3, 10, pools, prev, wide, resolve_tightened=resolve)
-        assert calls == [("a", 2)]
-        assert plan.tightened == {"a": 2}
+        plan = plan_round(1, 10, pools, {}, {"a": sensing(10, 3)})
         assert plan.dropped == {}
-        assert plan.audit_violations == []
-        sense = [p for p in plan.placements if p.process == PROC_SENSE][0]
-        assert sense.b_cells == 2
+        assert [(p.process, p.end_col) for p in plan.placements] == [(PROC_SENSE, 10)]
 
     def test_collision_without_resolver_drops_client(self):
         pools = {"a": new_pool(10, 8, 4)}
-        prev = {"a": consumption(2, 6, 1, 1, 1, 6)}
-        plan = plan_round(3, 10, pools, prev, {"a": sensing(4, 4)})
-        assert "a" in plan.dropped
+        prev = {"a": consumption(2, 6, 1, 1, 1, 6)}  # transfers hog 6 of 8 rows
+        plan = plan_round(3, 10, pools, prev, {"a": sensing(4, 4)})  # wants 4 rows
+        assert plan.dropped == {"a": "sensing does not fit the shared window"}
+        assert PROC_SENSE not in {p.process for p in plan.placements}
+        assert plan.tightened == {}
 
     def test_late_consumption_dropped(self):
         pools = {"a": new_pool(4, 8, 4), "b": new_pool(4, 8, 4)}

@@ -4,16 +4,17 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from mfpsim.baselines import Policy, realize_with_policy, schedule_with_policy
+from mfpsim.baselines import Policy, schedule_with_policy
 from mfpsim.config import load_config
 from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, TransferSchedule
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import (
     SUMMARY_COLUMNS,
     _policy_solve,
+    _RunContext,
     load_summary_csv,
     run,
     sweep,
@@ -23,6 +24,7 @@ from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, OutcomeKind, SolveInput, mtv, mutv
 
 import mfpsim.runner as runner
+from oracles import output_hashes
 from test_golden import CONFIGS
 
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
@@ -43,13 +45,13 @@ def test_zero_rounds_header_only():
 def test_determinism_identical_hashes():
     a = run(load_config(SMALL))
     b = run(load_config(SMALL))
-    assert a.output_hashes() == b.output_hashes()
+    assert output_hashes(a) == output_hashes(b)
 
 
 def test_different_seed_changes_outputs():
     a = run(load_config(SMALL))
     b = run(load_config({**SMALL, "seed": 8}))
-    assert a.output_hashes()["summary.csv"] != b.output_hashes()["summary.csv"]
+    assert output_hashes(a)["summary.csv"] != output_hashes(b)["summary.csv"]
 
 
 def test_window_counts_by_mode(small_record):
@@ -152,20 +154,35 @@ def test_serial_mode_budget_is_full_window():
     assert all(r["t_delta_cells"] == 10 for r in serial.summary_rows)
 
 
-@pytest.mark.parametrize("mode", ["zeros", "serial"])
-def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, mode):
+# the cumulative target is met in round 1, so the last round allocates
+# nothing and the trailing window has no chain to place
+MET_IN_ROUND_1 = {
+    **SMALL, "rounds": 2,
+    "market": {"gain_target_mode": "cumulative", "gain_floor": 3.0, "gain_window": 4.0},
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"seed": 3, "mode": "zeros"}, {"seed": 3, "mode": "serial"}, MET_IN_ROUND_1],
+    ids=["zeros", "serial", "trailing_window_empty"],
+)
+def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, raw):
     # serial placement never puts last round's chains in this round's window,
     # so it builds no pool for a client that only ran a chain last round
     seen = []
     plan_round = runner.plan_round
 
     def checked(ir, t_cells, pools, prev_consumption, generation, **kwargs):
-        seen.append(set(pools) == set(prev_consumption) | set(generation))
+        seen.append((set(pools), set(prev_consumption) | set(generation)))
         return plan_round(ir, t_cells, pools, prev_consumption, generation, **kwargs)
 
     monkeypatch.setattr(runner, "plan_round", checked)
-    run(load_config({"seed": 3, "mode": mode}))
-    assert seen and all(seen)
+    rec = run(load_config(raw))
+    assert seen and all(pools == placed for pools, placed in seen)
+    if raw is MET_IN_ROUND_1:
+        assert rec.summary_rows[-1]["active_count"] == 0
+        assert seen[-1] == (set(), set())
 
 
 @st.composite
@@ -177,12 +194,7 @@ def solve_cases(
     wireless coefficients so small (down to subnormal) that their products
     with prices or cell counts underflow to 0."""
     bits = st.sampled_from([0.0, 1e7, 1e8, 4e8])
-    at = StatusAttributes(
-        a=draw(st.floats(0.0, 60.0)),
-        b=draw(b),
-        rho_tar=0.0,
-        label_dist=None,
-    )
+    at = StatusAttributes(a=draw(st.floats(0.0, 60.0)), b=draw(b), label_dist=None)
     task = ConsumptionTask(
         d_down_bits=draw(bits),
         d_up_bits=draw(bits),
@@ -224,7 +236,8 @@ def test_capped_resolve_skip_matches_forced_resolve(policy, case):
     assume(sensing_width > 0 and cap < budgets.cons_bandwidth)
     assume(max(plain.decision.comm_down.b, plain.decision.comm_up.b) <= cap)
 
-    out, used = _policy_solve(policy, n, at, task, prices, budgets, quanta, pipelined=True)
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    out, used = _policy_solve(ctx, n, at, task, budgets)
     capped = replace(budgets, cons_freq_cells=cap)
     forced = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
     assert used == capped
@@ -275,42 +288,39 @@ def test_settlement_solves_no_curve_point(monkeypatch):
     assert calls == []
 
 
-def test_placement_resolves_sensing_beside_a_wider_chain(monkeypatch):
+def test_placement_drops_sensing_beside_a_wider_chain(monkeypatch):
     # take round 1's placement inputs, then put a chain beside one client's
     # sensing block that is wider than the quote assumed (it assumed none):
-    # placement re-solves the sensing under the rows the chain leaves free.
-    # MC_T with large models: the re-solved chain is wide enough that the
-    # spectrum-split cap, which the re-solve must not apply, would change it
+    # the block no longer fits the rows the chain leaves free, so placement
+    # takes the client out of the round
     place = runner._place_round
     calls = []
     monkeypatch.setattr(runner, "_place_round", lambda *args: calls.append(args))
-    bits = {"model_down_bits": 1e9, "model_up_bits": 1e9}
-    run(load_config({**SMALL, "rounds": 1, "policy": "MC_T", "task": bits}))
+    run(load_config({**SMALL, "rounds": 1, "policy": "MC_T"}))
     ctx, record, r, clients, prev_cons, budgets = calls[0]
     assert prev_cons == {}
     cid = min(cid for cid, c in clients.items() if c.n > 0)
     c = clients[cid]
-    c.n //= 4  # off the capacity edge, so a narrower block can still carry it
-    runner._solve_and_quantize(ctx, {cid: c})
     free = int(c.quantized.gen.b_ws) - 1
-    assert free >= 1
+    assert free >= 0
     chain = ScheduleDecision(comm_down=TransferSchedule(t=1, b=ctx.cells[1] - free))
 
     place(ctx, record, r, clients, {cid: chain}, budgets)
 
-    assert c.note == "sensing re-solved after spectrum tightening"
-    tightened = replace(c.budgets, gen_freq_cells=float(free))
-    assert c.quantized == realize_with_policy(
-        ctx.policy, SolveInput(c.n, c.attrs, c.task, ctx.prices, tightened, ctx.quanta)
-    )
-    assert 0 < c.quantized.gen.b_ws <= free
+    assert c.note == "sensing does not fit the shared window"
+    assert c.n == 0 and c.quantized is None
+    sensed = {row["client"] for row in record.timeline_rows if row["process"] == "sense"}
+    assert cid not in sensed
 
 
 @st.composite
 def tiny_runs(draw):
     """One to two rounds of up to four clients, over every policy, mode,
-    sensing mode, resource scaling and gain target."""
+    sensing mode, resource scaling and gain target, with models up to 5e9
+    bits on as few as 20 frequency cells, so transfer chains can be wide next
+    to sensing."""
     scale = st.sampled_from([0.5, 0.75, 1.0])
+    bits = st.sampled_from([1e8, 1e9, 5e9])
     return {
         "seed": draw(st.integers(0, 2**16)),
         "rounds": draw(st.integers(1, 2)),
@@ -321,7 +331,11 @@ def tiny_runs(draw):
             "n_targets": draw(st.integers(0, 40)),
             "sensing_mode": draw(st.sampled_from(["msg", "vsg", "wsg"])),
         },
-        "resources": {"scale": [draw(scale), draw(scale), draw(scale)]},
+        "resources": {
+            "freq_cells": draw(st.sampled_from([20, 400])),
+            "scale": [draw(scale), draw(scale), draw(scale)],
+        },
+        "task": {"model_down_bits": draw(bits), "model_up_bits": draw(bits)},
         "market": {
             "gain_target_mode": draw(st.sampled_from(["per_round", "cumulative"])),
             "gain_floor": draw(st.sampled_from([0.0, 2.0, 12.0])),
@@ -329,8 +343,19 @@ def tiny_runs(draw):
     }
 
 
+# sensing on a narrow spectrum beside last round's chain; without the
+# quote's narrowing, round 2's block does not fit
+WIDE_CHAIN = {
+    "seed": 0, "rounds": 2, "policy": "SISCC", "mode": "zeros",
+    "scenario": {"n_clients": 1, "n_targets": 12, "sensing_mode": "msg"},
+    "resources": {"freq_cells": 20, "scale": [0.5, 0.5, 0.5]},
+    "market": {"gain_target_mode": "per_round", "gain_floor": 0.0},
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(tiny_runs())
+@example(WIDE_CHAIN)
 def test_whole_run_properties(raw):
     config = load_config(raw)
     with mock.patch.object(runner, "plan_round", wraps=runner.plan_round) as plan:
@@ -342,3 +367,5 @@ def test_whole_run_properties(raw):
     assert plan.call_count == rec.cr_count == windows
     if config.policy != Policy.MLPG:
         assert all(row["profit"] >= -1e-9 for row in rec.client_rows)
+    # quotes size sensing beside last round's chain, so every block fits
+    assert all(row["note"] != "sensing does not fit the shared window" for row in rec.client_rows)

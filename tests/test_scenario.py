@@ -22,6 +22,8 @@ from mfpsim.scenario import (
     targets_in_domain,
 )
 
+from oracles import distance_row
+
 
 def single_client_state(client_xy, target_rows, area=500.0, n_classes=10):
     """Hand-built state: one client plus targets given as (x, y, class)."""
@@ -40,12 +42,15 @@ def single_client_state(client_xy, target_rows, area=500.0, n_classes=10):
     )
 
 
+def _row(state, client=0):
+    return target_distances(state)[client]
+
+
 def test_step_mobility_zero_velocity_keeps_positions():
     state = single_client_state((100, 100), [(200, 200, 1)])
     nxt = step_mobility(state, seed=7, dt=3.0)
     assert np.allclose(nxt.client_pos, state.client_pos)
     assert np.allclose(nxt.target_pos, state.target_pos)
-    assert nxt.round_index == 1
 
 
 def test_step_mobility_reflects_at_boundary():
@@ -72,7 +77,7 @@ def test_targets_in_domain_partition():
     state = single_client_state(
         (0, 0), [(30, 0, 1), (70, 0, 2), (150, 0, 3)], area=500
     )
-    vsd, annulus = targets_in_domain(state, 0, geom)
+    vsd, annulus = targets_in_domain(target_distances(state)[0], geom)
     assert list(vsd) == [0]
     assert list(annulus) == [1]
 
@@ -103,19 +108,18 @@ def test_status_attributes_visual_rate():
     profile = SensingProfile(frame_rate_hz=20, visual_efficiency=1.0)
     rows = [(i % 500, (i * 7) % 500, i % 10) for i in range(100)]
     state = single_client_state((250, 250), rows)
-    attrs = status_attributes(state, 0, geom, ChannelParams(), profile, ResourceQuanta())
+    attrs = status_attributes(state, _row(state), geom, ChannelParams(), profile, ResourceQuanta())
     expected_a = (100 / 250_000) * math.pi * 50**2 * 1.0 * 20
     assert attrs.a == pytest.approx(expected_a)
     assert attrs.a == pytest.approx(62.83, abs=0.01)
-    assert attrs.rho_tar * 250_000 == pytest.approx(100)
 
 
 def test_status_attributes_no_targets():
     state = single_client_state((250, 250), [])
     attrs = status_attributes(
-        state, 0, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
+        state, _row(state), SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
     )
-    assert attrs.a == 0 and attrs.b == 0 and attrs.rho_tar == 0
+    assert attrs.a == 0 and attrs.b == 0
     assert attrs.label_dist is None
 
 
@@ -123,7 +127,9 @@ def test_status_attributes_degenerate_annulus():
     geom = SensingGeometry(d_vs=50, d_ws=50.0000001)
     rows = [(260, 250, 4)] * 5
     state = single_client_state((250, 250), rows)
-    attrs = status_attributes(state, 0, geom, ChannelParams(), SensingProfile(), ResourceQuanta())
+    attrs = status_attributes(
+        state, _row(state), geom, ChannelParams(), SensingProfile(), ResourceQuanta()
+    )
     assert attrs.b == pytest.approx(0.0, abs=1e-6)
 
 
@@ -131,7 +137,7 @@ def test_status_attributes_label_distribution_sums_to_one():
     rows = [(250 + i, 250, i % 3) for i in range(1, 40)]
     state = single_client_state((250, 250), rows)
     attrs = status_attributes(
-        state, 0, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
+        state, _row(state), SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
     )
     assert attrs.label_dist is not None
     assert attrs.label_dist.sum() == pytest.approx(1.0, abs=1e-12)
@@ -141,9 +147,10 @@ def test_sensing_mode_restricts_modalities():
     rows = [(260, 250, 0), (330, 250, 1)]  # one in-disc, one annulus
     state = single_client_state((250, 250), rows)
     geom, ch, q = SensingGeometry(), ChannelParams(), ResourceQuanta()
-    msg = status_attributes(state, 0, geom, ch, SensingProfile(mode="msg"), q)
-    vsg = status_attributes(state, 0, geom, ch, SensingProfile(mode="vsg"), q)
-    wsg = status_attributes(state, 0, geom, ch, SensingProfile(mode="wsg"), q)
+    row = _row(state)
+    msg = status_attributes(state, row, geom, ch, SensingProfile(mode="msg"), q)
+    vsg = status_attributes(state, row, geom, ch, SensingProfile(mode="vsg"), q)
+    wsg = status_attributes(state, row, geom, ch, SensingProfile(mode="wsg"), q)
     assert vsg.b == 0 and vsg.a == msg.a
     assert wsg.a == 0 and wsg.b == msg.b
     assert vsg.label_dist[0] == 1.0 and wsg.label_dist[1] == 1.0
@@ -152,7 +159,7 @@ def test_sensing_mode_restricts_modalities():
 def test_global_label_distribution_union():
     rows = [(260, 250, 0), (330, 250, 1), (10, 10, 5)]
     state = single_client_state((250, 250), rows)
-    dist = global_label_distribution(state, SensingGeometry())
+    dist = global_label_distribution(state, target_distances(state), SensingGeometry())
     assert dist is not None
     assert dist[0] == pytest.approx(0.5) and dist[1] == pytest.approx(0.5)
     assert dist[5] == 0.0
@@ -210,8 +217,7 @@ def test_target_distance_rows_match_per_client_norm_bitwise(state):
     d = target_distances(state)
     assert d.shape == (state.n_clients, state.n_targets)
     for c in range(state.n_clients):
-        ref = np.linalg.norm(state.target_pos - state.client_pos[c], axis=1)
-        assert d[c].tobytes() == ref.tobytes()
+        assert d[c].tobytes() == distance_row(state, c).tobytes()
 
 
 def test_target_distance_rows_match_on_generated_scenarios():
@@ -219,12 +225,11 @@ def test_target_distance_rows_match_on_generated_scenarios():
         state = step_mobility(make_scenario(seed, 50, 120), seed=seed, dt=3.0)
         d = target_distances(state)
         for c in range(state.n_clients):
-            ref = np.linalg.norm(state.target_pos - state.client_pos[c], axis=1)
-            assert d[c].tobytes() == ref.tobytes()
+            assert d[c].tobytes() == distance_row(state, c).tobytes()
 
 
 def _assert_same_status(x, y):
-    assert x.a == y.a and x.b == y.b and x.rho_tar == y.rho_tar
+    assert x.a == y.a and x.b == y.b
     assert x.n_visual_targets == y.n_visual_targets
     assert x.n_wireless_targets == y.n_wireless_targets
     if x.label_dist is None:
@@ -240,21 +245,23 @@ def test_status_with_distance_row_equals_single_client_path(state, mode):
     profile = SensingProfile(mode=mode)
     d = target_distances(state)
     for c in range(state.n_clients):
-        row = d[c]
+        row, alone = d[c], distance_row(state, c)
         _assert_same_status(
-            status_attributes(state, c, geom, ch, profile, q, distances=row),
-            status_attributes(state, c, geom, ch, profile, q),
+            status_attributes(state, row, geom, ch, profile, q),
+            status_attributes(state, alone, geom, ch, profile, q),
         )
-        with_row = targets_in_domain(state, c, geom, row)
-        without = targets_in_domain(state, c, geom)
+        with_row = targets_in_domain(row, geom)
+        without = targets_in_domain(alone, geom)
         assert all(np.array_equal(x, y) for x, y in zip(with_row, without))
 
 
 def test_status_with_distance_row_and_no_targets():
     state = single_client_state((250, 250), [])
-    args = (state, 0, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
+    args = (SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
+    row = target_distances(state)[0]
+    assert row.shape == (0,)
     _assert_same_status(
-        status_attributes(*args, distances=target_distances(state)[0]), status_attributes(*args)
+        status_attributes(state, row, *args), status_attributes(state, distance_row(state, 0), *args)
     )
 
 
@@ -264,7 +271,7 @@ def _reference_label_union(state, geometry, mode):
         return None
     sensed = np.zeros(state.n_targets, dtype=bool)
     for c in range(state.n_clients):
-        in_vsd, in_annulus = targets_in_domain(state, c, geometry)
+        in_vsd, in_annulus = targets_in_domain(distance_row(state, c), geometry)
         if mode in ("msg", "vsg"):
             sensed[in_vsd] = True
         if mode in ("msg", "wsg"):
@@ -280,12 +287,8 @@ def _reference_label_union(state, geometry, mode):
 def test_global_label_distribution_matrix_equals_per_client_union(state, mode):
     geom = SensingGeometry()
     ref = _reference_label_union(state, geom, mode)
-    d = target_distances(state) if state.n_targets else None
-    for got in (
-        global_label_distribution(state, geom, mode, d),
-        global_label_distribution(state, geom, mode),
-    ):
-        if ref is None:
-            assert got is None
-        else:
-            assert np.array_equal(got, ref)
+    got = global_label_distribution(state, target_distances(state), geom, mode)
+    if ref is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, ref)

@@ -3,47 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfpsim.scenario import StatusAttributes
-from mfpsim.sensing import learning_gain, qod, sample_yield
-
-
-def attrs(a, b):
-    return StatusAttributes(a=a, b=b, rho_tar=0.0, label_dist=None)
-
-
-class TestSampleYield:
-    def test_zero_resources(self):
-        assert sample_yield(attrs(1, 1), 0, 0, 0) == 0
-
-    def test_both_modalities(self):
-        assert sample_yield(attrs(1, 1), 2, 1, 2) == 4
-
-    def test_visual_only_floors(self):
-        a = (100 / 250_000) * np.pi * 50**2 * 20  # 62.83...
-        assert sample_yield(attrs(a, 0), 1, 0, 0) == 62
-
-    def test_wireless_time_capped_by_visual(self):
-        with pytest.raises(ValueError):
-            sample_yield(attrs(1, 1), 1, 1, 2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sample_yield(attrs(1, 1), -1, 0, 0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.floats(0, 50), st.floats(0, 50), st.floats(0, 20), st.floats(0, 20),
-        st.floats(0, 4),
-    )
-    def test_monotone_and_superadditive(self, a, b, x, y, extra):
-        z = min(x, y * 0 + x)  # wireless rides the full visual window
-        base = sample_yield(attrs(a, b), x, y, z)
-        assert sample_yield(attrs(a, b), x + extra, y, z) >= base
-        assert sample_yield(attrs(a, b), x, y + extra, z) >= base
-        # joint run beats the two single-modality runs up to one floor unit
-        solo_v = sample_yield(attrs(a, 0), x, 0, 0)
-        solo_w = sample_yield(attrs(0, b), x, y, z)
-        assert base >= solo_v + solo_w - 1
+from mfpsim.sensing import qod
 
 
 class TestQod:
@@ -91,26 +51,3 @@ class TestQod:
         pooled = 0.5 * (heavy_front + heavy_back)
         assert qod(pooled, glob) > max(qod(heavy_front, glob), qod(heavy_back, glob))
 
-
-class TestLearningGain:
-    def test_zero_samples(self):
-        assert learning_gain(0, 1.0, 0.01) == 0.0
-
-    def test_linear_form(self):
-        assert learning_gain(100, 1.0, 0.01) == pytest.approx(1.0)
-
-    def test_zero_quality_kills_gain(self):
-        assert learning_gain(10_000, 0.0, 0.01) == 0.0
-
-    def test_linear_in_samples(self):
-        g1 = learning_gain(10, 0.5, 0.02)
-        g2 = learning_gain(20, 0.5, 0.02)
-        assert g2 == pytest.approx(2 * g1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            learning_gain(-1, 0.5, 0.01)
-        with pytest.raises(ValueError):
-            learning_gain(1, 1.5, 0.01)
-        with pytest.raises(ValueError):
-            learning_gain(1, 0.5, 0.0)

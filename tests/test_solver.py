@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfpsim.costs import ConsumptionTask, PriceVector, total_min_cost_unconstrained
+from mfpsim.costs import ConsumptionTask, PriceVector
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import (
@@ -34,6 +34,7 @@ from oracles import (
     consumption_grid_min,
     enumerate_consumption_reference,
     gen_grid_min,
+    total_min_cost_unconstrained,
 )
 
 UNIT = ResourceQuanta(time_s=1.0, freq_hz=1.0, compute_cycles_per_s=1.0)
@@ -41,7 +42,7 @@ ZERO_TASK = ConsumptionTask(0, 0, 0, 1, 1)
 
 
 def attrs(a, b):
-    return StatusAttributes(a=a, b=b, rho_tar=0.0, label_dist=None)
+    return StatusAttributes(a=a, b=b, label_dist=None)
 
 
 def prices(t=1.0, b=1.0, f=1.0):
