@@ -50,9 +50,7 @@ from .scenario import (
     link_budget,
     make_scenario,
     spectral_efficiency,
-    status_attributes,
     step_mobility,
-    targets_in_domain,
 )
 from .sensing import qod
 from .baselines import realize_with_policy

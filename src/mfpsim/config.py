@@ -280,6 +280,13 @@ def load_config(
     if err is not None:
         path = "/".join(str(p) for p in err.absolute_path)
         raise ConfigError(err.message, path) from err
+    # every SNR divides by the noise power over one frequency cell
+    noise = merged["scenario"]["channel"]["noise_density_w_per_hz"]
+    if noise * merged["resources"]["quanta"]["freq_hz"] == 0:
+        raise ConfigError(
+            "times resources/quanta/freq_hz, the noise power underflows to 0 W",
+            "scenario/channel/noise_density_w_per_hz",
+        )
     return ExperimentConfig(raw=merged)
 
 

@@ -370,9 +370,9 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
     distances = target_distances(state)
     global_dist = global_label_distribution(state, distances, geometry, profile.mode)
+    statuses = status_attributes(state, distances, geometry, channel, profile, quanta)
     clients: dict[str, _ClientRound] = {}
-    for i, cid in enumerate(ctx.client_ids):
-        at = status_attributes(state, distances[i], geometry, channel, profile, quanta)
+    for i, (cid, at) in enumerate(zip(ctx.client_ids, statuses)):
         dist = float(np.linalg.norm(state.client_pos[i] - state.server_pos))
         dist = max(dist, 1.0)
         eff_down = spectral_efficiency(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -197,16 +198,6 @@ def target_distances(state: ScenarioState) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def targets_in_domain(
-    distances: np.ndarray, geometry: SensingGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of targets inside the visual disc and in the wireless-only
-    annulus, from one client's row of `target_distances`."""
-    in_vsd = np.flatnonzero(distances <= geometry.d_vs)
-    in_wsd_only = np.flatnonzero((distances > geometry.d_vs) & (distances <= geometry.d_ws))
-    return in_vsd, in_wsd_only
-
-
 def channel_gain(distance_m: float, params: ChannelParams) -> float:
     """Linear power gain of the log-distance path-loss model."""
     if distance_m <= 0:
@@ -256,65 +247,91 @@ def status_attributes(
     channel: ChannelParams,
     profile: SensingProfile,
     quanta: ResourceQuanta,
-) -> StatusAttributes:
-    """Per-round sample-rate coefficients and sensed label distribution.
+) -> list[StatusAttributes]:
+    """Every client's sample-rate coefficients and sensed label distribution
+    for one round, in client order.
 
     a = rho * S_vs * visual_efficiency * frame_rate * time_quantum
     b = rho * (S_ws - S_vs) * wireless_efficiency * log2(1 + snr) * frame_rate * time_quantum
 
-    rho is the global target density; the wireless SNR uses the mean gain over
-    targets currently in the wireless disc, frozen for the round.
+    rho is the global target density; a client's wireless SNR uses the mean
+    gain over the targets currently in its wireless disc, frozen for the
+    round.  `distances` is the round's `target_distances` matrix.
 
-    `distances` is the client's row of `target_distances`.  The per-target
-    gains stay scalar `channel_gain` calls: numpy's log10 and power differ
-    from `math.log10` and `**` in the last bit on a few percent of inputs,
-    which would move `b` and every output derived from it.
+    Every value is bitwise equal to calling `channel_gain` per target and
+    `ndarray.mean` over each client's gains, visual disc first:
+    - the logarithm and the power stay libm calls (`math.log10`, `pow`),
+      looped in C by `map`: numpy's SIMD log10 and power differ from libm in
+      the last bit on a few percent of inputs, and an exponent amplifies a
+      log's last bit into many of the gain's;
+    - the `+ * / -` steps between them run as numpy elementwise ops, in the
+      scalar expression's order (a sum or product with its operands swapped
+      is the same float): each is correctly rounded, so each equals
+      Python's float op.  Numpy's overflow and invalid-value warnings are
+      off, since Python's float `+ * -` give inf or nan without one;
+    - a client's gains are summed by `np.add.reduce` over one contiguous
+      slice, the pairwise sum `mean` takes (`np.add.reduceat` sums each
+      segment in another order).  A pairwise sum depends on element order,
+      so each slice keeps the reference order: the visual disc's targets,
+      then the annulus's, each in target order.  As d_vs < d_ws, the
+      annulus is the wireless disc minus the visual one;
+    - the SNR, its log2 and `b` stay Python float ops per client, and the
+      label counts are integers, whose order does not matter.
     """
-    n_targets = state.n_targets
+    n_clients, n_targets = distances.shape
     if n_targets == 0:
-        return StatusAttributes(0.0, 0.0, None)
+        return [StatusAttributes(0.0, 0.0, None)] * n_clients
 
     rho = n_targets / state.area_m**2
-    in_vsd, in_annulus = targets_in_domain(distances, geometry)
-
     a = rho * geometry.s_vs * profile.visual_efficiency * profile.frame_rate_hz * quanta.time_s
-    b = 0.0
-    wireless_idx = np.concatenate([in_vsd, in_annulus])
-    if wireless_idx.size:
-        d = np.maximum(distances[wireless_idx], 1.0)
-        gains = np.array([channel_gain(x, channel) for x in d.tolist()])
-        tx_w = 10 ** ((channel.tx_power_sensing_dbm - 30) / 10)
-        snr = tx_w * float(gains.mean()) / (channel.noise_density_w_per_hz * quanta.freq_hz)
-        b = (
-            rho
-            * (geometry.s_ws - geometry.s_vs)
-            * profile.wireless_efficiency
-            * math.log2(1 + snr)
-            * profile.frame_rate_hz
-            * quanta.time_s
-        )
+    b_scale = rho * (geometry.s_ws - geometry.s_vs) * profile.wireless_efficiency
+    tx_w = 10 ** ((channel.tx_power_sensing_dbm - 30) / 10)
+    noise_w = channel.noise_density_w_per_hz * quanta.freq_hz
+
+    in_vs = distances <= geometry.d_vs
+    annulus = (distances <= geometry.d_ws) & ~in_vs
+    # nonzero walks (client, disc, target): each client's visual disc, then
+    # its annulus
+    rows, disc, cols = np.nonzero(np.stack([in_vs, annulus], axis=1))
+    visual = disc == 0
+    ends = np.cumsum(np.bincount(rows, minlength=n_clients)).tolist()
+    n_visual = np.bincount(rows[visual], minlength=n_clients)
+
+    x = distances[rows, cols]
+    np.maximum(x, 1.0, out=x)
+    x = np.fromiter(map(math.log10, x.tolist()), float, len(x))
+    with np.errstate(all="ignore"):
+        # gain_db = -(reference_loss_db + 10 * exponent * log10(d)), then / 10
+        x *= 10 * channel.pathloss_exponent
+        x += channel.reference_loss_db
+        np.negative(x, out=x)
+        x /= 10
+    gains = np.fromiter(map(pow, repeat(10), x.tolist()), float, len(x))
 
     if profile.mode == "vsg":
-        b = 0.0
-        sensed = in_vsd
+        sensed = visual
     elif profile.mode == "wsg":
-        a = 0.0
-        sensed = in_annulus
+        a, sensed = 0.0, ~visual
     else:
-        sensed = wireless_idx
+        sensed = slice(None)
+    counts = np.bincount(
+        rows[sensed] * state.n_classes + state.target_class[cols[sensed]],
+        minlength=n_clients * state.n_classes,
+    ).reshape(n_clients, state.n_classes)
+    totals = counts.sum(axis=1)
+    label_dists = counts / np.maximum(totals, 1)[:, None]
 
-    label_dist = None
-    if sensed.size:
-        counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)
-        label_dist = counts / counts.sum()
-
-    return StatusAttributes(
-        a=a,
-        b=b,
-        label_dist=label_dist,
-        n_visual_targets=int(in_vsd.size),
-        n_wireless_targets=int(in_annulus.size),
-    )
+    out = []
+    start = 0
+    for c, (end, n_vis, total) in enumerate(zip(ends, n_visual.tolist(), totals.tolist())):
+        b = 0.0
+        if end > start and profile.mode != "vsg":
+            snr = tx_w * float(np.add.reduce(gains[start:end]) / (end - start)) / noise_w
+            b = b_scale * math.log2(1 + snr) * profile.frame_rate_hz * quanta.time_s
+        label_dist = label_dists[c] if total else None
+        out.append(StatusAttributes(a, b, label_dist, n_vis, end - start - n_vis))
+        start = end
+    return out
 
 
 def global_label_distribution(
@@ -327,7 +344,7 @@ def global_label_distribution(
 
     `distances` is the round's `target_distances` matrix.  A target is sensed
     when any client's row puts it in a disc the mode uses, so the result is
-    bitwise equal to the union of every client's `targets_in_domain`.
+    bitwise equal to the union of the targets each client senses.
     """
     if state.n_targets == 0:
         return None

@@ -9,9 +9,9 @@ tests compare with `==`: the binding-set enumeration with a dict per
 candidate, the workload allocation rerunning its greedy from scratch on every
 rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, and one client's target distances
-taken on their own.  The market tests build their cost curves from fixed
-tables with `curve_from_samples`; the golden and determinism tests compare
-runs by `output_hashes`.
+and sensing status taken on their own.  The market tests build their cost
+curves from fixed tables with `curve_from_samples`; the golden and
+determinism tests compare runs by `output_hashes`.
 """
 
 from __future__ import annotations
@@ -388,6 +388,67 @@ def distance_row(state, client):
     """One client's distances to every target, computed for that client
     alone; `scenario.target_distances` must match it bit for bit."""
     return np.linalg.norm(state.target_pos - state.client_pos[client], axis=1)
+
+
+def targets_in_domain(distances, geometry):
+    """Indices of targets inside the visual disc and in the wireless-only
+    annulus, from one client's row of `target_distances`."""
+    in_vsd = np.flatnonzero(distances <= geometry.d_vs)
+    in_wsd_only = np.flatnonzero((distances > geometry.d_vs) & (distances <= geometry.d_ws))
+    return in_vsd, in_wsd_only
+
+
+def status_attributes(state, distances, geometry, channel, profile, quanta):
+    """One client's `StatusAttributes` from its row of `target_distances`,
+    with a scalar `channel_gain` call per target; the round-level
+    `scenario.status_attributes` must match it bit for bit."""
+    from mfpsim.scenario import StatusAttributes, channel_gain
+
+    n_targets = state.n_targets
+    if n_targets == 0:
+        return StatusAttributes(0.0, 0.0, None)
+
+    rho = n_targets / state.area_m**2
+    in_vsd, in_annulus = targets_in_domain(distances, geometry)
+
+    a = rho * geometry.s_vs * profile.visual_efficiency * profile.frame_rate_hz * quanta.time_s
+    b = 0.0
+    wireless_idx = np.concatenate([in_vsd, in_annulus])
+    if wireless_idx.size:
+        d = np.maximum(distances[wireless_idx], 1.0)
+        gains = np.array([channel_gain(x, channel) for x in d.tolist()])
+        tx_w = 10 ** ((channel.tx_power_sensing_dbm - 30) / 10)
+        snr = tx_w * float(gains.mean()) / (channel.noise_density_w_per_hz * quanta.freq_hz)
+        b = (
+            rho
+            * (geometry.s_ws - geometry.s_vs)
+            * profile.wireless_efficiency
+            * math.log2(1 + snr)
+            * profile.frame_rate_hz
+            * quanta.time_s
+        )
+
+    if profile.mode == "vsg":
+        b = 0.0
+        sensed = in_vsd
+    elif profile.mode == "wsg":
+        a = 0.0
+        sensed = in_annulus
+    else:
+        sensed = wireless_idx
+
+    label_dist = None
+    if sensed.size:
+        counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)
+        label_dist = counts / counts.sum()
+
+    return StatusAttributes(
+        a=a,
+        b=b,
+        label_dist=label_dist,
+        n_visual_targets=int(in_vsd.size),
+        n_wireless_targets=int(in_annulus.size),
+    )
 
 
 def output_hashes(record):

@@ -364,9 +364,9 @@ def _mode_gain(state, mode, seed):
     task = ConsumptionTask(1e8, 1e8, 500.0, 12.0, 8.0)
     distances = target_distances(state)
     global_dist = global_label_distribution(state, distances, geometry, mode)
+    statuses = status_attributes(state, distances, geometry, channel, profile, quanta)
     quotes = []
-    for i in range(state.n_clients):
-        at = status_attributes(state, distances[i], geometry, channel, profile, quanta)
+    for i, at in enumerate(statuses):
         cap = mtv(at, task, budgets, quanta)
         if cap < 1 or global_dist is None or at.label_dist is None:
             continue

@@ -94,6 +94,19 @@ def test_run_rejects_channel_values_that_overflow(tmp_path, capsys, channel, key
     assert key in capsys.readouterr().err
 
 
+def test_run_rejects_noise_power_that_underflows(tmp_path, capsys):
+    # 5e-324 W/Hz over a 0.1 Hz cell is 0 W, and every SNR divides by it
+    cfg = tmp_path / "cfg.json"
+    raw = {
+        "rounds": 1,
+        "scenario": {"channel": {"noise_density_w_per_hz": 5e-324}},
+        "resources": {"quanta": {"freq_hz": 0.1}},
+    }
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "scenario/channel/noise_density_w_per_hz" in capsys.readouterr().err
+
+
 def test_run_with_underflowing_path_gain(tmp_path, capsys):
     # the linear gain underflows to 0: every link is unusable, and the run
     # completes with nobody sensing wirelessly or transferring

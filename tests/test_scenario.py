@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.resource_pool import ResourceQuanta
@@ -19,9 +19,9 @@ from mfpsim.scenario import (
     status_attributes,
     step_mobility,
     target_distances,
-    targets_in_domain,
 )
 
+import oracles
 from oracles import distance_row
 
 
@@ -42,8 +42,13 @@ def single_client_state(client_xy, target_rows, area=500.0, n_classes=10):
     )
 
 
-def _row(state, client=0):
-    return target_distances(state)[client]
+def _status(state, geometry, channel, profile, quanta, client=0):
+    """One client's entry of the round-level status."""
+    statuses = status_attributes(
+        state, target_distances(state), geometry, channel, profile, quanta
+    )
+    assert len(statuses) == state.n_clients
+    return statuses[client]
 
 
 def test_step_mobility_zero_velocity_keeps_positions():
@@ -77,7 +82,11 @@ def test_targets_in_domain_partition():
     state = single_client_state(
         (0, 0), [(30, 0, 1), (70, 0, 2), (150, 0, 3)], area=500
     )
-    vsd, annulus = targets_in_domain(target_distances(state)[0], geom)
+    args = (geom, ChannelParams(), SensingProfile(), ResourceQuanta())
+    attrs = _status(state, *args)
+    assert (attrs.n_visual_targets, attrs.n_wireless_targets) == (1, 1)
+    assert attrs.label_dist.tolist() == [0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]
+    vsd, annulus = oracles.targets_in_domain(target_distances(state)[0], geom)
     assert list(vsd) == [0]
     assert list(annulus) == [1]
 
@@ -108,7 +117,7 @@ def test_status_attributes_visual_rate():
     profile = SensingProfile(frame_rate_hz=20, visual_efficiency=1.0)
     rows = [(i % 500, (i * 7) % 500, i % 10) for i in range(100)]
     state = single_client_state((250, 250), rows)
-    attrs = status_attributes(state, _row(state), geom, ChannelParams(), profile, ResourceQuanta())
+    attrs = _status(state, geom, ChannelParams(), profile, ResourceQuanta())
     expected_a = (100 / 250_000) * math.pi * 50**2 * 1.0 * 20
     assert attrs.a == pytest.approx(expected_a)
     assert attrs.a == pytest.approx(62.83, abs=0.01)
@@ -116,9 +125,7 @@ def test_status_attributes_visual_rate():
 
 def test_status_attributes_no_targets():
     state = single_client_state((250, 250), [])
-    attrs = status_attributes(
-        state, _row(state), SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
-    )
+    attrs = _status(state, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
     assert attrs.a == 0 and attrs.b == 0
     assert attrs.label_dist is None
 
@@ -127,18 +134,14 @@ def test_status_attributes_degenerate_annulus():
     geom = SensingGeometry(d_vs=50, d_ws=50.0000001)
     rows = [(260, 250, 4)] * 5
     state = single_client_state((250, 250), rows)
-    attrs = status_attributes(
-        state, _row(state), geom, ChannelParams(), SensingProfile(), ResourceQuanta()
-    )
+    attrs = _status(state, geom, ChannelParams(), SensingProfile(), ResourceQuanta())
     assert attrs.b == pytest.approx(0.0, abs=1e-6)
 
 
 def test_status_attributes_label_distribution_sums_to_one():
     rows = [(250 + i, 250, i % 3) for i in range(1, 40)]
     state = single_client_state((250, 250), rows)
-    attrs = status_attributes(
-        state, _row(state), SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
-    )
+    attrs = _status(state, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
     assert attrs.label_dist is not None
     assert attrs.label_dist.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -147,10 +150,9 @@ def test_sensing_mode_restricts_modalities():
     rows = [(260, 250, 0), (330, 250, 1)]  # one in-disc, one annulus
     state = single_client_state((250, 250), rows)
     geom, ch, q = SensingGeometry(), ChannelParams(), ResourceQuanta()
-    row = _row(state)
-    msg = status_attributes(state, row, geom, ch, SensingProfile(mode="msg"), q)
-    vsg = status_attributes(state, row, geom, ch, SensingProfile(mode="vsg"), q)
-    wsg = status_attributes(state, row, geom, ch, SensingProfile(mode="wsg"), q)
+    msg = _status(state, geom, ch, SensingProfile(mode="msg"), q)
+    vsg = _status(state, geom, ch, SensingProfile(mode="vsg"), q)
+    wsg = _status(state, geom, ch, SensingProfile(mode="wsg"), q)
     assert vsg.b == 0 and vsg.a == msg.a
     assert wsg.a == 0 and wsg.b == msg.b
     assert vsg.label_dist[0] == 1.0 and wsg.label_dist[1] == 1.0
@@ -229,49 +231,78 @@ def test_target_distance_rows_match_on_generated_scenarios():
 
 
 def _assert_same_status(x, y):
-    assert x.a == y.a and x.b == y.b
+    """Bitwise equality of two `StatusAttributes`."""
+    assert np.float64(x.a).tobytes() == np.float64(y.a).tobytes()
+    assert np.float64(x.b).tobytes() == np.float64(y.b).tobytes()
     assert x.n_visual_targets == y.n_visual_targets
     assert x.n_wireless_targets == y.n_wireless_targets
     if x.label_dist is None:
         assert y.label_dist is None
     else:
-        assert np.array_equal(x.label_dist, y.label_dist)
+        assert y.label_dist is not None
+        assert x.label_dist.tobytes() == y.label_dist.tobytes()
+
+
+@st.composite
+def geometries(draw):
+    """Random radii, or the defaults that the boundary offsets land on."""
+    d_vs = draw(st.just(50.0) | st.floats(0.5, 300.0))
+    d_ws = draw(st.just(100.0) | st.floats(d_vs, 600.0, exclude_min=True))
+    assume(d_vs < d_ws)
+    return SensingGeometry(d_vs=d_vs, d_ws=d_ws)
+
+
+# A generated 200-client fleet at a 100 dB reference loss.  Its SNRs lie
+# near 1, where the last bit of a gain reaches `b`: numpy's log10 in place
+# of `math.log10` changes `b` on 19 of its clients, numpy's power in place
+# of `pow` on 5.
+FLEET_AT_100_DB = (
+    step_mobility(make_scenario(0, 200, 400), seed=0, dt=3.0),
+    SensingGeometry(),
+    2.0,
+    100.0,
+    "msg",
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(fleet_states(), st.sampled_from(["msg", "vsg", "wsg"]))
-def test_status_with_distance_row_equals_single_client_path(state, mode):
-    geom, ch, q = SensingGeometry(), ChannelParams(), ResourceQuanta()
-    profile = SensingProfile(mode=mode)
-    d = target_distances(state)
-    for c in range(state.n_clients):
-        row, alone = d[c], distance_row(state, c)
+@example(*FLEET_AT_100_DB)
+@given(
+    fleet_states(max_clients=12, max_targets=60),
+    geometries(),
+    # 150 underflows every gain to 0; 1e308 makes 10 * exponent overflow
+    st.floats(0.1, 10.0) | st.sampled_from([150.0, 1e308]),
+    st.floats(0.0, 200.0),
+    st.sampled_from(["msg", "vsg", "wsg"]),
+)
+def test_round_status_equals_per_client_oracle_bitwise(state, geom, exponent, loss, mode):
+    ch = ChannelParams(pathloss_exponent=exponent, reference_loss_db=loss)
+    profile, q = SensingProfile(mode=mode), ResourceQuanta()
+    statuses = status_attributes(state, target_distances(state), geom, ch, profile, q)
+    assert len(statuses) == state.n_clients
+    for c, got in enumerate(statuses):
         _assert_same_status(
-            status_attributes(state, row, geom, ch, profile, q),
-            status_attributes(state, alone, geom, ch, profile, q),
+            got, oracles.status_attributes(state, distance_row(state, c), geom, ch, profile, q)
         )
-        with_row = targets_in_domain(row, geom)
-        without = targets_in_domain(alone, geom)
-        assert all(np.array_equal(x, y) for x, y in zip(with_row, without))
 
 
 def test_status_with_distance_row_and_no_targets():
     state = single_client_state((250, 250), [])
     args = (SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
-    row = target_distances(state)[0]
-    assert row.shape == (0,)
+    assert target_distances(state).shape == (1, 0)
     _assert_same_status(
-        status_attributes(state, row, *args), status_attributes(state, distance_row(state, 0), *args)
+        _status(state, *args), oracles.status_attributes(state, distance_row(state, 0), *args)
     )
 
 
 def _reference_label_union(state, geometry, mode):
-    """The per-client union: every client's targets_in_domain, one by one."""
+    """The per-client union: every client's `oracles.targets_in_domain`, one
+    by one."""
     if state.n_targets == 0:
         return None
     sensed = np.zeros(state.n_targets, dtype=bool)
     for c in range(state.n_clients):
-        in_vsd, in_annulus = targets_in_domain(distance_row(state, c), geometry)
+        in_vsd, in_annulus = oracles.targets_in_domain(distance_row(state, c), geometry)
         if mode in ("msg", "vsg"):
             sensed[in_vsd] = True
         if mode in ("msg", "wsg"):
