@@ -46,8 +46,6 @@ from .scenario import (
     SensingGeometry,
     SensingProfile,
     StatusAttributes,
-    channel_gain,
-    link_budget,
     make_scenario,
     spectral_efficiency,
     step_mobility,

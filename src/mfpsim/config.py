@@ -287,7 +287,17 @@ def load_config(
             "times resources/quanta/freq_hz, the noise power underflows to 0 W",
             "scenario/channel/noise_density_w_per_hz",
         )
-    return ExperimentConfig(raw=merged)
+    # scaled pools, and mobility folding positions back into the square,
+    # need a finite round, longest move in it and 2 * area_m
+    config, r, sc = ExperimentConfig(raw=merged), merged["resources"], merged["scenario"]
+    cells = (r["time_cells"], r["freq_cells"], r["compute_cells"])
+    if not all(math.isfinite(c * s) for c, s in zip(cells, r["scale"])):
+        raise ConfigError("a pool dimension times its scale overflows", "resources/scale")
+    reach = sc["max_speed_mps"] * (config.scaled_cells()[0] * r["quanta"]["time_s"])
+    if not math.isfinite(2 * sc["area_m"] + reach):
+        key = "area_m" if math.isfinite(reach) else "max_speed_mps"
+        raise ConfigError("twice the area plus a round's longest move overflows", f"scenario/{key}")
+    return config
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -45,6 +45,7 @@ from .rounds import cycle_length, plan_round, rounds_to_complete
 from .scenario import (
     global_label_distribution,
     make_scenario,
+    server_gains,
     spectral_efficiency,
     status_attributes,
     step_mobility,
@@ -92,18 +93,6 @@ class RunRecord:
     audit_violations: list[str] = field(default_factory=list)
     cr_count: int = 0
 
-    def summary_csv(self) -> str:
-        return _csv_text(SUMMARY_COLUMNS, self.summary_rows)
-
-    def timeline_csv(self) -> str:
-        return _csv_text(TIMELINE_COLUMNS, self.timeline_rows)
-
-    def trajectories_csv(self) -> str:
-        return _csv_text(TRAJECTORY_COLUMNS, self.trajectory_rows)
-
-    def clients_jsonl(self) -> str:
-        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in self.client_rows)
-
     def run_json(self) -> str:
         return json.dumps(
             {
@@ -121,13 +110,15 @@ class RunRecord:
 
     def output_texts(self) -> dict[str, str]:
         out = {
-            "summary.csv": self.summary_csv(),
-            "clients.jsonl": self.clients_jsonl(),
-            "timeline.csv": self.timeline_csv(),
+            "summary.csv": _csv_text(SUMMARY_COLUMNS, self.summary_rows),
+            "clients.jsonl": "".join(
+                json.dumps(row, sort_keys=True) + "\n" for row in self.client_rows
+            ),
+            "timeline.csv": _csv_text(TIMELINE_COLUMNS, self.timeline_rows),
             "run.json": self.run_json(),
         }
         if self.trajectory_rows:
-            out["trajectories.csv"] = self.trajectories_csv()
+            out["trajectories.csv"] = _csv_text(TRAJECTORY_COLUMNS, self.trajectory_rows)
         return out
 
     def write(self, outdir: str | Path) -> list[Path]:
@@ -371,16 +362,11 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
     distances = target_distances(state)
     global_dist = global_label_distribution(state, distances, geometry, profile.mode)
     statuses = status_attributes(state, distances, geometry, channel, profile, quanta)
+    gains, wc = server_gains(state, channel), channel.sensitivity_wc_dbm
+    down = spectral_efficiency(gains, channel.tx_power_server_dbm, wc, channel, quanta).tolist()
+    up = spectral_efficiency(gains, channel.tx_power_client_dbm, wc, channel, quanta).tolist()
     clients: dict[str, _ClientRound] = {}
-    for i, (cid, at) in enumerate(zip(ctx.client_ids, statuses)):
-        dist = float(np.linalg.norm(state.client_pos[i] - state.server_pos))
-        dist = max(dist, 1.0)
-        eff_down = spectral_efficiency(
-            dist, channel.tx_power_server_dbm, channel.sensitivity_wc_dbm, channel, quanta
-        )
-        eff_up = spectral_efficiency(
-            dist, channel.tx_power_client_dbm, channel.sensitivity_wc_dbm, channel, quanta
-        )
+    for cid, at, eff_down, eff_up in zip(ctx.client_ids, statuses, down, up):
         task = config.task_for(eff_down, eff_up)
         my_budgets = budgets
         prev = prev_cons.get(cid) if ctx.pipelined else None

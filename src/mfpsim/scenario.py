@@ -40,7 +40,9 @@ class ChannelParams:
     """Log-distance path-loss channel at a mmWave carrier.
 
     reference_loss_db is the loss at 1 m; free-space at 28 GHz gives ~61.4 dB.
-    Sensitivities gate link usability on received power.
+    Only sensitivity_wc_dbm gates anything: a server link whose received
+    power falls under it carries nothing.  Nothing reads sensitivity_ws_dbm
+    or carrier_hz; the loss at 1 m is set directly.
     """
 
     carrier_hz: float = 28e9
@@ -145,18 +147,22 @@ def _random_velocities(rng: np.random.Generator, n: int, max_speed: float) -> np
     return np.column_stack([speed * np.cos(theta), speed * np.sin(theta)])
 
 
-def _reflect(pos: np.ndarray, vel: np.ndarray, area: float) -> tuple[np.ndarray, np.ndarray]:
+def _reflect(pos: np.ndarray, area: float) -> np.ndarray:
+    """Fold positions back into [0, area] as if they bounced off the edges:
+    up to 8 single folds, then one fold by the period 2 * area, so the work
+    is bounded at any speed (`load_config` keeps every fold finite)."""
     pos = pos.copy()
-    vel = vel.copy()
-    for _ in range(8):  # speeds are bounded, a couple of folds suffice
+    for _ in range(8):  # at the usual speeds one or two folds suffice
         low = pos < 0
         high = pos > area
         if not (low.any() or high.any()):
-            break
+            return pos
         pos[low] = -pos[low]
         pos[high] = 2 * area - pos[high]
-        vel[low | high] *= -1
-    return pos, vel
+    out = (pos < 0) | (pos > area)
+    x = np.mod(pos[out], 2 * area)  # in [0, 2 * area]
+    pos[out] = np.where(x > area, 2 * area - x, x)
+    return pos
 
 
 def step_mobility(state: ScenarioState, seed: int, dt: float) -> ScenarioState:
@@ -168,16 +174,12 @@ def step_mobility(state: ScenarioState, seed: int, dt: float) -> ScenarioState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cp, cv = _reflect(state.client_pos + state.client_vel * dt, state.client_vel, state.area_m)
-    tp, tv = _reflect(state.target_pos + state.target_vel * dt, state.target_vel, state.area_m)
-    cv = _random_velocities(rng, state.n_clients, state.max_speed)
-    tv = _random_velocities(rng, state.n_targets, state.max_speed)
     return replace(
         state,
-        client_pos=cp,
-        client_vel=cv,
-        target_pos=tp,
-        target_vel=tv,
+        client_pos=_reflect(state.client_pos + state.client_vel * dt, state.area_m),
+        client_vel=_random_velocities(rng, state.n_clients, state.max_speed),
+        target_pos=_reflect(state.target_pos + state.target_vel * dt, state.area_m),
+        target_vel=_random_velocities(rng, state.n_targets, state.max_speed),
     )
 
 
@@ -198,46 +200,62 @@ def target_distances(state: ScenarioState) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def channel_gain(distance_m: float, params: ChannelParams) -> float:
-    """Linear power gain of the log-distance path-loss model."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
-    gain_db = -(params.reference_loss_db + 10 * params.pathloss_exponent * math.log10(distance_m))
-    return 10 ** (gain_db / 10)
+def path_gains(distances: np.ndarray, channel: ChannelParams) -> np.ndarray:
+    """Linear power gains of the log-distance path-loss law,
+    10 ** (-(reference_loss_db + 10 * exponent * log10(d)) / 10), at each
+    distance d clamped to at least 1 m.  In [0, 1], or nan where
+    10 * exponent overflows and meets log10(1) = 0.
+
+    Bitwise equal to the expression in Python floats: `math.log10` and `pow`
+    stay libm calls looped by `map` (numpy's SIMD log10 and power differ in
+    the last bit on a few percent of inputs, which an exponent amplifies),
+    and the `* + - /` steps are numpy ops in the expression's order (a sum
+    with its operands swapped is the same float), each correctly rounded
+    like Python's.  Numpy's warnings are off, as Python's float `* + -` give
+    inf or nan without one.
+    """
+    x = np.maximum(distances, 1.0)
+    x = np.fromiter(map(math.log10, x.tolist()), float, len(x))
+    with np.errstate(all="ignore"):
+        x *= 10 * channel.pathloss_exponent
+        x += channel.reference_loss_db
+        np.negative(x, out=x)
+        x /= 10
+    return np.fromiter(map(pow, repeat(10), x.tolist()), float, len(x))
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    gain_linear: float
-    gain_db: float
-    rx_power_dbm: float
-    usable: bool
-
-
-def link_budget(
-    distance_m: float, tx_power_dbm: float, sensitivity_dbm: float, params: ChannelParams
-) -> LinkBudget:
-    gain = channel_gain(distance_m, params)
-    gain_db = 10 * math.log10(gain) if gain > 0 else -math.inf  # 0: the gain underflowed
-    rx = tx_power_dbm + gain_db
-    return LinkBudget(gain, gain_db, rx, rx >= sensitivity_dbm)
+def server_gains(state: ScenarioState, channel: ChannelParams) -> np.ndarray:
+    """Each client's path gain to the server, in client order.  The distance
+    is one `np.linalg.norm` per client: batched norms differ from it in the
+    last bit."""
+    return path_gains(
+        np.array([np.linalg.norm(p - state.server_pos) for p in state.client_pos]), channel
+    )
 
 
 def spectral_efficiency(
-    distance_m: float,
+    gains: np.ndarray,
     tx_power_dbm: float,
     sensitivity_dbm: float,
     params: ChannelParams,
     quanta: ResourceQuanta,
-) -> float:
-    """Shannon efficiency (bits/s/Hz) over one frequency cell; 0 when the
-    received power falls under the receiver sensitivity."""
-    budget = link_budget(distance_m, tx_power_dbm, sensitivity_dbm, params)
-    if not budget.usable:
-        return 0.0
+) -> np.ndarray:
+    """Shannon efficiency (bits/s/Hz) over one frequency cell, one per path
+    gain; 0 where the received power tx_power_dbm + 10 * log10(gain) falls
+    under the sensitivity, or the gain is 0 (it underflowed) or nan.
+    Bitwise equal to the scalar chain per gain, as `path_gains` argues:
+    `log10` and `log2` are libm calls, the `+ * /` steps numpy ops.
+    """
+    log_gain = np.full(len(gains), -math.inf)  # a gain of 0 or nan receives nothing
+    positive = gains > 0
+    log_gain[positive] = np.fromiter(map(math.log10, gains[positive].tolist()), float)
+    usable = tx_power_dbm + 10 * log_gain >= sensitivity_dbm
     tx_w = 10 ** ((tx_power_dbm - 30) / 10)
-    snr = tx_w * budget.gain_linear / (params.noise_density_w_per_hz * quanta.freq_hz)
-    return math.log2(1 + snr)
+    with np.errstate(all="ignore"):
+        snr = tx_w * gains[usable] / (params.noise_density_w_per_hz * quanta.freq_hz)
+    eff = np.zeros(len(gains))
+    eff[usable] = np.fromiter(map(math.log2, (1 + snr).tolist()), float)
+    return eff
 
 
 def status_attributes(
@@ -258,17 +276,11 @@ def status_attributes(
     gain over the targets currently in its wireless disc, frozen for the
     round.  `distances` is the round's `target_distances` matrix.
 
-    Every value is bitwise equal to calling `channel_gain` per target and
-    `ndarray.mean` over each client's gains, visual disc first:
-    - the logarithm and the power stay libm calls (`math.log10`, `pow`),
-      looped in C by `map`: numpy's SIMD log10 and power differ from libm in
-      the last bit on a few percent of inputs, and an exponent amplifies a
-      log's last bit into many of the gain's;
-    - the `+ * / -` steps between them run as numpy elementwise ops, in the
-      scalar expression's order (a sum or product with its operands swapped
-      is the same float): each is correctly rounded, so each equals
-      Python's float op.  Numpy's overflow and invalid-value warnings are
-      off, since Python's float `+ * -` give inf or nan without one;
+    Every value is bitwise equal to evaluating the path-loss law per target
+    with Python floats and `ndarray.mean` over each client's gains, visual
+    disc first:
+    - the gains come from `path_gains`, which carries its own exactness
+      argument;
     - a client's gains are summed by `np.add.reduce` over one contiguous
       slice, the pairwise sum `mean` takes (`np.add.reduceat` sums each
       segment in another order).  A pairwise sum depends on element order,
@@ -297,16 +309,7 @@ def status_attributes(
     ends = np.cumsum(np.bincount(rows, minlength=n_clients)).tolist()
     n_visual = np.bincount(rows[visual], minlength=n_clients)
 
-    x = distances[rows, cols]
-    np.maximum(x, 1.0, out=x)
-    x = np.fromiter(map(math.log10, x.tolist()), float, len(x))
-    with np.errstate(all="ignore"):
-        # gain_db = -(reference_loss_db + 10 * exponent * log10(d)), then / 10
-        x *= 10 * channel.pathloss_exponent
-        x += channel.reference_loss_db
-        np.negative(x, out=x)
-        x /= 10
-    gains = np.fromiter(map(pow, repeat(10), x.tolist()), float, len(x))
+    gains = path_gains(distances[rows, cols], channel)
 
     if profile.mode == "vsg":
         sensed = visual

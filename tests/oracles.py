@@ -8,8 +8,9 @@ The last ones are straightforward or earlier forms of engine code, which the
 tests compare with `==`: the binding-set enumeration with a dict per
 candidate, the workload allocation rerunning its greedy from scratch on every
 rationality pass, the runner's former saturated allocation, the sum of the
-four unconstrained sub-process minima, and one client's target distances
-and sensing status taken on their own.  The market tests build their cost
+four unconstrained sub-process minima, one client's target distances,
+sensing status and server link taken on their own, and the fixed number of
+single folds mobility used to take.  The market tests build their cost
 curves from fixed tables with `curve_from_samples`; the golden and
 determinism tests compare runs by `output_hashes`.
 """
@@ -398,11 +399,50 @@ def targets_in_domain(distances, geometry):
     return in_vsd, in_wsd_only
 
 
+def channel_gain(distance_m, params):
+    """Linear power gain of the log-distance path-loss law at one distance
+    (meters, >= 1); `scenario.path_gains` must match it bit for bit."""
+    gain_db = -(params.reference_loss_db + 10 * params.pathloss_exponent * math.log10(distance_m))
+    return 10 ** (gain_db / 10)
+
+
+def spectral_efficiency(distance_m, tx_power_dbm, sensitivity_dbm, params, quanta):
+    """One link's Shannon efficiency over one frequency cell, from one
+    `channel_gain` call; 0 when the received power falls under the
+    sensitivity.  `scenario.spectral_efficiency` must match it bit for bit."""
+    gain = channel_gain(distance_m, params)
+    gain_db = 10 * math.log10(gain) if gain > 0 else -math.inf  # 0: the gain underflowed
+    if not tx_power_dbm + gain_db >= sensitivity_dbm:
+        return 0.0
+    tx_w = 10 ** ((tx_power_dbm - 30) / 10)
+    snr = tx_w * gain / (params.noise_density_w_per_hz * quanta.freq_hz)
+    return math.log2(1 + snr)
+
+
+def server_distance(state, client):
+    """One client's distance to the server, clamped to 1 m as the path-loss
+    law is."""
+    return max(float(np.linalg.norm(state.client_pos[client] - state.server_pos)), 1.0)
+
+
+def reflect_folds(pos, area, folds=8):
+    """Positions folded back at the square's edges at most `folds` times,
+    one fold per pass; `scenario._reflect` must match it bit for bit
+    wherever these folds land a position inside."""
+    pos = pos.copy()
+    for _ in range(folds):
+        low = pos < 0
+        high = pos > area
+        pos[low] = -pos[low]
+        pos[high] = 2 * area - pos[high]
+    return pos
+
+
 def status_attributes(state, distances, geometry, channel, profile, quanta):
     """One client's `StatusAttributes` from its row of `target_distances`,
     with a scalar `channel_gain` call per target; the round-level
     `scenario.status_attributes` must match it bit for bit."""
-    from mfpsim.scenario import StatusAttributes, channel_gain
+    from mfpsim.scenario import StatusAttributes
 
     n_targets = state.n_targets
     if n_targets == 0:

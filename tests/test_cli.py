@@ -94,6 +94,25 @@ def test_run_rejects_channel_values_that_overflow(tmp_path, capsys, channel, key
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"scenario": {"max_speed_mps": 1e308}}, "scenario/max_speed_mps"),
+        ({"resources": {"quanta": {"time_s": 1e308}}}, "scenario/max_speed_mps"),
+        ({"scenario": {"area_m": 1e308}}, "scenario/area_m"),
+        ({"resources": {"scale": [1e308, 1, 1]}}, "resources/scale"),
+    ],
+    ids=["speed", "round-duration", "area", "scale"],
+)
+def test_run_rejects_mobility_and_pool_sizes_that_overflow(tmp_path, capsys, raw, key):
+    # a round's longest move, twice the area plus it, or a scaled pool
+    # dimension is inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 1, **raw}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_run_rejects_noise_power_that_underflows(tmp_path, capsys):
     # 5e-324 W/Hz over a 0.1 Hz cell is 0 W, and every SNR divides by it
     cfg = tmp_path / "cfg.json"

@@ -1,10 +1,19 @@
-"""Static check: every module-level function and class of the package is
-used by the package itself or by the benchmark, not only by tests.
+"""Static check: every module-level function and class of the package, and
+every field a package class declares, is used by the package itself or by
+the benchmark, not only by tests.
 
-A name counts as used when some other top-level statement of a module in
-`src/mfpsim` or `perfbench/` refers to it: as a name, as an attribute, or
-as a string equal to it (the benchmark wraps functions by name).  Package
-`__init__.py` exports and the definition's own body do not count.
+A function or class counts as used when some other top-level statement of a
+module in `src/mfpsim` or `perfbench/` refers to it: as a name, as an
+attribute, or as a string equal to it (the benchmark wraps functions by
+name).  Package `__init__.py` exports and the definition's own body do not
+count.
+
+A class-level field (an annotated or plain assignment in a class body, such
+as a dataclass field) counts as used when one of those modules reads it as
+an attribute or names it in a string (a config key, a `getattr`).  Passing it
+by keyword to a constructor is not a read.  Methods are left out for now:
+`WelfareReport.audit` is called only by tests until the settlement contract
+decides whether `run()` reports its findings or the method goes.
 """
 
 import ast
@@ -29,13 +38,16 @@ def _names(node) -> set[str]:
     return found
 
 
+def _bodies():
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text()).body
+
+
 def _unreferenced() -> list[str]:
     definitions = []  # (module path, top-level index, name)
     used_by = {}  # name -> {(module path, top-level index)}
-    for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
-        body = ast.parse(path.read_text()).body
+    for path, body in _bodies():
         for i, node in enumerate(body):
             if path.parent == PACKAGE and isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -50,5 +62,34 @@ def _unreferenced() -> list[str]:
     )
 
 
+def _class_fields(cls: ast.ClassDef) -> list[str]:
+    fields = []
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            fields.append(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            fields += [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    return fields
+
+
+def _unread_fields() -> list[str]:
+    fields = []  # (module stem, class, field)
+    read = set()
+    for path, body in _bodies():
+        for node in body:
+            if path.parent == PACKAGE and isinstance(node, ast.ClassDef):
+                fields += [(path.stem, node.name, f) for f in _class_fields(node)]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    read.add(sub.value)
+    return sorted(f"{m}.{c}.{f}" for m, c, f in fields if f not in read)
+
+
 def test_every_package_function_and_class_is_used_outside_tests():
     assert _unreferenced() == []
+
+
+def test_every_class_field_is_read_outside_tests():
+    assert _unread_fields() == []

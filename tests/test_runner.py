@@ -38,7 +38,7 @@ def small_record():
 def test_zero_rounds_header_only():
     rec = run(load_config({"rounds": 0}))
     assert rec.summary_rows == []
-    assert rec.summary_csv().splitlines() == [",".join(SUMMARY_COLUMNS)]
+    assert rec.output_texts()["summary.csv"].splitlines() == [",".join(SUMMARY_COLUMNS)]
     assert rec.cr_count == 0
 
 
@@ -60,12 +60,22 @@ def test_window_counts_by_mode(small_record):
     assert serial.cr_count == 6
 
 
+def test_fast_entities_stay_in_the_square():
+    # at 5000 m/s a 10 s round crosses the 500 m square up to 100 times
+    raw = {**SMALL, "output": {"trajectories": True}}
+    raw["scenario"] = {**SMALL["scenario"], "max_speed_mps": 5000}
+    rec = run(load_config(raw))
+    xy = [row[k] for row in rec.trajectory_rows for k in ("x", "y")]
+    assert len(xy) == 3 * 35 * 2
+    assert 0 <= min(xy) and max(xy) <= 500
+
+
 def test_no_audit_violations(small_record):
     assert small_record.audit_violations == []
 
 
 def test_summary_identities_roundtrip(small_record):
-    text = small_record.summary_csv()
+    text = small_record.output_texts()["summary.csv"]
     rows = load_summary_csv(text)
     assert validate_summary_rows(rows) == []
     assert [r["round"] for r in rows] == [1, 2, 3]

@@ -11,10 +11,10 @@ from mfpsim.scenario import (
     ScenarioState,
     SensingGeometry,
     SensingProfile,
-    channel_gain,
     global_label_distribution,
-    link_budget,
     make_scenario,
+    path_gains,
+    server_gains,
     spectral_efficiency,
     status_attributes,
     step_mobility,
@@ -68,6 +68,29 @@ def test_step_mobility_reflects_at_boundary():
     assert 0 <= nxt.client_pos[0, 0] <= 500 and 0 <= nxt.client_pos[0, 1] <= 500
 
 
+@settings(max_examples=200, deadline=None)
+# the defaults' 500 m square and 10 s round at 5000 m/s: up to 100 crossings
+@example(seed=3, area=500.0, speed=5000.0, dt=10.0)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(1.0, 1000.0),
+    st.floats(0.0, 1e6),
+    st.floats(0.01, 10.0),
+)
+def test_step_mobility_keeps_every_entity_in_the_square(seed, area, speed, dt):
+    state = make_scenario(seed, 20, 20, area_m=area, max_speed=speed)
+    nxt = step_mobility(state, seed=seed, dt=dt)
+    for pos, vel, got in (
+        (state.client_pos, state.client_vel, nxt.client_pos),
+        (state.target_pos, state.target_vel, nxt.target_pos),
+    ):
+        assert ((got >= 0) & (got <= area)).all()
+        # where the old eight single folds landed inside, nothing moved
+        folded = oracles.reflect_folds(pos + vel * dt, area)
+        inside = (folded >= 0) & (folded <= area)
+        assert got[inside].tobytes() == folded[inside].tobytes()
+
+
 def test_step_mobility_deterministic():
     state = make_scenario(seed=11, n_clients=5, n_targets=9)
     a = step_mobility(state, seed=3, dt=2.0)
@@ -91,24 +114,20 @@ def test_targets_in_domain_partition():
     assert list(annulus) == [1]
 
 
-def test_channel_gain_reference_and_slope():
+def test_path_gain_reference_and_slope():
     params = ChannelParams(reference_loss_db=61.4, pathloss_exponent=2.0)
-    g1 = channel_gain(1.0, params)
+    g0, g1, g2 = path_gains(np.array([0.0, 1.0, 2.0]), params).tolist()
     assert 10 * math.log10(g1) == pytest.approx(-61.4)
-    g2 = channel_gain(2.0, params)
     assert 10 * math.log10(g1 / g2) == pytest.approx(20 * math.log10(2), abs=1e-9)
-    with pytest.raises(ValueError):
-        channel_gain(0.0, params)
+    assert g0 == g1  # distances clamp to 1 m
 
 
-def test_link_budget_sensitivity_gate():
-    params = ChannelParams()
-    good = link_budget(10.0, tx_power_dbm=55.0, sensitivity_dbm=-115.0, params=params)
-    assert good.usable
+def test_spectral_efficiency_sensitivity_gate():
+    params, q = ChannelParams(), ResourceQuanta()
+    gains = path_gains(np.array([10.0, 400.0]), params)
+    assert (spectral_efficiency(gains, 55.0, -115.0, params, q) > 0).all()
     # -115 dBm floor: a weak transmitter far away drops below it
-    bad = link_budget(400.0, tx_power_dbm=-40.0, sensitivity_dbm=-115.0, params=params)
-    assert not bad.usable
-    assert spectral_efficiency(400.0, -40.0, -115.0, params, ResourceQuanta()) == 0.0
+    assert spectral_efficiency(gains, -40.0, -115.0, params, q).tolist() == [0.0, 0.0]
 
 
 def test_status_attributes_visual_rate():
@@ -323,3 +342,65 @@ def test_global_label_distribution_matrix_equals_per_client_union(state, mode):
         assert got is None
     else:
         assert np.array_equal(got, ref)
+
+
+@st.composite
+def server_fleets(draw):
+    """Clients anywhere in the 500 m square, some at the server or within
+    1 m of it, where distances clamp to 1 m and log10(1) is 0."""
+    near = st.sampled_from([(250.0, 250.0), (251.0, 250.0), (250.0, 249.5)])
+    anywhere = st.tuples(st.floats(0, 500), st.floats(0, 500))
+    clients = draw(st.lists(near | anywhere, min_size=1, max_size=30))
+    return ScenarioState(
+        area_m=500.0,
+        client_pos=np.array(clients, dtype=float),
+        client_vel=np.zeros((len(clients), 2)),
+        target_pos=np.zeros((0, 2)),
+        target_vel=np.zeros((0, 2)),
+        target_class=np.zeros(0, dtype=int),
+        server_pos=np.array([250.0, 250.0]),
+        n_classes=1,
+        max_speed=30.0,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    server_fleets(),
+    # 150 underflows every gain to 0; 1e308 makes 10 * exponent overflow,
+    # so a client within 1 m of the server gets a nan gain
+    st.floats(0.1, 10.0) | st.sampled_from([150.0, 1e308]),
+    st.floats(0.0, 200.0),
+    # log10 of the noise density: SNRs far above and below 1, and near it,
+    # where a gain's last bit reaches log2(1 + snr)
+    st.floats(-40.0, -5.0),
+    st.floats(-50.0, 300.0),
+    st.floats(-50.0, 300.0),
+    st.none() | st.integers(0, 29) | st.floats(-300.0, 0.0),
+)
+def test_server_link_efficiencies_equal_scalar_oracle_bitwise(
+    state, exponent, loss, log_noise, tx_server, tx_client, sensitivity
+):
+    """The round's server gains and both links' efficiencies, against the
+    scalar chain per client.  An integer `sensitivity` puts the sensitivity
+    exactly at that client's received downlink power."""
+    ch = ChannelParams(
+        pathloss_exponent=exponent,
+        reference_loss_db=loss,
+        noise_density_w_per_hz=10**log_noise,
+        tx_power_server_dbm=tx_server,
+        tx_power_client_dbm=tx_client,
+    )
+    q = ResourceQuanta()
+    dists = [oracles.server_distance(state, c) for c in range(state.n_clients)]
+    if sensitivity is None:
+        sensitivity = ch.sensitivity_wc_dbm
+    elif isinstance(sensitivity, int):
+        gain = oracles.channel_gain(dists[sensitivity % len(dists)], ch)
+        sensitivity = tx_server + 10 * math.log10(gain) if gain > 0 else ch.sensitivity_wc_dbm
+    gains = server_gains(state, ch)
+    assert gains.tobytes() == np.array([oracles.channel_gain(d, ch) for d in dists]).tobytes()
+    for tx in (tx_server, tx_client):
+        got = spectral_efficiency(gains, tx, sensitivity, ch, q)
+        want = [oracles.spectral_efficiency(d, tx, sensitivity, ch, q) for d in dists]
+        assert got.tobytes() == np.array(want).tobytes()
