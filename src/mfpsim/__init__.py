@@ -1,5 +1,11 @@
 """Market-driven sensing/communication/computing resource scheduling engine
-and simulator for multimodal federated perception workloads."""
+and simulator for multimodal federated perception workloads.
+
+The package logs under the "mfpsim" logger, silent unless the application
+configures logging; at DEBUG the market reports each streak grant.
+"""
+
+import logging
 
 from .baselines import Policy, SelectionMetrics, schedule_with_policy, select_clients
 from .config import ExperimentConfig, config_hash, default_config, load_config
@@ -62,5 +68,7 @@ from .solver import (
     mutv,
     realize_schedule,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

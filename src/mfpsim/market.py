@@ -3,13 +3,17 @@
 The platform buys learning gain from an application at a posted unit price and
 pays clients a posted price per delivered sample; clients carry their own
 resource costs.  Workloads are assigned by a greedy marginal-welfare auction:
-one sample at a time to whichever client currently adds the most weighted
-welfare, driving the aggregate gain into the requested target window.
+each sample goes to whichever client currently adds the most weighted
+welfare, driving the aggregate gain into the requested target window.  A
+client that leads clearly is granted a run of samples at once when one probe
+of its cost curve certifies that the sample-by-sample greedy would have
+granted it every one of them.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from dataclasses import dataclass
 
@@ -17,26 +21,79 @@ from .costs import PriceVector
 from .errors import GainShortfallError
 
 _TOL = 1e-9
+# relative amount by which a computed cost curve may dip (CostCurve's
+# contract): far above the solver's tie windows and tolerance boxes, far
+# below the welfare leads a streak grant needs
+_DIP_SLACK = 1e-7
+
+_log = logging.getLogger(__name__)
 
 
 class CostCurve:
-    """Lazily sampled minimum-cost curve c(n), n = 0..mtv, with memoization."""
+    """Lazily sampled minimum-cost curve c(n), n = 0..mtv, with memoization.
+
+    `cost_fn(n)` returns c(n), or at every workload a pair (c(n), segment).
+    The market's streak grants assume this contract: c does not decrease,
+    but for the slack,
+
+        c(i) <= c(j) + _DIP_SLACK * (1 + |c(j)|)   for i < j, c(j) finite,
+
+    over the whole curve when `cost_fn` returns plain costs, and otherwise
+    over each segment: the workloads sharing one segment value other than
+    None, which must form one interval.  A schedule for j samples shrinks to
+    one for i < j, so an exact minimum-cost curve keeps the contract; the
+    slack covers the tie windows and tolerance boxes by which a computed
+    minimum can miss the exact one, and segments cut the curve where the
+    caller cannot vouch for that argument (None: at no point).
+    """
 
     def __init__(self, cost_fn, mtv: int):
         self._fn = cost_fn
         self.mtv = int(mtv)
         self._cache: dict[int, float] = {0: 0.0}
+        self._segments: dict[int, object] = {}  # filled when cost_fn returns pairs
 
     def cost(self, n: int) -> float:
         if not 0 <= n <= self.mtv:
             raise ValueError(f"workload {n} outside [0, {self.mtv}]")
         if n not in self._cache:
-            self._cache[n] = float(self._fn(n))
+            value = self._fn(n)
+            if isinstance(value, tuple):
+                value, self._segments[n] = value
+            self._cache[n] = float(value)
         return self._cache[n]
 
     def marginal(self, n: int) -> float:
         """Cost of the (n+1)-th sample."""
         return self.cost(n + 1) - self.cost(n)
+
+    def in_segment(self, n: int) -> bool:
+        """Whether the contract covers the sampled workload n: always for
+        plain costs, else when its cost came with a segment."""
+        return not self._segments or self._segments.get(n) is not None
+
+    def rise_bound(self, n: int, m: int) -> float | None:
+        """A float no smaller than any computed marginal c(j+1) - c(j),
+        n <= j < m, from c(n) and one probe of c(m); None when the contract
+        does not cover [n, m]: a cost that is not finite, or n and m in
+        different segments (or in none).
+
+        With A = 1 + |c(n)| + |c(m)| and e = _DIP_SLACK, the contract gives
+        c(j+1) <= c(m) + e*(1 + |c(m)|) and c(j) >= c(n) - e*(1 + |c(j)|),
+        and the two together keep |c(j)| <= (1 + 2e)*A.  So every exact
+        c(j+1) - c(j) is at most c(m) - c(n) + (3 + 2e)*e*A.  The bound adds
+        4*e*A: the surplus, about e*A = 1e-7*A, dwarfs the few ulps of A by
+        which the three rounded operations can fall short.  Rounding is
+        monotone, so the computed marginal, the rounded exact difference,
+        is no larger than that float.
+        """
+        lo, hi = self.cost(n), self.cost(m)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return None
+        seg = self._segments
+        if seg and (seg.get(n) is None or seg.get(n) != seg.get(m)):
+            return None
+        return (hi - lo) + 4 * _DIP_SLACK * (1 + abs(lo) + abs(hi))
 
 
 @dataclass(frozen=True)
@@ -153,10 +210,17 @@ def build_report(
     )
 
 
-def _marginal_welfare(quote: ClientQuote, n: int, prices: PriceVector, alpha: float, beta: float) -> float:
+def _welfare_of(quote: ClientQuote, marginal_cost: float, prices: PriceVector, alpha: float, beta: float) -> float:
+    """Weighted welfare of one more sample at the given marginal cost.
+    Rounded `-`, `*` by a weight >= 0 and `+` are monotone, so a larger
+    marginal cost never gives a larger value."""
     return alpha * (prices.gain * quote.gain_rate - prices.sample) + beta * (
-        prices.sample - quote.curve.marginal(n)
+        prices.sample - marginal_cost
     )
+
+
+def _marginal_welfare(quote: ClientQuote, n: int, prices: PriceVector, alpha: float, beta: float) -> float:
+    return _welfare_of(quote, quote.curve.marginal(n), prices, alpha, beta)
 
 
 def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded):
@@ -250,8 +314,8 @@ def allocate_workloads(
 ) -> tuple[Allocation, WelfareReport]:
     """Greedy marginal-welfare workload assignment with block improvement.
 
-    Samples are granted one at a time to the highest-marginal client until
-    the aggregate gain reaches gain_floor, then only while marginals stay
+    The greedy grants each sample to the highest-marginal client until the
+    aggregate gain reaches gain_floor, then only while marginals stay
     positive and the gain stays under gain_floor + gain_window.  A
     whole-load coordinate-ascent pass then lifts profitable clients over
     their fixed activation costs (seeded both from the greedy result and from
@@ -275,19 +339,41 @@ def allocate_workloads(
     once a marginal is NaN, which orders nothing).  A client's marginal
     depends only on its own load, so it is computed once per load, for the
     clients and at the grants where a scan alone would compute it, and the
-    open-client count is a running counter: a greedy pass costs
-    O(grants + clients) curve lookups.
+    open-client count is a running counter.
+
+    Streaks.  After a heap grant the leader, at load n, is offered k more
+    samples at once, and one probe of c(n+k) decides.  `CostCurve.rise_bound`
+    turns c(n) and c(n+k) into a float R no smaller than any of the leader's
+    computed marginal costs at loads n..n+k-1, and `_welfare_of(R)` is then
+    no larger than any of its computed marginal welfares there (the same
+    float expression, monotone in the cost).  Other clients' marginals do
+    not move, and they can only close, so the runner-up can only fall.  So
+    when that bound beats the runner-up's heap value by more than 1e-9 (any
+    finite value does when there is none), every one of the k grants would
+    have been a heap grant to the leader; past the floor it must also
+    exceed 1e-9, or the batch stops at the floor switch.  A finite bound
+    also rules out a NaN marginal in the run.  k is clipped where the leader
+    closes, at mtv and by replaying the gain's additions against the
+    ceiling, and the batch replays `gain += gain_rate` one addition at a time,
+    so loads, gain and open count are the sample-by-sample greedy's, bit for
+    bit.  k gallops: it doubles after a certified batch and halves after a
+    failed one, and it is never offered above what the welfare drop per
+    sample seen so far leaves room for, which spares probes bound to fail
+    in a contested market.  A streak ends, and unit grants resume, when no
+    k >= 2 certifies, when a probe is infinite, at the floor switch, or
+    where the leader closes.  Scan grants never start a streak, nor do
+    loads the curve does not vouch for (`CostCurve.in_segment`).
 
     A rationality pass does not rerun the greedy from scratch.  The previous
-    pass's grants are kept in order, with the first grant at which each
-    client led: became the scan's running best, or was a heap grant's pick.
-    Excluding clients that never led leaves every grant's pick unchanged: a
-    scan's pick never depended on them, and a heap pick stays clear of the
-    clients that remain.  So the next pass replays the grants before the
-    earliest one any excluded client led (all of them when none did) and
-    resumes from there.  Replaying the same grants in the same order rebuilds
-    the same loads, open count and gain, the gain by the same float
-    additions in the same order.
+    pass's grants are kept in order, as (client, count) runs, with the first
+    grant at which each client led: became the scan's running best, or was a
+    heap grant's pick (a streak's leader led at its first grant).  Excluding
+    clients that never led leaves every grant's pick unchanged: a scan's pick
+    never depended on them, and a heap pick stays clear of the clients that
+    remain.  So the next pass replays the grants before the earliest one any
+    excluded client led (all of them when none did) and resumes from there.
+    Replaying the same grants in the same order rebuilds the same loads, open
+    count and gain, the gain by the same float additions in the same order.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -309,12 +395,14 @@ def allocate_workloads(
         costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
         return build_report(by_id, load, costs, prices, alpha, beta)
 
-    picks: list[str] = []  # the greedy's grants, in order
-    first_led: dict[str, int] = {}  # grant (index into picks) a client first led
+    picks: list[list] = []  # the greedy's grants, in order, as [client, count] runs
+    first_led: dict[str, int] = {}  # grant (index over all grants) a client first led
+    stride = 2  # streak batch size to offer next
     for _ in range(len(quotes) + 1):
         load = {q.client_id: 0 for q in quotes}
         gain = 0.0
         opened = 0
+        granted = 0
         bidders = [q for q in quotes if q.client_id not in excluded and q.gain_rate > 0]
         rank = {q.client_id: i for i, q in enumerate(bidders)}
         # marginal welfare of each open client's next sample at its current
@@ -345,8 +433,10 @@ def allocate_workloads(
             return None
 
         def grantable(require_positive: bool):
+            """(marginal, client, runner-up's marginal) of the next grant:
+            the runner-up is -inf when there is none and None for a scan
+            pick; None when no client can take a grant."""
             nonlocal ordered
-            step = len(picks)
             for i in sorted(unpriced):
                 q = bidders[i]
                 if not closed(q):
@@ -363,8 +453,8 @@ def allocate_workloads(
                 runner_up = heap_top(require_positive)
                 if runner_up is None or -top[0] > -runner_up[0] + _TOL:
                     cid = bidders[top[1]].client_id
-                    first_led.setdefault(cid, step)
-                    return -top[0], cid
+                    first_led.setdefault(cid, granted)
+                    return -top[0], cid, -math.inf if runner_up is None else -runner_up[0]
                 heapq.heappush(heap, top)
             best = None
             for q in bidders:
@@ -374,20 +464,88 @@ def allocate_workloads(
                 if require_positive and delta <= _TOL:
                     continue
                 if best is None or delta > best[0] + _TOL:
-                    best = (delta, q.client_id)
-                    first_led.setdefault(q.client_id, step)
+                    best = (delta, q.client_id, None)
+                    first_led.setdefault(q.client_id, granted)
             return best
 
-        def grant(cid: str) -> None:
-            nonlocal gain, opened
+        def grant(cid: str, count: int) -> None:
+            nonlocal gain, opened, granted
+            rate = by_id[cid].gain_rate
             if load[cid] == 0:
                 opened += 1
-            load[cid] += 1
-            gain += by_id[cid].gain_rate
+            load[cid] += count
+            for _ in range(count):
+                gain += rate
+            granted += count
             unpriced.add(rank[cid])
 
-        for cid in picks:
-            grant(cid)
+        def take(cid: str, count: int) -> None:
+            if picks and picks[-1][0] == cid:
+                picks[-1][1] += count
+            else:
+                picks.append([cid, count])
+            grant(cid, count)
+
+        def streak(cid: str, delta: float, rival: float) -> None:
+            """Certified batches for the leader of a heap grant, whose
+            marginal welfare was `delta` (see above)."""
+            nonlocal stride
+            q = by_id[cid]
+            rate, start, probes = q.gain_rate, load[cid], 0
+            if not q.curve.in_segment(start):
+                return
+            # batches are sized so that the welfare drop per sample seen so
+            # far keeps the bound above the rival; a guess, never a proof
+            base = _welfare_of(q, 0.0, prices, alpha, beta)
+            drop = base - delta
+            while True:
+                n = load[cid]
+                size = min(stride, q.mtv - n)
+                if drop > 0:
+                    size = min(size, int(max(0.0, min((base - rival) / drop, 1e9))))
+                # replay the gain's additions: the leader stays open for
+                # `steps` grants, and the floor switch comes before grant
+                # `floor_at` (0: already past it)
+                g, steps, floor_at = gain, 0, None
+                for _ in range(size):
+                    if g + rate >= ceiling - _TOL:
+                        break
+                    if floor_at is None and g >= gain_floor - _TOL:
+                        floor_at = steps
+                    g += rate
+                    steps += 1
+                if steps < 2:
+                    why = "capacity" if n + 1 >= q.mtv else "ceiling" if steps < size else "bound"
+                    break
+                probes += 1
+                rise = q.curve.rise_bound(n, n + steps)
+                if rise is None and not math.isfinite(q.curve.cost(n + steps)):
+                    why = "infinite probe"
+                    break
+                bound = math.nan if rise is None else _welfare_of(q, rise, prices, alpha, beta)
+                if bound == bound:
+                    drop = (base - bound) / steps
+                if math.isfinite(bound) and bound > rival + _TOL:
+                    if floor_at is None or bound > _TOL:
+                        take(cid, steps)
+                        stride = 2 * steps
+                        continue
+                    if floor_at:
+                        take(cid, floor_at)
+                        why = "floor switch"
+                        break
+                stride = max(2, steps // 2)
+                if steps == 2:
+                    why = "bound"
+                    break
+            if probes:
+                _log.debug(
+                    "streak %s from load %d: %d samples, %d probes, stopped at %s",
+                    cid, start, load[cid] - start, probes, why,
+                )
+
+        for cid, count in picks:
+            grant(cid, count)
         while gain < gain_floor - _TOL:
             pick = grantable(require_positive=False)
             if pick is None:
@@ -397,11 +555,13 @@ def allocate_workloads(
                     else "capacity exhausted"
                 )
                 raise GainShortfallError(reason, max_achievable(excluded))
-            picks.append(pick[1])
-            grant(pick[1])
+            take(pick[1], 1)
+            if pick[2] is not None:
+                streak(pick[1], pick[0], pick[2])
         while (pick := grantable(require_positive=True)) is not None:
-            picks.append(pick[1])
-            grant(pick[1])
+            take(pick[1], 1)
+            if pick[2] is not None:
+                streak(pick[1], pick[0], pick[2])
 
         load = _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
@@ -426,7 +586,13 @@ def allocate_workloads(
             allocation = Allocation(workloads=workloads)
             return allocation, report
         excluded.update(losers)
-        keep = min((first_led[c] for c in losers if c in first_led), default=len(picks))
-        del picks[keep:]
+        keep = min((first_led[c] for c in losers if c in first_led), default=granted)
+        kept, total = [], 0
+        for cid, count in picks:
+            if total >= keep:
+                break
+            kept.append([cid, min(count, keep - total)])
+            total += count
+        picks = kept
         first_led = {c: s for c, s in first_led.items() if s < keep}
     raise GainShortfallError("rationality loop failed to settle", max_achievable(excluded))

@@ -240,29 +240,84 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     box, and the problem is convex, so a box that does not bind leaves the
     optimum unchanged.  The capped budgets are still returned, because the
     integer realization works against them.  When the capped chain cannot
-    carry the workload, the uncapped schedule stands.  `bounds` is (mtv, mutv)
-    under `budgets`; it does not hold under the capped budgets.  Returns
-    (outcome, budgets_used).
+    carry the workload, the uncapped schedule stands (a fallback).  `bounds`
+    is (mtv, mutv) under `budgets`; it does not hold under the capped
+    budgets.  Returns (outcome, budgets_used, fell_back).
+
+    The market reads n -> this cost as a curve (`_curve_fn`) whose
+    segments, under the cost objective, are (n > mutv, fell_back).  It dips,
+    by several cost units, where the capped chain stops fitting and the
+    uncapped schedule takes over; within a segment it does not decrease, as
+    `CostCurve`'s contract asks:
+
+    * The sensing width does not decrease in n.  The generation side is
+      solved apart from the chain.  At n <= mutv its bandwidth is
+      max(0, (sqrt(n*b*time/freq) - a)/b) (0 when b <= 0), rounded
+      operations each monotone in n.  Above mutv `_solve_generation` picks
+      among points of a*x + b*x*y = n (box-free, bandwidth box, time box,
+      vision only), where less time means more bandwidth, and its tie rule
+      prefers less time among costs within 1e-9.  The cost
+      time*n/(a + b*y) + freq*y is convex in y and its cross-derivative in
+      (n, y) is negative, so as n grows the cheapest width and the widest
+      width within the tie window both move up, and so does every
+      candidate's width (b_max and 0 stay, the other two are monotone closed
+      forms).  mutv is rounded up by up to 1e-9 of itself, so the closed
+      form's width can pass the box by a hair at mutv; the segment keeps
+      the two sides apart.  So the sensing cells ceil(b_ws - 1e-9) only
+      grow, and the cap only shrinks: the box B(n) the chain is priced in
+      (the full budgets while the cap does not bind) only tightens.
+    * Without a fallback the cost is the minimum over B(n): the re-solve's,
+      or the plain optimum when it already fits.  A schedule for n+1
+      samples in B(n+1) shrinks to one for n in B(n), which contains
+      B(n+1), so that minimum does not decrease.
+    * A fallback is for good: had the capped chain, or the plain optimum
+      under the cap, carried n+1 in B(n+1), the capped chain would carry n
+      in B(n).  Past it the cost is the plain minimum over the fixed
+      budgets, which does not decrease either.
+    * Computed minima miss the exact ones by the solver's tie windows (1e-9
+      per comparison, a few comparisons) and tolerance boxes (1e-9
+      relative), well inside the contract's slack of 1e-7 * (1 + |c|).
+
+    The argument covers the cost objective alone, so the other objectives'
+    points get no segment and are never granted in runs.  Some of them pin
+    widths at a box, where a looser box can cost more: the
+    communication-optimal chain dips each time the cap shrinks by a cell.
     """
     policy, prices, quanta = ctx.policy, ctx.prices, ctx.quanta
     out = schedule_with_policy(
         policy, SolveInput(n, at, task, prices, budgets, quanta), bounds=bounds
     )
     if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL or out.decision is None:
-        return out, budgets
+        return out, budgets, False
     sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)
     if sensing_width <= 0:
-        return out, budgets
+        return out, budgets, False
     cap = max(1.0, budgets.freq_cells - sensing_width)
     if cap >= budgets.cons_bandwidth:
-        return out, budgets
+        return out, budgets, False
     capped = replace(budgets, cons_freq_cells=cap)
     if max(out.decision.comm_down.b, out.decision.comm_up.b) <= cap:
-        return out, capped
+        return out, capped, False
     out2 = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
     if out2.kind != OutcomeKind.OPTIMAL:
-        return out, budgets
-    return out2, capped
+        return out, budgets, True
+    return out2, capped, False
+
+
+def _curve_fn(ctx, at, task, budgets, bounds):
+    """A client's cost function for its `CostCurve`: n -> (cost, segment)
+    of the policy solve, infinite where no schedule carries n.  Segments
+    only under the cost objective, where `_policy_solve` vouches for them."""
+
+    def cost_fn(n):
+        out, _, fell_back = _policy_solve(ctx, n, at, task, budgets, bounds)
+        if out.kind != OutcomeKind.OPTIMAL:
+            return math.inf, None
+        if POLICIES[ctx.policy].schedule != "cost":
+            return out.cost, None
+        return out.cost, (n > bounds[1], fell_back)
+
+    return cost_fn
 
 
 def run(config: ExperimentConfig) -> RunRecord:
@@ -387,19 +442,13 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
         entry.bounds = (cap, n_unc)
         cap_i = int(min(cap, 10**7))
 
-        def cost_fn(n, _at=at, _task=task, _budgets=my_budgets, _bounds=entry.bounds):
-            out, _ = _policy_solve(ctx, n, _at, _task, _budgets, _bounds)
-            if out.kind != OutcomeKind.OPTIMAL:
-                return math.inf
-            return out.cost
-
         entry.quote = ClientQuote(
             client_id=cid,
             qod=q,
             mtv=cap_i,
             mutv=int(n_unc) if math.isfinite(n_unc) else cap_i,
             gain_rate=config.market["gain_factor"] * q,
-            curve=CostCurve(cost_fn, cap_i),
+            curve=CostCurve(_curve_fn(ctx, at, task, my_budgets, entry.bounds), cap_i),
         )
     return budgets, clients
 
@@ -482,7 +531,7 @@ def _solve_and_quantize(ctx, clients) -> None:
         c = clients[cid]
         if c.n <= 0:
             continue
-        out, used = _policy_solve(ctx, c.n, c.attrs, c.task, c.budgets, c.bounds)
+        out, used, _ = _policy_solve(ctx, c.n, c.attrs, c.task, c.budgets, c.bounds)
         if out.kind != OutcomeKind.OPTIMAL:
             c.drop("workload infeasible at solve time")
             continue

@@ -1,13 +1,15 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.costs import ConsumptionTask, PriceVector
 from mfpsim.errors import GainShortfallError
 from mfpsim.market import (
+    _DIP_SLACK,
     Allocation,
     ClientQuote,
     CostCurve,
@@ -357,3 +359,126 @@ def test_saturated_load_equals_former_runner_allocation(case):
     assert list(got.items()) == list(ref.items())  # same loads, same grant order
     if not excluded:
         assert list(saturated_load(quotes, ceiling, cap).items()) == list(ref.items())
+
+
+def streak_curve(shape, cap, act, scale, tilt=0.0, stop=None, bump=None, drop=None, steep=3):
+    """Costs c(0..cap) in one of the shapes greedy streaks run through:
+    "sqrt" (act + scale*sqrt(n): concave, so the marginal welfare rises
+    along a streak), "flat" (act alone), "linear", or "kink" (linear,
+    `steep` times steeper past cap // 2: a convex kink).  `tilt` adds tilt*n;
+    `stop` makes c infinite past it; `bump` raises c at one load by 90% of
+    the least dip CostCurve's contract allows; `drop` (a load) lowers c past it
+    by 5 and starts a second segment there, so the curve comes as
+    (cost, segment) pairs."""
+    costs = [0.0]
+    for n in range(1, cap + 1):
+        if shape == "sqrt":
+            c = act + scale * math.sqrt(n)
+        elif shape == "flat":
+            c = act
+        elif shape == "linear":
+            c = act + scale * n
+        else:
+            c = act + scale * n + (steep - 1) * scale * max(0, n - cap // 2)
+        c += tilt * n
+        if drop is not None and n > drop:
+            c -= 5.0
+        costs.append(math.inf if stop is not None and n > stop else c)
+    if bump is not None and 0 < bump <= cap and math.isfinite(costs[bump]):
+        costs[bump] += 0.9 * _DIP_SLACK
+    if drop is None:
+        return curve_from_samples(costs)
+    return CostCurve(lambda n: (costs[n], n > drop), cap)
+
+
+def streak_quote(cid, rate, curve):
+    return ClientQuote(cid, 1.0, curve.mtv, curve.mtv, rate, curve)
+
+
+@st.composite
+def streak_markets(draw):
+    """Quote sets whose greedy runs in long same-client streaks: shapes
+    shared between clients with tilts of 0, 4e-10, 1e-9 and 1.5e-9 (near
+    ties where a streak starts, and where a steepening curve ends one),
+    activation costs, capacities up to 400, curves infinite past a point,
+    bumps inside the contract's slack, segment drops, floors and windows
+    that a streak crosses, and beta 0."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 2))):
+        cap = draw(st.integers(1, 400))
+        shapes.append(dict(
+            shape=draw(st.sampled_from(["sqrt", "sqrt", "flat", "linear", "kink"])),
+            cap=cap,
+            act=draw(st.sampled_from([0.0, 0.5, 5.0, 40.0])),
+            scale=draw(st.sampled_from([0.0, 0.01, 0.3]) | st.floats(0.0, 3.0)),
+            stop=draw(st.none() | st.integers(0, cap)),
+            bump=draw(st.none() | st.integers(1, cap)),
+            drop=draw(st.none() | st.integers(1, cap)),
+        ))
+    quotes = []
+    for i in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(shapes))
+        tilt = draw(st.sampled_from([0.0, 0.0, 4e-10, 1e-9, 1.5e-9]))
+        rate = draw(st.sampled_from([0.01, 0.02, 0.05]))
+        quotes.append(streak_quote(f"c{i}", rate, streak_curve(tilt=tilt, **shape)))
+    prices = PriceVector(sample=1.0, gain=draw(st.floats(5.0, 80.0)))
+    reach = sum(q.gain_rate * q.mtv for q in quotes)
+    floor = draw(st.floats(0.0, 1.1)) * reach
+    window = draw(st.sampled_from([0.05, 0.5, 1e6]) | st.floats(0.01, 20.0))
+    cap = draw(st.integers(1, len(quotes)))
+    beta = draw(st.sampled_from([0.0, 1.0, 1.0]))
+    return quotes, prices, floor, window, cap, 1.0, beta
+
+
+def _two_bidders(leader, rival, rate, gain, floor, window, beta=1.0):
+    (lid, lcurve), (rid, rcurve) = leader, rival
+    quotes = [streak_quote(lid, rate, lcurve), streak_quote(rid, rate, rcurve)]
+    return quotes, PriceVector(sample=1.0, gain=gain), floor, window, 2, 1.0, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(streak_markets())
+# a flat curve with a bump inside the slack: one sample costs 9e-8 more,
+# which hands that grant to a rival 5e-8 behind; a batch over the bump is
+# certified only by a bound that leaves out the slack
+@example(_two_bidders(
+    ("b", streak_curve("flat", 40, 0.0, 0.0, bump=3)),
+    ("a", streak_curve("linear", 40, 0.0, 5e-8)), 0.05, 30.0, 0.0, 2.501,
+))
+# a kink twenty times steeper: a batch across it must not be granted on
+# the leader's flat part alone
+@example(_two_bidders(
+    ("b", streak_curve("kink", 18, 0.5, 0.3, bump=8, steep=20)),
+    ("a", streak_curve("linear", 27, 0.0, 1.5000000004)), 0.05, 20.05, 1.564701385334457, 1.601,
+))
+# a segment drop by 5 after a steep run: a batch may not span the segments
+@example(_two_bidders(
+    ("a", streak_curve("kink", 33, 0.0, 0.1, drop=14, steep=50)),
+    ("b", streak_curve("linear", 56, 0.1, 0.5000000004)), 0.01, 100.0, 0.14871626090077328, 1e6,
+))
+# past the kink at 50 every sample loses welfare, so the floor (60
+# samples) is where the greedy stops
+@example(([streak_quote("a", 0.05, streak_curve("kink", 100, 0.0, 0.2, steep=15))],
+          PriceVector(sample=1.0, gain=20.0), 3.0, 10.0, 1, 1.0, 1.0))
+def test_streak_grants_equal_unit_greedy_reference(case):
+    got = _outcome(allocate_workloads, case)
+    ref = _outcome(allocate_workloads_reference, case)
+    assert repr(got) == repr(ref)
+
+
+def test_one_long_streak_costs_few_lookups(caplog):
+    # the only bidder takes 2,000 samples in one streak: the floor needs
+    # them all, and a concave curve keeps its marginal welfare rising
+    lookups = [0]
+    costs = [0.0] + [3.0 + 0.2 * math.sqrt(n) for n in range(1, 2001)]
+    quotes = [ClientQuote("a", 1.0, 2000, 2000, 0.01, CountingCurve(costs, lookups))]
+    with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+        alloc, report = allocate_workloads(quotes, PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
+    assert alloc.workloads == {"a": 2000}
+    assert report.audit() == []
+    assert lookups[0] <= 64
+    assert [r.getMessage() for r in caplog.records] == [
+        "streak a from load 1: 1999 samples, 10 probes, stopped at capacity"
+    ]
+    # silent unless the application configures logging
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfpsim").handlers)

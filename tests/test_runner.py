@@ -4,16 +4,18 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.baselines import Policy, schedule_with_policy
 from mfpsim.config import load_config
 from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, TransferSchedule
+from mfpsim.market import _DIP_SLACK
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import (
     SUMMARY_COLUMNS,
     _policy_solve,
+    _curve_fn,
     _RunContext,
     load_summary_csv,
     run,
@@ -247,13 +249,64 @@ def test_capped_resolve_skip_matches_forced_resolve(policy, case):
     assume(max(plain.decision.comm_down.b, plain.decision.comm_up.b) <= cap)
 
     ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
-    out, used = _policy_solve(ctx, n, at, task, budgets)
+    out, used, _ = _policy_solve(ctx, n, at, task, budgets)
     capped = replace(budgets, cons_freq_cells=cap)
     forced = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
     assert used == capped
     assert forced.kind == OutcomeKind.OPTIMAL
     assert out.cost == forced.cost
     assert out.decision == forced.decision
+
+
+@st.composite
+def capped_clients(draw):
+    """A pipelined client priced under the cost objective: the packaged
+    scenario's ranges, with heavy training so that the whole curve is a few
+    hundred workloads long."""
+    bits = st.sampled_from([1e7, 1e8, 4e8])
+    return dict(
+        a=draw(st.floats(0.0, 60.0)), b=draw(st.floats(1e-2, 0.5)),
+        down=draw(bits), up=draw(bits), cycles=draw(st.floats(2000.0, 20000.0)),
+        eff_down=draw(st.floats(0.5, 40.0)), eff_up=draw(st.floats(0.5, 40.0)),
+        freq=draw(st.integers(20, 400)), compute=draw(st.integers(2, 10)),
+        cycle=draw(st.integers(3, 10)), time_price=draw(st.floats(0.2, 5.0)),
+        freq_price=draw(st.floats(0.01, 0.5)), compute_price=draw(st.floats(0.1, 2.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(capped_clients())
+@example(dict(  # falls back at 385 of 396 and dips there by 0.11
+    a=8.062, b=0.4252, down=1e7, up=1e8, cycles=4123.0, eff_down=30.558, eff_up=19.154,
+    freq=214, compute=5, cycle=4, time_price=2.542, freq_price=0.448, compute_price=0.841,
+))
+def test_runner_curve_keeps_the_cost_curve_contract(p):
+    at = StatusAttributes(a=p["a"], b=p["b"], label_dist=None)
+    task = ConsumptionTask(p["down"], p["up"], p["cycles"], p["eff_down"], p["eff_up"])
+    budgets = Budgets(10.0, float(p["freq"]), float(p["compute"]), cycle_cells=float(p["cycle"]))
+    prices = PriceVector(time=p["time_price"], freq=p["freq_price"], compute=p["compute_price"], sample=1.0, gain=1000.0)
+    quanta = ResourceQuanta(1.0, 1e6, 1e5)
+    cap = mtv(at, task, budgets, quanta)
+    assume(cap >= 1)
+    bounds = (cap, mutv(at, task, prices, budgets, quanta))
+    ctx = _RunContext(None, Policy.SISCC, prices, quanta, None, pipelined=True, client_ids=())
+    _, used, fell_back = _policy_solve(ctx, int(cap), at, task, budgets, bounds)
+    assume(fell_back or used is not budgets)  # the sensing cap binds at capacity
+    fn = _curve_fn(ctx, at, task, budgets, bounds)
+    points = [fn(n) for n in range(int(cap) + 1)]
+    event("falls back" if any(seg and seg[1] for _, seg in points) else "capped throughout")
+    closed, previous = set(), None
+    peak = {}  # largest cost so far in each segment
+    for c, seg in points:
+        if seg != previous:  # segments are intervals
+            assert seg is None or seg not in closed
+            closed.add(previous)
+            previous = seg
+        if seg is None:
+            assert not math.isfinite(c)
+            continue
+        assert peak.get(seg, -math.inf) <= c + _DIP_SLACK * (1 + abs(c))
+        peak[seg] = max(peak.get(seg, -math.inf), c)
 
 
 @settings(max_examples=100, deadline=None)
