@@ -32,26 +32,26 @@ _log = logging.getLogger(__name__)
 class CostCurve:
     """Lazily sampled minimum-cost curve c(n), n = 0..mtv, with memoization.
 
-    `cost_fn(n)` returns c(n), or at every workload a pair (c(n), segment).
-    The market's streak grants assume this contract: c does not decrease,
-    but for the slack,
+    `cost_fn(n)` returns c(n), or a pair (c(n), segment).  The market's
+    streak grants assume this contract: c does not decrease, but for the
+    slack,
 
         c(i) <= c(j) + _DIP_SLACK * (1 + |c(j)|)   for i < j, c(j) finite,
 
-    over the whole curve when `cost_fn` returns plain costs, and otherwise
-    over each segment: the workloads sharing one segment value other than
-    None, which must form one interval.  A schedule for j samples shrinks to
-    one for i < j, so an exact minimum-cost curve keeps the contract; the
-    slack covers the tie windows and tolerance boxes by which a computed
-    minimum can miss the exact one, and segments cut the curve where the
-    caller cannot vouch for that argument (None: at no point).
+    over each segment: the workloads whose cost came with one segment value
+    other than None, which must form one interval.  A schedule for j samples
+    shrinks to one for i < j, so an exact minimum-cost curve keeps the
+    contract; the slack covers the tie windows and tolerance boxes by which
+    a computed minimum can miss the exact one, and segments cut the curve
+    where the caller cannot vouch for that argument.  A plain cost, or the
+    segment None, vouches for nothing, and no streak is granted there.
     """
 
     def __init__(self, cost_fn, mtv: int):
         self._fn = cost_fn
         self.mtv = int(mtv)
         self._cache: dict[int, float] = {0: 0.0}
-        self._segments: dict[int, object] = {}  # filled when cost_fn returns pairs
+        self._segments: dict[int, object] = {}
 
     def cost(self, n: int) -> float:
         if not 0 <= n <= self.mtv:
@@ -68,9 +68,9 @@ class CostCurve:
         return self.cost(n + 1) - self.cost(n)
 
     def in_segment(self, n: int) -> bool:
-        """Whether the contract covers the sampled workload n: always for
-        plain costs, else when its cost came with a segment."""
-        return not self._segments or self._segments.get(n) is not None
+        """Whether the contract covers the sampled workload n: its cost
+        came with a segment."""
+        return self._segments.get(n) is not None
 
     def rise_bound(self, n: int, m: int) -> float | None:
         """A float no smaller than any computed marginal c(j+1) - c(j),
@@ -91,7 +91,7 @@ class CostCurve:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return None
         seg = self._segments
-        if seg and (seg.get(n) is None or seg.get(n) != seg.get(m)):
+        if seg.get(n) is None or seg.get(n) != seg.get(m):
             return None
         return (hi - lo) + 4 * _DIP_SLACK * (1 + abs(lo) + abs(hi))
 
@@ -357,12 +357,10 @@ def allocate_workloads(
     ceiling, and the batch replays `gain += gain_rate` one addition at a time,
     so loads, gain and open count are the sample-by-sample greedy's, bit for
     bit.  k gallops: it doubles after a certified batch and halves after a
-    failed one, and it is never offered above what the welfare drop per
-    sample seen so far leaves room for, which spares probes bound to fail
-    in a contested market.  A streak ends, and unit grants resume, when no
-    k >= 2 certifies, when a probe is infinite, at the floor switch, or
-    where the leader closes.  Scan grants never start a streak, nor do
-    loads the curve does not vouch for (`CostCurve.in_segment`).
+    failed one.  A streak ends, and unit grants resume, when no k >= 2
+    certifies, when a probe is infinite, at the floor switch, or where the
+    leader closes.  Scan grants never start a streak, nor do loads the curve
+    does not vouch for (`CostCurve.in_segment`).
 
     A rationality pass does not rerun the greedy from scratch.  The previous
     pass's grants are kept in order, as (client, count) runs, with the first
@@ -486,23 +484,17 @@ def allocate_workloads(
                 picks.append([cid, count])
             grant(cid, count)
 
-        def streak(cid: str, delta: float, rival: float) -> None:
-            """Certified batches for the leader of a heap grant, whose
-            marginal welfare was `delta` (see above)."""
+        def streak(cid: str, rival: float) -> None:
+            """Certified batches for the leader of a heap grant whose
+            runner-up's marginal welfare was `rival` (see above)."""
             nonlocal stride
             q = by_id[cid]
             rate, start, probes = q.gain_rate, load[cid], 0
             if not q.curve.in_segment(start):
                 return
-            # batches are sized so that the welfare drop per sample seen so
-            # far keeps the bound above the rival; a guess, never a proof
-            base = _welfare_of(q, 0.0, prices, alpha, beta)
-            drop = base - delta
             while True:
                 n = load[cid]
                 size = min(stride, q.mtv - n)
-                if drop > 0:
-                    size = min(size, int(max(0.0, min((base - rival) / drop, 1e9))))
                 # replay the gain's additions: the leader stays open for
                 # `steps` grants, and the floor switch comes before grant
                 # `floor_at` (0: already past it)
@@ -523,8 +515,6 @@ def allocate_workloads(
                     why = "infinite probe"
                     break
                 bound = math.nan if rise is None else _welfare_of(q, rise, prices, alpha, beta)
-                if bound == bound:
-                    drop = (base - bound) / steps
                 if math.isfinite(bound) and bound > rival + _TOL:
                     if floor_at is None or bound > _TOL:
                         take(cid, steps)
@@ -557,11 +547,11 @@ def allocate_workloads(
                 raise GainShortfallError(reason, max_achievable(excluded))
             take(pick[1], 1)
             if pick[2] is not None:
-                streak(pick[1], pick[0], pick[2])
+                streak(pick[1], pick[2])
         while (pick := grantable(require_positive=True)) is not None:
             take(pick[1], 1)
             if pick[2] is not None:
-                streak(pick[1], pick[0], pick[2])
+                streak(pick[1], pick[2])
 
         load = _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded

@@ -35,6 +35,12 @@ from oracles import (
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
 
+def certified_curve(samples):
+    """A cost curve over a fixed non-decreasing table, vouched for as one
+    segment, so that the market may grant streaks on it."""
+    return CostCurve(lambda n: (samples[n], 0), len(samples) - 1)
+
+
 def quote(cid, rate, samples):
     return ClientQuote(
         client_id=cid,
@@ -42,13 +48,16 @@ def quote(cid, rate, samples):
         mtv=len(samples) - 1,
         mutv=len(samples) - 1,
         gain_rate=rate,
-        curve=curve_from_samples(samples),
+        curve=certified_curve(samples),
     )
 
 
 class CountingCurve(CostCurve):
-    def __init__(self, samples, counter):
-        super().__init__(lambda n: samples[n], len(samples) - 1)
+    """A fixed table's curve counting its `cost` calls; the segment None
+    vouches for no streak, so the market grants one sample at a time."""
+
+    def __init__(self, samples, counter, segment=0):
+        super().__init__(lambda n: (samples[n], segment), len(samples) - 1)
         self._counter = counter
 
     def cost(self, n):
@@ -237,16 +246,21 @@ class TestAllocate:
         assert report.audit() == []
         assert (alloc, report) == allocate_workloads_reference(quotes, prices, 0.05, 10.0, 1)
 
+    def contested(self, n_clients, curve):
+        """Convex curves a few samples' welfare drop apart, so the lead
+        changes hands every few grants."""
+        return [
+            ClientQuote(
+                f"c{i:02d}", 1.0, 400, 400, 0.01,
+                curve(quadratic_curve(400, 0.1 + 0.01 * i, 0.002 + 1e-4 * i)),
+            )
+            for i in range(n_clients)
+        ]
+
     def test_greedy_lookups_grow_with_grants_not_grants_times_clients(self):
         for n_clients in (10, 30):
             lookups = [0]
-            quotes = [
-                ClientQuote(
-                    f"c{i:02d}", 1.0, 400, 400, 0.01,
-                    CountingCurve(quadratic_curve(400, 0.1 + 0.01 * i, 0.002 + 1e-4 * i), lookups),
-                )
-                for i in range(n_clients)
-            ]
+            quotes = self.contested(n_clients, lambda c: CountingCurve(c, lookups, segment=None))
             alloc, report = allocate_workloads(quotes, self.prices(), 5.0, 100.0, n_clients)
             assert report.audit() == []
             assert len(alloc.workloads) == n_clients  # nobody excluded: one greedy pass
@@ -254,6 +268,29 @@ class TestAllocate:
             # a rescan of every client's marginal per grant would need
             # 2 * clients lookups per grant
             assert lookups[0] <= 3 * (alloc.total_samples + n_clients)
+
+    def test_contested_streak_probes_cost_few_solves(self):
+        # the market above on curves that vouch for streaks: nearly every
+        # batch offered fails, most at k = 2, whose probe c(n+2) the greedy
+        # solves anyway once the client takes its next sample; about one
+        # probe per client is a solve the unit greedy never makes
+        for n_clients in (10, 30):
+            solves, outcomes = {}, {}
+            for segment in (None, 0):
+                count = [0]
+
+                def curve(costs):
+                    def fn(n):
+                        count[0] += 1
+                        return costs[n], segment
+
+                    return CostCurve(fn, len(costs) - 1)
+
+                quotes = self.contested(n_clients, curve)
+                outcomes[segment] = repr(allocate_workloads(quotes, self.prices(), 5.0, 100.0, n_clients))
+                solves[segment] = count[0]
+            assert outcomes[0] == outcomes[None]
+            assert solves[0] <= solves[None] + 2 * n_clients
 
     def test_rationality_passes_replay_instead_of_rescanning(self, monkeypatch):
         # five cheap clients fill up first; ten clients with an activation
@@ -368,8 +405,7 @@ def streak_curve(shape, cap, act, scale, tilt=0.0, stop=None, bump=None, drop=No
     `steep` times steeper past cap // 2: a convex kink).  `tilt` adds tilt*n;
     `stop` makes c infinite past it; `bump` raises c at one load by 90% of
     the least dip CostCurve's contract allows; `drop` (a load) lowers c past it
-    by 5 and starts a second segment there, so the curve comes as
-    (cost, segment) pairs."""
+    by 5 and starts a second segment there."""
     costs = [0.0]
     for n in range(1, cap + 1):
         if shape == "sqrt":
@@ -386,9 +422,7 @@ def streak_curve(shape, cap, act, scale, tilt=0.0, stop=None, bump=None, drop=No
         costs.append(math.inf if stop is not None and n > stop else c)
     if bump is not None and 0 < bump <= cap and math.isfinite(costs[bump]):
         costs[bump] += 0.9 * _DIP_SLACK
-    if drop is None:
-        return curve_from_samples(costs)
-    return CostCurve(lambda n: (costs[n], n > drop), cap)
+    return CostCurve(lambda n: (costs[n], drop is not None and n > drop), cap)
 
 
 def streak_quote(cid, rate, curve):
@@ -451,10 +485,11 @@ def _two_bidders(leader, rival, rate, gain, floor, window, beta=1.0):
     ("b", streak_curve("kink", 18, 0.5, 0.3, bump=8, steep=20)),
     ("a", streak_curve("linear", 27, 0.0, 1.5000000004)), 0.05, 20.05, 1.564701385334457, 1.601,
 ))
-# a segment drop by 5 after a steep run: a batch may not span the segments
+# a segment drop by 5 before a steep run: a batch may not span the
+# segments, where the drop would hide the steep marginals from the bound
 @example(_two_bidders(
-    ("a", streak_curve("kink", 33, 0.0, 0.1, drop=14, steep=50)),
-    ("b", streak_curve("linear", 56, 0.1, 0.5000000004)), 0.01, 100.0, 0.14871626090077328, 1e6,
+    ("a", streak_curve("kink", 10, 0.0, 0.1, drop=3, steep=20)),
+    ("b", streak_curve("linear", 10, 0.0, 0.5)), 0.01, 100.0, 0.0, 1e6,
 ))
 # past the kink at 50 every sample loses welfare, so the floor (60
 # samples) is where the greedy stops
@@ -482,3 +517,17 @@ def test_one_long_streak_costs_few_lookups(caplog):
     ]
     # silent unless the application configures logging
     assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfpsim").handlers)
+
+
+def test_plain_costs_vouch_for_no_streak(caplog):
+    # the curve of the test above as plain costs: nothing says it does not
+    # decrease, so every grant is a unit grant, to the same outcome
+    costs = [0.0] + [3.0 + 0.2 * math.sqrt(n) for n in range(1, 2001)]
+    plain = curve_from_samples(costs)
+    case = ([ClientQuote("a", 1.0, 2000, 2000, 0.01, plain)], PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
+    with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+        got = allocate_workloads(*case)
+    assert caplog.records == []
+    assert not plain.in_segment(1)
+    assert plain.rise_bound(1, 2000) is None
+    assert repr(got) == repr(allocate_workloads_reference(*case))
