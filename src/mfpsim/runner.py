@@ -56,6 +56,7 @@ from .solver import (
     Budgets,
     OutcomeKind,
     SolveInput,
+    fleet_bounds,
     mtv,
     mutv,
 )
@@ -241,8 +242,8 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     optimum unchanged.  The capped budgets are still returned, because the
     integer realization works against them.  When the capped chain cannot
     carry the workload, the uncapped schedule stands (a fallback).  `bounds`
-    is (mtv, mutv) under `budgets`; it does not hold under the capped
-    budgets.  Returns (outcome, budgets_used, fell_back).
+    is (mtv, mutv) under `budgets`; the re-solve takes its own, under the
+    capped budgets.  Returns (outcome, budgets_used, fell_back).
 
     The market reads n -> this cost as a curve (`_curve_fn`) whose
     segments, under the cost objective, are (n > mutv, fell_back).  It dips,
@@ -298,7 +299,10 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     capped = replace(budgets, cons_freq_cells=cap)
     if max(out.decision.comm_down.b, out.decision.comm_up.b) <= cap:
         return out, capped, False
-    out2 = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
+    capped_bounds = (mtv(at, task, capped, quanta), mutv(at, task, prices, capped, quanta))
+    out2 = schedule_with_policy(
+        policy, SolveInput(n, at, task, prices, capped, quanta), bounds=capped_bounds
+    )
     if out2.kind != OutcomeKind.OPTIMAL:
         return out, budgets, True
     return out2, capped, False
@@ -396,14 +400,10 @@ def _trajectory_rows(state, client_ids, r):
 
 
 def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _ClientRound]]:
-    """The round's budgets, and a quote for every client: capacity bounds,
-    quality and a lazy cost curve.
+    """The round's budgets, and a quote for every client (`_quote_fleet`).
 
-    Pipelined, the cycle is the last window's critical path (the transfer
-    chains due now plus the sensing spans that just ran), and a client
-    sharing its window with last round's transfer chain quotes with the
-    sensing bandwidth already reduced by that chain's peak, so the market
-    never allocates a workload the spectrum cannot host.
+    Pipelined, the cycle is the last window's critical path: the transfer
+    chains due now plus the sensing spans that just ran.
     """
     config, quanta = ctx.config, ctx.quanta
     t_cells, b_cells, f_cells = ctx.cells
@@ -418,27 +418,66 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
     global_dist = global_label_distribution(state, distances, geometry, profile.mode)
     statuses = status_attributes(state, distances, geometry, channel, profile, quanta)
     gains, wc = server_gains(state, channel), channel.sensitivity_wc_dbm
-    down = spectral_efficiency(gains, channel.tx_power_server_dbm, wc, channel, quanta).tolist()
-    up = spectral_efficiency(gains, channel.tx_power_client_dbm, wc, channel, quanta).tolist()
-    clients: dict[str, _ClientRound] = {}
-    for cid, at, eff_down, eff_up in zip(ctx.client_ids, statuses, down, up):
-        task = config.task_for(eff_down, eff_up)
+    down = spectral_efficiency(gains, channel.tx_power_server_dbm, wc, channel, quanta)
+    up = spectral_efficiency(gains, channel.tx_power_client_dbm, wc, channel, quanta)
+    return budgets, _quote_fleet(ctx, budgets, statuses, down, up, global_dist, prev_cons)
+
+
+def _quote_fleet(
+    ctx, budgets, statuses, eff_down, eff_up, global_dist, prev_cons
+) -> dict[str, _ClientRound]:
+    """A quote for every client: capacity bounds, quality and a lazy cost
+    curve; a client whose mtv is below 1 gets none.
+
+    Pipelined, a client sharing its window with last round's transfer chain
+    quotes with the sensing bandwidth already reduced by that chain's peak,
+    so the market never allocates a workload the spectrum cannot host.
+
+    The bounds and qualities come from one batched pass over the fleet:
+    `fleet_bounds` gives every client's (mtv, mutv), and one `qod` call
+    the quality of every client that senses a target.  Both are bitwise
+    equal to calling `mtv`, `mutv` and `qod` client by client, as their
+    docstrings argue: numpy's `+ - * /`, `sqrt` and comparisons round as
+    Python's float ops do, the squares stay libm `pow`, Python's `min` and
+    `max` keep their first argument on ties and nan, and `qod` sums each row
+    as it sums a 1-D pair.  `fleet_bounds` takes no mutv where the mtv is
+    below 1, as the per-client loop did not, so the quotes, and what raises,
+    are the per-client loop's.
+    """
+    config = ctx.config
+    client_budgets = []
+    for cid in ctx.client_ids:
         my_budgets = budgets
         prev = prev_cons.get(cid) if ctx.pipelined else None
         if prev is not None:
             peak = max(prev.comm_down.b, prev.comm_up.b)
             if peak > 0:
                 my_budgets = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
-        cap = mtv(at, task, my_budgets, quanta)
+        client_budgets.append(my_budgets)
+    bounds = fleet_bounds(
+        [at.a for at in statuses], [at.b for at in statuses],
+        [bg.gen_bandwidth for bg in client_budgets], eff_down, eff_up,
+        config.task_for(1.0, 1.0),  # the sizes: the efficiencies are per client
+        ctx.prices, budgets, ctx.quanta,
+    )
+    quality = [0.0] * len(statuses)
+    sensed = [i for i, at in enumerate(statuses) if at.label_dist is not None]
+    if sensed and global_dist is not None:
+        rows = np.array([statuses[i].label_dist for i in sensed])
+        for i, q in zip(sensed, qod(rows, global_dist).tolist()):
+            quality[i] = q
+
+    clients: dict[str, _ClientRound] = {}
+    for cid, at, down, up, my_budgets, (cap, n_unc), q in zip(
+        ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist(),
+        client_budgets, bounds, quality,
+    ):
+        task = config.task_for(down, up)
         entry = _ClientRound(cid=cid, attrs=at, quote=None, task=task, budgets=my_budgets)
         clients[cid] = entry
         if cap < 1:
             entry.note = "no feasible workload"
             continue
-        q = 0.0
-        if at.label_dist is not None and global_dist is not None:
-            q = max(0.0, qod(at.label_dist, global_dist))
-        n_unc = mutv(at, task, ctx.prices, my_budgets, quanta)
         entry.bounds = (cap, n_unc)
         cap_i = int(min(cap, 10**7))
 
@@ -450,7 +489,7 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
             gain_rate=config.market["gain_factor"] * q,
             curve=CostCurve(_curve_fn(ctx, at, task, my_budgets, entry.bounds), cap_i),
         )
-    return budgets, clients
+    return clients
 
 
 def _selection_metrics(clients, budgets, quanta) -> dict[str, SelectionMetrics]:

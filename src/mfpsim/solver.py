@@ -27,6 +27,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .costs import (
     ComputeSchedule,
     ConsumptionTask,
@@ -501,6 +503,145 @@ def mutv(
     if cons == INFEASIBLE_SENTINEL:
         return INFEASIBLE_SENTINEL
     return _floor_tol(min(gen, cons))
+
+
+def fleet_bounds(
+    a,
+    b,
+    gen_bandwidth,
+    eff_down,
+    eff_up,
+    task: ConsumptionTask,
+    prices: PriceVector,
+    budgets: Budgets,
+    quanta: ResourceQuanta = ResourceQuanta(),
+) -> list[tuple[float, float | None]]:
+    """`mtv` and `mutv` of a whole fleet in one numpy pass.
+
+    Client i has coefficients a[i] and b[i], `task` with the efficiencies
+    eff_down[i] and eff_up[i], and `budgets` with the sensing bandwidth
+    gen_bandwidth[i].  Its pair is (mtv, mutv) of those inputs, with the same
+    values and Python types: an int, an infinity or the -1 sentinel.  The
+    mutv is None where the mtv is below 1: such a client does not quote, so,
+    as in a per-client loop, its mutv is never taken and cannot raise.
+
+    Bitwise equal to the scalar functions, which stay the definition:
+    - the `* / + -` steps, `sqrt` and comparisons are numpy ops in the
+      scalar expressions' order, each correctly rounded like Python's; the
+      sums start from 0.0 where the scalar's start from the int 0, the same
+      float for the nonnegative terms added here;
+    - Python's `min(x, y)` is `np.where(y < x, y, x)` and `max(x, y)` is
+      `np.where(y > x, y, x)`: both keep the first argument on ties and nan;
+    - the squares stay Python `**` (libm `pow`) in per-client expressions,
+      as do `over_product` and the final `_floor_tol`, so overflow and zero
+      divisions raise for the clients whose scalar calls raise, and only
+      for those;
+    - numpy's warnings are off, as branches the scalar never takes are
+      computed and then discarded.
+    """
+    a, b, w, eff_down, eff_up = (
+        np.asarray(x, dtype=float) for x in (a, b, gen_bandwidth, eff_down, eff_up)
+    )
+    with np.errstate(all="ignore"):
+        vol_down, dead_down = _fleet_volume(task.d_down_bits, eff_down, quanta)
+        vol_up, dead_up = _fleet_volume(task.d_up_bits, eff_up, quanta)
+        dead = dead_down | dead_up
+        caps = _fleet_mtv(a, b, w, vol_down, vol_up, dead, task, budgets, quanta)
+        q = np.array([i for i, cap in enumerate(caps) if cap >= 1], dtype=int)
+        n_unc = _fleet_mutv(
+            a[q], b[q], w[q], vol_down[q], vol_up[q], dead[q], task, prices, budgets, quanta
+        )
+    out = [(cap, None) for cap in caps]
+    for i, n in zip(q.tolist(), n_unc):
+        out[i] = (caps[i], n)
+    return out
+
+
+def _fleet_volume(bits, eff, quanta):
+    """Each client's transfer volume in cell^2, as `_consumption_processes`
+    takes it, and whether its link cannot carry the transfer."""
+    if not bits > 0:
+        return np.zeros(len(eff)), np.zeros(len(eff), dtype=bool)
+    cell_bits = eff * quanta.time_s * quanta.freq_hz
+    return bits / cell_bits, cell_bits <= 0
+
+
+def _fleet_floor(gen, cons) -> list:
+    """`_floor_tol(min(gen, cons))` per client, or the sentinel where the
+    chain side is infeasible."""
+    m = np.where(cons < gen, cons, gen)
+    return [
+        INFEASIBLE_SENTINEL if c == INFEASIBLE_SENTINEL else _floor_tol(x)
+        for c, x in zip(cons.tolist(), m.tolist())
+    ]
+
+
+def _fleet_mtv(a, b, w, vol_down, vol_up, dead, task, budgets, quanta) -> list:
+    """`_gen_mtv` and `_cons_mtv` per client, floored as `mtv` floors them."""
+    t_b = budgets.t_budget
+    live = (b > 0) & (w > 0)
+    gen = a * t_b + np.where(live, b * t_b * w, 0.0)
+    gen = np.where(math.isinf(t_b) | (live & np.isinf(w)), math.inf, gen)
+    gen = np.where((a <= 0) & ~live, 0.0, gen)
+
+    width = budgets.cons_bandwidth
+    fixed = 0.0
+    for vol in (vol_down, vol_up):
+        used = vol > 0
+        t = vol / width
+        dead = dead | (used & ((width <= 0) | np.isinf(t)))
+        fixed = fixed + np.where(used, t, 0.0)
+    dead = dead | (fixed > t_b * (1 + _TOL))
+    cycles, compute = task.cycles_per_sample, budgets.compute_cells
+    if cycles <= 0 or math.isinf(compute) or math.isinf(t_b):
+        cons = np.full(len(a), math.inf)
+    else:
+        cell_cycles = quanta.compute_cycles_per_s * quanta.time_s
+        cons = (t_b - fixed) * compute * cell_cycles / cycles
+    return _fleet_floor(gen, np.where(dead, float(INFEASIBLE_SENTINEL), cons))
+
+
+def _fleet_mutv(a, b, w, vol_down, vol_up, dead, task, prices, budgets, quanta) -> list:
+    """`_gen_mutv` and `_cons_mutv` per client, floored as `mutv` floors them."""
+    t_b = budgets.t_budget
+    # the sensing side's branches, the first that holds wins: nothing sensed,
+    # visual only, the time box binds in the visual regime, else the curve
+    visual = (a > 0) & (t_b * b * prices.time <= a * prices.freq)
+    curve = ~(b <= 0) & ~visual
+    gen = np.where((a <= 0) & (b <= 0), 0.0, a * t_b)
+    if curve.any():
+        bound_t = math.inf if math.isinf(t_b) else t_b**2 * b[curve] * prices.time / prices.freq
+        bound_b = np.array([
+            over_product(x**2 * prices.freq, y, prices.time)
+            for x, y in zip((a + b * w)[curve].tolist(), b[curve].tolist())
+        ])
+        bound_b[np.isinf(w[curve])] = math.inf
+        gen[curve] = np.where(bound_b < bound_t, bound_b, bound_t)
+
+    width = budgets.cons_bandwidth
+    for vol in (vol_down, vol_up):
+        dead = dead | ((vol > 0) & (np.sqrt(vol * prices.time / prices.freq) > width * (1 + _TOL)))
+    cycles, compute = task.cycles_per_sample, budgets.compute_cells
+    cell_cycles = quanta.compute_cycles_per_s * quanta.time_s
+    bound = math.inf
+    if cycles > 0 and not math.isinf(compute) and not dead.all():
+        bound = min(bound, compute**2 * prices.compute * cell_cycles / (prices.time * cycles))
+    cons = np.full(len(a), bound)
+    if not math.isinf(t_b):
+        fixed = 0.0
+        for vol in (vol_down, vol_up):
+            fixed = fixed + np.where(vol > 0, np.sqrt(vol * prices.freq / prices.time), 0.0)
+        slack = t_b - fixed
+        dead = dead | (slack < -_TOL)
+        reach = ~dead
+        if cycles > 0 and reach.any():
+            k = cycles / cell_cycles
+            bound_s = np.array([
+                s**2 * prices.time / (k * prices.compute)
+                for s in np.where(0.0 > slack[reach], 0.0, slack[reach]).tolist()
+            ])
+            cons[reach] = np.where(bound_s < cons[reach], bound_s, cons[reach])
+    return _fleet_floor(gen, np.where(dead, float(INFEASIBLE_SENTINEL), cons))
 
 
 def _consumption_decision(splits) -> tuple[TransferSchedule, ComputeSchedule, TransferSchedule]:

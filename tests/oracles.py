@@ -9,10 +9,11 @@ tests compare with `==`: the binding-set enumeration with a dict per
 candidate, the workload allocation rerunning its greedy from scratch on every
 rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, one client's target distances,
-sensing status and server link taken on their own, and the fixed number of
-single folds mobility used to take.  The market tests build their cost
-curves from fixed tables with `curve_from_samples`; the golden and
-determinism tests compare runs by `output_hashes`.
+sensing status and server link taken on their own, the fixed number of
+single folds mobility used to take, and the per-client quote loop.  The
+market tests build their cost curves from fixed tables with
+`curve_from_samples`; the golden and determinism tests compare runs by
+`output_hashes`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -489,6 +491,34 @@ def status_attributes(state, distances, geometry, channel, profile, quanta):
         n_visual_targets=int(in_vsd.size),
         n_wireless_targets=int(in_annulus.size),
     )
+
+
+def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, prev_cons):
+    """The quote loop the runner ran before its batched pass, one `mtv`,
+    `mutv` and `qod` call per client: client id -> (task, budgets, mtv,
+    (mutv, qod) or None when the client does not quote).
+    `runner._quote_fleet` must match it by `repr`."""
+    from mfpsim.sensing import qod
+    from mfpsim.solver import mtv, mutv
+
+    out = {}
+    for cid, at, down, up in zip(ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist()):
+        task = ctx.config.task_for(down, up)
+        my_budgets = budgets
+        prev = prev_cons.get(cid) if ctx.pipelined else None
+        if prev is not None:
+            peak = max(prev.comm_down.b, prev.comm_up.b)
+            if peak > 0:
+                my_budgets = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
+        cap = mtv(at, task, my_budgets, ctx.quanta)
+        out[cid] = (task, my_budgets, cap, None)
+        if cap < 1:
+            continue
+        q = 0.0
+        if at.label_dist is not None and global_dist is not None:
+            q = max(0.0, qod(at.label_dist, global_dist))
+        out[cid] = (task, my_budgets, cap, (mutv(at, task, ctx.prices, my_budgets, ctx.quanta), q))
+    return out
 
 
 def output_hashes(record):

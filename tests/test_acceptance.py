@@ -370,7 +370,7 @@ def _mode_gain(state, mode, seed):
         cap = mtv(at, task, budgets, quanta)
         if cap < 1 or global_dist is None or at.label_dist is None:
             continue
-        q = max(0.0, qod(at.label_dist, global_dist))
+        q = qod(at.label_dist, global_dist)
         fn = lambda n, _at=at: constrained_schedule(
             SolveInput(n, _at, task, pv, budgets, quanta)
         ).cost

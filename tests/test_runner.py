@@ -3,12 +3,13 @@ import math
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.baselines import Policy, schedule_with_policy
-from mfpsim.config import load_config
+from mfpsim.config import ExperimentConfig, load_config
 from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, TransferSchedule
 from mfpsim.market import _DIP_SLACK
 from mfpsim.resource_pool import ResourceQuanta
@@ -23,10 +24,10 @@ from mfpsim.runner import (
     validate_summary_rows,
 )
 from mfpsim.scenario import StatusAttributes
-from mfpsim.solver import Budgets, OutcomeKind, SolveInput, mtv, mutv
+from mfpsim.solver import Budgets, OutcomeKind, SolveInput, fleet_bounds, mtv, mutv
 
 import mfpsim.runner as runner
-from oracles import output_hashes
+from oracles import output_hashes, quotes_per_client
 from test_golden import CONFIGS
 
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
@@ -317,6 +318,184 @@ def test_precomputed_bounds_give_the_same_outcome(case):
     bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
     for policy in Policy:
         assert schedule_with_policy(policy, inp, bounds=bounds) == schedule_with_policy(policy, inp)
+
+
+DEFAULTS = load_config()
+
+
+def _fleet(*clients, task=(1e8, 1e8, 500.0), prices=(1.0, 0.05, 0.5),
+           cells=(10.0, 400.0, 10.0, 10.0), pipelined=True, global_=(1, 1, 1, 1)):
+    """A round's fleet at the quote.  A client is (a, b, eff_down, eff_up,
+    peak of last round's chain or None, label counts or None); cells are
+    (time, freq, compute, cycle)."""
+    return dict(task=task, prices=prices, cells=cells, pipelined=pipelined,
+                global_=global_, clients=list(clients))
+
+
+def _eff_down_at_slack(fleet, eff_up, slack):
+    """The download efficiency that leaves the box-free chain of `mutv` a
+    time slack of `slack` cells (default quanta), or None."""
+    (d_down, d_up, _), (p_time, p_freq, _) = fleet["task"], fleet["prices"]
+    t_b = min(fleet["cells"][0], fleet["cells"][3])
+    up_t = math.sqrt(d_up / (eff_up * 1e6) * p_freq / p_time) if d_up > 0 and eff_up > 0 else 0.0
+    down_t = t_b - slack - up_t
+    if d_down <= 0 or down_t < 1e-3:
+        return None
+    return d_down * p_freq / (down_t**2 * p_time * 1e6)
+
+
+@st.composite
+def fleets(draw):
+    """Fleets at the edges of every `mtv`/`mutv` branch: sensing
+    coefficients of 0 and 5e-324, dead links under nonzero model sizes, zero
+    sizes and cycles, a zero time budget, sensing bandwidth used up by last
+    round's chain, and download times that leave `mutv` a slack within 2e-9
+    of zero."""
+    bits = st.sampled_from([0.0, 1e7, 1e8, 4e8])
+    freq = draw(st.integers(1, 400))
+    labels = st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any)
+    fleet = _fleet(
+        task=(draw(bits), draw(bits), draw(st.sampled_from([0.0]) | st.floats(50.0, 1000.0))),
+        prices=(draw(st.floats(0.2, 5.0)), draw(st.floats(0.01, 0.5)), draw(st.floats(0.1, 2.0))),
+        cells=(10.0, float(freq), float(draw(st.integers(1, 10))), float(draw(st.integers(0, 10)))),
+        pipelined=draw(st.booleans()),
+        global_=draw(st.none() | labels),
+    )
+    for _ in range(draw(st.integers(1, 6))):
+        eff_down, eff_up = draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 40.0))
+        slack = draw(st.none() | st.floats(-2e-9, 2e-9))
+        if slack is not None:
+            eff_down = _eff_down_at_slack(fleet, eff_up, slack) or eff_down
+        fleet["clients"].append((
+            draw(st.floats(0.0, 60.0)),
+            draw(st.sampled_from([0.0, 5e-324]) | st.floats(1e-3, 0.5) | st.floats(0.0, 1e-300)),
+            eff_down,
+            eff_up,
+            draw(st.none() | st.sampled_from([0.0, float(freq)]) | st.floats(0.0, freq + 10.0)),
+            draw(st.none() | labels),
+        ))
+    return fleet
+
+
+def _quote_inputs(fleet):
+    """`runner._quote_fleet`'s arguments for a drawn fleet."""
+    (d_down, d_up, cycles), (p_time, p_freq, p_compute) = fleet["task"], fleet["prices"]
+    config = ExperimentConfig({
+        **DEFAULTS.raw,
+        "task": {"model_down_bits": d_down, "model_up_bits": d_up, "cycles_per_sample": cycles},
+        "prices": {**DEFAULTS.raw["prices"], "time": p_time, "freq": p_freq, "compute": p_compute},
+    })
+    clients = fleet["clients"]
+    ids = tuple(f"c{i:03d}" for i in range(len(clients)))
+    ctx = _RunContext(config, config.policy, config.prices(), config.quanta(), None,
+                      fleet["pipelined"], ids)
+    time, freq, compute, cycle = fleet["cells"]
+    statuses = [
+        StatusAttributes(a, b, None if label is None else np.array(label) / sum(label))
+        for a, b, _, _, _, label in clients
+    ]
+    prev_cons = {
+        cid: ScheduleDecision(
+            comm_down=TransferSchedule(1.0, c[4]), comm_up=TransferSchedule(1.0, c[4] / 2)
+        )
+        for cid, c in zip(ids, clients) if c[4] is not None
+    }
+    g = fleet["global_"]
+    return (
+        ctx, Budgets(time, freq, compute, cycle_cells=cycle), statuses,
+        np.array([c[2] for c in clients]), np.array([c[3] for c in clients]),
+        None if g is None else np.array(g) / sum(g), prev_cons,
+    )
+
+
+# every `mtv`/`mutv` branch, one or two fleets each
+DEAD_LINKS = _fleet(  # mtv: a dead link, an infinite transfer volume, a chain
+    # longer than the window; mutv: a box-free transfer wider than the band
+    (10.0, 0.1, 0.0, 12.0, None, (1, 0, 0, 0)), (10.0, 0.1, 5e-324, 12.0, None, None),
+    (10.0, 0.1, 0.5, 0.5, None, None), (10.0, 0.1, 40.0, 40.0, None, (0, 1, 1, 0)),
+    cells=(10.0, 1.0, 10.0, 10.0),
+)
+NO_CHAIN = _fleet(  # nothing to transfer or train: mtv from sensing alone;
+    # mutv: nothing sensed, visual only, visual regime at b = 5e-324
+    (0.0, 0.0, 1.0, 1.0, None, None), (10.0, 0.0, 1.0, 1.0, None, (1, 2, 3, 4)),
+    (10.0, 5e-324, 1.0, 1.0, None, None), (0.0, 5e-324, 1.0, 1.0, None, None),
+    task=(0.0, 0.0, 0.0),
+)
+ZERO_WINDOW = _fleet((10.0, 0.1, 12.0, 8.0, None, None), cells=(10.0, 400.0, 10.0, 0.0))
+ZERO_WINDOW_NO_CHAIN = _fleet((10.0, 0.1, 12.0, 8.0, None, None), task=(0.0, 0.0, 0.0),
+                              cells=(10.0, 400.0, 10.0, 0.0))
+BAND_USED_UP = _fleet(  # a chain as wide as the band leaves no sensing bandwidth
+    (0.0, 0.2, 12.0, 8.0, 400.0, None), (10.0, 0.2, 12.0, 8.0, 400.0, (2, 0, 1, 1)),
+    (10.0, 0.2, 12.0, 8.0, 399.5, None), (10.0, 0.2, 12.0, 8.0, 0.0, None),
+)
+SENSING_CURVE = _fleet(  # mutv's time box, band box and visual regime
+    (20.0, 0.3, 12.0, 8.0, None, (1, 1, 0, 0)), (0.5, 0.01, 12.0, 8.0, None, (0, 0, 1, 1)),
+    (50.0, 0.001, 12.0, 8.0, None, None), (0.0, 0.4, 12.0, 8.0, 350.0, None),
+    task=(1e7, 1e7, 50.0), cells=(10.0, 400.0, 10.0, 3.0),
+)
+UNBOUNDED = _fleet((10.0, 0.1, 12.0, 8.0, None, None), (0.0, 0.0, 12.0, 8.0, None, None),
+                   cells=(math.inf, math.inf, math.inf, math.inf))
+SLACK_NEAR_ZERO = _fleet(*(
+    (10.0, 0.1, _eff_down_at_slack(_fleet(), 8.0, s), 8.0, None, None)
+    for s in (-1.5e-9, -1e-9, -0.5e-9, 0.0, 1e-9)
+))
+# what the scalar calls raise, the batched pass raises: a square that
+# overflows (sensing band, then chain slack) and a subnormal cycle count
+SQUARE_OVERFLOWS = _fleet((1.0, 1e300, 12.0, 8.0, None, None))
+SLACK_SQUARE_OVERFLOWS = _fleet((10.0, 0.0, 12.0, 8.0, None, None),
+                                cells=(1e200, 400.0, 10.0, 1e200))
+SUBNORMAL_CYCLES = _fleet((10.0, 0.1, 12.0, 8.0, None, None), task=(1e8, 1e8, 5e-324))
+# b * time_price overflows: the band bound is nan, which Python's min skips
+NAN_BAND_BOUND = _fleet((1.0, 1e308, 12.0, 8.0, None, None), prices=(5.0, 0.05, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fleets())
+@example(DEAD_LINKS)
+@example(NO_CHAIN)
+@example(ZERO_WINDOW)
+@example(ZERO_WINDOW_NO_CHAIN)
+@example(BAND_USED_UP)
+@example(SENSING_CURVE)
+@example(UNBOUNDED)
+@example(SLACK_NEAR_ZERO)
+@example(SQUARE_OVERFLOWS)
+@example(SLACK_SQUARE_OVERFLOWS)
+@example(SUBNORMAL_CYCLES)
+@example(NAN_BAND_BOUND)
+def test_quotes_equal_the_per_client_oracle(fleet):
+    args = _quote_inputs(fleet)
+    errors = (OverflowError, ZeroDivisionError, ValueError)
+    try:
+        expected = quotes_per_client(*args)
+    except errors:
+        # which error comes first can differ when two clients raise different
+        # ones, as the pass takes each step for the whole fleet at once
+        with pytest.raises(errors):
+            runner._quote_fleet(*args)
+        return
+    pairs = []  # what the batched pass gave every client, quoting or not
+
+    def kernel(*a, **k):
+        pairs.extend(fleet_bounds(*a, **k))
+        return pairs
+
+    with mock.patch.object(runner, "fleet_bounds", kernel):
+        clients = runner._quote_fleet(*args)
+    assert list(clients) == list(expected)
+    for (cid, (task, budgets, cap, quote)), pair in zip(expected.items(), pairs):
+        c = clients[cid]
+        assert repr(c.task) == repr(task)
+        assert repr(c.budgets) == repr(budgets)
+        if quote is None:
+            event("no quote")
+            assert repr(pair) == repr((cap, None))
+            assert (c.quote, c.bounds, c.note) == (None, None, "no feasible workload")
+            continue
+        n_unc, q = quote
+        event(f"quote, mutv {'-1' if n_unc == -1 else type(n_unc).__name__}")
+        assert repr(c.bounds) == repr(pair) == repr((cap, n_unc))
+        assert repr(c.quote.qod) == repr(q)
 
 
 @pytest.mark.parametrize("policy", ["SISCC", "MLPG"])

@@ -24,6 +24,31 @@ class TestQod:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             qod(np.array([1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            qod(np.full((3, 4), 0.25), np.full(5, 0.2))
+
+    def test_distance_past_one_is_clamped(self):
+        # disjoint supports whose total-variation distance rounds to 1 + 2**-52
+        p = np.array([0.0, 0.32886325509377234, 0.5300512099675688, 0.14108553493865886])
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        assert 1.0 - 0.5 * np.abs(p - q).sum() < 0
+        assert repr(qod(p, q)) == "0.0"
+        assert repr(qod(np.stack([p, q]), q).tolist()) == "[0.0, 1.0]"
+
+    # around numpy's pairwise-sum blocks: 8-way unrolled, 128 per block
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_rows_equal_one_dimensional_calls(self, k):
+        rng = np.random.default_rng(k)
+        glob = rng.dirichlet(np.full(k, 0.3))
+        rows = np.vstack([
+            rng.dirichlet(np.full(k, 0.3), size=40),  # wide spread of magnitudes
+            np.eye(k)[: min(k, 3)],  # one class sensed
+            glob,
+        ])
+        values = qod(rows, glob)
+        assert values.shape == (len(rows),)
+        for row, v in zip(rows, values.tolist()):
+            assert repr(v) == repr(qod(row, glob))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12), st.data())
