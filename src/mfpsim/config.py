@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from .baselines import Policy
 from .costs import ConsumptionTask, PriceVector
 from .errors import ConfigError
@@ -120,19 +118,81 @@ SCHEMA = _obj(
 
 @functools.cache
 def _validator():
-    """SCHEMA's validator, with the schema itself checked once per process.
+    """SCHEMA's validator, built on the first config the fast check does not
+    accept; jsonschema is imported only then.
 
     A "number" must be finite: Python's `json` reads Infinity and NaN, and
     NaN passes every bound check.
     """
+    import jsonschema
+
     cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
     finite = cls.TYPE_CHECKER.redefine(
         "number",
         lambda checker, x: cls.TYPE_CHECKER.is_type(x, "number")
         and (not isinstance(x, float) or math.isfinite(x)),
     )
     return jsonschema.validators.extend(cls, type_checker=finite)(SCHEMA)
+
+
+_STRICT_TYPES = {
+    "object": lambda x: type(x) is dict,
+    "array": lambda x: type(x) is list,
+    "integer": lambda x: type(x) is int,
+    "number": lambda x: type(x) is int or (type(x) is float and math.isfinite(x)),
+    "boolean": lambda x: type(x) is bool,
+}
+_PLAIN_KEYWORDS = {
+    "type", "properties", "additionalProperties", "required", "items",
+    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "enum", "const",
+}
+
+
+def _plainly_valid(x, schema: dict) -> bool:
+    """True only when `_validator()` would find no error in `x`.
+
+    A sufficient check, read off the keywords SCHEMA uses, with types taken
+    strictly (a bool is no integer or number, 1.0 is no integer, a number is
+    finite) and checked before anything else.  Any other keyword, or any
+    doubt, answers False and leaves the verdict to jsonschema.
+    """
+    if not _PLAIN_KEYWORDS.issuperset(schema):
+        return False
+    if "type" in schema:
+        strict = _STRICT_TYPES.get(schema["type"]) if type(schema["type"]) is str else None
+        if strict is None or not strict(x):
+            return False
+    if "enum" in schema and not (type(x) is str and x in schema["enum"]):
+        return False
+    if "const" in schema:
+        c = schema["const"]
+        if type(c) not in (str, int) or type(x) is not type(c) or x != c:
+            return False
+    if {"minimum", "maximum", "exclusiveMinimum"} & schema.keys():
+        # only a strict number type above makes x a finite number
+        if schema.get("type") not in ("integer", "number"):
+            return False
+        if not schema.get("minimum", x) <= x <= schema.get("maximum", x):
+            return False
+        if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
+            return False
+    if {"properties", "additionalProperties", "required"} & schema.keys():
+        props = schema.get("properties", {})
+        if (
+            type(x) is not dict
+            or schema.get("additionalProperties") is not False
+            or not all(k in x for k in schema.get("required", []))
+            or not all(k in props and _plainly_valid(v, props[k]) for k, v in x.items())
+        ):
+            return False
+    if {"items", "minItems", "maxItems"} & schema.keys():
+        if (
+            type(x) is not list
+            or not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x))
+            or not all(_plainly_valid(v, schema.get("items", {})) for v in x)
+        ):
+            return False
+    return True
 
 
 def default_config() -> dict:
@@ -274,12 +334,15 @@ def load_config(
         if not isinstance(layer, dict):
             raise ConfigError("top level must be a JSON object", where)
         merged = _deep_merge(merged, layer)
-    # the same error jsonschema.validate would raise, without re-checking the
-    # constant schema on every call
-    err = jsonschema.exceptions.best_match(_validator().iter_errors(merged))
-    if err is not None:
-        path = "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(err.message, path) from err
+    # a document the fast check accepts has no schema error; any other gets
+    # the error jsonschema.validate would raise
+    if not _plainly_valid(merged, SCHEMA):
+        from jsonschema.exceptions import best_match
+
+        err = best_match(_validator().iter_errors(merged))
+        if err is not None:
+            path = "/".join(str(p) for p in err.absolute_path)
+            raise ConfigError(err.message, path) from err
     # every SNR divides by the noise power over one frequency cell
     noise = merged["scenario"]["channel"]["noise_density_w_per_hz"]
     if noise * merged["resources"]["quanta"]["freq_hz"] == 0:
@@ -297,6 +360,19 @@ def load_config(
     if not math.isfinite(2 * sc["area_m"] + reach):
         key = "area_m" if math.isfinite(reach) else "max_speed_mps"
         raise ConfigError("twice the area plus a round's longest move overflows", f"scenario/{key}")
+    # the consumption bounds divide by the time price times the cycles per
+    # sample, and by the compute price times a sample's share of a compute cell
+    cycles, p, q = merged["task"]["cycles_per_sample"], merged["prices"], r["quanta"]
+    if cycles > 0 and p["time"] * cycles == 0:
+        raise ConfigError(
+            "times prices/time, the cycles per sample underflow to 0", "task/cycles_per_sample"
+        )
+    if cycles > 0 and cycles / (q["compute_cycles_per_s"] * q["time_s"]) * p["compute"] == 0:
+        raise ConfigError(
+            "per compute cell of resources/quanta, times prices/compute,"
+            " the cycles per sample underflow to 0",
+            "task/cycles_per_sample",
+        )
     return config
 
 

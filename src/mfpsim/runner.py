@@ -113,7 +113,7 @@ class RunRecord:
         out = {
             "summary.csv": _csv_text(SUMMARY_COLUMNS, self.summary_rows),
             "clients.jsonl": "".join(
-                json.dumps(row, sort_keys=True) + "\n" for row in self.client_rows
+                _JSONL.encode(row) + "\n" for row in self.client_rows
             ),
             "timeline.csv": _csv_text(TIMELINE_COLUMNS, self.timeline_rows),
             "run.json": self.run_json(),
@@ -141,12 +141,15 @@ class RunRecord:
         return sum(r["gain"] for r in self.summary_rows)
 
 
+# the encoder json.dumps(row, sort_keys=True) builds on every call
+_JSONL = json.JSONEncoder(sort_keys=True)
+
+
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row[k]) for k in columns})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([[_fmt(row[k]) for k in columns] for row in rows])
     return buf.getvalue()
 
 

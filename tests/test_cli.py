@@ -247,3 +247,9 @@ def test_solve_one_explain_trace(capsys):
     trace = json.loads(capsys.readouterr().out)["trace"]
     assert code == EXIT_OK
     assert trace == {"solution": "active-set", "gen_active": ["gen_time"], "cons_active": []}
+
+
+def test_cycles_per_sample_that_underflows_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "tiny.json", json.dumps({"task": {"cycles_per_sample": 5e-324}}))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert "task/cycles_per_sample" in capsys.readouterr().err

@@ -1,10 +1,30 @@
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mfpsim.config import SCHEMA, _deep_merge, config_hash, default_config, load_config
+import mfpsim
+from mfpsim.config import (
+    SCHEMA,
+    _deep_merge,
+    _plainly_valid,
+    _validator,
+    config_hash,
+    default_config,
+    load_config,
+)
 from mfpsim.errors import ConfigError
+
+from test_golden import CONFIGS
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 
 def test_defaults_load_and_validate():
@@ -119,3 +139,164 @@ def test_unreadable_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(tmp_path / "missing.json")
     assert err.value.path == str(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"task": {"cycles_per_sample": 5e-324}},
+        {"task": {"cycles_per_sample": 1e-300}, "prices": {"compute": 1e-30}},
+        {"resources": {"quanta": {"compute_cycles_per_s": 1e300, "time_s": 1e10}}},
+        {"task": {"cycles_per_sample": 1e-200}, "prices": {"time": 1e-200}},
+    ],
+    ids=["subnormal", "compute-price", "cell-cycles-overflow", "time-price"],
+)
+def test_cycles_per_sample_whose_consumption_bound_divides_by_zero_rejected(override):
+    # the consumption bounds divide by prices.time * cycles and by
+    # cycles / (compute_cycles_per_s * time_s) * prices.compute
+    with pytest.raises(ConfigError) as err:
+        load_config(override)
+    assert err.value.path == "task/cycles_per_sample"
+    assert "underflow to 0" in str(err.value)
+
+
+def test_zero_cycles_per_sample_still_accepted():
+    assert load_config({"task": {"cycles_per_sample": 0.0}}).raw["task"]["cycles_per_sample"] == 0
+
+
+def test_schema_is_a_valid_schema():
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+def _accepted_documents():
+    docs = {"defaults": default_config()}
+    workloads = json.loads(PERFBENCH.read_text())["workloads"]
+    for name, w in workloads.items():
+        docs[f"perfbench-{name}"] = _deep_merge(default_config(), w["config"])
+    for name, cfg in CONFIGS.items():
+        docs[f"golden-{name}"] = _deep_merge(default_config(), cfg)
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_accepted_documents()))
+def test_fast_check_accepts_shipped_and_golden_configs(name):
+    assert _plainly_valid(_accepted_documents()[name], SCHEMA)
+
+
+def test_fast_check_declines_keywords_it_does_not_read():
+    assert not _plainly_valid("abc", {"type": "string", "pattern": "^x"})
+    schema = copy.deepcopy(SCHEMA)
+    schema["properties"]["scenario"]["properties"]["sensing_mode"]["pattern"] = "^m"
+    assert not _plainly_valid(default_config(), schema)
+    assert not _plainly_valid(1, {"type": ["integer", "null"]})
+
+
+def _paths(doc, here=()):
+    yield here
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, (*here, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, (*here, i))
+
+
+_DEFAULTS = default_config()
+_PATHS = list(_paths(_DEFAULTS))[1:]
+_DELETE, _EXTRA = "<delete>", "<extra key>"
+
+
+def _at(path):
+    node = _DEFAULTS
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _near_misses(value):
+    """Replacements one step off the default `value`: deletion, wrong types,
+    edge floats, non-finite numbers, wrong lengths, enum near-misses."""
+    if isinstance(value, bool):
+        return st.sampled_from([_DELETE, None, 0, 1, "true", not value])
+    if isinstance(value, (int, float)):
+        edges = [
+            float(value), int(value), -value, value + 1, 0, 0.0, -0.0, 5e-324, -5e-324,
+            float("nan"), float("inf"), float("-inf"), 300, 300.0, 300.00000000000006,
+        ]
+        return st.one_of(
+            st.booleans(),
+            st.sampled_from([_DELETE, None, str(value), 2**64]),
+            st.sampled_from(edges),
+            st.integers(-3, 3),
+            st.floats(),
+        )
+    if isinstance(value, str):
+        return st.sampled_from(
+            [_DELETE, value.lower(), value.upper(), value + " ", value[:-1], "", None, 1]
+        )
+    if isinstance(value, list):
+        return st.sampled_from(
+            [_DELETE, value[:-1], [*value, 1.0], [], [True] * len(value), None, "x", {}]
+        )
+    return st.sampled_from([_DELETE, _EXTRA, {}, None, [], "x"])
+
+
+_MUTATION = st.sampled_from(_PATHS).flatmap(
+    lambda path: st.tuples(st.just(path), _near_misses(_at(path)))
+)
+
+
+def _mutate(doc, path, value):
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    if value == _DELETE:
+        del node[key]
+    elif value == _EXTRA:
+        node[key]["bogus"] = 1
+    else:
+        node[key] = copy.deepcopy(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+@example([(("rounds",), True)])
+@example([(("scenario", "n_clients"), 1.0)])
+@example([(("scenario", "channel", "sensitivity_ws_dbm"), float("nan"))])
+@example([(("market", "gain_window"), float("inf"))])
+@example([(("prices", "time"), 0)])
+@example([(("prices", "freq"), -0.0)])
+@example([(("scenario", "channel"), _EXTRA)])
+@example([(("policy",), "siscc")])
+@example([(("version",), True)])
+@example([(("resources", "scale"), [1.0, 1.0])])
+def test_fast_check_accepts_nothing_jsonschema_rejects(mutations):
+    doc = default_config()
+    for path, value in mutations:
+        try:
+            _mutate(doc, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or retyped the path
+    if _plainly_valid(doc, SCHEMA):
+        assert list(_validator().iter_errors(doc)) == []
+
+
+def test_cold_load_of_a_valid_config_leaves_jsonschema_unimported():
+    script = (
+        "import sys, mfpsim\n"
+        "mfpsim.load_config({'rounds': 1, 'policy': 'MLPG'})\n"
+        "assert 'jsonschema' not in sys.modules, 'imported on a valid config'\n"
+        "try:\n"
+        "    mfpsim.load_config({'rounds': -1})\n"
+        "except mfpsim.ConfigError as err:\n"
+        "    print(err.path)\n"
+        "assert 'jsonschema' in sys.modules\n"
+    )
+    src = str(Path(mfpsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "rounds\n"
