@@ -49,7 +49,7 @@ class Policy(str, Enum):
     MLPG = "MLPG"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelectionMetrics:
     """Per-client figures the latency/product rankings are built from, all at
     full parallel width."""
@@ -61,7 +61,7 @@ class SelectionMetrics:
     peak_sample_rate: float  # best per-cell yield: a + b * bandwidth
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PolicySpec:
     """Everything a policy changes relative to SISCC.
 

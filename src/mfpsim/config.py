@@ -195,6 +195,25 @@ def _plainly_valid(x, schema: dict) -> bool:
     return True
 
 
+def _unfloatable(x, schema: dict, path: str = "") -> str | None:
+    """JSON path of the first integer at a "number" key of a valid `x` that
+    overflows a float, or None.  The schema's "number" takes any integer,
+    and the engine's float arithmetic raises OverflowError on such a one."""
+    if schema.get("type") == "number" and type(x) is int:
+        try:
+            float(x)
+        except OverflowError:
+            return path
+    for key, sub in schema.get("properties", {}).items():
+        if key in x and (found := _unfloatable(x[key], sub, f"{path}/{key}" if path else key)):
+            return found
+    if "items" in schema:
+        for i, v in enumerate(x):
+            if found := _unfloatable(v, schema["items"], f"{path}/{i}"):
+                return found
+    return None
+
+
 def default_config() -> dict:
     with resources.files("mfpsim.data").joinpath("defaults.json").open() as fh:
         return json.load(fh)
@@ -213,7 +232,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExperimentConfig:
     """Typed view over the merged, validated configuration document."""
 
@@ -343,6 +362,9 @@ def load_config(
         if err is not None:
             path = "/".join(str(p) for p in err.absolute_path)
             raise ConfigError(err.message, path) from err
+    too_large = _unfloatable(merged, SCHEMA)
+    if too_large is not None:
+        raise ConfigError("integer too large for a float", too_large)
     # every SNR divides by the noise power over one frequency cell
     noise = merged["scenario"]["channel"]["noise_density_w_per_hz"]
     if noise * merged["resources"]["quanta"]["freq_hz"] == 0:
@@ -357,7 +379,7 @@ def load_config(
     if not all(math.isfinite(c * s) for c, s in zip(cells, r["scale"])):
         raise ConfigError("a pool dimension times its scale overflows", "resources/scale")
     reach = sc["max_speed_mps"] * (config.scaled_cells()[0] * r["quanta"]["time_s"])
-    if not math.isfinite(2 * sc["area_m"] + reach):
+    if not math.isfinite(2.0 * sc["area_m"] + reach):
         key = "area_m" if math.isfinite(reach) else "max_speed_mps"
         raise ConfigError("twice the area plus a round's longest move overflows", f"scenario/{key}")
     # the consumption bounds divide by the time price times the cycles per

@@ -12,14 +12,14 @@ unit prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, LinkUnusableError
 from .resource_pool import ResourceQuanta
 from .scenario import StatusAttributes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PriceVector:
     """Unit prices: time cell, frequency cell, compute cell, data sample, unit gain."""
 
@@ -47,7 +47,7 @@ def over_product(num: float, b: float, factor: float) -> float:
     return num / prod if prod else num / factor / b
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GenSchedule:
     """Sensing allocation: visual time, wireless bandwidth, wireless time (cells)."""
 
@@ -62,7 +62,7 @@ class GenSchedule:
             raise ValueError("wireless sensing time cannot exceed visual time")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransferSchedule:
     """Model transfer allocation: time cells x frequency cells."""
 
@@ -70,7 +70,7 @@ class TransferSchedule:
     b: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComputeSchedule:
     """Training allocation: time cells x compute-rate cells."""
 
@@ -78,15 +78,15 @@ class ComputeSchedule:
     f: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScheduleDecision:
     """Full per-round schedule: sensing in one round, the download/compute/upload
     chain in the next."""
 
-    gen: GenSchedule = GenSchedule()
-    comm_down: TransferSchedule = TransferSchedule()
-    comp: ComputeSchedule = ComputeSchedule()
-    comm_up: TransferSchedule = TransferSchedule()
+    gen: GenSchedule = field(default_factory=GenSchedule)
+    comm_down: TransferSchedule = field(default_factory=TransferSchedule)
+    comp: ComputeSchedule = field(default_factory=ComputeSchedule)
+    comm_up: TransferSchedule = field(default_factory=TransferSchedule)
 
     @property
     def time_cells(self) -> float:
@@ -116,7 +116,7 @@ class ScheduleDecision:
         return sum(self.cost_components(prices))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConsumptionTask:
     """Fixed per-round transfer/training load: model bits each way, compute
     cycles per sample, and the spectral efficiencies of the two links."""

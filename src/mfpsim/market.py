@@ -96,7 +96,7 @@ class CostCurve:
         return (hi - lo) + 4 * _DIP_SLACK * (1 + abs(lo) + abs(hi))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientQuote:
     """One client's offer for the round: data quality, capacity bounds,
     min-cost curve, and the gain each of its samples contributes."""
@@ -113,7 +113,7 @@ class ClientQuote:
             raise ValueError("quotes require a nonnegative capacity")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Allocation:
     workloads: dict[str, int]
 
@@ -122,7 +122,7 @@ class Allocation:
         return sum(self.workloads.values())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WelfareReport:
     gain: float
     app_payment: float

@@ -20,7 +20,7 @@ from .errors import ResourceConflictError
 _FREE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResourceQuanta:
     """Physical size of one grid cell along each axis.
 
@@ -37,7 +37,7 @@ class ResourceQuanta:
             raise ValueError("all quanta must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GridRegion:
     """Half-open rectangular cell range: rows [row_start, row_stop) x cols [col_start, col_stop)."""
 

@@ -27,7 +27,7 @@ PROC_UP = "comm_up"
 _CHAIN = (PROC_DOWN, PROC_COMP, PROC_UP)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Placement:
     """One sub-process placed on a client's grids within one window."""
 
@@ -39,7 +39,7 @@ class Placement:
     f_cells: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundPlan:
     ir_index: int
     placements: list[Placement] = field(default_factory=list)

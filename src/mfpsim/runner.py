@@ -1,7 +1,7 @@
 """Seeded multi-round simulation loop and result records.
 
-`run()` builds one frozen per-run context and runs each round as five
-stages over it:
+`run()` builds one per-run context, which no stage writes to, and runs each
+round as five stages over it:
 
 - scenario and quotes: the scenario steps, the window's cycle is fixed, and
   each client's state becomes a quote (capacity bounds, quality, min-cost
@@ -80,7 +80,7 @@ TIMELINE_COLUMNS = ["round", "client", "process", "start_cell", "end_cell", "b_c
 TRAJECTORY_COLUMNS = ["round", "id", "kind", "x", "y", "class"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """Everything one simulation produced, reproducible byte-for-byte."""
 
@@ -199,7 +199,7 @@ def load_summary_csv(text: str) -> list[dict]:
     return rows
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClientRound:
     """Working state for one client inside one round."""
 
@@ -220,7 +220,7 @@ class _ClientRound:
         self.quantized = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _RunContext:
     """What every stage of one run reads; fixed for the whole run."""
 

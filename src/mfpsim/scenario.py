@@ -15,7 +15,7 @@ import numpy as np
 from .resource_pool import ResourceQuanta
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SensingGeometry:
     """Visual and wireless sensing discs around a client (meters)."""
 
@@ -35,7 +35,7 @@ class SensingGeometry:
         return math.pi * self.d_ws**2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChannelParams:
     """Log-distance path-loss channel at a mmWave carrier.
 
@@ -56,7 +56,7 @@ class ChannelParams:
     reference_loss_db: float = 61.4
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SensingProfile:
     """Sample-generation parameters.
 
@@ -79,7 +79,7 @@ class SensingProfile:
             raise ValueError(f"unknown sensing mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StatusAttributes:
     """Per-client, per-round sample-rate coefficients.
 
@@ -96,7 +96,7 @@ class StatusAttributes:
     n_wireless_targets: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScenarioState:
     """Positions/velocities of clients and targets plus the server anchor."""
 

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,10 +57,11 @@ DOWN_BANDWIDTH = "down_bandwidth"
 UP_BANDWIDTH = "up_bandwidth"
 COMPUTE = "compute"
 
-_CONS_BOX_IDS = (DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH)
+# the prices `mtv` hands `_consumption_processes`: capacity ignores prices
+_UNIT_PRICES = PriceVector()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Budgets:
     """Pool capacities for a round pair, all in cells.
 
@@ -92,14 +93,14 @@ class Budgets:
         return self.freq_cells if self.cons_freq_cells is None else self.cons_freq_cells
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SolveInput:
     n: int
     attrs: StatusAttributes
     task: ConsumptionTask
     prices: PriceVector
     budgets: Budgets
-    quanta: ResourceQuanta = ResourceQuanta()
+    quanta: ResourceQuanta = field(default_factory=ResourceQuanta)
 
 
 class OutcomeKind:
@@ -107,7 +108,7 @@ class OutcomeKind:
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SolveOutcome:
     kind: str
     decision: ScheduleDecision | None
@@ -136,6 +137,15 @@ class SolveOutcome:
         if self.trace is not None:
             out["trace"] = self.trace
         return out
+
+
+def _square(x: float) -> float:
+    """x**2 by libm `pow`, or inf where the square overflows a float:
+    a capacity bound that large is no bound."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _floor_tol(x: float) -> float:
@@ -204,11 +214,11 @@ def _gen_mutv(a, b, prices: PriceVector, t_max, b_max) -> float:
     # there x = n/a, so the time box is the first to bind when t_max is small.
     if a > 0 and t_max * b * prices.time <= a * prices.freq:
         return a * t_max
-    bound_t = math.inf if math.isinf(t_max) else t_max**2 * b * prices.time / prices.freq
+    bound_t = math.inf if math.isinf(t_max) else _square(t_max) * b * prices.time / prices.freq
     bound_b = (
         math.inf
         if math.isinf(b_max)
-        else over_product((a + b * b_max) ** 2 * prices.freq, b, prices.time)
+        else over_product(_square(a + b * b_max) * prices.freq, b, prices.time)
     )
     return min(bound_t, bound_b)
 
@@ -216,7 +226,7 @@ def _gen_mutv(a, b, prices: PriceVector, t_max, b_max) -> float:
 # ---------------------------------------------------------------------------
 # consumption side
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Process:
     """One hyperbola-constrained sub-process: time * width = volume (cell^2)."""
 
@@ -450,7 +460,8 @@ def _cons_mutv(procs: list[_Process] | None, task, prices, t_budget, quanta) -> 
     cell_cycles = quanta.compute_cycles_per_s * quanta.time_s
     if task.cycles_per_sample > 0 and not math.isinf(comp.width_max):
         bounds.append(
-            comp.width_max**2 * prices.compute * cell_cycles / (prices.time * task.cycles_per_sample)
+            _square(comp.width_max) * prices.compute * cell_cycles
+            / (prices.time * task.cycles_per_sample)
         )
     if not math.isinf(t_budget):
         fixed_t = sum(
@@ -462,7 +473,7 @@ def _cons_mutv(procs: list[_Process] | None, task, prices, t_budget, quanta) -> 
         if task.cycles_per_sample > 0:
             # sqrt(n * k * compute_price / time_price) <= slack
             k = task.cycles_per_sample / cell_cycles
-            bounds.append(max(slack, 0.0) ** 2 * prices.time / (k * prices.compute))
+            bounds.append(_square(max(slack, 0.0)) * prices.time / (k * prices.compute))
     return min(bounds)
 
 
@@ -480,7 +491,7 @@ def mtv(
     serve; -1 when even the workload-independent transfers cannot fit."""
     t_b = budgets.t_budget
     gen = _gen_mtv(attrs.a, attrs.b, t_b, budgets.gen_bandwidth)
-    procs = _consumption_processes(0, task, PriceVector(), budgets, quanta)
+    procs = _consumption_processes(0, task, _UNIT_PRICES, budgets, quanta)
     cons = _cons_mtv(procs, task, t_b, quanta)
     if cons == INFEASIBLE_SENTINEL:
         return INFEASIBLE_SENTINEL
@@ -532,10 +543,9 @@ def fleet_bounds(
       float for the nonnegative terms added here;
     - Python's `min(x, y)` is `np.where(y < x, y, x)` and `max(x, y)` is
       `np.where(y > x, y, x)`: both keep the first argument on ties and nan;
-    - the squares stay Python `**` (libm `pow`) in per-client expressions,
-      as do `over_product` and the final `_floor_tol`, so overflow and zero
-      divisions raise for the clients whose scalar calls raise, and only
-      for those;
+    - the squares stay `_square` (libm `pow`) in per-client expressions,
+      as do `over_product` and the final `_floor_tol`, so zero divisions
+      raise for the clients whose scalar calls raise, and only for those;
     - numpy's warnings are off, as branches the scalar never takes are
       computed and then discarded.
     """
@@ -610,9 +620,11 @@ def _fleet_mutv(a, b, w, vol_down, vol_up, dead, task, prices, budgets, quanta) 
     curve = ~(b <= 0) & ~visual
     gen = np.where((a <= 0) & (b <= 0), 0.0, a * t_b)
     if curve.any():
-        bound_t = math.inf if math.isinf(t_b) else t_b**2 * b[curve] * prices.time / prices.freq
+        bound_t = (
+            math.inf if math.isinf(t_b) else _square(t_b) * b[curve] * prices.time / prices.freq
+        )
         bound_b = np.array([
-            over_product(x**2 * prices.freq, y, prices.time)
+            over_product(_square(x) * prices.freq, y, prices.time)
             for x, y in zip((a + b * w)[curve].tolist(), b[curve].tolist())
         ])
         bound_b[np.isinf(w[curve])] = math.inf
@@ -625,7 +637,7 @@ def _fleet_mutv(a, b, w, vol_down, vol_up, dead, task, prices, budgets, quanta) 
     cell_cycles = quanta.compute_cycles_per_s * quanta.time_s
     bound = math.inf
     if cycles > 0 and not math.isinf(compute) and not dead.all():
-        bound = min(bound, compute**2 * prices.compute * cell_cycles / (prices.time * cycles))
+        bound = min(bound, _square(compute) * prices.compute * cell_cycles / (prices.time * cycles))
     cons = np.full(len(a), bound)
     if not math.isinf(t_b):
         fixed = 0.0
@@ -637,7 +649,7 @@ def _fleet_mutv(a, b, w, vol_down, vol_up, dead, task, prices, budgets, quanta) 
         if cycles > 0 and reach.any():
             k = cycles / cell_cycles
             bound_s = np.array([
-                s**2 * prices.time / (k * prices.compute)
+                _square(s) * prices.time / (k * prices.compute)
                 for s in np.where(0.0 > slack[reach], 0.0, slack[reach]).tolist()
             ])
             cons[reach] = np.where(bound_s < cons[reach], bound_s, cons[reach])

@@ -253,3 +253,27 @@ def test_cycles_per_sample_that_underflows_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "tiny.json", json.dumps({"task": {"cycles_per_sample": 5e-324}}))
     assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
     assert "task/cycles_per_sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"scenario": {"area_m": 10**400}}, "scenario/area_m"),
+        ({"market": {"gain_window": 10**400}}, "market/gain_window"),
+        ({"scenario": {"channel": {"sensitivity_wc_dbm": -(10**400)}}},
+         "scenario/channel/sensitivity_wc_dbm"),
+        ({"task": {"model_up_bits": 10**400}}, "task/model_up_bits"),
+    ],
+    ids=["area", "gain-window", "sensitivity", "upload-bits"],
+)
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, raw, key):
+    # a JSON integer is a "number" of any size; float arithmetic overflows on it
+    cfg = _write(tmp_path, "big.json", json.dumps(raw))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert f"{key}: integer too large for a float" in capsys.readouterr().err
+
+
+def test_wireless_efficiency_whose_bound_squares_overflow_runs(tmp_path, capsys):
+    cfg = _write(tmp_path, "eff.json", json.dumps({"scenario": {"wireless_efficiency": 1e300}}))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rounds"] == 1

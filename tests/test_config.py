@@ -118,6 +118,24 @@ def test_non_finite_number_rejected_with_path(value):
     assert err.value.path == "resources/scale/1"
 
 
+@pytest.mark.parametrize("layer", [{}, {"rounds": 1.0}], ids=["fast-check", "jsonschema"])
+def test_integer_beyond_float_range_rejected_with_path(layer):
+    # 1.0 is an integer to jsonschema alone, so the second document takes
+    # the jsonschema path, and both pass the schema
+    big = 10**400
+    for doc, path in [
+        ({**layer, "scenario": {"area_m": big}}, "scenario/area_m"),
+        ({**layer, "resources": {"scale": [1, big, 1]}}, "resources/scale/1"),
+    ]:
+        merged = _deep_merge(default_config(), doc)
+        assert _plainly_valid(merged, SCHEMA) == (not layer)
+        assert list(_validator().iter_errors(merged)) == []
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert err.value.path == path
+    load_config({**layer, "scenario": {"area_m": 10**300}})  # fits a float
+
+
 def test_non_finite_number_in_file_rejected(tmp_path):
     path = tmp_path / "inf.json"
     path.write_text('{"market": {"gain_window": Infinity}}')
@@ -225,7 +243,7 @@ def _near_misses(value):
         ]
         return st.one_of(
             st.booleans(),
-            st.sampled_from([_DELETE, None, str(value), 2**64]),
+            st.sampled_from([_DELETE, None, str(value), 2**64, 10**400]),
             st.sampled_from(edges),
             st.integers(-3, 3),
             st.floats(),

@@ -14,6 +14,11 @@ an attribute or names it in a string (a config key, a `getattr`).  Passing it
 by keyword to a constructor is not a read.  Methods are left out for now:
 `WelfareReport.audit` is called only by tests until the settlement contract
 decides whether `run()` reports its findings or the method goes.
+
+Records are plain slotted dataclasses, immutable by convention: no code
+assigns to one except the few records a round fills in as it goes, and
+`dataclasses.replace` derives a changed copy.  The last test holds the
+package to that.
 """
 
 import ast
@@ -93,3 +98,46 @@ def test_every_package_function_and_class_is_used_outside_tests():
 
 def test_every_class_field_is_read_outside_tests():
     assert _unread_fields() == []
+
+
+# the records a round fills in as it goes; every other record is read-only
+_MUTABLE_RECORDS = ("RunRecord", "RoundPlan", "_ClientRound")
+
+
+def _record_writes() -> list[str]:
+    """Dataclasses not in the slotted form, and attribute stores outside the
+    mutable records' fields and plain classes' `__init__` (`self.x = ...`)."""
+    bad, mutable, allowed, stores = [], {}, set(), []
+    for path, body in _bodies():
+        if path.parent != PACKAGE:
+            continue
+        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
+            if isinstance(node, ast.ClassDef):
+                if node.name in _MUTABLE_RECORDS:
+                    mutable[node.name] = _class_fields(node)
+                decs = [ast.unparse(dec) for dec in node.decorator_list]
+                if any(dec.split("(")[0] in ("dataclass", "dataclasses.dataclass") for dec in decs):
+                    if decs != ["dataclass(slots=True)"]:
+                        bad.append(f"{path.stem}.{node.name}: @{', @'.join(decs)}")
+                    continue
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        allowed |= {
+                            id(sub) for sub in ast.walk(fn)
+                            if isinstance(sub, ast.Attribute)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                        }
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                stores.append((path.stem, node))
+    assert sorted(mutable) == sorted(_MUTABLE_RECORDS)
+    fields = {f for names in mutable.values() for f in names}
+    bad += [
+        f"{stem}:{node.lineno}: {ast.unparse(node)}"
+        for stem, node in stores
+        if id(node) not in allowed and node.attr not in fields
+    ]
+    return bad
+
+
+def test_records_are_slotted_and_written_only_where_the_round_fills_them():
+    assert _record_writes() == []

@@ -439,8 +439,8 @@ SLACK_NEAR_ZERO = _fleet(*(
     (10.0, 0.1, _eff_down_at_slack(_fleet(), 8.0, s), 8.0, None, None)
     for s in (-1.5e-9, -1e-9, -0.5e-9, 0.0, 1e-9)
 ))
-# what the scalar calls raise, the batched pass raises: a square that
-# overflows (sensing band, then chain slack) and a subnormal cycle count
+# a square that overflows is inf in both (sensing band, then chain slack);
+# what the scalar calls raise, the batched pass raises: a subnormal cycle count
 SQUARE_OVERFLOWS = _fleet((1.0, 1e300, 12.0, 8.0, None, None))
 SLACK_SQUARE_OVERFLOWS = _fleet((10.0, 0.0, 12.0, 8.0, None, None),
                                 cells=(1e200, 400.0, 10.0, 1e200))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,9 +61,7 @@ def test_step_mobility_zero_velocity_keeps_positions():
 
 def test_step_mobility_reflects_at_boundary():
     state = single_client_state((499, 250), [])
-    state = ScenarioState(
-        **{**state.__dict__, "client_vel": np.array([[30.0, 0.0]])}
-    )
+    state = replace(state, client_vel=np.array([[30.0, 0.0]]))
     nxt = step_mobility(state, seed=0, dt=1.0)
     assert nxt.client_pos[0, 0] == pytest.approx(471.0)
     assert 0 <= nxt.client_pos[0, 0] <= 500 and 0 <= nxt.client_pos[0, 1] <= 500

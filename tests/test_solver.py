@@ -535,3 +535,20 @@ class TestRealizeSchedule:
     def test_zero_workload_empty(self):
         q = realize_schedule(0, attrs(1, 1), ZERO_TASK, prices(), Budgets(3, 4, 4), UNIT)
         assert q.time_cells == 0
+
+
+def test_bound_squares_that_overflow_bound_nothing():
+    # libm `pow` where the square is finite, inf where it overflows
+    for x in (0.0, 3.0, 1e-200, 1e154, 1.3407807929942596e154, math.inf):
+        assert repr(solver._square(x)) == repr(x**2)
+    assert solver._square(1e200) == math.inf
+    task = ConsumptionTask(1e7, 1e7, 50.0, 12.0, 8.0)
+    cases = [
+        # (a + b * band)**2 of the sensing side
+        (StatusAttributes(1.0, 1e300, None), Budgets(10.0, 400.0, 10.0, cycle_cells=10.0)),
+        # the chain's slack squared
+        (StatusAttributes(10.0, 0.0, None), Budgets(1e200, 400.0, 10.0, cycle_cells=1e200)),
+    ]
+    for at, budgets in cases:
+        n_unc = mutv(at, task, PriceVector(), budgets)
+        assert isinstance(n_unc, int) and 1 <= n_unc <= mtv(at, task, budgets)
