@@ -302,10 +302,13 @@ class ExperimentConfig:
         )
 
     def prices(self) -> PriceVector:
+        """The prices as floats, whatever JSON number the config gave: an
+        integer price would keep the engine's products in exact integers,
+        which overflow on conversion later."""
         p = self.raw["prices"]
         return PriceVector(
-            time=p["time"], freq=p["freq"], compute=p["compute"],
-            sample=p["sample"], gain=p["gain"],
+            time=float(p["time"]), freq=float(p["freq"]), compute=float(p["compute"]),
+            sample=float(p["sample"]), gain=float(p["gain"]),
         )
 
     def scaled_cells(self) -> tuple[int, int, int]:
@@ -365,6 +368,10 @@ def load_config(
     too_large = _unfloatable(merged, SCHEMA)
     if too_large is not None:
         raise ConfigError("integer too large for a float", too_large)
+    # the market allocates between the floor and floor plus window
+    m = merged["market"]
+    if m["gain_floor"] + m["gain_window"] <= m["gain_floor"]:
+        raise ConfigError("plus market/gain_window rounds back to itself", "market/gain_floor")
     # every SNR divides by the noise power over one frequency cell
     noise = merged["scenario"]["channel"]["noise_density_w_per_hz"]
     if noise * merged["resources"]["quanta"]["freq_hz"] == 0:
@@ -375,9 +382,13 @@ def load_config(
     # scaled pools, and mobility folding positions back into the square,
     # need a finite round, longest move in it and 2 * area_m
     config, r, sc = ExperimentConfig(raw=merged), merged["resources"], merged["scenario"]
-    cells = (r["time_cells"], r["freq_cells"], r["compute_cells"])
-    if not all(math.isfinite(c * s) for c, s in zip(cells, r["scale"])):
-        raise ConfigError("a pool dimension times its scale overflows", "resources/scale")
+    for key, s in zip(("time_cells", "freq_cells", "compute_cells"), r["scale"]):
+        try:  # an integer times a float converts the integer first
+            scaled = r[key] * s
+        except OverflowError:
+            raise ConfigError("integer too large for a float", f"resources/{key}") from None
+        if not math.isfinite(scaled):
+            raise ConfigError("a pool dimension times its scale overflows", "resources/scale")
     reach = sc["max_speed_mps"] * (config.scaled_cells()[0] * r["quanta"]["time_s"])
     if not math.isfinite(2.0 * sc["area_m"] + reach):
         key = "area_m" if math.isfinite(reach) else "max_speed_mps"

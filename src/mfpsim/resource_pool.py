@@ -1,9 +1,9 @@
 """Quantized per-client resource pools.
 
-Each client holds, per communication round, two occupancy grids sharing one
-time axis: a frequency x time grid and a compute-rate x time grid.  Cells are
-claimed by named services and never released within a round; each occupied
-cell keeps the tag of the service that claimed it.
+Each client holds, per communication round, two grids sharing one time axis:
+a frequency x time grid and a compute-rate x time grid.  A grid is the list of
+rectangles that named services claimed on it; claims are never released
+within a round, and no two services' claims share a cell.
 
 Pools are single-writer per round.  Concurrent reads are safe; interleaved
 reservations on one pool are not, so callers serialize writes per client.
@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ResourceConflictError
-
-_FREE = -1
 
 
 @dataclass(slots=True)
@@ -54,7 +50,14 @@ class GridRegion:
 
 
 class SharedResourcePool:
-    """Boolean-occupancy pool with per-cell service tags for audit."""
+    """Per grid, the rectangles each service claimed and the cells held in
+    each time column.
+
+    A claim is `(service, row_start, row_stop, col_start, col_stop)` and is
+    never empty.  Claims of different services never intersect, so every
+    claimed cell has one holder; a service's own claims may overlap, and a
+    column's load counts their union.
+    """
 
     def __init__(self, time_cells: int, freq_cells: int, compute_cells: int):
         if time_cells < 1 or freq_cells < 1 or compute_cells < 1:
@@ -62,24 +65,8 @@ class SharedResourcePool:
         self.time_cells = time_cells
         self.freq_cells = freq_cells
         self.compute_cells = compute_cells
-        self._tf = np.full((freq_cells, time_cells), _FREE, dtype=np.int32)
-        self._tc = np.full((compute_cells, time_cells), _FREE, dtype=np.int32)
-        self._services: list[str] = []
-        self._service_index: dict[str, int] = {}
-
-    def _sid(self, service: str) -> int:
-        if service not in self._service_index:
-            self._service_index[service] = len(self._services)
-            self._services.append(service)
-        return self._service_index[service]
-
-    @staticmethod
-    def _check_bounds(grid: np.ndarray, region: GridRegion, name: str) -> None:
-        rows, cols = grid.shape
-        if region.row_stop > rows or region.col_stop > cols:
-            raise ValueError(
-                f"{name} region {region} exceeds grid shape {rows}x{cols}"
-            )
+        self._claims: dict[str, list[tuple[str, int, int, int, int]]] = {"tf": [], "tc": []}
+        self._loads = {"tf": [0] * time_cells, "tc": [0] * time_cells}
 
     def reserve(
         self,
@@ -90,57 +77,80 @@ class SharedResourcePool:
         """Claim the cells of `tf` and `tc` for `service`.
 
         Cells the service already holds stay as they are; a cell held by
-        another service raises ResourceConflictError and leaves the pool
-        untouched.
+        another service raises ResourceConflictError, naming the first such
+        cell in row-major order, and leaves the pool untouched.
         """
-        sid = self._sid(service)
-        if tf is not None:
-            self._check_bounds(self._tf, tf, "tf")
-        if tc is not None:
-            self._check_bounds(self._tc, tc, "tc")
-
-        blocks = []
-        for grid, region, name in ((self._tf, tf, "tf"), (self._tc, tc, "tc")):
-            if region is None:
-                continue
-            block = grid[region.row_start : region.row_stop, region.col_start : region.col_stop]
-            clash = (block != _FREE) & (block != sid)
-            if clash.any():
-                r, c = np.argwhere(clash)[0]
-                other = self._services[block[r, c]]
-                raise ResourceConflictError(
-                    f"{name} cell ({region.row_start + r},{region.col_start + c}) "
-                    f"already held by service {other!r}"
+        wanted = [(name, region) for name, region in (("tf", tf), ("tc", tc)) if region is not None]
+        for name, region in wanted:
+            rows = self.freq_cells if name == "tf" else self.compute_cells
+            if region.row_stop > rows or region.col_stop > self.time_cells:
+                raise ValueError(
+                    f"{name} region {region} exceeds grid shape {rows}x{self.time_cells}"
                 )
-            blocks.append(block)
-        for block in blocks:
-            block[block == _FREE] = sid
+        pending = []
+        for name, region in wanted:
+            r0, r1, c0, c1 = region.row_start, region.row_stop, region.col_start, region.col_stop
+            # the row-major first cell of a union of rectangles is the least
+            # first cell of any of them
+            first, own = None, False
+            for holder, h0, h1, k0, k1 in self._claims[name]:
+                top, left = max(r0, h0), max(c0, k0)
+                if top < min(r1, h1) and left < min(c1, k1):
+                    if holder == service:
+                        own = True
+                    elif first is None or (top, left) < first[:2]:
+                        first = (top, left, holder)
+            if first is not None:
+                raise ResourceConflictError(
+                    f"{name} cell ({first[0]},{first[1]}) already held by service {first[2]!r}"
+                )
+            if r0 < r1 and c0 < c1:
+                pending.append((name, (service, r0, r1, c0, c1), own))
+        for name, claim, own in pending:
+            _, r0, r1, c0, c1 = claim
+            claims, loads = self._claims[name], self._loads[name]
+            claims.append(claim)
+            if own:  # the service's claims overlap here: count their union afresh
+                loads[c0:c1] = [_covered_rows(claims, col) for col in range(c0, c1)]
+            else:
+                for col in range(c0, c1):
+                    loads[col] += r1 - r0
 
-    def column_loads(self) -> tuple[np.ndarray, np.ndarray]:
+    def column_loads(self) -> tuple[list[int], list[int]]:
         """Occupied cells per time column of the frequency grid and of the
         compute grid."""
-        return (self._tf != _FREE).sum(axis=0), (self._tc != _FREE).sum(axis=0)
+        return self._loads["tf"][:], self._loads["tc"][:]
 
     def snapshot(self) -> dict:
         """JSON-serializable dump of dimensions and occupied cells with service tags."""
         occupied = []
-        for name, grid in (("tf", self._tf), ("tc", self._tc)):
-            for r, c in np.argwhere(grid != _FREE):
-                occupied.append(
-                    {
-                        "grid": name,
-                        "row": int(r),
-                        "col": int(c),
-                        "service": self._services[grid[r, c]],
-                    }
-                )
-        occupied.sort(key=lambda d: (d["grid"], d["row"], d["col"]))
+        for name in ("tc", "tf"):  # sorted by grid name
+            held = {
+                (row, col): service
+                for service, r0, r1, c0, c1 in self._claims[name]
+                for row in range(r0, r1)
+                for col in range(c0, c1)
+            }
+            occupied += [
+                {"grid": name, "row": row, "col": col, "service": service}
+                for (row, col), service in sorted(held.items())
+            ]
         return {
             "time_cells": self.time_cells,
             "freq_cells": self.freq_cells,
             "compute_cells": self.compute_cells,
             "occupied": occupied,
         }
+
+
+def _covered_rows(claims, col: int) -> int:
+    """Rows of column `col` inside at least one claim."""
+    held = top = 0
+    for r0, r1 in sorted((r0, r1) for _, r0, r1, c0, c1 in claims if c0 <= col < c1):
+        if r1 > top:
+            held += r1 - max(r0, top)
+            top = r1
+    return held
 
 
 def new_pool(time_cells: int, freq_cells: int, compute_cells: int) -> SharedResourcePool:

@@ -127,7 +127,7 @@ def free_sensing_bandwidth(pool: SharedResourcePool, span_cols: int) -> int:
     if span_cols <= 0:
         return pool.freq_cells
     bandwidth, _ = pool.column_loads()
-    return pool.freq_cells - int(bandwidth[:span_cols].max())
+    return pool.freq_cells - max(bandwidth[:span_cols])
 
 
 def place_generation(

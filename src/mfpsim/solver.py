@@ -756,7 +756,7 @@ def _part_key(objective: str, kind: str, t: float, width_cost: float, cost: floa
 
 
 def _key_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _int_gen_best(n, a, b, prices, t_int, b_int, objective):

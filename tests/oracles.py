@@ -8,10 +8,10 @@ The last ones are straightforward or earlier forms of engine code, which the
 tests compare with `==`: the binding-set enumeration with a dict per
 candidate, the workload allocation rerunning its greedy from scratch on every
 rationality pass, the runner's former saturated allocation, the sum of the
-four unconstrained sub-process minima, one client's target distances,
-sensing status and server link taken on their own, the fixed number of
-single folds mobility used to take, and the per-client quote loop.  The
-market tests build their cost curves from fixed tables with
+four unconstrained sub-process minima, the numpy tag-grid resource pool, one
+client's target distances, sensing status and server link taken on their own,
+the fixed number of single folds mobility used to take, and the per-client
+quote loop.  The market tests build their cost curves from fixed tables with
 `curve_from_samples`; the golden and determinism tests compare runs by
 `output_hashes`.
 """
@@ -362,6 +362,66 @@ def snapshot_counts(snapshot):
     for cell in snapshot["occupied"]:
         loads[cell["grid"]][cell["col"]] += 1
     return loads["tf"], loads["tc"]
+
+
+class GridPool:
+    """The numpy tag-grid resource pool `SharedResourcePool` replaced: one
+    int32 grid per resource, each cell holding the index of the service that
+    claimed it, or -1 while free."""
+
+    def __init__(self, time_cells, freq_cells, compute_cells):
+        self.time_cells = time_cells
+        self.freq_cells = freq_cells
+        self.compute_cells = compute_cells
+        self._tf = np.full((freq_cells, time_cells), -1, dtype=np.int32)
+        self._tc = np.full((compute_cells, time_cells), -1, dtype=np.int32)
+        self._services = []
+
+    def _sid(self, service):
+        if service not in self._services:
+            self._services.append(service)
+        return self._services.index(service)
+
+    def reserve(self, service, tf=None, tc=None):
+        from mfpsim.errors import ResourceConflictError
+
+        sid = self._sid(service)
+        for grid, region, name in ((self._tf, tf, "tf"), (self._tc, tc, "tc")):
+            rows, cols = grid.shape
+            if region is not None and (region.row_stop > rows or region.col_stop > cols):
+                raise ValueError(f"{name} region {region} exceeds grid shape {rows}x{cols}")
+        blocks = []
+        for grid, region, name in ((self._tf, tf, "tf"), (self._tc, tc, "tc")):
+            if region is None:
+                continue
+            block = grid[region.row_start : region.row_stop, region.col_start : region.col_stop]
+            clash = (block != -1) & (block != sid)
+            if clash.any():
+                r, c = np.argwhere(clash)[0]
+                raise ResourceConflictError(
+                    f"{name} cell ({region.row_start + r},{region.col_start + c}) "
+                    f"already held by service {self._services[block[r, c]]!r}"
+                )
+            blocks.append(block)
+        for block in blocks:
+            block[block == -1] = sid
+
+    def column_loads(self):
+        return (self._tf != -1).sum(axis=0), (self._tc != -1).sum(axis=0)
+
+    def snapshot(self):
+        occupied = [
+            {"grid": name, "row": int(r), "col": int(c), "service": self._services[grid[r, c]]}
+            for name, grid in (("tf", self._tf), ("tc", self._tc))
+            for r, c in np.argwhere(grid != -1)
+        ]
+        occupied.sort(key=lambda d: (d["grid"], d["row"], d["col"]))
+        return {
+            "time_cells": self.time_cells,
+            "freq_cells": self.freq_cells,
+            "compute_cells": self.compute_cells,
+            "occupied": occupied,
+        }
 
 
 def curve_from_samples(samples):

@@ -277,3 +277,27 @@ def test_wireless_efficiency_whose_bound_squares_overflow_runs(tmp_path, capsys)
     cfg = _write(tmp_path, "eff.json", json.dumps({"scenario": {"wireless_efficiency": 1e300}}))
     assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["rounds"] == 1
+
+
+@pytest.mark.parametrize("key", ["time_cells", "freq_cells", "compute_cells"])
+def test_pool_dimension_beyond_float_range_exits_2(tmp_path, capsys, key):
+    # an "integer" pool key of any size passes the schema; scaling it by a
+    # float converts it first
+    cfg = _write(tmp_path, "pool.json", json.dumps({"resources": {key: 10**400}}))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert f"resources/{key}: integer too large for a float" in capsys.readouterr().err
+
+
+def test_gain_floor_that_swallows_the_window_exits_2(tmp_path, capsys):
+    # 1e308 + 8.0 == 1e308: the market would get an empty gain window
+    cfg = _write(tmp_path, "floor.json", json.dumps({"market": {"gain_floor": 1e308}}))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert "market/gain_floor" in capsys.readouterr().err
+
+
+def test_integer_price_near_the_float_limit_runs_or_exits_2(tmp_path, capsys):
+    # an integer price kept as an int would make exact integer products that
+    # overflow on conversion; the engine prices in floats
+    cfg = _write(tmp_path, "price.json", json.dumps({"prices": {"time": 10**308}}))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in capsys.readouterr().err

@@ -318,3 +318,12 @@ def test_cold_load_of_a_valid_config_leaves_jsonschema_unimported():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "rounds\n"
+
+
+def test_prices_are_floats_while_the_document_keeps_its_numbers():
+    cfg = load_config({"prices": {"time": 10**308, "sample": 2}})
+    prices = cfg.prices()
+    assert type(prices.time) is float and prices.time == 1e308
+    assert type(prices.sample) is float and prices.sample == 2.0
+    assert cfg.raw["prices"]["time"] == 10**308 and type(cfg.raw["prices"]["sample"]) is int
+    assert config_hash(cfg) != config_hash(load_config({"prices": {"time": 1e308, "sample": 2.0}}))

@@ -12,7 +12,7 @@ from mfpsim.resource_pool import (
     new_pool,
 )
 
-from oracles import snapshot_counts
+from oracles import GridPool, snapshot_counts
 
 
 def region(rows, cols):
@@ -135,3 +135,42 @@ def test_reserve_claims_equal_whole_grid_reference(data):
         expect = held | {cell: service for cell in claimed}
         after = {(d["grid"], d["row"], d["col"]): d["service"] for d in pool.snapshot()["occupied"]}
         assert after == expect
+
+
+@st.composite
+def reserve_call(draw, t, f, c):
+    """A reserve on a t x f x c pool; one region in six may reach two cells
+    past the grid on either axis."""
+
+    def region(rows):
+        if draw(st.booleans()):
+            return None
+        past = 2 if draw(st.integers(0, 5)) == 0 else 0
+        r0, r1 = sorted(draw(st.integers(0, rows + past)) for _ in range(2))
+        c0, c1 = sorted(draw(st.integers(0, t + past)) for _ in range(2))
+        return GridRegion(r0, r1, c0, c1)
+
+    return f"s{draw(st.integers(0, 2))}", region(f), region(c)
+
+
+def _outcome(pool, service, tf, tc):
+    try:
+        pool.reserve(service, tf=tf, tc=tc)
+    except (ValueError, ResourceConflictError) as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reserve_sequences_equal_the_grid_pool(data):
+    # the claimed-rectangle pool against the numpy tag-grid pool it replaced,
+    # step by step: the same exception (type and message) or none, the same
+    # cell dump and the same per-column loads
+    t, f, c = (data.draw(st.integers(1, n)) for n in (8, 6, 5))
+    pool, grid = new_pool(t, f, c), GridPool(t, f, c)
+    for _ in range(data.draw(st.integers(1, 16))):
+        service, tf, tc = data.draw(reserve_call(t, f, c))
+        assert _outcome(pool, service, tf, tc) == _outcome(grid, service, tf, tc)
+        assert pool.snapshot() == grid.snapshot()
+        assert list(pool.column_loads()) == [x.tolist() for x in grid.column_loads()]
