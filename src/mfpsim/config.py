@@ -8,11 +8,10 @@ rejected so typos fail loudly.
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import operator
 from importlib import resources
 from pathlib import Path
 
@@ -116,102 +115,75 @@ SCHEMA = _obj(
 )
 
 
-@functools.cache
-def _validator():
-    """SCHEMA's validator, built on the first config the fast check does not
-    accept; jsonschema is imported only then.
-
-    A "number" must be finite: Python's `json` reads Infinity and NaN, and
-    NaN passes every bound check.
-    """
-    import jsonschema
-
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    finite = cls.TYPE_CHECKER.redefine(
-        "number",
-        lambda checker, x: cls.TYPE_CHECKER.is_type(x, "number")
-        and (not isinstance(x, float) or math.isfinite(x)),
-    )
-    return jsonschema.validators.extend(cls, type_checker=finite)(SCHEMA)
-
-
-_STRICT_TYPES = {
+_TYPES = {
     "object": lambda x: type(x) is dict,
     "array": lambda x: type(x) is list,
-    "integer": lambda x: type(x) is int,
-    "number": lambda x: type(x) is int or (type(x) is float and math.isfinite(x)),
     "boolean": lambda x: type(x) is bool,
+    # JSON Schema counts 5.0 as an integer.  A number must be finite: Python's
+    # json reads Infinity and NaN, and NaN passes every bound check.
+    "integer": lambda x: type(x) is int or (type(x) is float and x.is_integer()),
+    "number": lambda x: type(x) is int or (type(x) is float and math.isfinite(x)),
 }
-_PLAIN_KEYWORDS = {
-    "type", "properties", "additionalProperties", "required", "items",
-    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "enum", "const",
-}
+_BOUNDS = (
+    ("minimum", operator.lt, "is less than the minimum of"),
+    ("maximum", operator.gt, "is greater than the maximum of"),
+    ("exclusiveMinimum", operator.le, "is less than or equal to the minimum of"),
+)
 
 
-def _plainly_valid(x, schema: dict) -> bool:
-    """True only when `_validator()` would find no error in `x`.
-
-    A sufficient check, read off the keywords SCHEMA uses, with types taken
-    strictly (a bool is no integer or number, 1.0 is no integer, a number is
-    finite) and checked before anything else.  Any other keyword, or any
-    doubt, answers False and leaves the verdict to jsonschema.
-    """
-    if not _PLAIN_KEYWORDS.issuperset(schema):
-        return False
-    if "type" in schema:
-        strict = _STRICT_TYPES.get(schema["type"]) if type(schema["type"]) is str else None
-        if strict is None or not strict(x):
-            return False
-    if "enum" in schema and not (type(x) is str and x in schema["enum"]):
-        return False
-    if "const" in schema:
-        c = schema["const"]
-        if type(c) not in (str, int) or type(x) is not type(c) or x != c:
-            return False
-    if {"minimum", "maximum", "exclusiveMinimum"} & schema.keys():
-        # only a strict number type above makes x a finite number
-        if schema.get("type") not in ("integer", "number"):
-            return False
-        if not schema.get("minimum", x) <= x <= schema.get("maximum", x):
-            return False
-        if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
-            return False
-    if {"properties", "additionalProperties", "required"} & schema.keys():
-        props = schema.get("properties", {})
-        if (
-            type(x) is not dict
-            or schema.get("additionalProperties") is not False
-            or not all(k in x for k in schema.get("required", []))
-            or not all(k in props and _plainly_valid(v, props[k]) for k, v in x.items())
-        ):
-            return False
-    if {"items", "minItems", "maxItems"} & schema.keys():
-        if (
-            type(x) is not list
-            or not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x))
-            or not all(_plainly_valid(v, schema.get("items", {})) for v in x)
-        ):
-            return False
-    return True
+def _same(x, y) -> bool:
+    """JSON equality: 1 equals 1.0, but no bool equals a number."""
+    return x == y and (type(x) is bool) == (type(y) is bool)
 
 
-def _unfloatable(x, schema: dict, path: str = "") -> str | None:
-    """JSON path of the first integer at a "number" key of a valid `x` that
-    overflows a float, or None.  The schema's "number" takes any integer,
-    and the engine's float arithmetic raises OverflowError on such a one."""
-    if schema.get("type") == "number" and type(x) is int:
+def _parse(x, schema: dict, path: tuple, errors: list):
+    """`x` as the engine reads it: each "number" leaf a float, each "integer"
+    leaf an int.  Each violation of `schema` is appended to `errors` as
+    (path, message), in the order and with the wording of jsonschema, plus
+    one rule of the engine's: an integer at a "number" or "integer" key must
+    fit a float, as the engine mixes it with floats."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](x):
+        errors.append((path, f"{x!r} is not of type {kind!r}"))
+        kind = None
+    if "enum" in schema and not any(_same(x, e) for e in schema["enum"]):
+        errors.append((path, f"{x!r} is not one of {schema['enum']!r}"))
+    if "const" in schema and not _same(x, schema["const"]):
+        errors.append((path, f"{schema['const']!r} was expected"))
+    if _TYPES["number"](x):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(x, schema[key]):
+                errors.append((path, f"{x!r} {words} {schema[key]!r}"))
+    if kind in ("number", "integer"):
         try:
-            float(x)
+            as_float = float(x)
         except OverflowError:
-            return path
-    for key, sub in schema.get("properties", {}).items():
-        if key in x and (found := _unfloatable(x[key], sub, f"{path}/{key}" if path else key)):
-            return found
-    if "items" in schema:
-        for i, v in enumerate(x):
-            if found := _unfloatable(v, schema["items"], f"{path}/{i}"):
-                return found
-    return None
+            errors.append((path, "integer too large for a float"))
+            return x
+        return as_float if kind == "number" else int(x)
+    if type(x) is dict:
+        props = schema.get("properties", {})
+        out = {k: _parse(x[k], sub, (*path, k), errors) for k, sub in props.items() if k in x}
+        if schema.get("additionalProperties") is False and (
+            extras := sorted(k for k in x if k not in props)
+        ):
+            listed, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+            message = f"Additional properties are not allowed ({listed} {verb} unexpected)"
+            errors.append((path, message))
+        for k in schema.get("required", ()):
+            if k not in x:
+                errors.append((path, f"{k!r} is a required property"))
+        return out
+    if type(x) is list:
+        out = x
+        if "items" in schema:
+            out = [_parse(v, schema["items"], (*path, i), errors) for i, v in enumerate(x)]
+        if len(x) < schema.get("minItems", 0):
+            errors.append((path, f"{x!r} is too short"))
+        if len(x) > schema.get("maxItems", len(x)):
+            errors.append((path, f"{x!r} is too long"))
+        return out
+    return x
 
 
 def default_config() -> dict:
@@ -232,57 +204,57 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-@dataclass(slots=True)
 class ExperimentConfig:
-    """Typed view over the merged, validated configuration document."""
+    """A merged configuration document, checked against SCHEMA.
 
-    raw: dict
+    `raw` is the document as given, which `config_hash` hashes and run
+    records keep; the accessors read `typed`, its copy with each "number"
+    leaf a float and each "integer" leaf an int.  Raises ConfigError with the
+    shallowest violation, the first in schema order among equally deep ones.
+    """
+
+    def __init__(self, raw: dict):
+        errors = []
+        self.raw = raw
+        self.typed = _parse(raw, SCHEMA, (), errors)
+        if errors:
+            path, message = min(errors, key=lambda e: len(e[0]))
+            raise ConfigError(message, "/".join(map(str, path)))
 
     @property
     def seed(self) -> int:
-        return self.raw["seed"]
+        return self.typed["seed"]
 
     @property
     def rounds(self) -> int:
-        return self.raw["rounds"]
+        return self.typed["rounds"]
 
     @property
     def policy(self) -> Policy:
-        return Policy(self.raw["policy"])
+        return Policy(self.typed["policy"])
 
     @property
     def mode(self) -> str:
-        return self.raw["mode"]
+        return self.typed["mode"]
 
     @property
     def scenario(self) -> dict:
-        return self.raw["scenario"]
+        return self.typed["scenario"]
 
     @property
     def market(self) -> dict:
-        return self.raw["market"]
+        return self.typed["market"]
 
     @property
     def output(self) -> dict:
-        return self.raw["output"]
+        return self.typed["output"]
 
     def geometry(self) -> SensingGeometry:
         s = self.scenario
         return SensingGeometry(d_vs=s["visual_radius_m"], d_ws=s["wireless_radius_m"])
 
     def channel(self) -> ChannelParams:
-        c = self.scenario["channel"]
-        return ChannelParams(
-            carrier_hz=c["carrier_hz"],
-            noise_density_w_per_hz=c["noise_density_w_per_hz"],
-            tx_power_server_dbm=c["tx_power_server_dbm"],
-            tx_power_client_dbm=c["tx_power_client_dbm"],
-            tx_power_sensing_dbm=c["tx_power_sensing_dbm"],
-            sensitivity_ws_dbm=c["sensitivity_ws_dbm"],
-            sensitivity_wc_dbm=c["sensitivity_wc_dbm"],
-            pathloss_exponent=c["pathloss_exponent"],
-            reference_loss_db=c["reference_loss_db"],
-        )
+        return ChannelParams(**self.scenario["channel"])
 
     def profile(self) -> SensingProfile:
         s = self.scenario
@@ -294,33 +266,21 @@ class ExperimentConfig:
         )
 
     def quanta(self) -> ResourceQuanta:
-        q = self.raw["resources"]["quanta"]
-        return ResourceQuanta(
-            time_s=q["time_s"],
-            freq_hz=q["freq_hz"],
-            compute_cycles_per_s=q["compute_cycles_per_s"],
-        )
+        return ResourceQuanta(**self.typed["resources"]["quanta"])
 
     def prices(self) -> PriceVector:
-        """The prices as floats, whatever JSON number the config gave: an
-        integer price would keep the engine's products in exact integers,
-        which overflow on conversion later."""
-        p = self.raw["prices"]
-        return PriceVector(
-            time=float(p["time"]), freq=float(p["freq"]), compute=float(p["compute"]),
-            sample=float(p["sample"]), gain=float(p["gain"]),
-        )
+        return PriceVector(**self.typed["prices"])
 
     def scaled_cells(self) -> tuple[int, int, int]:
         """Pool dimensions after the resource-scaling triple, floored, >= 1."""
-        r = self.raw["resources"]
+        r = self.typed["resources"]
         cells = (r["time_cells"], r["freq_cells"], r["compute_cells"])
         return tuple(
             max(1, math.floor(c * s + 1e-9)) for c, s in zip(cells, r["scale"])
         )
 
     def task_for(self, eff_down: float, eff_up: float) -> ConsumptionTask:
-        t = self.raw["task"]
+        t = self.typed["task"]
         return ConsumptionTask(
             d_down_bits=t["model_down_bits"],
             d_up_bits=t["model_up_bits"],
@@ -356,38 +316,33 @@ def load_config(
         if not isinstance(layer, dict):
             raise ConfigError("top level must be a JSON object", where)
         merged = _deep_merge(merged, layer)
-    # a document the fast check accepts has no schema error; any other gets
-    # the error jsonschema.validate would raise
-    if not _plainly_valid(merged, SCHEMA):
-        from jsonschema.exceptions import best_match
-
-        err = best_match(_validator().iter_errors(merged))
-        if err is not None:
-            path = "/".join(str(p) for p in err.absolute_path)
-            raise ConfigError(err.message, path) from err
-    too_large = _unfloatable(merged, SCHEMA)
-    if too_large is not None:
-        raise ConfigError("integer too large for a float", too_large)
+    config = ExperimentConfig(merged)
+    # the checks across keys run on the engine's numbers
+    t = config.typed
+    m, sc, r = t["market"], t["scenario"], t["resources"]
     # the market allocates between the floor and floor plus window
-    m = merged["market"]
     if m["gain_floor"] + m["gain_window"] <= m["gain_floor"]:
         raise ConfigError("plus market/gain_window rounds back to itself", "market/gain_floor")
     # every SNR divides by the noise power over one frequency cell
-    noise = merged["scenario"]["channel"]["noise_density_w_per_hz"]
-    if noise * merged["resources"]["quanta"]["freq_hz"] == 0:
+    if sc["channel"]["noise_density_w_per_hz"] * r["quanta"]["freq_hz"] == 0:
         raise ConfigError(
             "times resources/quanta/freq_hz, the noise power underflows to 0 W",
             "scenario/channel/noise_density_w_per_hz",
         )
+    # the sensing discs nest and have finite areas; the target density
+    # divides by the square's area
+    if sc["visual_radius_m"] >= sc["wireless_radius_m"]:
+        raise ConfigError(
+            "is not less than scenario/wireless_radius_m", "scenario/visual_radius_m"
+        )
+    if math.isinf(math.pi * (sc["wireless_radius_m"] * sc["wireless_radius_m"])):
+        raise ConfigError("the disc's area pi * r**2 overflows", "scenario/wireless_radius_m")
+    if not 0 < sc["area_m"] * sc["area_m"] < math.inf:
+        raise ConfigError("squared underflows to 0 or overflows", "scenario/area_m")
     # scaled pools, and mobility folding positions back into the square,
     # need a finite round, longest move in it and 2 * area_m
-    config, r, sc = ExperimentConfig(raw=merged), merged["resources"], merged["scenario"]
     for key, s in zip(("time_cells", "freq_cells", "compute_cells"), r["scale"]):
-        try:  # an integer times a float converts the integer first
-            scaled = r[key] * s
-        except OverflowError:
-            raise ConfigError("integer too large for a float", f"resources/{key}") from None
-        if not math.isfinite(scaled):
+        if math.isinf(r[key] * s):
             raise ConfigError("a pool dimension times its scale overflows", "resources/scale")
     reach = sc["max_speed_mps"] * (config.scaled_cells()[0] * r["quanta"]["time_s"])
     if not math.isfinite(2.0 * sc["area_m"] + reach):
@@ -395,7 +350,7 @@ def load_config(
         raise ConfigError("twice the area plus a round's longest move overflows", f"scenario/{key}")
     # the consumption bounds divide by the time price times the cycles per
     # sample, and by the compute price times a sample's share of a compute cell
-    cycles, p, q = merged["task"]["cycles_per_sample"], merged["prices"], r["quanta"]
+    cycles, p, q = t["task"]["cycles_per_sample"], t["prices"], r["quanta"]
     if cycles > 0 and p["time"] * cycles == 0:
         raise ConfigError(
             "times prices/time, the cycles per sample underflow to 0", "task/cycles_per_sample"

@@ -291,6 +291,9 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     out = schedule_with_policy(
         policy, SolveInput(n, at, task, prices, budgets, quanta), bounds=bounds
     )
+    if out.kind == OutcomeKind.OPTIMAL and not math.isfinite(out.cost):
+        # a width or cost past the float range (inf, or NaN from inf - inf)
+        out = replace(out, kind=OutcomeKind.INFEASIBLE, decision=None, cost=None)
     if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL or out.decision is None:
         return out, budgets, False
     sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)

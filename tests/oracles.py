@@ -11,19 +11,25 @@ rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, the numpy tag-grid resource pool, one
 client's target distances, sensing status and server link taken on their own,
 the fixed number of single folds mobility used to take, and the per-client
-quote loop.  The market tests build their cost curves from fixed tables with
+quote loop.  `schema_violations` is jsonschema itself, the reference for
+the config parser.  The market tests build their cost curves from fixed tables with
 `curve_from_samples`; the golden and determinism tests compare runs by
 `output_hashes`.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import itertools
 import math
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
+
+from mfpsim.config import SCHEMA
 
 
 def _geom_axis(lo, hi, grid):
@@ -587,3 +593,46 @@ def output_hashes(record):
         name: hashlib.sha256(text.encode()).hexdigest()
         for name, text in sorted(record.output_texts().items())
     }
+
+
+def _add_float_range(schema):
+    if schema.get("type") in ("number", "integer"):
+        schema["floatRange"] = True
+    for sub in schema.get("properties", {}).values():
+        _add_float_range(sub)
+    if "items" in schema:
+        _add_float_range(schema["items"])
+
+
+def _float_range(validator, value, instance, schema):
+    if type(instance) is int:
+        try:
+            float(instance)
+        except OverflowError:
+            yield jsonschema.ValidationError("integer too large for a float")
+
+
+@functools.cache
+def schema_validator():
+    """jsonschema's validator for SCHEMA, which it first checks against its
+    metaschema.  A "number" must be finite, and a last keyword on every
+    "number" and "integer" leaf asks that an integer there fit a float."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    finite = cls.TYPE_CHECKER.redefine(
+        "number",
+        lambda checker, x: cls.TYPE_CHECKER.is_type(x, "number")
+        and (not isinstance(x, float) or math.isfinite(x)),
+    )
+    ruled = copy.deepcopy(SCHEMA)
+    _add_float_range(ruled)
+    extended = jsonschema.validators.extend(
+        cls, validators={"floatRange": _float_range}, type_checker=finite
+    )
+    return extended(ruled)
+
+
+def schema_violations(doc):
+    """(path, message) of every violation of SCHEMA in `doc`, in the order
+    jsonschema finds them."""
+    return [(tuple(e.absolute_path), e.message) for e in schema_validator().iter_errors(doc)]

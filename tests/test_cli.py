@@ -301,3 +301,74 @@ def test_integer_price_near_the_float_limit_runs_or_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "price.json", json.dumps({"prices": {"time": 10**308}}))
     assert main(["run", "--config", cfg, "--rounds", "1"]) in (EXIT_OK, EXIT_CONFIG)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": {"n_clients": 5.0}},
+        {"scenario": {"n_targets": 100.0}},
+        {"scenario": {"n_classes": 10.0}},
+        {"seed": 3.0},
+        {"rounds": 1.0},
+    ],
+    ids=["n-clients", "n-targets", "n-classes", "seed", "rounds"],
+)
+def test_integral_float_at_an_integer_key_runs(tmp_path, capsys, raw):
+    cfg = _write(tmp_path, "int.json", json.dumps(raw))
+    assert main(["validate-config", "--config", cfg]) == EXIT_OK
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": {"channel": {"pathloss_exponent": 10**308}}},
+        {"resources": {"scale": [10**308, 1, 1]}},
+        {"resources": {"quanta": {"time_s": 10**308}}},
+        {"market": {"gain_floor": 10**308}},
+    ],
+    ids=["pathloss-exponent", "scale", "time-quantum", "gain-floor"],
+)
+def test_integer_near_the_float_limit_acts_as_its_float(tmp_path, capsys, raw):
+    # a "number" leaf reaches the engine as a float: 10**308 acts as 1e308
+    as_int = _write(tmp_path, "int.json", json.dumps(raw))
+    as_float = _write(tmp_path, "float.json", json.dumps(raw).replace("1" + "0" * 308, "1e308"))
+    codes = [main(["run", "--config", path, "--rounds", "1"]) for path in (as_int, as_float)]
+    assert codes[0] == codes[1] in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": {"frame_rate_hz": 1e308}},
+        {"policy": "COMP_OPT", "scenario": {"wireless_efficiency": 1.7976931348623157e308}},
+        {"scenario": {"area_m": 1e-150}},
+    ],
+    ids=["frame-rate", "wireless-efficiency", "tiny-area"],
+)
+def test_solve_whose_cost_is_not_finite_is_infeasible(tmp_path, capsys, raw):
+    # the closed form gives an infinite sensing width, or inf - inf
+    raw = {**raw, "scenario": {"n_clients": 3, "n_targets": 10, **raw["scenario"]}}
+    cfg = _write(tmp_path, "solve.json", json.dumps(raw))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["audit_violations"] == []
+
+
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ({"visual_radius_m": 100.0}, "visual_radius_m"),
+        ({"visual_radius_m": 150.0}, "visual_radius_m"),
+        ({"wireless_radius_m": 1e308}, "wireless_radius_m"),
+        ({"area_m": 1e-200}, "area_m"),
+        ({"area_m": 1e200}, "area_m"),
+    ],
+    ids=["equal-radii", "visual-wider", "wireless-area", "area-underflow", "area-overflow"],
+)
+def test_sensing_geometry_the_engine_cannot_use_exits_2(tmp_path, capsys, scenario, key):
+    cfg = _write(tmp_path, "geometry.json", json.dumps({"scenario": scenario}))
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(f"scenario/{key}") == 2

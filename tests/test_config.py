@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,16 +12,18 @@ from hypothesis import strategies as st
 import mfpsim
 from mfpsim.config import (
     SCHEMA,
+    ExperimentConfig,
     _deep_merge,
-    _plainly_valid,
-    _validator,
+    _parse,
     config_hash,
     default_config,
     load_config,
 )
 from mfpsim.errors import ConfigError
+from mfpsim.runner import run
 
-from test_golden import CONFIGS
+from oracles import schema_validator, schema_violations
+from test_golden import CONFIGS, TINY
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
@@ -57,17 +58,29 @@ def test_bad_value_rejected():
         load_config({"resources": {"scale": [1.0, 1.0]}})
 
 
+def _shallowest(violations):
+    """The violation jsonschema's best match picks by depth; among equally
+    deep ones, the first it finds."""
+    path, message = min(violations, key=lambda v: len(v[0]))
+    return "/".join(map(str, path)), message
+
+
 def test_two_errors_report_what_jsonschema_validate_reports():
-    # the scan meets scenario.n_clients first; jsonschema's best match is the
-    # shallower error
+    # the walk meets scenario.n_clients first; the shallower error wins
     override = {"scenario": {"n_clients": 0}, "output": 5}
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(_deep_merge(default_config(), override), SCHEMA)
-    for _ in range(2):  # the cached validator answers the same every time
-        with pytest.raises(ConfigError) as err:
-            load_config(override)
-        assert err.value.path == "output"
-        assert str(err.value) == f"output: {expected.value.message}"
+    violations = schema_violations(_deep_merge(default_config(), override))
+    assert len(violations) == 2
+    with pytest.raises(ConfigError) as err:
+        load_config(override)
+    assert err.value.path == "output" == _shallowest(violations)[0]
+    assert str(err.value) == "output: 5 is not of type 'object'"
+
+
+def test_equally_deep_errors_report_the_first_in_schema_order():
+    # jsonschema's best match takes the greater path, "scenario"
+    with pytest.raises(ConfigError) as err:
+        load_config({"mode": "x", "scenario": 5})
+    assert str(err.value) == "mode: 'x' is not one of ['zeros', 'serial']"
 
 
 def test_scale_floors_with_minimum_one(tmp_path):
@@ -118,22 +131,22 @@ def test_non_finite_number_rejected_with_path(value):
     assert err.value.path == "resources/scale/1"
 
 
-@pytest.mark.parametrize("layer", [{}, {"rounds": 1.0}], ids=["fast-check", "jsonschema"])
-def test_integer_beyond_float_range_rejected_with_path(layer):
-    # 1.0 is an integer to jsonschema alone, so the second document takes
-    # the jsonschema path, and both pass the schema
+@pytest.mark.parametrize("rounds", [1, 1.0], ids=["int-rounds", "float-rounds"])
+def test_integer_beyond_float_range_rejected_with_path(rounds):
+    # an integral float at an integer key changes nothing in the verdict
     big = 10**400
     for doc, path in [
-        ({**layer, "scenario": {"area_m": big}}, "scenario/area_m"),
-        ({**layer, "resources": {"scale": [1, big, 1]}}, "resources/scale/1"),
+        ({"scenario": {"area_m": big}}, ("scenario", "area_m")),
+        ({"resources": {"scale": [1, big, 1]}}, ("resources", "scale", 1)),
+        ({"resources": {"freq_cells": big}}, ("resources", "freq_cells")),
     ]:
-        merged = _deep_merge(default_config(), doc)
-        assert _plainly_valid(merged, SCHEMA) == (not layer)
-        assert list(_validator().iter_errors(merged)) == []
+        doc["rounds"] = rounds
+        message = "integer too large for a float"
+        assert schema_violations(_deep_merge(default_config(), doc)) == [(path, message)]
         with pytest.raises(ConfigError) as err:
             load_config(doc)
-        assert err.value.path == path
-    load_config({**layer, "scenario": {"area_m": 10**300}})  # fits a float
+        assert str(err.value) == f"{'/'.join(map(str, path))}: {message}"
+    load_config({"rounds": rounds, "scenario": {"area_m": 10**150}})  # fits a float
 
 
 def test_non_finite_number_in_file_rejected(tmp_path):
@@ -183,7 +196,8 @@ def test_zero_cycles_per_sample_still_accepted():
 
 
 def test_schema_is_a_valid_schema():
-    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+    schema_validator.cache_clear()
+    schema_validator()  # checks SCHEMA against its metaschema first
 
 
 def _accepted_documents():
@@ -198,15 +212,58 @@ def _accepted_documents():
 
 @pytest.mark.parametrize("name", sorted(_accepted_documents()))
 def test_fast_check_accepts_shipped_and_golden_configs(name):
-    assert _plainly_valid(_accepted_documents()[name], SCHEMA)
+    # the one walk over SCHEMA finds nothing, and its typed copy has the
+    # document's values
+    doc = _accepted_documents()[name]
+    errors = []
+    assert _parse(doc, SCHEMA, (), errors) == doc
+    assert errors == [] == schema_violations(doc)
 
 
-def test_fast_check_declines_keywords_it_does_not_read():
-    assert not _plainly_valid("abc", {"type": "string", "pattern": "^x"})
+class _Recording(dict):
+    """A schema node that notes each of its keys looked up."""
+
+    def __init__(self, node, read):
+        super().__init__(node)
+        self.read = read
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _recording(node, read, used):
+    """`node` with every schema node recording its reads into `read`, and
+    every keyword it uses added to `used`."""
+    used.update(node)
+    out = dict(node)
+    if "properties" in node:
+        out["properties"] = {k: _recording(v, read, used) for k, v in node["properties"].items()}
+    if "items" in node:
+        out["items"] = _recording(node["items"], read, used)
+    return _Recording(out, read)
+
+
+def _keywords_unread(schema, doc):
+    read, used = set(), set()
+    _parse(doc, _recording(schema, read, used), (), [])
+    return used - read
+
+
+def test_parse_reads_every_keyword_schema_uses():
+    # on the defaults alone, every keyword SCHEMA uses is looked up
+    assert _keywords_unread(SCHEMA, default_config()) == set()
     schema = copy.deepcopy(SCHEMA)
     schema["properties"]["scenario"]["properties"]["sensing_mode"]["pattern"] = "^m"
-    assert not _plainly_valid(default_config(), schema)
-    assert not _plainly_valid(1, {"type": ["integer", "null"]})
+    assert _keywords_unread(schema, default_config()) == {"pattern"}
 
 
 def _paths(doc, here=()):
@@ -224,8 +281,7 @@ _PATHS = list(_paths(_DEFAULTS))[1:]
 _DELETE, _EXTRA = "<delete>", "<extra key>"
 
 
-def _at(path):
-    node = _DEFAULTS
+def _at(path, node=_DEFAULTS):
     for step in path:
         node = node[step]
     return node
@@ -289,27 +345,41 @@ def _mutate(doc, path, value):
 @example([(("policy",), "siscc")])
 @example([(("version",), True)])
 @example([(("resources", "scale"), [1.0, 1.0])])
-def test_fast_check_accepts_nothing_jsonschema_rejects(mutations):
+@example([(("scenario", "area_m"), 10**400)])
+@example([(("resources", "scale"), [1.0, 1.0, 1.0, 1.0])])
+def test_parse_finds_what_jsonschema_finds(mutations):
+    # the oracle is jsonschema with finite numbers and the float-range rule
     doc = default_config()
     for path, value in mutations:
         try:
             _mutate(doc, path, value)
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation removed or retyped the path
-    if _plainly_valid(doc, SCHEMA):
-        assert list(_validator().iter_errors(doc)) == []
+    errors = []
+    _parse(doc, SCHEMA, (), errors)
+    expected = schema_violations(doc)
+    assert errors == expected
+    if not expected:
+        ExperimentConfig(doc)
+        return
+    path, message = _shallowest(expected)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(doc)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}" if path else message)
 
 
 def test_cold_load_of_a_valid_config_leaves_jsonschema_unimported():
+    # with jsonschema made unimportable, a valid config loads and an invalid
+    # one is rejected at its path
     script = (
-        "import sys, mfpsim\n"
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "import mfpsim\n"
         "mfpsim.load_config({'rounds': 1, 'policy': 'MLPG'})\n"
-        "assert 'jsonschema' not in sys.modules, 'imported on a valid config'\n"
         "try:\n"
         "    mfpsim.load_config({'rounds': -1})\n"
         "except mfpsim.ConfigError as err:\n"
         "    print(err.path)\n"
-        "assert 'jsonschema' in sys.modules\n"
     )
     src = str(Path(mfpsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -327,3 +397,33 @@ def test_prices_are_floats_while_the_document_keeps_its_numbers():
     assert type(prices.sample) is float and prices.sample == 2.0
     assert cfg.raw["prices"]["time"] == 10**308 and type(cfg.raw["prices"]["sample"]) is int
     assert config_hash(cfg) != config_hash(load_config({"prices": {"time": 1e308, "sample": 2.0}}))
+
+
+def _integer_paths(schema=SCHEMA, here=()):
+    if schema.get("type") == "integer":
+        yield here
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_paths(sub, (*here, key))
+
+
+def _tiny_texts(doc):
+    texts = run(load_config(doc)).output_texts()
+    del texts["run.json"]  # it carries the document as given, and its hash
+    return texts
+
+
+@pytest.mark.parametrize("path", list(_integer_paths()), ids="/".join)
+def test_integral_float_at_an_integer_key_writes_the_same_outputs(path):
+    doc = _deep_merge(default_config(), {**TINY, "seed": 3})
+    as_int = _tiny_texts(doc)
+    _mutate(doc, path, float(_at(path, doc)))
+    cfg = load_config(doc)
+    assert type(_at(path, cfg.typed)) is int and type(_at(path, cfg.raw)) is float
+    assert _tiny_texts(doc) == as_int
+
+
+def test_number_leaves_are_floats_in_the_typed_copy():
+    cfg = load_config({"scenario": {"area_m": 500, "channel": {"pathloss_exponent": 2}}})
+    assert type(cfg.scenario["area_m"]) is float and type(cfg.channel().pathloss_exponent) is float
+    assert type(cfg.raw["scenario"]["area_m"]) is int
+    assert cfg.typed["resources"]["scale"] == [1.0, 1.0, 1.0]
