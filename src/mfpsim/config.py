@@ -25,6 +25,10 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+# each scenario count is the length of a numpy axis, and n_classes also the
+# exclusive top of an int64 class draw: both stop at the int64 maximum
+_COUNT_MAX = 2**63 - 1
+_COUNT = {"type": "integer", "minimum": 1, "maximum": _COUNT_MAX}
 # 10 ** ((p - 30) / 10) watts overflows a float near 3110 dBm
 _TX_POWER = {"type": "number", "maximum": 300}
 
@@ -48,9 +52,9 @@ SCHEMA = _obj(
         "scenario": _obj(
             {
                 "area_m": _POS,
-                "n_clients": _POS_INT,
-                "n_targets": {"type": "integer", "minimum": 0},
-                "n_classes": _POS_INT,
+                "n_clients": _COUNT,
+                "n_targets": {"type": "integer", "minimum": 0, "maximum": _COUNT_MAX},
+                "n_classes": _COUNT,
                 "max_speed_mps": _NONNEG,
                 "visual_radius_m": _POS,
                 "wireless_radius_m": _POS,

@@ -12,7 +12,6 @@ granted it every one of them.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -330,27 +329,28 @@ def allocate_workloads(
     within 1e-9 of the largest marginal M (on reaching M's client it either
     takes it or already holds a best >= M - 1e-9, and the best only rises),
     so when every other marginal is below M - 1e-9 it picks M's client
-    whatever the id order.  The marginals sit in a max-heap with lazy
-    deletion, keyed (-marginal, id rank, load it was computed at); an entry
-    goes when its client has been granted since or has closed, and within a
-    pass a client closes for good, since loads, the open-client count and the
-    gain only grow.  A grant takes the heap top when it clears the runner-up
-    by more than 1e-9 and runs the scan otherwise (for the rest of the pass
-    once a marginal is NaN, which orders nothing).  A client's marginal
-    depends only on its own load, so it is computed once per load, for the
-    clients and at the grants where a scan alone would compute it, and the
-    open-client count is a running counter.
+    whatever the id order.  The scan runs over the clients still open in the
+    pass: within a pass a client closes for good, since loads, the
+    open-client count and the gain only grow.  A client's marginal depends
+    only on its own load, so it is cached with the load it was priced at.
+    A pick is clear when no marginal is NaN and it beats every other one by
+    more than 1e-9; the scan then also returns the runner-up's marginal.
+    After a clear pick the leader keeps the grant without a new scan while
+    it is open and its freshly priced marginal still beats that runner-up by
+    more than 1e-9 (and exceeds 1e-9 past the floor): the other marginals
+    have not moved and clients only close, so the runner-up can only fall
+    and the leader is still the clear pick.
 
-    Streaks.  After a heap grant the leader, at load n, is offered k more
+    Streaks.  After a clear pick the leader, at load n, is offered k more
     samples at once, and one probe of c(n+k) decides.  `CostCurve.rise_bound`
     turns c(n) and c(n+k) into a float R no smaller than any of the leader's
     computed marginal costs at loads n..n+k-1, and `_welfare_of(R)` is then
     no larger than any of its computed marginal welfares there (the same
     float expression, monotone in the cost).  Other clients' marginals do
     not move, and they can only close, so the runner-up can only fall.  So
-    when that bound beats the runner-up's heap value by more than 1e-9 (any
+    when that bound beats that runner-up's marginal by more than 1e-9 (any
     finite value does when there is none), every one of the k grants would
-    have been a heap grant to the leader; past the floor it must also
+    have been a clear pick of the leader; past the floor it must also
     exceed 1e-9, or the batch stops at the floor switch.  A finite bound
     also rules out a NaN marginal in the run.  k is clipped where the leader
     closes, at mtv and by replaying the gain's additions against the
@@ -359,19 +359,20 @@ def allocate_workloads(
     bit.  k gallops: it doubles after a certified batch and halves after a
     failed one.  A streak ends, and unit grants resume, when no k >= 2
     certifies, when a probe is infinite, at the floor switch, or where the
-    leader closes.  Scan grants never start a streak, nor do loads the curve
-    does not vouch for (`CostCurve.in_segment`).
+    leader closes.  A pick that is not clear never starts a streak, nor do
+    loads the curve does not vouch for (`CostCurve.in_segment`).
 
     A rationality pass does not rerun the greedy from scratch.  The previous
     pass's grants are kept in order, as (client, count) runs, with the first
-    grant at which each client led: became the scan's running best, or was a
-    heap grant's pick (a streak's leader led at its first grant).  Excluding
-    clients that never led leaves every grant's pick unchanged: a scan's pick
-    never depended on them, and a heap pick stays clear of the clients that
-    remain.  So the next pass replays the grants before the earliest one any
-    excluded client led (all of them when none did) and resumes from there.
-    Replaying the same grants in the same order rebuilds the same loads, open
-    count and gain, the gain by the same float additions in the same order.
+    grant at which each client led: became the scan's running best (a
+    leader led at its clear pick, before its later grants and streaks).
+    Excluding clients that never led leaves every grant's pick unchanged: a
+    scan's pick never depended on them, and a leader's grant stays clear of
+    the clients that remain.  So the next pass replays the grants before the
+    earliest one any excluded client led (all of them when none did) and
+    resumes from there.  Replaying the same grants in the same order rebuilds
+    the same loads, open count and gain, the gain by the same float additions
+    in the same order.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -394,6 +395,9 @@ def allocate_workloads(
         return build_report(by_id, load, costs, prices, alpha, beta)
 
     picks: list[list] = []  # the greedy's grants, in order, as [client, count] runs
+    # marginal welfare of each client's next sample, with the load it was
+    # priced at: only a grant changes a load
+    marginal: dict[str, tuple[int, float]] = {}
     first_led: dict[str, int] = {}  # grant (index over all grants) a client first led
     stride = 2  # streak batch size to offer next
     for _ in range(len(quotes) + 1):
@@ -402,14 +406,7 @@ def allocate_workloads(
         opened = 0
         granted = 0
         bidders = [q for q in quotes if q.client_id not in excluded and q.gain_rate > 0]
-        rank = {q.client_id: i for i, q in enumerate(bidders)}
-        # marginal welfare of each open client's next sample at its current
-        # load; only a grant changes a load, so a client is priced again only
-        # at the first grant after its own
-        marginal: dict[str, float] = {}
-        unpriced = set(range(len(bidders)))  # ranks whose marginal is due
-        heap: list[tuple[float, int, int]] = []  # (-marginal, rank, load)
-        ordered = True  # False once a NaN marginal has broken the heap order
+        lead = None  # (client, runner-up's marginal) of the last clear pick
 
         def closed(q) -> bool:
             n = load[q.client_id]
@@ -419,52 +416,48 @@ def allocate_workloads(
                 or gain + q.gain_rate >= ceiling - _TOL
             )
 
-        def heap_top(require_positive: bool):
-            while heap:
-                neg, i, n = heap[0]
-                q = bidders[i]
-                if n == load[q.client_id] and not closed(q) and not (
-                    require_positive and -neg <= _TOL
-                ):
-                    return heap[0]
-                heapq.heappop(heap)
-            return None
+        def priced(q) -> float:
+            n = load[q.client_id]
+            at, delta = marginal.get(q.client_id, (None, 0.0))
+            if at != n:
+                delta = _marginal_welfare(q, n, prices, alpha, beta)
+                marginal[q.client_id] = (n, delta)
+            return delta
 
         def grantable(require_positive: bool):
             """(marginal, client, runner-up's marginal) of the next grant:
-            the runner-up is -inf when there is none and None for a scan
-            pick; None when no client can take a grant."""
-            nonlocal ordered
-            for i in sorted(unpriced):
-                q = bidders[i]
+            the runner-up is -inf when there is none and None when the pick
+            is not clear; None when no client can take a grant."""
+            nonlocal bidders, lead
+            if lead is not None:
+                cid, rival = lead
+                q = by_id[cid]
                 if not closed(q):
-                    n = load[q.client_id]
-                    delta = marginal[q.client_id] = _marginal_welfare(q, n, prices, alpha, beta)
-                    ordered = ordered and delta == delta
-                    heapq.heappush(heap, (-delta, i, n))
-            unpriced.clear()
-            if ordered:
-                top = heap_top(require_positive)
-                if top is None:
-                    return None
-                heapq.heappop(heap)
-                runner_up = heap_top(require_positive)
-                if runner_up is None or -top[0] > -runner_up[0] + _TOL:
-                    cid = bidders[top[1]].client_id
-                    first_led.setdefault(cid, granted)
-                    return -top[0], cid, -math.inf if runner_up is None else -runner_up[0]
-                heapq.heappush(heap, top)
-            best = None
+                    delta = priced(q)
+                    if delta > rival + _TOL and (not require_positive or delta > _TOL):
+                        return delta, cid, rival
+                lead = None
+            bidders = [q for q in bidders if not closed(q)]
+            best, top, second, clear = None, -math.inf, -math.inf, True
             for q in bidders:
-                if closed(q):
-                    continue
-                delta = marginal[q.client_id]
+                delta = priced(q)
                 if require_positive and delta <= _TOL:
                     continue
+                if delta != delta:
+                    clear = False
+                elif delta > top:
+                    top, second = delta, top
+                elif delta > second:
+                    second = delta
                 if best is None or delta > best[0] + _TOL:
-                    best = (delta, q.client_id, None)
+                    best = (delta, q.client_id)
                     first_led.setdefault(q.client_id, granted)
-            return best
+            if best is None:
+                return None
+            if clear and best[0] == top and top > second + _TOL:
+                lead = best[1], second
+                return best[0], best[1], second
+            return best[0], best[1], None
 
         def grant(cid: str, count: int) -> None:
             nonlocal gain, opened, granted
@@ -475,7 +468,6 @@ def allocate_workloads(
             for _ in range(count):
                 gain += rate
             granted += count
-            unpriced.add(rank[cid])
 
         def take(cid: str, count: int) -> None:
             if picks and picks[-1][0] == cid:
@@ -485,7 +477,7 @@ def allocate_workloads(
             grant(cid, count)
 
         def streak(cid: str, rival: float) -> None:
-            """Certified batches for the leader of a heap grant whose
+            """Certified batches for the leader of a clear pick whose
             runner-up's marginal welfare was `rival` (see above)."""
             nonlocal stride
             q = by_id[cid]

@@ -332,6 +332,9 @@ def _enumerate_consumption(
     every other candidate's computed cost exceeds the first one's by more
     than 1e-9, so the tie rule never lets it replace the first.  A NaN or
     infinite gap fails the test, so such inputs enumerate.
+
+    A free time x that rounds to 0 (v_i*p_i / tau underflows, or tau
+    overflows to inf) gets the width inf, which no finite box admits.
     """
     live = [p for p in procs if p.volume > 0]
     if not live:
@@ -361,7 +364,7 @@ def _enumerate_consumption(
         times, widths = t_box[:], w_box[:]
         for i in range(len(live)):
             x = math.sqrt(vol_price[i] / time_price)
-            w = volume[i] / x
+            w = volume[i] / x if x else math.inf
             if w > w_cap[i]:
                 break
             times[i] = x
@@ -394,7 +397,7 @@ def _enumerate_consumption(
                 widths = w_box[:]
                 for i in free:
                     x = math.sqrt(vol_price[i] / tau)
-                    w = volume[i] / x
+                    w = volume[i] / x if x else math.inf
                     if w > w_cap[i]:
                         break
                     times[i] = x

@@ -372,3 +372,29 @@ def test_sensing_geometry_the_engine_cannot_use_exits_2(tmp_path, capsys, scenar
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.count(f"scenario/{key}") == 2
+
+
+@pytest.mark.parametrize(
+    "prices", [{"freq": 1e308}, {"freq": 5e-324, "time": 1e308}], ids=["tau-overflows", "underflow"]
+)
+@pytest.mark.parametrize("policy", ["SISCC", "SENS_OPT", "MC_FC"])
+def test_free_time_that_rounds_to_zero_is_infeasible(tmp_path, capsys, policy, prices):
+    # sqrt(v*p / tau) is 0 when tau overflows to inf or the ratio underflows:
+    # that sub-process would need an infinite width
+    raw = {"policy": policy, "scenario": {"n_clients": 3, "n_targets": 10}, "prices": prices}
+    cfg = _write(tmp_path, "prices.json", json.dumps(raw))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["audit_violations"] == []
+
+
+@pytest.mark.parametrize(
+    "key, count",
+    [("n_clients", 10**24), ("n_targets", 10**24), ("n_classes", 10**20)],
+    ids=["n-clients", "n-targets", "n-classes"],
+)
+def test_count_beyond_the_int64_range_exits_2(tmp_path, capsys, key, count):
+    # each count sizes a numpy axis; n_classes also tops an int64 class draw
+    cfg = _write(tmp_path, "count.json", json.dumps({"scenario": {key: count}}))
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(f"scenario/{key}: {count} is greater than the maximum") == 2

@@ -226,7 +226,7 @@ class TestAllocate:
 
     def test_near_tie_goes_to_the_scan_pick_not_the_largest_marginal(self):
         # b's first marginal beats a's by 5e-10, inside the 1e-9 tie window,
-        # so the id-ordered scan opens a and the heap must not take its top.
+        # so the id-ordered scan opens a: the largest marginal is no clear pick.
         # With one admissible client the greedy fills a alone (8 samples) and
         # the gain-saturated start, b at its capacity of 30, wins; opening b
         # would stop b at 20 samples, which that start no longer beats.
@@ -245,6 +245,41 @@ class TestAllocate:
         assert alloc.workloads == {"b": 30}
         assert report.audit() == []
         assert (alloc, report) == allocate_workloads_reference(quotes, prices, 0.05, 10.0, 1)
+
+    def plain(self, cid, rate, marginals):
+        """A quote on a curve with the given marginal costs; plain costs
+        vouch for no streak, so each grant is a scan's or the leader's."""
+        costs = [0.0]
+        for m in marginals:
+            costs.append(costs[-1] + m)
+        return ClientQuote(cid, 1.0, len(marginals), len(marginals), rate, curve_from_samples(costs))
+
+    def test_leader_within_the_tie_window_of_its_runner_up_yields_to_the_scan(self):
+        # b leads a (welfare 0.9 against 0.5) for 10 samples; then b's marginal
+        # welfare is 5e-10 above a's, inside the tie window, so the scan's
+        # id-order pick, a, takes every grant up to the ceiling
+        quotes = [
+            self.plain("a", 0.01, [0.5] * 100),
+            self.plain("b", 0.01, [0.1] * 10 + [0.5 - 5e-10] * 50),
+        ]
+        case = (quotes, self.prices(), 0.3, 0.25, 2)
+        got = allocate_workloads(*case)
+        assert got[0].workloads == {"a": 44, "b": 10}
+        assert repr(got) == repr(allocate_workloads_reference(*case))
+
+    def test_leader_holds_while_its_runner_up_closes(self):
+        # b leads r (0.9 against 0.4, falling by 0.019 a sample); r's larger
+        # gain rate closes it at the ceiling after b's 25th sample, and b keeps
+        # the grant; past 0.4 the scan finds b still clear of a (0.2)
+        quotes = [
+            self.plain("a", 0.01, [0.8] * 40),
+            self.plain("b", 0.01, [0.1 + 0.019 * n for n in range(40)]),
+            self.plain("r", 0.05, [4.6] * 10),
+        ]
+        case = (quotes, self.prices(), 0.1, 0.2, 3)
+        got = allocate_workloads(*case)
+        assert got[0].workloads == {"b": 29}
+        assert repr(got) == repr(allocate_workloads_reference(*case))
 
     def contested(self, n_clients, curve):
         """Convex curves a few samples' welfare drop apart, so the lead

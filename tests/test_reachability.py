@@ -11,9 +11,12 @@ count.
 A class-level field (an annotated or plain assignment in a class body, such
 as a dataclass field) counts as used when one of those modules reads it as
 an attribute or names it in a string (a config key, a `getattr`).  Passing it
-by keyword to a constructor is not a read.  Methods are left out for now:
-`WelfareReport.audit` is called only by tests until the settlement contract
-decides whether `run()` reports its findings or the method goes.
+by keyword to a constructor is not a read.
+
+A method or property of a package class counts as used when one of those
+modules refers to it, as an attribute or in a string, outside its own body.
+Dunder methods are the language's to call.  `_UNREACHED_METHODS` names the
+methods only tests call, each with the reason it stays.
 
 Records are plain slotted dataclasses, immutable by convention: no code
 assigns to one except the few records a round fills in as it goes, and
@@ -22,6 +25,7 @@ package to that.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,18 +33,19 @@ PACKAGE = ROOT / "src" / "mfpsim"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def _names(node) -> set[str]:
-    """Every identifier a statement refers to."""
-    found = set()
+def _reference_counts(node) -> Counter:
+    """How often a statement refers to each identifier: as a name, as an
+    attribute, or as a string equal to it."""
+    counts = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found.add(sub.id)
+            counts[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+            counts[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             if sub.value.isidentifier():
-                found.add(sub.value)
-    return found
+                counts[sub.value] += 1
+    return counts
 
 
 def _bodies():
@@ -58,7 +63,7 @@ def _unreferenced() -> list[str]:
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 definitions.append((path, i, node.name))
-            for name in _names(node):
+            for name in _reference_counts(node):
                 used_by.setdefault(name, set()).add((path, i))
     return sorted(
         f"{path.stem}.{name}"
@@ -94,6 +99,45 @@ def _unread_fields() -> list[str]:
 
 def test_every_package_function_and_class_is_used_outside_tests():
     assert _unreferenced() == []
+
+
+# methods that only tests call, and why each stays
+_UNREACHED_METHODS = {
+    "market.WelfareReport.audit": (
+        "the settlement contract decides whether run() reports its findings "
+        "in audit_violations or the method goes"
+    ),
+    "resource_pool.SharedResourcePool.snapshot": (
+        "the pool tests compare the claims with the numpy reference grid "
+        "through it (oracles.snapshot_counts); no engine code reads it"
+    ),
+}
+
+
+def _unreferenced_methods() -> list[str]:
+    methods, total = [], Counter()
+    for path, body in _bodies():
+        for node in body:
+            total += _reference_counts(node)
+            if path.parent != PACKAGE:
+                continue
+            for cls in ast.walk(node):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                methods += [
+                    (f"{path.stem}.{cls.name}.{fn.name}", fn)
+                    for fn in cls.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                ]
+    return sorted(
+        name for name, fn in methods
+        if total[fn.name] <= _reference_counts(fn)[fn.name]
+    )
+
+
+def test_every_method_and_property_is_used_outside_tests():
+    assert _unreferenced_methods() == sorted(_UNREACHED_METHODS)
 
 
 def test_every_class_field_is_read_outside_tests():
