@@ -2,9 +2,10 @@
 
 Subcommands: run (one simulation), sweep (one run per value of a config
 path), solve-one (direct access to the per-client scheduler), and
-validate-config.  Exit codes: 0 success, 2 configuration error, 3 (solve-one
-only) infeasible workload.  A run that cannot reach its gain floor records a
-shortfall for the round and exits 0.
+validate-config.  Exit codes: 0 success, 2 configuration error (a run that
+runs out of memory included), 3 (solve-one only) infeasible workload.  A run
+that cannot reach its gain floor records a shortfall for the round and exits
+0.
 """
 
 from __future__ import annotations
@@ -218,6 +219,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as err:
+        # counts within the schema can still size arrays past the memory at hand
+        print(f"config error: out of memory: {str(err) or 'MemoryError'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -26,8 +26,10 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 # each scenario count is the length of a numpy axis, and n_classes also the
-# exclusive top of an int64 class draw: both stop at the int64 maximum
-_COUNT_MAX = 2**63 - 1
+# exclusive top of an int64 class draw; the clients' and targets' (n, 2)
+# float64 positions take 16 bytes a count, and numpy sizes no array past
+# 2**63 - 1 bytes
+_COUNT_MAX = (2**63 - 1) // 16
 _COUNT = {"type": "integer", "minimum": 1, "maximum": _COUNT_MAX}
 # 10 ** ((p - 30) / 10) watts overflows a float near 3110 dBm
 _TX_POWER = {"type": "number", "maximum": 300}

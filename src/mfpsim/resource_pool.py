@@ -1,9 +1,11 @@
 """Quantized per-client resource pools.
 
 Each client holds, per communication round, two grids sharing one time axis:
-a frequency x time grid and a compute-rate x time grid.  A grid is the list of
-rectangles that named services claimed on it; claims are never released
-within a round, and no two services' claims share a cell.
+a frequency x time grid ("tf", for sensing and transfers) and a compute-rate
+x time grid ("tc", for training).  A grid is the list of rectangles that
+named services claimed on it; claims are never released within a round, and
+no two services' claims share a cell.  Placement reads back only the
+frequency grid's per-column loads, so only those are kept.
 
 Pools are single-writer per round.  Concurrent reads are safe; interleaved
 reservations on one pool are not, so callers serialize writes per client.
@@ -50,8 +52,8 @@ class GridRegion:
 
 
 class SharedResourcePool:
-    """Per grid, the rectangles each service claimed and the cells held in
-    each time column.
+    """Per grid, the rectangles each service claimed, and the frequency
+    cells held in each time column.
 
     A claim is `(service, row_start, row_stop, col_start, col_stop)` and is
     never empty.  Claims of different services never intersect, so every
@@ -66,81 +68,49 @@ class SharedResourcePool:
         self.freq_cells = freq_cells
         self.compute_cells = compute_cells
         self._claims: dict[str, list[tuple[str, int, int, int, int]]] = {"tf": [], "tc": []}
-        self._loads = {"tf": [0] * time_cells, "tc": [0] * time_cells}
+        self._loads = [0] * time_cells
 
-    def reserve(
-        self,
-        service: str,
-        tf: GridRegion | None = None,
-        tc: GridRegion | None = None,
-    ) -> None:
-        """Claim the cells of `tf` and `tc` for `service`.
+    def reserve(self, service: str, grid: str, region: GridRegion) -> None:
+        """Claim the cells of `region` on `grid` ("tf" or "tc") for `service`.
 
         Cells the service already holds stay as they are; a cell held by
         another service raises ResourceConflictError, naming the first such
         cell in row-major order, and leaves the pool untouched.
         """
-        wanted = [(name, region) for name, region in (("tf", tf), ("tc", tc)) if region is not None]
-        for name, region in wanted:
-            rows = self.freq_cells if name == "tf" else self.compute_cells
-            if region.row_stop > rows or region.col_stop > self.time_cells:
-                raise ValueError(
-                    f"{name} region {region} exceeds grid shape {rows}x{self.time_cells}"
-                )
-        pending = []
-        for name, region in wanted:
-            r0, r1, c0, c1 = region.row_start, region.row_stop, region.col_start, region.col_stop
-            # the row-major first cell of a union of rectangles is the least
-            # first cell of any of them
-            first, own = None, False
-            for holder, h0, h1, k0, k1 in self._claims[name]:
-                top, left = max(r0, h0), max(c0, k0)
-                if top < min(r1, h1) and left < min(c1, k1):
-                    if holder == service:
-                        own = True
-                    elif first is None or (top, left) < first[:2]:
-                        first = (top, left, holder)
-            if first is not None:
-                raise ResourceConflictError(
-                    f"{name} cell ({first[0]},{first[1]}) already held by service {first[2]!r}"
-                )
-            if r0 < r1 and c0 < c1:
-                pending.append((name, (service, r0, r1, c0, c1), own))
-        for name, claim, own in pending:
-            _, r0, r1, c0, c1 = claim
-            claims, loads = self._claims[name], self._loads[name]
-            claims.append(claim)
-            if own:  # the service's claims overlap here: count their union afresh
-                loads[c0:c1] = [_covered_rows(claims, col) for col in range(c0, c1)]
-            else:
-                for col in range(c0, c1):
-                    loads[col] += r1 - r0
+        claims = self._claims[grid]
+        rows = self.freq_cells if grid == "tf" else self.compute_cells
+        if region.row_stop > rows or region.col_stop > self.time_cells:
+            raise ValueError(f"{grid} region {region} exceeds grid shape {rows}x{self.time_cells}")
+        r0, r1, c0, c1 = region.row_start, region.row_stop, region.col_start, region.col_stop
+        # the row-major first cell of a union of rectangles is the least
+        # first cell of any of them
+        first, own = None, False
+        for holder, h0, h1, k0, k1 in claims:
+            top, left = max(r0, h0), max(c0, k0)
+            if top < min(r1, h1) and left < min(c1, k1):
+                if holder == service:
+                    own = True
+                elif first is None or (top, left) < first[:2]:
+                    first = (top, left, holder)
+        if first is not None:
+            raise ResourceConflictError(
+                f"{grid} cell ({first[0]},{first[1]}) already held by service {first[2]!r}"
+            )
+        if r0 >= r1 or c0 >= c1:
+            return
+        claims.append((service, r0, r1, c0, c1))
+        if grid == "tc":
+            return
+        loads = self._loads
+        if own:  # the service's claims overlap here: count their union afresh
+            loads[c0:c1] = [_covered_rows(claims, col) for col in range(c0, c1)]
+        else:
+            for col in range(c0, c1):
+                loads[col] += r1 - r0
 
-    def column_loads(self) -> tuple[list[int], list[int]]:
-        """Occupied cells per time column of the frequency grid and of the
-        compute grid."""
-        return self._loads["tf"][:], self._loads["tc"][:]
-
-    def snapshot(self) -> dict:
-        """JSON-serializable dump of dimensions and occupied cells with service tags."""
-        occupied = []
-        for name in ("tc", "tf"):  # sorted by grid name
-            held = {
-                (row, col): service
-                for service, r0, r1, c0, c1 in self._claims[name]
-                for row in range(r0, r1)
-                for col in range(c0, c1)
-            }
-            occupied += [
-                {"grid": name, "row": row, "col": col, "service": service}
-                for (row, col), service in sorted(held.items())
-            ]
-        return {
-            "time_cells": self.time_cells,
-            "freq_cells": self.freq_cells,
-            "compute_cells": self.compute_cells,
-            "occupied": occupied,
-        }
+    def column_loads(self) -> list[int]:
+        """Occupied cells per time column of the frequency grid."""
+        return self._loads[:]
 
 
 def _covered_rows(claims, col: int) -> int:

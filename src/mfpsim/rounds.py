@@ -24,8 +24,6 @@ PROC_DOWN = "comm_down"
 PROC_COMP = "comp"
 PROC_UP = "comm_up"
 
-_CHAIN = (PROC_DOWN, PROC_COMP, PROC_UP)
-
 
 @dataclass(slots=True)
 class Placement:
@@ -82,18 +80,6 @@ def cycle_length(prev_consumption_times: list[int], time_cells: int) -> int:
     return min(time_cells, max(finite))
 
 
-def _chain_cols(decision: ScheduleDecision, window: int) -> dict[str, tuple[int, int]]:
-    """Column spans for the consumption chain: download first, upload last."""
-    t_down = int(decision.comm_down.t)
-    t_comp = int(decision.comp.t)
-    t_up = int(decision.comm_up.t)
-    return {
-        PROC_DOWN: (0, t_down),
-        PROC_COMP: (t_down, t_down + t_comp),
-        PROC_UP: (window - t_up, window),
-    }
-
-
 def place_consumption(
     pool: SharedResourcePool,
     client_id: str,
@@ -101,22 +87,20 @@ def place_consumption(
     decision: ScheduleDecision,
     window: int,
 ) -> list[Placement]:
-    """Reserve the download/compute/upload chain inside [0, window)."""
-    cols = _chain_cols(decision, window)
-    widths = {
-        PROC_DOWN: (int(decision.comm_down.b), 0),
-        PROC_COMP: (0, int(decision.comp.f)),
-        PROC_UP: (int(decision.comm_up.b), 0),
-    }
+    """Reserve the download/compute/upload chain inside [0, window): download
+    first, compute right after it, upload last."""
+    t_down = int(decision.comm_down.t)
+    legs = (  # process, grid, width, start and end column
+        (PROC_DOWN, "tf", int(decision.comm_down.b), 0, t_down),
+        (PROC_COMP, "tc", int(decision.comp.f), t_down, t_down + int(decision.comp.t)),
+        (PROC_UP, "tf", int(decision.comm_up.b), window - int(decision.comm_up.t), window),
+    )
     placements = []
-    for proc in _CHAIN:
-        c0, c1 = cols[proc]
-        b, f = widths[proc]
-        if c1 <= c0 or (b == 0 and f == 0):
+    for proc, grid, width, c0, c1 in legs:
+        if c1 <= c0 or width == 0:
             continue
-        tf = GridRegion(0, b, c0, c1) if b else None
-        tc = GridRegion(0, f, c0, c1) if f else None
-        pool.reserve(service, tf=tf, tc=tc)
+        pool.reserve(service, grid, GridRegion(0, width, c0, c1))
+        b, f = (width, 0) if grid == "tf" else (0, width)
         placements.append(Placement(client_id, proc, c0, c1, b, f))
     return placements
 
@@ -126,8 +110,7 @@ def free_sensing_bandwidth(pool: SharedResourcePool, span_cols: int) -> int:
     overlapped transfers (bottom-packed) are in place."""
     if span_cols <= 0:
         return pool.freq_cells
-    bandwidth, _ = pool.column_loads()
-    return pool.freq_cells - max(bandwidth[:span_cols])
+    return pool.freq_cells - max(pool.column_loads()[:span_cols])
 
 
 def place_generation(
@@ -148,7 +131,7 @@ def place_generation(
     if t > budget:
         raise ResourceConflictError(f"sensing span {t} exceeds window budget {budget}")
     if b:
-        pool.reserve(service, tf=GridRegion(pool.freq_cells - b, pool.freq_cells, 0, t))
+        pool.reserve(service, "tf", GridRegion(pool.freq_cells - b, pool.freq_cells, 0, t))
     return [Placement(client_id, PROC_SENSE, 0, t, b, 0)]
 
 

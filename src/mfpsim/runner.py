@@ -61,19 +61,21 @@ from .solver import (
     mutv,
 )
 
-SUMMARY_COLUMNS = [
-    "round",
-    "gain",
-    "app_payment",
-    "payments_total",
-    "costs_total",
-    "server_profit",
-    "client_profits_total",
-    "welfare",
-    "active_count",
-    "t_delta_cells",
-    "shortfall",
-]
+# summary.csv's columns in order, each with the reader that loads it back
+_SUMMARY_READERS = {
+    "round": int,
+    "gain": float,
+    "app_payment": float,
+    "payments_total": float,
+    "costs_total": float,
+    "server_profit": float,
+    "client_profits_total": float,
+    "welfare": float,
+    "active_count": int,
+    "t_delta_cells": int,
+    "shortfall": lambda text: bool(int(text)),
+}
+SUMMARY_COLUMNS = list(_SUMMARY_READERS)
 
 TIMELINE_COLUMNS = ["round", "client", "process", "start_cell", "end_cell", "b_cells", "f_cells"]
 
@@ -179,24 +181,11 @@ def validate_summary_rows(rows: list[dict]) -> list[str]:
 
 
 def load_summary_csv(text: str) -> list[dict]:
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        rows.append(
-            {
-                "round": int(raw["round"]),
-                "gain": float(raw["gain"]),
-                "app_payment": float(raw["app_payment"]),
-                "payments_total": float(raw["payments_total"]),
-                "costs_total": float(raw["costs_total"]),
-                "server_profit": float(raw["server_profit"]),
-                "client_profits_total": float(raw["client_profits_total"]),
-                "welfare": float(raw["welfare"]),
-                "active_count": int(raw["active_count"]),
-                "t_delta_cells": int(raw["t_delta_cells"]),
-                "shortfall": bool(int(raw["shortfall"])),
-            }
-        )
-    return rows
+    """The rows of a summary.csv text, each value read back to its type."""
+    return [
+        {column: read(raw[column]) for column, read in _SUMMARY_READERS.items()}
+        for raw in csv.DictReader(io.StringIO(text))
+    ]
 
 
 @dataclass(slots=True)

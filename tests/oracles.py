@@ -360,9 +360,32 @@ def saturated_allocation_reference(quotes, ceiling, max_active):
     return load
 
 
+def pool_snapshot(pool):
+    """JSON-ready dump of a `SharedResourcePool`: its dimensions and every
+    claimed cell with its holder, sorted by grid, row and column."""
+    occupied = []
+    for name in ("tc", "tf"):  # sorted by grid name
+        held = {
+            (row, col): service
+            for service, r0, r1, c0, c1 in pool._claims[name]
+            for row in range(r0, r1)
+            for col in range(c0, c1)
+        }
+        occupied += [
+            {"grid": name, "row": row, "col": col, "service": service}
+            for (row, col), service in sorted(held.items())
+        ]
+    return {
+        "time_cells": pool.time_cells,
+        "freq_cells": pool.freq_cells,
+        "compute_cells": pool.compute_cells,
+        "occupied": occupied,
+    }
+
+
 def snapshot_counts(snapshot):
     """Occupied cells per time column of the frequency and of the compute
-    grid, read from `SharedResourcePool.snapshot()`."""
+    grid, read from a `pool_snapshot` or `GridPool.snapshot` dump."""
     n = snapshot["time_cells"]
     loads = {"tf": [0] * n, "tc": [0] * n}
     for cell in snapshot["occupied"]:
@@ -379,8 +402,10 @@ class GridPool:
         self.time_cells = time_cells
         self.freq_cells = freq_cells
         self.compute_cells = compute_cells
-        self._tf = np.full((freq_cells, time_cells), -1, dtype=np.int32)
-        self._tc = np.full((compute_cells, time_cells), -1, dtype=np.int32)
+        self._grids = {
+            "tf": np.full((freq_cells, time_cells), -1, dtype=np.int32),
+            "tc": np.full((compute_cells, time_cells), -1, dtype=np.int32),
+        }
         self._services = []
 
     def _sid(self, service):
@@ -388,37 +413,32 @@ class GridPool:
             self._services.append(service)
         return self._services.index(service)
 
-    def reserve(self, service, tf=None, tc=None):
+    def reserve(self, service, grid, region):
         from mfpsim.errors import ResourceConflictError
 
         sid = self._sid(service)
-        for grid, region, name in ((self._tf, tf, "tf"), (self._tc, tc, "tc")):
-            rows, cols = grid.shape
-            if region is not None and (region.row_stop > rows or region.col_stop > cols):
-                raise ValueError(f"{name} region {region} exceeds grid shape {rows}x{cols}")
-        blocks = []
-        for grid, region, name in ((self._tf, tf, "tf"), (self._tc, tc, "tc")):
-            if region is None:
-                continue
-            block = grid[region.row_start : region.row_stop, region.col_start : region.col_stop]
-            clash = (block != -1) & (block != sid)
-            if clash.any():
-                r, c = np.argwhere(clash)[0]
-                raise ResourceConflictError(
-                    f"{name} cell ({region.row_start + r},{region.col_start + c}) "
-                    f"already held by service {self._services[block[r, c]]!r}"
-                )
-            blocks.append(block)
-        for block in blocks:
-            block[block == -1] = sid
+        cells = self._grids[grid]
+        rows, cols = cells.shape
+        if region.row_stop > rows or region.col_stop > cols:
+            raise ValueError(f"{grid} region {region} exceeds grid shape {rows}x{cols}")
+        block = cells[region.row_start : region.row_stop, region.col_start : region.col_stop]
+        clash = (block != -1) & (block != sid)
+        if clash.any():
+            r, c = np.argwhere(clash)[0]
+            raise ResourceConflictError(
+                f"{grid} cell ({region.row_start + r},{region.col_start + c}) "
+                f"already held by service {self._services[block[r, c]]!r}"
+            )
+        block[block == -1] = sid
 
     def column_loads(self):
-        return (self._tf != -1).sum(axis=0), (self._tc != -1).sum(axis=0)
+        """Occupied cells per time column of the frequency grid."""
+        return (self._grids["tf"] != -1).sum(axis=0).tolist()
 
     def snapshot(self):
         occupied = [
             {"grid": name, "row": int(r), "col": int(c), "service": self._services[grid[r, c]]}
-            for name, grid in (("tf", self._tf), ("tc", self._tc))
+            for name, grid in self._grids.items()
             for r, c in np.argwhere(grid != -1)
         ]
         occupied.sort(key=lambda d: (d["grid"], d["row"], d["col"]))

@@ -398,3 +398,35 @@ def test_count_beyond_the_int64_range_exits_2(tmp_path, capsys, key, count):
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.count(f"scenario/{key}: {count} is greater than the maximum") == 2
+
+
+@pytest.mark.parametrize("key", ["n_clients", "n_targets", "n_classes"])
+def test_count_whose_positions_numpy_cannot_size_exits_2(tmp_path, capsys, key):
+    # (n, 2) float64 positions take 16 bytes a count; numpy sizes no array
+    # past 2**63 - 1 bytes, so 10**18 targets ended in "array is too big"
+    bound = (2**63 - 1) // 16
+    cfg = _write(tmp_path, "bound.json", json.dumps({"scenario": {key: bound}}))
+    assert main(["validate-config", "--config", cfg]) == EXIT_OK
+    for count in (bound + 1, 10**18):
+        cfg = _write(tmp_path, "count.json", json.dumps({"scenario": {key: count}}))
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: scenario/{key}: {count} is greater than the maximum of {bound}\n"
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB"), "out of memory: Unable to allocate 7.28 TiB"),
+        (MemoryError(), "out of memory: MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_run_out_of_memory_exits_2_with_one_line(monkeypatch, capsys, error, line):
+    # a count within the schema can still size arrays past the memory at hand
+    def run(config):
+        raise error
+
+    monkeypatch.setattr("mfpsim.cli.run", run)
+    assert main(["run", "--rounds", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {line}\n"

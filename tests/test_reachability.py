@@ -107,10 +107,6 @@ _UNREACHED_METHODS = {
         "the settlement contract decides whether run() reports its findings "
         "in audit_violations or the method goes"
     ),
-    "resource_pool.SharedResourcePool.snapshot": (
-        "the pool tests compare the claims with the numpy reference grid "
-        "through it (oracles.snapshot_counts); no engine code reads it"
-    ),
 }
 
 

@@ -1,6 +1,3 @@
-import json
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +9,7 @@ from mfpsim.resource_pool import (
     new_pool,
 )
 
-from oracles import GridPool, snapshot_counts
+from oracles import GridPool, pool_snapshot, snapshot_counts
 
 
 def region(rows, cols):
@@ -28,7 +25,7 @@ def test_quanta_defaults_and_validation():
 
 def test_new_pool_dimensions():
     pool = new_pool(10, 4, 10)
-    assert pool.snapshot()["occupied"] == []
+    assert pool_snapshot(pool)["occupied"] == []
     assert pool.time_cells == 10 and pool.freq_cells == 4 and pool.compute_cells == 10
     tiny = new_pool(1, 1, 1)
     assert tiny.time_cells == 1
@@ -46,56 +43,47 @@ def test_new_pool_rejects_zero_dimension():
 
 def test_reserve_conflict_with_other_service():
     pool = new_pool(10, 4, 10)
-    pool.reserve("a", tf=region((0, 2), (0, 1)), tc=region((0, 1), (0, 1)))
-    before = pool.snapshot()
-    with pytest.raises(ResourceConflictError):
-        pool.reserve("b", tf=region((2, 4), (1, 2)), tc=region((0, 1), (0, 1)))
-    with pytest.raises(ResourceConflictError):
-        pool.reserve("b", tf=region((1, 3), (0, 1)))
-    # a failed call leaves no partial marks, on either grid
-    assert pool.snapshot() == before
+    pool.reserve("a", "tf", region((0, 2), (0, 1)))
+    pool.reserve("a", "tc", region((0, 1), (0, 1)))
+    before = pool_snapshot(pool)
+    with pytest.raises(ResourceConflictError, match=r"^tc cell \(0,0\) already held by service 'a'$"):
+        pool.reserve("b", "tc", region((0, 1), (0, 1)))
+    with pytest.raises(ResourceConflictError, match=r"^tf cell \(1,0\) already held by service 'a'$"):
+        pool.reserve("b", "tf", region((1, 3), (0, 1)))
+    # a failed call leaves no partial marks
+    assert pool_snapshot(pool) == before
 
 
 def test_reserve_out_of_bounds():
     pool = new_pool(10, 4, 10)
     with pytest.raises(ValueError):
-        pool.reserve("a", tf=region((0, 5), (0, 1)))
+        pool.reserve("a", "tf", region((0, 5), (0, 1)))
     with pytest.raises(ValueError):
-        pool.reserve("a", tc=region((0, 1), (0, 11)))
+        pool.reserve("a", "tc", region((0, 1), (0, 11)))
 
 
 def test_column_loads():
+    # the loads count the frequency grid alone
     pool = new_pool(10, 4, 10)
-    assert pool.column_loads()[0][5] == 0
-    pool.reserve("a", tf=region((0, 3), (3, 4)))
-    bandwidth, compute = pool.column_loads()
-    assert bandwidth[3] == 3 and bandwidth[2] == 0
-    pool.reserve("b", tf=region((3, 4), (3, 4)), tc=region((0, 2), (2, 5)))
-    bandwidth, compute = pool.column_loads()
-    assert bandwidth[3] == 4
-    assert list(compute) == [0, 0, 2, 2, 2, 0, 0, 0, 0, 0]
+    assert pool.column_loads()[5] == 0
+    pool.reserve("a", "tf", region((0, 3), (3, 4)))
+    assert pool.column_loads()[3] == 3 and pool.column_loads()[2] == 0
+    pool.reserve("b", "tf", region((3, 4), (3, 4)))
+    pool.reserve("b", "tc", region((0, 2), (2, 5)))
+    assert pool.column_loads()[3] == 4
+    assert pool.column_loads()[2] == 0
     with pytest.raises(ResourceConflictError):
-        pool.reserve("c", tf=region((0, 1), (3, 4)))
-    ref_bandwidth, ref_compute = snapshot_counts(pool.snapshot())
-    assert list(bandwidth) == ref_bandwidth and list(compute) == ref_compute
+        pool.reserve("c", "tf", region((0, 1), (3, 4)))
+    bandwidth, compute = snapshot_counts(pool_snapshot(pool))
+    assert pool.column_loads() == bandwidth
+    assert compute == [0, 0, 2, 2, 2, 0, 0, 0, 0, 0]
 
 
 def test_saturated_column_capacity():
     pool = new_pool(4, 4, 4)
-    pool.reserve("a", tf=region((0, 2), (0, 1)))
-    pool.reserve("b", tf=region((2, 4), (0, 1)))
-    assert pool.column_loads()[0][0] == 4
-
-
-def test_snapshot_is_json_ready_and_sorted():
-    pool = new_pool(3, 2, 2)
-    pool.reserve("x", tf=region((0, 2), (0, 1)), tc=region((0, 1), (1, 2)))
-    snap = pool.snapshot()
-    text = json.dumps(snap)
-    assert json.loads(text) == snap
-    cells = [(c["grid"], c["row"], c["col"]) for c in snap["occupied"]]
-    assert cells == sorted(cells)
-    assert all(c["service"] == "x" for c in snap["occupied"])
+    pool.reserve("a", "tf", region((0, 2), (0, 1)))
+    pool.reserve("b", "tf", region((2, 4), (0, 1)))
+    assert pool.column_loads()[0] == 4
 
 
 @st.composite
@@ -109,31 +97,29 @@ def any_region(draw, rows, cols):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_reserve_claims_equal_whole_grid_reference(data):
-    # a reserve tags every free cell of its regions with the service and
+    # a reserve tags every free cell of its region with the service and
     # changes nothing else; a conflicting one changes nothing at all
     t, f, c = (data.draw(st.integers(1, n)) for n in (8, 6, 5))
     pool = new_pool(t, f, c)
     for _ in range(data.draw(st.integers(1, 12))):
         service = f"s{data.draw(st.integers(0, 2))}"
-        tf = data.draw(st.none() | any_region(f, t))
-        tc = data.draw(st.none() | any_region(c, t))
-        before = pool.snapshot()
+        grid = data.draw(st.sampled_from(("tf", "tc")))
+        r = data.draw(any_region(f if grid == "tf" else c, t))
+        before = pool_snapshot(pool)
         held = {(d["grid"], d["row"], d["col"]): d["service"] for d in before["occupied"]}
         claimed = {
-            (name, row, col)
-            for name, r in (("tf", tf), ("tc", tc))
-            if r is not None
+            (grid, row, col)
             for row in range(r.row_start, r.row_stop)
             for col in range(r.col_start, r.col_stop)
         }
         try:
-            pool.reserve(service, tf=tf, tc=tc)
+            pool.reserve(service, grid, r)
         except ResourceConflictError:
             assert any(held.get(cell, service) != service for cell in claimed)
-            assert pool.snapshot() == before
+            assert pool_snapshot(pool) == before
             continue
         expect = held | {cell: service for cell in claimed}
-        after = {(d["grid"], d["row"], d["col"]): d["service"] for d in pool.snapshot()["occupied"]}
+        after = {(d["grid"], d["row"], d["col"]): d["service"] for d in pool_snapshot(pool)["occupied"]}
         assert after == expect
 
 
@@ -141,21 +127,17 @@ def test_reserve_claims_equal_whole_grid_reference(data):
 def reserve_call(draw, t, f, c):
     """A reserve on a t x f x c pool; one region in six may reach two cells
     past the grid on either axis."""
-
-    def region(rows):
-        if draw(st.booleans()):
-            return None
-        past = 2 if draw(st.integers(0, 5)) == 0 else 0
-        r0, r1 = sorted(draw(st.integers(0, rows + past)) for _ in range(2))
-        c0, c1 = sorted(draw(st.integers(0, t + past)) for _ in range(2))
-        return GridRegion(r0, r1, c0, c1)
-
-    return f"s{draw(st.integers(0, 2))}", region(f), region(c)
+    grid = draw(st.sampled_from(("tf", "tc")))
+    rows = f if grid == "tf" else c
+    past = 2 if draw(st.integers(0, 5)) == 0 else 0
+    r0, r1 = sorted(draw(st.integers(0, rows + past)) for _ in range(2))
+    c0, c1 = sorted(draw(st.integers(0, t + past)) for _ in range(2))
+    return f"s{draw(st.integers(0, 2))}", grid, GridRegion(r0, r1, c0, c1)
 
 
-def _outcome(pool, service, tf, tc):
+def _outcome(pool, service, grid, region):
     try:
-        pool.reserve(service, tf=tf, tc=tc)
+        pool.reserve(service, grid, region)
     except (ValueError, ResourceConflictError) as err:
         return type(err), str(err)
     return None
@@ -166,11 +148,11 @@ def _outcome(pool, service, tf, tc):
 def test_reserve_sequences_equal_the_grid_pool(data):
     # the claimed-rectangle pool against the numpy tag-grid pool it replaced,
     # step by step: the same exception (type and message) or none, the same
-    # cell dump and the same per-column loads
+    # holder of every cell on both grids and the same frequency loads
     t, f, c = (data.draw(st.integers(1, n)) for n in (8, 6, 5))
     pool, grid = new_pool(t, f, c), GridPool(t, f, c)
     for _ in range(data.draw(st.integers(1, 16))):
-        service, tf, tc = data.draw(reserve_call(t, f, c))
-        assert _outcome(pool, service, tf, tc) == _outcome(grid, service, tf, tc)
-        assert pool.snapshot() == grid.snapshot()
-        assert list(pool.column_loads()) == [x.tolist() for x in grid.column_loads()]
+        call = data.draw(reserve_call(t, f, c))
+        assert _outcome(pool, *call) == _outcome(grid, *call)
+        assert pool_snapshot(pool) == grid.snapshot()
+        assert pool.column_loads() == grid.column_loads()

@@ -17,15 +17,15 @@ from mfpsim.rounds import (
     rounds_to_complete,
 )
 
-from oracles import snapshot_counts
+from oracles import GridPool, pool_snapshot, snapshot_counts
 
 
 def bandwidth_load(pool, col):
-    return snapshot_counts(pool.snapshot())[0][col]
+    return snapshot_counts(pool_snapshot(pool))[0][col]
 
 
 def compute_load(pool, col):
-    return snapshot_counts(pool.snapshot())[1][col]
+    return snapshot_counts(pool_snapshot(pool))[1][col]
 
 
 def consumption(t_down, b_down, t_comp, f_comp, t_up, b_up):
@@ -156,29 +156,28 @@ class TestPlanRound:
 
 @st.composite
 def reserved_pools(draw):
-    """A pool with random (possibly clashing, then skipped) reservations."""
+    """A pool and its numpy reference after the same random (possibly
+    clashing, then skipped) reservations."""
     t, f, c = draw(st.integers(1, 12)), draw(st.integers(1, 10)), draw(st.integers(1, 6))
-    pool = new_pool(t, f, c)
-
-    def region(rows):
-        r0, r1 = sorted(draw(st.integers(0, rows)) for _ in range(2))
-        c0, c1 = sorted(draw(st.integers(0, t)) for _ in range(2))
-        return GridRegion(r0, r1, c0, c1)
-
+    pool, reference = new_pool(t, f, c), GridPool(t, f, c)
     for _ in range(draw(st.integers(0, 8))):
-        tf = draw(st.none() | st.just(f).map(region))
-        tc = draw(st.none() | st.just(c).map(region))
-        try:
-            pool.reserve(f"s{draw(st.integers(0, 3))}", tf=tf, tc=tc)
-        except ResourceConflictError:
-            pass
-    return pool
+        grid = draw(st.sampled_from(("tf", "tc")))
+        r0, r1 = sorted(draw(st.integers(0, f if grid == "tf" else c)) for _ in range(2))
+        c0, c1 = sorted(draw(st.integers(0, t)) for _ in range(2))
+        service = f"s{draw(st.integers(0, 3))}"
+        for target in (pool, reference):
+            try:
+                target.reserve(service, grid, GridRegion(r0, r1, c0, c1))
+            except ResourceConflictError:
+                pass
+    return pool, reference
 
 
 @settings(max_examples=200, deadline=None)
 @given(reserved_pools())
-def test_window_scans_equal_per_column_reference(pool):
-    bandwidth, _ = snapshot_counts(pool.snapshot())
+def test_window_scans_equal_per_column_reference(pools):
+    pool, reference = pools
+    bandwidth = reference.column_loads()
     for span in range(-1, pool.time_cells + 3):
         ref = pool.freq_cells
         if span > 0:

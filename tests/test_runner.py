@@ -83,6 +83,12 @@ def test_summary_identities_roundtrip(small_record):
     assert validate_summary_rows(rows) == []
     assert [r["round"] for r in rows] == [1, 2, 3]
 
+    # every column reads back to the value, and the type, the run wrote
+    def typed(rows):
+        return [[(k, type(v), v) for k, v in row.items()] for row in rows]
+
+    assert typed(rows) == typed(small_record.summary_rows)
+
 
 def test_client_rows_cover_population(small_record):
     per_round = [r for r in small_record.client_rows if r["round"] == 1]
