@@ -4,8 +4,9 @@ Each client holds, per communication round, two grids sharing one time axis:
 a frequency x time grid ("tf", for sensing and transfers) and a compute-rate
 x time grid ("tc", for training).  A grid is the list of rectangles that
 named services claimed on it; claims are never released within a round, and
-no two services' claims share a cell.  Placement reads back only the
-frequency grid's per-column loads, so only those are kept.
+no two services' claims share a cell.  Placement asks the pool nothing but
+whether a claim fits: `reserve` raises on the first cell another service
+holds.
 
 Pools are single-writer per round.  Concurrent reads are safe; interleaved
 reservations on one pool are not, so callers serialize writes per client.
@@ -52,13 +53,11 @@ class GridRegion:
 
 
 class SharedResourcePool:
-    """Per grid, the rectangles each service claimed, and the frequency
-    cells held in each time column.
+    """Per grid, the rectangles each service claimed.
 
     A claim is `(service, row_start, row_stop, col_start, col_stop)` and is
     never empty.  Claims of different services never intersect, so every
-    claimed cell has one holder; a service's own claims may overlap, and a
-    column's load counts their union.
+    claimed cell has one holder; a service's own claims may overlap.
     """
 
     def __init__(self, time_cells: int, freq_cells: int, compute_cells: int):
@@ -68,7 +67,6 @@ class SharedResourcePool:
         self.freq_cells = freq_cells
         self.compute_cells = compute_cells
         self._claims: dict[str, list[tuple[str, int, int, int, int]]] = {"tf": [], "tc": []}
-        self._loads = [0] * time_cells
 
     def reserve(self, service: str, grid: str, region: GridRegion) -> None:
         """Claim the cells of `region` on `grid` ("tf" or "tc") for `service`.
@@ -84,43 +82,18 @@ class SharedResourcePool:
         r0, r1, c0, c1 = region.row_start, region.row_stop, region.col_start, region.col_stop
         # the row-major first cell of a union of rectangles is the least
         # first cell of any of them
-        first, own = None, False
+        first = None
         for holder, h0, h1, k0, k1 in claims:
             top, left = max(r0, h0), max(c0, k0)
-            if top < min(r1, h1) and left < min(c1, k1):
-                if holder == service:
-                    own = True
-                elif first is None or (top, left) < first[:2]:
+            if holder != service and top < min(r1, h1) and left < min(c1, k1):
+                if first is None or (top, left) < first[:2]:
                     first = (top, left, holder)
         if first is not None:
             raise ResourceConflictError(
                 f"{grid} cell ({first[0]},{first[1]}) already held by service {first[2]!r}"
             )
-        if r0 >= r1 or c0 >= c1:
-            return
-        claims.append((service, r0, r1, c0, c1))
-        if grid == "tc":
-            return
-        loads = self._loads
-        if own:  # the service's claims overlap here: count their union afresh
-            loads[c0:c1] = [_covered_rows(claims, col) for col in range(c0, c1)]
-        else:
-            for col in range(c0, c1):
-                loads[col] += r1 - r0
-
-    def column_loads(self) -> list[int]:
-        """Occupied cells per time column of the frequency grid."""
-        return self._loads[:]
-
-
-def _covered_rows(claims, col: int) -> int:
-    """Rows of column `col` inside at least one claim."""
-    held = top = 0
-    for r0, r1 in sorted((r0, r1) for _, r0, r1, c0, c1 in claims if c0 <= col < c1):
-        if r1 > top:
-            held += r1 - max(r0, top)
-            top = r1
-    return held
+        if r0 < r1 and c0 < c1:
+            claims.append((service, r0, r1, c0, c1))
 
 
 def new_pool(time_cells: int, freq_cells: int, compute_cells: int) -> SharedResourcePool:

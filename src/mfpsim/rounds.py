@@ -7,8 +7,8 @@ the previous round's slowest finisher.  Placement policy inside a window:
 downloads start at column 0, uploads end at the cycle boundary, compute sits
 between them, and sensing spans from column 0 on the opposite edge of the
 frequency grid, in the rows the transfers leave free.  Quotes already size
-sensing beside the previous chain's peak width, so a block that does not fit
-is dropped.
+sensing beside the previous chain's peak width; the pool's conflict check is
+the one fit test, and a block it refuses is dropped.
 """
 
 from __future__ import annotations
@@ -105,14 +105,6 @@ def place_consumption(
     return placements
 
 
-def free_sensing_bandwidth(pool: SharedResourcePool, span_cols: int) -> int:
-    """Spectrum rows left for a sensing block spanning [0, span_cols) once the
-    overlapped transfers (bottom-packed) are in place."""
-    if span_cols <= 0:
-        return pool.freq_cells
-    return pool.freq_cells - max(pool.column_loads()[:span_cols])
-
-
 def place_generation(
     pool: SharedResourcePool,
     client_id: str,
@@ -120,16 +112,21 @@ def place_generation(
     decision: ScheduleDecision,
     budget: int,
 ) -> list[Placement]:
-    """Reserve the sensing block: columns [0, t_vs), top rows of the grid.
+    """Reserve the sensing block: columns [0, t_vs), the top b_ws rows of
+    the frequency grid.
 
-    Visual-only sensing (zero bandwidth) occupies no grid cells; the span is
-    still recorded for timeline and ordering audits."""
+    Raises ResourceConflictError when the block does not fit: its span
+    exceeds the window budget, it is wider than the grid, or it meets a cell
+    another service holds.  Visual-only sensing (zero bandwidth) occupies no
+    grid cells; the span is still recorded for timeline and ordering audits."""
     t = int(decision.gen.t_vs)
     b = int(decision.gen.b_ws)
-    if t <= 0:
-        return []
     if t > budget:
         raise ResourceConflictError(f"sensing span {t} exceeds window budget {budget}")
+    if b > pool.freq_cells:
+        raise ResourceConflictError(f"sensing width {b} exceeds the grid's {pool.freq_cells} rows")
+    if t <= 0:
+        return []
     if b:
         pool.reserve(service, "tf", GridRegion(pool.freq_cells - b, pool.freq_cells, 0, t))
     return [Placement(client_id, PROC_SENSE, 0, t, b, 0)]
@@ -168,8 +165,8 @@ def plan_round(
     The cycle defaults to the previous round's slowest consumption chain
     (bootstrap: the full window); callers running the full pipeline pass the
     frozen cycle they budgeted against.  A client whose chain misses the
-    window, or whose sensing block does not fit the rows the overlapped
-    transfers leave free, is dropped with a reason.
+    window, or whose sensing block `place_generation` cannot reserve beside
+    the overlapped transfers, is dropped with a reason.
     """
     if t_delta is None:
         t_delta = cycle_length(
@@ -188,13 +185,12 @@ def plan_round(
         )
 
     for cid in sorted(generation):
-        decision = generation[cid]
-        pool = pools[cid]
-        span = int(decision.gen.t_vs)
-        if int(decision.gen.b_ws) <= free_sensing_bandwidth(pool, span) and span <= budget:
-            plan.placements += place_generation(pool, cid, f"ir{ir_index}:{cid}", decision, budget)
-        elif cid not in plan.dropped:
-            plan.dropped[cid] = "sensing does not fit the shared window"
+        try:
+            plan.placements += place_generation(
+                pools[cid], cid, f"ir{ir_index}:{cid}", generation[cid], budget
+            )
+        except ResourceConflictError:
+            plan.dropped.setdefault(cid, "sensing does not fit the shared window")
 
     plan.audit_violations = audit_chain_order(plan.placements)
     return plan

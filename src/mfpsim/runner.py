@@ -323,10 +323,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     """Execute the configured simulation; deterministic in (config, seed)."""
     record = RunRecord(config=config.raw, config_hash=config_hash(config), seed=config.seed)
     sc = config.scenario
-    ctx = _RunContext(
-        config, config.policy, config.prices(), config.quanta(), config.scaled_cells(),
-        config.mode != "serial", tuple(f"c{i:03d}" for i in range(sc["n_clients"])),
-    )
+    # the scenario's arrays first: numpy sizes a huge fleet at once and fails fast
     state = make_scenario(
         seed=config.seed,
         n_clients=sc["n_clients"],
@@ -334,6 +331,10 @@ def run(config: ExperimentConfig) -> RunRecord:
         n_classes=sc["n_classes"],
         area_m=sc["area_m"],
         max_speed=sc["max_speed_mps"],
+    )
+    ctx = _RunContext(
+        config, config.policy, config.prices(), config.quanta(), config.scaled_cells(),
+        config.mode != "serial", tuple(f"c{i:03d}" for i in range(sc["n_clients"])),
     )
     step_seeds = np.random.SeedSequence(config.seed).generate_state(max(config.rounds, 1) + 1)
     prev_cons: dict[str, ScheduleDecision] = {}

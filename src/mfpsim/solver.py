@@ -775,7 +775,7 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
             y = rem / (b * x) - _TOL
             if y > b_int:  # before ceil: y overflows to inf for a subnormal b
                 continue
-            y = math.ceil(y)
+            y = max(1, math.ceil(y))  # a positive need takes a whole cell
         else:
             continue
         if y > b_int:
@@ -784,8 +784,8 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
         key = _part_key(objective, "gen", x, y * prices.freq, cost)
         if best is None or key < best[0]:
             best = (key, x, y)
-        if y == 0:
-            break  # larger x only adds time
+        if y == 0 or (y == 1 and a <= 0):
+            break  # y can fall no further: larger x only adds time
     if best is None:
         return None
     _, x, y = best
@@ -799,13 +799,15 @@ def _int_proc_candidates(vol, w_int, t_int):
     out = []
     seen_w = None
     for t in range(1, t_int + 1):
-        w = math.ceil(vol / t - _TOL)
+        w = max(1, math.ceil(vol / t - _TOL))  # a positive volume takes a whole cell
         if w > w_int:
             continue
         if w == seen_w:
             continue  # same width at more time is dominated for every key
         seen_w = w
         out.append((t, w))
+        if w == 1:
+            break  # every later time repeats width 1
     return out
 
 

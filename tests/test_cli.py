@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfpsim
 from mfpsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 
@@ -430,3 +435,35 @@ def test_run_out_of_memory_exits_2_with_one_line(monkeypatch, capsys, error, lin
     monkeypatch.setattr("mfpsim.cli.run", run)
     assert main(["run", "--rounds", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+def _run_cli_child(tmp_path, raw, timeout, limit_bytes=None):
+    """`mfpsim run --rounds 1` on `raw` in a child Python, optionally under
+    an address-space limit the child sets on itself."""
+    cfg = _write(tmp_path, "child.json", json.dumps(raw))
+    code = "import resource, sys\n"
+    if limit_bytes:
+        code += f"resource.setrlimit(resource.RLIMIT_AS, ({limit_bytes}, {limit_bytes}))\n"
+    code += f"from mfpsim.cli import main\nsys.exit(main(['run', '--rounds', '1', '--config', {cfg!r}]))\n"
+    src = str(Path(mfpsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_huge_window_runs(tmp_path):
+    # realization stops where every later time is dominated, and placement
+    # keeps no per-column list, so a 10**20-cell window runs
+    raw = {"scenario": {"n_clients": 3, "n_targets": 10}, "resources": {"time_cells": 10**20}}
+    done = _run_cli_child(tmp_path, raw, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+
+
+def test_huge_fleet_fails_fast_naming_the_array(tmp_path):
+    # the scenario's arrays are sized before the client ids are built, so
+    # numpy refuses the whole fleet at once
+    raw = {"scenario": {"n_clients": 10**11, "n_targets": 0}}
+    done = _run_cli_child(tmp_path, raw, timeout=60, limit_bytes=2 * 10**9)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "with shape (100000000000, 2)" in done.stderr

@@ -62,28 +62,34 @@ def test_reserve_out_of_bounds():
         pool.reserve("a", "tc", region((0, 1), (0, 11)))
 
 
-def test_column_loads():
-    # the loads count the frequency grid alone
+def test_claims_clash_only_on_their_own_grid():
     pool = new_pool(10, 4, 10)
-    assert pool.column_loads()[5] == 0
     pool.reserve("a", "tf", region((0, 3), (3, 4)))
-    assert pool.column_loads()[3] == 3 and pool.column_loads()[2] == 0
-    pool.reserve("b", "tf", region((3, 4), (3, 4)))
     pool.reserve("b", "tc", region((0, 2), (2, 5)))
-    assert pool.column_loads()[3] == 4
-    assert pool.column_loads()[2] == 0
-    with pytest.raises(ResourceConflictError):
+    # each grid's claims clash only with claims on that grid
+    pool.reserve("b", "tf", region((0, 2), (2, 3)))
+    pool.reserve("a", "tc", region((2, 3), (3, 4)))
+    with pytest.raises(ResourceConflictError, match=r"^tf cell \(0,3\) already held by service 'a'$"):
         pool.reserve("c", "tf", region((0, 1), (3, 4)))
+    holders = {(d["grid"], d["row"], d["col"]): d["service"] for d in pool_snapshot(pool)["occupied"]}
+    assert holders[("tf", 2, 3)] == "a" and holders[("tf", 1, 2)] == "b"
+    assert holders[("tc", 1, 3)] == "b" and holders[("tc", 2, 3)] == "a"
     bandwidth, compute = snapshot_counts(pool_snapshot(pool))
-    assert pool.column_loads() == bandwidth
-    assert compute == [0, 0, 2, 2, 2, 0, 0, 0, 0, 0]
+    assert bandwidth == [0, 0, 2, 3, 0, 0, 0, 0, 0, 0]
+    assert compute == [0, 0, 2, 3, 2, 0, 0, 0, 0, 0]
 
 
-def test_saturated_column_capacity():
+def test_saturated_column_refuses_others_and_admits_its_holders():
     pool = new_pool(4, 4, 4)
     pool.reserve("a", "tf", region((0, 2), (0, 1)))
     pool.reserve("b", "tf", region((2, 4), (0, 1)))
-    assert pool.column_loads()[0] == 4
+    for row in range(4):
+        with pytest.raises(ResourceConflictError, match=f"^tf cell \\({row},0\\) already held"):
+            pool.reserve("c", "tf", region((row, row + 1), (0, 2)))
+    # a holder's own cells stay its to claim again, overlapping or not
+    pool.reserve("a", "tf", region((0, 2), (0, 3)))
+    with pytest.raises(ResourceConflictError, match=r"^tf cell \(2,0\) already held by service 'b'$"):
+        pool.reserve("a", "tf", region((1, 3), (0, 1)))
 
 
 @st.composite
@@ -147,12 +153,11 @@ def _outcome(pool, service, grid, region):
 @given(st.data())
 def test_reserve_sequences_equal_the_grid_pool(data):
     # the claimed-rectangle pool against the numpy tag-grid pool it replaced,
-    # step by step: the same exception (type and message) or none, the same
-    # holder of every cell on both grids and the same frequency loads
+    # step by step: the same exception (type and message) or none, and the same
+    # holder of every cell on both grids
     t, f, c = (data.draw(st.integers(1, n)) for n in (8, 6, 5))
     pool, grid = new_pool(t, f, c), GridPool(t, f, c)
     for _ in range(data.draw(st.integers(1, 16))):
         call = data.draw(reserve_call(t, f, c))
         assert _outcome(pool, *call) == _outcome(grid, *call)
         assert pool_snapshot(pool) == grid.snapshot()
-        assert pool.column_loads() == grid.column_loads()

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,9 @@ from mfpsim.resource_pool import GridRegion, new_pool
 from mfpsim.rounds import (
     PROC_SENSE,
     PROC_UP,
+    Placement,
     audit_chain_order,
     cycle_length,
-    free_sensing_bandwidth,
     place_consumption,
     place_generation,
     plan_round,
@@ -92,7 +94,11 @@ class TestPlacement:
     def test_sensing_on_top_rows(self):
         pool = new_pool(10, 8, 4)
         place_consumption(pool, "c0", "cons", consumption(2, 3, 2, 1, 2, 3), window=8)
-        assert free_sensing_bandwidth(pool, 8) == 5
+        # the transfers hold rows [0, 3): a 6-row block meets them first at (2,0)
+        with pytest.raises(ResourceConflictError, match=r"^tf cell \(2,0\) already held by service 'cons'$"):
+            place_generation(pool, "c0", "gen", sensing(8, 6), budget=8)
+        with pytest.raises(ResourceConflictError, match="^sensing width 9 exceeds the grid's 8 rows$"):
+            place_generation(pool, "c0", "gen", sensing(8, 9), budget=8)
         placements = place_generation(pool, "c0", "gen", sensing(8, 5), budget=8)
         assert placements[0].process == PROC_SENSE
         assert bandwidth_load(pool, 0) == 8  # saturated but legal
@@ -130,6 +136,14 @@ class TestPlanRound:
         assert PROC_SENSE not in {p.process for p in plan.placements}
         assert plan.tightened == {}
 
+    def test_first_drop_reason_stands(self):
+        # a client whose chain misses the window keeps that note when its
+        # sensing does not fit either
+        pools = {"a": new_pool(4, 8, 4)}
+        prev = {"a": consumption(2, 2, 2, 1, 2, 2)}
+        plan = plan_round(2, 4, pools, prev, {"a": sensing(5, 2)})
+        assert plan.dropped == {"a": "consumption exceeds cycle window"}
+
     def test_late_consumption_dropped(self):
         pools = {"a": new_pool(4, 8, 4), "b": new_pool(4, 8, 4)}
         # cycle is capped by the 4-cell window; a 6-cell chain cannot fit
@@ -155,14 +169,19 @@ class TestPlanRound:
 
 
 @st.composite
-def reserved_pools(draw):
-    """A pool and its numpy reference after the same random (possibly
-    clashing, then skipped) reservations."""
+def chain_reserved_pools(draw):
+    """A pool and its numpy reference after the same random reserves by
+    services other than the sensing one: bottom-packed rows [0, w) on the
+    frequency grid, as chain legs take them, any region on the compute grid.
+    A reserve that clashes is skipped on both."""
     t, f, c = draw(st.integers(1, 12)), draw(st.integers(1, 10)), draw(st.integers(1, 6))
     pool, reference = new_pool(t, f, c), GridPool(t, f, c)
     for _ in range(draw(st.integers(0, 8))):
         grid = draw(st.sampled_from(("tf", "tc")))
-        r0, r1 = sorted(draw(st.integers(0, f if grid == "tf" else c)) for _ in range(2))
+        if grid == "tf":
+            r0, r1 = 0, draw(st.integers(0, f))
+        else:
+            r0, r1 = sorted(draw(st.integers(0, c)) for _ in range(2))
         c0, c1 = sorted(draw(st.integers(0, t)) for _ in range(2))
         service = f"s{draw(st.integers(0, 3))}"
         for target in (pool, reference):
@@ -173,13 +192,30 @@ def reserved_pools(draw):
     return pool, reference
 
 
-@settings(max_examples=200, deadline=None)
-@given(reserved_pools())
-def test_window_scans_equal_per_column_reference(pools):
+@settings(max_examples=300, deadline=None)
+@given(chain_reserved_pools(), st.data())
+def test_sensing_fits_exactly_where_the_loads_leave_rows(pools, data):
+    # the block takes the top b rows of columns [0, span) and every claim
+    # below it starts at row 0, so it meets one exactly when b exceeds the
+    # rows the fullest of those columns leaves free
     pool, reference = pools
-    bandwidth = reference.column_loads()
-    for span in range(-1, pool.time_cells + 3):
-        ref = pool.freq_cells
-        if span > 0:
-            ref -= max(bandwidth[: min(span, pool.time_cells)])
-        assert free_sensing_bandwidth(pool, span) == ref
+    t_delta = data.draw(st.integers(0, pool.time_cells + 2))
+    budget = min(pool.time_cells, t_delta)
+    span = data.draw(st.integers(0, budget + 2))
+    b = data.draw(st.integers(0, pool.freq_cells + 2))
+    free = pool.freq_cells
+    if span > 0:
+        free -= max(reference.column_loads()[:span])
+    fits = span <= budget and b <= free
+
+    trial = copy.deepcopy(pool)
+    if fits:
+        placed = place_generation(trial, "c", "sense", sensing(span, b), budget)
+        assert placed == ([Placement("c", PROC_SENSE, 0, span, b, 0)] if span else [])
+    else:
+        with pytest.raises(ResourceConflictError):
+            place_generation(trial, "c", "sense", sensing(span, b), budget)
+        assert pool_snapshot(trial) == pool_snapshot(pool)
+
+    plan = plan_round(1, pool.time_cells, {"c": pool}, {}, {"c": sensing(span, b)}, t_delta=t_delta)
+    assert plan.dropped == ({} if fits else {"c": "sensing does not fit the shared window"})

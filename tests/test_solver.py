@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.costs import ConsumptionTask, PriceVector
@@ -514,18 +514,19 @@ class TestRealizeSchedule:
             t_int, b_int = (int(x) for x in rng.integers(2, 8, 2))
             budgets = Budgets(float(t_int), float(b_int), 4.0)
             n = int(rng.integers(1, int(a * t_int + b * t_int * b_int) + 1))
-            q = realize_schedule(n, attrs(a, b), ZERO_TASK, pv, budgets, UNIT)
-            best = None
-            for x in range(1, t_int + 1):
-                for y in range(0, b_int + 1):
-                    if a * x + b * x * y >= n - 1e-9:
-                        cost = x * pv.time + y * pv.freq
-                        best = cost if best is None else min(best, cost)
-            if best is None:
-                assert q is None
-            else:
-                assert q is not None
-                assert q.gen.t_vs * pv.time + q.gen.b_ws * pv.freq == pytest.approx(best)
+            for a in (a, 0.0):  # without a visual rate the search stops at one wireless cell
+                q = realize_schedule(n, attrs(a, b), ZERO_TASK, pv, budgets, UNIT)
+                best = None
+                for x in range(1, t_int + 1):
+                    for y in range(0, b_int + 1):
+                        if a * x + b * x * y >= n - 1e-9:
+                            cost = x * pv.time + y * pv.freq
+                            best = cost if best is None else min(best, cost)
+                if best is None:
+                    assert q is None
+                else:
+                    assert q is not None
+                    assert q.gen.t_vs * pv.time + q.gen.b_ws * pv.freq == pytest.approx(best)
 
     def test_none_when_nothing_fits(self):
         task = ConsumptionTask(100, 0, 1, 1, 1)  # needs 25 time cells at width 4
@@ -535,6 +536,53 @@ class TestRealizeSchedule:
     def test_zero_workload_empty(self):
         q = realize_schedule(0, attrs(1, 1), ZERO_TASK, prices(), Budgets(3, 4, 4), UNIT)
         assert q.time_cells == 0
+
+
+@st.composite
+def realize_cases(draw):
+    """A realization on a small window, with needs down to a fraction of a
+    cell on every leg and wireless rates up to a whole workload per cell."""
+    need = st.sampled_from([0.0, 1e-300, 1e-9, 1e-3]) | st.floats(0.0, 40.0)
+    at = attrs(draw(st.sampled_from([0.0, 0.5, 31.4])), draw(need | st.floats(1e3, 1e14)))
+    task = ConsumptionTask(draw(need), draw(need), draw(need), 1.0, 1.0)
+    pv = prices(*(draw(st.floats(0.01, 10.0)) for _ in range(3)))
+    budgets = Budgets(*(float(draw(st.integers(1, 8))) for _ in range(3)))
+    objective = st.sampled_from(["cost", "time", "width", "comm_time", "comp_time"])
+    return draw(st.integers(1, 60)), at, task, pv, budgets, UNIT, [draw(objective) for _ in range(2)]
+
+
+def _packaged(b, cons_freq_cells, d_down_bits=1e8, cycles_per_sample=500.0):
+    """A client of the packaged scenario's first two rounds, where three
+    configs realized a leg of width 0."""
+    task = ConsumptionTask(d_down_bits, 1e8, cycles_per_sample, 21.194291268187765, 11.561176705022062)
+    budgets = Budgets(10.0, 400.0, 10.0, cycle_cells=10.0, cons_freq_cells=cons_freq_cells)
+    pv = prices(1.0, 0.05, 0.5)
+    return 1232, attrs(31.415926535897935, b), task, pv, budgets, ResourceQuanta(), ["cost"] * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(realize_cases())
+@example(_packaged(29700712291778.164, 399.0))  # wireless_efficiency 1e10: sensing (1, 0)
+@example(_packaged(0.2970071229177817, 90.0, cycles_per_sample=1e-9))  # compute (1, 0)
+@example(_packaged(0.2970071229177817, 90.0, d_down_bits=1e-3))  # download (1, 0)
+def test_realization_covers_every_positive_need(case):
+    # a positive need takes at least one whole cell: no leg of width 0, and
+    # sensing delivers the workload
+    n, at, task, pv, budgets, quanta, (gen_obj, cons_obj) = case
+    q = realize_schedule(n, at, task, pv, budgets, quanta, gen_obj, cons_obj)
+    if q is None:
+        return
+    g = q.gen
+    assert at.a * g.t_vs + at.b * g.t_ws * g.b_ws >= n * (1 - 1e-9)
+    cell_bits = quanta.time_s * quanta.freq_hz
+    legs = [
+        (task.d_down_bits / (task.eff_down * cell_bits), q.comm_down.t, q.comm_down.b),
+        (n * task.cycles_per_sample / (quanta.compute_cycles_per_s * quanta.time_s), q.comp.t, q.comp.f),
+        (task.d_up_bits / (task.eff_up * cell_bits), q.comm_up.t, q.comm_up.b),
+    ]
+    for volume, t, w in legs:
+        if volume > 0:
+            assert w >= 1 and t * w >= volume * (1 - 1e-9)
 
 
 def test_bound_squares_that_overflow_bound_nothing():
