@@ -24,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,11 @@ _SUMMARY_READERS = {
 }
 SUMMARY_COLUMNS = list(_SUMMARY_READERS)
 
+# clients.jsonl's keys, sorted as json.dumps(row, sort_keys=True) writes them
+CLIENT_COLUMNS = (
+    "client", "cost", "gain_rate", "mtv", "mutv", "n", "note", "payment", "profit", "qod", "round",
+)
+
 TIMELINE_COLUMNS = ["round", "client", "process", "start_cell", "end_cell", "b_cells", "f_cells"]
 
 TRAJECTORY_COLUMNS = ["round", "id", "kind", "x", "y", "class"]
@@ -114,9 +120,7 @@ class RunRecord:
     def output_texts(self) -> dict[str, str]:
         out = {
             "summary.csv": _csv_text(SUMMARY_COLUMNS, self.summary_rows),
-            "clients.jsonl": "".join(
-                _JSONL.encode(row) + "\n" for row in self.client_rows
-            ),
+            "clients.jsonl": "".join(map(_client_line, self.client_rows)),
             "timeline.csv": _csv_text(TIMELINE_COLUMNS, self.timeline_rows),
             "run.json": self.run_json(),
         }
@@ -143,8 +147,56 @@ class RunRecord:
         return sum(r["gain"] for r in self.summary_rows)
 
 
-# the encoder json.dumps(row, sort_keys=True) builds on every call
-_JSONL = json.JSONEncoder(sort_keys=True)
+# one clients.jsonl line, a %s slot per column in CLIENT_COLUMNS' order
+_CLIENT_LINE = (
+    "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s" for k in CLIENT_COLUMNS) + "}\n"
+)
+
+# json's names for the floats whose repr is no JSON number
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """`value` as json writes a float; anything but a float raises."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+def _json_int(value: int) -> str:
+    """`value` as json writes an int; anything but an int raises, and so
+    does a bool, which json writes as true or false."""
+    if value.__class__ is bool:
+        raise TypeError(f"expected an int, got {value!r}")
+    return int.__repr__(value)
+
+
+def _client_line(row: dict) -> str:
+    """One clients.jsonl line: the text of `json.dumps(row, sort_keys=True)`
+    plus a newline, for a row with exactly CLIENT_COLUMNS as keys.
+
+    Each value is written as json's encoder writes its kind: a str by
+    `encode_basestring_ascii`, the escaper `json.dumps` uses under its
+    default ensure_ascii; an int by `int.__repr__`; a float by
+    `float.__repr__`, with nan and the infinities spelled NaN, Infinity and
+    -Infinity.  The keys are fixed ASCII names, and the separators json's
+    defaults ", " and ": ".  A row with another key, or a value of another
+    kind than its column's, raises instead of writing other bytes.
+    """
+    if len(row) != len(CLIENT_COLUMNS):
+        raise ValueError(f"a clients.jsonl row has the keys {CLIENT_COLUMNS}, got {tuple(row)}")
+    return _CLIENT_LINE % (
+        encode_basestring_ascii(row["client"]),
+        _json_float(row["cost"]),
+        _json_float(row["gain_rate"]),
+        _json_int(row["mtv"]),
+        _json_int(row["mutv"]),
+        _json_int(row["n"]),
+        encode_basestring_ascii(row["note"]),
+        _json_float(row["payment"]),
+        _json_float(row["profit"]),
+        _json_float(row["qod"]),
+        _json_int(row["round"]),
+    )
 
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
@@ -164,17 +216,18 @@ def _fmt(value):
 
 
 def validate_summary_rows(rows: list[dict]) -> list[str]:
-    """Re-check the bookkeeping identities on loaded/emitted summary rows."""
+    """Re-check the bookkeeping identities on loaded/emitted summary rows.
+    A residual that is not within 1e-6 of 0, NaN included, is a finding."""
     bad = []
     for row in rows:
-        if abs(row["server_profit"] - (row["app_payment"] - row["payments_total"])) > 1e-6:
+        if not abs(row["server_profit"] - (row["app_payment"] - row["payments_total"])) <= 1e-6:
             bad.append(f"round{row['round']}:server_profit_identity")
         if (
-            abs(
+            not abs(
                 row["client_profits_total"]
                 - (row["payments_total"] - row["costs_total"])
             )
-            > 1e-6
+            <= 1e-6
         ):
             bad.append(f"round{row['round']}:client_profit_identity")
     return bad

@@ -206,13 +206,17 @@ def path_gains(distances: np.ndarray, channel: ChannelParams) -> np.ndarray:
     distance d clamped to at least 1 m.  In [0, 1], or nan where
     10 * exponent overflows and meets log10(1) = 0.
 
-    Bitwise equal to the expression in Python floats: `math.log10` and `pow`
-    stay libm calls looped by `map` (numpy's SIMD log10 and power differ in
-    the last bit on a few percent of inputs, which an exponent amplifies),
-    and the `* + - /` steps are numpy ops in the expression's order (a sum
-    with its operands swapped is the same float), each correctly rounded
-    like Python's.  Numpy's warnings are off, as Python's float `* + -` give
-    inf or nan without one.
+    Bitwise equal to the expression in Python floats: `math.log10` and
+    `math.pow` stay libm calls looped by `map` (numpy's SIMD log10 and power
+    differ in the last bit on a few percent of inputs, which an exponent
+    amplifies), and the `* + - /` steps are numpy ops in the expression's
+    order (a sum with its operands swapped is the same float), each
+    correctly rounded like Python's.  `math.pow(10.0, x)` is the libm
+    `pow(10.0, x)` that the expression's `10 ** x` reaches once the int 10
+    becomes a float, and both handle the special exponents alike: nan gives
+    nan, -inf gives 0, inf gives inf, an underflow gives 0 or a subnormal,
+    and a finite x whose power overflows raises `OverflowError`.  Numpy's
+    warnings are off, as Python's float `* + -` give inf or nan without one.
     """
     x = np.maximum(distances, 1.0)
     x = np.fromiter(map(math.log10, x.tolist()), float, len(x))
@@ -221,16 +225,22 @@ def path_gains(distances: np.ndarray, channel: ChannelParams) -> np.ndarray:
         x += channel.reference_loss_db
         np.negative(x, out=x)
         x /= 10
-    return np.fromiter(map(pow, repeat(10), x.tolist()), float, len(x))
+    return np.fromiter(map(math.pow, repeat(10.0), x.tolist()), float, len(x))
 
 
 def server_gains(state: ScenarioState, channel: ChannelParams) -> np.ndarray:
-    """Each client's path gain to the server, in client order.  The distance
-    is one `np.linalg.norm` per client: batched norms differ from it in the
-    last bit."""
-    return path_gains(
-        np.array([np.linalg.norm(p - state.server_pos) for p in state.client_pos]), channel
-    )
+    """Each client's path gain to the server, in client order.
+
+    The distance is bitwise equal to `np.linalg.norm(p - server_pos)` per
+    client position p: the differences are one batched subtraction, the
+    same correctly rounded op per element, and each row v then takes
+    `math.sqrt(v.dot(v))`, the two steps `norm` performs on a 1-D float
+    vector (`x.dot(x)`, then a correctly rounded root).  The square sum stays
+    one `dot` per row: batched reductions such as `einsum` or `sum(axis=1)`
+    differ from it in the last bit.
+    """
+    diffs = state.client_pos - state.server_pos
+    return path_gains(np.array([math.sqrt(v.dot(v)) for v in diffs]), channel)
 
 
 def spectral_efficiency(
@@ -286,7 +296,11 @@ def status_attributes(
       segment in another order).  A pairwise sum depends on element order,
       so each slice keeps the reference order: the visual disc's targets,
       then the annulus's, each in target order.  As d_vs < d_ws, the
-      annulus is the wireless disc minus the visual one;
+      annulus is the wireless disc minus the visual one.  The (client,
+      disc, target) triples are the `np.flatnonzero` indices of the stacked
+      (client, disc, target) masks split by two `divmod`s: the flat indices
+      rise, so the triples come in C order, as `np.nonzero` of the 3-D
+      stack lists them;
     - the SNR, its log2 and `b` stay Python float ops per client, and the
       label counts are integers, whose order does not matter.
     """
@@ -302,9 +316,10 @@ def status_attributes(
 
     in_vs = distances <= geometry.d_vs
     annulus = (distances <= geometry.d_ws) & ~in_vs
-    # nonzero walks (client, disc, target): each client's visual disc, then
-    # its annulus
-    rows, disc, cols = np.nonzero(np.stack([in_vs, annulus], axis=1))
+    # the flat indices of the (client, disc, target) stack, in C order: each
+    # client's visual disc, then its annulus, each in target order
+    rows, rest = np.divmod(np.flatnonzero(np.stack([in_vs, annulus], axis=1)), 2 * n_targets)
+    disc, cols = np.divmod(rest, n_targets)
     visual = disc == 0
     ends = np.cumsum(np.bincount(rows, minlength=n_clients)).tolist()
     n_visual = np.bincount(rows[visual], minlength=n_clients)

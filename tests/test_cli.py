@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,21 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.csv").exists()
     meta = json.loads((tmp_path / "out" / "run.json").read_text())
     assert meta["rounds"] == 1
+
+
+def test_nan_profit_identity_is_an_audit_finding(tmp_path):
+    # a sample price of 1e308 makes the payments inf, so both profit
+    # identities leave a residual of inf - inf = nan, which no
+    # "residual > 1e-6" test would catch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prices": {"sample": 1e308}}))
+    code = main(["run", "--rounds", "2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    meta = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert math.isnan(meta["total_welfare"])
+    assert meta["audit_violations"] == [
+        f"round{r}:{side}_profit_identity" for r in (1, 2) for side in ("server", "client")
+    ]
 
 
 def test_run_config_error_exit(tmp_path, capsys):

@@ -14,7 +14,9 @@ from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, Transfe
 from mfpsim.market import _DIP_SLACK
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import (
+    CLIENT_COLUMNS,
     SUMMARY_COLUMNS,
+    _client_line,
     _policy_solve,
     _curve_fn,
     _RunContext,
@@ -88,6 +90,72 @@ def test_summary_identities_roundtrip(small_record):
         return [[(k, type(v), v) for k, v in row.items()] for row in rows]
 
     assert typed(rows) == typed(small_record.summary_rows)
+
+
+# a value of each kind json writes in its own way: quotes, backslashes,
+# control characters, non-BMP text and lone surrogates; NaN, the infinities,
+# -0.0 and subnormals; ints past 64 bits
+_STR = st.text(st.characters(), max_size=12) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028", "\U0001f600", "\ud800"]
+)
+_KINDS = {str: _STR, float: st.floats(), int: st.integers() | st.integers(-(2**70), 2**70)}
+_CLIENT_KINDS = dict(zip(CLIENT_COLUMNS, [str, float, float, int, int, int, str, float, float, float, int]))
+
+
+@st.composite
+def client_rows(draw):
+    """A clients.jsonl row, its keys in any order."""
+    keys = draw(st.permutations(CLIENT_COLUMNS))
+    return {k: draw(_KINDS[_CLIENT_KINDS[k]]) for k in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(client_rows())
+def test_client_line_is_the_sorted_json_dump(row):
+    assert _client_line(row) == json.dumps(row, sort_keys=True) + "\n"
+
+
+_GOOD_ROW = dict.fromkeys(CLIENT_COLUMNS, 0)
+_GOOD_ROW.update(client="c000", note="", cost=0.0, gain_rate=0.0, payment=0.0, profit=0.0, qod=0.0)
+_NO_QOD = {k: v for k, v in _GOOD_ROW.items() if k != "qod"}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {**_GOOD_ROW, "n": True},  # json writes true
+        {**_GOOD_ROW, "round": 1.0},  # json writes 1.0
+        {**_GOOD_ROW, "cost": 1},  # json writes 1
+        {**_GOOD_ROW, "note": None},  # json writes null
+        {**_GOOD_ROW, "client": 7},
+        {**_GOOD_ROW, "mtv": np.int64(3)},  # json cannot write it
+        {**_GOOD_ROW, "extra": 0.0},
+        _NO_QOD,
+        {**_NO_QOD, "quality": 0.0},
+    ],
+    ids=[
+        "bool", "float-at-int", "int-at-float", "none-at-str", "int-at-str", "int64",
+        "extra-key", "missing-key", "renamed-key",
+    ],
+)
+def test_client_line_refuses_rows_it_would_write_otherwise(row):
+    assert _client_line(_GOOD_ROW) == json.dumps(_GOOD_ROW, sort_keys=True) + "\n"
+    with pytest.raises((TypeError, ValueError, KeyError)):
+        _client_line(row)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"policy": p.value} for p in Policy] + [{"prices": {"sample": 1e308}}],
+    ids=[p.value for p in Policy] + ["sample-price-1e308"],
+)
+def test_clients_jsonl_equals_the_per_row_json_dump(raw):
+    rec = run(load_config({**SMALL, "rounds": 2, **raw}))
+    assert all(tuple(sorted(row)) == CLIENT_COLUMNS for row in rec.client_rows)
+    text = rec.output_texts()["clients.jsonl"]
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rec.client_rows)
+    if "prices" in raw:  # a payment of inf is written as json writes it
+        assert '"payment": Infinity' in text
 
 
 def test_client_rows_cover_population(small_record):

@@ -121,6 +121,15 @@ def test_path_gain_reference_and_slope():
     assert g0 == g1  # distances clamp to 1 m
 
 
+def test_path_gain_overflow_raises_as_the_scalar_law_does():
+    # a negative loss at 1 m makes 10 ** x overflow; the schema allows none
+    params = ChannelParams(reference_loss_db=-4000.0)
+    with pytest.raises(OverflowError):
+        oracles.channel_gain(1.0, params)
+    with pytest.raises(OverflowError):
+        path_gains(np.array([2.0, 1.0]), params)
+
+
 def test_spectral_efficiency_sensitivity_gate():
     params, q = ChannelParams(), ResourceQuanta()
     gains = path_gains(np.array([10.0, 400.0]), params)
@@ -346,10 +355,19 @@ def test_global_label_distribution_matrix_equals_per_client_union(state, mode):
 @st.composite
 def server_fleets(draw):
     """Clients anywhere in the 500 m square, some at the server or within
-    1 m of it, where distances clamp to 1 m and log10(1) is 0."""
+    1 m of it, where distances clamp to 1 m and log10(1) is 0, some a
+    sub-metre offset from it, and some up to about 1e150 m away, where the
+    squared distance nears the float range."""
     near = st.sampled_from([(250.0, 250.0), (251.0, 250.0), (250.0, 249.5)])
+    offset = st.tuples(st.floats(249.0, 251.0), st.floats(249.0, 251.0))
     anywhere = st.tuples(st.floats(0, 500), st.floats(0, 500))
-    clients = draw(st.lists(near | anywhere, min_size=1, max_size=30))
+    far = st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+    return server_fleet(draw(st.lists(near | offset | anywhere | far, min_size=1, max_size=30)))
+
+
+def server_fleet(clients):
+    """Clients at the given (x, y) positions, the server at (250, 250), no
+    targets."""
     return ScenarioState(
         area_m=500.0,
         client_pos=np.array(clients, dtype=float),
@@ -364,6 +382,9 @@ def server_fleets(draw):
 
 
 @settings(max_examples=200, deadline=None)
+# at the default channel, einsum's square sum for this client misses the
+# per-row dot by a bit that reaches the gain
+@example(server_fleet([(2.6, 30.6)]), 2.0, 61.4, -20.4, 55.0, 26.0, None)
 @given(
     server_fleets(),
     # 150 underflows every gain to 0; 1e308 makes 10 * exponent overflow,
