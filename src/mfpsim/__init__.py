@@ -2,7 +2,8 @@
 and simulator for multimodal federated perception workloads.
 
 The package logs under the "mfpsim" logger, silent unless the application
-configures logging; at DEBUG the market reports each streak grant.
+configures logging; at DEBUG the market reports each scan grant, each
+streak grant and each block-polish move.
 """
 
 import logging

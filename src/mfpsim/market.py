@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, islice, repeat
+from operator import add
 
 from .costs import PriceVector
 from .errors import GainShortfallError
 
 _TOL = 1e-9
+# most gains a streak probe holds at once: bounds its memory whatever the
+# batch size
+_CHUNK = 4096
 # relative amount by which a computed cost curve may dip (CostCurve's
 # contract): far above the solver's tie windows and tolerance boxes, far
 # below the welfare leads a streak grant needs
@@ -222,6 +229,73 @@ def _marginal_welfare(quote: ClientQuote, n: int, prices: PriceVector, alpha: fl
     return _welfare_of(quote, quote.curve.marginal(n), prices, alpha, beta)
 
 
+def _gain_span(gain: float, rate: float, size: int, ceiling: float, floor: float):
+    """Where up to `size` more grants of `rate` > 0, from `gain`, cross the
+    thresholds: (steps, floor_at, gain after steps, gain after floor_at).
+
+    With G[0] = gain and G[j+1] = G[j] + rate, `steps` is the number of
+    grants before the first G[j] >= `ceiling` (j >= 1), at most `size`, and
+    `floor_at` the first j < steps with G[j] >= `floor` (None when there is
+    none; the gain after it None too).  The gains are accumulated in chunks
+    of at most _CHUNK, by the same float additions in the same order as
+    `gain += rate` one grant at a time, and never decrease (rate > 0 and
+    rounding is monotone), so each bisection finds the first crossing.
+    """
+    done, floor_at, at_floor = 0, None, None
+    while True:
+        gains = list(accumulate(repeat(rate, min(_CHUNK, size - done)), initial=gain))
+        end = bisect_left(gains, ceiling, 1) - 1
+        if floor_at is None and (i := bisect_left(gains, floor, 0, end)) < end:
+            floor_at, at_floor = done + i, gains[i]
+        done += end
+        if end < len(gains) - 1 or done == size:
+            return done, floor_at, gains[end], at_floor
+        gain = gains[end]
+
+
+class _LeaderGains:
+    """`_gain_span` for a streak's probes from the gain the leader is at.
+
+    `gains[j]` is the gain after j more grants, for j up to _CHUNK at most:
+    accumulated once, as far as the probes ask, and trimmed as grants are
+    taken, so a failed probe's shorter retry and the next probe after a take
+    read the gains already made.  A probe past the list scans on from its
+    end with `_gain_span`.
+    """
+
+    def __init__(self, gain: float, rate: float, ceiling: float, floor: float):
+        self.gains = [gain]
+        self.rate, self.ceiling, self.floor = rate, ceiling, floor
+
+    def span(self, size: int):
+        """`_gain_span(gain, rate, size, ceiling, floor)` at the current gain."""
+        gains, rate, ceiling = self.gains, self.rate, self.ceiling
+        reach = min(size, _CHUNK)
+        while len(gains) <= reach and gains[-1] < ceiling:
+            want = reach + 1 - len(gains)
+            # stop near the ceiling, about `room` grants on
+            room = (ceiling - gains[-1]) / rate
+            if room < want:
+                want = min(want, int(room) + 2)
+            gains += islice(accumulate(repeat(rate, want), initial=gains[-1]), 1, None)
+        reach = min(reach, len(gains) - 1)
+        end = bisect_left(gains, ceiling, 1, reach + 1) - 1
+        i = bisect_left(gains, self.floor, 0, end)
+        floor_at, at_floor = (i, gains[i]) if i < end else (None, None)
+        if end < reach or reach == size:
+            return end, floor_at, gains[end], at_floor
+        steps, far, after, at_far = _gain_span(gains[reach], rate, size - reach, ceiling, self.floor)
+        if floor_at is None and far is not None:
+            floor_at, at_floor = reach + far, at_far
+        return reach + steps, floor_at, after, at_floor
+
+    def advance(self, count: int, after: float) -> None:
+        """Move on by `count` grants, after which the gain is `after`."""
+        del self.gains[:count]
+        if not self.gains:
+            self.gains.append(after)
+
+
 def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded):
     """Coordinate-ascent improvement over whole client loads.
 
@@ -241,6 +315,7 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
         value = alpha * (prices.gain * q.gain_rate - prices.sample) + beta * prices.sample
         return value * n - beta * q.curve.cost(n)
 
+    active = sum(1 for n in load.values() if n > 0)
     for _ in range(2 * len(quotes) + 2):
         improved = False
         for q in quotes:
@@ -248,7 +323,7 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
             if cid in excluded or q.gain_rate <= 0:
                 continue
             current = load[cid]
-            active_others = sum(1 for k, n in load.items() if n > 0 and k != cid)
+            active_others = active - (current > 0)
             gain_others = gain - q.gain_rate * current
             room = ceiling - gain_others
             hi = int(min(q.mtv, (room - _TOL) // q.gain_rate))
@@ -267,7 +342,9 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
                 if w > best_w + 1e-9:
                     best_n, best_w = n, w
             if best_n != current:
+                _log.debug("polish %s from load %d to %d", cid, current, best_n)
                 load[cid] = best_n
+                active += (best_n > 0) - (current > 0)
                 gain = gain_others + q.gain_rate * best_n
                 improved = True
         if not improved:
@@ -353,26 +430,37 @@ def allocate_workloads(
     have been a clear pick of the leader; past the floor it must also
     exceed 1e-9, or the batch stops at the floor switch.  A finite bound
     also rules out a NaN marginal in the run.  k is clipped where the leader
-    closes, at mtv and by replaying the gain's additions against the
-    ceiling, and the batch replays `gain += gain_rate` one addition at a time,
-    so loads, gain and open count are the sample-by-sample greedy's, bit for
-    bit.  k gallops: it doubles after a certified batch and halves after a
-    failed one.  A streak ends, and unit grants resume, when no k >= 2
-    certifies, when a probe is infinite, at the floor switch, or where the
-    leader closes.  A pick that is not clear never starts a streak, nor do
-    loads the curve does not vouch for (`CostCurve.in_segment`).
+    closes: at mtv, and before the grant whose gain would reach the ceiling.
+    Each streak computes its gains once, G[0] the gain and G[j+1] =
+    G[j] + gain_rate, with `itertools.accumulate` as far as its probes ask
+    (`_LeaderGains`: a window of at most _CHUNK gains, trimmed as batches
+    are granted; past it `_gain_span` scans on chunk by chunk), and a batch
+    takes its gain from G.  `accumulate` applies
+    the same float `+` in the same order as `gain += gain_rate` one grant at
+    a time, so loads, gain and open count are the sample-by-sample greedy's,
+    bit for bit.  Bidders have gain_rate > 0 and rounding is monotone, so G
+    never decreases, and `bisect_left` finds the first G[j] >= ceiling -
+    1e-9 (j >= 1: where the leader closes) and the first G[j] >= gain_floor
+    - 1e-9 (the floor switch) where a one-at-a-time loop would break: also
+    when G[j] + gain_rate == G[j] and when the ceiling is infinite.  k
+    gallops: it doubles after a certified batch and halves after a failed
+    one.  A streak ends, and unit grants resume, when no k >= 2 certifies,
+    when a probe is infinite, at the floor switch, or where the leader
+    closes.  A pick that is not clear never starts a streak, nor do loads
+    the curve does not vouch for (`CostCurve.in_segment`).
 
     A rationality pass does not rerun the greedy from scratch.  The previous
-    pass's grants are kept in order, as (client, count) runs, with the first
-    grant at which each client led: became the scan's running best (a
-    leader led at its clear pick, before its later grants and streaks).
-    Excluding clients that never led leaves every grant's pick unchanged: a
-    scan's pick never depended on them, and a leader's grant stays clear of
-    the clients that remain.  So the next pass replays the grants before the
-    earliest one any excluded client led (all of them when none did) and
-    resumes from there.  Replaying the same grants in the same order rebuilds
-    the same loads, open count and gain, the gain by the same float additions
-    in the same order.
+    pass's grants are kept in order, as (client, count, gain after) runs,
+    with the first grant at which each client led: became the scan's
+    running best (a leader led at its clear pick, before its later grants
+    and streaks).  Excluding clients that never led leaves every grant's
+    pick unchanged: a scan's pick never depended on them, and a leader's
+    grant stays clear of the clients that remain.  So the next pass keeps
+    the grants before the earliest one any excluded client led (all of them
+    when none did) and resumes from there.  The kept runs rebuild the same
+    loads and open count, and the gain is the one the last of them stored.
+    A run the cut splits keeps its first grants, whose gain is replayed
+    from the previous run's by the same float additions in the same order.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -394,12 +482,14 @@ def allocate_workloads(
         costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
         return build_report(by_id, load, costs, prices, alpha, beta)
 
-    picks: list[list] = []  # the greedy's grants, in order, as [client, count] runs
+    # the greedy's grants, in order, as [client, count, gain after the run] runs
+    picks: list[list] = []
     # marginal welfare of each client's next sample, with the load it was
     # priced at: only a grant changes a load
     marginal: dict[str, tuple[int, float]] = {}
     first_led: dict[str, int] = {}  # grant (index over all grants) a client first led
     stride = 2  # streak batch size to offer next
+    debug = _log.isEnabledFor(logging.DEBUG)
     for _ in range(len(quotes) + 1):
         load = {q.client_id: 0 for q in quotes}
         gain = 0.0
@@ -454,27 +544,30 @@ def allocate_workloads(
                     first_led.setdefault(q.client_id, granted)
             if best is None:
                 return None
-            if clear and best[0] == top and top > second + _TOL:
-                lead = best[1], second
-                return best[0], best[1], second
-            return best[0], best[1], None
+            delta, cid = best
+            rival = second if clear and delta == top and top > second + _TOL else None
+            if rival is not None:
+                lead = cid, rival
+            if debug:
+                _log.debug(
+                    "scan grant %s at load %d: marginal welfare %.9g, %s",
+                    cid, load[cid], delta, "no clear lead" if rival is None else "clear lead",
+                )
+            return delta, cid, rival
 
-        def grant(cid: str, count: int) -> None:
+        def take(cid: str, count: int, after: float) -> None:
+            """Grant `count` samples to `cid`, after which the gain is `after`."""
             nonlocal gain, opened, granted
-            rate = by_id[cid].gain_rate
             if load[cid] == 0:
                 opened += 1
             load[cid] += count
-            for _ in range(count):
-                gain += rate
+            gain = after
             granted += count
-
-        def take(cid: str, count: int) -> None:
             if picks and picks[-1][0] == cid:
                 picks[-1][1] += count
+                picks[-1][2] = after
             else:
-                picks.append([cid, count])
-            grant(cid, count)
+                picks.append([cid, count, after])
 
         def streak(cid: str, rival: float) -> None:
             """Certified batches for the leader of a clear pick whose
@@ -484,20 +577,13 @@ def allocate_workloads(
             rate, start, probes = q.gain_rate, load[cid], 0
             if not q.curve.in_segment(start):
                 return
+            gains = _LeaderGains(gain, rate, ceiling - _TOL, gain_floor - _TOL)
             while True:
                 n = load[cid]
                 size = min(stride, q.mtv - n)
-                # replay the gain's additions: the leader stays open for
-                # `steps` grants, and the floor switch comes before grant
-                # `floor_at` (0: already past it)
-                g, steps, floor_at = gain, 0, None
-                for _ in range(size):
-                    if g + rate >= ceiling - _TOL:
-                        break
-                    if floor_at is None and g >= gain_floor - _TOL:
-                        floor_at = steps
-                    g += rate
-                    steps += 1
+                # the leader stays open for `steps` grants, and the floor
+                # switch comes before grant `floor_at` (0: already past it)
+                steps, floor_at, after, at_floor = gains.span(size)
                 if steps < 2:
                     why = "capacity" if n + 1 >= q.mtv else "ceiling" if steps < size else "bound"
                     break
@@ -509,11 +595,12 @@ def allocate_workloads(
                 bound = math.nan if rise is None else _welfare_of(q, rise, prices, alpha, beta)
                 if math.isfinite(bound) and bound > rival + _TOL:
                     if floor_at is None or bound > _TOL:
-                        take(cid, steps)
+                        take(cid, steps, after)
+                        gains.advance(steps, after)
                         stride = 2 * steps
                         continue
                     if floor_at:
-                        take(cid, floor_at)
+                        take(cid, floor_at, at_floor)
                         why = "floor switch"
                         break
                 stride = max(2, steps // 2)
@@ -526,8 +613,13 @@ def allocate_workloads(
                     cid, start, load[cid] - start, probes, why,
                 )
 
-        for cid, count in picks:
-            grant(cid, count)
+        for cid, count, _ in picks:
+            if load[cid] == 0:
+                opened += 1
+            load[cid] += count
+            granted += count
+        if picks:
+            gain = picks[-1][2]
         while gain < gain_floor - _TOL:
             pick = grantable(require_positive=False)
             if pick is None:
@@ -537,11 +629,11 @@ def allocate_workloads(
                     else "capacity exhausted"
                 )
                 raise GainShortfallError(reason, max_achievable(excluded))
-            take(pick[1], 1)
+            take(pick[1], 1, gain + by_id[pick[1]].gain_rate)
             if pick[2] is not None:
                 streak(pick[1], pick[2])
         while (pick := grantable(require_positive=True)) is not None:
-            take(pick[1], 1)
+            take(pick[1], 1, gain + by_id[pick[1]].gain_rate)
             if pick[2] is not None:
                 streak(pick[1], pick[2])
 
@@ -569,12 +661,18 @@ def allocate_workloads(
             return allocation, report
         excluded.update(losers)
         keep = min((first_led[c] for c in losers if c in first_led), default=granted)
-        kept, total = [], 0
-        for cid, count in picks:
-            if total >= keep:
+        kept, total, before = [], 0, 0.0
+        for run in picks:
+            cid, count, after = run
+            if total + count > keep:
+                if total < keep:
+                    # a cut run keeps its first grants: replay their additions
+                    part = keep - total
+                    kept.append([cid, part, reduce(add, repeat(by_id[cid].gain_rate, part), before)])
                 break
-            kept.append([cid, min(count, keep - total)])
+            kept.append(run)
             total += count
+            before = after
         picks = kept
         first_led = {c: s for c, s in first_led.items() if s < keep}
     raise GainShortfallError("rationality loop failed to settle", max_achievable(excluded))

@@ -10,8 +10,9 @@ candidate, the workload allocation rerunning its greedy from scratch on every
 rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, the numpy tag-grid resource pool, one
 client's target distances, sensing status and server link taken on their own,
-the fixed number of single folds mobility used to take, and the per-client
-quote loop.  `schema_violations` is jsonschema itself, the reference for
+the fixed number of single folds mobility used to take, the per-client
+quote loop, and the market's streak loop adding a leader's gain rate one
+grant at a time.  `schema_violations` is jsonschema itself, the reference for
 the config parser.  The market tests build their cost curves from fixed tables with
 `curve_from_samples`; the golden and determinism tests compare runs by
 `output_hashes`.
@@ -338,6 +339,22 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
             return Allocation(workloads=workloads), report
         excluded.update(losers)
     raise GainShortfallError("rationality loop failed to settle", max_achievable())
+
+
+def streak_span_reference(gain, rate, size, ceiling, floor):
+    """The market's former streak loop, one `g += rate` at a time: the
+    number of grants, at most `size`, before the first gain >= `ceiling`,
+    the first of them at which the gain is >= `floor` (None: none), and the
+    gain after them."""
+    g, steps, floor_at = gain, 0, None
+    for _ in range(size):
+        if g + rate >= ceiling:
+            break
+        if floor_at is None and g >= floor:
+            floor_at = steps
+        g += rate
+        steps += 1
+    return steps, floor_at, g
 
 
 def saturated_allocation_reference(quotes, ceiling, max_active):

@@ -1,5 +1,7 @@
 import logging
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from mfpsim.market import (
     client_payment,
     saturated_load,
     social_welfare,
+    _gain_span,
+    _LeaderGains,
 )
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
@@ -30,6 +34,7 @@ from oracles import (
     allocation_exhaustive,
     curve_from_samples,
     saturated_allocation_reference,
+    streak_span_reference,
 )
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
@@ -280,6 +285,38 @@ class TestAllocate:
         got = allocate_workloads(*case)
         assert got[0].workloads == {"b": 29}
         assert repr(got) == repr(allocate_workloads_reference(*case))
+
+    def test_a_run_cut_where_an_excluded_client_first_led(self):
+        # b's and a's marginal welfares tie (0.5), c's is 0.8e-9 above them
+        # and d's 1.5e-9: d beats a and b, c beats neither, and c keeps every
+        # pick from being clear, so each grant is a scan's.  d takes 80 in a
+        # row; a, with the larger rate, closes on the ceiling after d's 50th,
+        # so b first leads at the scan of grant 50, inside d's run.  b ends
+        # at a loss, and the next pass keeps d's first 50 grants, at their
+        # own gain: without b the scan picks c, which takes 30 before its
+        # marginal turns negative, and d tops up to the ceiling.  Keeping
+        # all 80 of d's grants, or their gain, leaves c 19.
+        quotes = [
+            self.plain("a", 0.5, [49.5] * 10),
+            self.plain("b", 0.03, [2.5] * 10),
+            self.plain("c", 0.01, [0.5 - 0.8e-9] * 30 + [5.0] * 30),
+            self.plain("d", 0.01, [0.5 - 1.5e-9] * 80),
+        ]
+        case = (quotes, self.prices(), 0.2, 0.8, 4)
+        got = allocate_workloads(*case)
+        assert got[0].workloads == {"c": 30, "d": 69}
+        assert repr(got) == repr(allocate_workloads_reference(*case))
+
+    def test_debug_lines_name_each_polish_move(self, caplog):
+        # an activation cost makes the first marginal welfare negative, so
+        # the greedy grants nothing; the whole load of 20 is worth 13, and
+        # the polish moves there
+        quote = self.plain("a", 0.01, [5.1] + [0.1] * 19)
+        with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+            alloc, report = allocate_workloads([quote], self.prices(), 0.0, 10.0, 1)
+        assert alloc.workloads == {"a": 20}
+        assert report.audit() == []
+        assert [r.getMessage() for r in caplog.records] == ["polish a from load 0 to 20"]
 
     def contested(self, n_clients, curve):
         """Convex curves a few samples' welfare drop apart, so the lead
@@ -548,7 +585,8 @@ def test_one_long_streak_costs_few_lookups(caplog):
     assert report.audit() == []
     assert lookups[0] <= 64
     assert [r.getMessage() for r in caplog.records] == [
-        "streak a from load 1: 1999 samples, 10 probes, stopped at capacity"
+        "scan grant a at load 0: marginal welfare -1.2, clear lead",
+        "streak a from load 1: 1999 samples, 10 probes, stopped at capacity",
     ]
     # silent unless the application configures logging
     assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfpsim").handlers)
@@ -562,7 +600,90 @@ def test_plain_costs_vouch_for_no_streak(caplog):
     case = ([ClientQuote("a", 1.0, 2000, 2000, 0.01, plain)], PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         got = allocate_workloads(*case)
-    assert caplog.records == []
+    # the first grant's scan makes the lead, which holds every later grant
+    assert [r.getMessage() for r in caplog.records] == [
+        "scan grant a at load 0: marginal welfare -1.2, clear lead"
+    ]
     assert not plain.in_segment(1)
     assert plain.rise_bound(1, 2000) is None
     assert repr(got) == repr(allocate_workloads_reference(*case))
+
+
+@st.composite
+def gain_probes(draw):
+    """A streak's start: gain, rate, ceiling and floor (the thresholds the
+    market compares with, its tolerance already taken off), with crossings
+    a few dozen grants on, at a grant's exact gain or an ulp either side, or
+    none; then its probes, each a batch size and what the streak takes of
+    it (all, the grants before the floor switch, or none); and the chunk
+    the gains are accumulated in."""
+    gain = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 100.0))
+    rate = draw(st.sampled_from([0.01, 0.25, 2.0**-53, 1e-17]) | st.floats(1e-18, 10.0))
+
+    def threshold(kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "inf":
+            return math.inf
+        if kind == "any":
+            return draw(st.floats(0.0, 200.0))
+        at = gain
+        for _ in range(draw(st.integers(0, 50))):
+            at += rate
+        return draw(st.sampled_from([at, math.nextafter(at, 0.0), math.nextafter(at, math.inf)]))
+
+    ceiling = threshold(["grant", "grant", "inf", "any"])
+    floor = threshold(["grant", "any"])
+    probes = draw(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(["all", "floor", "none"])), max_size=8))
+    chunk = draw(st.sampled_from([1, 2, 3, 8, 4096]))
+    return gain, rate, ceiling, floor, probes, chunk
+
+
+@settings(max_examples=400, deadline=None)
+@given(gain_probes())
+# a rate below half an ulp of the gain: the gain never moves
+@example((1.0, 1e-17, 2.0, 1.5, [(40, "all"), (5, "none")], 8))
+# half an ulp: a tie, rounded to even, moves an odd gain once and an even
+# one never
+@example((1.0 + 2.0**-52, 2.0**-53, 1.0 + 2.0**-51, 0.0, [(6, "all"), (6, "all")], 2))
+@example((1.0 + 2.0**-52, 2.0**-53, 1.0 + 3 * 2.0**-52, 1.0 + 2.0**-51, [(6, "floor"), (6, "all")], 2))
+@example((1.0, 2.0**-53, 1.0 + 2.0**-52, 0.5, [(6, "all")], 4096))
+# an infinite ceiling
+@example((0.5, 0.01, math.inf, 0.75, [(30, "floor"), (60, "all"), (20, "all")], 8))
+# a start already past the floor: the switch comes before the first grant
+@example((2.0, 0.01, 3.0, 1.0, [(10, "floor"), (10, "all")], 3))
+# a start at the ceiling (the market's ceiling - _TOL): no grant fits
+@example((1.0, 0.25, 1.0, 0.0, [(4, "all")], 4096))
+# the crossing exactly at the batch size (G[4] = 1.0), and one past it
+@example((0.0, 0.25, 1.0, 0.5, [(4, "none"), (3, "all"), (2, "all")], 2))
+@example((0.0, 0.25, 1.25, 0.5, [(4, "none"), (3, "none"), (5, "all")], 2))
+def test_gain_spans_equal_the_streak_loop(case):
+    gain, rate, ceiling, floor, probes, chunk = case
+    with mock.patch("mfpsim.market._CHUNK", chunk):
+        gains = _LeaderGains(gain, rate, ceiling, floor)
+        for size, taking in probes:
+            steps, floor_at, after, at_floor = gains.span(size)
+            assert (steps, floor_at, after) == streak_span_reference(gain, rate, size, ceiling, floor)
+            assert _gain_span(gain, rate, size, ceiling, floor) == (steps, floor_at, after, at_floor)
+            if floor_at is not None:
+                assert at_floor == streak_span_reference(gain, rate, floor_at, ceiling, floor)[2]
+            count = {"all": steps, "floor": floor_at or 0, "none": 0}[taking]
+            if count:
+                gain = after if taking == "all" else at_floor
+                gains.advance(count, gain)
+
+
+def test_a_long_streak_holds_bounded_memory():
+    # c(n) = 0.1 for n >= 1, vouched for as one segment: every sample after
+    # the first is free, so the only bidder takes all 2 * 10**5 in one
+    # streak, whose last batches run to 10**5 grants
+    mtv = 2 * 10**5
+    quote = ClientQuote("a", 1.0, mtv, mtv, 1e-3, CostCurve(lambda n: (0.1 if n else 0.0, 0), mtv))
+    tracemalloc.start()
+    try:
+        alloc, report = allocate_workloads([quote], PriceVector(sample=1.0, gain=2000.0), 0.0, 1e6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alloc.workloads == {"a": mtv}
+    assert report.audit() == []
+    assert peak < 2**20
