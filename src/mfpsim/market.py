@@ -105,14 +105,20 @@ class CostCurve:
 @dataclass(slots=True)
 class ClientQuote:
     """One client's offer for the round: data quality, capacity bounds,
-    min-cost curve, and the gain each of its samples contributes."""
+    min-cost curve, and the gain each of its samples contributes.
+
+    `curve` is None under a saturating policy: `saturated_load` loads by gain
+    rate and capacity, and settlement pays the quantized schedules, so no
+    stage reads a curve, and the market's allocation, which does, never
+    sees such a quote.
+    """
 
     client_id: str
     qod: float
     mtv: int
     mutv: int
     gain_rate: float
-    curve: CostCurve
+    curve: CostCurve | None
 
     def __post_init__(self):
         if self.mtv < 0:
@@ -443,11 +449,13 @@ def allocate_workloads(
     1e-9 (j >= 1: where the leader closes) and the first G[j] >= gain_floor
     - 1e-9 (the floor switch) where a one-at-a-time loop would break: also
     when G[j] + gain_rate == G[j] and when the ceiling is infinite.  k
-    gallops: it doubles after a certified batch and halves after a failed
-    one.  A streak ends, and unit grants resume, when no k >= 2 certifies,
-    when a probe is infinite, at the floor switch, or where the leader
-    closes.  A pick that is not clear never starts a streak, nor do loads
-    the curve does not vouch for (`CostCurve.in_segment`).
+    gallops: it halves after a failed batch and doubles after a certified
+    one, except that a batch certified right after a failed one is offered
+    again at the same k, since the doubled size just failed from a load
+    only k lower.  A streak ends, and unit grants resume, when no k >= 2
+    certifies, when a probe is infinite, at the floor switch, or where the
+    leader closes.  A pick that is not clear never starts a streak, nor do
+    loads the curve does not vouch for (`CostCurve.in_segment`).
 
     A rationality pass does not rerun the greedy from scratch.  The previous
     pass's grants are kept in order, as (client, count, gain after) runs,
@@ -578,6 +586,7 @@ def allocate_workloads(
             if not q.curve.in_segment(start):
                 return
             gains = _LeaderGains(gain, rate, ceiling - _TOL, gain_floor - _TOL)
+            backed_off = False  # whether the last probe failed
             while True:
                 n = load[cid]
                 size = min(stride, q.mtv - n)
@@ -597,13 +606,15 @@ def allocate_workloads(
                     if floor_at is None or bound > _TOL:
                         take(cid, steps, after)
                         gains.advance(steps, after)
-                        stride = 2 * steps
+                        stride = steps if backed_off else 2 * steps
+                        backed_off = False
                         continue
                     if floor_at:
                         take(cid, floor_at, at_floor)
                         why = "floor switch"
                         break
                 stride = max(2, steps // 2)
+                backed_off = True
                 if steps == 2:
                     why = "bound"
                     break

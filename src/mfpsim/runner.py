@@ -4,8 +4,9 @@
 round as five stages over it:
 
 - scenario and quotes: the scenario steps, the window's cycle is fixed, and
-  each client's state becomes a quote (capacity bounds, quality, min-cost
-  curve under the active policy);
+  each client's state becomes a quote (capacity bounds, quality, and a
+  min-cost curve under the active policy, except a saturating one, which
+  quotes no curve); a client's task is built when a stage first reads it;
 - selection and allocation: workloads toward the gain target;
 - solve and quantize: the winners' schedules, in whole cells;
 - placement: into the shared per-window pools, next to the previous round's
@@ -38,7 +39,7 @@ from .baselines import (
     select_clients,
 )
 from .config import ExperimentConfig, config_hash, load_config
-from .costs import PriceVector, ScheduleDecision
+from .costs import ConsumptionTask, PriceVector, ScheduleDecision
 from .errors import GainShortfallError
 from .market import ClientQuote, CostCurve, allocate_workloads, build_report, saturated_load
 from .resource_pool import ResourceQuanta, new_pool
@@ -248,12 +249,25 @@ class _ClientRound:
     cid: str
     attrs: object
     quote: ClientQuote | None
-    task: object
     budgets: Budgets
+    config: ExperimentConfig
+    eff_down: float
+    eff_up: float
     n: int = 0
     bounds: tuple[float, float] | None = None  # (mtv, mutv) under `budgets`
     quantized: ScheduleDecision | None = None
     note: str = ""
+    _task: ConsumptionTask | None = None
+
+    @property
+    def task(self) -> ConsumptionTask:
+        """The client's transfer and training load, built on first read: by
+        its cost curve, the selection metrics of a ranked policy, or the
+        solve of a workload.  Most of a large fleet quotes and is never
+        traded, so most rounds never build it."""
+        if self._task is None:
+            self._task = self.config.task_for(self.eff_down, self.eff_up)
+        return self._task
 
     def drop(self, note: str) -> None:
         """Take the client out of the round, saying why."""
@@ -475,8 +489,11 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
 def _quote_fleet(
     ctx, budgets, statuses, eff_down, eff_up, global_dist, prev_cons
 ) -> dict[str, _ClientRound]:
-    """A quote for every client: capacity bounds, quality and a lazy cost
-    curve; a client whose mtv is below 1 gets none.
+    """A quote for every client: capacity bounds, quality and, under the
+    market's policies, a lazy cost curve; a client whose mtv is below 1 gets
+    none.  A saturating policy's quotes carry no curve, as its allocation and
+    settlement never read one, and a client's task is built on first read
+    (`_ClientRound.task`), so a quote that is never traded builds neither.
 
     Pipelined, a client sharing its window with last round's transfer chain
     quotes with the sensing bandwidth already reduced by that chain's peak,
@@ -516,27 +533,25 @@ def _quote_fleet(
         for i, q in zip(sensed, qod(rows, global_dist).tolist()):
             quality[i] = q
 
+    saturate = POLICIES[ctx.policy].saturate
+    gain_factor = config.market["gain_factor"]
     clients: dict[str, _ClientRound] = {}
-    for cid, at, down, up, my_budgets, (cap, n_unc), q in zip(
+    for cid, at, down, up, my_budgets, pair, q in zip(
         ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist(),
         client_budgets, bounds, quality,
     ):
-        task = config.task_for(down, up)
-        entry = _ClientRound(cid=cid, attrs=at, quote=None, task=task, budgets=my_budgets)
-        clients[cid] = entry
+        entry = clients[cid] = _ClientRound(cid, at, None, my_budgets, config, down, up)
+        cap, n_unc = pair
         if cap < 1:
             entry.note = "no feasible workload"
             continue
-        entry.bounds = (cap, n_unc)
+        entry.bounds = pair
         cap_i = int(min(cap, 10**7))
-
+        curve = None
+        if not saturate:
+            curve = CostCurve(_curve_fn(ctx, at, entry.task, my_budgets, pair), cap_i)
         entry.quote = ClientQuote(
-            client_id=cid,
-            qod=q,
-            mtv=cap_i,
-            mutv=int(n_unc) if math.isfinite(n_unc) else cap_i,
-            gain_rate=config.market["gain_factor"] * q,
-            curve=CostCurve(_curve_fn(ctx, at, task, my_budgets, entry.bounds), cap_i),
+            cid, q, cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i, gain_factor * q, curve
         )
     return clients
 
@@ -667,10 +682,10 @@ def _settle(ctx, record, r, clients, budgets, floor, shortfall):
             if prices.sample * active[cid].n - costs[cid] < -1e-9:
                 active.pop(cid).drop("unprofitable after quantization")
                 del costs[cid]
-    by_id = {c.quote.client_id: c.quote for c in clients.values() if c.quote}
+    # the report reads the quotes of the clients with a workload alone
     report = build_report(
-        by_id, {cid: c.n for cid, c in active.items()}, costs, prices,
-        market["alpha"], market["beta"],
+        {cid: c.quote for cid, c in active.items()}, {cid: c.n for cid, c in active.items()},
+        costs, prices, market["alpha"], market["beta"],
     )
 
     gain = report.gain

@@ -762,30 +762,67 @@ def _key_add(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
+def _sensing_width(n, a, b, b_int, slack, x):
+    """The bandwidth cells that x time cells of sensing need for n samples:
+    0 once a*x alone covers n (within `slack`), else y = max(1, ceil((n -
+    a*x) / (b*x) - 1e-9)), as a positive need takes a whole cell; inf where
+    no width within b_int fits."""
+    rem = n - a * x
+    if rem <= slack:
+        return 0
+    if b <= 0:
+        return math.inf
+    y = rem / (b * x) - _TOL
+    if y > b_int:  # before ceil: y overflows to inf for a subnormal b
+        return math.inf
+    y = max(1, math.ceil(y))
+    return y if y <= b_int else math.inf
+
+
 def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
-    """Exact best whole-cell sensing schedule delivering at least n samples."""
+    """Exact best whole-cell sensing schedule delivering at least n samples.
+
+    With a >= 0 and b >= 0, rounded `*`, `-`, `/` and `ceil` are monotone,
+    so the width y(x) of `_sensing_width` does not increase in the time x,
+    and the x whose y exceeds the bandwidth come first.  At one y, more time
+    only adds cost, so every `_part_key` objective keys a later x no lower
+    than the first, which wins its ties.  The search therefore visits the
+    first x at each distinct y, galloping from the last one as
+    `_int_proc_candidates` does: its work grows with the number of widths,
+    not with the window.  It stops at y = 0, or at y = 1 without a visual
+    rate, where y can fall no further.
+    """
     if n <= 0:
         return GenSchedule()
+    slack = _TOL * max(1.0, n)
     best = None
-    for x in range(1, t_int + 1):
-        rem = n - a * x
-        if rem <= _TOL * max(1.0, n):
-            y = 0
-        elif b > 0:
-            y = rem / (b * x) - _TOL
-            if y > b_int:  # before ceil: y overflows to inf for a subnormal b
-                continue
-            y = max(1, math.ceil(y))  # a positive need takes a whole cell
-        else:
-            continue
-        if y > b_int:
-            continue
+    lo, bound = 0, math.inf  # the last x visited, and its y
+    while lo < t_int:
+        last, step = lo, 1
+        while True:
+            x = lo + step
+            if x > t_int:
+                x = t_int
+            y = _sensing_width(n, a, b, b_int, slack, x)
+            if y < bound or x == t_int:
+                break
+            last, step = x, 2 * step
+        if y >= bound:
+            break  # the width never falls below the last one in the window
+        while x - last > 1:
+            mid = (last + x) // 2
+            y_mid = _sensing_width(n, a, b, b_int, slack, mid)
+            if y_mid < bound:
+                x, y = mid, y_mid
+            else:
+                last = mid
         cost = x * prices.time + y * prices.freq
         key = _part_key(objective, "gen", x, y * prices.freq, cost)
         if best is None or key < best[0]:
             best = (key, x, y)
         if y == 0 or (y == 1 and a <= 0):
-            break  # y can fall no further: larger x only adds time
+            break
+        lo, bound = x, y
     if best is None:
         return None
     _, x, y = best
@@ -793,21 +830,45 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
 
 
 def _int_proc_candidates(vol, w_int, t_int):
-    """(t, w) pairs with t*w >= vol, deduplicated per distinct time."""
+    """(t, w) pairs with t*w >= vol: the first time t <= t_int at each
+    distinct width w <= w_int, since more time at the same width is
+    dominated for every key.
+
+    w(t) = max(1, ceil(vol/t - 1e-9)) does not increase in t (rounded `/`
+    and `ceil` are monotone), so each next width is found from the last
+    time by galloping: probing t + 1, t + 2, t + 4, ... until the width
+    falls, then bisecting the last gap.  That is about 2 * log2(gap) widths
+    per candidate, and one where the width falls at every cell, so the work
+    grows with the widths returned, not with the window.
+    """
     if vol <= 0:
         return [(0, 0)]
     out = []
-    seen_w = None
-    for t in range(1, t_int + 1):
-        w = max(1, math.ceil(vol / t - _TOL))  # a positive volume takes a whole cell
-        if w > w_int:
-            continue
-        if w == seen_w:
-            continue  # same width at more time is dominated for every key
-        seen_w = w
+    lo, bound = 0, w_int + 1  # the last candidate's time, and its width
+    while lo < t_int:
+        last, step = lo, 1
+        while True:
+            t = lo + step
+            if t > t_int:
+                t = t_int
+            # a positive volume takes a whole cell
+            w = max(1, math.ceil(vol / t - _TOL))
+            if w < bound or t == t_int:
+                break
+            last, step = t, 2 * step
+        if w >= bound:
+            break  # the width never falls below the last one in the window
+        while t - last > 1:
+            mid = (last + t) // 2
+            w_mid = max(1, math.ceil(vol / mid - _TOL))
+            if w_mid < bound:
+                t, w = mid, w_mid
+            else:
+                last = mid
         out.append((t, w))
         if w == 1:
             break  # every later time repeats width 1
+        lo, bound = t, w
     return out
 
 
@@ -823,11 +884,13 @@ def realize_schedule(
 ) -> ScheduleDecision | None:
     """Exact whole-cell schedule for workload n under the stated objectives.
 
-    The sensing window and the transfer/compute chain are small enough to
-    enumerate: every useful integer time split is scored with the objective's
-    lexicographic key (true prices always break ties), so the realization
-    never pays avoidable rounding cost.  Returns None when no integral
-    schedule fits (callers drop the client for the round).
+    The sensing side and each leg of the transfer/compute chain are
+    enumerated by distinct width, at the first time that reaches it, so the
+    work grows with the widths, not with the window: every useful integer
+    time split is scored with the objective's lexicographic key (true prices
+    always break ties), so the realization never pays avoidable rounding
+    cost.  Returns None when no integral schedule fits (callers drop the
+    client for the round).
     """
     t_b = budgets.t_budget
     if math.isinf(t_b):

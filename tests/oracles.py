@@ -11,8 +11,9 @@ rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, the numpy tag-grid resource pool, one
 client's target distances, sensing status and server link taken on their own,
 the fixed number of single folds mobility used to take, the per-client
-quote loop, and the market's streak loop adding a leader's gain rate one
-grant at a time.  `schema_violations` is jsonschema itself, the reference for
+quote loop, the market's streak loop adding a leader's gain rate one
+grant at a time, and whole-cell realization's per-cell loops over the
+window.  `schema_violations` is jsonschema itself, the reference for
 the config parser.  The market tests build their cost curves from fixed tables with
 `curve_from_samples`; the golden and determinism tests compare runs by
 `output_hashes`.
@@ -355,6 +356,61 @@ def streak_span_reference(gain, rate, size, ceiling, floor):
         g += rate
         steps += 1
     return steps, floor_at, g
+
+
+def int_gen_best_reference(n, a, b, prices, t_int, b_int, objective):
+    """Whole-cell realization's former sensing search, one time cell at a
+    time over the whole window: the best (x, y) under `objective`, as a
+    `GenSchedule`, or None when no width fits."""
+    from mfpsim.costs import GenSchedule
+    from mfpsim.solver import _part_key
+
+    if n <= 0:
+        return GenSchedule()
+    best = None
+    for x in range(1, t_int + 1):
+        rem = n - a * x
+        if rem <= 1e-9 * max(1.0, n):
+            y = 0
+        elif b > 0:
+            y = rem / (b * x) - 1e-9
+            if y > b_int:  # before ceil: y overflows to inf for a subnormal b
+                continue
+            y = max(1, math.ceil(y))  # a positive need takes a whole cell
+        else:
+            continue
+        if y > b_int:
+            continue
+        cost = x * prices.time + y * prices.freq
+        key = _part_key(objective, "gen", x, y * prices.freq, cost)
+        if best is None or key < best[0]:
+            best = (key, x, y)
+        if y == 0 or (y == 1 and a <= 0):
+            break  # y can fall no further: larger x only adds time
+    if best is None:
+        return None
+    _, x, y = best
+    return GenSchedule(x, y, x if y > 0 else 0)
+
+
+def int_proc_candidates_reference(vol, w_int, t_int):
+    """Whole-cell realization's former leg candidates, one time cell at a
+    time: (t, w) with t*w >= vol, the first t at each width w <= w_int."""
+    if vol <= 0:
+        return [(0, 0)]
+    out = []
+    seen_w = None
+    for t in range(1, t_int + 1):
+        w = max(1, math.ceil(vol / t - 1e-9))  # a positive volume takes a whole cell
+        if w > w_int:
+            continue
+        if w == seen_w:
+            continue  # same width at more time is dominated for every key
+        seen_w = w
+        out.append((t, w))
+        if w == 1:
+            break  # every later time repeats width 1
+    return out
 
 
 def saturated_allocation_reference(quotes, ceiling, max_active):

@@ -476,6 +476,25 @@ def test_huge_window_runs(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # a download leg of about 5 * 10**17 cells at one cell of width: one
+        # candidate, where the per-cell loop stepped through every time
+        {"scenario": {"n_clients": 3, "n_targets": 10}, "resources": {"time_cells": 10**20},
+         "task": {"model_down_bits": 1e25}},
+        # wireless sensing alone at a tiny rate: 400 widths over about
+        # 4 * 10**8 cells of time before the width falls to one cell
+        {"scenario": {"n_clients": 3, "n_targets": 10, "sensing_mode": "wsg",
+                      "wireless_efficiency": 1e-8}, "resources": {"time_cells": 10**12}},
+    ],
+    ids=["huge-leg", "wsg-tiny-rate"],
+)
+def test_realization_searches_widths_not_the_window(tmp_path, raw):
+    done = _run_cli_child(tmp_path, raw, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+
+
 def test_huge_fleet_fails_fast_naming_the_array(tmp_path):
     # the scenario's arrays are sized before the client ids are built, so
     # numpy refuses the whole fleet at once

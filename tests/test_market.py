@@ -592,6 +592,40 @@ def test_one_long_streak_costs_few_lookups(caplog):
     assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfpsim").handlers)
 
 
+class ProbedCurve(CountingCurve):
+    """A `CountingCurve` that also logs each streak probe as (load, size)."""
+
+    def __init__(self, samples, counter, probes):
+        super().__init__(samples, counter)
+        self._probes = probes
+
+    def rise_bound(self, n, m):
+        self._probes.append((n, m - n))
+        return super().rise_bound(n, m)
+
+
+def test_a_batch_certified_after_a_failed_one_is_offered_again():
+    # the leader's cost rises by 0.01 a sample and its rival's by 0.21, so
+    # a batch of up to 20 certifies: after 32 fails from load 31 and 16
+    # certifies, 16 is offered again from load 47, where 32 would fail too
+    lookups, probes = [0], []
+    leader = ProbedCurve([0.01 * n for n in range(201)], lookups, probes)
+    rival = CountingCurve([0.21 * n for n in range(201)], [0])
+    case = (
+        [ClientQuote("a", 1.0, 200, 200, 0.01, leader), ClientQuote("b", 1.0, 200, 200, 0.01, rival)],
+        PriceVector(sample=1.0, gain=200.0), 0.5, 10.0, 2,
+    )
+    got = allocate_workloads(*case)
+    assert got[0].workloads == {"a": 200, "b": 200}
+    assert [size for _, size in probes] == [2, 4, 8, 16] + [32, 16, 16] * 5 + [9]
+    # every failed 32 is followed by a certified 16 from the same load
+    assert all(probes[i + 1] == (n, 16) for i, (n, size) in enumerate(probes) if size == 32)
+    # doubling after every certified batch took 25 probes and 56 lookups of
+    # the leader's curve
+    assert lookups[0] < 56
+    assert repr(got) == repr(allocate_workloads_reference(*case))
+
+
 def test_plain_costs_vouch_for_no_streak(caplog):
     # the curve of the test above as plain costs: nothing says it does not
     # decrease, so every grant is a unit grant, to the same outcome

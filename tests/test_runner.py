@@ -559,6 +559,8 @@ def test_quotes_equal_the_per_client_oracle(fleet):
     assert list(clients) == list(expected)
     for (cid, (task, budgets, cap, quote)), pair in zip(expected.items(), pairs):
         c = clients[cid]
+        # the cost-objective policy's curve read the task of each quoted client
+        assert (c._task is not None) == (quote is not None)
         assert repr(c.task) == repr(task)
         assert repr(c.budgets) == repr(budgets)
         if quote is None:
@@ -602,6 +604,56 @@ def test_settlement_solves_no_curve_point(monkeypatch):
     monkeypatch.setattr(runner, "CostCurve", counting_curve)
     run(load_config(CONFIGS["mlpg"]))
     assert calls == []
+
+
+@pytest.mark.parametrize("policy", ["SISCC", "ML_CC"])
+def test_market_policies_quote_every_client_a_curve(monkeypatch, policy):
+    # ranked or not, the market reads a curve for every quote it sees
+    seen = []
+    select = runner._select_and_allocate
+
+    def spy(ctx, clients, *args):
+        seen.extend(c.quote for c in clients.values() if c.quote is not None)
+        return select(ctx, clients, *args)
+
+    monkeypatch.setattr(runner, "_select_and_allocate", spy)
+    run(load_config(CONFIGS["mlpg"], {"policy": policy}))
+    assert seen
+    assert all(isinstance(q.curve, runner.CostCurve) and q.curve.mtv == q.mtv for q in seen)
+
+
+def test_mlpg_builds_no_curve_and_tasks_only_for_workloads(monkeypatch):
+    # a quoted client that is never traded builds neither a curve nor a
+    # task: per round, the quote pass asks `task_for` once, for the fleet's
+    # sizes, and the solve once per client with a workload
+    curves, tasks, rounds = [], [], []
+    task_for, curve_cls, solve = ExperimentConfig.task_for, runner.CostCurve, runner._solve_and_quantize
+
+    def counted_task_for(config, eff_down, eff_up):
+        tasks.append((eff_down, eff_up))
+        return task_for(config, eff_down, eff_up)
+
+    def counted_curve(cost_fn, mtv):
+        curves.append(mtv)
+        return curve_cls(cost_fn, mtv)
+
+    def spy(ctx, clients):
+        quoted = sum(c.quote is not None for c in clients.values())
+        assert all(c.quote.curve is None for c in clients.values() if c.quote is not None)
+        held = [(c.eff_down, c.eff_up) for _, c in sorted(clients.items()) if c.n > 0]
+        assert tasks == [(1.0, 1.0)]
+        solve(ctx, clients)
+        assert tasks[1:] == held
+        rounds.append((quoted, len(held)))
+        tasks.clear()
+
+    monkeypatch.setattr(ExperimentConfig, "task_for", counted_task_for)
+    monkeypatch.setattr(runner, "CostCurve", counted_curve)
+    monkeypatch.setattr(runner, "_solve_and_quantize", spy)
+    run(load_config(CONFIGS["mlpg"], {"market": {"max_active_clients": 2}}))
+    assert curves == []
+    assert len(rounds) == CONFIGS["mlpg"]["rounds"]
+    assert all(0 < held < quoted for quoted, held in rounds), rounds
 
 
 def test_placement_drops_sensing_beside_a_wider_chain(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from oracles import (
     consumption_grid_min,
     enumerate_consumption_reference,
     gen_grid_min,
+    int_gen_best_reference,
+    int_proc_candidates_reference,
     total_min_cost_unconstrained,
 )
 
@@ -583,6 +586,84 @@ def test_realization_covers_every_positive_need(case):
     for volume, t, w in legs:
         if volume > 0:
             assert w >= 1 and t * w >= volume * (1 - 1e-9)
+
+
+OBJECTIVES = ["cost", "time", "width", "comm_time", "comp_time"]
+# needs from nothing to many cells per time cell: widths repeat across
+# times, or change at every one
+NEEDS = st.sampled_from([0.0, 1e-300, 1e-9, 1e-3, 1e19]) | st.floats(0.0, 1e5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NEEDS, st.sampled_from([0, 1, 10**9]) | st.integers(0, 600), st.integers(1, 1500))
+@example(1e5, 400, 10)  # a width per time cell
+@example(37.5, 10**9, 1000)  # widths repeating over ever longer runs of times
+@example(1e19, 100, 10**19)  # a huge leg in a huge window: 100 widths
+def test_leg_candidates_equal_the_per_cell_loop(vol, w_int, t_int):
+    got = solver._int_proc_candidates(vol, w_int, t_int)
+    if t_int > 10**4:  # the loop would take about t_int steps
+        def width(t):
+            return max(1, math.ceil(vol / t - 1e-9))
+
+        # every width to the cap, each at its first time
+        assert [w for _, w in got] == list(range(w_int, 0, -1))
+        assert all(width(t) == w < width(t - 1) for t, w in got)
+        return
+    assert got == int_proc_candidates_reference(vol, w_int, t_int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.sampled_from([0.0, 0.5, 31.4]) | st.floats(0.0, 100.0),
+    st.sampled_from([0.0, 5e-324, 1e-4]) | st.floats(1e-6, 1e3),
+    st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+    st.integers(1, 1500), st.integers(0, 500), st.sampled_from(OBJECTIVES),
+)
+@example(1000, 0.0, 1e-4, 1.0, 1.0, 10**12, 1, "cost")  # 10**7 cells before y = 1
+def test_sensing_search_equals_the_per_cell_loop(n, a, b, p_time, p_freq, t_int, b_int, objective):
+    pv = prices(p_time, p_freq)
+    got = solver._int_gen_best(n, a, b, pv, t_int, b_int, objective)
+    if t_int > 10**4:  # the loop would take 10**7 steps: the first x at width 1
+        x = got.t_vs
+        assert got.b_ws == 1 and n / (b * x) - 1e-9 <= 1 < n / (b * (x - 1)) - 1e-9
+        return
+    assert got == int_gen_best_reference(n, a, b, pv, t_int, b_int, objective)
+
+
+@st.composite
+def wide_realize_cases(draw):
+    """A realization on a window of up to a few hundred cells, where the
+    legs and the sensing search visit many widths."""
+    at = attrs(
+        draw(st.sampled_from([0.0, 0.5, 31.4]) | st.floats(0.0, 100.0)),
+        draw(st.sampled_from([0.0, 5e-324]) | st.floats(1e-6, 1e3)),
+    )
+    task = ConsumptionTask(draw(NEEDS), draw(NEEDS), draw(st.floats(0.0, 50.0)), 1.0, 1.0)
+    pv = prices(*(draw(st.floats(0.01, 10.0)) for _ in range(3)))
+    budgets = Budgets(
+        float(draw(st.integers(1, 300))), float(draw(st.integers(1, 500))),
+        float(draw(st.integers(1, 60))),
+    )
+    objective = st.sampled_from(OBJECTIVES)
+    return draw(st.integers(1, 10**4)), at, task, pv, budgets, UNIT, [draw(objective) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(realize_cases(), wide_realize_cases()))
+@example(_packaged(29700712291778.164, 399.0))
+@example(_packaged(0.2970071229177817, 90.0, d_down_bits=1e-3))
+def test_realization_by_widths_equals_the_per_cell_loops(case):
+    # the same decision as the per-cell loops give the down x compute x
+    # upload search, whose (k1 + k2) + k3 keys are unchanged
+    n, at, task, pv, budgets, quanta, (gen_obj, cons_obj) = case
+    got = realize_schedule(n, at, task, pv, budgets, quanta, gen_obj, cons_obj)
+    with (
+        mock.patch.object(solver, "_int_gen_best", int_gen_best_reference),
+        mock.patch.object(solver, "_int_proc_candidates", int_proc_candidates_reference),
+    ):
+        expected = realize_schedule(n, at, task, pv, budgets, quanta, gen_obj, cons_obj)
+    assert repr(got) == repr(expected)
 
 
 def test_bound_squares_that_overflow_bound_nothing():
