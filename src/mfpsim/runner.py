@@ -3,10 +3,12 @@
 `run()` builds one per-run context, which no stage writes to, and runs each
 round as five stages over it:
 
-- scenario and quotes: the scenario steps, the window's cycle is fixed, and
-  each client's state becomes a quote (capacity bounds, quality, and a
-  min-cost curve under the active policy, except a saturating one, which
-  quotes no curve); a client's task is built when a stage first reads it;
+- scenario and quotes: the scenario steps, each client's targets in range
+  are found in two buffers the run allocates once, the window's cycle is
+  fixed, and each client's state becomes a quote (capacity bounds, quality,
+  and a min-cost curve under the active policy, except a saturating one,
+  which quotes no curve); a client's task is built when a stage first
+  reads it;
 - selection and allocation: workloads toward the gain target;
 - solve and quantize: the winners' schedules, in whole cells;
 - placement: into the shared per-window pools, next to the previous round's
@@ -26,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +50,12 @@ from .rounds import cycle_length, plan_round, rounds_to_complete
 from .scenario import (
     global_label_distribution,
     make_scenario,
+    pair_buffers,
+    sensing_pairs,
     server_gains,
     spectral_efficiency,
     status_attributes,
     step_mobility,
-    target_distances,
 )
 from .sensing import qod
 from .solver import (
@@ -79,10 +83,37 @@ _SUMMARY_READERS = {
 }
 SUMMARY_COLUMNS = list(_SUMMARY_READERS)
 
-# clients.jsonl's keys, sorted as json.dumps(row, sort_keys=True) writes them
-CLIENT_COLUMNS = (
-    "client", "cost", "gain_rate", "mtv", "mutv", "n", "note", "payment", "profit", "qod", "round",
-)
+# json's names for the floats whose repr is no JSON number
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values) -> list[str]:
+    """Each value as json writes a float; anything but a float raises."""
+    texts = list(map(float.__repr__, values))
+    return list(map(_NONFINITE.get, texts, texts))
+
+
+def _json_ints(values) -> list[str]:
+    """Each value as json writes an int; anything but an int raises, and so
+    does a bool, which json writes as true or false."""
+    if bool in set(map(type, values)):
+        raise TypeError("expected ints, got a bool")
+    return list(map(int.__repr__, values))
+
+
+def _json_strs(values) -> list[str]:
+    """Each value as json writes a str; anything but a str raises."""
+    return list(map(encode_basestring_ascii, values))
+
+
+# clients.jsonl's keys, sorted as json.dumps(row, sort_keys=True) writes them,
+# each with the encoder of its column's kind
+_CLIENT_ENCODERS = {
+    "client": _json_strs, "cost": _json_floats, "gain_rate": _json_floats, "mtv": _json_ints,
+    "mutv": _json_ints, "n": _json_ints, "note": _json_strs, "payment": _json_floats,
+    "profit": _json_floats, "qod": _json_floats, "round": _json_ints,
+}
+CLIENT_COLUMNS = tuple(_CLIENT_ENCODERS)
 
 TIMELINE_COLUMNS = ["round", "client", "process", "start_cell", "end_cell", "b_cells", "f_cells"]
 
@@ -121,7 +152,7 @@ class RunRecord:
     def output_texts(self) -> dict[str, str]:
         out = {
             "summary.csv": _csv_text(SUMMARY_COLUMNS, self.summary_rows),
-            "clients.jsonl": "".join(map(_client_line, self.client_rows)),
+            "clients.jsonl": _clients_jsonl(self.client_rows),
             "timeline.csv": _csv_text(TIMELINE_COLUMNS, self.timeline_rows),
             "run.json": self.run_json(),
         }
@@ -152,52 +183,35 @@ class RunRecord:
 _CLIENT_LINE = (
     "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s" for k in CLIENT_COLUMNS) + "}\n"
 )
-
-# json's names for the floats whose repr is no JSON number
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value: float) -> str:
-    """`value` as json writes a float; anything but a float raises."""
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
+# a row's values in CLIENT_COLUMNS' order; a missing key raises KeyError
+_CLIENT_VALUES = itemgetter(*CLIENT_COLUMNS)
+# rows encoded at a time: a whole record's column texts would hold about
+# a megabyte more than its lines, at a 200-client fleet's 2,000 rows
+_CLIENT_BATCH = 256
 
 
-def _json_int(value: int) -> str:
-    """`value` as json writes an int; anything but an int raises, and so
-    does a bool, which json writes as true or false."""
-    if value.__class__ is bool:
-        raise TypeError(f"expected an int, got {value!r}")
-    return int.__repr__(value)
+def _clients_jsonl(rows: list[dict]) -> str:
+    """The clients.jsonl text: per row, the text of `json.dumps(row,
+    sort_keys=True)` plus a newline, for rows with exactly CLIENT_COLUMNS
+    as keys.
 
-
-def _client_line(row: dict) -> str:
-    """One clients.jsonl line: the text of `json.dumps(row, sort_keys=True)`
-    plus a newline, for a row with exactly CLIENT_COLUMNS as keys.
-
-    Each value is written as json's encoder writes its kind: a str by
-    `encode_basestring_ascii`, the escaper `json.dumps` uses under its
-    default ensure_ascii; an int by `int.__repr__`; a float by
-    `float.__repr__`, with nan and the infinities spelled NaN, Infinity and
-    -Infinity.  The keys are fixed ASCII names, and the separators json's
-    defaults ", " and ": ".  A row with another key, or a value of another
-    kind than its column's, raises instead of writing other bytes.
+    Each column of a batch of rows is encoded in one pass, as json's
+    encoder writes its kind: a str by `encode_basestring_ascii`, the
+    escaper `json.dumps` uses under its default ensure_ascii; an int by
+    `int.__repr__`; a float by `float.__repr__`, with nan and the
+    infinities spelled NaN, Infinity and -Infinity.  The keys are fixed
+    ASCII names, and the separators json's defaults ", " and ": ".  A row
+    with another key, or a value of another kind than its column's, raises
+    instead of writing other bytes.
     """
-    if len(row) != len(CLIENT_COLUMNS):
-        raise ValueError(f"a clients.jsonl row has the keys {CLIENT_COLUMNS}, got {tuple(row)}")
-    return _CLIENT_LINE % (
-        encode_basestring_ascii(row["client"]),
-        _json_float(row["cost"]),
-        _json_float(row["gain_rate"]),
-        _json_int(row["mtv"]),
-        _json_int(row["mutv"]),
-        _json_int(row["n"]),
-        encode_basestring_ascii(row["note"]),
-        _json_float(row["payment"]),
-        _json_float(row["profit"]),
-        _json_float(row["qod"]),
-        _json_int(row["round"]),
-    )
+    if any(len(row) != len(CLIENT_COLUMNS) for row in rows):
+        raise ValueError(f"a clients.jsonl row has the keys {CLIENT_COLUMNS}")
+    lines = []
+    for start in range(0, len(rows), _CLIENT_BATCH):
+        columns = zip(*map(_CLIENT_VALUES, rows[start:start + _CLIENT_BATCH]))
+        texts = [encode(column) for encode, column in zip(_CLIENT_ENCODERS.values(), columns)]
+        lines += map(_CLIENT_LINE.__mod__, zip(*texts))
+    return "".join(lines)
 
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
@@ -399,6 +413,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         area_m=sc["area_m"],
         max_speed=sc["max_speed_mps"],
     )
+    buffers = pair_buffers(state)
     ctx = _RunContext(
         config, config.policy, config.prices(), config.quanta(), config.scaled_cells(),
         config.mode != "serial", tuple(f"c{i:03d}" for i in range(sc["n_clients"])),
@@ -411,7 +426,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         state = step_mobility(state, int(step_seeds[r - 1]), dt=ctx.cells[0] * ctx.quanta.time_s)
         if config.output["trajectories"]:
             record.trajectory_rows += _trajectory_rows(state, ctx.client_ids, r)
-        budgets, clients = _scenario_and_quotes(ctx, state, prev_cons)
+        budgets, clients = _scenario_and_quotes(ctx, state, buffers, prev_cons)
         floor, ceiling = _round_targets(config.market, cumulative_gain)
         shortfall = _select_and_allocate(ctx, clients, budgets, floor, ceiling)
         _solve_and_quantize(ctx, clients)
@@ -462,8 +477,12 @@ def _trajectory_rows(state, client_ids, r):
     return rows
 
 
-def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _ClientRound]]:
+def _scenario_and_quotes(
+    ctx, state, buffers, prev_cons
+) -> tuple[Budgets, dict[str, _ClientRound]]:
     """The round's budgets, and a quote for every client (`_quote_fleet`).
+    The round's sensing pairs are found in `buffers`, the run's
+    `pair_buffers`.
 
     Pipelined, the cycle is the last window's critical path: the transfer
     chains due now plus the sensing spans that just ran.
@@ -477,9 +496,9 @@ def _scenario_and_quotes(ctx, state, prev_cons) -> tuple[Budgets, dict[str, _Cli
     budgets = Budgets(float(t_cells), float(b_cells), float(f_cells), cycle_cells=float(t_delta))
 
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
-    distances = target_distances(state)
-    global_dist = global_label_distribution(state, distances, geometry, profile.mode)
-    statuses = status_attributes(state, distances, geometry, channel, profile, quanta)
+    pairs = sensing_pairs(state, geometry, buffers)
+    global_dist = global_label_distribution(state, pairs, profile.mode)
+    statuses = status_attributes(state, pairs, geometry, channel, profile, quanta)
     gains, wc = server_gains(state, channel), channel.sensitivity_wc_dbm
     down = spectral_efficiency(gains, channel.tx_power_server_dbm, wc, channel, quanta)
     up = spectral_efficiency(gains, channel.tx_power_client_dbm, wc, channel, quanta)

@@ -1,7 +1,9 @@
 """Vehicular scenario: mobility, sensing geometry, channels, status attributes.
 
 State snapshots are immutable per round; stepping returns a new snapshot, so
-snapshots can be shared freely across threads.
+snapshots can be shared freely across threads.  Each round's sensing reads
+only the client-target pairs within the wireless radius (`sensing_pairs`),
+found in two scratch buffers that a run allocates once (`pair_buffers`).
 """
 
 from __future__ import annotations
@@ -183,21 +185,67 @@ def step_mobility(state: ScenarioState, seed: int, dt: float) -> ScenarioState:
     )
 
 
-def target_distances(state: ScenarioState) -> np.ndarray:
-    """(Nc, Nt) client-to-target distances for one round.
+def pair_buffers(state: ScenarioState) -> tuple[np.ndarray, np.ndarray]:
+    """The two (Nc, Nt) float buffers `sensing_pairs` works in.  A run
+    allocates them once and every round overwrites them, as the fleet and
+    the targets keep their counts."""
+    shape = (state.n_clients, state.n_targets)
+    return np.empty(shape), np.empty(shape)
 
-    Row c is bitwise equal to `np.linalg.norm(target_pos - client_pos[c],
-    axis=1)`: both square the per-axis differences and add x before y, then
-    take the root.  The matrix is built in place from the two axis
-    differences, so the only temporaries are two (Nc, Nt) buffers.
+
+def _square_bound(r: float) -> float:
+    """S(r), the largest float s whose correctly rounded square root is at
+    most r, for r > 0.  `sqrt` is monotone, so for every float s,
+    sqrt(s) <= r exactly when s <= S(r).  S(r) is within a step or two of
+    the rounded r * r; where a finite r's square overflows, S(r) is the
+    largest finite float, and where it underflows, 0 or a subnormal."""
+    s = r * r
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= r:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def sensing_pairs(
+    state: ScenarioState,
+    geometry: SensingGeometry,
+    buffers: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The round's client-target pairs within the wireless radius, as
+    (rows, cols, dist, visual): client index, target index, distance, and
+    whether the target is in the visual disc.  The pairs come client by
+    client, each client's visual disc before its annulus, each in target
+    order.  `buffers` are `pair_buffers(state)`, whatever they hold.
+
+    Bitwise equal to taking `np.linalg.norm(target_pos - client_pos[c],
+    axis=1)` per client c, keeping the targets at most d_ws away and
+    marking those at most d_vs away:
+    - the squared distances (tx - cx)**2 + (ty - cy)**2 are written into
+      the buffers with the same elementwise ops, x added before y;
+    - a pair is kept when its square is at most `_square_bound(d_ws)`,
+      which holds exactly when its correctly rounded root is at most d_ws;
+    - only the kept squares take the root, the same op per element, and
+      `visual` is that root at most d_vs;
+    - `np.flatnonzero` lists the kept pairs in (client, target) order, the
+      quotient and remainder of each flat index by Nt, and a stable sort on
+      (client, annulus) puts each client's visual disc first without
+      reordering the targets within a disc.
     """
     cp, tp = state.client_pos, state.target_pos
-    d = tp[:, 0] - cp[:, 0, None]
-    d *= d
-    dy = tp[:, 1] - cp[:, 1, None]
+    sq, dy = buffers
+    np.subtract(tp[:, 0], cp[:, 0, None], out=sq)
+    sq *= sq
+    np.subtract(tp[:, 1], cp[:, 1, None], out=dy)
     dy *= dy
-    d += dy
-    return np.sqrt(d, out=d)
+    sq += dy
+    flat = np.flatnonzero(sq <= _square_bound(geometry.d_ws))
+    dist = np.sqrt(sq.take(flat))
+    visual = dist <= geometry.d_vs
+    rows = flat // state.n_targets
+    order = np.argsort(2 * rows + ~visual, kind="stable")
+    flat, rows = flat[order], rows[order]
+    return rows, flat - rows * state.n_targets, dist[order], visual[order]
 
 
 def path_gains(distances: np.ndarray, channel: ChannelParams) -> np.ndarray:
@@ -270,7 +318,7 @@ def spectral_efficiency(
 
 def status_attributes(
     state: ScenarioState,
-    distances: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     geometry: SensingGeometry,
     channel: ChannelParams,
     profile: SensingProfile,
@@ -284,27 +332,24 @@ def status_attributes(
 
     rho is the global target density; a client's wireless SNR uses the mean
     gain over the targets currently in its wireless disc, frozen for the
-    round.  `distances` is the round's `target_distances` matrix.
+    round.  `pairs` are the round's `sensing_pairs`.
 
     Every value is bitwise equal to evaluating the path-loss law per target
     with Python floats and `ndarray.mean` over each client's gains, visual
     disc first:
     - the gains come from `path_gains`, which carries its own exactness
-      argument;
+      argument, over the pairs' distances, which `sensing_pairs` argues are
+      the reference's;
     - a client's gains are summed by `np.add.reduce` over one contiguous
       slice, the pairwise sum `mean` takes (`np.add.reduceat` sums each
       segment in another order).  A pairwise sum depends on element order,
-      so each slice keeps the reference order: the visual disc's targets,
-      then the annulus's, each in target order.  As d_vs < d_ws, the
-      annulus is the wireless disc minus the visual one.  The (client,
-      disc, target) triples are the `np.flatnonzero` indices of the stacked
-      (client, disc, target) masks split by two `divmod`s: the flat indices
-      rise, so the triples come in C order, as `np.nonzero` of the 3-D
-      stack lists them;
+      so each slice keeps the reference order, which is the pairs' order:
+      the visual disc's targets, then the annulus's, each in target order.
+      As d_vs < d_ws, the annulus is the wireless disc minus the visual one;
     - the SNR, its log2 and `b` stay Python float ops per client, and the
       label counts are integers, whose order does not matter.
     """
-    n_clients, n_targets = distances.shape
+    n_clients, n_targets = state.n_clients, state.n_targets
     if n_targets == 0:
         return [StatusAttributes(0.0, 0.0, None)] * n_clients
 
@@ -314,17 +359,11 @@ def status_attributes(
     tx_w = 10 ** ((channel.tx_power_sensing_dbm - 30) / 10)
     noise_w = channel.noise_density_w_per_hz * quanta.freq_hz
 
-    in_vs = distances <= geometry.d_vs
-    annulus = (distances <= geometry.d_ws) & ~in_vs
-    # the flat indices of the (client, disc, target) stack, in C order: each
-    # client's visual disc, then its annulus, each in target order
-    rows, rest = np.divmod(np.flatnonzero(np.stack([in_vs, annulus], axis=1)), 2 * n_targets)
-    disc, cols = np.divmod(rest, n_targets)
-    visual = disc == 0
+    rows, cols, dist, visual = pairs
     ends = np.cumsum(np.bincount(rows, minlength=n_clients)).tolist()
     n_visual = np.bincount(rows[visual], minlength=n_clients)
 
-    gains = path_gains(distances[rows, cols], channel)
+    gains = path_gains(dist, channel)
 
     if profile.mode == "vsg":
         sensed = visual
@@ -354,24 +393,25 @@ def status_attributes(
 
 def global_label_distribution(
     state: ScenarioState,
-    distances: np.ndarray,
-    geometry: SensingGeometry,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     mode: str = "msg",
 ) -> np.ndarray | None:
     """Empirical class distribution over the union of all clients' sensed targets.
 
-    `distances` is the round's `target_distances` matrix.  A target is sensed
-    when any client's row puts it in a disc the mode uses, so the result is
-    bitwise equal to the union of the targets each client senses.
+    `pairs` are the round's `sensing_pairs`.  A target is sensed when some
+    pair puts it in a disc the mode uses, so the result is bitwise equal to
+    the union of the targets each client senses.
     """
     if state.n_targets == 0:
         return None
-    sensed = np.zeros(state.n_targets, dtype=bool)
-    if mode in ("msg", "vsg"):
-        sensed |= (distances <= geometry.d_vs).any(axis=0)
-    if mode in ("msg", "wsg"):
-        sensed |= ((distances > geometry.d_vs) & (distances <= geometry.d_ws)).any(axis=0)
-    if not sensed.any():
+    _, cols, _, visual = pairs
+    if mode == "vsg":
+        cols = cols[visual]
+    elif mode == "wsg":
+        cols = cols[~visual]
+    if not cols.size:
         return None
+    sensed = np.zeros(state.n_targets, dtype=bool)
+    sensed[cols] = True
     counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)
     return counts / counts.sum()

@@ -547,8 +547,10 @@ def fleet_bounds(
     - Python's `min(x, y)` is `np.where(y < x, y, x)` and `max(x, y)` is
       `np.where(y > x, y, x)`: both keep the first argument on ties and nan;
     - the squares stay `_square` (libm `pow`) in per-client expressions,
-      as do `over_product` and the final `_floor_tol`, so zero divisions
-      raise for the clients whose scalar calls raise, and only for those;
+      as does `over_product`, so zero divisions raise for the clients whose
+      scalar calls raise, and only for those;
+    - the final floor is `_fleet_floor`, which gives `_floor_tol`'s values,
+      types and errors;
     - numpy's warnings are off, as branches the scalar never takes are
       computed and then discarded.
     """
@@ -581,12 +583,25 @@ def _fleet_volume(bits, eff, quanta):
 
 def _fleet_floor(gen, cons) -> list:
     """`_floor_tol(min(gen, cons))` per client, or the sentinel where the
-    chain side is infeasible."""
-    m = np.where(cons < gen, cons, gen)
-    return [
-        INFEASIBLE_SENTINEL if c == INFEASIBLE_SENTINEL else _floor_tol(x)
-        for c, x in zip(cons.tolist(), m.tolist())
-    ]
+    chain side is infeasible, with `_floor_tol`'s types and errors.
+
+    One numpy floor of m + _TOL * max(1.0, |m|): `np.where(|m| > 1, |m|,
+    1.0)` keeps Python's `max` of its first argument on ties and nan, and
+    `np.floor` of a float is the float of `math.floor`'s int.  A finite
+    result becomes that int by `int`, exact at any size; an infinite m stays
+    a float; and, in client order, a nan raises `ValueError` and a floor
+    that overflowed `OverflowError`, as `math.floor` does.  The sentinel,
+    -1, floors to itself.
+    """
+    dead = cons == INFEASIBLE_SENTINEL
+    m = np.where(dead, float(INFEASIBLE_SENTINEL), np.where(cons < gen, cons, gen))
+    size = np.abs(m)
+    floors = np.floor(m + _TOL * np.where(size > 1, size, 1.0))
+    out = m.tolist()  # the infinities, kept as floats
+    finite = np.flatnonzero(~np.isinf(m))
+    for i, n in zip(finite.tolist(), map(int, floors[finite].tolist())):
+        out[i] = n
+    return out
 
 
 def _fleet_mtv(a, b, w, vol_down, vol_up, dead, task, budgets, quanta) -> list:

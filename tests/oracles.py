@@ -548,16 +548,29 @@ def total_min_cost_unconstrained(n, attrs, task, prices, quanta):
 
 def distance_row(state, client):
     """One client's distances to every target, computed for that client
-    alone; `scenario.target_distances` must match it bit for bit."""
+    alone; the distances of `scenario.sensing_pairs` must match it bit for
+    bit."""
     return np.linalg.norm(state.target_pos - state.client_pos[client], axis=1)
 
 
 def targets_in_domain(distances, geometry):
     """Indices of targets inside the visual disc and in the wireless-only
-    annulus, from one client's row of `target_distances`."""
+    annulus, from one client's `distance_row`."""
     in_vsd = np.flatnonzero(distances <= geometry.d_vs)
     in_wsd_only = np.flatnonzero((distances > geometry.d_vs) & (distances <= geometry.d_ws))
     return in_vsd, in_wsd_only
+
+
+def sensing_pairs(state, geometry):
+    """The round's (rows, cols, dist, visual) client by client: each
+    client's `distance_row` split by `targets_in_domain`, the visual disc
+    before the annulus; `scenario.sensing_pairs` must match it bit for bit."""
+    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool))]
+    for c in range(state.n_clients):
+        d = distance_row(state, c)
+        for idx, visual in zip(targets_in_domain(d, geometry), (True, False)):
+            parts.append((np.full(idx.size, c), idx, d[idx], np.full(idx.size, visual)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def channel_gain(distance_m, params):
@@ -600,7 +613,7 @@ def reflect_folds(pos, area, folds=8):
 
 
 def status_attributes(state, distances, geometry, channel, profile, quanta):
-    """One client's `StatusAttributes` from its row of `target_distances`,
+    """One client's `StatusAttributes` from its `distance_row`,
     with a scalar `channel_gain` call per target; the round-level
     `scenario.status_attributes` must match it bit for bit."""
     from mfpsim.scenario import StatusAttributes

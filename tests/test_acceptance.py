@@ -27,8 +27,9 @@ from mfpsim.scenario import (
     SensingGeometry,
     SensingProfile,
     global_label_distribution,
+    pair_buffers,
+    sensing_pairs,
     status_attributes,
-    target_distances,
 )
 from mfpsim.sensing import qod
 from mfpsim.solver import (
@@ -362,9 +363,9 @@ def _mode_gain(state, mode, seed):
     budgets = Budgets(8.0, 40.0, 8.0)
     pv = PriceVector(time=1.0, freq=0.05, compute=0.5, sample=1.0, gain=1000.0)
     task = ConsumptionTask(1e8, 1e8, 500.0, 12.0, 8.0)
-    distances = target_distances(state)
-    global_dist = global_label_distribution(state, distances, geometry, mode)
-    statuses = status_attributes(state, distances, geometry, channel, profile, quanta)
+    pairs = sensing_pairs(state, geometry, pair_buffers(state))
+    global_dist = global_label_distribution(state, pairs, mode)
+    statuses = status_attributes(state, pairs, geometry, channel, profile, quanta)
     quotes = []
     for i, at in enumerate(statuses):
         cap = mtv(at, task, budgets, quanta)

@@ -16,7 +16,7 @@ from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import (
     CLIENT_COLUMNS,
     SUMMARY_COLUMNS,
-    _client_line,
+    _clients_jsonl,
     _policy_solve,
     _curve_fn,
     _RunContext,
@@ -110,9 +110,9 @@ def client_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(client_rows())
-def test_client_line_is_the_sorted_json_dump(row):
-    assert _client_line(row) == json.dumps(row, sort_keys=True) + "\n"
+@given(st.lists(client_rows(), max_size=4))
+def test_client_line_is_the_sorted_json_dump(rows):
+    assert _clients_jsonl(rows) == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 _GOOD_ROW = dict.fromkeys(CLIENT_COLUMNS, 0)
@@ -139,9 +139,14 @@ _NO_QOD = {k: v for k, v in _GOOD_ROW.items() if k != "qod"}
     ],
 )
 def test_client_line_refuses_rows_it_would_write_otherwise(row):
-    assert _client_line(_GOOD_ROW) == json.dumps(_GOOD_ROW, sort_keys=True) + "\n"
-    with pytest.raises((TypeError, ValueError, KeyError)):
-        _client_line(row)
+    good = [_GOOD_ROW] * 3
+    assert _clients_jsonl(good) == "".join(json.dumps(r, sort_keys=True) + "\n" for r in good)
+    # alone, and in the middle of a record whose other rows are good, also
+    # past the first batch of rows the writer encodes
+    many = [_GOOD_ROW] * 300
+    for rows in ([row], [_GOOD_ROW, row, _GOOD_ROW], many + [row] + many):
+        with pytest.raises((TypeError, ValueError, KeyError)):
+            _clients_jsonl(rows)
 
 
 @pytest.mark.parametrize(

@@ -13,13 +13,15 @@ from mfpsim.scenario import (
     SensingGeometry,
     SensingProfile,
     global_label_distribution,
+    _square_bound,
     make_scenario,
+    pair_buffers,
     path_gains,
+    sensing_pairs,
     server_gains,
     spectral_efficiency,
     status_attributes,
     step_mobility,
-    target_distances,
 )
 
 import oracles
@@ -43,11 +45,23 @@ def single_client_state(client_xy, target_rows, area=500.0, n_classes=10):
     )
 
 
+def _pairs(state, geometry=SensingGeometry()):
+    """The round's `sensing_pairs`, in fresh buffers."""
+    return sensing_pairs(state, geometry, pair_buffers(state))
+
+
+def _assert_same_pairs(got, want):
+    """Bitwise equality of two (rows, cols, dist, visual) pair lists."""
+    rows, cols, dist, visual = got
+    assert rows.tolist() == want[0].tolist()
+    assert cols.tolist() == want[1].tolist()
+    assert dist.tobytes() == want[2].tobytes()
+    assert visual.tolist() == want[3].tolist()
+
+
 def _status(state, geometry, channel, profile, quanta, client=0):
     """One client's entry of the round-level status."""
-    statuses = status_attributes(
-        state, target_distances(state), geometry, channel, profile, quanta
-    )
+    statuses = status_attributes(state, _pairs(state, geometry), geometry, channel, profile, quanta)
     assert len(statuses) == state.n_clients
     return statuses[client]
 
@@ -108,7 +122,10 @@ def test_targets_in_domain_partition():
     attrs = _status(state, *args)
     assert (attrs.n_visual_targets, attrs.n_wireless_targets) == (1, 1)
     assert attrs.label_dist.tolist() == [0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]
-    vsd, annulus = oracles.targets_in_domain(target_distances(state)[0], geom)
+    _, cols, _, visual = _pairs(state, geom)
+    assert cols[visual].tolist() == [0]
+    assert cols[~visual].tolist() == [1]
+    vsd, annulus = oracles.targets_in_domain(distance_row(state, 0), geom)
     assert list(vsd) == [0]
     assert list(annulus) == [1]
 
@@ -188,7 +205,7 @@ def test_sensing_mode_restricts_modalities():
 def test_global_label_distribution_union():
     rows = [(260, 250, 0), (330, 250, 1), (10, 10, 5)]
     state = single_client_state((250, 250), rows)
-    dist = global_label_distribution(state, target_distances(state), SensingGeometry())
+    dist = global_label_distribution(state, _pairs(state))
     assert dist is not None
     assert dist[0] == pytest.approx(0.5) and dist[1] == pytest.approx(0.5)
     assert dist[5] == 0.0
@@ -236,25 +253,79 @@ def fleet_states(draw, max_clients=6, max_targets=40):
 def test_boundary_offsets_land_exactly_on_the_discs():
     geom = SensingGeometry()
     rows = [(100 + dx, 100 + dy, 0) for dx, dy in BOUNDARY_OFFSETS]
-    d = target_distances(single_client_state((100, 100), rows))[0]
-    assert sorted(set(d.tolist())) == [geom.d_vs, geom.d_ws]
+    _, cols, dist, visual = _pairs(single_client_state((100, 100), rows), geom)
+    assert sorted(cols.tolist()) == list(range(len(rows)))
+    assert set(dist[visual].tolist()) == {geom.d_vs}
+    assert set(dist[~visual].tolist()) == {geom.d_ws}
+
+
+# radii whose squares are subnormal or underflow to 0, and one near the
+# largest the config allows (pi * r**2 must stay finite)
+EXTREME_RADII = [5e-324, 1e-323, 1e-170, 5e153]
+
+
+def with_ulp_targets(state, geometry, near):
+    """`state` plus a client at the origin, and targets at each radius and
+    one ulp inside and outside it: on the axes around the origin client,
+    where the distance is the offset exactly, and beside the clients in
+    `near`, where it is the rounded offset.  Also targets at (r, e) off the
+    origin client, e * e about 1 to 3 ulps of r * r: their squared
+    distances fall on the few floats past r * r whose roots still round to
+    r, where `_square_bound(r)` lies."""
+    radii = (geometry.d_vs, geometry.d_ws)
+    offsets = [math.nextafter(r, side) for r in radii for side in (0, r, math.inf)]
+    clients = np.vstack([state.client_pos, [[0.0, 0.0]]])
+    added = [(d, 0.0) for d in offsets] + [(0.0, -d) for d in offsets]
+    added += [(r, math.sqrt(k * math.ulp(r * r))) for r in radii for k in (1, 2, 3)]
+    added += [(clients[c, 0] + d, clients[c, 1]) for c in near for d in offsets]
+    targets = np.vstack([state.target_pos, np.array(added).reshape(-1, 2)])
+    return replace(
+        state,
+        client_pos=clients,
+        client_vel=np.zeros(clients.shape),
+        target_pos=targets,
+        target_vel=np.zeros(targets.shape),
+        target_class=np.concatenate([state.target_class, np.zeros(len(added), dtype=int)]),
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(fleet_states(max_clients=12, max_targets=60))
-def test_target_distance_rows_match_per_client_norm_bitwise(state):
-    d = target_distances(state)
-    assert d.shape == (state.n_clients, state.n_targets)
-    for c in range(state.n_clients):
-        assert d[c].tobytes() == distance_row(state, c).tobytes()
+@given(fleet_states(max_clients=12, max_targets=60), st.data())
+def test_target_distance_rows_match_per_client_norm_bitwise(state, data):
+    """The round's pairs are each client's `distance_row` cut by its discs,
+    in the reference's order, bit for bit, at the radii's last bits."""
+    geom = data.draw(geometries())
+    near = data.draw(st.lists(st.integers(0, state.n_clients - 1), max_size=3))
+    state = with_ulp_targets(state, geom, near)
+    _assert_same_pairs(_pairs(state, geom), oracles.sensing_pairs(state, geom))
 
 
 def test_target_distance_rows_match_on_generated_scenarios():
+    """One pair of buffers over several rounds, as a run reuses it, first
+    filled with garbage, NaN and the infinities included."""
+    rng = np.random.default_rng(0)
+    buffers = pair_buffers(make_scenario(0, 50, 120))
+    for buf in buffers:
+        buf[...] = rng.choice([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 7.5], buf.shape)
     for seed in range(5):
         state = step_mobility(make_scenario(seed, 50, 120), seed=seed, dt=3.0)
-        d = target_distances(state)
-        for c in range(state.n_clients):
-            assert d[c].tobytes() == distance_row(state, c).tobytes()
+        for d_vs, d_ws in ((50.0, 100.0), (5e-324, 1e-323), (1.0, 5e153)):
+            geom = SensingGeometry(d_vs, d_ws)
+            _assert_same_pairs(sensing_pairs(state, geom, buffers), oracles.sensing_pairs(state, geom))
+
+
+@settings(max_examples=500, deadline=None)
+@example(r=50.0)
+@example(r=100.0)
+@example(r=1.5e154)  # its square overflows
+@given(
+    st.sampled_from(EXTREME_RADII)
+    | st.floats(5e-324, 1.3e154)
+    | st.floats(-323.3, 154.1).map(lambda e: 10.0**e)
+)
+def test_square_bound_is_the_largest_square_whose_root_stays_within(r):
+    s = _square_bound(r)
+    assert math.sqrt(s) <= r < math.sqrt(math.nextafter(s, math.inf))
 
 
 def _assert_same_status(x, y):
@@ -272,9 +343,15 @@ def _assert_same_status(x, y):
 
 @st.composite
 def geometries(draw):
-    """Random radii, or the defaults that the boundary offsets land on."""
-    d_vs = draw(st.just(50.0) | st.floats(0.5, 300.0))
-    d_ws = draw(st.just(100.0) | st.floats(d_vs, 600.0, exclude_min=True))
+    """Random radii, the defaults that the boundary offsets land on, or
+    `EXTREME_RADII`: tiny visual discs, and wireless discs from tiny to
+    about the largest allowed."""
+    d_vs = draw(st.just(50.0) | st.floats(0.5, 300.0) | st.sampled_from(EXTREME_RADII[:3]))
+    d_ws = draw(
+        st.just(100.0)
+        | st.floats(d_vs, 600.0, exclude_min=True)
+        | st.sampled_from(EXTREME_RADII[1:])
+    )
     assume(d_vs < d_ws)
     return SensingGeometry(d_vs=d_vs, d_ws=d_ws)
 
@@ -305,7 +382,7 @@ FLEET_AT_100_DB = (
 def test_round_status_equals_per_client_oracle_bitwise(state, geom, exponent, loss, mode):
     ch = ChannelParams(pathloss_exponent=exponent, reference_loss_db=loss)
     profile, q = SensingProfile(mode=mode), ResourceQuanta()
-    statuses = status_attributes(state, target_distances(state), geom, ch, profile, q)
+    statuses = status_attributes(state, _pairs(state, geom), geom, ch, profile, q)
     assert len(statuses) == state.n_clients
     for c, got in enumerate(statuses):
         _assert_same_status(
@@ -316,7 +393,7 @@ def test_round_status_equals_per_client_oracle_bitwise(state, geom, exponent, lo
 def test_status_with_distance_row_and_no_targets():
     state = single_client_state((250, 250), [])
     args = (SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
-    assert target_distances(state).shape == (1, 0)
+    assert all(column.size == 0 for column in _pairs(state))
     _assert_same_status(
         _status(state, *args), oracles.status_attributes(state, distance_row(state, 0), *args)
     )
@@ -341,11 +418,12 @@ def _reference_label_union(state, geometry, mode):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fleet_states(max_clients=12, max_targets=60), st.sampled_from(["msg", "vsg", "wsg"]))
-def test_global_label_distribution_matrix_equals_per_client_union(state, mode):
-    geom = SensingGeometry()
+@given(
+    fleet_states(max_clients=12, max_targets=60), geometries(), st.sampled_from(["msg", "vsg", "wsg"])
+)
+def test_global_label_distribution_matrix_equals_per_client_union(state, geom, mode):
     ref = _reference_label_union(state, geom, mode)
-    got = global_label_distribution(state, target_distances(state), geom, mode)
+    got = global_label_distribution(state, _pairs(state, geom), mode)
     if ref is None:
         assert got is None
     else:

@@ -681,3 +681,47 @@ def test_bound_squares_that_overflow_bound_nothing():
     for at, budgets in cases:
         n_unc = mutv(at, task, PriceVector(), budgets)
         assert isinstance(n_unc, int) and 1 <= n_unc <= mtv(at, task, budgets)
+
+
+# floor inputs: the infinities, nan, -0.0, values a hair under an integer
+# (the tolerance lifts some of them over it), 2**53 + 1 rounded, 1e308, the
+# sentinel, and the largest float, whose tolerance overflows
+_FLOOR_VALUES = (
+    st.floats()
+    | st.sampled_from(
+        [math.inf, -math.inf, math.nan, -0.0, 0.0, float(2**53 + 1), 1e308, -1.0, 1.7976931348623157e308]
+    )
+    | st.integers(-(10**6), 10**6).map(lambda k: math.nextafter(k, -math.inf))
+    | st.integers(-(10**6), 10**6).map(lambda k: k - 0.5e-9 * max(1, abs(k)))
+)
+
+
+def _floors_or_error(pairs):
+    """`_floor_tol(min(gen, cons))` client by client, or the sentinel where
+    cons is; the first error's type where one raises."""
+    out = []
+    for gen, cons in pairs:
+        if cons == solver.INFEASIBLE_SENTINEL:
+            out.append(solver.INFEASIBLE_SENTINEL)
+            continue
+        try:
+            out.append(solver._floor_tol(min(gen, cons)))
+        except (ValueError, OverflowError) as err:
+            return type(err)
+    return [(type(x), repr(x)) for x in out]
+
+
+@settings(max_examples=500, deadline=None)
+@example([(math.nan, 5.0), (1.7976931348623157e308, 1.7976931348623157e308)])
+@example([(1.7976931348623157e308, math.inf), (math.nan, 5.0)])
+@example([(math.nan, -1.0), (float(2**53 + 1), math.inf), (-0.0, 0.0), (4.9999999995, 7.0)])
+@given(st.lists(st.tuples(_FLOOR_VALUES, _FLOOR_VALUES), min_size=1, max_size=8))
+def test_fleet_floor_equals_floor_tol_per_client(pairs):
+    want = _floors_or_error(pairs)
+    gen, cons = (np.array(column, dtype=float) for column in zip(*pairs))
+    with np.errstate(all="ignore"):
+        if isinstance(want, type):
+            with pytest.raises(want):
+                solver._fleet_floor(gen, cons)
+        else:
+            assert [(type(x), repr(x)) for x in solver._fleet_floor(gen, cons)] == want
