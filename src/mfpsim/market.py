@@ -24,8 +24,7 @@ from .costs import PriceVector
 from .errors import GainShortfallError
 
 _TOL = 1e-9
-# most gains a streak probe holds at once: bounds its memory whatever the
-# batch size
+# largest streak batch: bounds the gains a streak's probes hold at once
 _CHUNK = 4096
 # relative amount by which a computed cost curve may dip (CostCurve's
 # contract): far above the solver's tie windows and tolerance boxes, far
@@ -235,38 +234,14 @@ def _marginal_welfare(quote: ClientQuote, n: int, prices: PriceVector, alpha: fl
     return _welfare_of(quote, quote.curve.marginal(n), prices, alpha, beta)
 
 
-def _gain_span(gain: float, rate: float, size: int, ceiling: float, floor: float):
-    """Where up to `size` more grants of `rate` > 0, from `gain`, cross the
-    thresholds: (steps, floor_at, gain after steps, gain after floor_at).
-
-    With G[0] = gain and G[j+1] = G[j] + rate, `steps` is the number of
-    grants before the first G[j] >= `ceiling` (j >= 1), at most `size`, and
-    `floor_at` the first j < steps with G[j] >= `floor` (None when there is
-    none; the gain after it None too).  The gains are accumulated in chunks
-    of at most _CHUNK, by the same float additions in the same order as
-    `gain += rate` one grant at a time, and never decrease (rate > 0 and
-    rounding is monotone), so each bisection finds the first crossing.
-    """
-    done, floor_at, at_floor = 0, None, None
-    while True:
-        gains = list(accumulate(repeat(rate, min(_CHUNK, size - done)), initial=gain))
-        end = bisect_left(gains, ceiling, 1) - 1
-        if floor_at is None and (i := bisect_left(gains, floor, 0, end)) < end:
-            floor_at, at_floor = done + i, gains[i]
-        done += end
-        if end < len(gains) - 1 or done == size:
-            return done, floor_at, gains[end], at_floor
-        gain = gains[end]
-
-
 class _LeaderGains:
-    """`_gain_span` for a streak's probes from the gain the leader is at.
+    """Where a streak's probes, from the gain the leader is at, cross the
+    thresholds.
 
-    `gains[j]` is the gain after j more grants, for j up to _CHUNK at most:
-    accumulated once, as far as the probes ask, and trimmed as grants are
-    taken, so a failed probe's shorter retry and the next probe after a take
-    read the gains already made.  A probe past the list scans on from its
-    end with `_gain_span`.
+    `gains[j]` is the gain after j more grants: accumulated once, as far as
+    the probes ask (a probe asks for at most _CHUNK), and trimmed as grants
+    are taken, so a failed probe's shorter retry and the next probe after a
+    take read the gains already made.
     """
 
     def __init__(self, gain: float, rate: float, ceiling: float, floor: float):
@@ -274,26 +249,29 @@ class _LeaderGains:
         self.rate, self.ceiling, self.floor = rate, ceiling, floor
 
     def span(self, size: int):
-        """`_gain_span(gain, rate, size, ceiling, floor)` at the current gain."""
+        """Where up to `size` more grants of `rate` > 0 cross the thresholds:
+        (steps, floor_at, gain after steps, gain after floor_at).
+
+        With G[0] the current gain and G[j+1] = G[j] + rate, `steps` is the
+        number of grants before the first G[j] >= `ceiling` (j >= 1), at
+        most `size`, and `floor_at` the first j < steps with G[j] >= `floor`
+        (None when there is none; the gain after it None too).  The gains
+        are accumulated by the same float additions in the same order as
+        `gain += rate` one grant at a time, and never decrease (rate > 0 and
+        rounding is monotone), so each bisection finds the first crossing.
+        """
         gains, rate, ceiling = self.gains, self.rate, self.ceiling
-        reach = min(size, _CHUNK)
-        while len(gains) <= reach and gains[-1] < ceiling:
-            want = reach + 1 - len(gains)
+        while len(gains) <= size and gains[-1] < ceiling:
+            want = size + 1 - len(gains)
             # stop near the ceiling, about `room` grants on
             room = (ceiling - gains[-1]) / rate
             if room < want:
                 want = min(want, int(room) + 2)
             gains += islice(accumulate(repeat(rate, want), initial=gains[-1]), 1, None)
-        reach = min(reach, len(gains) - 1)
-        end = bisect_left(gains, ceiling, 1, reach + 1) - 1
+        end = bisect_left(gains, ceiling, 1, min(size, len(gains) - 1) + 1) - 1
         i = bisect_left(gains, self.floor, 0, end)
         floor_at, at_floor = (i, gains[i]) if i < end else (None, None)
-        if end < reach or reach == size:
-            return end, floor_at, gains[end], at_floor
-        steps, far, after, at_far = _gain_span(gains[reach], rate, size - reach, ceiling, self.floor)
-        if floor_at is None and far is not None:
-            floor_at, at_floor = reach + far, at_far
-        return reach + steps, floor_at, after, at_floor
+        return end, floor_at, gains[end], at_floor
 
     def advance(self, count: int, after: float) -> None:
         """Move on by `count` grants, after which the gain is `after`."""
@@ -435,16 +413,15 @@ def allocate_workloads(
     finite value does when there is none), every one of the k grants would
     have been a clear pick of the leader; past the floor it must also
     exceed 1e-9, or the batch stops at the floor switch.  A finite bound
-    also rules out a NaN marginal in the run.  k is clipped where the leader
-    closes: at mtv, and before the grant whose gain would reach the ceiling.
-    Each streak computes its gains once, G[0] the gain and G[j+1] =
-    G[j] + gain_rate, with `itertools.accumulate` as far as its probes ask
-    (`_LeaderGains`: a window of at most _CHUNK gains, trimmed as batches
-    are granted; past it `_gain_span` scans on chunk by chunk), and a batch
-    takes its gain from G.  `accumulate` applies
-    the same float `+` in the same order as `gain += gain_rate` one grant at
-    a time, so loads, gain and open count are the sample-by-sample greedy's,
-    bit for bit.  Bidders have gain_rate > 0 and rounding is monotone, so G
+    also rules out a NaN marginal in the run.  k is clipped at _CHUNK, and
+    where the leader closes: at mtv, and before the grant whose gain would
+    reach the ceiling.  Each streak computes its gains once, G[0] the gain
+    and G[j+1] = G[j] + gain_rate, with `itertools.accumulate` as far as its
+    probes ask (`_LeaderGains`: a window of at most _CHUNK + 1 gains,
+    trimmed as batches are granted), and a batch takes its gain from G.
+    `accumulate` applies the same float `+` in the same order as `gain +=
+    gain_rate` one grant at a time, so loads, gain and open count are the
+    sample-by-sample greedy's, bit for bit.  Bidders have gain_rate > 0 and rounding is monotone, so G
     never decreases, and `bisect_left` finds the first G[j] >= ceiling -
     1e-9 (j >= 1: where the leader closes) and the first G[j] >= gain_floor
     - 1e-9 (the floor switch) where a one-at-a-time loop would break: also
@@ -589,7 +566,7 @@ def allocate_workloads(
             backed_off = False  # whether the last probe failed
             while True:
                 n = load[cid]
-                size = min(stride, q.mtv - n)
+                size = min(stride, q.mtv - n, _CHUNK)
                 # the leader stays open for `steps` grants, and the floor
                 # switch comes before grant `floor_at` (0: already past it)
                 steps, floor_at, after, at_floor = gains.span(size)

@@ -363,7 +363,8 @@ def status_attributes(
     ends = np.cumsum(np.bincount(rows, minlength=n_clients)).tolist()
     n_visual = np.bincount(rows[visual], minlength=n_clients)
 
-    gains = path_gains(dist, channel)
+    # `vsg` reads no wireless gain
+    gains = path_gains(dist, channel) if profile.mode != "vsg" else None
 
     if profile.mode == "vsg":
         sensed = visual

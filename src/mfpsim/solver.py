@@ -794,50 +794,65 @@ def _sensing_width(n, a, b, b_int, slack, x):
     return y if y <= b_int else math.inf
 
 
+def _first_times(width, t_int, bound, last):
+    """The (t, width(t)) at the first time t in 1..t_int of each distinct
+    width below `bound`, in time order, up to the first width <= `last`.
+
+    `width` must not increase in t (the callers' rounded `*`, `-`, `/` and
+    `ceil` are monotone), so the widths not below `bound` come first, and
+    each next width is found from the last time by galloping: probing t + 1,
+    t + 2, t + 4, ... until the width falls, then bisecting the last gap.
+    That is about 2 * log2(gap) evaluations per width returned, and one
+    where the width falls at every cell, so the work grows with the widths
+    returned, not with the window.
+    """
+    out = []
+    lo = 0  # the last time returned
+    while lo < t_int:
+        prev, step = lo, 1
+        while True:
+            t = lo + step
+            if t > t_int:
+                t = t_int
+            w = width(t)
+            if w < bound or t == t_int:
+                break
+            prev, step = t, 2 * step
+        if w >= bound:
+            break  # the width never falls below the last one in the window
+        while t - prev > 1:
+            mid = (prev + t) // 2
+            w_mid = width(mid)
+            if w_mid < bound:
+                t, w = mid, w_mid
+            else:
+                prev = mid
+        out.append((t, w))
+        if w <= last:
+            break
+        lo, bound = t, w
+    return out
+
+
 def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
     """Exact best whole-cell sensing schedule delivering at least n samples.
 
-    With a >= 0 and b >= 0, rounded `*`, `-`, `/` and `ceil` are monotone,
-    so the width y(x) of `_sensing_width` does not increase in the time x,
-    and the x whose y exceeds the bandwidth come first.  At one y, more time
-    only adds cost, so every `_part_key` objective keys a later x no lower
-    than the first, which wins its ties.  The search therefore visits the
-    first x at each distinct y, galloping from the last one as
-    `_int_proc_candidates` does: its work grows with the number of widths,
-    not with the window.  It stops at y = 0, or at y = 1 without a visual
-    rate, where y can fall no further.
+    With a >= 0 and b >= 0 the width y(x) of `_sensing_width` does not
+    increase in the time x, and the x whose y exceeds the bandwidth (inf)
+    come first.  At one y, more time only adds cost, so every `_part_key`
+    objective keys a later x no lower than the first, which wins its ties:
+    `_first_times` gives the candidates.  They end at y = 0, or at y = 1
+    without a visual rate, where y can fall no further.
     """
     if n <= 0:
         return GenSchedule()
-    slack = _TOL * max(1.0, n)
+    width = functools.partial(_sensing_width, n, a, b, b_int, _TOL * max(1.0, n))
     best = None
-    lo, bound = 0, math.inf  # the last x visited, and its y
-    while lo < t_int:
-        last, step = lo, 1
-        while True:
-            x = lo + step
-            if x > t_int:
-                x = t_int
-            y = _sensing_width(n, a, b, b_int, slack, x)
-            if y < bound or x == t_int:
-                break
-            last, step = x, 2 * step
-        if y >= bound:
-            break  # the width never falls below the last one in the window
-        while x - last > 1:
-            mid = (last + x) // 2
-            y_mid = _sensing_width(n, a, b, b_int, slack, mid)
-            if y_mid < bound:
-                x, y = mid, y_mid
-            else:
-                last = mid
+    for x, y in _first_times(width, t_int, math.inf, 0 if a > 0 else 1):
         cost = x * prices.time + y * prices.freq
         key = _part_key(objective, "gen", x, y * prices.freq, cost)
         if best is None or key < best[0]:
             best = (key, x, y)
-        if y == 0 or (y == 1 and a <= 0):
-            break
-        lo, bound = x, y
     if best is None:
         return None
     _, x, y = best
@@ -846,45 +861,13 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
 
 def _int_proc_candidates(vol, w_int, t_int):
     """(t, w) pairs with t*w >= vol: the first time t <= t_int at each
-    distinct width w <= w_int, since more time at the same width is
-    dominated for every key.
-
-    w(t) = max(1, ceil(vol/t - 1e-9)) does not increase in t (rounded `/`
-    and `ceil` are monotone), so each next width is found from the last
-    time by galloping: probing t + 1, t + 2, t + 4, ... until the width
-    falls, then bisecting the last gap.  That is about 2 * log2(gap) widths
-    per candidate, and one where the width falls at every cell, so the work
-    grows with the widths returned, not with the window.
+    distinct width w <= w_int (`_first_times`), since more time at the same
+    width is dominated for every key.  A positive volume takes a whole
+    cell, so w(t) = max(1, ceil(vol/t - 1e-9)), and the pairs end at w = 1.
     """
     if vol <= 0:
         return [(0, 0)]
-    out = []
-    lo, bound = 0, w_int + 1  # the last candidate's time, and its width
-    while lo < t_int:
-        last, step = lo, 1
-        while True:
-            t = lo + step
-            if t > t_int:
-                t = t_int
-            # a positive volume takes a whole cell
-            w = max(1, math.ceil(vol / t - _TOL))
-            if w < bound or t == t_int:
-                break
-            last, step = t, 2 * step
-        if w >= bound:
-            break  # the width never falls below the last one in the window
-        while t - last > 1:
-            mid = (last + t) // 2
-            w_mid = max(1, math.ceil(vol / mid - _TOL))
-            if w_mid < bound:
-                t, w = mid, w_mid
-            else:
-                last = mid
-        out.append((t, w))
-        if w == 1:
-            break  # every later time repeats width 1
-        lo, bound = t, w
-    return out
+    return _first_times(lambda t: max(1, math.ceil(vol / t - _TOL)), t_int, w_int + 1, 1)
 
 
 def realize_schedule(

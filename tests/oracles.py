@@ -393,6 +393,21 @@ def int_gen_best_reference(n, a, b, prices, t_int, b_int, objective):
     return GenSchedule(x, y, x if y > 0 else 0)
 
 
+def first_times_reference(width, t_int, bound, last):
+    """Whole-cell realization's candidate search, one time cell at a time:
+    (t, width(t)) at the first t in 1..t_int of each width below the last
+    one kept (at first `bound`), up to the first width <= `last`."""
+    out = []
+    for t in range(1, t_int + 1):
+        w = width(t)
+        if w < bound:
+            out.append((t, w))
+            if w <= last:
+                break
+            bound = w
+    return out
+
+
 def int_proc_candidates_reference(vol, w_int, t_int):
     """Whole-cell realization's former leg candidates, one time cell at a
     time: (t, w) with t*w >= vol, the first t at each width w <= w_int."""

@@ -5,9 +5,11 @@ sha256 of every output file it produces.  Together they cover all twelve
 policies, both scheduling modes, a resource shortage, the cumulative gain
 target, the saturated fallback after a gain shortfall, the two drops after
 the market has allocated (no whole-cell schedule fits the window; the
-quantized schedule costs more than it earns) and a whole-cell realization
-that succeeds only on the full-width retry.  A change that moves any
-hash changes what the simulator computes; such a change must list every
+quantized schedule costs more than it earns), a whole-cell realization
+that succeeds only on the full-width retry, both single sensing modes
+(under `wsg` the visual rate is 0, so the sensing search stops at width 1,
+not 0) and streaks longer than one streak batch may take.  A change that
+moves any hash changes what the simulator computes; such a change must list every
 moved hash and the reason in CHANGES.md.
 """
 
@@ -68,6 +70,16 @@ CONFIGS = {
         resources={"scale": [1.0, 0.1, 0.3]},
         prices={"freq": 2.0},
         task={"model_up_bits": 1e9},
+    ),
+    "siscc_wsg": _tiny(3, scenario={"n_clients": 6, "n_targets": 30, "sensing_mode": "wsg"}),
+    "siscc_vsg": _tiny(4, scenario={"n_clients": 6, "n_targets": 30, "sensing_mode": "vsg"}),
+    # ample pools and a gain worth little per sample: streaks run past 4096
+    # samples, so they take several batches
+    "siscc_long_streaks": _tiny(
+        0,
+        resources={"scale": [100, 100, 100]},
+        market={"gain_factor": 1e-5},
+        prices={"gain": 1e6},
     ),
 }
 
@@ -179,6 +191,24 @@ GOLDEN = {
         "run.json": "13b827cb99fa62c202682da9da56f958f6c5b56f84da2f8a9786c88d5f17bbf7",
         "summary.csv": "4c955a776c03e70ea06cddef5751e46c3f1989c5ec9a86616ff3858f20a8c9d1",
         "timeline.csv": "008f3891b6e32142f0b397361eb9b02951b7d86e5998fd133b893931a239901a",
+    },
+    "siscc_wsg": {
+        "clients.jsonl": "d7c0615eb0aa3197c486a476927ae6b36dc7235e77199b874f9e1f225c4d3b0c",
+        "run.json": "0f859f8ad929d9457f0f058407c60884c69768ddc5cafcd66e8d72fe277878c4",
+        "summary.csv": "03d13e56f3ddac8be85a2417dfa34e693201417b78198e1af4f128bafe81d496",
+        "timeline.csv": "3c04131d3b26697d49a341e5c64ce8bb83e001db6abd581cda4633a89c763fd9",
+    },
+    "siscc_vsg": {
+        "clients.jsonl": "3f80879ad5885cccef88efa12797ce9bb9e0f982d7a1a8e8560707cce64df006",
+        "run.json": "35dc81ad43596cf2ffe2294b50971c26a1ca44e151e05517d970ede30db2f12e",
+        "summary.csv": "2a013bf0e726919a577922e7cee9658ab2a579a2c750698897d270e47b5a1619",
+        "timeline.csv": "0ad59a9388955f87da2b3d1e8459b3b2bd85d12b661cd826103520b2d8e1f047",
+    },
+    "siscc_long_streaks": {
+        "clients.jsonl": "6e72bbf2eeb781af652f4b91d71426e143fa55ca80740fdf37f9c8e0cd7a9802",
+        "run.json": "7ececf20c557ea59c8e3c0b14e564c662f4f6ecb82ac9a7ac1ca7d364e99f23a",
+        "summary.csv": "d3dce47e9d437779aa78584a66c7089a774d18ed61b7f0d7fcfd12002e13f176",
+        "timeline.csv": "fdbf16d009114d64538b82db759c5cd7a92f1a181179dbf06183ede10a5bff46",
     },
 }
 

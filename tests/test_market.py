@@ -21,7 +21,7 @@ from mfpsim.market import (
     client_payment,
     saturated_load,
     social_welfare,
-    _gain_span,
+    _CHUNK,
     _LeaderGains,
 )
 from mfpsim.resource_pool import ResourceQuanta
@@ -648,9 +648,9 @@ def gain_probes(draw):
     """A streak's start: gain, rate, ceiling and floor (the thresholds the
     market compares with, its tolerance already taken off), with crossings
     a few dozen grants on, at a grant's exact gain or an ulp either side, or
-    none; then its probes, each a batch size and what the streak takes of
-    it (all, the grants before the floor switch, or none); and the chunk
-    the gains are accumulated in."""
+    none; then its probes, each a batch size up to 60 (the market clips a
+    batch at _CHUNK, 4096) and what the streak takes of it (all, the grants
+    before the floor switch, or none)."""
     gain = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 100.0))
     rate = draw(st.sampled_from([0.01, 0.25, 2.0**-53, 1e-17]) | st.floats(1e-18, 10.0))
 
@@ -668,56 +668,62 @@ def gain_probes(draw):
     ceiling = threshold(["grant", "grant", "inf", "any"])
     floor = threshold(["grant", "any"])
     probes = draw(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(["all", "floor", "none"])), max_size=8))
-    chunk = draw(st.sampled_from([1, 2, 3, 8, 4096]))
-    return gain, rate, ceiling, floor, probes, chunk
+    return gain, rate, ceiling, floor, probes
 
 
 @settings(max_examples=400, deadline=None)
 @given(gain_probes())
 # a rate below half an ulp of the gain: the gain never moves
-@example((1.0, 1e-17, 2.0, 1.5, [(40, "all"), (5, "none")], 8))
+@example((1.0, 1e-17, 2.0, 1.5, [(40, "all"), (5, "none")]))
 # half an ulp: a tie, rounded to even, moves an odd gain once and an even
 # one never
-@example((1.0 + 2.0**-52, 2.0**-53, 1.0 + 2.0**-51, 0.0, [(6, "all"), (6, "all")], 2))
-@example((1.0 + 2.0**-52, 2.0**-53, 1.0 + 3 * 2.0**-52, 1.0 + 2.0**-51, [(6, "floor"), (6, "all")], 2))
-@example((1.0, 2.0**-53, 1.0 + 2.0**-52, 0.5, [(6, "all")], 4096))
+@example((1.0 + 2.0**-52, 2.0**-53, 1.0 + 2.0**-51, 0.0, [(6, "all"), (6, "all")]))
+@example((1.0 + 2.0**-52, 2.0**-53, 1.0 + 3 * 2.0**-52, 1.0 + 2.0**-51, [(6, "floor"), (6, "all")]))
+@example((1.0, 2.0**-53, 1.0 + 2.0**-52, 0.5, [(6, "all")]))
 # an infinite ceiling
-@example((0.5, 0.01, math.inf, 0.75, [(30, "floor"), (60, "all"), (20, "all")], 8))
+@example((0.5, 0.01, math.inf, 0.75, [(30, "floor"), (60, "all"), (20, "all")]))
 # a start already past the floor: the switch comes before the first grant
-@example((2.0, 0.01, 3.0, 1.0, [(10, "floor"), (10, "all")], 3))
+@example((2.0, 0.01, 3.0, 1.0, [(10, "floor"), (10, "all")]))
 # a start at the ceiling (the market's ceiling - _TOL): no grant fits
-@example((1.0, 0.25, 1.0, 0.0, [(4, "all")], 4096))
+@example((1.0, 0.25, 1.0, 0.0, [(4, "all")]))
 # the crossing exactly at the batch size (G[4] = 1.0), and one past it
-@example((0.0, 0.25, 1.0, 0.5, [(4, "none"), (3, "all"), (2, "all")], 2))
-@example((0.0, 0.25, 1.25, 0.5, [(4, "none"), (3, "none"), (5, "all")], 2))
+@example((0.0, 0.25, 1.0, 0.5, [(4, "none"), (3, "all"), (2, "all")]))
+@example((0.0, 0.25, 1.25, 0.5, [(4, "none"), (3, "none"), (5, "all")]))
 def test_gain_spans_equal_the_streak_loop(case):
-    gain, rate, ceiling, floor, probes, chunk = case
-    with mock.patch("mfpsim.market._CHUNK", chunk):
-        gains = _LeaderGains(gain, rate, ceiling, floor)
-        for size, taking in probes:
-            steps, floor_at, after, at_floor = gains.span(size)
-            assert (steps, floor_at, after) == streak_span_reference(gain, rate, size, ceiling, floor)
-            assert _gain_span(gain, rate, size, ceiling, floor) == (steps, floor_at, after, at_floor)
-            if floor_at is not None:
-                assert at_floor == streak_span_reference(gain, rate, floor_at, ceiling, floor)[2]
-            count = {"all": steps, "floor": floor_at or 0, "none": 0}[taking]
-            if count:
-                gain = after if taking == "all" else at_floor
-                gains.advance(count, gain)
+    gain, rate, ceiling, floor, probes = case
+    gains = _LeaderGains(gain, rate, ceiling, floor)
+    for size, taking in probes:
+        steps, floor_at, after, at_floor = gains.span(size)
+        assert (steps, floor_at, after) == streak_span_reference(gain, rate, size, ceiling, floor)
+        if floor_at is not None:
+            assert at_floor == streak_span_reference(gain, rate, floor_at, ceiling, floor)[2]
+        count = {"all": steps, "floor": floor_at or 0, "none": 0}[taking]
+        if count:
+            gain = after if taking == "all" else at_floor
+            gains.advance(count, gain)
 
 
 def test_a_long_streak_holds_bounded_memory():
     # c(n) = 0.1 for n >= 1, vouched for as one segment: every sample after
     # the first is free, so the only bidder takes all 2 * 10**5 in one
-    # streak, whose last batches run to 10**5 grants
+    # streak, whose batches are clipped at _CHUNK grants
     mtv = 2 * 10**5
     quote = ClientQuote("a", 1.0, mtv, mtv, 1e-3, CostCurve(lambda n: (0.1 if n else 0.0, 0), mtv))
+    sizes = []
+    span = _LeaderGains.span
+
+    def recorded(self, size):
+        sizes.append(size)
+        return span(self, size)
+
     tracemalloc.start()
     try:
-        alloc, report = allocate_workloads([quote], PriceVector(sample=1.0, gain=2000.0), 0.0, 1e6, 1)
+        with mock.patch.object(_LeaderGains, "span", recorded):
+            alloc, report = allocate_workloads([quote], PriceVector(sample=1.0, gain=2000.0), 0.0, 1e6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert alloc.workloads == {"a": mtv}
     assert report.audit() == []
+    assert max(sizes) == _CHUNK
     assert peak < 2**20

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mfpsim.scenario import (
     step_mobility,
 )
 
+import mfpsim.scenario as scenario
 import oracles
 from oracles import distance_row
 
@@ -388,6 +390,24 @@ def test_round_status_equals_per_client_oracle_bitwise(state, geom, exponent, lo
         _assert_same_status(
             got, oracles.status_attributes(state, distance_row(state, c), geom, ch, profile, q)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@example(*FLEET_AT_100_DB[:2])
+@given(fleet_states(max_clients=12, max_targets=60), geometries())
+def test_visual_sensing_takes_no_path_gains(state, geom):
+    # `b` is 0 under `vsg`, so its statuses need no wireless gain; the
+    # other modes do take them
+    ch, q = ChannelParams(), ResourceQuanta()
+    for mode in ("vsg", "msg"):
+        profile = SensingProfile(mode=mode)
+        with mock.patch.object(scenario, "path_gains", wraps=path_gains) as gains:
+            statuses = status_attributes(state, _pairs(state, geom), geom, ch, profile, q)
+        assert gains.called == (mode == "msg" and state.n_targets > 0)
+        for c, got in enumerate(statuses):
+            _assert_same_status(
+                got, oracles.status_attributes(state, distance_row(state, c), geom, ch, profile, q)
+            )
 
 
 def test_status_with_distance_row_and_no_targets():

@@ -34,6 +34,7 @@ from oracles import (
     consumption_by_multiplier,
     consumption_grid_min,
     enumerate_consumption_reference,
+    first_times_reference,
     gen_grid_min,
     int_gen_best_reference,
     int_proc_candidates_reference,
@@ -629,6 +630,38 @@ def test_sensing_search_equals_the_per_cell_loop(n, a, b, p_time, p_freq, t_int,
         assert got.b_ws == 1 and n / (b * x) - 1e-9 <= 1 < n / (b * (x - 1)) - 1e-9
         return
     assert got == int_gen_best_reference(n, a, b, pv, t_int, b_int, objective)
+
+
+@st.composite
+def step_widths(draw):
+    """A non-increasing step function over times 1..t_int, as runs of
+    (length, width) from the widest (inf: no width fits) to the narrowest,
+    with the window, the bound and the stopping width."""
+    widths = sorted(
+        draw(st.lists(st.integers(0, 40) | st.just(math.inf), min_size=1, max_size=12)),
+        reverse=True,
+    )
+    runs = [(draw(st.integers(1, 30)), w) for w in widths]
+    steps = [w for length, w in runs for _ in range(length)]
+    t_int = draw(st.integers(1, len(steps) + 5))
+    bound = draw(st.sampled_from([math.inf, widths[0], widths[-1]]) | st.integers(0, 45))
+    return steps, t_int, bound, draw(st.integers(-1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_widths())
+@example(([5, 5, 3, 3, 1], 1, math.inf, 1))  # a window of one cell
+@example(([4, 4, 4, 4], 4, 4, 0))  # the width never falls below the bound
+@example(([math.inf] * 9 + [2] * 7 + [0], 20, math.inf, 0))  # past the window's end
+@example(([7, 6, 5, 4, 3, 2, 1, 0], 8, 9, 0))  # a width per cell
+def test_first_times_equal_the_per_cell_scan(case):
+    steps, t_int, bound, last = case
+
+    def width(t):
+        return steps[min(t, len(steps)) - 1]
+
+    got = solver._first_times(width, t_int, bound, last)
+    assert got == first_times_reference(width, t_int, bound, last)
 
 
 @st.composite
