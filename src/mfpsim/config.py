@@ -213,9 +213,9 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 class ExperimentConfig:
     """A merged configuration document, checked against SCHEMA.
 
-    `raw` is the document as given, which `config_hash` hashes and run
-    records keep; the accessors read `typed`, its copy with each "number"
-    leaf a float and each "integer" leaf an int.  Raises ConfigError with the
+    `raw` is the document as given, which `config_hash` hashes; the
+    accessors read `typed`, its copy with each "number" leaf a float and
+    each "integer" leaf an int.  Raises ConfigError with the
     shallowest violation, the first in schema order among equally deep ones.
     """
 

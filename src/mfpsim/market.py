@@ -37,7 +37,7 @@ _log = logging.getLogger(__name__)
 class CostCurve:
     """Lazily sampled minimum-cost curve c(n), n = 0..mtv, with memoization.
 
-    `cost_fn(n)` returns c(n), or a pair (c(n), segment).  The market's
+    `cost_fn(n)` returns the pair (c(n), segment).  The market's
     streak grants assume this contract: c does not decrease, but for the
     slack,
 
@@ -48,8 +48,8 @@ class CostCurve:
     shrinks to one for i < j, so an exact minimum-cost curve keeps the
     contract; the slack covers the tie windows and tolerance boxes by which
     a computed minimum can miss the exact one, and segments cut the curve
-    where the caller cannot vouch for that argument.  A plain cost, or the
-    segment None, vouches for nothing, and no streak is granted there.
+    where the caller cannot vouch for that argument.  The segment None
+    vouches for nothing, and no streak is granted there.
     """
 
     def __init__(self, cost_fn, mtv: int):
@@ -62,10 +62,8 @@ class CostCurve:
         if not 0 <= n <= self.mtv:
             raise ValueError(f"workload {n} outside [0, {self.mtv}]")
         if n not in self._cache:
-            value = self._fn(n)
-            if isinstance(value, tuple):
-                value, self._segments[n] = value
-            self._cache[n] = float(value)
+            cost, self._segments[n] = self._fn(n)
+            self._cache[n] = float(cost)
         return self._cache[n]
 
     def marginal(self, n: int) -> float:
@@ -142,29 +140,6 @@ class WelfareReport:
     client_profits: dict[str, float]
     server_profit: float
     welfare: float
-    alpha: float
-    beta: float
-
-    def audit(self) -> list[str]:
-        """Bookkeeping identities and rationality; returns violated rule names."""
-        bad = []
-        if abs(self.server_profit - (self.app_payment - sum(self.client_payments.values()))) > 1e-6:
-            bad.append("server_profit_identity")
-        for cid, pay in self.client_payments.items():
-            expect = pay - self.client_costs[cid]
-            if abs(self.client_profits[cid] - expect) > 1e-6:
-                bad.append(f"client_profit_identity:{cid}")
-        expect_welfare = self.alpha * self.server_profit + self.beta * sum(
-            self.client_profits.values()
-        )
-        if abs(self.welfare - expect_welfare) > 1e-6:
-            bad.append("welfare_identity")
-        if self.server_profit < -_TOL:
-            bad.append("server_rationality")
-        for cid, profit in self.client_profits.items():
-            if profit < -_TOL:
-                bad.append(f"client_rationality:{cid}")
-        return bad
 
 
 def app_payment(gain: float, price_gain: float) -> float:
@@ -216,8 +191,6 @@ def build_report(
         client_profits=profits,
         server_profit=server,
         welfare=social_welfare(server, paid - sum(costs.values()), alpha, beta),
-        alpha=alpha,
-        beta=beta,
     )
 
 

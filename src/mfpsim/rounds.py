@@ -7,8 +7,8 @@ the previous round's slowest finisher.  Placement policy inside a window:
 downloads start at column 0, uploads end at the cycle boundary, compute sits
 between them, and sensing spans from column 0 on the opposite edge of the
 frequency grid, in the rows the transfers leave free.  Quotes already size
-sensing beside the previous chain's peak width; the pool's conflict check is
-the one fit test, and a block it refuses is dropped.
+sensing beside the previous chain's peak width, so the pool's conflict check
+only guards: a block it refuses is dropped.
 """
 
 from __future__ import annotations
@@ -157,21 +157,14 @@ def plan_round(
     pools: dict[str, SharedResourcePool],
     prev_consumption: dict[str, ScheduleDecision],
     generation: dict[str, ScheduleDecision],
-    t_delta: int | None = None,
+    t_delta: int,
 ) -> RoundPlan:
     """Place the previous round's consumption and this round's sensing into
-    one shared window.
-
-    The cycle defaults to the previous round's slowest consumption chain
-    (bootstrap: the full window); callers running the full pipeline pass the
-    frozen cycle they budgeted against.  A client whose chain misses the
-    window, or whose sensing block `place_generation` cannot reserve beside
-    the overlapped transfers, is dropped with a reason.
+    one shared window of `t_delta` cells, the cycle the caller budgeted
+    against.  A client whose chain misses the window, or whose sensing block
+    `place_generation` cannot reserve beside the overlapped transfers, is
+    dropped with a reason.
     """
-    if t_delta is None:
-        t_delta = cycle_length(
-            [int(d.consumption_time) for d in prev_consumption.values()], time_cells
-        )
     budget = min(time_cells, t_delta)
     plan = RoundPlan(ir_index)
 

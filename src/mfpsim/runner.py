@@ -124,7 +124,6 @@ TRAJECTORY_COLUMNS = ["round", "id", "kind", "x", "y", "class"]
 class RunRecord:
     """Everything one simulation produced, reproducible byte-for-byte."""
 
-    config: dict
     config_hash: str
     seed: int
     summary_rows: list[dict] = field(default_factory=list)
@@ -402,7 +401,7 @@ def _curve_fn(ctx, at, task, budgets, bounds):
 
 def run(config: ExperimentConfig) -> RunRecord:
     """Execute the configured simulation; deterministic in (config, seed)."""
-    record = RunRecord(config=config.raw, config_hash=config_hash(config), seed=config.seed)
+    record = RunRecord(config_hash=config_hash(config), seed=config.seed)
     sc = config.scenario
     # the scenario's arrays first: numpy sizes a huge fleet at once and fails fast
     state = make_scenario(
@@ -434,10 +433,13 @@ def run(config: ExperimentConfig) -> RunRecord:
         gain, prev_cons = _settle(ctx, record, r, clients, budgets, floor, shortfall)
         cumulative_gain += gain
 
-    # trailing window for the last round's transfer chain
+    # trailing window for the last round's transfer chain, as long as the
+    # slowest of them: no sensing shares it
     if ctx.pipelined and config.rounds >= 1:
         pools = {cid: new_pool(*ctx.cells) for cid in prev_cons}
-        plan = plan_round(config.rounds + 1, ctx.cells[0], pools, prev_cons, {})
+        t_cells = ctx.cells[0]
+        t_delta = cycle_length([int(d.consumption_time) for d in prev_cons.values()], t_cells)
+        plan = plan_round(config.rounds + 1, t_cells, pools, prev_cons, {}, t_delta)
         record.timeline_rows += plan.timeline_rows()
         record.audit_violations += plan.audit_violations
     if config.rounds:
@@ -675,11 +677,11 @@ def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
     chains = prev_cons if ctx.pipelined else {}
     pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(generation))}
     t_cells, t_delta = ctx.cells[0], int(budgets.t_budget)
-    plans = [plan_round(r, t_cells, pools, chains, generation, t_delta=t_delta)]
+    plans = [plan_round(r, t_cells, pools, chains, generation, t_delta)]
     if not ctx.pipelined:  # the chains run in a window of their own
         cons = {cid: c.quantized for cid, c in clients.items() if c.n > 0 and c.quantized}
         cons_pools = {cid: new_pool(*ctx.cells) for cid in sorted(cons)}
-        plans.append(plan_round(r, t_cells, cons_pools, cons, {}, t_delta=t_delta))
+        plans.append(plan_round(r, t_cells, cons_pools, cons, {}, t_delta))
 
     for plan in plans:
         record.timeline_rows += plan.timeline_rows()

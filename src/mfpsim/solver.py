@@ -864,6 +864,9 @@ def _int_proc_candidates(vol, w_int, t_int):
     distinct width w <= w_int (`_first_times`), since more time at the same
     width is dominated for every key.  A positive volume takes a whole
     cell, so w(t) = max(1, ceil(vol/t - 1e-9)), and the pairs end at w = 1.
+    The pairs come in increasing t, as `_first_times` returns them, and an
+    idle leg's one pair is (0, 0), so `realize_schedule` takes their prefix
+    best by time as they come.
     """
     if vol <= 0:
         return [(0, 0)]
@@ -927,14 +930,13 @@ def realize_schedule(
     comp = scored(COMPUTE, cands[1], procs[1].width_price)
     up = scored(UP_BANDWIDTH, cands[2], procs[2].width_price)
     # prefix best of the upload leg by time, for O(|down|*|comp|) search
-    up_sorted = sorted(up, key=lambda c: c[0])
     prefix = []
     best = None
-    for c in up_sorted:
+    for c in up:
         if best is None or c[2] < best[2]:
             best = c
         prefix.append(best)
-    up_times = [c[0] for c in up_sorted]
+    up_times = [c[0] for c in up]
 
     winner = None
     for t1, w1, k1 in down:

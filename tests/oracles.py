@@ -15,7 +15,8 @@ quote loop, the market's streak loop adding a leader's gain rate one
 grant at a time, and whole-cell realization's per-cell loops over the
 window.  `schema_violations` is jsonschema itself, the reference for
 the config parser.  The market tests build their cost curves from fixed tables with
-`curve_from_samples`; the golden and determinism tests compare runs by
+`curve_from_samples` and check what a round settles with
+`settlement_findings`; the golden and determinism tests compare runs by
 `output_hashes`.
 """
 
@@ -539,10 +540,30 @@ class GridPool:
 
 
 def curve_from_samples(samples):
-    """A cost curve over a fixed table of costs: c(n) = samples[n]."""
+    """A cost curve over a fixed table of costs: c(n) = samples[n], in no
+    segment, so the market grants no streak on it."""
     from mfpsim.market import CostCurve
 
-    return CostCurve(lambda n: samples[n], len(samples) - 1)
+    return CostCurve(lambda n: (samples[n], None), len(samples) - 1)
+
+
+def settlement_findings(report, alpha, beta):
+    """The names of the settlement rules one round's `WelfareReport` breaks:
+    the server and client profit identities, the welfare identity under the
+    weights `alpha` and `beta`, and server and client rationality."""
+    bad = []
+    if abs(report.server_profit - (report.app_payment - sum(report.client_payments.values()))) > 1e-6:
+        bad.append("server_profit_identity")
+    for cid, pay in report.client_payments.items():
+        if abs(report.client_profits[cid] - (pay - report.client_costs[cid])) > 1e-6:
+            bad.append(f"client_profit_identity:{cid}")
+    welfare = alpha * report.server_profit + beta * sum(report.client_profits.values())
+    if abs(report.welfare - welfare) > 1e-6:
+        bad.append("welfare_identity")
+    if report.server_profit < -1e-9:
+        bad.append("server_rationality")
+    bad += [f"client_rationality:{cid}" for cid, p in report.client_profits.items() if p < -1e-9]
+    return bad
 
 
 def total_min_cost_unconstrained(n, attrs, task, prices, quanta):

@@ -38,7 +38,6 @@ from mfpsim.solver import (
     SolveInput,
     constrained_schedule,
     mtv,
-    mutv,
 )
 
 from oracles import consumption_grid_min, gen_grid_min, output_hashes
@@ -372,9 +371,9 @@ def _mode_gain(state, mode, seed):
         if cap < 1 or global_dist is None or at.label_dist is None:
             continue
         q = qod(at.label_dist, global_dist)
-        fn = lambda n, _at=at: constrained_schedule(
-            SolveInput(n, _at, task, pv, budgets, quanta)
-        ).cost
+        fn = lambda n, _at=at: (
+            constrained_schedule(SolveInput(n, _at, task, pv, budgets, quanta)).cost, None
+        )
         quotes.append(ClientQuote(f"c{i}", q, int(cap), 0, 0.01 * q, CostCurve(fn, int(cap))))
     if not quotes:
         return 0.0

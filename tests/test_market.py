@@ -12,12 +12,10 @@ from mfpsim.costs import ConsumptionTask, PriceVector
 from mfpsim.errors import GainShortfallError
 from mfpsim.market import (
     _DIP_SLACK,
-    Allocation,
     ClientQuote,
     CostCurve,
     allocate_workloads,
     app_payment,
-    build_report,
     client_payment,
     saturated_load,
     social_welfare,
@@ -34,6 +32,7 @@ from oracles import (
     allocation_exhaustive,
     curve_from_samples,
     saturated_allocation_reference,
+    settlement_findings,
     streak_span_reference,
 )
 
@@ -104,7 +103,7 @@ class TestAllocate:
         )
         assert set(alloc.workloads) == {"c1"}
         assert alloc.workloads["c1"] >= 10
-        assert report.audit() == []
+        assert settlement_findings(report, 1.0, 1.0) == []
 
     def test_cheaper_client_receives_at_least_as_much(self):
         cheap = quote("a", 0.05, quadratic_curve(20, 0.1, 0.01))
@@ -152,7 +151,7 @@ class TestAllocate:
             )
             assert floor - 1e-9 <= report.gain < floor + 50.0
             assert len(alloc.workloads) <= 3
-            assert report.audit() == []
+            assert settlement_findings(report, 1.0, 1.0) == []
 
     def test_rationality_removal_reallocates(self):
         # b's costs exceed any payment it could receive; load must land on a
@@ -220,7 +219,9 @@ class TestAllocate:
 
         def solver_quote(cid, budgets):
             cap = int(mtv(att, task, budgets, UNIT))
-            fn = lambda n: constrained_schedule(SolveInput(n, att, task, pv, budgets, UNIT)).cost
+            fn = lambda n: (
+                constrained_schedule(SolveInput(n, att, task, pv, budgets, UNIT)).cost, None
+            )
             return ClientQuote(cid, 1.0, cap, 0, 0.05, CostCurve(fn, cap))
 
         small = [solver_quote("a", Budgets(6, 4, 4))]
@@ -248,12 +249,12 @@ class TestAllocate:
         prices = self.prices(sample=5.0)
         alloc, report = allocate_workloads(quotes, prices, 0.05, 10.0, 1)
         assert alloc.workloads == {"b": 30}
-        assert report.audit() == []
+        assert settlement_findings(report, 1.0, 1.0) == []
         assert (alloc, report) == allocate_workloads_reference(quotes, prices, 0.05, 10.0, 1)
 
     def plain(self, cid, rate, marginals):
-        """A quote on a curve with the given marginal costs; plain costs
-        vouch for no streak, so each grant is a scan's or the leader's."""
+        """A quote on a curve with the given marginal costs; costs in no
+        segment vouch for no streak, so each grant is a scan's or the leader's."""
         costs = [0.0]
         for m in marginals:
             costs.append(costs[-1] + m)
@@ -315,7 +316,7 @@ class TestAllocate:
         with caplog.at_level(logging.DEBUG, logger="mfpsim"):
             alloc, report = allocate_workloads([quote], self.prices(), 0.0, 10.0, 1)
         assert alloc.workloads == {"a": 20}
-        assert report.audit() == []
+        assert settlement_findings(report, 1.0, 1.0) == []
         assert [r.getMessage() for r in caplog.records] == ["polish a from load 0 to 20"]
 
     def contested(self, n_clients, curve):
@@ -334,7 +335,7 @@ class TestAllocate:
             lookups = [0]
             quotes = self.contested(n_clients, lambda c: CountingCurve(c, lookups, segment=None))
             alloc, report = allocate_workloads(quotes, self.prices(), 5.0, 100.0, n_clients)
-            assert report.audit() == []
+            assert settlement_findings(report, 1.0, 1.0) == []
             assert len(alloc.workloads) == n_clients  # nobody excluded: one greedy pass
             assert alloc.total_samples > 100 * n_clients
             # a rescan of every client's marginal per grant would need
@@ -390,7 +391,7 @@ class TestAllocate:
         alloc, report = allocate_workloads(quotes, prices, 1.0, 100.0, 6)
         assert polishes[0] == 2 * 11
         assert alloc.workloads == {f"a{i}": 200 for i in range(5)}
-        assert report.audit() == []
+        assert settlement_findings(report, 1.0, 1.0) == []
         # one greedy pass's worth (the bound of the test above) plus 10 per
         # client and pass for the scans after the replayed grants and the
         # polish; rerunning every pass from scratch takes about 22k
@@ -582,7 +583,7 @@ def test_one_long_streak_costs_few_lookups(caplog):
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         alloc, report = allocate_workloads(quotes, PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
     assert alloc.workloads == {"a": 2000}
-    assert report.audit() == []
+    assert settlement_findings(report, 1.0, 1.0) == []
     assert lookups[0] <= 64
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare -1.2, clear lead",
@@ -627,8 +628,8 @@ def test_a_batch_certified_after_a_failed_one_is_offered_again():
 
 
 def test_plain_costs_vouch_for_no_streak(caplog):
-    # the curve of the test above as plain costs: nothing says it does not
-    # decrease, so every grant is a unit grant, to the same outcome
+    # the curve of the test above with the segment None: nothing says it
+    # does not decrease, so every grant is a unit grant, to the same outcome
     costs = [0.0] + [3.0 + 0.2 * math.sqrt(n) for n in range(1, 2001)]
     plain = curve_from_samples(costs)
     case = ([ClientQuote("a", 1.0, 2000, 2000, 0.01, plain)], PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
@@ -724,6 +725,6 @@ def test_a_long_streak_holds_bounded_memory():
     finally:
         tracemalloc.stop()
     assert alloc.workloads == {"a": mtv}
-    assert report.audit() == []
+    assert settlement_findings(report, 1.0, 1.0) == []
     assert max(sizes) == _CHUNK
     assert peak < 2**20

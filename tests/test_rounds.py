@@ -42,6 +42,12 @@ def sensing(t, b):
     return ScheduleDecision(gen=GenSchedule(t, b, t if b else 0))
 
 
+def chain_cycle(prev, time_cells):
+    """The cycle of the previous round's slowest chain, or the full window
+    on bootstrap: the cycle `run()` gives its trailing window."""
+    return cycle_length([int(d.consumption_time) for d in prev.values()], time_cells)
+
+
 class TestRoundsToComplete:
     def test_single_round_degenerate(self):
         assert rounds_to_complete(1, "zeros") == 2
@@ -115,7 +121,7 @@ class TestPlanRound:
         pools = {c: new_pool(10, 8, 4) for c in ("a", "b")}
         prev = {"a": consumption(1, 2, 1, 1, 1, 2), "b": consumption(1, 2, 2, 1, 1, 2)}
         gen = {"a": sensing(3, 2), "b": sensing(3, 2)}
-        plan = plan_round(2, 10, pools, prev, gen)
+        plan = plan_round(2, 10, pools, prev, gen, chain_cycle(prev, 10))
         # the cycle is b's 4-cell chain: every upload ends on its boundary
         assert [p.end_col for p in plan.placements if p.process == PROC_UP] == [4, 4]
         assert plan.dropped == {}
@@ -124,14 +130,15 @@ class TestPlanRound:
     def test_bootstrap_round(self):
         # no chain yet: the sensing budget is the full window
         pools = {"a": new_pool(10, 8, 4)}
-        plan = plan_round(1, 10, pools, {}, {"a": sensing(10, 3)})
+        plan = plan_round(1, 10, pools, {}, {"a": sensing(10, 3)}, chain_cycle({}, 10))
         assert plan.dropped == {}
         assert [(p.process, p.end_col) for p in plan.placements] == [(PROC_SENSE, 10)]
 
     def test_collision_without_resolver_drops_client(self):
         pools = {"a": new_pool(10, 8, 4)}
         prev = {"a": consumption(2, 6, 1, 1, 1, 6)}  # transfers hog 6 of 8 rows
-        plan = plan_round(3, 10, pools, prev, {"a": sensing(4, 4)})  # wants 4 rows
+        gen = {"a": sensing(4, 4)}  # wants 4 rows
+        plan = plan_round(3, 10, pools, prev, gen, chain_cycle(prev, 10))
         assert plan.dropped == {"a": "sensing does not fit the shared window"}
         assert PROC_SENSE not in {p.process for p in plan.placements}
         assert plan.tightened == {}
@@ -141,19 +148,19 @@ class TestPlanRound:
         # sensing does not fit either
         pools = {"a": new_pool(4, 8, 4)}
         prev = {"a": consumption(2, 2, 2, 1, 2, 2)}
-        plan = plan_round(2, 4, pools, prev, {"a": sensing(5, 2)})
+        plan = plan_round(2, 4, pools, prev, {"a": sensing(5, 2)}, chain_cycle(prev, 4))
         assert plan.dropped == {"a": "consumption exceeds cycle window"}
 
     def test_late_consumption_dropped(self):
         pools = {"a": new_pool(4, 8, 4), "b": new_pool(4, 8, 4)}
         # cycle is capped by the 4-cell window; a 6-cell chain cannot fit
         prev = {"a": consumption(2, 2, 2, 1, 2, 2), "b": consumption(1, 1, 1, 1, 1, 1)}
-        plan = plan_round(2, 4, pools, prev, {})
+        plan = plan_round(2, 4, pools, prev, {}, chain_cycle(prev, 4))
         assert plan.dropped == {"a": "consumption exceeds cycle window"}
 
     def test_timeline_rows_schema(self):
         pools = {"a": new_pool(10, 8, 4)}
-        plan = plan_round(1, 10, pools, {}, {"a": sensing(3, 2)})
+        plan = plan_round(1, 10, pools, {}, {"a": sensing(3, 2)}, chain_cycle({}, 10))
         rows = plan.timeline_rows()
         assert rows == [
             {
@@ -217,5 +224,5 @@ def test_sensing_fits_exactly_where_the_loads_leave_rows(pools, data):
             place_generation(trial, "c", "sense", sensing(span, b), budget)
         assert pool_snapshot(trial) == pool_snapshot(pool)
 
-    plan = plan_round(1, pool.time_cells, {"c": pool}, {}, {"c": sensing(span, b)}, t_delta=t_delta)
+    plan = plan_round(1, pool.time_cells, {"c": pool}, {}, {"c": sensing(span, b)}, t_delta)
     assert plan.dropped == ({} if fits else {"c": "sensing does not fit the shared window"})

@@ -265,9 +265,9 @@ def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, raw)
     seen = []
     plan_round = runner.plan_round
 
-    def checked(ir, t_cells, pools, prev_consumption, generation, **kwargs):
+    def checked(ir, t_cells, pools, prev_consumption, generation, t_delta):
         seen.append((set(pools), set(prev_consumption) | set(generation)))
-        return plan_round(ir, t_cells, pools, prev_consumption, generation, **kwargs)
+        return plan_round(ir, t_cells, pools, prev_consumption, generation, t_delta)
 
     monkeypatch.setattr(runner, "plan_round", checked)
     rec = run(load_config(raw))
@@ -277,6 +277,27 @@ def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, raw)
         assert seen[-1] == (set(), set())
 
 
+@pytest.mark.parametrize("scale", [[1.0, 1.0, 1.0], [1.0, 0.05, 1.0]], ids=["defaults", "narrow_spectrum"])
+def test_no_placement_drops_a_client(monkeypatch, scale):
+    # the quotes size sensing to the rows last round's chain leaves free, so
+    # the pools' conflict check only guards: no window drops a client
+    plans = []
+    plan_round = runner.plan_round
+
+    def recorded(*args):
+        plans.append(plan_round(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(runner, "plan_round", recorded)
+    for policy in Policy:
+        for mode in ("zeros", "serial"):
+            raw = {
+                "seed": 5, "rounds": 2, "policy": policy.value, "mode": mode,
+                "scenario": {"n_clients": 6}, "resources": {"scale": scale},
+            }
+            run(load_config(raw))
+    assert len(plans) == len(Policy) * (3 + 4)
+    assert [plan.dropped for plan in plans if plan.dropped] == []
 @st.composite
 def solve_cases(
     draw,

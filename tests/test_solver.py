@@ -11,9 +11,7 @@ from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import (
     COMPUTE,
-    CONS_TIME,
     DOWN_BANDWIDTH,
-    GEN_BANDWIDTH,
     GEN_TIME,
     UP_BANDWIDTH,
     Budgets,
