@@ -16,9 +16,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, islice, repeat
-from operator import add
 
 from .costs import PriceVector
 from .errors import GainShortfallError
@@ -407,18 +405,17 @@ def allocate_workloads(
     leader closes.  A pick that is not clear never starts a streak, nor do
     loads the curve does not vouch for (`CostCurve.in_segment`).
 
-    A rationality pass does not rerun the greedy from scratch.  The previous
-    pass's grants are kept in order, as (client, count, gain after) runs,
-    with the first grant at which each client led: became the scan's
-    running best (a leader led at its clear pick, before its later grants
-    and streaks).  Excluding clients that never led leaves every grant's
-    pick unchanged: a scan's pick never depended on them, and a leader's
-    grant stays clear of the clients that remain.  So the next pass keeps
-    the grants before the earliest one any excluded client led (all of them
-    when none did) and resumes from there.  The kept runs rebuild the same
-    loads and open count, and the gain is the one the last of them stored.
-    A run the cut splits keeps its first grants, whose gain is replayed
-    from the previous run's by the same float additions in the same order.
+    A rationality pass does not rerun the greedy from scratch.  The greedy
+    remembers its state, (grants so far, gain, the nonzero loads), where a
+    scan first makes each client its running best (a leader led at its clear
+    pick, before its later grants and streaks), and once where it ends,
+    before the polish.  Excluding clients that never led leaves every
+    grant's pick unchanged: a scan's pick never depended on them, and a
+    leader's grant stays clear of the clients that remain.  So the next pass
+    restores the state at which the earliest excluded client first led (the
+    end state when none did), opens one client per nonzero load, forgets the
+    states remembered at or after that grant and resumes.  A state holds at
+    most max_active loads.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -440,19 +437,19 @@ def allocate_workloads(
         costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
         return build_report(by_id, load, costs, prices, alpha, beta)
 
-    # the greedy's grants, in order, as [client, count, gain after the run] runs
-    picks: list[list] = []
     # marginal welfare of each client's next sample, with the load it was
     # priced at: only a grant changes a load
     marginal: dict[str, tuple[int, float]] = {}
-    first_led: dict[str, int] = {}  # grant (index over all grants) a client first led
+    # the greedy's state (grants so far, gain, nonzero loads) where a scan
+    # first made each client its running best
+    first_led: dict[str, tuple[int, float, dict[str, int]]] = {}
+    resume = (0, 0.0, {})  # the state the next pass starts from
     stride = 2  # streak batch size to offer next
     debug = _log.isEnabledFor(logging.DEBUG)
     for _ in range(len(quotes) + 1):
-        load = {q.client_id: 0 for q in quotes}
-        gain = 0.0
-        opened = 0
-        granted = 0
+        granted, gain, held = resume
+        load = {q.client_id: 0 for q in quotes} | held
+        opened = len(held)
         bidders = [q for q in quotes if q.client_id not in excluded and q.gain_rate > 0]
         lead = None  # (client, runner-up's marginal) of the last clear pick
 
@@ -463,6 +460,9 @@ def allocate_workloads(
                 or (n == 0 and opened >= max_active)
                 or gain + q.gain_rate >= ceiling - _TOL
             )
+
+        def state():
+            return granted, gain, {cid: n for cid, n in load.items() if n}
 
         def priced(q) -> float:
             n = load[q.client_id]
@@ -499,7 +499,8 @@ def allocate_workloads(
                     second = delta
                 if best is None or delta > best[0] + _TOL:
                     best = (delta, q.client_id)
-                    first_led.setdefault(q.client_id, granted)
+                    if q.client_id not in first_led:
+                        first_led[q.client_id] = state()
             if best is None:
                 return None
             delta, cid = best
@@ -521,11 +522,6 @@ def allocate_workloads(
             load[cid] += count
             gain = after
             granted += count
-            if picks and picks[-1][0] == cid:
-                picks[-1][1] += count
-                picks[-1][2] = after
-            else:
-                picks.append([cid, count, after])
 
         def streak(cid: str, rival: float) -> None:
             """Certified batches for the leader of a clear pick whose
@@ -574,30 +570,19 @@ def allocate_workloads(
                     cid, start, load[cid] - start, probes, why,
                 )
 
-        for cid, count, _ in picks:
-            if load[cid] == 0:
-                opened += 1
-            load[cid] += count
-            granted += count
-        if picks:
-            gain = picks[-1][2]
-        while gain < gain_floor - _TOL:
-            pick = grantable(require_positive=False)
-            if pick is None:
-                reason = (
-                    "gain step overshoots the window"
-                    if max_achievable(excluded) + _TOL >= gain_floor
-                    else "capacity exhausted"
-                )
-                raise GainShortfallError(reason, max_achievable(excluded))
+        while (pick := grantable(require_positive=gain >= gain_floor - _TOL)) is not None:
             take(pick[1], 1, gain + by_id[pick[1]].gain_rate)
             if pick[2] is not None:
                 streak(pick[1], pick[2])
-        while (pick := grantable(require_positive=True)) is not None:
-            take(pick[1], 1, gain + by_id[pick[1]].gain_rate)
-            if pick[2] is not None:
-                streak(pick[1], pick[2])
+        if gain < gain_floor - _TOL:
+            reason = (
+                "gain step overshoots the window"
+                if max_achievable(excluded) + _TOL >= gain_floor
+                else "capacity exhausted"
+            )
+            raise GainShortfallError(reason, max_achievable(excluded))
 
+        greedy_end = state()
         load = _block_polish(
             quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
         )
@@ -621,19 +606,7 @@ def allocate_workloads(
             allocation = Allocation(workloads=workloads)
             return allocation, report
         excluded.update(losers)
-        keep = min((first_led[c] for c in losers if c in first_led), default=granted)
-        kept, total, before = [], 0, 0.0
-        for run in picks:
-            cid, count, after = run
-            if total + count > keep:
-                if total < keep:
-                    # a cut run keeps its first grants: replay their additions
-                    part = keep - total
-                    kept.append([cid, part, reduce(add, repeat(by_id[cid].gain_rate, part), before)])
-                break
-            kept.append(run)
-            total += count
-            before = after
-        picks = kept
-        first_led = {c: s for c, s in first_led.items() if s < keep}
+        led = [first_led[c] for c in losers if c in first_led]
+        resume = min(led, key=lambda s: s[0], default=greedy_end)
+        first_led = {c: s for c, s in first_led.items() if s[0] < resume[0]}
     raise GainShortfallError("rationality loop failed to settle", max_achievable(excluded))

@@ -72,8 +72,8 @@ def rounds_to_complete(n_rounds: int, mode: str) -> int:
 
 
 def cycle_length(prev_consumption_times: list[int], time_cells: int) -> int:
-    """Window length for the upcoming round: the previous round's slowest
-    consumption chain, or the full window on bootstrap."""
+    """Window length for the upcoming round: the longest positive duration
+    given, capped at `time_cells`, or the full window when there is none."""
     finite = [t for t in prev_consumption_times if t > 0]
     if not finite:
         return time_cells

@@ -222,8 +222,6 @@ def _csv_text(columns: list[str], rows: list[dict]) -> str:
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, bool):
         return int(value)
     return value

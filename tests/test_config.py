@@ -20,12 +20,12 @@ from mfpsim.config import (
     load_config,
 )
 from mfpsim.errors import ConfigError
+from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import run
+from mfpsim.scenario import ChannelParams, SensingGeometry, SensingProfile
 
 from oracles import schema_validator, schema_violations
-from test_golden import CONFIGS, TINY
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+from test_golden import BENCH, CONFIGS, TINY
 
 
 def test_defaults_load_and_validate():
@@ -34,6 +34,16 @@ def test_defaults_load_and_validate():
     assert cfg.policy.value == "SISCC"
     assert cfg.scaled_cells() == (10, 400, 10)
     assert cfg.quanta().freq_hz == 1e6
+
+
+def test_dataclass_defaults_are_the_packaged_defaults():
+    # tests build these directly and must see what run() sees; the prices'
+    # dataclass default is unit prices on purpose
+    cfg = load_config()
+    assert ChannelParams() == cfg.channel()
+    assert SensingProfile() == cfg.profile()
+    assert SensingGeometry() == cfg.geometry()
+    assert ResourceQuanta() == cfg.quanta()
 
 
 def test_partial_override_merges():
@@ -202,7 +212,7 @@ def test_schema_is_a_valid_schema():
 
 def _accepted_documents():
     docs = {"defaults": default_config()}
-    workloads = json.loads(PERFBENCH.read_text())["workloads"]
+    workloads = BENCH["workloads"]
     for name, w in workloads.items():
         docs[f"perfbench-{name}"] = _deep_merge(default_config(), w["config"])
     for name, cfg in CONFIGS.items():

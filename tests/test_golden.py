@@ -13,6 +13,9 @@ moves any hash changes what the simulator computes; such a change must list ever
 moved hash and the reason in CHANGES.md.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from mfpsim.baselines import Policy
@@ -22,6 +25,10 @@ from mfpsim.runner import run
 from oracles import output_hashes
 
 TINY = {"rounds": 2, "scenario": {"n_clients": 6, "n_targets": 30}}
+# the benchmark's workloads, each with the hashes of its reference run
+BENCH = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text()
+)
 
 
 def _tiny(seed, policy="SISCC", mode="zeros", **extra):
@@ -240,3 +247,11 @@ def test_golden_reaches_the_drop_path(name, note):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_output_hashes(name):
     assert output_hashes(run(load_config(CONFIGS[name]))) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+@pytest.mark.parametrize("workload", sorted(BENCH["workloads"]))
+def test_benchmark_reference_output_hashes(workload, size):
+    spec = BENCH["workloads"][workload]
+    cfg = {**spec["config" if size == "full" else "tiny_config"], "seed": BENCH["reference_seed"]}
+    assert output_hashes(run(load_config(cfg))) == spec["baseline_hashes"][size]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfpsim.config import load_config
 from mfpsim.costs import ConsumptionTask, PriceVector
 from mfpsim.errors import GainShortfallError
 from mfpsim.market import (
@@ -23,10 +24,12 @@ from mfpsim.market import (
     _LeaderGains,
 )
 from mfpsim.resource_pool import ResourceQuanta
+from mfpsim.runner import run
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, SolveInput, constrained_schedule, mtv
 
 import mfpsim.market as market
+import mfpsim.runner as runner
 from oracles import (
     allocate_workloads_reference,
     allocation_exhaustive,
@@ -35,6 +38,7 @@ from oracles import (
     settlement_findings,
     streak_span_reference,
 )
+from test_golden import BENCH
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
@@ -293,10 +297,11 @@ class TestAllocate:
         # pick from being clear, so each grant is a scan's.  d takes 80 in a
         # row; a, with the larger rate, closes on the ceiling after d's 50th,
         # so b first leads at the scan of grant 50, inside d's run.  b ends
-        # at a loss, and the next pass keeps d's first 50 grants, at their
-        # own gain: without b the scan picks c, which takes 30 before its
-        # marginal turns negative, and d tops up to the ceiling.  Keeping
-        # all 80 of d's grants, or their gain, leaves c 19.
+        # at a loss, and the next pass restores the state of that scan, d's
+        # first 50 grants at their own gain: without b the scan picks c,
+        # which takes 30 before its marginal turns negative, and d tops up
+        # to the ceiling.  Restoring all 80 of d's grants, or their gain,
+        # leaves c 19.
         quotes = [
             self.plain("a", 0.5, [49.5] * 10),
             self.plain("b", 0.03, [2.5] * 10),
@@ -306,6 +311,22 @@ class TestAllocate:
         case = (quotes, self.prices(), 0.2, 0.8, 4)
         got = allocate_workloads(*case)
         assert got[0].workloads == {"c": 30, "d": 69}
+        assert repr(got) == repr(allocate_workloads_reference(*case))
+
+    def test_a_restored_state_counts_its_open_clients_against_the_cap(self):
+        # a takes 5 (welfare 9.9), then b leads (4.5 a sample, a loss of 0.5
+        # to b) and fills the cap of 2.  b is excluded, and the next pass
+        # restores the state where b first led, a already open: c takes its
+        # 10 and the cap keeps d, tied with c, closed
+        quotes = [
+            self.plain("a", 0.1, [0.1] * 5 + [100.0] * 5),
+            self.plain("b", 0.06, [1.5] * 20),
+            self.plain("c", 0.03, [0.5] * 10),
+            self.plain("d", 0.03, [0.5] * 10),
+        ]
+        case = (quotes, self.prices(), 0.0, 100.0, 2)
+        got = allocate_workloads(*case)
+        assert got[0].workloads == {"a": 5, "c": 10}
         assert repr(got) == repr(allocate_workloads_reference(*case))
 
     def test_debug_lines_name_each_polish_move(self, caplog):
@@ -365,7 +386,7 @@ class TestAllocate:
             assert outcomes[0] == outcomes[None]
             assert solves[0] <= solves[None] + 2 * n_clients
 
-    def test_rationality_passes_replay_instead_of_rescanning(self, monkeypatch):
+    def test_rationality_passes_restore_instead_of_rescanning(self, monkeypatch):
         # five cheap clients fill up first; ten clients with an activation
         # cost are opened one per pass by the last grants (the cap leaves room
         # for one more), end at a loss and are excluded: eleven passes
@@ -393,7 +414,7 @@ class TestAllocate:
         assert alloc.workloads == {f"a{i}": 200 for i in range(5)}
         assert settlement_findings(report, 1.0, 1.0) == []
         # one greedy pass's worth (the bound of the test above) plus 10 per
-        # client and pass for the scans after the replayed grants and the
+        # client and pass for the scans after the restored state and the
         # polish; rerunning every pass from scratch takes about 22k
         assert lookups[0] <= 3 * (alloc.total_samples + len(quotes)) + 10 * len(quotes) * 11
         assert (alloc, report) == allocate_workloads_reference(quotes, prices, 1.0, 100.0, 6)
@@ -440,6 +461,35 @@ def test_allocation_equals_from_scratch_reference(case):
     ref = _outcome(allocate_workloads_reference, case)
     assert got == ref
     assert repr(got) == repr(ref)  # same floats bit for bit, same dict orders
+
+
+def test_allocation_on_runner_quotes_equals_from_scratch_reference(monkeypatch):
+    # the quotes `run()` builds on the benchmark's headline config: curves
+    # with segments, fallback dips and capped re-solves, several rationality
+    # passes per allocation
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        return allocate_workloads(*args)
+
+    monkeypatch.setattr(runner, "allocate_workloads", capture)
+    spec = BENCH["workloads"]["siscc-default"]["config"]
+    for seed in (0, 1):
+        run(load_config({**spec, "rounds": 2, "seed": seed}))
+    passes = [0]
+
+    def counting_saturated(*args):
+        passes[0] += 1
+        return saturated(*args)
+
+    saturated = market.saturated_load
+    monkeypatch.setattr(market, "saturated_load", counting_saturated)
+    assert len(calls) == 4
+    for args in calls:
+        got = _outcome(allocate_workloads, args)
+        assert repr(got) == repr(_outcome(allocate_workloads_reference, args))
+    assert passes[0] > len(calls)  # some pass resumes from a restored state
 
 
 @st.composite
