@@ -8,7 +8,7 @@ streak grant and each block-polish move.
 
 import logging
 
-from .baselines import Policy, SelectionMetrics, schedule_with_policy, select_clients
+from .baselines import Policy, SelectionMetrics, realize_with_policy, schedule_with_policy, select_clients
 from .config import ExperimentConfig, config_hash, default_config, load_config
 from .costs import (
     ComputeSchedule,
@@ -58,7 +58,6 @@ from .scenario import (
     step_mobility,
 )
 from .sensing import qod
-from .baselines import realize_with_policy
 from .solver import (
     Budgets,
     OutcomeKind,

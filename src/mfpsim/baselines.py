@@ -20,6 +20,9 @@ from .costs import (
 )
 from .market import ClientQuote
 from .solver import (
+    CHAIN,
+    GEN_BANDWIDTH,
+    RACED,
     OutcomeKind,
     SolveInput,
     SolveOutcome,
@@ -65,10 +68,11 @@ class SelectionMetrics:
 class PolicySpec:
     """Everything a policy changes relative to SISCC.
 
-    schedule: per-client objective; "cost" is the exact solver, "time" the
-        fastest schedule, "width" the narrowest, and "sensing"/"comm"/"comp"
-        the fastest named process with the rest solved for cost.
-    realize: whole-cell realization objectives, (sensing side, chain side).
+    schedule: per-client objective, for the continuous solve and the
+        whole-cell realization alike; "cost" is the exact solver, "width"
+        the narrowest widths, and the others race the parts `solver.RACED`
+        names for them ("time" all four, "sensing"/"comm"/"comp" the named
+        process) and solve the rest for cost.
     rank: pre-selection key over SelectionMetrics (ascending), or None for no
         pre-selection.
     mean_rate: the market sees every client at the mean gain rate
@@ -78,7 +82,6 @@ class PolicySpec:
     """
 
     schedule: str = "cost"
-    realize: tuple[str, str] = ("cost", "cost")
     rank: Callable[[SelectionMetrics], float] | None = None
     mean_rate: bool = False
     saturate: bool = False
@@ -87,35 +90,30 @@ class PolicySpec:
 POLICIES: dict[Policy, PolicySpec] = {
     Policy.SISCC: PolicySpec(),
     Policy.WISCC: PolicySpec(mean_rate=True),
-    Policy.SENS_OPT: PolicySpec(schedule="sensing", realize=("time", "cost")),
-    Policy.COMM_OPT: PolicySpec(schedule="comm", realize=("cost", "comm_time")),
-    Policy.COMP_OPT: PolicySpec(schedule="comp", realize=("cost", "comp_time")),
+    Policy.SENS_OPT: PolicySpec(schedule="sensing"),
+    Policy.COMM_OPT: PolicySpec(schedule="comm"),
+    Policy.COMP_OPT: PolicySpec(schedule="comp"),
     Policy.ML_C: PolicySpec(rank=lambda m: m.comm_latency),
     Policy.ML_CC: PolicySpec(rank=lambda m: m.comm_latency + m.comp_latency),
     Policy.ML_SCC: PolicySpec(
         rank=lambda m: m.comm_latency + m.comp_latency + m.sensing_latency
     ),
     Policy.MP_TSC: PolicySpec(rank=lambda m: -(m.sensed_targets * m.peak_sample_rate)),
-    Policy.MC_T: PolicySpec(schedule="time", realize=("time", "time")),
-    Policy.MC_FC: PolicySpec(schedule="width", realize=("width", "width")),
-    Policy.MLPG: PolicySpec(schedule="time", realize=("time", "time"), saturate=True),
+    Policy.MC_T: PolicySpec(schedule="time"),
+    Policy.MC_FC: PolicySpec(schedule="width"),
+    Policy.MLPG: PolicySpec(schedule="time", saturate=True),
 }
 
-# chain widths the communication/computation-optimal objectives pin at their
-# maximum
-_FORCED_BOXES = {
-    "comm": frozenset({"down_bandwidth", "up_bandwidth"}),
-    "comp": frozenset({"compute"}),
-}
+# the time price the width objective solves its chain at: time next to free
+WIDTH_TIME_PRICE = 1e-12
 
 
 def realize_with_policy(policy: Policy, inp: SolveInput):
     """Best whole-cell schedule for the policy's objective (true prices break
     ties); None when no integral schedule fits the window."""
-    gen_obj, cons_obj = POLICIES[policy].realize
     return realize_schedule(
         inp.n, inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta,
-        gen_objective=gen_obj, cons_objective=cons_obj,
+        POLICIES[policy].schedule,
     )
 
 
@@ -141,17 +139,13 @@ def select_clients(
 
 
 def _min_time_generation(n, attrs, budgets) -> GenSchedule | None:
-    """Fastest sensing schedule: full bandwidth, shortest span."""
-    if n <= 0:
-        return GenSchedule()
-    a, b = attrs.a, attrs.b
-    width = budgets.gen_bandwidth if b > 0 else 0.0
-    rate = a + b * width
-    if rate <= 0:
+    """Fastest sensing schedule for n > 0 samples: full bandwidth, shortest
+    span."""
+    width = budgets.gen_bandwidth if attrs.b > 0 else 0.0
+    rate = attrs.a + attrs.b * width
+    if rate <= 0 or n / rate > budgets.t_budget * (1 + 1e-9):
         return None
     x = n / rate
-    if x > budgets.t_budget * (1 + 1e-9):
-        return None
     return GenSchedule(x, width, x if width else 0.0)
 
 
@@ -160,61 +154,54 @@ def schedule_with_policy(
 ) -> SolveOutcome:
     """Per-client schedule under the policy's objective.
 
-    Cost-driven policies defer to the exact solver.  MC_T and MLPG take the
-    fastest feasible schedule (width-maxed everywhere); MC_FC minimizes
-    spectrum+compute spend by stretching time across the window; the
-    single-process-optimal trio maxes out its named process and solves the
-    rest for cost.  `bounds` is (mtv, mutv) of the input when the caller
-    already has it.
+    The exact solver takes the cost objective and every case it settles:
+    no workload, one past mtv, or a pool of no finite size (the other
+    objectives only mean something under scarcity).  Otherwise the
+    objective's raced parts (`RACED`) sit at their width box and the rest
+    is solved for cost, or the widths are the narrowest the window allows.
+    `bounds` is (mtv, mutv) of the input when the caller already has it.
     """
     objective = POLICIES[policy].schedule
-    if objective == "cost":
-        return constrained_schedule(inp, bounds=bounds)
-
     if bounds is None:
         bounds = (
             mtv(inp.attrs, inp.task, inp.budgets, inp.quanta),
             mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta),
         )
     n_max, n_unc = bounds
-    if inp.n == 0:
-        return SolveOutcome(OutcomeKind.OPTIMAL, ScheduleDecision(), 0.0, n_unc, n_max)
-    if inp.n > n_max:
-        return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
     t_b = inp.budgets.t_budget
-    if math.isinf(t_b) or math.isinf(inp.budgets.freq_cells) or math.isinf(inp.budgets.compute_cells):
-        # width/time-greedy objectives are only meaningful under scarcity
+    pools = (t_b, inp.budgets.freq_cells, inp.budgets.compute_cells)
+    if objective == "cost" or inp.n <= 0 or inp.n > n_max or any(map(math.isinf, pools)):
         return constrained_schedule(inp, bounds=bounds)
 
+    raced = RACED[objective]
     procs = _consumption_processes(inp.n, inp.task, inp.prices, inp.budgets, inp.quanta)
-    if objective in ("time", "sensing"):
-        gen = _min_time_generation(inp.n, inp.attrs, inp.budgets)
-    elif objective == "width":
+    if raced is None:
         # widths as narrow as the window allows: time price ~ 0 in the solve,
         # true prices in the reported cost
         a, b = inp.attrs.a, inp.attrs.b
-        if inp.n <= a * t_b:
-            gen = GenSchedule(inp.n / a, 0.0, 0.0) if a > 0 else None
+        if inp.n <= a * t_b:  # n >= 1, so a > 0
+            gen = GenSchedule(inp.n / a, 0.0, 0.0)
         elif b > 0:
             y = over_product(inp.n - a * t_b, b, t_b)
             gen = GenSchedule(t_b, y, t_b) if y <= inp.budgets.gen_bandwidth * (1 + 1e-9) else None
         else:
             gen = None
+    elif GEN_BANDWIDTH in raced:
+        gen = _min_time_generation(inp.n, inp.attrs, inp.budgets)
     else:
         gen_best = _solve_generation(
             inp.n, inp.attrs.a, inp.attrs.b, inp.prices, t_b, inp.budgets.gen_bandwidth
         )
         gen = gen_best[0] if gen_best else None
 
-    if objective == "time":
+    if raced is not None and CHAIN <= raced:
+        # every width at its box: the chain's one split, no enumeration
         splits = {p.name: ((p.volume / p.width_max, p.width_max) if p.volume > 0 else (0.0, 0.0)) for p in procs}
         if sum(t for t, _ in splits.values()) > t_b * (1 + 1e-9):
             splits = None
     else:
-        time_price = 1e-12 if objective == "width" else inp.prices.time
-        cons = _enumerate_consumption(
-            procs, time_price, t_b, forced_boxes=_FORCED_BOXES.get(objective, frozenset())
-        )
+        time_price = WIDTH_TIME_PRICE if raced is None else inp.prices.time
+        cons = _enumerate_consumption(procs, time_price, t_b, forced_boxes=raced or frozenset())
         splits = None if cons is None else cons[0]
     if gen is None or splits is None:
         return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)

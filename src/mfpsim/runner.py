@@ -35,6 +35,7 @@ import numpy as np
 
 from .baselines import (
     POLICIES,
+    WIDTH_TIME_PRICE,
     Policy,
     SelectionMetrics,
     realize_with_policy,
@@ -316,10 +317,10 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     capped budgets.  Returns (outcome, budgets_used, fell_back).
 
     The market reads n -> this cost as a curve (`_curve_fn`) whose
-    segments, under the cost objective, are (n > mutv, fell_back).  It dips,
-    by several cost units, where the capped chain stops fitting and the
-    uncapped schedule takes over; within a segment it does not decrease, as
-    `CostCurve`'s contract asks:
+    segments are (n > mutv, fell_back).  It dips, by several cost units,
+    where the capped chain stops fitting and the uncapped schedule takes
+    over; within a segment it does not decrease, as `CostCurve`'s contract
+    asks.  The cost objective:
 
     * The sensing width does not decrease in n.  The generation side is
       solved apart from the chain.  At n <= mutv its bandwidth is
@@ -349,10 +350,24 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
       per comparison, a few comparisons) and tolerance boxes (1e-9
       relative), well inside the contract's slack of 1e-7 * (1 + |c|).
 
-    The argument covers the cost objective alone, so the other objectives'
-    points get no segment and are never granted in runs.  Some of them pin
-    widths at a box, where a looser box can cost more: the
-    communication-optimal chain dips each time the cap shrinks by a cell.
+    The other objectives (`solver.RACED`):
+
+    * `time` and `sensing` sense at full bandwidth, so the cap and B(n) do
+      not move with n.  `sensing` prices the chain as the cost objective
+      does; `time` puts each leg at its box, costing width_price*box +
+      time*volume/box, and the capped chain's time grows with n too.
+    * `comp` senses as the cost objective does, and its training width
+      sits at the same box in every B(n), so the argument above holds.
+    * `width` senses at x = n/a, y = 0 up to n = a*T (T the window), then
+      at x = T: its sensing cells and cost grow with n.  Its chain minimizes
+      g = WIDTH_TIME_PRICE*t + width spend over B(n), t its total time,
+      which does not decrease as above, and costs g + (time -
+      WIDTH_TIME_PRICE)*t.  Each leg takes the longer of its free time and
+      its time at the box, both growing with n, until the budget binds and
+      t stays T.  So the label needs time >= WIDTH_TIME_PRICE.
+    * `comm` pins its transfers at the cap's box, where a looser box costs
+      more: its chain dips each time the cap shrinks by a cell, so its
+      points get no segment and are never granted in runs.
     """
     policy, prices, quanta = ctx.policy, ctx.prices, ctx.quanta
     out = schedule_with_policy(
@@ -384,15 +399,16 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
 def _curve_fn(ctx, at, task, budgets, bounds):
     """A client's cost function for its `CostCurve`: n -> (cost, segment)
     of the policy solve, infinite where no schedule carries n.  Segments
-    only under the cost objective, where `_policy_solve` vouches for them."""
+    only where `_policy_solve` vouches for them: not under `comm`, nor
+    under `width` where time costs less than WIDTH_TIME_PRICE."""
+    objective = POLICIES[ctx.policy].schedule
+    segmented = objective != "comm" and (objective != "width" or ctx.prices.time >= WIDTH_TIME_PRICE)
 
     def cost_fn(n):
         out, _, fell_back = _policy_solve(ctx, n, at, task, budgets, bounds)
         if out.kind != OutcomeKind.OPTIMAL:
             return math.inf, None
-        if POLICIES[ctx.policy].schedule != "cost":
-            return out.cost, None
-        return out.cost, (n > bounds[1], fell_back)
+        return out.cost, (n > bounds[1], fell_back) if segmented else None
 
     return cost_fn
 

@@ -57,6 +57,19 @@ DOWN_BANDWIDTH = "down_bandwidth"
 UP_BANDWIDTH = "up_bandwidth"
 COMPUTE = "compute"
 
+# the parts each scheduling objective runs as fast as its pools allow: their
+# widths sit at the box, and whole-cell realization ranks their time first.
+# None: the narrowest widths the window allows instead.
+RACED = {
+    "cost": frozenset(),
+    "time": frozenset({GEN_BANDWIDTH, DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH}),
+    "sensing": frozenset({GEN_BANDWIDTH}),
+    "comm": frozenset({DOWN_BANDWIDTH, UP_BANDWIDTH}),
+    "comp": frozenset({COMPUTE}),
+    "width": None,
+}
+CHAIN = frozenset({DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH})
+
 # the prices `mtv` hands `_consumption_processes`: capacity ignores prices
 _UNIT_PRICES = PriceVector()
 
@@ -389,7 +402,7 @@ def _enumerate_consumption(
             if free and finite_budget:
                 rem = t_budget - sum([t_box[i] for i in boxed])
                 if rem > _TOL:
-                    taus.append((sum([root[i] for i in free]) / rem) ** 2)
+                    taus.append(_square(sum([root[i] for i in free]) / rem))
             for tau in taus:
                 if tau <= 0:
                     continue
@@ -756,21 +769,16 @@ def constrained_schedule(
 # ---------------------------------------------------------------------------
 # integer realization
 
-# objective key per schedule part: lexicographic tuples summed part-wise, so
-# "time" compares total cells first and cost second, etc.
-
-def _part_key(objective: str, kind: str, t: float, width_cost: float, cost: float):
-    if objective == "cost":
-        return (cost, t, width_cost)
-    if objective == "time":
-        return (t, cost, width_cost)
-    if objective == "width":
+def _part_key(raced, kind: str, t: float, width_cost: float, cost: float):
+    """A part's realization key, a lexicographic tuple summed part-wise over
+    its side, whose raced parts are `raced`: their cells first, then cost;
+    cost, then cells, where the side races none; width spend first where
+    `raced` is None (the width objective)."""
+    if raced is None:
         return (width_cost, cost, t)
-    if objective == "comm_time":
-        return (t if kind in (DOWN_BANDWIDTH, UP_BANDWIDTH) else 0, cost, width_cost)
-    if objective == "comp_time":
-        return (t if kind == COMPUTE else 0, cost, width_cost)
-    raise ValueError(f"unknown realization objective {objective!r}")
+    if raced:
+        return (t if kind in raced else 0, cost, width_cost)
+    return (cost, t, width_cost)
 
 
 def _key_add(a, b):
@@ -834,13 +842,14 @@ def _first_times(width, t_int, bound, last):
     return out
 
 
-def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
-    """Exact best whole-cell sensing schedule delivering at least n samples.
+def _int_gen_best(n, a, b, prices, t_int, b_int, key):
+    """Exact best whole-cell sensing schedule delivering at least n samples,
+    ranked by the part key `key` (`_part_key`).
 
     With a >= 0 and b >= 0 the width y(x) of `_sensing_width` does not
     increase in the time x, and the x whose y exceeds the bandwidth (inf)
     come first.  At one y, more time only adds cost, so every `_part_key`
-    objective keys a later x no lower than the first, which wins its ties:
+    keys a later x no lower than the first, which wins its ties:
     `_first_times` gives the candidates.  They end at y = 0, or at y = 1
     without a visual rate, where y can fall no further.
     """
@@ -850,9 +859,9 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, objective):
     best = None
     for x, y in _first_times(width, t_int, math.inf, 0 if a > 0 else 1):
         cost = x * prices.time + y * prices.freq
-        key = _part_key(objective, "gen", x, y * prices.freq, cost)
-        if best is None or key < best[0]:
-            best = (key, x, y)
+        k = key(GEN_BANDWIDTH, x, y * prices.freq, cost)
+        if best is None or k < best[0]:
+            best = (k, x, y)
     if best is None:
         return None
     _, x, y = best
@@ -880,18 +889,18 @@ def realize_schedule(
     prices: PriceVector,
     budgets: Budgets,
     quanta: ResourceQuanta = ResourceQuanta(),
-    gen_objective: str = "cost",
-    cons_objective: str = "cost",
+    objective: str = "cost",
 ) -> ScheduleDecision | None:
-    """Exact whole-cell schedule for workload n under the stated objectives.
+    """Exact whole-cell schedule for workload n under a scheduling objective.
 
     The sensing side and each leg of the transfer/compute chain are
     enumerated by distinct width, at the first time that reaches it, so the
     work grows with the widths, not with the window: every useful integer
-    time split is scored with the objective's lexicographic key (true prices
-    always break ties), so the realization never pays avoidable rounding
-    cost.  Returns None when no integral schedule fits (callers drop the
-    client for the round).
+    time split is scored with the objective's lexicographic key per side
+    (`_part_key`: the parts it races by time first; true prices always
+    break ties), so the realization never pays avoidable rounding cost.
+    Returns None when no integral schedule fits (callers drop the client
+    for the round).
     """
     t_b = budgets.t_budget
     if math.isinf(t_b):
@@ -902,33 +911,26 @@ def realize_schedule(
     if t_int < 1:
         return None
 
-    gen = _int_gen_best(
-        n, attrs.a, attrs.b, prices, t_int, int(budgets.gen_bandwidth), gen_objective
+    raced = RACED[objective]  # None, the width objective, stays None
+    gen_key, cons_key = (
+        functools.partial(_part_key, raced and raced & side) for side in ({GEN_BANDWIDTH}, CHAIN)
     )
+    gen = _int_gen_best(n, attrs.a, attrs.b, prices, t_int, int(budgets.gen_bandwidth), gen_key)
     if gen is None:
         return None
 
     procs = _consumption_processes(n, task, prices, budgets, quanta)
     if procs is None:
         return None
-    cands = []
+    legs = []  # (t, w, key) per leg
     for p in procs:
         w_int = int(p.width_max) if not math.isinf(p.width_max) else 10**9
         got = _int_proc_candidates(p.volume, w_int, t_int)
         if not got:
             return None
-        cands.append(got)
-
-    def scored(kind, pairs, price_w):
-        out = []
-        for t, w in pairs:
-            cost = t * prices.time + w * price_w
-            out.append((t, w, _part_key(cons_objective, kind, t, w * price_w, cost)))
-        return out
-
-    down = scored(DOWN_BANDWIDTH, cands[0], procs[0].width_price)
-    comp = scored(COMPUTE, cands[1], procs[1].width_price)
-    up = scored(UP_BANDWIDTH, cands[2], procs[2].width_price)
+        price_w = p.width_price
+        legs.append([(t, w, cons_key(p.name, t, w * price_w, t * prices.time + w * price_w)) for t, w in got])
+    down, comp, up = legs
     # prefix best of the upload leg by time, for O(|down|*|comp|) search
     prefix = []
     best = None
@@ -951,10 +953,5 @@ def realize_schedule(
                 winner = (key, (t1, w1), (t2, w2), (t3, w3))
     if winner is None:
         return None
-    _, (t1, w1), (t2, w2), (t3, w3) = winner
-    return ScheduleDecision(
-        gen,
-        TransferSchedule(t1, w1),
-        ComputeSchedule(t2, w2),
-        TransferSchedule(t3, w3),
-    )
+    _, down_tw, comp_tw, up_tw = winner
+    return ScheduleDecision(gen, TransferSchedule(*down_tw), ComputeSchedule(*comp_tw), TransferSchedule(*up_tw))

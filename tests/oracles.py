@@ -13,7 +13,8 @@ client's target distances, sensing status and server link taken on their own,
 the fixed number of single folds mobility used to take, the per-client
 quote loop, the market's streak loop adding a leader's gain rate one
 grant at a time, and whole-cell realization's per-cell loops over the
-window.  `schema_violations` is jsonschema itself, the reference for
+window and the part keys each policy named before they followed from its
+schedule objective.  `schema_violations` is jsonschema itself, the reference for
 the config parser.  The market tests build their cost curves from fixed tables with
 `curve_from_samples` and check what a round settles with
 `settlement_findings`; the golden and determinism tests compare runs by
@@ -359,12 +360,45 @@ def streak_span_reference(gain, rate, size, ceiling, floor):
     return steps, floor_at, g
 
 
-def int_gen_best_reference(n, a, b, prices, t_int, b_int, objective):
+# each policy's whole-cell realization objectives, (sensing side, chain), as
+# policies named them before they followed from the schedule objective
+REALIZE_PAIRS = {
+    "SISCC": ("cost", "cost"),
+    "WISCC": ("cost", "cost"),
+    "SENS_OPT": ("time", "cost"),
+    "COMM_OPT": ("cost", "comm_time"),
+    "COMP_OPT": ("cost", "comp_time"),
+    "ML_C": ("cost", "cost"),
+    "ML_CC": ("cost", "cost"),
+    "ML_SCC": ("cost", "cost"),
+    "MP_TSC": ("cost", "cost"),
+    "MC_T": ("time", "time"),
+    "MC_FC": ("width", "width"),
+    "MLPG": ("time", "time"),
+}
+
+
+def part_key_reference(objective, kind, t, width_cost, cost):
+    """Whole-cell realization's former key of one part under one of the
+    `REALIZE_PAIRS` objectives: lexicographic tuples summed part-wise."""
+    if objective == "cost":
+        return (cost, t, width_cost)
+    if objective == "time":
+        return (t, cost, width_cost)
+    if objective == "width":
+        return (width_cost, cost, t)
+    if objective == "comm_time":
+        return (t if kind in ("down_bandwidth", "up_bandwidth") else 0, cost, width_cost)
+    if objective == "comp_time":
+        return (t if kind == "compute" else 0, cost, width_cost)
+    raise ValueError(f"unknown realization objective {objective!r}")
+
+
+def int_gen_best_reference(n, a, b, prices, t_int, b_int, key):
     """Whole-cell realization's former sensing search, one time cell at a
-    time over the whole window: the best (x, y) under `objective`, as a
-    `GenSchedule`, or None when no width fits."""
+    time over the whole window: the best (x, y) under the part key `key`,
+    as a `GenSchedule`, or None when no width fits."""
     from mfpsim.costs import GenSchedule
-    from mfpsim.solver import _part_key
 
     if n <= 0:
         return GenSchedule()
@@ -383,9 +417,9 @@ def int_gen_best_reference(n, a, b, prices, t_int, b_int, objective):
         if y > b_int:
             continue
         cost = x * prices.time + y * prices.freq
-        key = _part_key(objective, "gen", x, y * prices.freq, cost)
-        if best is None or key < best[0]:
-            best = (key, x, y)
+        k = key("gen_bandwidth", x, y * prices.freq, cost)
+        if best is None or k < best[0]:
+            best = (k, x, y)
         if y == 0 or (y == 1 and a <= 0):
             break  # y can fall no further: larger x only adds time
     if best is None:

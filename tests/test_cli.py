@@ -58,6 +58,21 @@ def test_solve_one_rejects_out_of_range_flags(capsys, flags):
     assert "must be" in capsys.readouterr().err
 
 
+def test_solve_one_overflowing_budget_time_price(capsys):
+    # the chain's budget time price squares past the float range: the solve
+    # prints its outcome instead of raising
+    code = main(
+        [
+            "solve-one", "--n", "1", "--a", "1", "--b", "0", "--time-cells", "1.000001",
+            "--freq-cells", "1", "--compute-cells", "1e308", "--d-down", "1",
+            "--cycles-per-sample", "1", "--price-compute", "1e308",
+        ]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code in (EXIT_OK, EXIT_INFEASIBLE)
+    assert out["kind"] == ("Optimal" if code == EXIT_OK else "Infeasible")
+
+
 def test_solve_one_zero_workload(capsys):
     code = main(["solve-one", "--n", "0", "--a", "1", "--b", "1"])
     out = json.loads(capsys.readouterr().out)

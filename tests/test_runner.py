@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from mfpsim.baselines import Policy, schedule_with_policy
+from mfpsim.baselines import POLICIES, WIDTH_TIME_PRICE, Policy, schedule_with_policy
 from mfpsim.config import ExperimentConfig, load_config
 from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, TransferSchedule
 from mfpsim.market import _DIP_SLACK
@@ -375,13 +375,19 @@ def capped_clients(draw):
     )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(capped_clients())
-@example(dict(  # falls back at 385 of 396 and dips there by 0.11
+# one policy per scheduling objective
+OBJECTIVE_POLICIES = [Policy.SISCC, Policy.MC_T, Policy.SENS_OPT, Policy.COMM_OPT, Policy.COMP_OPT, Policy.MC_FC]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from(OBJECTIVE_POLICIES), capped_clients())
+@example(Policy.SISCC, dict(  # falls back at 385 of 396 and dips there by 0.11
     a=8.062, b=0.4252, down=1e7, up=1e8, cycles=4123.0, eff_down=30.558, eff_up=19.154,
     freq=214, compute=5, cycle=4, time_price=2.542, freq_price=0.448, compute_price=0.841,
 ))
-def test_runner_curve_keeps_the_cost_curve_contract(p):
+def test_runner_curve_keeps_the_cost_curve_contract(policy, p):
+    # every objective but comm labels each finite point, and keeps the
+    # contract within each segment
     at = StatusAttributes(a=p["a"], b=p["b"], label_dist=None)
     task = ConsumptionTask(p["down"], p["up"], p["cycles"], p["eff_down"], p["eff_up"])
     budgets = Budgets(10.0, float(p["freq"]), float(p["compute"]), cycle_cells=float(p["cycle"]))
@@ -390,7 +396,7 @@ def test_runner_curve_keeps_the_cost_curve_contract(p):
     cap = mtv(at, task, budgets, quanta)
     assume(cap >= 1)
     bounds = (cap, mutv(at, task, prices, budgets, quanta))
-    ctx = _RunContext(None, Policy.SISCC, prices, quanta, None, pipelined=True, client_ids=())
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
     _, used, fell_back = _policy_solve(ctx, int(cap), at, task, budgets, bounds)
     assume(fell_back or used is not budgets)  # the sensing cap binds at capacity
     fn = _curve_fn(ctx, at, task, budgets, bounds)
@@ -404,10 +410,25 @@ def test_runner_curve_keeps_the_cost_curve_contract(p):
             closed.add(previous)
             previous = seg
         if seg is None:
-            assert not math.isfinite(c)
+            assert not math.isfinite(c) or POLICIES[policy].schedule == "comm"
             continue
         assert peak.get(seg, -math.inf) <= c + _DIP_SLACK * (1 + abs(c))
         peak[seg] = max(peak.get(seg, -math.inf), c)
+
+
+def test_width_curve_is_labelled_only_where_time_costs_its_solve_price():
+    # the width objective's true-price cost keeps the contract only where
+    # time costs at least the time price its chain is solved at
+    at = StatusAttributes(a=8.062, b=0.4252, label_dist=None)
+    task = ConsumptionTask(1e7, 1e8, 4123.0, 30.558, 19.154)
+    budgets = Budgets(10.0, 214.0, 5.0, cycle_cells=4.0)
+    quanta = ResourceQuanta(1.0, 1e6, 1e5)
+    for time_price, labelled in ((WIDTH_TIME_PRICE, True), (WIDTH_TIME_PRICE / 2, False)):
+        prices = PriceVector(time=time_price, freq=0.448, compute=0.841, sample=1.0, gain=1000.0)
+        bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
+        ctx = _RunContext(None, Policy.MC_FC, prices, quanta, None, pipelined=True, client_ids=())
+        cost, seg = _curve_fn(ctx, at, task, budgets, bounds)(1)
+        assert math.isfinite(cost) and (seg is not None) == labelled
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfpsim.baselines import Policy, realize_with_policy
 from mfpsim.costs import ConsumptionTask, PriceVector
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import (
     COMPUTE,
     DOWN_BANDWIDTH,
+    GEN_BANDWIDTH,
     GEN_TIME,
     UP_BANDWIDTH,
     Budgets,
@@ -29,6 +32,7 @@ from mfpsim.solver import (
 import mfpsim.solver as solver
 
 from oracles import (
+    REALIZE_PAIRS,
     consumption_by_multiplier,
     consumption_grid_min,
     enumerate_consumption_reference,
@@ -36,10 +40,12 @@ from oracles import (
     gen_grid_min,
     int_gen_best_reference,
     int_proc_candidates_reference,
+    part_key_reference,
     total_min_cost_unconstrained,
 )
 
 UNIT = ResourceQuanta(time_s=1.0, freq_hz=1.0, compute_cycles_per_s=1.0)
+OBJECTIVES = ["cost", "time", "sensing", "comm", "comp", "width"]
 ZERO_TASK = ConsumptionTask(0, 0, 0, 1, 1)
 
 
@@ -549,8 +555,7 @@ def realize_cases(draw):
     task = ConsumptionTask(draw(need), draw(need), draw(need), 1.0, 1.0)
     pv = prices(*(draw(st.floats(0.01, 10.0)) for _ in range(3)))
     budgets = Budgets(*(float(draw(st.integers(1, 8))) for _ in range(3)))
-    objective = st.sampled_from(["cost", "time", "width", "comm_time", "comp_time"])
-    return draw(st.integers(1, 60)), at, task, pv, budgets, UNIT, [draw(objective) for _ in range(2)]
+    return draw(st.integers(1, 60)), at, task, pv, budgets, UNIT, draw(st.sampled_from(OBJECTIVES))
 
 
 def _packaged(b, cons_freq_cells, d_down_bits=1e8, cycles_per_sample=500.0):
@@ -559,7 +564,7 @@ def _packaged(b, cons_freq_cells, d_down_bits=1e8, cycles_per_sample=500.0):
     task = ConsumptionTask(d_down_bits, 1e8, cycles_per_sample, 21.194291268187765, 11.561176705022062)
     budgets = Budgets(10.0, 400.0, 10.0, cycle_cells=10.0, cons_freq_cells=cons_freq_cells)
     pv = prices(1.0, 0.05, 0.5)
-    return 1232, attrs(31.415926535897935, b), task, pv, budgets, ResourceQuanta(), ["cost"] * 2
+    return 1232, attrs(31.415926535897935, b), task, pv, budgets, ResourceQuanta(), "cost"
 
 
 @settings(max_examples=300, deadline=None)
@@ -570,8 +575,8 @@ def _packaged(b, cons_freq_cells, d_down_bits=1e8, cycles_per_sample=500.0):
 def test_realization_covers_every_positive_need(case):
     # a positive need takes at least one whole cell: no leg of width 0, and
     # sensing delivers the workload
-    n, at, task, pv, budgets, quanta, (gen_obj, cons_obj) = case
-    q = realize_schedule(n, at, task, pv, budgets, quanta, gen_obj, cons_obj)
+    n, at, task, pv, budgets, quanta, objective = case
+    q = realize_schedule(n, at, task, pv, budgets, quanta, objective)
     if q is None:
         return
     g = q.gen
@@ -587,7 +592,6 @@ def test_realization_covers_every_positive_need(case):
             assert w >= 1 and t * w >= volume * (1 - 1e-9)
 
 
-OBJECTIVES = ["cost", "time", "width", "comm_time", "comp_time"]
 # needs from nothing to many cells per time cell: widths repeat across
 # times, or change at every one
 NEEDS = st.sampled_from([0.0, 1e-300, 1e-9, 1e-3, 1e19]) | st.floats(0.0, 1e5)
@@ -622,12 +626,14 @@ def test_leg_candidates_equal_the_per_cell_loop(vol, w_int, t_int):
 @example(1000, 0.0, 1e-4, 1.0, 1.0, 10**12, 1, "cost")  # 10**7 cells before y = 1
 def test_sensing_search_equals_the_per_cell_loop(n, a, b, p_time, p_freq, t_int, b_int, objective):
     pv = prices(p_time, p_freq)
-    got = solver._int_gen_best(n, a, b, pv, t_int, b_int, objective)
+    raced = solver.RACED[objective]
+    key = functools.partial(solver._part_key, raced and raced & {GEN_BANDWIDTH})
+    got = solver._int_gen_best(n, a, b, pv, t_int, b_int, key)
     if t_int > 10**4:  # the loop would take 10**7 steps: the first x at width 1
         x = got.t_vs
         assert got.b_ws == 1 and n / (b * x) - 1e-9 <= 1 < n / (b * (x - 1)) - 1e-9
         return
-    assert got == int_gen_best_reference(n, a, b, pv, t_int, b_int, objective)
+    assert got == int_gen_best_reference(n, a, b, pv, t_int, b_int, key)
 
 
 @st.composite
@@ -676,8 +682,7 @@ def wide_realize_cases(draw):
         float(draw(st.integers(1, 300))), float(draw(st.integers(1, 500))),
         float(draw(st.integers(1, 60))),
     )
-    objective = st.sampled_from(OBJECTIVES)
-    return draw(st.integers(1, 10**4)), at, task, pv, budgets, UNIT, [draw(objective) for _ in range(2)]
+    return draw(st.integers(1, 10**4)), at, task, pv, budgets, UNIT, draw(st.sampled_from(OBJECTIVES))
 
 
 @settings(max_examples=200, deadline=None)
@@ -687,14 +692,46 @@ def wide_realize_cases(draw):
 def test_realization_by_widths_equals_the_per_cell_loops(case):
     # the same decision as the per-cell loops give the down x compute x
     # upload search, whose (k1 + k2) + k3 keys are unchanged
-    n, at, task, pv, budgets, quanta, (gen_obj, cons_obj) = case
-    got = realize_schedule(n, at, task, pv, budgets, quanta, gen_obj, cons_obj)
+    n, at, task, pv, budgets, quanta, objective = case
+    got = realize_schedule(n, at, task, pv, budgets, quanta, objective)
     with (
         mock.patch.object(solver, "_int_gen_best", int_gen_best_reference),
         mock.patch.object(solver, "_int_proc_candidates", int_proc_candidates_reference),
     ):
-        expected = realize_schedule(n, at, task, pv, budgets, quanta, gen_obj, cons_obj)
+        expected = realize_schedule(n, at, task, pv, budgets, quanta, objective)
     assert repr(got) == repr(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(realize_cases(), wide_realize_cases()))
+# training raced or the transfers, and cost ties broken by time or by width
+# spend, give different chains here
+@example((11, attrs(0.5, 0.5), ConsumptionTask(8.0, 3.0, 1.0, 1.0, 1.0), prices(2.0, 1.0, 2.0), Budgets(9.0, 4.0, 4.0), UNIT, None))
+def test_realization_keys_follow_the_schedule_objective(case):
+    # the keys each side derives from a policy's schedule objective give
+    # the decision of the (sensing, chain) pair the policy used to name
+    n, at, task, pv, budgets, quanta, _ = case
+    for policy in Policy:
+        got = realize_with_policy(policy, SolveInput(n, at, task, pv, budgets, quanta))
+        pair = REALIZE_PAIRS[policy.value]
+
+        def key(raced, kind, *rest):
+            return part_key_reference(pair[kind in solver.CHAIN], kind, *rest)
+
+        with mock.patch.object(solver, "_part_key", key):
+            expected = realize_schedule(n, at, task, pv, budgets, quanta)
+        assert repr(got) == repr(expected), policy
+
+
+def test_budget_time_price_that_overflows_leaves_its_candidate_infeasible():
+    # the budget's tau (sum(root) / rem)**2 overflows: it is inf, its free
+    # leg gets the width inf, and the boxed training leg carries the chain
+    task = ConsumptionTask(1.0, 0.0, 1.0, 1.0, 1.0)
+    out = solve(1, 1.0, 0.0, Budgets(1.000001, 1.0, 1e308), task=task, pv=prices(1.0, 1.0, 1e308))
+    assert out.kind == OutcomeKind.OPTIMAL
+    assert out.active_constraints == {COMPUTE}
+    assert (out.decision.comp.t, out.decision.comp.f) == (1e-308, 1e308)
+    assert (out.decision.comm_down.t, out.decision.comm_down.b) == (1.0, 1.0)
 
 
 def test_bound_squares_that_overflow_bound_nothing():
