@@ -23,7 +23,6 @@ from .solver import (
     CHAIN,
     GEN_BANDWIDTH,
     RACED,
-    OutcomeKind,
     SolveInput,
     SolveOutcome,
     _consumption_decision,
@@ -34,6 +33,7 @@ from .solver import (
     mtv,
     mutv,
     realize_schedule,
+    solved,
 )
 
 
@@ -143,7 +143,7 @@ def _min_time_generation(n, attrs, budgets) -> GenSchedule | None:
     span."""
     width = budgets.gen_bandwidth if attrs.b > 0 else 0.0
     rate = attrs.a + attrs.b * width
-    if rate <= 0 or n / rate > budgets.t_budget * (1 + 1e-9):
+    if rate <= 0 or n / rate > budgets.time_cells * (1 + 1e-9):
         return None
     x = n / rate
     return GenSchedule(x, width, x if width else 0.0)
@@ -159,7 +159,8 @@ def schedule_with_policy(
     objectives only mean something under scarcity).  Otherwise the
     objective's raced parts (`RACED`) sit at their width box and the rest
     is solved for cost, or the widths are the narrowest the window allows.
-    `bounds` is (mtv, mutv) of the input when the caller already has it.
+    The outcome is `solved`'s, as the exact solver's is.  `bounds` is (mtv,
+    mutv) of the input when the caller already has it.
     """
     objective = POLICIES[policy].schedule
     if bounds is None:
@@ -167,10 +168,9 @@ def schedule_with_policy(
             mtv(inp.attrs, inp.task, inp.budgets, inp.quanta),
             mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta),
         )
-    n_max, n_unc = bounds
-    t_b = inp.budgets.t_budget
+    t_b = inp.budgets.time_cells
     pools = (t_b, inp.budgets.freq_cells, inp.budgets.compute_cells)
-    if objective == "cost" or inp.n <= 0 or inp.n > n_max or any(map(math.isinf, pools)):
+    if objective == "cost" or inp.n <= 0 or inp.n > bounds[0] or any(map(math.isinf, pools)):
         return constrained_schedule(inp, bounds=bounds)
 
     raced = RACED[objective]
@@ -204,6 +204,6 @@ def schedule_with_policy(
         cons = _enumerate_consumption(procs, time_price, t_b, forced_boxes=raced or frozenset())
         splits = None if cons is None else cons[0]
     if gen is None or splits is None:
-        return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
+        return solved(None, None, bounds)
     decision = ScheduleDecision(gen, *_consumption_decision(splits))
-    return SolveOutcome(OutcomeKind.OPTIMAL, decision, decision.cost(inp.prices), n_unc, n_max)
+    return solved(decision, decision.cost(inp.prices), bounds)

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .resource_pool import ResourceQuanta
 from .runner import SUMMARY_COLUMNS, _csv_text, run, sweep
 from .scenario import StatusAttributes
-from .solver import Budgets, OutcomeKind, SolveInput, constrained_schedule
+from .solver import GEN_BANDWIDTH, GEN_TIME, Budgets, OutcomeKind, SolveInput, constrained_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,13 +147,28 @@ def _cmd_solve_one(args) -> int:
         time_cells=args.time_cells,
         freq_cells=args.freq_cells,
         compute_cells=args.compute_cells,
-        cycle_cells=args.cycle_cells,
     )
-    outcome = constrained_schedule(
-        SolveInput(args.n, attrs, task, prices, budgets, quanta), explain=args.explain
-    )
-    print(json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True))
+    outcome = constrained_schedule(SolveInput(args.n, attrs, task, prices, budgets, quanta))
+    out = outcome.to_json_dict()
+    if args.explain:
+        out["trace"] = _trace(args.n, outcome)
+    print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK if outcome.kind == OutcomeKind.OPTIMAL else EXIT_INFEASIBLE
+
+
+def _trace(n: int, outcome) -> dict:
+    """The path `constrained_schedule` took to a nonzero workload's schedule,
+    and on the active-set path the binding sensing and chain constraints."""
+    if n == 0 or outcome.kind != OutcomeKind.OPTIMAL:
+        return {}
+    if n <= outcome.mutv:
+        return {"solution": "unconstrained"}
+    gen_active = outcome.active_constraints & {GEN_TIME, GEN_BANDWIDTH}
+    return {
+        "solution": "active-set",
+        "gen_active": sorted(gen_active),
+        "cons_active": sorted(outcome.active_constraints - gen_active),
+    }
 
 
 def _cmd_validate(args) -> int:
@@ -187,10 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--price-time", type=_POSITIVE, default=1.0)
     p_solve.add_argument("--price-freq", type=_POSITIVE, default=1.0)
     p_solve.add_argument("--price-compute", type=_POSITIVE, default=1.0)
-    p_solve.add_argument("--time-cells", type=_CELLS, default=math.inf)
+    p_solve.add_argument(
+        "--time-cells", type=_CELLS, default=math.inf,
+        help="the window both the sensing block and the chain must fit",
+    )
     p_solve.add_argument("--freq-cells", type=_CELLS, default=math.inf)
     p_solve.add_argument("--compute-cells", type=_CELLS, default=math.inf)
-    p_solve.add_argument("--cycle-cells", type=_CELLS, default=math.inf)
     p_solve.add_argument("--d-down", type=_NONNEG, default=0.0, help="download bits")
     p_solve.add_argument("--d-up", type=_NONNEG, default=0.0, help="upload bits")
     p_solve.add_argument("--cycles-per-sample", type=_NONNEG, default=0.0)

@@ -153,7 +153,6 @@ def audit_chain_order(placements: list[Placement]) -> list[str]:
 
 def plan_round(
     ir_index: int,
-    time_cells: int,
     pools: dict[str, SharedResourcePool],
     prev_consumption: dict[str, ScheduleDecision],
     generation: dict[str, ScheduleDecision],
@@ -161,11 +160,11 @@ def plan_round(
 ) -> RoundPlan:
     """Place the previous round's consumption and this round's sensing into
     one shared window of `t_delta` cells, the cycle the caller budgeted
-    against.  A client whose chain misses the window, or whose sensing block
-    `place_generation` cannot reserve beside the overlapped transfers, is
-    dropped with a reason.
+    against (`cycle_length`, so never longer than the pools).  A client
+    whose chain misses the window, or whose sensing block `place_generation`
+    cannot reserve beside the overlapped transfers, is dropped with a
+    reason.
     """
-    budget = min(time_cells, t_delta)
     plan = RoundPlan(ir_index)
 
     for cid in sorted(prev_consumption):
@@ -180,7 +179,7 @@ def plan_round(
     for cid in sorted(generation):
         try:
             plan.placements += place_generation(
-                pools[cid], cid, f"ir{ir_index}:{cid}", generation[cid], budget
+                pools[cid], cid, f"ir{ir_index}:{cid}", generation[cid], t_delta
             )
         except ResourceConflictError:
             plan.dropped.setdefault(cid, "sensing does not fit the shared window")

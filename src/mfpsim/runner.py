@@ -312,9 +312,12 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     box, and the problem is convex, so a box that does not bind leaves the
     optimum unchanged.  The capped budgets are still returned, because the
     integer realization works against them.  When the capped chain cannot
-    carry the workload, the uncapped schedule stands (a fallback).  `bounds`
-    is (mtv, mutv) under `budgets`; the re-solve takes its own, under the
-    capped budgets.  Returns (outcome, budgets_used, fell_back).
+    carry the workload, the uncapped schedule stands (a fallback).  Both
+    solves are `solver.solved` outcomes, Optimal only with a schedule of
+    finite cost, so a capped chain whose cost leaves the float range is a
+    fallback too.  `bounds` is (mtv, mutv) under `budgets`; the re-solve
+    takes its own, under the capped budgets.  Returns (outcome,
+    budgets_used, fell_back).
 
     The market reads n -> this cost as a curve (`_curve_fn`) whose
     segments are (n > mutv, fell_back).  It dips, by several cost units,
@@ -373,10 +376,7 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     out = schedule_with_policy(
         policy, SolveInput(n, at, task, prices, budgets, quanta), bounds=bounds
     )
-    if out.kind == OutcomeKind.OPTIMAL and not math.isfinite(out.cost):
-        # a width or cost past the float range (inf, or NaN from inf - inf)
-        out = replace(out, kind=OutcomeKind.INFEASIBLE, decision=None, cost=None)
-    if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL or out.decision is None:
+    if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL:
         return out, budgets, False
     sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)
     if sensing_width <= 0:
@@ -451,9 +451,8 @@ def run(config: ExperimentConfig) -> RunRecord:
     # slowest of them: no sensing shares it
     if ctx.pipelined and config.rounds >= 1:
         pools = {cid: new_pool(*ctx.cells) for cid in prev_cons}
-        t_cells = ctx.cells[0]
-        t_delta = cycle_length([int(d.consumption_time) for d in prev_cons.values()], t_cells)
-        plan = plan_round(config.rounds + 1, t_cells, pools, prev_cons, {}, t_delta)
+        t_delta = cycle_length([int(d.consumption_time) for d in prev_cons.values()], ctx.cells[0])
+        plan = plan_round(config.rounds + 1, pools, prev_cons, {}, t_delta)
         record.timeline_rows += plan.timeline_rows()
         record.audit_violations += plan.audit_violations
     if config.rounds:
@@ -500,8 +499,9 @@ def _scenario_and_quotes(
     The round's sensing pairs are found in `buffers`, the run's
     `pair_buffers`.
 
-    Pipelined, the cycle is the last window's critical path: the transfer
-    chains due now plus the sensing spans that just ran.
+    The budgets' time is the round's window.  Pipelined, that is the cycle,
+    the last window's critical path: the transfer chains due now plus the
+    sensing spans that just ran.
     """
     config, quanta = ctx.config, ctx.quanta
     t_cells, b_cells, f_cells = ctx.cells
@@ -509,7 +509,7 @@ def _scenario_and_quotes(
         int(d.gen.t_vs) for d in prev_cons.values()
     ]
     t_delta = cycle_length(durations, t_cells) if ctx.pipelined else t_cells
-    budgets = Budgets(float(t_cells), float(b_cells), float(f_cells), cycle_cells=float(t_delta))
+    budgets = Budgets(float(t_delta), float(b_cells), float(f_cells))
 
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
     pairs = sensing_pairs(state, geometry, buffers)
@@ -546,7 +546,7 @@ def _quote_fleet(
     are the per-client loop's.
     """
     config = ctx.config
-    client_budgets = []
+    per_client = []
     for cid in ctx.client_ids:
         my_budgets = budgets
         prev = prev_cons.get(cid) if ctx.pipelined else None
@@ -554,10 +554,10 @@ def _quote_fleet(
             peak = max(prev.comm_down.b, prev.comm_up.b)
             if peak > 0:
                 my_budgets = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
-        client_budgets.append(my_budgets)
+        per_client.append(my_budgets)
     bounds = fleet_bounds(
         [at.a for at in statuses], [at.b for at in statuses],
-        [bg.gen_bandwidth for bg in client_budgets], eff_down, eff_up,
+        [bg.gen_bandwidth for bg in per_client], eff_down, eff_up,
         config.task_for(1.0, 1.0),  # the sizes: the efficiencies are per client
         ctx.prices, budgets, ctx.quanta,
     )
@@ -573,7 +573,7 @@ def _quote_fleet(
     clients: dict[str, _ClientRound] = {}
     for cid, at, down, up, my_budgets, pair, q in zip(
         ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist(),
-        client_budgets, bounds, quality,
+        per_client, bounds, quality,
     ):
         entry = clients[cid] = _ClientRound(cid, at, None, my_budgets, config, down, up)
         cap, n_unc = pair
@@ -690,12 +690,12 @@ def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
     generation = {cid: c.quantized for cid, c in clients.items() if c.n > 0}
     chains = prev_cons if ctx.pipelined else {}
     pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(generation))}
-    t_cells, t_delta = ctx.cells[0], int(budgets.t_budget)
-    plans = [plan_round(r, t_cells, pools, chains, generation, t_delta)]
+    t_delta = int(budgets.time_cells)
+    plans = [plan_round(r, pools, chains, generation, t_delta)]
     if not ctx.pipelined:  # the chains run in a window of their own
         cons = {cid: c.quantized for cid, c in clients.items() if c.n > 0 and c.quantized}
         cons_pools = {cid: new_pool(*ctx.cells) for cid in sorted(cons)}
-        plans.append(plan_round(r, t_cells, cons_pools, cons, {}, t_delta))
+        plans.append(plan_round(r, cons_pools, cons, {}, t_delta))
 
     for plan in plans:
         record.timeline_rows += plan.timeline_rows()
@@ -737,7 +737,7 @@ def _settle(ctx, record, r, clients, budgets, floor, shortfall):
             "client_profits_total": payments_total - costs_total,
             "welfare": report.welfare,
             "active_count": len(active),
-            "t_delta_cells": int(budgets.cycle_cells),
+            "t_delta_cells": int(budgets.time_cells),
             "shortfall": shortfall or gain < floor - 1e-9,
         }
     )

@@ -78,24 +78,20 @@ _UNIT_PRICES = PriceVector()
 class Budgets:
     """Pool capacities for a round pair, all in cells.
 
-    cycle_cells is the pipeline period fixed before the round starts; both the
-    sensing window and the consumption chain must fit min(time_cells,
-    cycle_cells).  The two optional overrides carry spectrum-sharing splits:
-    gen_freq_cells tightens the sensing bandwidth beside already-placed
-    transfers, cons_freq_cells tightens transfer bandwidth to leave room for
-    the sensing block sharing the window.
+    time_cells is the window both the sensing block and the consumption
+    chain must fit: a pipelined run passes the round's cycle
+    (`rounds.cycle_length`, never longer than the pool).  The two optional
+    overrides carry spectrum-sharing splits: gen_freq_cells tightens the
+    sensing bandwidth beside already-placed transfers, cons_freq_cells
+    tightens transfer bandwidth to leave room for the sensing block sharing
+    the window.
     """
 
     time_cells: float
     freq_cells: float
     compute_cells: float
-    cycle_cells: float = math.inf
     gen_freq_cells: float | None = None
     cons_freq_cells: float | None = None
-
-    @property
-    def t_budget(self) -> float:
-        return min(self.time_cells, self.cycle_cells)
 
     @property
     def gen_bandwidth(self) -> float:
@@ -129,7 +125,6 @@ class SolveOutcome:
     mutv: float
     mtv: float
     active_constraints: frozenset[str] = frozenset()
-    trace: dict | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -147,9 +142,23 @@ class SolveOutcome:
                 "comp": {"t": d.comp.t, "f": d.comp.f},
                 "comm_up": {"t": d.comm_up.t, "b": d.comm_up.b},
             }
-        if self.trace is not None:
-            out["trace"] = self.trace
         return out
+
+
+def solved(
+    decision: ScheduleDecision | None,
+    cost: float | None,
+    bounds: tuple[float, float],
+    active: frozenset[str] = frozenset(),
+) -> SolveOutcome:
+    """The outcome of a solve whose input has (mtv, mutv) `bounds`: Optimal
+    with `decision`, its `cost` and the binding constraints `active`, or
+    Infeasible where there is no decision or the cost is not a finite float
+    (a width or cost past the float range: inf, or NaN from inf - inf)."""
+    n_max, n_unc = bounds
+    if decision is None or not math.isfinite(cost):
+        return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max)
+    return SolveOutcome(OutcomeKind.OPTIMAL, decision, cost, n_unc, n_max, active)
 
 
 def _square(x: float) -> float:
@@ -300,7 +309,7 @@ def _box_sets(n_live: int, boxable: tuple[int, ...], forced: frozenset[int]):
 def _enumerate_consumption(
     procs: list[_Process],
     time_price: float,
-    t_budget: float,
+    t_max: float,
     forced_boxes: frozenset[str] = frozenset(),
 ):
     """Exact min-cost split of the serial chain.
@@ -325,10 +334,10 @@ def _enumerate_consumption(
     for the winner.
 
     Box-free exit.  With no forced box, the first candidate (no box, time
-    price tp) is evaluated on its own and returned when it is feasible and
-    no other candidate can come within the 1e-9 tie window of its cost;
-    otherwise the full enumeration runs.  Every candidate gives each live
-    sub-process i a time t > 0 and the width v_i / t, and
+    price tp) ends the enumeration when it is feasible and no other
+    candidate can come within the 1e-9 tie window of its cost.  Every
+    candidate gives each live sub-process i a time t > 0 and the width
+    v_i / t, and
     tp*t + p_i*v_i/t = 2*sqrt(tp*p_i*v_i) + tp*(t - x_i)**2 / t, where
     x_i = sqrt(v_i*p_i/tp) is its free time and w_i = v_i / x_i its free
     width.  A candidate therefore costs the first one's cost plus a sum of
@@ -355,7 +364,7 @@ def _enumerate_consumption(
     if any(p.width_max <= 0 for p in live):
         return None
     t_box = [p.volume / p.width_max for p in live]
-    if sum(t_box) > t_budget * (1 + _TOL):
+    if sum(t_box) > t_max * (1 + _TOL):
         return None
 
     volume = [p.volume for p in live]
@@ -366,73 +375,61 @@ def _enumerate_consumption(
     root = [math.sqrt(v) for v in vol_price]
     boxable = tuple(i for i, p in enumerate(live) if not math.isinf(p.width_max))
     forced = frozenset(i for i in boxable if live[i].name in forced_boxes)
-    finite_budget = not math.isinf(t_budget)
-    t_over = t_budget * (1 + _TOL) + _TOL
-    t_binds = t_budget * (1 - _TOL) - _TOL
+    finite_budget = not math.isinf(t_max)
+    t_over = t_max * (1 + _TOL) + _TOL
+    t_binds = t_max * (1 - _TOL) - _TOL
 
     best = None  # (times, widths, boxed, budget binds)
     best_cost = best_t = best_w = 0.0
-    if not forced and time_price > 0:
-        # the first candidate, from the loop's operands in the loop's order
-        times, widths = t_box[:], w_box[:]
-        for i in range(len(live)):
-            x = math.sqrt(vol_price[i] / time_price)
-            w = volume[i] / x if x else math.inf
-            if w > w_cap[i]:
-                break
-            times[i] = x
-            widths[i] = w
-        else:
-            total_t = sum(times)
-            if total_t <= t_over:
-                cost = time_price * total_t + sum(map(operator.mul, w_price, widths))
-                gaps = []
-                for i in boxable:
-                    d = w_box[i] - widths[i]
-                    gaps.append(w_price[i] * d * d / w_box[i])
-                if finite_budget:
-                    d = t_budget - total_t
-                    gaps.append(time_price * d * d / t_budget if t_budget > 0 else 0.0)
-                if all(g - _TOL > _EXIT_SLACK * (cost + g + _TOL) for g in gaps):
-                    best = (times, widths, (), finite_budget and total_t >= t_binds)
-                    best_cost = cost
-    if best is None:
-        for boxed, free in _box_sets(len(live), boxable, forced):
-            taus = [time_price]
-            if free and finite_budget:
-                rem = t_budget - sum([t_box[i] for i in boxed])
-                if rem > _TOL:
-                    taus.append(_square(sum([root[i] for i in free]) / rem))
-            for tau in taus:
-                if tau <= 0:
+    for boxed, free in _box_sets(len(live), boxable, forced):
+        taus = [time_price]
+        if free and finite_budget:
+            rem = t_max - sum([t_box[i] for i in boxed])
+            if rem > _TOL:
+                taus.append(_square(sum([root[i] for i in free]) / rem))
+        for tau in taus:
+            if tau <= 0:
+                continue
+            times = t_box[:]
+            widths = w_box[:]
+            for i in free:
+                x = math.sqrt(vol_price[i] / tau)
+                w = volume[i] / x if x else math.inf
+                if w > w_cap[i]:
+                    break
+                times[i] = x
+                widths[i] = w
+            else:
+                total_t = sum(times)
+                if total_t > t_over:
                     continue
-                times = t_box[:]
-                widths = w_box[:]
-                for i in free:
-                    x = math.sqrt(vol_price[i] / tau)
-                    w = volume[i] / x if x else math.inf
-                    if w > w_cap[i]:
+                cost = time_price * total_t + sum(map(operator.mul, w_price, widths))
+                width_sum = sum(widths)
+                if (
+                    best is None
+                    or cost < best_cost - _TOL
+                    or (
+                        cost <= best_cost + _TOL
+                        and (total_t < best_t or (total_t == best_t and width_sum < best_w))
+                    )
+                ):
+                    best = (times, widths, boxed, finite_budget and total_t >= t_binds)
+                    best_cost, best_t, best_w = cost, total_t, width_sum
+                if not boxed and tau == time_price:  # the first candidate: the box-free exit
+                    gaps = []
+                    for i in boxable:
+                        d = w_box[i] - widths[i]
+                        gaps.append(w_price[i] * d * d / w_box[i])
+                    if finite_budget:
+                        d = t_max - total_t
+                        gaps.append(time_price * d * d / t_max if t_max > 0 else 0.0)
+                    if all(g - _TOL > _EXIT_SLACK * (cost + g + _TOL) for g in gaps):
                         break
-                    times[i] = x
-                    widths[i] = w
-                else:
-                    total_t = sum(times)
-                    if total_t > t_over:
-                        continue
-                    cost = time_price * total_t + sum(map(operator.mul, w_price, widths))
-                    width_sum = sum(widths)
-                    if (
-                        best is None
-                        or cost < best_cost - _TOL
-                        or (
-                            cost <= best_cost + _TOL
-                            and (total_t < best_t or (total_t == best_t and width_sum < best_w))
-                        )
-                    ):
-                        best = (times, widths, boxed, finite_budget and total_t >= t_binds)
-                        best_cost, best_t, best_w = cost, total_t, width_sum
-        if best is None:
-            return None
+        else:
+            continue
+        break  # taken by the box-free exit alone
+    if best is None:
+        return None
     times, widths, boxed, binds = best
     splits = {p.name: (0.0, 0.0) for p in procs}
     for i, p in enumerate(live):
@@ -443,7 +440,7 @@ def _enumerate_consumption(
     return splits, best_cost, active
 
 
-def _cons_mtv(procs: list[_Process] | None, task, t_budget, quanta) -> float:
+def _cons_mtv(procs: list[_Process] | None, task, t_max, quanta) -> float:
     """Largest workload whose fastest chain (all widths maxed) fits the budget."""
     if procs is None:
         return INFEASIBLE_SENTINEL
@@ -454,17 +451,17 @@ def _cons_mtv(procs: list[_Process] | None, task, t_budget, quanta) -> float:
             if p.width_max <= 0 or math.isinf(p.volume / p.width_max):
                 return INFEASIBLE_SENTINEL
             fixed += p.volume / p.width_max
-    if fixed > t_budget * (1 + _TOL):
+    if fixed > t_max * (1 + _TOL):
         return INFEASIBLE_SENTINEL
     if task.cycles_per_sample <= 0:
         return math.inf
-    if math.isinf(comp.width_max) or math.isinf(t_budget):
+    if math.isinf(comp.width_max) or math.isinf(t_max):
         return math.inf
     cell_cycles = quanta.compute_cycles_per_s * quanta.time_s
-    return (t_budget - fixed) * comp.width_max * cell_cycles / task.cycles_per_sample
+    return (t_max - fixed) * comp.width_max * cell_cycles / task.cycles_per_sample
 
 
-def _cons_mutv(procs: list[_Process] | None, task, prices, t_budget, quanta) -> float:
+def _cons_mutv(procs: list[_Process] | None, task, prices, t_max, quanta) -> float:
     """Largest workload whose box-free consumption optimum fits every limit."""
     if procs is None:
         return INFEASIBLE_SENTINEL
@@ -479,11 +476,11 @@ def _cons_mutv(procs: list[_Process] | None, task, prices, t_budget, quanta) -> 
             _square(comp.width_max) * prices.compute * cell_cycles
             / (prices.time * task.cycles_per_sample)
         )
-    if not math.isinf(t_budget):
+    if not math.isinf(t_max):
         fixed_t = sum(
             math.sqrt(p.volume * p.width_price / prices.time) for p in (down, up) if p.volume > 0
         )
-        slack = t_budget - fixed_t
+        slack = t_max - fixed_t
         if slack < -_TOL:
             return INFEASIBLE_SENTINEL
         if task.cycles_per_sample > 0:
@@ -505,7 +502,7 @@ def mtv(
 ) -> float:
     """Maximum transaction volume: largest integer workload any schedule can
     serve; -1 when even the workload-independent transfers cannot fit."""
-    t_b = budgets.t_budget
+    t_b = budgets.time_cells
     gen = _gen_mtv(attrs.a, attrs.b, t_b, budgets.gen_bandwidth)
     procs = _consumption_processes(0, task, _UNIT_PRICES, budgets, quanta)
     cons = _cons_mtv(procs, task, t_b, quanta)
@@ -523,7 +520,7 @@ def mutv(
 ) -> float:
     """Maximum unconstrained transaction volume: largest integer workload whose
     box-free optima of all four sub-processes fit inside the pools."""
-    t_b = budgets.t_budget
+    t_b = budgets.time_cells
     gen = _gen_mutv(attrs.a, attrs.b, prices, t_b, budgets.gen_bandwidth)
     procs = _consumption_processes(0, task, prices, budgets, quanta)
     cons = _cons_mutv(procs, task, prices, t_b, quanta)
@@ -619,7 +616,7 @@ def _fleet_floor(gen, cons) -> list:
 
 def _fleet_mtv(a, b, w, vol_down, vol_up, dead, task, budgets, quanta) -> list:
     """`_gen_mtv` and `_cons_mtv` per client, floored as `mtv` floors them."""
-    t_b = budgets.t_budget
+    t_b = budgets.time_cells
     live = (b > 0) & (w > 0)
     gen = a * t_b + np.where(live, b * t_b * w, 0.0)
     gen = np.where(math.isinf(t_b) | (live & np.isinf(w)), math.inf, gen)
@@ -644,7 +641,7 @@ def _fleet_mtv(a, b, w, vol_down, vol_up, dead, task, budgets, quanta) -> list:
 
 def _fleet_mutv(a, b, w, vol_down, vol_up, dead, task, prices, budgets, quanta) -> list:
     """`_gen_mutv` and `_cons_mutv` per client, floored as `mutv` floors them."""
-    t_b = budgets.t_budget
+    t_b = budgets.time_cells
     # the sensing side's branches, the first that holds wins: nothing sensed,
     # visual only, the time box binds in the visual regime, else the curve
     visual = (a > 0) & (t_b * b * prices.time <= a * prices.freq)
@@ -695,16 +692,16 @@ def _consumption_decision(splits) -> tuple[TransferSchedule, ComputeSchedule, Tr
     )
 
 
-def constrained_schedule(
-    inp: SolveInput, explain: bool = False, bounds: tuple[float, float] | None = None
-) -> SolveOutcome:
+def constrained_schedule(inp: SolveInput, bounds: tuple[float, float] | None = None) -> SolveOutcome:
     """Cheapest full schedule for workload `inp.n` under pool limits.
 
     Dispatch: workloads at or below mutv reuse the box-free closed forms;
     between mutv and mtv the binding-set enumeration runs; above mtv the
-    outcome is infeasible.  `bounds` is (mtv, mutv) of the input when the
-    caller already has it: neither depends on the workload, so a caller
-    solving many workloads for one client computes them once.
+    outcome is infeasible, as is any outcome `solved` rejects.  The active
+    constraints are those of the enumeration, so `n <= outcome.mutv` tells
+    the paths apart.  `bounds` is (mtv, mutv) of the input when the caller
+    already has it: neither depends on the workload, so a caller solving
+    many workloads for one client computes them once.
     """
     if inp.n < 0:
         raise ValueError("workload must be nonnegative")
@@ -714,12 +711,11 @@ def constrained_schedule(
             mutv(inp.attrs, inp.task, inp.prices, inp.budgets, inp.quanta),
         )
     n_max, n_unc = bounds
-    trace: dict | None = {} if explain else None
 
     if inp.n == 0:
-        return SolveOutcome(OutcomeKind.OPTIMAL, ScheduleDecision(), 0.0, n_unc, n_max, trace=trace)
-    if inp.budgets.t_budget <= 0 or inp.n > n_max:
-        return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max, trace=trace)
+        return solved(ScheduleDecision(), 0.0, bounds)
+    if inp.budgets.time_cells <= 0 or inp.n > n_max:
+        return solved(None, None, bounds)
 
     if inp.n <= n_unc:
         gen, c_gen = unconstrained_gen_schedule(inp.n, inp.attrs, inp.prices)
@@ -732,38 +728,21 @@ def constrained_schedule(
         up, c_up = unconstrained_comm_schedule(
             inp.task.d_up_bits, inp.task.eff_up, inp.prices, inp.quanta
         )
-        decision = ScheduleDecision(gen, down, comp, up)
-        if explain:
-            trace["solution"] = "unconstrained"
-        return SolveOutcome(
-            OutcomeKind.OPTIMAL, decision, c_gen + c_down + c_comp + c_up, n_unc, n_max, trace=trace
-        )
+        return solved(ScheduleDecision(gen, down, comp, up), c_gen + c_down + c_comp + c_up, bounds)
 
-    t_b = inp.budgets.t_budget
+    t_b = inp.budgets.time_cells
     gen_best = _solve_generation(
         inp.n, inp.attrs.a, inp.attrs.b, inp.prices, t_b, inp.budgets.gen_bandwidth
     )
     procs = _consumption_processes(inp.n, inp.task, inp.prices, inp.budgets, inp.quanta)
     cons_best = None if procs is None else _enumerate_consumption(procs, inp.prices.time, t_b)
     if gen_best is None or cons_best is None:
-        return SolveOutcome(OutcomeKind.INFEASIBLE, None, None, n_unc, n_max, trace=trace)
+        return solved(None, None, bounds)
 
     gen, c_gen, gen_active = gen_best
     splits, c_cons, cons_active = cons_best
     decision = ScheduleDecision(gen, *_consumption_decision(splits))
-    if explain:
-        trace["solution"] = "active-set"
-        trace["gen_active"] = sorted(gen_active)
-        trace["cons_active"] = sorted(cons_active)
-    return SolveOutcome(
-        OutcomeKind.OPTIMAL,
-        decision,
-        c_gen + c_cons,
-        n_unc,
-        n_max,
-        gen_active | cons_active,
-        trace=trace,
-    )
+    return solved(decision, c_gen + c_cons, bounds, gen_active | cons_active)
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +881,7 @@ def realize_schedule(
     Returns None when no integral schedule fits (callers drop the client
     for the round).
     """
-    t_b = budgets.t_budget
+    t_b = budgets.time_cells
     if math.isinf(t_b):
         raise ValueError("integer realization needs a finite time window")
     t_int = int(t_b)

@@ -84,7 +84,7 @@ def test_criterion_1_solver_matches_grid_oracle():
         out = constrained_schedule(SolveInput(n, at, task, pv, budgets, UNIT))
         assert out.kind == OutcomeKind.OPTIMAL
         gen_ref, gen_rel = gen_grid_min(
-            n, at.a, at.b, budgets.t_budget, budgets.gen_bandwidth, pv.time, pv.freq, 400
+            n, at.a, at.b, budgets.time_cells, budgets.gen_bandwidth, pv.time, pv.freq, 400
         )
         from mfpsim.solver import _consumption_processes
 
@@ -94,7 +94,7 @@ def test_criterion_1_solver_matches_grid_oracle():
             [p.width_max for p in procs],
             pv.time,
             [p.width_price for p in procs],
-            budgets.t_budget,
+            budgets.time_cells,
             160,
         )
         assert gen_ref is not None and cons_ref is not None

@@ -180,12 +180,23 @@ class TestPolicySchedules:
                 out = schedule_with_policy(policy, inp)
                 assert out.kind == OutcomeKind.OPTIMAL, (policy, inp.n)
                 d = out.decision
-                assert d.gen.t_vs <= inp.budgets.t_budget + 1e-9
+                assert d.gen.t_vs <= inp.budgets.time_cells + 1e-9
                 assert d.gen.b_ws <= inp.budgets.freq_cells + 1e-9
-                assert d.consumption_time <= inp.budgets.t_budget + 1e-9
+                assert d.consumption_time <= inp.budgets.time_cells + 1e-9
                 assert max(d.comm_down.b, d.comm_up.b) <= inp.budgets.freq_cells + 1e-9
                 assert d.comp.f <= inp.budgets.compute_cells + 1e-9
                 produced = inp.attrs.a * d.gen.t_vs + inp.attrs.b * d.gen.t_ws * d.gen.b_ws
                 assert produced >= inp.n - 1e-6
                 # cost-optimal solve is the floor for every policy
                 assert out.cost >= constrained_schedule(inp).cost - 1e-9
+
+
+@pytest.mark.parametrize("policy", [Policy.MC_T, Policy.COMP_OPT])
+def test_policy_schedule_whose_cost_leaves_the_float_range_is_infeasible(policy):
+    # training at its box of 1e308 cells, at the compute price 1e308, costs inf
+    inp = SolveInput(
+        1, attrs(1.0, 0.0), ConsumptionTask(1.0, 0.0, 1.0, 1.0, 1.0),
+        PriceVector(compute=1e308), Budgets(2.0, 1.0, 1e308), UNIT,
+    )
+    out = schedule_with_policy(policy, inp)
+    assert (out.kind, out.decision, out.cost) == (OutcomeKind.INFEASIBLE, None, None)

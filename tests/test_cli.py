@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -60,7 +61,8 @@ def test_solve_one_rejects_out_of_range_flags(capsys, flags):
 
 def test_solve_one_overflowing_budget_time_price(capsys):
     # the chain's budget time price squares past the float range: the solve
-    # prints its outcome instead of raising
+    # prints its outcome instead of raising, and the schedule it finds costs
+    # past the float range too, so there is none
     code = main(
         [
             "solve-one", "--n", "1", "--a", "1", "--b", "0", "--time-cells", "1.000001",
@@ -69,8 +71,16 @@ def test_solve_one_overflowing_budget_time_price(capsys):
         ]
     )
     out = json.loads(capsys.readouterr().out)
-    assert code in (EXIT_OK, EXIT_INFEASIBLE)
-    assert out["kind"] == ("Optimal" if code == EXIT_OK else "Infeasible")
+    assert code == EXIT_INFEASIBLE
+    assert (out["kind"], out["cost"]) == ("Infeasible", None)
+
+
+def test_solve_one_has_no_cycle_flag(capsys):
+    # the window is --time-cells alone
+    with pytest.raises(SystemExit) as err:
+        main(["solve-one", "--n", "1", "--a", "1", "--b", "1", "--cycle-cells", "2"])
+    assert err.value.code == EXIT_CONFIG
+    assert "--cycle-cells" in capsys.readouterr().err
 
 
 def test_solve_one_zero_workload(capsys):
@@ -283,6 +293,41 @@ def test_solve_one_explain_trace(capsys):
     trace = json.loads(capsys.readouterr().out)["trace"]
     assert code == EXIT_OK
     assert trace == {"solution": "active-set", "gen_active": ["gen_time"], "cons_active": []}
+
+
+# `solve-one --explain` stdout pinned by its sha256, one case per solve
+# path and per kind of binding constraint: (flags, exit code, trace, digest)
+EXPLAINED = [
+    ("--n 0 --a 1 --b 1 --time-cells 2 --freq-cells 3", EXIT_OK, {},
+     "ddbfbb020d565fd2e12be9a29adc7d63db1c73ed2e9d81da3547d212b711c54f"),
+    ("--n 9 --a 1 --b 1 --time-cells 2 --freq-cells 3", EXIT_INFEASIBLE, {},
+     "5fa0117c27cc9f26b03660425a5583b89a5e482a4cc2d1224db7d7b8feff7180"),
+    ("--n 3 --a 2 --b 0.5 --time-cells 10 --freq-cells 10 --compute-cells 10 --d-down 5 --d-up 5 "
+     "--cycles-per-sample 2", EXIT_OK, {"solution": "unconstrained"},
+     "e51449b6c4c7435a84a0fb68371b8b1d663a08ebce76685a73a8c97575c0a3b0"),
+    ("--n 12 --a 0 --b 3 --time-cells 4 --freq-cells 1", EXIT_OK,
+     {"solution": "active-set", "gen_active": ["gen_bandwidth"], "cons_active": []},
+     "9e3d12943a001aa4edd193853f7404b62ea0ddcb148bc70b61751e51dd522e5d"),
+    ("--n 5 --a 2 --b 0.5 --time-cells 10 --freq-cells 10 --compute-cells 2 --d-down 5 --d-up 5 "
+     "--cycles-per-sample 2", EXIT_OK,
+     {"solution": "active-set", "gen_active": [], "cons_active": ["compute"]},
+     "20dc9522b89b309120fbc23a311fe0e99afb795bb9aa21efe99d11be3032ed7f"),
+    ("--n 6 --a 10 --b 0 --time-cells 4 --freq-cells 100 --compute-cells 100 --d-down 3 --d-up 3 "
+     "--cycles-per-sample 3 --price-time 0.01", EXIT_OK,
+     {"solution": "active-set", "gen_active": [], "cons_active": ["cons_time"]},
+     "f78a2cbf19763d651470fc2d7b088599701864c537752e0bbc558f39f756d899"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, code, trace, digest", EXPLAINED,
+    ids=["zero", "past_mtv", "closed_form", "sensing_box", "chain_box", "chain_time"],
+)
+def test_solve_one_explain_output_is_pinned(capsys, flags, code, trace, digest):
+    assert main(["solve-one", *flags.split(), "--explain"]) == code
+    out = capsys.readouterr().out
+    assert json.loads(out)["trace"] == trace
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cycles_per_sample_that_underflows_exits_2(tmp_path, capsys):

@@ -121,7 +121,7 @@ class TestPlanRound:
         pools = {c: new_pool(10, 8, 4) for c in ("a", "b")}
         prev = {"a": consumption(1, 2, 1, 1, 1, 2), "b": consumption(1, 2, 2, 1, 1, 2)}
         gen = {"a": sensing(3, 2), "b": sensing(3, 2)}
-        plan = plan_round(2, 10, pools, prev, gen, chain_cycle(prev, 10))
+        plan = plan_round(2, pools, prev, gen, chain_cycle(prev, 10))
         # the cycle is b's 4-cell chain: every upload ends on its boundary
         assert [p.end_col for p in plan.placements if p.process == PROC_UP] == [4, 4]
         assert plan.dropped == {}
@@ -130,7 +130,7 @@ class TestPlanRound:
     def test_bootstrap_round(self):
         # no chain yet: the sensing budget is the full window
         pools = {"a": new_pool(10, 8, 4)}
-        plan = plan_round(1, 10, pools, {}, {"a": sensing(10, 3)}, chain_cycle({}, 10))
+        plan = plan_round(1, pools, {}, {"a": sensing(10, 3)}, chain_cycle({}, 10))
         assert plan.dropped == {}
         assert [(p.process, p.end_col) for p in plan.placements] == [(PROC_SENSE, 10)]
 
@@ -138,7 +138,7 @@ class TestPlanRound:
         pools = {"a": new_pool(10, 8, 4)}
         prev = {"a": consumption(2, 6, 1, 1, 1, 6)}  # transfers hog 6 of 8 rows
         gen = {"a": sensing(4, 4)}  # wants 4 rows
-        plan = plan_round(3, 10, pools, prev, gen, chain_cycle(prev, 10))
+        plan = plan_round(3, pools, prev, gen, chain_cycle(prev, 10))
         assert plan.dropped == {"a": "sensing does not fit the shared window"}
         assert PROC_SENSE not in {p.process for p in plan.placements}
         assert plan.tightened == {}
@@ -148,19 +148,19 @@ class TestPlanRound:
         # sensing does not fit either
         pools = {"a": new_pool(4, 8, 4)}
         prev = {"a": consumption(2, 2, 2, 1, 2, 2)}
-        plan = plan_round(2, 4, pools, prev, {"a": sensing(5, 2)}, chain_cycle(prev, 4))
+        plan = plan_round(2, pools, prev, {"a": sensing(5, 2)}, chain_cycle(prev, 4))
         assert plan.dropped == {"a": "consumption exceeds cycle window"}
 
     def test_late_consumption_dropped(self):
         pools = {"a": new_pool(4, 8, 4), "b": new_pool(4, 8, 4)}
         # cycle is capped by the 4-cell window; a 6-cell chain cannot fit
         prev = {"a": consumption(2, 2, 2, 1, 2, 2), "b": consumption(1, 1, 1, 1, 1, 1)}
-        plan = plan_round(2, 4, pools, prev, {}, chain_cycle(prev, 4))
+        plan = plan_round(2, pools, prev, {}, chain_cycle(prev, 4))
         assert plan.dropped == {"a": "consumption exceeds cycle window"}
 
     def test_timeline_rows_schema(self):
         pools = {"a": new_pool(10, 8, 4)}
-        plan = plan_round(1, 10, pools, {}, {"a": sensing(3, 2)}, chain_cycle({}, 10))
+        plan = plan_round(1, pools, {}, {"a": sensing(3, 2)}, chain_cycle({}, 10))
         rows = plan.timeline_rows()
         assert rows == [
             {
@@ -206,23 +206,24 @@ def test_sensing_fits_exactly_where_the_loads_leave_rows(pools, data):
     # below it starts at row 0, so it meets one exactly when b exceeds the
     # rows the fullest of those columns leaves free
     pool, reference = pools
-    t_delta = data.draw(st.integers(0, pool.time_cells + 2))
-    budget = min(pool.time_cells, t_delta)
-    span = data.draw(st.integers(0, budget + 2))
+    # the window never exceeds the pool (`cycle_length`): a longer one would
+    # let a span run off the grid, which `reserve` raises on
+    t_delta = data.draw(st.integers(0, pool.time_cells))
+    span = data.draw(st.integers(0, t_delta + 2))
     b = data.draw(st.integers(0, pool.freq_cells + 2))
     free = pool.freq_cells
     if span > 0:
         free -= max(reference.column_loads()[:span])
-    fits = span <= budget and b <= free
+    fits = span <= t_delta and b <= free
 
     trial = copy.deepcopy(pool)
     if fits:
-        placed = place_generation(trial, "c", "sense", sensing(span, b), budget)
+        placed = place_generation(trial, "c", "sense", sensing(span, b), t_delta)
         assert placed == ([Placement("c", PROC_SENSE, 0, span, b, 0)] if span else [])
     else:
         with pytest.raises(ResourceConflictError):
-            place_generation(trial, "c", "sense", sensing(span, b), budget)
+            place_generation(trial, "c", "sense", sensing(span, b), t_delta)
         assert pool_snapshot(trial) == pool_snapshot(pool)
 
-    plan = plan_round(1, pool.time_cells, {"c": pool}, {}, {"c": sensing(span, b)}, t_delta)
+    plan = plan_round(1, {"c": pool}, {}, {"c": sensing(span, b)}, t_delta)
     assert plan.dropped == ({} if fits else {"c": "sensing does not fit the shared window"})

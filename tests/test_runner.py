@@ -265,9 +265,9 @@ def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, raw)
     seen = []
     plan_round = runner.plan_round
 
-    def checked(ir, t_cells, pools, prev_consumption, generation, t_delta):
+    def checked(ir, pools, prev_consumption, generation, t_delta):
         seen.append((set(pools), set(prev_consumption) | set(generation)))
-        return plan_round(ir, t_cells, pools, prev_consumption, generation, t_delta)
+        return plan_round(ir, pools, prev_consumption, generation, t_delta)
 
     monkeypatch.setattr(runner, "plan_round", checked)
     rec = run(load_config(raw))
@@ -316,11 +316,11 @@ def solve_cases(
         eff_up=draw(st.floats(0.5, 40.0)),
     )
     freq = float(draw(st.integers(20, 400)))
+    compute = float(draw(st.integers(2, 10)))
     budgets = Budgets(
-        10.0,
+        float(draw(st.integers(3, 10))),  # the cycle, within a 10-cell pool
         freq,
-        float(draw(st.integers(2, 10))),
-        cycle_cells=float(draw(st.integers(3, 10))),
+        compute,
         gen_freq_cells=draw(st.none() | st.floats(0.0, freq)),
     )
     prices = PriceVector(
@@ -390,7 +390,7 @@ def test_runner_curve_keeps_the_cost_curve_contract(policy, p):
     # contract within each segment
     at = StatusAttributes(a=p["a"], b=p["b"], label_dist=None)
     task = ConsumptionTask(p["down"], p["up"], p["cycles"], p["eff_down"], p["eff_up"])
-    budgets = Budgets(10.0, float(p["freq"]), float(p["compute"]), cycle_cells=float(p["cycle"]))
+    budgets = Budgets(float(p["cycle"]), float(p["freq"]), float(p["compute"]))
     prices = PriceVector(time=p["time_price"], freq=p["freq_price"], compute=p["compute_price"], sample=1.0, gain=1000.0)
     quanta = ResourceQuanta(1.0, 1e6, 1e5)
     cap = mtv(at, task, budgets, quanta)
@@ -421,7 +421,7 @@ def test_width_curve_is_labelled_only_where_time_costs_its_solve_price():
     # time costs at least the time price its chain is solved at
     at = StatusAttributes(a=8.062, b=0.4252, label_dist=None)
     task = ConsumptionTask(1e7, 1e8, 4123.0, 30.558, 19.154)
-    budgets = Budgets(10.0, 214.0, 5.0, cycle_cells=4.0)
+    budgets = Budgets(4.0, 214.0, 5.0)
     quanta = ResourceQuanta(1.0, 1e6, 1e5)
     for time_price, labelled in ((WIDTH_TIME_PRICE, True), (WIDTH_TIME_PRICE / 2, False)):
         prices = PriceVector(time=time_price, freq=0.448, compute=0.841, sample=1.0, gain=1000.0)
@@ -429,6 +429,21 @@ def test_width_curve_is_labelled_only_where_time_costs_its_solve_price():
         ctx = _RunContext(None, Policy.MC_FC, prices, quanta, None, pipelined=True, client_ids=())
         cost, seg = _curve_fn(ctx, at, task, budgets, bounds)(1)
         assert math.isfinite(cost) and (seg is not None) == labelled
+
+
+def test_capped_chain_whose_cost_leaves_the_float_range_falls_back():
+    # 8 sensing rows cap the transfers at 2 of 10: the download then takes
+    # 1.5 of the 2 cells, and training at the compute price 1e308 in the
+    # 0.5 left needs 3 cells of width, which costs inf; uncapped it fits
+    at = StatusAttributes(a=0.0, b=1.0, label_dist=None)
+    task = ConsumptionTask(3.0, 0.0, 1.5 / 16, 1.0, 1.0)
+    prices = PriceVector(time=1.0, freq=1.0, compute=1e308)
+    quanta, budgets = ResourceQuanta(1.0, 1.0, 1.0), Budgets(2.0, 10.0, 1e308)
+    bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
+    ctx = _RunContext(None, Policy.SISCC, prices, quanta, None, pipelined=True, client_ids=())
+    out, used, fell_back = _policy_solve(ctx, 16, at, task, budgets, bounds)
+    assert (out.kind, used, fell_back) == (OutcomeKind.OPTIMAL, budgets, True)
+    assert math.isfinite(out.cost) and out.decision.comm_down.b == 10.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,7 +538,7 @@ def _quote_inputs(fleet):
     }
     g = fleet["global_"]
     return (
-        ctx, Budgets(time, freq, compute, cycle_cells=cycle), statuses,
+        ctx, Budgets(min(time, cycle), freq, compute), statuses,
         np.array([c[2] for c in clients]), np.array([c[3] for c in clients]),
         None if g is None else np.array(g) / sum(g), prev_cons,
     )

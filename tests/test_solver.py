@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.baselines import Policy, realize_with_policy
-from mfpsim.costs import ConsumptionTask, PriceVector
+from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import (
@@ -57,10 +57,8 @@ def prices(t=1.0, b=1.0, f=1.0):
     return PriceVector(time=t, freq=b, compute=f)
 
 
-def solve(n, a, b, budgets, task=ZERO_TASK, pv=None, quanta=UNIT, explain=False):
-    return constrained_schedule(
-        SolveInput(n, attrs(a, b), task, pv or prices(), budgets, quanta), explain=explain
-    )
+def solve(n, a, b, budgets, task=ZERO_TASK, pv=None, quanta=UNIT):
+    return constrained_schedule(SolveInput(n, attrs(a, b), task, pv or prices(), budgets, quanta))
 
 
 def random_instance(rng):
@@ -83,7 +81,7 @@ def verify_decision(out, n, at, task, pv, budgets, quanta=UNIT):
     produced = at.a * g.t_vs + at.b * g.t_ws * g.b_ws
     assert produced == pytest.approx(n, rel=1e-9, abs=1e-9)
     assert g.t_ws <= g.t_vs + 1e-9
-    assert g.t_vs <= budgets.t_budget + 1e-9
+    assert g.t_vs <= budgets.time_cells + 1e-9
     assert g.b_ws <= budgets.gen_bandwidth + 1e-9
     cell_bits = quanta.time_s * quanta.freq_hz
     if task.d_down_bits > 0:
@@ -98,7 +96,7 @@ def verify_decision(out, n, at, task, pv, budgets, quanta=UNIT):
     if cycles > 0:
         work = d.comp.t * d.comp.f * quanta.compute_cycles_per_s * quanta.time_s
         assert work == pytest.approx(cycles, rel=1e-9)
-    assert d.consumption_time <= budgets.t_budget * (1 + 1e-9) + 1e-9
+    assert d.consumption_time <= budgets.time_cells * (1 + 1e-9) + 1e-9
     assert max(d.comm_down.b, d.comm_up.b) <= budgets.freq_cells + 1e-9
     assert d.comp.f <= budgets.compute_cells + 1e-9
     assert out.cost == pytest.approx(d.cost(pv), rel=1e-12)
@@ -106,7 +104,7 @@ def verify_decision(out, n, at, task, pv, budgets, quanta=UNIT):
 
 def oracle_total(n, at, task, pv, budgets, grid=300):
     gen_ref, gen_step = gen_grid_min(
-        n, at.a, at.b, budgets.t_budget, budgets.gen_bandwidth, pv.time, pv.freq, grid
+        n, at.a, at.b, budgets.time_cells, budgets.gen_bandwidth, pv.time, pv.freq, grid
     )
     if gen_ref is None:
         return None, 0.0
@@ -114,7 +112,7 @@ def oracle_total(n, at, task, pv, budgets, grid=300):
     vols = [p.volume for p in procs]
     wmax = [p.width_max for p in procs]
     wprices = [p.width_price for p in procs]
-    cons_ref, cons_step = consumption_grid_min(vols, wmax, pv.time, wprices, budgets.t_budget, grid)
+    cons_ref, cons_step = consumption_grid_min(vols, wmax, pv.time, wprices, budgets.time_cells, grid)
     if cons_ref is None:
         return None, 0.0
     return gen_ref + cons_ref, max(gen_step, cons_step)
@@ -179,7 +177,7 @@ class TestMtv:
 
 class TestConstrainedSchedule:
     def test_time_boxed_case(self):
-        out = solve(4, 1, 1, Budgets(1, 10, 5), explain=True)
+        out = solve(4, 1, 1, Budgets(1, 10, 5))
         assert out.kind == OutcomeKind.OPTIMAL
         assert out.decision.gen.t_vs == pytest.approx(1.0)
         assert out.decision.gen.b_ws == pytest.approx(3.0)
@@ -290,7 +288,7 @@ class TestConstrainedSchedule:
             moved = False
             for factor in (0.95, 1.05):
                 x = g.t_vs * factor
-                if x > budgets.t_budget + 1e-12:
+                if x > budgets.time_cells + 1e-12:
                     continue
                 y = (n - at.a * x) / (at.b * x)
                 if y < 0 or y > budgets.gen_bandwidth + 1e-12:
@@ -322,8 +320,10 @@ class TestConstrainedSchedule:
     def test_trace_json_round_trip(self):
         import json
 
-        out = solve(4, 1, 1, Budgets(1, 10, 5), explain=True)
-        blob = json.dumps(out.to_json_dict())
+        from mfpsim.cli import _trace
+
+        out = solve(4, 1, 1, Budgets(1, 10, 5))
+        blob = json.dumps({**out.to_json_dict(), "trace": _trace(4, out)})
         parsed = json.loads(blob)
         assert parsed["kind"] == "Optimal"
         assert parsed["trace"]["solution"] == "active-set"
@@ -414,13 +414,20 @@ def test_enumeration_equals_dict_per_candidate_reference(case):
 
 
 def test_box_free_exit_and_full_enumeration_both_reached(monkeypatch):
-    # the full enumeration is the only caller of _box_sets.  With these
-    # prices the smallest cost gap, 0.316 * d**2 for the upload box, clears
-    # 1e-9 from d of about 5.6e-5 on; a budget just under the box-free chain
-    # time leaves that chain feasible but ties it with the budget's tau
-    calls = []
+    # the exit ends the enumeration in its first box set, the empty one;
+    # the full enumeration takes every box set.  With these prices the
+    # smallest cost gap, 0.316 * d**2 for the upload box, clears 1e-9 from
+    # d of about 5.6e-5 on; a budget just under the box-free chain time
+    # leaves that chain feasible but ties it with the budget's tau
+    taken = []
     box_sets = solver._box_sets
-    monkeypatch.setattr(solver, "_box_sets", lambda *a: calls.append(a) or box_sets(*a))
+
+    def counted(*args):
+        for item in box_sets(*args):
+            taken.append(item)
+            yield item
+
+    monkeypatch.setattr(solver, "_box_sets", counted)
     names = (DOWN_BANDWIDTH, COMPUTE, UP_BANDWIDTH)
     volumes, prices = (3.0, 5.0, 2.0), (0.05, 0.5, 0.05)
     free_width = [math.sqrt(v / p) for v, p in zip(volumes, prices)]
@@ -432,9 +439,9 @@ def test_box_free_exit_and_full_enumeration_both_reached(monkeypatch):
             for name, v, p, w in zip(names, volumes, prices, free_width)
         ]
         for t_budget in (chain_time * (1 + d), chain_time * (1 - 5e-10), math.inf):
-            del calls[:]
+            del taken[:]
             _assert_same_as_reference((procs, 1.0, t_budget, frozenset()))
-            enumerated.append(bool(calls))
+            enumerated.append(len(taken) > 1)
             expected.append(d < 5e-5 or t_budget < chain_time)
     assert enumerated == expected
     assert True in enumerated and False in enumerated
@@ -442,7 +449,7 @@ def test_box_free_exit_and_full_enumeration_both_reached(monkeypatch):
 
 def test_subnormal_wireless_coefficient_solves_and_realizes():
     # b * time_price and b * t_max underflow to 0 for b = 5e-324
-    budgets = Budgets(4.0, 5.0, 5.0, cycle_cells=0.4)
+    budgets = Budgets(0.4, 5.0, 5.0)
     pv = prices(t=0.2)
     assert mutv(attrs(0.0, 5e-324), ZERO_TASK, pv, budgets, UNIT) < 1
     at = attrs(20.0, 5e-324)
@@ -471,9 +478,9 @@ class TestRealizeSchedule:
             assert float(g.t_vs).is_integer() and float(g.b_ws).is_integer()
             produced = at.a * g.t_vs + at.b * g.t_ws * g.b_ws
             assert produced >= n - 1e-9
-            assert g.t_vs <= budgets.t_budget and g.b_ws <= budgets.gen_bandwidth
+            assert g.t_vs <= budgets.time_cells and g.b_ws <= budgets.gen_bandwidth
             chain_t = q.comm_down.t + q.comp.t + q.comm_up.t
-            assert chain_t <= budgets.t_budget
+            assert chain_t <= budgets.time_cells
             assert q.comm_down.b <= budgets.freq_cells
             assert q.comm_up.b <= budgets.freq_cells
             assert q.comp.f <= budgets.compute_cells
@@ -504,7 +511,7 @@ class TestRealizeSchedule:
             d = out.decision
             up = lambda v: math.ceil(v - 1e-9)
             chain_cells = up(d.comm_down.t) + up(d.comp.t) + up(d.comm_up.t)
-            if chain_cells <= budgets.t_budget:  # naive rounding must be feasible
+            if chain_cells <= budgets.time_cells:  # naive rounding must be feasible
                 naive = (
                     up(d.gen.t_vs) + chain_cells
                 ) * pv.time + (
@@ -548,21 +555,32 @@ class TestRealizeSchedule:
 
 @st.composite
 def realize_cases(draw):
-    """A realization on a small window, with needs down to a fraction of a
-    cell on every leg and wireless rates up to a whole workload per cell."""
-    need = st.sampled_from([0.0, 1e-300, 1e-9, 1e-3]) | st.floats(0.0, 40.0)
-    at = attrs(draw(st.sampled_from([0.0, 0.5, 31.4])), draw(need | st.floats(1e3, 1e14)))
-    task = ConsumptionTask(draw(need), draw(need), draw(need), 1.0, 1.0)
+    """A realization on a window of up to 300 cells, with needs down to a
+    fraction of a cell on every leg and wireless rates up to a whole
+    workload per cell.  The other needs scale with the window, so that most
+    draws fit: each chain leg asks up to 40% of what its pool carries over
+    the window, and the wireless rate covers up to three times the samples
+    the visual rate leaves."""
+    t, freq, compute = (draw(st.integers(1, 300)) for _ in range(3))
+    n, a = draw(st.integers(1, 60)), draw(st.sampled_from([0.0, 0.5, 31.4]))
+    tiny = st.sampled_from([0.0, 1e-300, 1e-9, 1e-3])
+
+    def need(capacity):
+        return draw(tiny | st.floats(0.0, 0.4).map(lambda share: share * capacity))
+
+    wireless = st.floats(0.0, 3.0).map(lambda share: share * max(n - a * t, 0.0) / (t * freq))
+    at = attrs(a, draw(tiny | wireless | st.floats(1e3, 1e14)))
+    task = ConsumptionTask(need(t * freq), need(t * freq), need(t * compute) / n, 1.0, 1.0)
     pv = prices(*(draw(st.floats(0.01, 10.0)) for _ in range(3)))
-    budgets = Budgets(*(float(draw(st.integers(1, 8))) for _ in range(3)))
-    return draw(st.integers(1, 60)), at, task, pv, budgets, UNIT, draw(st.sampled_from(OBJECTIVES))
+    budgets = Budgets(float(t), float(freq), float(compute))
+    return n, at, task, pv, budgets, UNIT, draw(st.sampled_from(OBJECTIVES))
 
 
 def _packaged(b, cons_freq_cells, d_down_bits=1e8, cycles_per_sample=500.0):
     """A client of the packaged scenario's first two rounds, where three
     configs realized a leg of width 0."""
     task = ConsumptionTask(d_down_bits, 1e8, cycles_per_sample, 21.194291268187765, 11.561176705022062)
-    budgets = Budgets(10.0, 400.0, 10.0, cycle_cells=10.0, cons_freq_cells=cons_freq_cells)
+    budgets = Budgets(10.0, 400.0, 10.0, cons_freq_cells=cons_freq_cells)
     pv = prices(1.0, 0.05, 0.5)
     return 1232, attrs(31.415926535897935, b), task, pv, budgets, ResourceQuanta(), "cost"
 
@@ -727,11 +745,24 @@ def test_budget_time_price_that_overflows_leaves_its_candidate_infeasible():
     # the budget's tau (sum(root) / rem)**2 overflows: it is inf, its free
     # leg gets the width inf, and the boxed training leg carries the chain
     task = ConsumptionTask(1.0, 0.0, 1.0, 1.0, 1.0)
-    out = solve(1, 1.0, 0.0, Budgets(1.000001, 1.0, 1e308), task=task, pv=prices(1.0, 1.0, 1e308))
-    assert out.kind == OutcomeKind.OPTIMAL
-    assert out.active_constraints == {COMPUTE}
-    assert (out.decision.comp.t, out.decision.comp.f) == (1e-308, 1e308)
-    assert (out.decision.comm_down.t, out.decision.comm_down.b) == (1.0, 1.0)
+    budgets, pv = Budgets(1.000001, 1.0, 1e308), prices(1.0, 1.0, 1e308)
+    procs = _consumption_processes(1, task, pv, budgets, UNIT)
+    splits, cost, active = _enumerate_consumption(procs, pv.time, budgets.time_cells)
+    assert active == {COMPUTE}
+    assert splits[COMPUTE] == (1e-308, 1e308)
+    assert splits[DOWN_BANDWIDTH] == (1.0, 1.0)
+    # training 1e308 cells wide at the price 1e308 costs past the float
+    # range, so the solve has no schedule to report
+    assert cost == math.inf
+    assert solve(1, 1.0, 0.0, budgets, task=task, pv=pv).kind == OutcomeKind.INFEASIBLE
+
+
+@pytest.mark.parametrize("cost", [math.inf, math.nan])
+def test_a_cost_that_is_not_a_finite_float_is_infeasible(cost):
+    out = solver.solved(ScheduleDecision(), cost, (5, 2), frozenset({COMPUTE}))
+    assert (out.kind, out.decision, out.cost, out.mtv, out.mutv) == (OutcomeKind.INFEASIBLE, None, None, 5, 2)
+    assert out.active_constraints == frozenset()
+    assert solver.solved(ScheduleDecision(), 0.0, (5, 2)).kind == OutcomeKind.OPTIMAL
 
 
 def test_bound_squares_that_overflow_bound_nothing():
@@ -742,9 +773,9 @@ def test_bound_squares_that_overflow_bound_nothing():
     task = ConsumptionTask(1e7, 1e7, 50.0, 12.0, 8.0)
     cases = [
         # (a + b * band)**2 of the sensing side
-        (StatusAttributes(1.0, 1e300, None), Budgets(10.0, 400.0, 10.0, cycle_cells=10.0)),
+        (StatusAttributes(1.0, 1e300, None), Budgets(10.0, 400.0, 10.0)),
         # the chain's slack squared
-        (StatusAttributes(10.0, 0.0, None), Budgets(1e200, 400.0, 10.0, cycle_cells=1e200)),
+        (StatusAttributes(10.0, 0.0, None), Budgets(1e200, 400.0, 10.0)),
     ]
     for at, budgets in cases:
         n_unc = mutv(at, task, PriceVector(), budgets)
