@@ -16,13 +16,13 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 
 from .costs import PriceVector
 from .errors import GainShortfallError
 
 _TOL = 1e-9
-# largest streak batch: bounds the gains a streak's probes hold at once
+# largest streak batch: bounds the gains one probe holds
 _CHUNK = 4096
 # relative amount by which a computed cost curve may dip (CostCurve's
 # contract): far above the solver's tie windows and tolerance boxes, far
@@ -205,50 +205,22 @@ def _marginal_welfare(quote: ClientQuote, n: int, prices: PriceVector, alpha: fl
     return _welfare_of(quote, quote.curve.marginal(n), prices, alpha, beta)
 
 
-class _LeaderGains:
-    """Where a streak's probes, from the gain the leader is at, cross the
-    thresholds.
+def _span(gain: float, rate: float, size: int, ceiling: float, floor: float):
+    """Where up to `size` more grants of `rate` > 0 from `gain` cross the
+    thresholds: (steps, floor_at, gain after steps, gain after floor_at).
 
-    `gains[j]` is the gain after j more grants: accumulated once, as far as
-    the probes ask (a probe asks for at most _CHUNK), and trimmed as grants
-    are taken, so a failed probe's shorter retry and the next probe after a
-    take read the gains already made.
+    With G[0] = `gain` and G[j+1] = G[j] + rate, `steps` is the number of
+    grants before the first G[j] >= `ceiling` (j >= 1), at most `size`, and
+    `floor_at` the first j < steps with G[j] >= `floor` (None when there is
+    none; the gain after it None too).  `accumulate` applies the same float
+    additions in the same order as `gain += rate` one grant at a time, and
+    the gains never decrease (rate > 0 and rounding is monotone), so each
+    bisection finds the first crossing.
     """
-
-    def __init__(self, gain: float, rate: float, ceiling: float, floor: float):
-        self.gains = [gain]
-        self.rate, self.ceiling, self.floor = rate, ceiling, floor
-
-    def span(self, size: int):
-        """Where up to `size` more grants of `rate` > 0 cross the thresholds:
-        (steps, floor_at, gain after steps, gain after floor_at).
-
-        With G[0] the current gain and G[j+1] = G[j] + rate, `steps` is the
-        number of grants before the first G[j] >= `ceiling` (j >= 1), at
-        most `size`, and `floor_at` the first j < steps with G[j] >= `floor`
-        (None when there is none; the gain after it None too).  The gains
-        are accumulated by the same float additions in the same order as
-        `gain += rate` one grant at a time, and never decrease (rate > 0 and
-        rounding is monotone), so each bisection finds the first crossing.
-        """
-        gains, rate, ceiling = self.gains, self.rate, self.ceiling
-        while len(gains) <= size and gains[-1] < ceiling:
-            want = size + 1 - len(gains)
-            # stop near the ceiling, about `room` grants on
-            room = (ceiling - gains[-1]) / rate
-            if room < want:
-                want = min(want, int(room) + 2)
-            gains += islice(accumulate(repeat(rate, want), initial=gains[-1]), 1, None)
-        end = bisect_left(gains, ceiling, 1, min(size, len(gains) - 1) + 1) - 1
-        i = bisect_left(gains, self.floor, 0, end)
-        floor_at, at_floor = (i, gains[i]) if i < end else (None, None)
-        return end, floor_at, gains[end], at_floor
-
-    def advance(self, count: int, after: float) -> None:
-        """Move on by `count` grants, after which the gain is `after`."""
-        del self.gains[:count]
-        if not self.gains:
-            self.gains.append(after)
+    gains = list(accumulate(repeat(rate, size), initial=gain))
+    end = bisect_left(gains, ceiling, 1) - 1
+    i = bisect_left(gains, floor, 0, end)
+    return (end, i, gains[end], gains[i]) if i < end else (end, None, gains[end], None)
 
 
 def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded):
@@ -367,43 +339,42 @@ def allocate_workloads(
     only on its own load, so it is cached with the load it was priced at.
     A pick is clear when no marginal is NaN and it beats every other one by
     more than 1e-9; the scan then also returns the runner-up's marginal.
-    After a clear pick the leader keeps the grant without a new scan while
-    it is open and its freshly priced marginal still beats that runner-up by
-    more than 1e-9 (and exceeds 1e-9 past the floor): the other marginals
-    have not moved and clients only close, so the runner-up can only fall
-    and the leader is still the clear pick.
 
-    Streaks.  After a clear pick the leader, at load n, is offered k more
+    Streaks.  After a clear pick the leader keeps the grant without a new
+    scan for as long as it stays the clear pick: the other marginals do not
+    move, and they can only close, so the runner-up can only fall.  Where
+    its curve vouches for nothing (`CostCurve.in_segment`), it takes one
+    sample at a time while it is open and its freshly priced marginal still
+    beats that runner-up by more than 1e-9 (and exceeds 1e-9 past the
+    floor).  Where the curve vouches for its load n, it is offered k more
     samples at once, and one probe of c(n+k) decides.  `CostCurve.rise_bound`
     turns c(n) and c(n+k) into a float R no smaller than any of the leader's
     computed marginal costs at loads n..n+k-1, and `_welfare_of(R)` is then
     no larger than any of its computed marginal welfares there (the same
-    float expression, monotone in the cost).  Other clients' marginals do
-    not move, and they can only close, so the runner-up can only fall.  So
-    when that bound beats that runner-up's marginal by more than 1e-9 (any
-    finite value does when there is none), every one of the k grants would
-    have been a clear pick of the leader; past the floor it must also
-    exceed 1e-9, or the batch stops at the floor switch.  A finite bound
-    also rules out a NaN marginal in the run.  k is clipped at _CHUNK, and
-    where the leader closes: at mtv, and before the grant whose gain would
-    reach the ceiling.  Each streak computes its gains once, G[0] the gain
-    and G[j+1] = G[j] + gain_rate, with `itertools.accumulate` as far as its
-    probes ask (`_LeaderGains`: a window of at most _CHUNK + 1 gains,
-    trimmed as batches are granted), and a batch takes its gain from G.
-    `accumulate` applies the same float `+` in the same order as `gain +=
-    gain_rate` one grant at a time, so loads, gain and open count are the
-    sample-by-sample greedy's, bit for bit.  Bidders have gain_rate > 0 and rounding is monotone, so G
-    never decreases, and `bisect_left` finds the first G[j] >= ceiling -
-    1e-9 (j >= 1: where the leader closes) and the first G[j] >= gain_floor
-    - 1e-9 (the floor switch) where a one-at-a-time loop would break: also
-    when G[j] + gain_rate == G[j] and when the ceiling is infinite.  k
-    gallops: it halves after a failed batch and doubles after a certified
-    one, except that a batch certified right after a failed one is offered
-    again at the same k, since the doubled size just failed from a load
-    only k lower.  A streak ends, and unit grants resume, when no k >= 2
-    certifies, when a probe is infinite, at the floor switch, or where the
-    leader closes.  A pick that is not clear never starts a streak, nor do
-    loads the curve does not vouch for (`CostCurve.in_segment`).
+    float expression, monotone in the cost).  So when that bound beats the
+    runner-up's marginal by more than 1e-9 (any finite value does when
+    there is none), every one of the k grants would have been a clear pick
+    of the leader; past the floor it must also exceed 1e-9, or the batch
+    stops at the floor switch.  A finite bound also rules out a NaN marginal
+    in the run.  k is clipped at _CHUNK, and where the leader closes: at
+    mtv, and before the grant whose gain would reach the ceiling.  Each
+    probe computes the gains it spans, G[0] the gain and G[j+1] = G[j] +
+    gain_rate, with `itertools.accumulate` (`_span`), and a batch takes its
+    gain from G.  `accumulate` applies the same float `+` in the same order
+    as `gain += gain_rate` one grant at a time, so loads, gain and open
+    count are the sample-by-sample greedy's, bit for bit.  Bidders have
+    gain_rate > 0 and rounding is monotone, so G never decreases, and
+    `bisect_left` finds the first G[j] >= ceiling - 1e-9 (j >= 1: where the
+    leader closes) and the first G[j] >= gain_floor - 1e-9 (the floor
+    switch) where a one-at-a-time loop would break: also when G[j] +
+    gain_rate == G[j] and when the ceiling is infinite.  k gallops: it
+    halves after a failed batch and doubles after a certified one, except
+    that a batch certified right after a failed one is offered again at the
+    same k, since the doubled size just failed from a load only k lower.  A
+    streak ends, and the next grant is a scan's, when the leader closes or
+    no longer leads clearly enough, and once batches have begun, when no
+    k >= 2 certifies, when a probe is infinite or at the floor switch.  A
+    pick that is not clear never starts a streak.
 
     A rationality pass does not rerun the greedy from scratch.  The greedy
     remembers its state, (grants so far, gain, the nonzero loads), where a
@@ -451,7 +422,6 @@ def allocate_workloads(
         load = {q.client_id: 0 for q in quotes} | held
         opened = len(held)
         bidders = [q for q in quotes if q.client_id not in excluded and q.gain_rate > 0]
-        lead = None  # (client, runner-up's marginal) of the last clear pick
 
         def closed(q) -> bool:
             n = load[q.client_id]
@@ -476,15 +446,7 @@ def allocate_workloads(
             """(marginal, client, runner-up's marginal) of the next grant:
             the runner-up is -inf when there is none and None when the pick
             is not clear; None when no client can take a grant."""
-            nonlocal bidders, lead
-            if lead is not None:
-                cid, rival = lead
-                q = by_id[cid]
-                if not closed(q):
-                    delta = priced(q)
-                    if delta > rival + _TOL and (not require_positive or delta > _TOL):
-                        return delta, cid, rival
-                lead = None
+            nonlocal bidders
             bidders = [q for q in bidders if not closed(q)]
             best, top, second, clear = None, -math.inf, -math.inf, True
             for q in bidders:
@@ -505,8 +467,6 @@ def allocate_workloads(
                 return None
             delta, cid = best
             rival = second if clear and delta == top and top > second + _TOL else None
-            if rival is not None:
-                lead = cid, rival
             if debug:
                 _log.debug(
                     "scan grant %s at load %d: marginal welfare %.9g, %s",
@@ -524,21 +484,28 @@ def allocate_workloads(
             granted += count
 
         def streak(cid: str, rival: float) -> None:
-            """Certified batches for the leader of a clear pick whose
-            runner-up's marginal welfare was `rival` (see above)."""
+            """The grants the leader of a clear pick, whose runner-up's
+            marginal welfare was `rival`, keeps: one at a time while its
+            curve vouches for nothing, then certified batches (see above)."""
             nonlocal stride
             q = by_id[cid]
+            while not q.curve.in_segment(load[cid]):
+                if closed(q):
+                    return
+                delta = priced(q)
+                if not (delta > rival + _TOL and (gain < gain_floor - _TOL or delta > _TOL)):
+                    return
+                take(cid, 1, gain + q.gain_rate)
             rate, start, probes = q.gain_rate, load[cid], 0
-            if not q.curve.in_segment(start):
-                return
-            gains = _LeaderGains(gain, rate, ceiling - _TOL, gain_floor - _TOL)
             backed_off = False  # whether the last probe failed
             while True:
                 n = load[cid]
                 size = min(stride, q.mtv - n, _CHUNK)
                 # the leader stays open for `steps` grants, and the floor
                 # switch comes before grant `floor_at` (0: already past it)
-                steps, floor_at, after, at_floor = gains.span(size)
+                steps, floor_at, after, at_floor = _span(
+                    gain, rate, size, ceiling - _TOL, gain_floor - _TOL
+                )
                 if steps < 2:
                     why = "capacity" if n + 1 >= q.mtv else "ceiling" if steps < size else "bound"
                     break
@@ -551,7 +518,6 @@ def allocate_workloads(
                 if math.isfinite(bound) and bound > rival + _TOL:
                     if floor_at is None or bound > _TOL:
                         take(cid, steps, after)
-                        gains.advance(steps, after)
                         stride = steps if backed_off else 2 * steps
                         backed_off = False
                         continue
@@ -575,12 +541,11 @@ def allocate_workloads(
             if pick[2] is not None:
                 streak(pick[1], pick[2])
         if gain < gain_floor - _TOL:
+            reach = max_achievable(excluded)
             reason = (
-                "gain step overshoots the window"
-                if max_achievable(excluded) + _TOL >= gain_floor
-                else "capacity exhausted"
+                "gain step overshoots the window" if reach + _TOL >= gain_floor else "capacity exhausted"
             )
-            raise GainShortfallError(reason, max_achievable(excluded))
+            raise GainShortfallError(reason, reach)
 
         greedy_end = state()
         load = _block_polish(

@@ -18,11 +18,13 @@ schedule objective.  `schema_violations` is jsonschema itself, the reference for
 the config parser.  The market tests build their cost curves from fixed tables with
 `curve_from_samples` and check what a round settles with
 `settlement_findings`; the golden and determinism tests compare runs by
-`output_hashes`.
+`output_hashes`.  `reference_run` runs a whole simulation with the oracles
+that fit in place of their fast paths.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -761,6 +763,35 @@ def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, pre
             q = max(0.0, qod(at.label_dist, global_dist))
         out[cid] = (task, my_budgets, cap, (mutv(at, task, ctx.prices, my_budgets, ctx.quanta), q))
     return out
+
+
+def reference_run(config):
+    """The `RunRecord` of `runner.run(config)` with every fast path that has
+    an oracle above, and the same signature or a thin adapter, replaced by
+    it: the allocation, the saturated load, the sensing pairs (the oracle
+    takes no buffers), whole-cell realization's sensing search and leg
+    candidates, and the consumption enumeration, which the runner's solver
+    and the baseline policies call.  Its output bytes must equal the
+    engine's run's."""
+    from unittest import mock
+
+    import mfpsim.baselines as baselines
+    import mfpsim.runner as runner
+    import mfpsim.solver as solver
+
+    oracles = [
+        (runner, "allocate_workloads", allocate_workloads_reference),
+        (runner, "saturated_load", saturated_allocation_reference),
+        (runner, "sensing_pairs", lambda state, geometry, buffers: sensing_pairs(state, geometry)),
+        (solver, "_int_gen_best", int_gen_best_reference),
+        (solver, "_int_proc_candidates", int_proc_candidates_reference),
+        (solver, "_enumerate_consumption", enumerate_consumption_reference),
+        (baselines, "_enumerate_consumption", enumerate_consumption_reference),
+    ]
+    with contextlib.ExitStack() as stack:
+        for module, name, oracle in oracles:
+            stack.enter_context(mock.patch.object(module, name, oracle))
+        return runner.run(config)
 
 
 def output_hashes(record):

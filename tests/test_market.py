@@ -1,3 +1,4 @@
+import collections
 import logging
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from mfpsim.market import (
     saturated_load,
     social_welfare,
     _CHUNK,
-    _LeaderGains,
+    _span,
 )
 from mfpsim.resource_pool import ResourceQuanta
 from mfpsim.runner import run
@@ -363,6 +364,25 @@ class TestAllocate:
             # 2 * clients lookups per grant
             assert lookups[0] <= 3 * (alloc.total_samples + n_clients)
 
+    @pytest.mark.parametrize("segment", [None, 0])
+    def test_each_marginal_is_priced_once_per_load(self, monkeypatch, segment):
+        # a scan reprices only the clients whose load moved since they were
+        # last priced: thirty bidders, one greedy pass, unit grants (the
+        # segment None) or streaks
+        priced = collections.Counter()
+
+        def counting(q, n, *args):
+            priced[q.client_id, n] += 1
+            return welfare(q, n, *args)
+
+        welfare = market._marginal_welfare
+        monkeypatch.setattr(market, "_marginal_welfare", counting)
+        quotes = self.contested(30, lambda c: CountingCurve(c, [0], segment=segment))
+        alloc, report = allocate_workloads(quotes, self.prices(), 5.0, 100.0, 30)
+        assert len(alloc.workloads) == 30  # nobody excluded: one greedy pass
+        assert sum(priced.values()) > 30
+        assert max(priced.values()) == 1
+
     def test_contested_streak_probes_cost_few_solves(self):
         # the market above on curves that vouch for streaks: nearly every
         # batch offered fails, most at k = 2, whose probe c(n+2) the greedy
@@ -685,7 +705,8 @@ def test_plain_costs_vouch_for_no_streak(caplog):
     case = ([ClientQuote("a", 1.0, 2000, 2000, 0.01, plain)], PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         got = allocate_workloads(*case)
-    # the first grant's scan makes the lead, which holds every later grant
+    # the first grant's scan makes a clear lead, whose streak takes every
+    # later grant one at a time
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare -1.2, clear lead"
     ]
@@ -742,16 +763,14 @@ def gain_probes(draw):
 @example((0.0, 0.25, 1.25, 0.5, [(4, "none"), (3, "none"), (5, "all")]))
 def test_gain_spans_equal_the_streak_loop(case):
     gain, rate, ceiling, floor, probes = case
-    gains = _LeaderGains(gain, rate, ceiling, floor)
     for size, taking in probes:
-        steps, floor_at, after, at_floor = gains.span(size)
+        steps, floor_at, after, at_floor = _span(gain, rate, size, ceiling, floor)
         assert (steps, floor_at, after) == streak_span_reference(gain, rate, size, ceiling, floor)
         if floor_at is not None:
             assert at_floor == streak_span_reference(gain, rate, floor_at, ceiling, floor)[2]
         count = {"all": steps, "floor": floor_at or 0, "none": 0}[taking]
         if count:
             gain = after if taking == "all" else at_floor
-            gains.advance(count, gain)
 
 
 def test_a_long_streak_holds_bounded_memory():
@@ -761,15 +780,14 @@ def test_a_long_streak_holds_bounded_memory():
     mtv = 2 * 10**5
     quote = ClientQuote("a", 1.0, mtv, mtv, 1e-3, CostCurve(lambda n: (0.1 if n else 0.0, 0), mtv))
     sizes = []
-    span = _LeaderGains.span
 
-    def recorded(self, size):
+    def recorded(gain, rate, size, ceiling, floor):
         sizes.append(size)
-        return span(self, size)
+        return _span(gain, rate, size, ceiling, floor)
 
     tracemalloc.start()
     try:
-        with mock.patch.object(_LeaderGains, "span", recorded):
+        with mock.patch.object(market, "_span", recorded):
             alloc, report = allocate_workloads([quote], PriceVector(sample=1.0, gain=2000.0), 0.0, 1e6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import replace
 from unittest import mock
@@ -29,7 +30,7 @@ from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, OutcomeKind, SolveInput, fleet_bounds, mtv, mutv
 
 import mfpsim.runner as runner
-from oracles import output_hashes, quotes_per_client
+from oracles import output_hashes, quotes_per_client, reference_run
 from test_golden import CONFIGS
 
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
@@ -799,3 +800,58 @@ def test_whole_run_properties(raw):
         assert all(row["profit"] >= -1e-9 for row in rec.client_rows)
     # quotes size sensing beside last round's chain, so every block fits
     assert all(row["note"] != "sensing does not fit the shared window" for row in rec.client_rows)
+
+
+@st.composite
+def oracle_runs(draw):
+    """One or two rounds over every policy, mode and sensing mode, at drawn
+    pool scales, prices and gain windows; most with eight clients on full
+    pools, whose streaks run into the window's ceiling."""
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "rounds": draw(st.integers(1, 2)),
+        "policy": draw(st.sampled_from([p.value for p in Policy])),
+        "mode": draw(st.sampled_from(["zeros", "serial"])),
+        "scenario": {
+            "n_clients": draw(st.sampled_from([3, 8, 8])),
+            "n_targets": draw(st.sampled_from([10, 30])),
+            "sensing_mode": draw(st.sampled_from(["msg", "vsg", "wsg"])),
+        },
+        "resources": {
+            "scale": draw(st.sampled_from([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [1.0, 0.05, 1.0]])),
+        },
+        "prices": {
+            "time": draw(st.sampled_from([1e-13, 1.0, 50.0])),
+            "freq": draw(st.sampled_from([0.001, 0.05, 0.5])),
+            "gain": draw(st.sampled_from([200.0, 1000.0])),
+        },
+        "market": {
+            "gain_floor": draw(st.sampled_from([0.5, 2.0])),
+            "gain_window": draw(st.sampled_from([1.0, 8.0])),
+        },
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_runs())
+# the packaged market on eight clients: streaks end at the window's ceiling
+@example({
+    "seed": 21, "rounds": 1, "policy": "SISCC", "mode": "zeros",
+    "scenario": {"n_clients": 8, "n_targets": 30, "sensing_mode": "msg"},
+    "resources": {"scale": [1.0, 1.0, 1.0]},
+    "prices": {"time": 1.0, "freq": 0.05, "gain": 1000.0},
+    "market": {"gain_floor": 2.0, "gain_window": 8.0},
+})
+def test_whole_run_equals_the_run_on_the_oracles(raw):
+    config = load_config(raw)
+    assert run(config).output_texts() == reference_run(config).output_texts()
+
+
+@pytest.mark.parametrize("policy", [p.value for p in Policy if not POLICIES[p].saturate])
+def test_debug_logging_leaves_the_outputs_as_they_are(caplog, policy):
+    config = load_config({**SMALL, "rounds": 2, "policy": policy})
+    quiet = run(config).output_texts()
+    with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+        loud = run(config).output_texts()
+    assert any(r.getMessage().startswith("scan grant ") for r in caplog.records)
+    assert loud == quiet
