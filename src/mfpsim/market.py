@@ -488,14 +488,18 @@ def allocate_workloads(
             marginal welfare was `rival`, keeps: one at a time while its
             curve vouches for nothing, then certified batches (see above)."""
             nonlocal stride
-            q = by_id[cid]
-            while not q.curve.in_segment(load[cid]):
-                if closed(q):
-                    return
+            q, first = by_id[cid], load[cid]
+            while not (vouched := q.curve.in_segment(load[cid])) and not closed(q):
                 delta = priced(q)
                 if not (delta > rival + _TOL and (gain < gain_floor - _TOL or delta > _TOL)):
-                    return
+                    break
                 take(cid, 1, gain + q.gain_rate)
+            if debug and load[cid] > first:
+                _log.debug(
+                    "streak %s from load %d: %d samples one at a time", cid, first, load[cid] - first
+                )
+            if not vouched:
+                return
             rate, start, probes = q.gain_rate, load[cid], 0
             backed_off = False  # whether the last probe failed
             while True:

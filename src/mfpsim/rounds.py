@@ -71,10 +71,10 @@ def rounds_to_complete(n_rounds: int, mode: str) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def cycle_length(prev_consumption_times: list[int], time_cells: int) -> int:
+def cycle_length(durations: list[int], time_cells: int) -> int:
     """Window length for the upcoming round: the longest positive duration
     given, capped at `time_cells`, or the full window when there is none."""
-    finite = [t for t in prev_consumption_times if t > 0]
+    finite = [t for t in durations if t > 0]
     if not finite:
         return time_cells
     return min(time_cells, max(finite))

@@ -266,7 +266,6 @@ class _ClientRound:
     eff_down: float
     eff_up: float
     n: int = 0
-    bounds: tuple[float, float] | None = None  # (mtv, mutv) under `budgets`
     quantized: ScheduleDecision | None = None
     note: str = ""
     _task: ConsumptionTask | None = None
@@ -443,18 +442,15 @@ def run(config: ExperimentConfig) -> RunRecord:
         floor, ceiling = _round_targets(config.market, cumulative_gain)
         shortfall = _select_and_allocate(ctx, clients, budgets, floor, ceiling)
         _solve_and_quantize(ctx, clients)
-        _place_round(ctx, record, r, clients, prev_cons, budgets)
+        _place_round(ctx, record, r, clients, prev_cons, int(budgets.time_cells))
         gain, prev_cons = _settle(ctx, record, r, clients, budgets, floor, shortfall)
         cumulative_gain += gain
 
     # trailing window for the last round's transfer chain, as long as the
     # slowest of them: no sensing shares it
     if ctx.pipelined and config.rounds >= 1:
-        pools = {cid: new_pool(*ctx.cells) for cid in prev_cons}
         t_delta = cycle_length([int(d.consumption_time) for d in prev_cons.values()], ctx.cells[0])
-        plan = plan_round(config.rounds + 1, pools, prev_cons, {}, t_delta)
-        record.timeline_rows += plan.timeline_rows()
-        record.audit_violations += plan.audit_violations
+        _place_round(ctx, record, config.rounds + 1, {}, prev_cons, t_delta)
     if config.rounds:
         record.cr_count = rounds_to_complete(config.rounds, config.mode)
 
@@ -497,18 +493,18 @@ def _scenario_and_quotes(
 ) -> tuple[Budgets, dict[str, _ClientRound]]:
     """The round's budgets, and a quote for every client (`_quote_fleet`).
     The round's sensing pairs are found in `buffers`, the run's
-    `pair_buffers`.
+    `pair_buffers`; `prev_cons` are the chains last round handed on.
 
-    The budgets' time is the round's window.  Pipelined, that is the cycle,
-    the last window's critical path: the transfer chains due now plus the
-    sensing spans that just ran.
+    The budgets' time is the round's window, the cycle: the last window's
+    critical path, the chains due now plus the sensing spans that just ran,
+    or the whole window when none is due (a serial run hands none on).
     """
     config, quanta = ctx.config, ctx.quanta
     t_cells, b_cells, f_cells = ctx.cells
     durations = [int(d.consumption_time) for d in prev_cons.values()] + [
         int(d.gen.t_vs) for d in prev_cons.values()
     ]
-    t_delta = cycle_length(durations, t_cells) if ctx.pipelined else t_cells
+    t_delta = cycle_length(durations, t_cells)
     budgets = Budgets(float(t_delta), float(b_cells), float(f_cells))
 
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
@@ -530,9 +526,9 @@ def _quote_fleet(
     settlement never read one, and a client's task is built on first read
     (`_ClientRound.task`), so a quote that is never traded builds neither.
 
-    Pipelined, a client sharing its window with last round's transfer chain
-    quotes with the sensing bandwidth already reduced by that chain's peak,
-    so the market never allocates a workload the spectrum cannot host.
+    A client sharing its window with last round's transfer chain quotes
+    with the sensing bandwidth already reduced by that chain's peak, so the
+    market never allocates a workload the spectrum cannot host.
 
     The bounds and qualities come from one batched pass over the fleet:
     `fleet_bounds` gives every client's (mtv, mutv), and one `qod` call
@@ -549,13 +545,13 @@ def _quote_fleet(
     per_client = []
     for cid in ctx.client_ids:
         my_budgets = budgets
-        prev = prev_cons.get(cid) if ctx.pipelined else None
+        prev = prev_cons.get(cid)
         if prev is not None:
             peak = max(prev.comm_down.b, prev.comm_up.b)
             if peak > 0:
                 my_budgets = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
         per_client.append(my_budgets)
-    bounds = fleet_bounds(
+    pairs = fleet_bounds(
         [at.a for at in statuses], [at.b for at in statuses],
         [bg.gen_bandwidth for bg in per_client], eff_down, eff_up,
         config.task_for(1.0, 1.0),  # the sizes: the efficiencies are per client
@@ -573,21 +569,21 @@ def _quote_fleet(
     clients: dict[str, _ClientRound] = {}
     for cid, at, down, up, my_budgets, pair, q in zip(
         ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist(),
-        per_client, bounds, quality,
+        per_client, pairs, quality,
     ):
         entry = clients[cid] = _ClientRound(cid, at, None, my_budgets, config, down, up)
         cap, n_unc = pair
         if cap < 1:
             entry.note = "no feasible workload"
             continue
-        entry.bounds = pair
+        # every workload is 1 <= n <= cap_i, so the solves compare it with
+        # the quote's ints as they would with the pair
         cap_i = int(min(cap, 10**7))
+        bounds = (cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i)
         curve = None
         if not saturate:
-            curve = CostCurve(_curve_fn(ctx, at, entry.task, my_budgets, pair), cap_i)
-        entry.quote = ClientQuote(
-            cid, q, cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i, gain_factor * q, curve
-        )
+            curve = CostCurve(_curve_fn(ctx, at, entry.task, my_budgets, bounds), cap_i)
+        entry.quote = ClientQuote(cid, q, *bounds, gain_factor * q, curve)
     return clients
 
 
@@ -669,7 +665,8 @@ def _solve_and_quantize(ctx, clients) -> None:
         c = clients[cid]
         if c.n <= 0:
             continue
-        out, used, _ = _policy_solve(ctx, c.n, c.attrs, c.task, c.budgets, c.bounds)
+        bounds = c.quote.mtv, c.quote.mutv
+        out, used, _ = _policy_solve(ctx, c.n, c.attrs, c.task, c.budgets, bounds)
         if out.kind != OutcomeKind.OPTIMAL:
             c.drop("workload infeasible at solve time")
             continue
@@ -683,21 +680,18 @@ def _solve_and_quantize(ctx, clients) -> None:
             c.drop("no integral schedule fits the window")
 
 
-def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
-    """Reserve this round's sensing next to the previous chain (pipelined) or
-    in separate windows (serial); a client whose sensing or chain does not
-    fit is dropped."""
+def _place_round(ctx, record, r, clients, carried, t_delta) -> None:
+    """Place window `r` of `t_delta` cells: the `carried` chains beside the
+    sensing of the clients with a workload, whose chains a serial run then
+    places in a window of their own.  A client that does not fit is dropped;
+    the trailing window (chains alone, as long as the longest) drops none."""
     generation = {cid: c.quantized for cid, c in clients.items() if c.n > 0}
-    chains = prev_cons if ctx.pipelined else {}
-    pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(generation))}
-    t_delta = int(budgets.time_cells)
-    plans = [plan_round(r, pools, chains, generation, t_delta)]
-    if not ctx.pipelined:  # the chains run in a window of their own
-        cons = {cid: c.quantized for cid, c in clients.items() if c.n > 0 and c.quantized}
-        cons_pools = {cid: new_pool(*ctx.cells) for cid in sorted(cons)}
-        plans.append(plan_round(r, cons_pools, cons, {}, t_delta))
-
-    for plan in plans:
+    windows = [(carried, generation)]
+    if not ctx.pipelined:
+        windows.append((generation, {}))
+    for chains, sensing in windows:
+        pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(sensing))}
+        plan = plan_round(r, pools, chains, sensing, t_delta)
         record.timeline_rows += plan.timeline_rows()
         record.audit_violations += plan.audit_violations
         for cid, reason in plan.dropped.items():
@@ -707,10 +701,10 @@ def _place_round(ctx, record, r, clients, prev_cons, budgets) -> None:
 
 def _settle(ctx, record, r, clients, budgets, floor, shortfall):
     """Pay for what actually fit, at the quantized schedules' costs, and
-    record the round.  Returns the round's gain and the transfer chains that
-    run in the next window."""
+    record the round.  Returns the round's gain and the transfer chains the
+    next window carries: none when serial, as `_place_round` ran them."""
     prices, market = ctx.prices, ctx.config.market
-    active = {cid: c for cid, c in clients.items() if c.n > 0 and c.quantized is not None}
+    active = {cid: c for cid, c in clients.items() if c.n > 0}
     costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
     if not POLICIES[ctx.policy].saturate:
         for cid in sorted(active):
@@ -758,7 +752,7 @@ def _settle(ctx, record, r, clients, budgets, floor, shortfall):
                 "note": c.note,
             }
         )
-    return gain, {cid: c.quantized for cid, c in active.items()}
+    return gain, {cid: c.quantized for cid, c in active.items()} if ctx.pipelined else {}
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list) -> tuple[list[RunRecord], list[dict]]:

@@ -11,7 +11,8 @@ rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, the numpy tag-grid resource pool, one
 client's target distances, sensing status and server link taken on their own,
 the fixed number of single folds mobility used to take, the per-client
-quote loop, the market's streak loop adding a leader's gain rate one
+quote loop, the bounds taken client by client and the quality row by row
+that the quote's batched pass replaced, the market's streak loop adding a leader's gain rate one
 grant at a time, and whole-cell realization's per-cell loops over the
 window and the part keys each policy named before they followed from its
 schedule objective.  `schema_violations` is jsonschema itself, the reference for
@@ -740,8 +741,10 @@ def status_attributes(state, distances, geometry, channel, profile, quanta):
 def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, prev_cons):
     """The quote loop the runner ran before its batched pass, one `mtv`,
     `mutv` and `qod` call per client: client id -> (task, budgets, mtv,
-    (mutv, qod) or None when the client does not quote).
-    `runner._quote_fleet` must match it by `repr`."""
+    (mutv, qod) or None when the client does not quote).  `prev_cons` holds
+    the chains the round carries, which narrow their clients' sensing band
+    (a serial round carries none).  `runner._quote_fleet` must match it by
+    `repr`."""
     from mfpsim.sensing import qod
     from mfpsim.solver import mtv, mutv
 
@@ -749,7 +752,7 @@ def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, pre
     for cid, at, down, up in zip(ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist()):
         task = ctx.config.task_for(down, up)
         my_budgets = budgets
-        prev = prev_cons.get(cid) if ctx.pipelined else None
+        prev = prev_cons.get(cid)
         if prev is not None:
             peak = max(prev.comm_down.b, prev.comm_up.b)
             if peak > 0:
@@ -765,24 +768,60 @@ def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, pre
     return out
 
 
+def fleet_bounds_per_client(a, b, gen_bandwidth, eff_down, eff_up, task, prices, budgets, quanta):
+    """`solver.fleet_bounds` as the per-client loop it batches: client i's
+    `mtv`, and its `mutv` where that mtv is at least 1 (None below), on its
+    own coefficients, efficiencies and sensing band."""
+    from mfpsim.scenario import StatusAttributes
+    from mfpsim.solver import mtv, mutv
+
+    columns = (np.asarray(x, dtype=float).tolist() for x in (a, b, gen_bandwidth, eff_down, eff_up))
+    out = []
+    for at_a, at_b, band, down, up in zip(*columns):
+        at = StatusAttributes(at_a, at_b, None)
+        my_task = replace(task, eff_down=down, eff_up=up)
+        my_budgets = replace(budgets, gen_freq_cells=band)
+        cap = mtv(at, my_task, my_budgets, quanta)
+        out.append((cap, mutv(at, my_task, prices, my_budgets, quanta) if cap >= 1 else None))
+    return out
+
+
+def qod_per_row(local, global_):
+    """`sensing.qod` of a (Nc, K) array as the 1-D call on each row."""
+    from mfpsim.sensing import qod
+
+    return np.array([qod(row, global_) for row in local])
+
+
 def reference_run(config):
     """The `RunRecord` of `runner.run(config)` with every fast path that has
     an oracle above, and the same signature or a thin adapter, replaced by
     it: the allocation, the saturated load, the sensing pairs (the oracle
-    takes no buffers), whole-cell realization's sensing search and leg
-    candidates, and the consumption enumeration, which the runner's solver
-    and the baseline policies call.  Its output bytes must equal the
-    engine's run's."""
+    takes no buffers), each client's status from its `distance_row`, the
+    quote's bounds and qualities client by client, the tag-grid pool,
+    whole-cell realization's sensing search and leg candidates, and the
+    consumption enumeration, which the runner's solver and the baseline
+    policies call.  Its output bytes must equal the engine's run's."""
     from unittest import mock
 
     import mfpsim.baselines as baselines
     import mfpsim.runner as runner
     import mfpsim.solver as solver
 
+    def statuses(state, pairs, geometry, channel, profile, quanta):
+        return [
+            status_attributes(state, distance_row(state, c), geometry, channel, profile, quanta)
+            for c in range(state.n_clients)
+        ]
+
     oracles = [
         (runner, "allocate_workloads", allocate_workloads_reference),
         (runner, "saturated_load", saturated_allocation_reference),
         (runner, "sensing_pairs", lambda state, geometry, buffers: sensing_pairs(state, geometry)),
+        (runner, "status_attributes", statuses),
+        (runner, "fleet_bounds", fleet_bounds_per_client),
+        (runner, "qod", qod_per_row),
+        (runner, "new_pool", GridPool),
         (solver, "_int_gen_best", int_gen_best_reference),
         (solver, "_int_proc_candidates", int_proc_candidates_reference),
         (solver, "_enumerate_consumption", enumerate_consumption_reference),

@@ -8,7 +8,9 @@ the market has allocated (no whole-cell schedule fits the window; the
 quantized schedule costs more than it earns), a whole-cell realization
 that succeeds only on the full-width retry, both single sensing modes
 (under `wsg` the visual rate is 0, so the sensing search stops at width 1,
-not 0) and streaks longer than one streak batch may take.  A change that
+not 0), streaks longer than one streak batch may take, and quotes whose
+capacity passes the 10**7 cap, where a quote's (mtv, mutv) ints differ
+from the bounds the solver computes.  A change that
 moves any hash changes what the simulator computes; such a change must list every
 moved hash and the reason in CHANGES.md.
 """
@@ -88,6 +90,10 @@ CONFIGS = {
         market={"gain_factor": 1e-5},
         prices={"gain": 1e6},
     ),
+    # a window of 10**9 cells in every (serial) round: each quote's mtv is
+    # the 10**7 cap, which the solves compare workloads with
+    "siscc_capped_quotes": _tiny(0, mode="serial", resources={"time_cells": 10**9}),
+    "mlpg_capped_quotes": _tiny(11, "MLPG", mode="serial", resources={"time_cells": 10**9}),
 }
 
 GOLDEN = {
@@ -217,6 +223,18 @@ GOLDEN = {
         "summary.csv": "d3dce47e9d437779aa78584a66c7089a774d18ed61b7f0d7fcfd12002e13f176",
         "timeline.csv": "fdbf16d009114d64538b82db759c5cd7a92f1a181179dbf06183ede10a5bff46",
     },
+    "siscc_capped_quotes": {
+        "clients.jsonl": "4bb8554bf08df7b70e0755caa000bb7f075a5333104169f5d04423a86d491c06",
+        "run.json": "dcf9fd0112880c3a3d2a4c428dd42df9067a84421204a1435e63c77147e60eef",
+        "summary.csv": "ffeb1fbdb56fee0d24627b241f8c827f55daed848b8bb9a5fc01a4d5ed127a93",
+        "timeline.csv": "eaf27c22c151a53d742b114d83e5f6d26e24312c78cde5473885a25cf602e623",
+    },
+    "mlpg_capped_quotes": {
+        "clients.jsonl": "7f421e903f79d29359ce057789b6b9ed39a7f61cc7650d2184c73aeb5a196384",
+        "run.json": "ab6f7ddcae7b23b60b9df56845da42ef12b39ee4fa0a9bea946973729f5267d6",
+        "summary.csv": "2e9c29be93ded41d986f8f9227316d9a13198b94c9fe00e12e72f1dc0c735f41",
+        "timeline.csv": "3eb2787fa5c9a6b403d983b59aac92d1c06d3ac130fc6d107d6739c1f3814959",
+    },
 }
 
 
@@ -230,6 +248,13 @@ def test_golden_covers_every_policy_and_mode():
 def test_golden_reaches_the_shortfall_fallback():
     rows = run(load_config(CONFIGS["siscc_shortfall"])).summary_rows
     assert rows and all(r["shortfall"] and r["active_count"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("name", ["siscc_capped_quotes", "mlpg_capped_quotes"])
+def test_golden_quotes_hit_the_capacity_cap(name):
+    rows = run(load_config(CONFIGS[name])).client_rows
+    assert rows and all(r["mtv"] == 10**7 for r in rows)
+    assert any(r["n"] > 0 for r in rows)
 
 
 @pytest.mark.parametrize(

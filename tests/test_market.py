@@ -706,9 +706,10 @@ def test_plain_costs_vouch_for_no_streak(caplog):
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         got = allocate_workloads(*case)
     # the first grant's scan makes a clear lead, whose streak takes every
-    # later grant one at a time
+    # later grant one at a time, and says so in one line
     assert [r.getMessage() for r in caplog.records] == [
-        "scan grant a at load 0: marginal welfare -1.2, clear lead"
+        "scan grant a at load 0: marginal welfare -1.2, clear lead",
+        "streak a from load 1: 1999 samples one at a time",
     ]
     assert not plain.in_segment(1)
     assert plain.rise_bound(1, 2000) is None

@@ -278,6 +278,35 @@ def test_placement_builds_pools_only_for_the_clients_it_places(monkeypatch, raw)
         assert seen[-1] == (set(), set())
 
 
+@pytest.mark.parametrize("mode", ["zeros", "serial"])
+def test_only_a_pipelined_round_hands_on_its_chains(monkeypatch, mode):
+    # a serial round runs its chains in a window of its own, so the next
+    # round carries none; a pipelined round carries exactly the chains that
+    # settled, those of the clients still holding a workload
+    carried, settled = [], []
+    quote, settle = runner._scenario_and_quotes, runner._settle
+
+    def quote_spy(ctx, state, buffers, prev_cons):
+        carried.append(prev_cons)
+        return quote(ctx, state, buffers, prev_cons)
+
+    def settle_spy(ctx, record, r, clients, *args):
+        out = settle(ctx, record, r, clients, *args)
+        settled.append({cid: c.quantized for cid, c in clients.items() if c.n > 0})
+        return out
+
+    monkeypatch.setattr(runner, "_scenario_and_quotes", quote_spy)
+    monkeypatch.setattr(runner, "_settle", settle_spy)
+    run(load_config({**SMALL, "mode": mode}))
+    assert len(carried) == len(settled) == SMALL["rounds"] and all(settled)
+    if mode == "serial":
+        assert carried == [{}] * SMALL["rounds"]
+        return
+    assert carried[0] == {}
+    for now, before in zip(carried[1:], settled):
+        assert list(now) == list(before) and all(now[cid] is before[cid] for cid in now)
+
+
 @pytest.mark.parametrize("scale", [[1.0, 1.0, 1.0], [1.0, 0.05, 1.0]], ids=["defaults", "narrow_spectrum"])
 def test_no_placement_drops_a_client(monkeypatch, scale):
     # the quotes size sensing to the rows last round's chain leaves free, so
@@ -629,11 +658,15 @@ def test_quotes_equal_the_per_client_oracle(fleet):
         if quote is None:
             event("no quote")
             assert repr(pair) == repr((cap, None))
-            assert (c.quote, c.bounds, c.note) == (None, None, "no feasible workload")
+            assert (c.quote, c.note) == (None, "no feasible workload")
             continue
         n_unc, q = quote
         event(f"quote, mutv {'-1' if n_unc == -1 else type(n_unc).__name__}")
-        assert repr(c.bounds) == repr(pair) == repr((cap, n_unc))
+        assert repr(pair) == repr((cap, n_unc))
+        # the quote's ints: mtv capped at 10**7, an infinite mutv at that mtv
+        cap_i = int(min(cap, 10**7))
+        ints = (cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i)
+        assert repr((c.quote.mtv, c.quote.mutv)) == repr(ints)
         assert repr(c.quote.qod) == repr(q)
 
 
@@ -728,7 +761,7 @@ def test_placement_drops_sensing_beside_a_wider_chain(monkeypatch):
     calls = []
     monkeypatch.setattr(runner, "_place_round", lambda *args: calls.append(args))
     run(load_config({**SMALL, "rounds": 1, "policy": "MC_T"}))
-    ctx, record, r, clients, prev_cons, budgets = calls[0]
+    ctx, record, r, clients, prev_cons, t_delta = calls[0]
     assert prev_cons == {}
     cid = min(cid for cid, c in clients.items() if c.n > 0)
     c = clients[cid]
@@ -736,7 +769,7 @@ def test_placement_drops_sensing_beside_a_wider_chain(monkeypatch):
     assert free >= 0
     chain = ScheduleDecision(comm_down=TransferSchedule(t=1, b=ctx.cells[1] - free))
 
-    place(ctx, record, r, clients, {cid: chain}, budgets)
+    place(ctx, record, r, clients, {cid: chain}, t_delta)
 
     assert c.note == "sensing does not fit the shared window"
     assert c.n == 0 and c.quantized is None
