@@ -120,7 +120,7 @@ def _cmd_sweep(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         text = _csv_text(["swept_value"] + SUMMARY_COLUMNS, merged)
-        (outdir / "sweep.csv").write_text(text)
+        (outdir / "sweep.csv").write_bytes(text.encode("utf-8"))
         for value, record in zip(values, records):
             record.write(outdir / f"value_{value}")
         print(outdir / "sweep.csv")

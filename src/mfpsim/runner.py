@@ -166,7 +166,7 @@ class RunRecord:
         written = []
         for name, text in self.output_texts().items():
             path = outdir / name
-            path.write_text(text)
+            path.write_bytes(text.encode("utf-8"))
             written.append(path)
         return written
 
@@ -314,9 +314,10 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     carry the workload, the uncapped schedule stands (a fallback).  Both
     solves are `solver.solved` outcomes, Optimal only with a schedule of
     finite cost, so a capped chain whose cost leaves the float range is a
-    fallback too.  `bounds` is (mtv, mutv) under `budgets`; the re-solve
-    takes its own, under the capped budgets.  Returns (outcome,
-    budgets_used, fell_back).
+    fallback too.  The capped mtv decides the fallback before any re-solve:
+    n above it falls back at once, with no capped mutv and no second solve.
+    `bounds` is (mtv, mutv) under `budgets`; the re-solve takes its own,
+    under the capped budgets.  Returns (outcome, budgets_used, fell_back).
 
     The market reads n -> this cost as a curve (`_curve_fn`) whose
     segments are (n > mutv, fell_back).  It dips, by several cost units,
@@ -386,7 +387,10 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     capped = replace(budgets, cons_freq_cells=cap)
     if max(out.decision.comm_down.b, out.decision.comm_up.b) <= cap:
         return out, capped, False
-    capped_bounds = (mtv(at, task, capped, quanta), mutv(at, task, prices, capped, quanta))
+    n_max = mtv(at, task, capped, quanta)
+    if n > n_max:  # the re-solve would be Infeasible
+        return out, budgets, True
+    capped_bounds = (n_max, mutv(at, task, prices, capped, quanta))
     out2 = schedule_with_policy(
         policy, SolveInput(n, at, task, prices, capped, quanta), bounds=capped_bounds
     )

@@ -783,7 +783,8 @@ def _sensing_width(n, a, b, b_int, slack, x):
 
 def _first_times(width, t_int, bound, last):
     """The (t, width(t)) at the first time t in 1..t_int of each distinct
-    width below `bound`, in time order, up to the first width <= `last`.
+    width below `bound`, in time order, up to the first width <= `last`
+    (`last=math.inf`: the first candidate only, for a raced part).
 
     `width` must not increase in t (the callers' rounded `*`, `-`, `/` and
     `ceil` are monotone), so the widths not below `bound` come first, and
@@ -821,7 +822,7 @@ def _first_times(width, t_int, bound, last):
     return out
 
 
-def _int_gen_best(n, a, b, prices, t_int, b_int, key):
+def _int_gen_best(n, a, b, prices, t_int, b_int, key, first=False):
     """Exact best whole-cell sensing schedule delivering at least n samples,
     ranked by the part key `key` (`_part_key`).
 
@@ -830,13 +831,15 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, key):
     come first.  At one y, more time only adds cost, so every `_part_key`
     keys a later x no lower than the first, which wins its ties:
     `_first_times` gives the candidates.  They end at y = 0, or at y = 1
-    without a visual rate, where y can fall no further.
+    without a visual rate, where y can fall no further.  `first`: the
+    sensing is raced, its key starts with the strictly increasing x, so the
+    first candidate wins and is the only one taken.
     """
     if n <= 0:
         return GenSchedule()
     width = functools.partial(_sensing_width, n, a, b, b_int, _TOL * max(1.0, n))
     best = None
-    for x, y in _first_times(width, t_int, math.inf, 0 if a > 0 else 1):
+    for x, y in _first_times(width, t_int, math.inf, math.inf if first else 0 if a > 0 else 1):
         cost = x * prices.time + y * prices.freq
         k = key(GEN_BANDWIDTH, x, y * prices.freq, cost)
         if best is None or k < best[0]:
@@ -847,18 +850,19 @@ def _int_gen_best(n, a, b, prices, t_int, b_int, key):
     return GenSchedule(x, y, x if y > 0 else 0)
 
 
-def _int_proc_candidates(vol, w_int, t_int):
+def _int_proc_candidates(vol, w_int, t_int, first=False):
     """(t, w) pairs with t*w >= vol: the first time t <= t_int at each
     distinct width w <= w_int (`_first_times`), since more time at the same
     width is dominated for every key.  A positive volume takes a whole
     cell, so w(t) = max(1, ceil(vol/t - 1e-9)), and the pairs end at w = 1.
     The pairs come in increasing t, as `_first_times` returns them, and an
     idle leg's one pair is (0, 0), so `realize_schedule` takes their prefix
-    best by time as they come.
+    best by time as they come.  `first`: only the first pair, all a raced
+    leg can win (`realize_schedule`).
     """
     if vol <= 0:
         return [(0, 0)]
-    return _first_times(lambda t: max(1, math.ceil(vol / t - _TOL)), t_int, w_int + 1, 1)
+    return _first_times(lambda t: max(1, math.ceil(vol / t - _TOL)), t_int, w_int + 1, math.inf if first else 1)
 
 
 def realize_schedule(
@@ -878,6 +882,9 @@ def realize_schedule(
     time split is scored with the objective's lexicographic key per side
     (`_part_key`: the parts it races by time first; true prices always
     break ties), so the realization never pays avoidable rounding cost.
+    A raced part takes its first candidate only: its key starts with its
+    time, strictly least there, and that leaves the most window to the other
+    legs, so a choice with a later one loses to the same with the first.
     Returns None when no integral schedule fits (callers drop the client
     for the round).
     """
@@ -894,7 +901,10 @@ def realize_schedule(
     gen_key, cons_key = (
         functools.partial(_part_key, raced and raced & side) for side in ({GEN_BANDWIDTH}, CHAIN)
     )
-    gen = _int_gen_best(n, attrs.a, attrs.b, prices, t_int, int(budgets.gen_bandwidth), gen_key)
+    raced = raced or frozenset()
+    gen = _int_gen_best(
+        n, attrs.a, attrs.b, prices, t_int, int(budgets.gen_bandwidth), gen_key, GEN_BANDWIDTH in raced
+    )
     if gen is None:
         return None
 
@@ -904,7 +914,7 @@ def realize_schedule(
     legs = []  # (t, w, key) per leg
     for p in procs:
         w_int = int(p.width_max) if not math.isinf(p.width_max) else 10**9
-        got = _int_proc_candidates(p.volume, w_int, t_int)
+        got = _int_proc_candidates(p.volume, w_int, t_int, p.name in raced)
         if not got:
             return None
         price_w = p.width_price

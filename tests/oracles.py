@@ -11,7 +11,7 @@ rationality pass, the runner's former saturated allocation, the sum of the
 four unconstrained sub-process minima, the numpy tag-grid resource pool, one
 client's target distances, sensing status and server link taken on their own,
 the fixed number of single folds mobility used to take, the per-client
-quote loop, the bounds taken client by client and the quality row by row
+quote loop, the policy solve that re-solved every binding cap, the bounds taken client by client and the quality row by row
 that the quote's batched pass replaced, the market's streak loop adding a leader's gain rate one
 grant at a time, and whole-cell realization's per-cell loops over the
 window and the part keys each policy named before they followed from its
@@ -397,10 +397,11 @@ def part_key_reference(objective, kind, t, width_cost, cost):
     raise ValueError(f"unknown realization objective {objective!r}")
 
 
-def int_gen_best_reference(n, a, b, prices, t_int, b_int, key):
+def int_gen_best_reference(n, a, b, prices, t_int, b_int, key, first=False):
     """Whole-cell realization's former sensing search, one time cell at a
     time over the whole window: the best (x, y) under the part key `key`,
-    as a `GenSchedule`, or None when no width fits."""
+    as a `GenSchedule`, or None when no width fits.  `first` is ignored:
+    every candidate is scored, raced or not."""
     from mfpsim.costs import GenSchedule
 
     if n <= 0:
@@ -446,9 +447,10 @@ def first_times_reference(width, t_int, bound, last):
     return out
 
 
-def int_proc_candidates_reference(vol, w_int, t_int):
+def int_proc_candidates_reference(vol, w_int, t_int, first=False):
     """Whole-cell realization's former leg candidates, one time cell at a
-    time: (t, w) with t*w >= vol, the first t at each width w <= w_int."""
+    time: (t, w) with t*w >= vol, the first t at each width w <= w_int.
+    `first` is ignored: every candidate is listed, raced or not."""
     if vol <= 0:
         return [(0, 0)]
     out = []
@@ -793,13 +795,42 @@ def qod_per_row(local, global_):
     return np.array([qod(row, global_) for row in local])
 
 
+def policy_solve_reference(ctx, n, at, task, budgets, bounds=None):
+    """`runner._policy_solve` as it ran before the capped mtv decided its
+    fallback: every cap the plain solve's transfers pass takes the capped
+    (mtv, mutv) pair and a second solve, which is Infeasible above that mtv.
+    Returns (outcome, budgets_used, fell_back)."""
+    from mfpsim.baselines import schedule_with_policy
+    from mfpsim.solver import OutcomeKind, SolveInput, mtv, mutv
+
+    prices, quanta = ctx.prices, ctx.quanta
+    out = schedule_with_policy(ctx.policy, SolveInput(n, at, task, prices, budgets, quanta), bounds=bounds)
+    if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL:
+        return out, budgets, False
+    sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)
+    if sensing_width <= 0:
+        return out, budgets, False
+    cap = max(1.0, budgets.freq_cells - sensing_width)
+    if cap >= budgets.cons_bandwidth:
+        return out, budgets, False
+    capped = replace(budgets, cons_freq_cells=cap)
+    if max(out.decision.comm_down.b, out.decision.comm_up.b) <= cap:
+        return out, capped, False
+    capped_bounds = (mtv(at, task, capped, quanta), mutv(at, task, prices, capped, quanta))
+    out2 = schedule_with_policy(ctx.policy, SolveInput(n, at, task, prices, capped, quanta), bounds=capped_bounds)
+    if out2.kind != OutcomeKind.OPTIMAL:
+        return out, budgets, True
+    return out2, capped, False
+
+
 def reference_run(config):
     """The `RunRecord` of `runner.run(config)` with every fast path that has
     an oracle above, and the same signature or a thin adapter, replaced by
     it: the allocation, the saturated load, the sensing pairs (the oracle
     takes no buffers), each client's status from its `distance_row`, the
-    quote's bounds and qualities client by client, the tag-grid pool,
-    whole-cell realization's sensing search and leg candidates, and the
+    quote's bounds and qualities client by client, the tag-grid pool, the
+    policy solve that re-solves every binding cap, whole-cell realization's
+    sensing search and leg candidates, and the
     consumption enumeration, which the runner's solver and the baseline
     policies call.  Its output bytes must equal the engine's run's."""
     from unittest import mock
@@ -822,6 +853,7 @@ def reference_run(config):
         (runner, "fleet_bounds", fleet_bounds_per_client),
         (runner, "qod", qod_per_row),
         (runner, "new_pool", GridPool),
+        (runner, "_policy_solve", policy_solve_reference),
         (solver, "_int_gen_best", int_gen_best_reference),
         (solver, "_int_proc_candidates", int_proc_candidates_reference),
         (solver, "_enumerate_consumption", enumerate_consumption_reference),

@@ -100,6 +100,32 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert meta["rounds"] == 1
 
 
+@pytest.fixture
+def windows_text_mode(monkeypatch):
+    """`Path.write_text` as on Windows: "\r\n" newlines, a legacy code page."""
+    write_text = Path.write_text
+
+    def windows_write_text(self, data, encoding=None, errors=None, newline=None):
+        return write_text(self, data, encoding="cp1252", errors=errors, newline="\r\n")
+
+    monkeypatch.setattr(Path, "write_text", windows_write_text)
+
+
+@pytest.mark.usefixtures("windows_text_mode")
+def test_run_writes_the_bytes_its_outputs_hash(tmp_path, capsys):
+    # every file `run --out` writes is the UTF-8 of its output text, in
+    # any platform's text mode
+    cfg = tmp_path / "cfg.json"
+    raw = {"seed": 5, "rounds": 2, "scenario": {"n_clients": 3, "n_targets": 10}, "output": {"trajectories": True}}
+    cfg.write_bytes(json.dumps(raw).encode())
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    texts = mfpsim.run(mfpsim.load_config(str(cfg))).output_texts()
+    assert "trajectories.csv" in texts
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(texts)
+    for name, text in texts.items():
+        assert (tmp_path / "out" / name).read_bytes() == text.encode(), name
+
+
 def test_nan_profit_identity_is_an_audit_finding(tmp_path):
     # a sample price of 1e308 makes the payments inf, so both profit
     # identities leave a residual of inf - inf = nan, which no
@@ -214,6 +240,7 @@ def test_bad_scale_flag_rejected(capsys):
         main(["run", "--scale", "1:2"])
 
 
+@pytest.mark.usefixtures("windows_text_mode")
 def test_sweep_writes_merged_csv(tmp_path):
     out = tmp_path / "sweep_out"
     code = main(
@@ -223,7 +250,8 @@ def test_sweep_writes_merged_csv(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    text = (out / "sweep.csv").read_text()
+    text = (out / "sweep.csv").read_bytes().decode()
+    assert "\r" not in text
     header = text.splitlines()[0]
     assert header.startswith("swept_value,round,gain")
     assert len(text.splitlines()) == 3

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -30,7 +31,7 @@ from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, OutcomeKind, SolveInput, fleet_bounds, mtv, mutv
 
 import mfpsim.runner as runner
-from oracles import output_hashes, quotes_per_client, reference_run
+from oracles import output_hashes, policy_solve_reference, quotes_per_client, reference_run
 from test_golden import CONFIGS
 
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
@@ -474,6 +475,32 @@ def test_capped_chain_whose_cost_leaves_the_float_range_falls_back():
     out, used, fell_back = _policy_solve(ctx, 16, at, task, budgets, bounds)
     assert (out.kind, used, fell_back) == (OutcomeKind.OPTIMAL, budgets, True)
     assert math.isfinite(out.cost) and out.decision.comm_down.b == 10.0
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from([Policy.MLPG, Policy.MC_T, Policy.SENS_OPT, Policy.COMM_OPT]), capped_clients())
+def test_capped_mtv_decides_the_fallback_as_the_resolve_did(policy, p):
+    # past the capped mtv the runner falls back at once; the reference takes
+    # the capped (mtv, mutv) pair and re-solves, Infeasible there.  Every
+    # workload of the curve, so the capped mtv itself and the one past it
+    at = StatusAttributes(a=p["a"], b=p["b"], label_dist=None)
+    task = ConsumptionTask(p["down"], p["up"], p["cycles"], p["eff_down"], p["eff_up"])
+    budgets = Budgets(float(p["cycle"]), float(p["freq"]), float(p["compute"]))
+    prices = PriceVector(time=p["time_price"], freq=p["freq_price"], compute=p["compute_price"], sample=1.0, gain=1000.0)
+    quanta = ResourceQuanta(1.0, 1e6, 1e5)
+    cap = mtv(at, task, budgets, quanta)
+    assume(cap >= 1)
+    bounds = (cap, mutv(at, task, prices, budgets, quanta))
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    _, used, fell_back = policy_solve_reference(ctx, int(cap), at, task, budgets, bounds)
+    assume(fell_back or used is not budgets)  # the sensing cap binds at capacity
+    kinds = []
+    for n in range(1, int(cap) + 1):
+        got = _policy_solve(ctx, n, at, task, budgets, bounds)
+        expected = policy_solve_reference(ctx, n, at, task, budgets, bounds)
+        assert repr(got) == repr(expected), n
+        kinds.append("falls back" if expected[2] else "capped" if expected[1] is not budgets else "plain")
+    event(" then ".join(k for k, _ in itertools.groupby(kinds)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -622,6 +622,8 @@ NEEDS = st.sampled_from([0.0, 1e-300, 1e-9, 1e-3, 1e19]) | st.floats(0.0, 1e5)
 @example(1e19, 100, 10**19)  # a huge leg in a huge window: 100 widths
 def test_leg_candidates_equal_the_per_cell_loop(vol, w_int, t_int):
     got = solver._int_proc_candidates(vol, w_int, t_int)
+    # a raced leg's key starts with its time, least at the first candidate
+    assert solver._int_proc_candidates(vol, w_int, t_int, True) == got[:1]
     if t_int > 10**4:  # the loop would take about t_int steps
         def width(t):
             return max(1, math.ceil(vol / t - 1e-9))
@@ -647,6 +649,8 @@ def test_sensing_search_equals_the_per_cell_loop(n, a, b, p_time, p_freq, t_int,
     raced = solver.RACED[objective]
     key = functools.partial(solver._part_key, raced and raced & {GEN_BANDWIDTH})
     got = solver._int_gen_best(n, a, b, pv, t_int, b_int, key)
+    if raced and GEN_BANDWIDTH in raced:  # the first candidate wins a raced key
+        assert solver._int_gen_best(n, a, b, pv, t_int, b_int, key, True) == got
     if t_int > 10**4:  # the loop would take 10**7 steps: the first x at width 1
         x = got.t_vs
         assert got.b_ws == 1 and n / (b * x) - 1e-9 <= 1 < n / (b * (x - 1)) - 1e-9
