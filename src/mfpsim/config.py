@@ -367,6 +367,21 @@ def load_config(
             " the cycles per sample underflow to 0",
             "task/cycles_per_sample",
         )
+    # a round pays at most this many clients for at most 10**7 samples each
+    # (the quote cap in runner._quote_fleet), each sample worth at most
+    # gain_factor of gain (quality is at most 1): settlement stays finite
+    paid = min(sc["n_clients"], m["max_active_clients"])
+    if math.isinf(p["sample"] * paid * 10**7):
+        raise ConfigError(
+            "times the paid clients and the 10**7 quote cap, a round's payments overflow",
+            "prices/sample",
+        )
+    if math.isinf(p["gain"] * m["gain_factor"] * paid * 10**7):
+        raise ConfigError(
+            "times market/gain_factor, the paid clients and the 10**7 quote cap,"
+            " a round's gain payment overflows",
+            "prices/gain",
+        )
     return config
 
 

@@ -5,9 +5,10 @@ pays clients a posted price per delivered sample; clients carry their own
 resource costs.  Workloads are assigned by a greedy marginal-welfare auction:
 each sample goes to whichever client currently adds the most weighted
 welfare, driving the aggregate gain into the requested target window.  A
-client that leads clearly is granted a run of samples at once when one probe
-of its cost curve certifies that the sample-by-sample greedy would have
-granted it every one of them.
+client that leads clearly keeps the grant without a new scan: a run of
+samples at once when one probe of its cost curve certifies that the
+sample-by-sample greedy would have granted it every one of them, and one
+sample at a time while it still leads.
 """
 
 from __future__ import annotations
@@ -342,39 +343,36 @@ def allocate_workloads(
 
     Streaks.  After a clear pick the leader keeps the grant without a new
     scan for as long as it stays the clear pick: the other marginals do not
-    move, and they can only close, so the runner-up can only fall.  Where
-    its curve vouches for nothing (`CostCurve.in_segment`), it takes one
-    sample at a time while it is open and its freshly priced marginal still
-    beats that runner-up by more than 1e-9 (and exceeds 1e-9 past the
-    floor).  Where the curve vouches for its load n, it is offered k more
-    samples at once, and one probe of c(n+k) decides.  `CostCurve.rise_bound`
-    turns c(n) and c(n+k) into a float R no smaller than any of the leader's
-    computed marginal costs at loads n..n+k-1, and `_welfare_of(R)` is then
-    no larger than any of its computed marginal welfares there (the same
-    float expression, monotone in the cost).  So when that bound beats the
-    runner-up's marginal by more than 1e-9 (any finite value does when
-    there is none), every one of the k grants would have been a clear pick
-    of the leader; past the floor it must also exceed 1e-9, or the batch
-    stops at the floor switch.  A finite bound also rules out a NaN marginal
-    in the run.  k is clipped at _CHUNK, and where the leader closes: at
-    mtv, and before the grant whose gain would reach the ceiling.  Each
-    probe computes the gains it spans, G[0] the gain and G[j+1] = G[j] +
-    gain_rate, with `itertools.accumulate` (`_span`), and a batch takes its
-    gain from G.  `accumulate` applies the same float `+` in the same order
-    as `gain += gain_rate` one grant at a time, so loads, gain and open
-    count are the sample-by-sample greedy's, bit for bit.  Bidders have
-    gain_rate > 0 and rounding is monotone, so G never decreases, and
-    `bisect_left` finds the first G[j] >= ceiling - 1e-9 (j >= 1: where the
-    leader closes) and the first G[j] >= gain_floor - 1e-9 (the floor
-    switch) where a one-at-a-time loop would break: also when G[j] +
-    gain_rate == G[j] and when the ceiling is infinite.  k gallops: it
-    halves after a failed batch and doubles after a certified one, except
-    that a batch certified right after a failed one is offered again at the
-    same k, since the doubled size just failed from a load only k lower.  A
-    streak ends, and the next grant is a scan's, when the leader closes or
-    no longer leads clearly enough, and once batches have begun, when no
-    k >= 2 certifies, when a probe is infinite or at the floor switch.  A
-    pick that is not clear never starts a streak.
+    move, and they can only close, so the runner-up's marginal recorded at
+    the pick is never below an open client's.  A streak is one loop.  Where
+    the curve vouches for the leader's load n (`CostCurve.in_segment`) and
+    a batch of at least two fits, a pass offers k more samples at once, and
+    one probe of c(n+k) decides.  Otherwise the pass grants one sample
+    while the leader is open and its freshly priced marginal still beats
+    the recorded runner-up by more than 1e-9 (and exceeds 1e-9 past the
+    floor): that grant is the clear pick a scan would make.
+    `CostCurve.rise_bound` turns c(n) and c(n+k) into a float R no smaller
+    than any of the leader's computed marginal costs at loads n..n+k-1, and
+    `_welfare_of(R)` is then no larger than any of its computed marginal
+    welfares there (the same float expression, monotone in the cost).  So
+    when that bound beats the runner-up's marginal by more than 1e-9 (any
+    finite value does when there is none), every one of the k grants would
+    have been a clear pick of the leader; past the floor it must also
+    exceed 1e-9, or the batch stops at the floor switch.  A finite bound
+    also rules out a NaN marginal in the run.  k is clipped at _CHUNK, and
+    where the leader closes: at mtv, and before the grant whose gain would
+    reach the ceiling.  `_span` finds that grant and the floor switch with
+    the float additions of `gain += gain_rate` one grant at a time, and a
+    batch takes its gain from it, so loads, gain and open count are the
+    sample-by-sample greedy's, bit for bit.  k gallops: it halves after a
+    failed batch and doubles after a certified one, except that a batch
+    certified right after a failed one is offered again at the same k,
+    since the doubled size just failed from a load only k lower; a batch
+    that fails at k = 2 leaves the pass to the one-sample grant.  A streak
+    ends, and the next grant is a scan's, when the leader closes or no
+    longer leads clearly enough, when a probe is infinite, or at the floor
+    switch.  A pick that is not clear never starts a streak.  Each streak
+    logs one DEBUG line: its samples, its probes and why it stopped.
 
     A rationality pass does not rerun the greedy from scratch.  The greedy
     remembers its state, (grants so far, gain, the nonzero loads), where a
@@ -386,7 +384,10 @@ def allocate_workloads(
     restores the state at which the earliest excluded client first led (the
     end state when none did), opens one client per nonzero load, forgets the
     states remembered at or after that grant and resumes.  A state holds at
-    most max_active loads.
+    most max_active loads.  A streak's grants skip the scan, so they
+    remember no state, and a restore can land later than one scan per grant
+    would put it; it stays exact, since no grant in between depended on a
+    client that never led.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -485,59 +486,55 @@ def allocate_workloads(
 
         def streak(cid: str, rival: float) -> None:
             """The grants the leader of a clear pick, whose runner-up's
-            marginal welfare was `rival`, keeps: one at a time while its
-            curve vouches for nothing, then certified batches (see above)."""
+            marginal welfare was `rival`, keeps: each pass a certified batch
+            where one fits, else one sample (see above)."""
             nonlocal stride
-            q, first = by_id[cid], load[cid]
-            while not (vouched := q.curve.in_segment(load[cid])) and not closed(q):
-                delta = priced(q)
-                if not (delta > rival + _TOL and (gain < gain_floor - _TOL or delta > _TOL)):
-                    break
-                take(cid, 1, gain + q.gain_rate)
-            if debug and load[cid] > first:
-                _log.debug(
-                    "streak %s from load %d: %d samples one at a time", cid, first, load[cid] - first
-                )
-            if not vouched:
-                return
-            rate, start, probes = q.gain_rate, load[cid], 0
+            q, first, probes = by_id[cid], load[cid], 0
+            rate = q.gain_rate
             backed_off = False  # whether the last probe failed
             while True:
                 n = load[cid]
-                size = min(stride, q.mtv - n, _CHUNK)
-                # the leader stays open for `steps` grants, and the floor
-                # switch comes before grant `floor_at` (0: already past it)
-                steps, floor_at, after, at_floor = _span(
-                    gain, rate, size, ceiling - _TOL, gain_floor - _TOL
-                )
-                if steps < 2:
-                    why = "capacity" if n + 1 >= q.mtv else "ceiling" if steps < size else "bound"
-                    break
-                probes += 1
-                rise = q.curve.rise_bound(n, n + steps)
-                if rise is None and not math.isfinite(q.curve.cost(n + steps)):
-                    why = "infinite probe"
-                    break
-                bound = math.nan if rise is None else _welfare_of(q, rise, prices, alpha, beta)
-                if math.isfinite(bound) and bound > rival + _TOL:
-                    if floor_at is None or bound > _TOL:
-                        take(cid, steps, after)
-                        stride = steps if backed_off else 2 * steps
-                        backed_off = False
-                        continue
-                    if floor_at:
-                        take(cid, floor_at, at_floor)
-                        why = "floor switch"
+                steps = 0
+                if q.curve.in_segment(n):
+                    size = min(stride, q.mtv - n, _CHUNK)
+                    # the leader stays open for `steps` grants, and the floor
+                    # switch comes before grant `floor_at` (0: already past it)
+                    steps, floor_at, after, at_floor = _span(
+                        gain, rate, size, ceiling - _TOL, gain_floor - _TOL
+                    )
+                if steps >= 2:
+                    probes += 1
+                    rise = q.curve.rise_bound(n, n + steps)
+                    if rise is None and not math.isfinite(q.curve.cost(n + steps)):
+                        why = "infinite probe"
                         break
-                stride = max(2, steps // 2)
-                backed_off = True
-                if steps == 2:
-                    why = "bound"
+                    bound = math.nan if rise is None else _welfare_of(q, rise, prices, alpha, beta)
+                    if math.isfinite(bound) and bound > rival + _TOL:
+                        if floor_at is None or bound > _TOL:
+                            take(cid, steps, after)
+                            stride = steps if backed_off else 2 * steps
+                            backed_off = False
+                            continue
+                        if floor_at:
+                            take(cid, floor_at, at_floor)
+                            why = "floor switch"
+                            break
+                    stride = max(2, steps // 2)
+                    backed_off = True
+                    if steps > 2:
+                        continue
+                if closed(q):
+                    why = "capacity" if n >= q.mtv else "ceiling"
                     break
-            if probes:
+                delta = priced(q)
+                if not (delta > rival + _TOL and (gain < gain_floor - _TOL or delta > _TOL)):
+                    why = "marginal"
+                    break
+                take(cid, 1, gain + rate)
+            if debug:
                 _log.debug(
                     "streak %s from load %d: %d samples, %d probes, stopped at %s",
-                    cid, start, load[cid] - start, probes, why,
+                    cid, first, load[cid] - first, probes, why,
                 )
 
         while (pick := grantable(require_positive=gain >= gain_floor - _TOL)) is not None:

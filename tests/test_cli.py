@@ -10,6 +10,7 @@ import pytest
 
 import mfpsim
 from mfpsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from mfpsim.runner import validate_summary_rows
 
 
 def test_solve_one_time_boxed_case(capsys):
@@ -126,19 +127,57 @@ def test_run_writes_the_bytes_its_outputs_hash(tmp_path, capsys):
         assert (tmp_path / "out" / name).read_bytes() == text.encode(), name
 
 
-def test_nan_profit_identity_is_an_audit_finding(tmp_path):
-    # a sample price of 1e308 makes the payments inf, so both profit
-    # identities leave a residual of inf - inf = nan, which no
+def test_nan_profit_identity_is_an_audit_finding(tmp_path, capsys):
+    # a sample price of 1e308 would make the payments inf: the config is
+    # rejected at its price, and a row whose totals are inf still leaves
+    # both identities a residual of inf - inf = nan, which no
     # "residual > 1e-6" test would catch
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"prices": {"sample": 1e308}}))
     code = main(["run", "--rounds", "2", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == EXIT_OK
-    meta = json.loads((tmp_path / "out" / "run.json").read_text())
-    assert math.isnan(meta["total_welfare"])
-    assert meta["audit_violations"] == [
+    assert code == EXIT_CONFIG
+    assert "config error: prices/sample: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    rows = [
+        {"round": r, "app_payment": 5000.0, "payments_total": math.inf, "server_profit": -math.inf,
+         "costs_total": 10.0, "client_profits_total": math.inf}
+        for r in (1, 2)
+    ]
+    assert validate_summary_rows(rows) == [
         f"round{r}:{side}_profit_identity" for r in (1, 2) for side in ("server", "client")
     ]
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"prices": {"sample": 1e308}}, "prices/sample"),
+        ({"prices": {"sample": 1e301}, "market": {"max_active_clients": 20}}, "prices/sample"),
+        ({"prices": {"gain": 1e308}}, "prices/gain"),
+        ({"prices": {"gain": 1e300}, "market": {"gain_factor": 1e3}}, "prices/gain"),
+    ],
+    ids=["sample", "sample-by-cap", "gain", "gain-by-factor"],
+)
+def test_prices_whose_settlement_overflows_exit_2(tmp_path, capsys, raw, key):
+    # a round pays at most min(n_clients, max_active_clients) clients for
+    # at most 10**7 samples each, each of gain at most gain_factor
+    cfg = _write(tmp_path, "price.json", json.dumps(raw))
+    assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+def test_prices_just_inside_the_settlement_bound_run(tmp_path, capsys):
+    # 20 clients, 10 of them paid: 1e300 * 10 * 10**7 = 1e308 is finite,
+    # and so is 1e301 * 0.01 * 10 * 10**7 = 1e307
+    cfg = _write(tmp_path, "price.json", json.dumps({"prices": {"sample": 1e300, "gain": 1e301}}))
+    assert main(["validate-config", "--config", cfg]) == EXIT_OK
+    # the paid clients are at most the fleet, even under a larger cap:
+    # 5e299 * 20 * 10**7 = 1e308
+    cfg = _write(tmp_path, "cap.json", json.dumps(
+        {"prices": {"sample": 5e299}, "market": {"max_active_clients": 10**9}}
+    ))
+    assert main(["validate-config", "--config", cfg]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_run_config_error_exit(tmp_path, capsys):

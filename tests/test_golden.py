@@ -10,7 +10,9 @@ that succeeds only on the full-width retry, both single sensing modes
 (under `wsg` the visual rate is 0, so the sensing search stops at width 1,
 not 0), streaks longer than one streak batch may take, and quotes whose
 capacity passes the 10**7 cap, where a quote's (mtv, mutv) ints differ
-from the bounds the solver computes.  A change that
+from the bounds the solver computes.  One entry keeps the packaged 20
+clients: at a low gain factor the market is contested, and five clients
+share each round's window.  A change that
 moves any hash changes what the simulator computes; such a change must list every
 moved hash and the reason in CHANGES.md.
 """
@@ -94,6 +96,12 @@ CONFIGS = {
     # the 10**7 cap, which the solves compare workloads with
     "siscc_capped_quotes": _tiny(0, mode="serial", resources={"time_cells": 10**9}),
     "mlpg_capped_quotes": _tiny(11, "MLPG", mode="serial", resources={"time_cells": 10**9}),
+    # the packaged fleet at a gain worth a fifth as much per sample: the
+    # greedy chooses among several clients in every round
+    "siscc_contested": {
+        "rounds": 2, "seed": 21, "policy": "SISCC", "mode": "zeros",
+        "market": {"gain_factor": 0.002},
+    },
 }
 
 GOLDEN = {
@@ -235,6 +243,12 @@ GOLDEN = {
         "summary.csv": "2e9c29be93ded41d986f8f9227316d9a13198b94c9fe00e12e72f1dc0c735f41",
         "timeline.csv": "3eb2787fa5c9a6b403d983b59aac92d1c06d3ac130fc6d107d6739c1f3814959",
     },
+    "siscc_contested": {
+        "clients.jsonl": "cfcf1b045e1c08bc40aca52ce8581f90ce8361319820372a8c3e715988ea0327",
+        "run.json": "f2ecd663d7cf4eded342d048d4b8823eb53282a528efba37efa1e0aa7c3a9c9c",
+        "summary.csv": "18cb8605ab8e60522310767faf7ee01a123c93f1c9cba168d689818a3ede4e75",
+        "timeline.csv": "f6aa3c79d987a3b999d71dcc5e3f165e2df142864c7364bf9be3bfe055b8bcdf",
+    },
 }
 
 
@@ -243,6 +257,11 @@ def test_golden_covers_every_policy_and_mode():
     assert {c.policy for c in cfgs} == set(Policy)
     assert {c.mode for c in cfgs} == {"zeros", "serial"}
     assert set(CONFIGS) == set(GOLDEN)
+
+
+def test_golden_contested_market_activates_several_clients():
+    rows = run(load_config(CONFIGS["siscc_contested"])).summary_rows
+    assert rows and all(r["active_count"] >= 3 and not r["shortfall"] for r in rows)
 
 
 def test_golden_reaches_the_shortfall_fallback():

@@ -706,13 +706,101 @@ def test_plain_costs_vouch_for_no_streak(caplog):
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         got = allocate_workloads(*case)
     # the first grant's scan makes a clear lead, whose streak takes every
-    # later grant one at a time, and says so in one line
+    # later grant one at a time, without a probe, and says so in one line
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare -1.2, clear lead",
-        "streak a from load 1: 1999 samples one at a time",
+        "streak a from load 1: 1999 samples, 0 probes, stopped at capacity",
     ]
     assert not plain.in_segment(1)
     assert plain.rise_bound(1, 2000) is None
+    assert repr(got) == repr(allocate_workloads_reference(*case))
+
+
+def relabelled_curve(cap, slopes, turn, labels, act=0.0, drop=0.0, stop=None):
+    """c(0..cap) with marginal `slopes[0]` below load `turn` and `slopes[1]`
+    from it on, plus the activation cost `act` from n = 1; `drop` lowers
+    c from `turn` on, and `stop` makes c infinite past it.  The segment is
+    `labels[0]` below `turn` and `labels[1]` from it on."""
+    costs = [0.0]
+    for n in range(cap):
+        costs.append(costs[-1] + slopes[n >= turn])
+    costs = [
+        math.inf if stop is not None and n > stop else c + (act if n else 0.0) - (drop if n >= turn else 0.0)
+        for n, c in enumerate(costs)
+    ]
+    return CostCurve(lambda n: (costs[n], labels[n >= turn]), cap)
+
+
+@st.composite
+def relabelled_markets(draw):
+    """Fleets that mix curves whose segment changes partway along (None
+    below a load and a segment from it on, or two segments that meet, the
+    later one after a drop) with steep curves, whose marginal welfare is
+    positive but whose batches of two fail.  Slopes are multiples of 1/8,
+    so marginals tie exactly, and tilts put near-ties at and around 1e-9."""
+    quotes = []
+    for i in range(draw(st.integers(1, 4))):
+        cap = draw(st.integers(1, 60))
+        kind = draw(st.sampled_from(["late", "meet", "steep", "steep"]))
+        turn = draw(st.integers(0, cap))
+        if kind == "steep":
+            # a pair of samples costs more than one is worth at v = 1
+            slope = draw(st.sampled_from([0.625, 0.75, 0.875]))
+            slopes, labels, drop = (slope, slope), (0, 0), 0.0
+        else:
+            below, above = (draw(st.sampled_from([0.25, 0.5, 0.75, 1.25])) for _ in "ab")
+            if kind == "late":
+                # no segment vouches for the curve below `turn`, which may dip
+                slopes, labels, drop = (draw(st.sampled_from([-0.125, below])), above), (None, 0), 0.0
+            else:
+                slopes, labels, drop = (below, above), (0, 1), draw(st.sampled_from([0.0, 0.0, 0.5]))
+        tilt = draw(st.sampled_from([0.0, 0.0, 4e-10, 1e-9, 1.5e-9]))
+        curve = relabelled_curve(
+            cap, tuple(x + tilt for x in slopes), turn, labels,
+            act=draw(st.sampled_from([0.0, 0.0, 0.5])), drop=drop,
+            stop=draw(st.none() | st.none() | st.integers(0, cap)),
+        )
+        quotes.append(streak_quote(f"c{i}", 0.05, curve))
+    # v = prices.gain * 0.05 per sample, 1.0 at the price 20
+    prices = PriceVector(sample=1.0, gain=draw(st.sampled_from([20.0, 20.0, 25.0, 30.0])))
+    reach = sum(q.gain_rate * q.mtv for q in quotes)
+    floor = draw(st.sampled_from([0.0, 0.1, 0.3]) | st.floats(0.0, 1.1)) * reach
+    window = draw(st.sampled_from([0.01, 0.05, 0.12, 0.5, 1e6]) | st.floats(0.01, 5.0))
+    max_active = draw(st.integers(1, 3))
+    return quotes, prices, floor, window, max_active, 1.0, draw(st.sampled_from([0.0, 1.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_markets())
+# the leader b's marginal welfare falls to tie a's 0.5 after two samples:
+# the tie goes to a, by id, and not to a streak that grants on a tie
+@example(_two_bidders(
+    ("b", relabelled_curve(8, (0.25, 0.5), 2, (None, None))),
+    ("a", relabelled_curve(8, (0.5, 0.5), 0, (None, None))), 0.05, 20.0, 0.2, 0.01,
+))
+# past the floor a steep curve's grants turn unprofitable at load 6: a
+# streak must stop there, as the greedy does
+@example(([streak_quote("a", 0.05, relabelled_curve(10, (0.75, 1.25), 6, (0, 0)))],
+          PriceVector(sample=1.0, gain=20.0), 0.0, 1e6, 1, 1.0, 1.0))
+def test_one_loop_streaks_equal_unit_greedy_reference(case):
+    got = _outcome(allocate_workloads, case)
+    ref = _outcome(allocate_workloads_reference, case)
+    assert repr(got) == repr(ref)
+
+
+def test_a_steep_leader_is_granted_after_one_scan(caplog):
+    # past the floor (0) a sample is worth 0.25 and a pair of them -0.5, so
+    # every batch of two fails; the streak grants the rest one at a time
+    # instead of handing each grant back to a scan
+    case = ([streak_quote("a", 0.05, relabelled_curve(10, (0.75, 0.75), 0, (0, 0)))],
+            PriceVector(sample=1.0, gain=20.0), 0.0, 1e6, 1)
+    with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+        got = allocate_workloads(*case)
+    assert got[0].workloads == {"a": 10}
+    assert [r.getMessage() for r in caplog.records] == [
+        "scan grant a at load 0: marginal welfare 0.25, clear lead",
+        "streak a from load 1: 9 samples, 8 probes, stopped at capacity",
+    ]
     assert repr(got) == repr(allocate_workloads_reference(*case))
 
 

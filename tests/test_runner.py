@@ -111,15 +111,18 @@ def client_rows(draw):
     return {k: draw(_KINDS[_CLIENT_KINDS[k]]) for k in keys}
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(client_rows(), max_size=4))
-def test_client_line_is_the_sorted_json_dump(rows):
-    assert _clients_jsonl(rows) == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-
-
 _GOOD_ROW = dict.fromkeys(CLIENT_COLUMNS, 0)
 _GOOD_ROW.update(client="c000", note="", cost=0.0, gain_rate=0.0, payment=0.0, profit=0.0, qod=0.0)
 _NO_QOD = {k: v for k, v in _GOOD_ROW.items() if k != "qod"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(client_rows(), max_size=4))
+# the payments and profits of a settlement that overflows, which
+# load_config rejects: json writes Infinity, NaN and -Infinity
+@example([{**_GOOD_ROW, "payment": math.inf, "profit": math.nan, "cost": -math.inf}])
+def test_client_line_is_the_sorted_json_dump(rows):
+    assert _clients_jsonl(rows) == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -151,18 +154,12 @@ def test_client_line_refuses_rows_it_would_write_otherwise(row):
             _clients_jsonl(rows)
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [{"policy": p.value} for p in Policy] + [{"prices": {"sample": 1e308}}],
-    ids=[p.value for p in Policy] + ["sample-price-1e308"],
-)
+@pytest.mark.parametrize("raw", [{"policy": p.value} for p in Policy], ids=[p.value for p in Policy])
 def test_clients_jsonl_equals_the_per_row_json_dump(raw):
     rec = run(load_config({**SMALL, "rounds": 2, **raw}))
     assert all(tuple(sorted(row)) == CLIENT_COLUMNS for row in rec.client_rows)
     text = rec.output_texts()["clients.jsonl"]
     assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rec.client_rows)
-    if "prices" in raw:  # a payment of inf is written as json writes it
-        assert '"payment": Infinity' in text
 
 
 def test_client_rows_cover_population(small_record):
