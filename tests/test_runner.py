@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.baselines import POLICIES, WIDTH_TIME_PRICE, Policy, schedule_with_policy
-from mfpsim.config import ExperimentConfig, load_config
+from mfpsim.config import ExperimentConfig, _deep_merge, load_config
 from mfpsim.costs import ConsumptionTask, PriceVector, ScheduleDecision, TransferSchedule
 from mfpsim.market import _DIP_SLACK
 from mfpsim.resource_pool import ResourceQuanta
@@ -154,12 +154,20 @@ def test_client_line_refuses_rows_it_would_write_otherwise(row):
             _clients_jsonl(rows)
 
 
-@pytest.mark.parametrize("raw", [{"policy": p.value} for p in Policy], ids=[p.value for p in Policy])
+@pytest.mark.parametrize(
+    "raw",
+    [{"policy": p.value} for p in Policy] + [{"prices": {"sample": 1e308}}],
+    ids=[p.value for p in Policy] + ["sample-price-1e308"],
+)
 def test_clients_jsonl_equals_the_per_row_json_dump(raw):
-    rec = run(load_config({**SMALL, "rounds": 2, **raw}))
+    # ExperimentConfig checks the schema alone, so it takes the sample
+    # price whose payments load_config refuses as overflowing
+    rec = run(ExperimentConfig(_deep_merge(load_config({**SMALL, "rounds": 2}).raw, raw)))
     assert all(tuple(sorted(row)) == CLIENT_COLUMNS for row in rec.client_rows)
     text = rec.output_texts()["clients.jsonl"]
     assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rec.client_rows)
+    if "prices" in raw:  # a payment of inf is written as json writes it
+        assert '"payment": Infinity' in text
 
 
 def test_client_rows_cover_population(small_record):
