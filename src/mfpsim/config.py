@@ -371,17 +371,23 @@ def load_config(
     # (the quote cap in runner._quote_fleet), each sample worth at most
     # gain_factor of gain (quality is at most 1): settlement stays finite
     paid = min(sc["n_clients"], m["max_active_clients"])
-    if math.isinf(p["sample"] * paid * 10**7):
+    payments, gains = p["sample"] * paid * 10**7, p["gain"] * m["gain_factor"] * paid * 10**7
+    if math.isinf(payments):
         raise ConfigError(
             "times the paid clients and the 10**7 quote cap, a round's payments overflow",
             "prices/sample",
         )
-    if math.isinf(p["gain"] * m["gain_factor"] * paid * 10**7):
+    if math.isinf(gains):
         raise ConfigError(
             "times market/gain_factor, the paid clients and the 10**7 quote cap,"
             " a round's gain payment overflows",
             "prices/gain",
         )
+    # welfare weighs the server's profit (at most the larger total) by alpha
+    # and the clients' (at most the payments, bar MLPG's losses) by beta
+    for key, total in (("alpha", max(payments, gains)), ("beta", payments)):
+        if math.isinf(m[key] * total):
+            raise ConfigError("times the round totals it weighs, the welfare overflows", f"market/{key}")
     return config
 
 

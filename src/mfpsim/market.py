@@ -7,8 +7,9 @@ each sample goes to whichever client currently adds the most weighted
 welfare, driving the aggregate gain into the requested target window.  A
 client that leads clearly keeps the grant without a new scan: a run of
 samples at once when one probe of its cost curve certifies that the
-sample-by-sample greedy would have granted it every one of them, and one
-sample at a time while it still leads.
+sample-by-sample greedy would have granted it every one of them, each run
+sized from the cost rise its certificate can still accept, and one sample
+at a time while it still leads.
 """
 
 from __future__ import annotations
@@ -364,30 +365,37 @@ def allocate_workloads(
     reach the ceiling.  `_span` finds that grant and the floor switch with
     the float additions of `gain += gain_rate` one grant at a time, and a
     batch takes its gain from it, so loads, gain and open count are the
-    sample-by-sample greedy's, bit for bit.  k gallops: it halves after a
-    failed batch and doubles after a certified one, except that a batch
-    certified right after a failed one is offered again at the same k,
-    since the doubled size just failed from a load only k lower; a batch
-    that fails at k = 2 leaves the pass to the one-sample grant.  A streak
-    ends, and the next grant is a scan's, when the leader closes or no
-    longer leads clearly enough, when a probe is infinite, or at the floor
-    switch.  A pick that is not clear never starts a streak.  Each streak
-    logs one DEBUG line: its samples, its probes and why it stopped.
+    sample-by-sample greedy's, bit for bit.  k comes from the rise budget:
+    the room, the largest rise R whose bound still beats the runner-up (and
+    0 past the floor), is (`_welfare_of(0)` - runner-up) / beta, and k is
+    95% of it over the rise per sample of the last batch probed (at first,
+    of the sample just granted); below the floor without a runner-up the
+    room is infinite.  After a failed batch k is also at most half that
+    batch, and after a probe with no bound it halves; a batch that fails
+    at k = 2 leaves the pass to the one-sample grant.  While the load is at
+    most the quote's mutv a batch ends there, where the runner's segments
+    change, so no probe spans them.  These sizes only choose which
+    certified runs are offered, never what certifies, so every grant stays
+    one the sample-by-sample greedy makes.  A streak ends, and the next
+    grant is a scan's, when the leader closes or no longer leads clearly
+    enough, when a probe is infinite, or at the floor switch.  A pick that
+    is not clear never starts a streak.  Each streak logs one DEBUG line:
+    its samples, its probes and why it stopped.
 
     A rationality pass does not rerun the greedy from scratch.  The greedy
     remembers its state, (grants so far, gain, the nonzero loads), where a
-    scan first makes each client its running best (a leader led at its clear
-    pick, before its later grants and streaks), and once where it ends,
-    before the polish.  Excluding clients that never led leaves every
-    grant's pick unchanged: a scan's pick never depended on them, and a
-    leader's grant stays clear of the clients that remain.  So the next pass
-    restores the state at which the earliest excluded client first led (the
-    end state when none did), opens one client per nonzero load, forgets the
-    states remembered at or after that grant and resumes.  A state holds at
-    most max_active loads.  A streak's grants skip the scan, so they
-    remember no state, and a restore can land later than one scan per grant
-    would put it; it stays exact, since no grant in between depended on a
-    client that never led.
+    scan first makes each client its running best, except that a clear
+    scan remembers only its pick (before the pick's grant and streak), and
+    once where it ends, before the polish.  Excluding clients it never
+    remembered leaves every grant unchanged: a scan that is not clear never
+    led with them, and a clear pick beats every other open marginal by more
+    than 1e-9, with none NaN, so without them it stays clear, its runner-up
+    only lower, and so does each grant of its streak.  So the next pass
+    restores the state at which the earliest excluded client was remembered
+    (the end state when none was), opens one client per nonzero load,
+    forgets the states remembered at or after that grant and resumes, and
+    logs one DEBUG line: the clients it excludes and that grant count.  A
+    state holds at most max_active loads.
     """
     if gain_window <= 0:
         raise ValueError("gain window must be positive")
@@ -413,10 +421,9 @@ def allocate_workloads(
     # priced at: only a grant changes a load
     marginal: dict[str, tuple[int, float]] = {}
     # the greedy's state (grants so far, gain, nonzero loads) where a scan
-    # first made each client its running best
+    # first made each client its running best (only the pick, if clear)
     first_led: dict[str, tuple[int, float, dict[str, int]]] = {}
     resume = (0, 0.0, {})  # the state the next pass starts from
-    stride = 2  # streak batch size to offer next
     debug = _log.isEnabledFor(logging.DEBUG)
     for _ in range(len(quotes) + 1):
         granted, gain, held = resume
@@ -449,7 +456,7 @@ def allocate_workloads(
             is not clear; None when no client can take a grant."""
             nonlocal bidders
             bidders = [q for q in bidders if not closed(q)]
-            best, top, second, clear = None, -math.inf, -math.inf, True
+            best, top, second, clear, leaders = None, -math.inf, -math.inf, True, []
             for q in bidders:
                 delta = priced(q)
                 if require_positive and delta <= _TOL:
@@ -462,12 +469,14 @@ def allocate_workloads(
                     second = delta
                 if best is None or delta > best[0] + _TOL:
                     best = (delta, q.client_id)
-                    if q.client_id not in first_led:
-                        first_led[q.client_id] = state()
+                    leaders.append(q.client_id)
             if best is None:
                 return None
             delta, cid = best
             rival = second if clear and delta == top and top > second + _TOL else None
+            for c in leaders if rival is None else [cid]:
+                if c not in first_led:
+                    first_led[c] = state()
             if debug:
                 _log.debug(
                     "scan grant %s at load %d: marginal welfare %.9g, %s",
@@ -484,23 +493,32 @@ def allocate_workloads(
             gain = after
             granted += count
 
-        def streak(cid: str, rival: float) -> None:
-            """The grants the leader of a clear pick, whose runner-up's
-            marginal welfare was `rival`, keeps: each pass a certified batch
-            where one fits, else one sample (see above)."""
-            nonlocal stride
+        def streak(delta: float, cid: str, rival: float) -> None:
+            """The grants the leader of a clear pick at marginal welfare
+            `delta`, whose runner-up's was `rival`, keeps: each pass a
+            certified batch where one fits, else one sample (see above)."""
             q, first, probes = by_id[cid], load[cid], 0
-            rate = q.gain_rate
-            backed_off = False  # whether the last probe failed
+            rate, most = q.gain_rate, _welfare_of(q, 0.0, prices, alpha, beta)
+
+            def fit(bound: float, steps: int, cap: int) -> int:
+                """The next batch size, 2 to `cap`: 95% of the room over the
+                welfare drop per sample of `steps` samples whose bound was
+                `bound` (`cap` when the drop is not positive or is NaN)."""
+                room = most - (rival if gain < gain_floor - _TOL else max(rival, 0.0))
+                drop = most - bound
+                return int(max(2, min(cap, 0.95 * room * steps / drop if drop > 0 else cap)))
+
+            size = fit(delta, 1, _CHUNK)
             while True:
                 n = load[cid]
                 steps = 0
                 if q.curve.in_segment(n):
-                    size = min(stride, q.mtv - n, _CHUNK)
+                    # the runner's segments change past mutv
+                    last = q.mtv if n > q.mutv else min(q.mtv, q.mutv)
                     # the leader stays open for `steps` grants, and the floor
                     # switch comes before grant `floor_at` (0: already past it)
                     steps, floor_at, after, at_floor = _span(
-                        gain, rate, size, ceiling - _TOL, gain_floor - _TOL
+                        gain, rate, min(size, last - n), ceiling - _TOL, gain_floor - _TOL
                     )
                 if steps >= 2:
                     probes += 1
@@ -512,15 +530,13 @@ def allocate_workloads(
                     if math.isfinite(bound) and bound > rival + _TOL:
                         if floor_at is None or bound > _TOL:
                             take(cid, steps, after)
-                            stride = steps if backed_off else 2 * steps
-                            backed_off = False
+                            size = fit(bound, steps, _CHUNK)
                             continue
                         if floor_at:
                             take(cid, floor_at, at_floor)
                             why = "floor switch"
                             break
-                    stride = max(2, steps // 2)
-                    backed_off = True
+                    size = fit(bound, steps, steps // 2)
                     if steps > 2:
                         continue
                 if closed(q):
@@ -540,7 +556,7 @@ def allocate_workloads(
         while (pick := grantable(require_positive=gain >= gain_floor - _TOL)) is not None:
             take(pick[1], 1, gain + by_id[pick[1]].gain_rate)
             if pick[2] is not None:
-                streak(pick[1], pick[2])
+                streak(*pick)
         if gain < gain_floor - _TOL:
             reach = max_achievable(excluded)
             reason = (
@@ -574,5 +590,7 @@ def allocate_workloads(
         excluded.update(losers)
         led = [first_led[c] for c in losers if c in first_led]
         resume = min(led, key=lambda s: s[0], default=greedy_end)
+        if debug:
+            _log.debug("rationality pass excludes %s: resumes from grant %d", ", ".join(losers), resume[0])
         first_led = {c: s for c, s in first_led.items() if s[0] < resume[0]}
     raise GainShortfallError("rationality loop failed to settle", max_achievable(excluded))

@@ -155,12 +155,18 @@ def test_nan_profit_identity_is_an_audit_finding(tmp_path, capsys):
         ({"prices": {"sample": 1e301}, "market": {"max_active_clients": 20}}, "prices/sample"),
         ({"prices": {"gain": 1e308}}, "prices/gain"),
         ({"prices": {"gain": 1e300}, "market": {"gain_factor": 1e3}}, "prices/gain"),
+        ({"market": {"alpha": 1e308}}, "market/alpha"),
+        ({"prices": {"gain": 1e301}, "market": {"alpha": 100.0}}, "market/alpha"),
+        ({"market": {"beta": 1e308}}, "market/beta"),
+        ({"prices": {"sample": 1e300}, "market": {"beta": 100.0}}, "market/beta"),
     ],
-    ids=["sample", "sample-by-cap", "gain", "gain-by-factor"],
+    ids=["sample", "sample-by-cap", "gain", "gain-by-factor", "alpha", "alpha-by-gain", "beta", "beta-by-sample"],
 )
 def test_prices_whose_settlement_overflows_exit_2(tmp_path, capsys, raw, key):
     # a round pays at most min(n_clients, max_active_clients) clients for
-    # at most 10**7 samples each, each of gain at most gain_factor
+    # at most 10**7 samples each, each of gain at most gain_factor; the
+    # welfare weighs the larger of the two totals by alpha and the
+    # payments by beta
     cfg = _write(tmp_path, "price.json", json.dumps(raw))
     assert main(["run", "--config", cfg, "--rounds", "1"]) == EXIT_CONFIG
     assert f"config error: {key}: " in capsys.readouterr().err
@@ -175,6 +181,11 @@ def test_prices_just_inside_the_settlement_bound_run(tmp_path, capsys):
     # 5e299 * 20 * 10**7 = 1e308
     cfg = _write(tmp_path, "cap.json", json.dumps(
         {"prices": {"sample": 5e299}, "market": {"max_active_clients": 10**9}}
+    ))
+    assert main(["validate-config", "--config", cfg]) == EXIT_OK
+    # so are welfare weights on those totals: 10 * 1e307 and 1e300 * 10**8
+    cfg = _write(tmp_path, "weights.json", json.dumps(
+        {"prices": {"gain": 1e301}, "market": {"alpha": 10.0, "beta": 1e300}}
     ))
     assert main(["validate-config", "--config", cfg]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err

@@ -63,10 +63,12 @@ def quote(cid, rate, samples):
 
 class CountingCurve(CostCurve):
     """A fixed table's curve counting its `cost` calls; the segment None
-    vouches for no streak, so the market grants one sample at a time."""
+    vouches for no streak, so the market grants one sample at a time.
+    `segment` labels every load, or is a function of the load."""
 
     def __init__(self, samples, counter, segment=0):
-        super().__init__(lambda n: (samples[n], segment), len(samples) - 1)
+        label = segment if callable(segment) else lambda n: segment
+        super().__init__(lambda n: (samples[n], label(n)), len(samples) - 1)
         self._counter = counter
 
     def cost(self, n):
@@ -257,13 +259,14 @@ class TestAllocate:
         assert settlement_findings(report, 1.0, 1.0) == []
         assert (alloc, report) == allocate_workloads_reference(quotes, prices, 0.05, 10.0, 1)
 
-    def plain(self, cid, rate, marginals):
-        """A quote on a curve with the given marginal costs; costs in no
-        segment vouch for no streak, so each grant is a scan's or the leader's."""
+    def plain(self, cid, rate, marginals, curve=curve_from_samples):
+        """A quote on a curve with the given marginal costs; by default costs
+        in no segment, which vouch for no streak, so each grant is a scan's
+        or the leader's (`certified_curve` vouches for streaks)."""
         costs = [0.0]
         for m in marginals:
             costs.append(costs[-1] + m)
-        return ClientQuote(cid, 1.0, len(marginals), len(marginals), rate, curve_from_samples(costs))
+        return ClientQuote(cid, 1.0, len(marginals), len(marginals), rate, curve(costs))
 
     def test_leader_within_the_tie_window_of_its_runner_up_yields_to_the_scan(self):
         # b leads a (welfare 0.9 against 0.5) for 10 samples; then b's marginal
@@ -312,6 +315,65 @@ class TestAllocate:
         case = (quotes, self.prices(), 0.2, 0.8, 4)
         got = allocate_workloads(*case)
         assert got[0].workloads == {"c": 30, "d": 69}
+        assert repr(got) == repr(allocate_workloads_reference(*case))
+
+    def test_a_tie_scan_after_a_clear_streak_remembers_each_running_best(self, caplog):
+        # the market above, behind a clear leader e (0.9) that first takes
+        # its 10 samples in a streak, on curves that vouch for streaks.  The
+        # ties keep every later scan from being clear, so each remembers all
+        # its running bests: b first leads at grant 60, inside d's run, and
+        # the pass that excludes b resumes there
+        quotes = [
+            self.plain("a", 0.5, [49.5] * 10, certified_curve),
+            self.plain("b", 0.03, [2.5] * 10, certified_curve),
+            self.plain("c", 0.01, [0.5 - 0.8e-9] * 30 + [5.0] * 30, certified_curve),
+            self.plain("d", 0.01, [0.5 - 1.5e-9] * 80, certified_curve),
+            self.plain("e", 0.01, [0.1] * 10, certified_curve),
+        ]
+        case = (quotes, self.prices(), 0.3, 0.8, 5)
+        with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+            got = allocate_workloads(*case)
+        assert got[0].workloads == {"c": 30, "d": 69, "e": 10}
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("rationality")] == [
+            "rationality pass excludes b: resumes from grant 60"
+        ]
+        assert repr(got) == repr(allocate_workloads_reference(*case))
+
+    def test_a_clear_leader_is_not_replayed_for_clients_that_led_before_it(self, monkeypatch, caplog):
+        # the first scan's running bests are a (0.4), b (0.5) and c, whose
+        # 1.9 is a clear lead: c's streak takes its 100 samples.  Then b,
+        # and in the next pass a, fill the cap of two and end at a loss, as
+        # their samples cost more than the price of 1.  Only a clear pick
+        # remembers where it led, so each pass resumes past c's streak
+        # instead of replaying it, and the last one opens d
+        lookups, polished_at = [0], []
+
+        def counting_polish(*args):
+            polished_at.append(lookups[0])
+            return polish(*args)
+
+        polish = market._block_polish
+        monkeypatch.setattr(market, "_block_polish", counting_polish)
+        quotes = [
+            self.plain("a", 0.01, [1.6] * 50, certified_curve),
+            self.plain("b", 0.01, [1.5] * 50, certified_curve),
+            ClientQuote("c", 1.0, 100, 100, 0.01, CountingCurve([0.1 * n for n in range(101)], lookups)),
+            self.plain("d", 0.01, [2.5] + [0.5] * 49, certified_curve),
+        ]
+        case = (quotes, self.prices(gain=200.0), 1.2, 0.5, 2)
+        with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+            got = allocate_workloads(*case)
+        assert got[0].workloads == {"c": 100, "d": 50}
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line for line in lines if line.startswith(("streak c ", "rationality"))] == [
+            "streak c from load 1: 99 samples, 7 probes, stopped at capacity",
+            "rationality pass excludes b: resumes from grant 100",
+            "rationality pass excludes a: resumes from grant 100",
+        ]
+        # the first pass's greedy looks c's curve up; the later lookups, by
+        # the polish and the settlement, are no more (replaying the streak
+        # in each pass took 72 against 40)
+        assert lookups[0] - polished_at[0] <= polished_at[0]
         assert repr(got) == repr(allocate_workloads_reference(*case))
 
     def test_a_restored_state_counts_its_open_clients_against_the_cap(self):
@@ -575,11 +637,13 @@ def streak_quote(cid, rate, curve):
 @st.composite
 def streak_markets(draw):
     """Quote sets whose greedy runs in long same-client streaks: shapes
-    shared between clients with tilts of 0, 4e-10, 1e-9 and 1.5e-9 (near
-    ties where a streak starts, and where a steepening curve ends one),
-    activation costs, capacities up to 400, curves infinite past a point,
-    bumps inside the contract's slack, segment drops, floors and windows
-    that a streak crosses, and beta 0."""
+    shared between clients with tilts of 0, 4e-10, 9e-10, 1e-9, 1.1e-9 and
+    1.5e-9 (near ties where a streak starts, and where a steepening curve
+    ends one), IR losers (a surcharge of 1.25 a sample, above the sample
+    price, so a rationality pass excludes them), activation costs,
+    capacities up to 400, curves infinite past a point, bumps inside the
+    contract's slack, segment drops, floors and windows that a streak
+    crosses, and beta 0."""
     shapes = []
     for _ in range(draw(st.integers(1, 2))):
         cap = draw(st.integers(1, 400))
@@ -595,7 +659,8 @@ def streak_markets(draw):
     quotes = []
     for i in range(draw(st.integers(1, 4))):
         shape = draw(st.sampled_from(shapes))
-        tilt = draw(st.sampled_from([0.0, 0.0, 4e-10, 1e-9, 1.5e-9]))
+        tilt = draw(st.sampled_from([0.0, 0.0, 4e-10, 9e-10, 1e-9, 1.1e-9, 1.5e-9]))
+        tilt += draw(st.sampled_from([0.0, 0.0, 0.0, 1.25]))
         rate = draw(st.sampled_from([0.01, 0.02, 0.05]))
         quotes.append(streak_quote(f"c{i}", rate, streak_curve(tilt=tilt, **shape)))
     prices = PriceVector(sample=1.0, gain=draw(st.floats(5.0, 80.0)))
@@ -657,7 +722,7 @@ def test_one_long_streak_costs_few_lookups(caplog):
     assert lookups[0] <= 64
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare -1.2, clear lead",
-        "streak a from load 1: 1999 samples, 10 probes, stopped at capacity",
+        "streak a from load 1: 1999 samples, 1 probes, stopped at capacity",
     ]
     # silent unless the application configures logging
     assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfpsim").handlers)
@@ -666,8 +731,8 @@ def test_one_long_streak_costs_few_lookups(caplog):
 class ProbedCurve(CountingCurve):
     """A `CountingCurve` that also logs each streak probe as (load, size)."""
 
-    def __init__(self, samples, counter, probes):
-        super().__init__(samples, counter)
+    def __init__(self, samples, counter, probes, segment=0):
+        super().__init__(samples, counter, segment)
         self._probes = probes
 
     def rise_bound(self, n, m):
@@ -675,10 +740,10 @@ class ProbedCurve(CountingCurve):
         return super().rise_bound(n, m)
 
 
-def test_a_batch_certified_after_a_failed_one_is_offered_again():
+def test_streak_batches_are_sized_from_the_rise_budget():
     # the leader's cost rises by 0.01 a sample and its rival's by 0.21, so
-    # a batch of up to 20 certifies: after 32 fails from load 31 and 16
-    # certifies, 16 is offered again from load 47, where 32 would fail too
+    # a batch's rise must stay under the room 2 - 1.79 = 0.21: 95% of it
+    # over the rise per sample offers 19 samples, and every batch certifies
     lookups, probes = [0], []
     leader = ProbedCurve([0.01 * n for n in range(201)], lookups, probes)
     rival = CountingCurve([0.21 * n for n in range(201)], [0])
@@ -688,12 +753,30 @@ def test_a_batch_certified_after_a_failed_one_is_offered_again():
     )
     got = allocate_workloads(*case)
     assert got[0].workloads == {"a": 200, "b": 200}
-    assert [size for _, size in probes] == [2, 4, 8, 16] + [32, 16, 16] * 5 + [9]
-    # every failed 32 is followed by a certified 16 from the same load
-    assert all(probes[i + 1] == (n, 16) for i, (n, size) in enumerate(probes) if size == 32)
-    # doubling after every certified batch took 25 probes and 56 lookups of
-    # the leader's curve
-    assert lookups[0] < 56
+    assert [size for _, size in probes] == [19] * 10 + [9]
+    # a gallop that doubled after each certified batch and halved after a
+    # failed one took 25 probes and 55 lookups of the leader's curve
+    assert lookups[0] < 30
+    assert repr(got) == repr(allocate_workloads_reference(*case))
+
+
+def test_a_failed_batch_shrinks_to_its_secant_and_none_straddles_mutv():
+    # the leader's cost rises by 0.05 a sample up to its mutv, 30, and by
+    # 0.1 past it, where the runner's segments change; the room is 0.45.
+    # Batches of 8 stop at mutv, one sample crosses it, and past it the
+    # batch of 8 fails and shrinks to 4, its secant's fit
+    probes = []
+    costs = [0.05 * min(n, 30) + 0.1 * max(0, n - 30) for n in range(61)]
+    leader = ProbedCurve(costs, [0], probes, segment=lambda n: n > 30)
+    rival = CountingCurve([0.45 * n for n in range(121)], [0])
+    case = (
+        [ClientQuote("a", 1.0, 60, 30, 0.01, leader), ClientQuote("b", 1.0, 120, 120, 0.01, rival)],
+        PriceVector(sample=1.0, gain=200.0), 0.5, 10.0, 2,
+    )
+    got = allocate_workloads(*case)
+    assert got[0].workloads == {"a": 60, "b": 120}
+    assert probes == [(1, 8), (9, 8), (17, 8), (25, 5), (31, 8)] + [(n, 4) for n in range(31, 59, 4)]
+    assert all(n + size <= 30 or n > 30 for n, size in probes)
     assert repr(got) == repr(allocate_workloads_reference(*case))
 
 
