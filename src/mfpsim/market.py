@@ -241,8 +241,7 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
     def contribution(q, n):
         if n == 0:
             return 0.0
-        value = alpha * (prices.gain * q.gain_rate - prices.sample) + beta * prices.sample
-        return value * n - beta * q.curve.cost(n)
+        return _welfare_of(q, 0.0, prices, alpha, beta) * n - beta * q.curve.cost(n)
 
     active = sum(1 for n in load.values() if n > 0)
     for _ in range(2 * len(quotes) + 2):
@@ -335,10 +334,10 @@ def allocate_workloads(
     within 1e-9 of the largest marginal M (on reaching M's client it either
     takes it or already holds a best >= M - 1e-9, and the best only rises),
     so when every other marginal is below M - 1e-9 it picks M's client
-    whatever the id order.  The scan runs over the clients still open in the
-    pass: within a pass a client closes for good, since loads, the
-    open-client count and the gain only grow.  A client's marginal depends
-    only on its own load, so it is cached with the load it was priced at.
+    whatever the id order.  The scan skips closed clients: within a pass a
+    client closes for good, since loads, the open-client count and the gain
+    only grow.  A client's marginal depends only on its own load, so it is
+    cached with the load it was priced at.
     A pick is clear when no marginal is NaN and it beats every other one by
     more than 1e-9; the scan then also returns the runner-up's marginal.
 
@@ -454,10 +453,10 @@ def allocate_workloads(
             """(marginal, client, runner-up's marginal) of the next grant:
             the runner-up is -inf when there is none and None when the pick
             is not clear; None when no client can take a grant."""
-            nonlocal bidders
-            bidders = [q for q in bidders if not closed(q)]
             best, top, second, clear, leaders = None, -math.inf, -math.inf, True, []
             for q in bidders:
+                if closed(q):
+                    continue
                 delta = priced(q)
                 if require_positive and delta <= _TOL:
                     continue

@@ -193,20 +193,6 @@ def pair_buffers(state: ScenarioState) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(shape), np.empty(shape)
 
 
-def _square_bound(r: float) -> float:
-    """S(r), the largest float s whose correctly rounded square root is at
-    most r, for r > 0.  `sqrt` is monotone, so for every float s,
-    sqrt(s) <= r exactly when s <= S(r).  S(r) is within a step or two of
-    the rounded r * r; where a finite r's square overflows, S(r) is the
-    largest finite float, and where it underflows, 0 or a subnormal."""
-    s = r * r
-    while math.sqrt(s) > r:
-        s = math.nextafter(s, 0.0)
-    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= r:
-        s = math.nextafter(s, math.inf)
-    return s
-
-
 def sensing_pairs(
     state: ScenarioState,
     geometry: SensingGeometry,
@@ -223,10 +209,9 @@ def sensing_pairs(
     marking those at most d_vs away:
     - the squared distances (tx - cx)**2 + (ty - cy)**2 are written into
       the buffers with the same elementwise ops, x added before y;
-    - a pair is kept when its square is at most `_square_bound(d_ws)`,
-      which holds exactly when its correctly rounded root is at most d_ws;
-    - only the kept squares take the root, the same op per element, and
-      `visual` is that root at most d_vs;
+    - every square takes its correctly rounded root in place, the same op
+      per element, a pair is kept when that root is at most d_ws, and
+      `visual` is the kept root at most d_vs;
     - `np.flatnonzero` lists the kept pairs in (client, target) order, the
       quotient and remainder of each flat index by Nt, and a stable sort on
       (client, annulus) puts each client's visual disc first without
@@ -239,8 +224,9 @@ def sensing_pairs(
     np.subtract(tp[:, 1], cp[:, 1, None], out=dy)
     dy *= dy
     sq += dy
-    flat = np.flatnonzero(sq <= _square_bound(geometry.d_ws))
-    dist = np.sqrt(sq.take(flat))
+    np.sqrt(sq, out=sq)
+    flat = np.flatnonzero(sq <= geometry.d_ws)
+    dist = sq.take(flat)
     visual = dist <= geometry.d_vs
     rows = flat // state.n_targets
     order = np.argsort(2 * rows + ~visual, kind="stable")

@@ -17,9 +17,11 @@ grant at a time, and whole-cell realization's per-cell loops over the
 window and the part keys each policy named before they followed from its
 schedule objective.  `schema_violations` is jsonschema itself, the reference for
 the config parser.  The market tests build their cost curves from fixed tables with
-`curve_from_samples` and check what a round settles with
-`settlement_findings`; the golden and determinism tests compare runs by
-`output_hashes`.  `reference_run` runs a whole simulation with the oracles
+`curve_from_samples`, check what a round settles with
+`settlement_findings`, and compare `allocation_exhaustive` with
+`allocation_endpoints`; the golden and determinism tests compare runs by
+`output_hashes`, and `output_findings` re-derives a run's invariants from
+its written outputs alone.  `reference_run` runs a whole simulation with the oracles
 that fit in place of their fast paths.
 """
 
@@ -27,9 +29,12 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import functools
 import hashlib
+import io
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -152,30 +157,67 @@ def consumption_by_multiplier(vols, w_maxes, price_t, w_prices, t_budget, iters=
     return cost
 
 
+def _allocation_welfare(quotes, combo, price_sample, price_gain, gain_floor, gain_ceiling,
+                        max_active, alpha, beta):
+    """The welfare of workload vector `combo`, or None when it is not
+    admissible: more than `max_active` clients active, a gain outside
+    [floor, ceiling), or a loss for an active client or the server."""
+    if sum(1 for n in combo if n > 0) > max_active:
+        return None
+    gain = sum(q[0] * n for q, n in zip(quotes, combo))
+    if not (gain_floor <= gain < gain_ceiling):
+        return None
+    payments = [price_sample * n for n in combo]
+    costs = [q[2][n] for q, n in zip(quotes, combo)]
+    profits = [p - c for p, c in zip(payments, costs)]
+    if any(p < -1e-9 for p, n in zip(profits, combo) if n > 0):
+        return None
+    server = price_gain * gain - sum(payments)
+    if server < -1e-9:
+        return None
+    return alpha * server + beta * sum(profits)
+
+
+def _best_allocation(quotes, combos, *market):
+    """(welfare, combo) of the first best admissible combo, or None."""
+    best = None
+    for combo in combos:
+        welfare = _allocation_welfare(quotes, combo, *market)
+        if welfare is not None and (best is None or welfare > best[0]):
+            best = (welfare, combo)
+    return best
+
+
 def allocation_exhaustive(quotes, price_sample, price_gain, gain_floor, gain_ceiling,
                           max_active, alpha, beta):
     """Exact welfare maximum over every admissible workload vector (tiny
     instances only).  quotes: list of (gain_rate, mtv, cost_list)."""
-    best = None
-    ranges = [range(0, q[1] + 1) for q in quotes]
-    for combo in itertools.product(*ranges):
-        if sum(1 for n in combo if n > 0) > max_active:
-            continue
-        gain = sum(q[0] * n for q, n in zip(quotes, combo))
-        if not (gain_floor <= gain < gain_ceiling):
-            continue
-        payments = [price_sample * n for n in combo]
-        costs = [q[2][n] for q, n in zip(quotes, combo)]
-        profits = [p - c for p, c in zip(payments, costs)]
-        if any(p < -1e-9 for p, n in zip(profits, combo) if n > 0):
-            continue
-        server = price_gain * gain - sum(payments)
-        if server < -1e-9:
-            continue
-        welfare = alpha * server + beta * sum(profits)
-        if best is None or welfare > best[0]:
-            best = (welfare, combo)
-    return best
+    combos = itertools.product(*[range(0, q[1] + 1) for q in quotes])
+    return _best_allocation(
+        quotes, combos, price_sample, price_gain, gain_floor, gain_ceiling, max_active, alpha, beta
+    )
+
+
+def allocation_endpoints(quotes, price_sample, price_gain, gain_floor, gain_ceiling,
+                         max_active, alpha, beta):
+    """`allocation_exhaustive` over the endpoint allocations alone: for each
+    set of active clients, every one of them at its mtv except one, which
+    takes the most that keeps the gain under the ceiling (its mtv when that
+    fits), and no client active (tiny instances only)."""
+    def endpoints():
+        yield (0,) * len(quotes)
+        for size in range(1, len(quotes) + 1):
+            for active in itertools.combinations(range(len(quotes)), size):
+                for last in active:
+                    combo = [q[1] if i in active else 0 for i, q in enumerate(quotes)]
+                    while combo[last] > 0 and sum(q[0] * n for q, n in zip(quotes, combo)) >= gain_ceiling:
+                        combo[last] -= 1
+                    if combo[last] > 0:
+                        yield tuple(combo)
+
+    return _best_allocation(
+        quotes, endpoints(), price_sample, price_gain, gain_floor, gain_ceiling, max_active, alpha, beta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +644,119 @@ def settlement_findings(report, alpha, beta):
     if report.server_profit < -1e-9:
         bad.append("server_rationality")
     bad += [f"client_rationality:{cid}" for cid, p in report.client_profits.items() if p < -1e-9]
+    return bad
+
+
+def _off(x, y, *terms):
+    """Whether x and y differ by more than 1e-9 of the largest of 1 and
+    the terms' magnitudes (NaN always does)."""
+    return not abs(x - y) <= 1e-9 * max([1.0, *map(abs, terms)])
+
+
+def output_findings(texts, config):
+    """The invariants a run's written outputs break, read from the texts of
+    `RunRecord.output_texts()` and the run's config alone, as
+    "round<r>:<rule>" or "round<r>:<rule>:<client>":
+    - `summary.csv` against `clients.jsonl`: the active count, the payment
+      and cost totals and the gain (sum of gain_rate * n) of each round;
+    - the settlement identities (app payment, server and client profits,
+      welfare under the config's weights) and server rationality;
+    - per client: payment = n * p_sample and profit = payment - cost; an
+      active client has n <= mtv, no note and, except under MLPG, which
+      waives it, no loss; a client at n = 0 is paid and costs nothing;
+    - under `per_round` targets, gain at most the window's ceiling;
+    - `timeline.csv`: every active client senses in its round, and every
+      row lies inside its window, whose `t_delta_cells` the round's summary
+      row gives (the trailing window's is at most the pool's time cells);
+      at the start of each row, the widths of its client's rows in that
+      window fit the pool.  A serial round's `sense` rows and chain rows
+      share `round` but sit in two windows;
+    - `run.json`: its totals are the summary's sums, and it lists no audit
+      violation."""
+    summary = list(csv.DictReader(io.StringIO(texts["summary.csv"])))
+    clients = [json.loads(line) for line in texts["clients.jsonl"].splitlines()]
+    timeline = list(csv.DictReader(io.StringIO(texts["timeline.csv"])))
+    run_json = json.loads(texts["run.json"])
+    prices, market = config.prices(), config.market
+    alpha, beta = market["alpha"], market["beta"]
+    ceiling = market["gain_floor"] + market["gain_window"]
+    t_cells, b_cells, f_cells = config.scaled_cells()
+    bad = []
+    windows = {}
+    for row in summary:
+        r = int(row["round"])
+        s = {k: float(row[k]) for k in row if k not in ("round", "active_count", "t_delta_cells", "shortfall")}
+        windows[r] = int(row["t_delta_cells"])
+        rows = [c for c in clients if c["round"] == r]
+        active = [c for c in rows if c["n"] > 0]
+        payments, costs = [c["payment"] for c in rows], [c["cost"] for c in rows]
+        gains = [c["gain_rate"] * c["n"] for c in active]
+        checks = [
+            ("active_count", int(row["active_count"]) == len(active)),
+            ("payments_total", not _off(s["payments_total"], sum(payments), *payments)),
+            ("costs_total", not _off(s["costs_total"], sum(costs), *costs)),
+            ("gain", not _off(s["gain"], sum(gains), *gains)),
+            ("app_payment", not _off(s["app_payment"], prices.gain * s["gain"], s["app_payment"])),
+            ("server_profit_identity", not _off(
+                s["server_profit"], s["app_payment"] - s["payments_total"],
+                s["app_payment"], s["payments_total"],
+            )),
+            ("client_profit_identity", not _off(
+                s["client_profits_total"], s["payments_total"] - s["costs_total"],
+                s["payments_total"], s["costs_total"],
+            )),
+            ("welfare_identity", not _off(
+                s["welfare"], alpha * s["server_profit"] + beta * s["client_profits_total"],
+                alpha * s["server_profit"], beta * s["client_profits_total"],
+            )),
+            ("server_rationality", s["server_profit"] >= -1e-9),
+            ("gain_ceiling", market["gain_target_mode"] != "per_round" or s["gain"] <= ceiling),
+        ]
+        bad += [f"round{r}:{rule}" for rule, ok in checks if not ok]
+        sensed = {t["client"] for t in timeline if int(t["round"]) == r and t["process"] == "sense"}
+        for c in rows:
+            n, cid = c["n"], c["client"]
+            checks = [
+                ("payment", not _off(c["payment"], n * prices.sample, c["payment"])),
+                ("profit_identity", not _off(c["profit"], c["payment"] - c["cost"], c["payment"], c["cost"])),
+            ]
+            if n > 0:
+                checks += [
+                    ("mtv", n <= c["mtv"]),
+                    ("note", c["note"] == ""),
+                    ("client_rationality", config.policy.value == "MLPG" or c["profit"] >= -1e-9),
+                    ("sensed", cid in sensed),
+                ]
+            else:
+                checks.append(("paid_idle", n == 0 and c["payment"] == c["cost"] == c["profit"] == 0))
+            bad += [f"round{r}:{rule}:{cid}" for rule, ok in checks if not ok]
+
+    groups = {}
+    for t in timeline:
+        r = int(t["round"])
+        window = (r, config.mode == "serial" and t["process"] == "sense")
+        groups.setdefault((window, t["client"]), []).append(
+            tuple(int(t[k]) for k in ("start_cell", "end_cell", "b_cells", "f_cells"))
+        )
+    for ((r, _), cid), rows in groups.items():
+        t_delta = windows.get(r, t_cells)
+        if not all(0 <= start < end <= t_delta for start, end, _, _ in rows):
+            bad.append(f"round{r}:window:{cid}")
+        for start, _, _, _ in rows:
+            live = [(b, f) for s, e, b, f in rows if s <= start < e]
+            if sum(b for b, _ in live) > b_cells or sum(f for _, f in live) > f_cells:
+                bad.append(f"round{r}:pool:{cid}")
+                break
+
+    welfare = [float(row["welfare"]) for row in summary]
+    gains = [float(row["gain"]) for row in summary]
+    if (
+        run_json["rounds"] != len(summary)
+        or _off(run_json["total_welfare"], sum(welfare), *welfare)
+        or _off(run_json["total_gain"], sum(gains), *gains)
+    ):
+        bad.append("run_totals")
+    bad += [f"audit:{v}" for v in run_json["audit_violations"]]
     return bad
 
 

@@ -14,9 +14,12 @@ from the bounds the solver computes.  One entry keeps the packaged 20
 clients: at a low gain factor the market is contested, and five clients
 share each round's window.  A change that
 moves any hash changes what the simulator computes; such a change must list every
-moved hash and the reason in CHANGES.md.
+moved hash and the reason in CHANGES.md.  Every golden's outputs must also
+keep the invariants `oracles.output_findings` checks, but for the findings
+EXPECTED_FINDINGS names.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from mfpsim.baselines import Policy
 from mfpsim.config import load_config
 from mfpsim.runner import run
 
-from oracles import output_hashes
+from oracles import output_findings, output_hashes
 
 TINY = {"rounds": 2, "scenario": {"n_clients": 6, "n_targets": 30}}
 # the benchmark's workloads, each with the hashes of its reference run
@@ -252,6 +255,19 @@ GOLDEN = {
 }
 
 
+# the findings `output_findings` is known to report: WISCC allocates on the
+# fleet's mean gain rate but settles on the true rates, so the gain it pays
+# for can pass the window's ceiling, until settlement decides what gain past
+# the ceiling is worth
+EXPECTED_FINDINGS = {"wiscc": ["round1:gain_ceiling"]}
+
+
+@functools.cache
+def _record(name):
+    """The run of golden `name`, shared by the tests that read its outputs."""
+    return run(load_config(CONFIGS[name]))
+
+
 def test_golden_covers_every_policy_and_mode():
     cfgs = [load_config(c) for c in CONFIGS.values()]
     assert {c.policy for c in cfgs} == set(Policy)
@@ -260,18 +276,18 @@ def test_golden_covers_every_policy_and_mode():
 
 
 def test_golden_contested_market_activates_several_clients():
-    rows = run(load_config(CONFIGS["siscc_contested"])).summary_rows
+    rows = _record("siscc_contested").summary_rows
     assert rows and all(r["active_count"] >= 3 and not r["shortfall"] for r in rows)
 
 
 def test_golden_reaches_the_shortfall_fallback():
-    rows = run(load_config(CONFIGS["siscc_shortfall"])).summary_rows
+    rows = _record("siscc_shortfall").summary_rows
     assert rows and all(r["shortfall"] and r["active_count"] > 0 for r in rows)
 
 
 @pytest.mark.parametrize("name", ["siscc_capped_quotes", "mlpg_capped_quotes"])
 def test_golden_quotes_hit_the_capacity_cap(name):
-    rows = run(load_config(CONFIGS[name])).client_rows
+    rows = _record(name).client_rows
     assert rows and all(r["mtv"] == 10**7 for r in rows)
     assert any(r["n"] > 0 for r in rows)
 
@@ -284,13 +300,19 @@ def test_golden_quotes_hit_the_capacity_cap(name):
     ],
 )
 def test_golden_reaches_the_drop_path(name, note):
-    rows = run(load_config(CONFIGS[name])).client_rows
+    rows = _record(name).client_rows
     assert any(r["note"] == note for r in rows)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_output_hashes(name):
-    assert output_hashes(run(load_config(CONFIGS[name]))) == GOLDEN[name]
+    assert output_hashes(_record(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_outputs_keep_their_invariants(name):
+    texts = _record(name).output_texts()
+    assert output_findings(texts, load_config(CONFIGS[name])) == EXPECTED_FINDINGS.get(name, [])
 
 
 @pytest.mark.parametrize("size", ["full", "tiny"])

@@ -32,7 +32,9 @@ from mfpsim.solver import Budgets, SolveInput, constrained_schedule, mtv
 import mfpsim.market as market
 import mfpsim.runner as runner
 from oracles import (
+    _allocation_welfare,
     allocate_workloads_reference,
+    allocation_endpoints,
     allocation_exhaustive,
     curve_from_samples,
     saturated_allocation_reference,
@@ -543,6 +545,87 @@ def test_allocation_equals_from_scratch_reference(case):
     ref = _outcome(allocate_workloads_reference, case)
     assert got == ref
     assert repr(got) == repr(ref)  # same floats bit for bit, same dict orders
+
+
+@st.composite
+def shaped_fleets(draw):
+    """Up to three quotes as `allocation_exhaustive` takes them, each curve
+    concave up to its mutv (an activation cost plus a square root) and
+    convex past it (marginals that grow linearly), with their mutvs, and a
+    market: (price_sample, price_gain, floor, ceiling, max_active, alpha,
+    beta)."""
+    quotes, mutvs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(1, 8))
+        mutv = draw(st.integers(0, top))
+        act, root = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.0))
+        slope, bend = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 1.0))
+        costs = [0.0]
+        for n in range(1, top + 1):
+            k = n - mutv
+            if k <= 0:
+                costs.append(act + root * math.sqrt(n))
+            else:
+                costs.append((costs[mutv] if mutv else act) + slope * k + bend * k * k)
+        rate = draw(st.sampled_from([0.0]) | st.floats(0.01, 1.0))
+        quotes.append((rate, top, costs))
+        mutvs.append(mutv)
+    floor = draw(st.just(0.0) | st.floats(0.0, 3.0))
+    ceiling = floor + draw(st.floats(0.1, 5.0) | st.just(1e6))
+    weights = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    market_args = (1.0, draw(st.floats(0.5, 30.0)), floor, ceiling, draw(st.integers(1, 3)), *weights)
+    return quotes, mutvs, market_args
+
+
+# the ways an endpoint allocation is known to miss the exact optimum, by
+# what the optimum holds: two clients strictly between 0 and their mtv, or
+# one client whose next sample would break client or server rationality, or
+# one whose welfare falls over its next sample, at its mutv or past it, or
+# below it where its previous sample cannot go (the floor, rationality)
+ENDPOINT_GAPS = {
+    "two partial loads", "client rationality", "server rationality",
+    "shape at mutv", "shape past mutv", "held below mutv",
+}
+
+
+def _endpoint_gap(quotes, mutvs, market_args, combo):
+    """Why the optimum `combo` is no endpoint allocation."""
+    partial = [i for i, (q, n) in enumerate(zip(quotes, combo)) if 0 < n < q[1]]
+    if len(partial) != 1:
+        return "two partial loads" if partial else "no partial load"
+    j = partial[0]
+    up, down = list(combo), list(combo)
+    up[j] += 1
+    down[j] -= 1
+    if _allocation_welfare(quotes, up, *market_args) is not None:
+        if combo[j] >= mutvs[j]:
+            return "shape at mutv" if combo[j] == mutvs[j] else "shape past mutv"
+        held = _allocation_welfare(quotes, down, *market_args) is None
+        return "held below mutv" if held else "shape below mutv"
+    price_sample, price_gain, _, ceiling = market_args[:4]
+    gain = sum(q[0] * n for q, n in zip(quotes, up))
+    if gain >= ceiling:
+        return "ceiling"
+    if price_sample * up[j] - quotes[j][2][up[j]] < -1e-9:
+        return "client rationality"
+    return "server rationality" if price_gain * gain - price_sample * sum(up) < -1e-9 else "other"
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_fleets())
+def test_endpoint_allocations_miss_the_exact_optimum_only_in_named_ways(fleet):
+    """The endpoint enumeration is a subset of the exhaustive one, and where
+    its best falls short of the optimum, the optimum's loads say why: a
+    kind in ENDPOINT_GAPS.  A client's welfare term is convex below its
+    mutv, so an optimum holds a client there only where its previous
+    sample is not admissible, never for the shape alone."""
+    quotes, mutvs, market_args = fleet
+    exact = allocation_exhaustive(quotes, *market_args)
+    ends = allocation_endpoints(quotes, *market_args)
+    if ends is not None:
+        assert exact is not None and ends[0] <= exact[0]
+    if exact is not None and (ends is None or ends[0] < exact[0] - 1e-9):
+        assert _endpoint_gap(quotes, mutvs, market_args, exact[1]) in ENDPOINT_GAPS
 
 
 def test_allocation_on_runner_quotes_equals_from_scratch_reference(monkeypatch):

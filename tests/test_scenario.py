@@ -14,7 +14,6 @@ from mfpsim.scenario import (
     SensingGeometry,
     SensingProfile,
     global_label_distribution,
-    _square_bound,
     make_scenario,
     pair_buffers,
     path_gains,
@@ -273,7 +272,7 @@ def with_ulp_targets(state, geometry, near):
     `near`, where it is the rounded offset.  Also targets at (r, e) off the
     origin client, e * e about 1 to 3 ulps of r * r: their squared
     distances fall on the few floats past r * r whose roots still round to
-    r, where `_square_bound(r)` lies."""
+    r, so the pairs at the disc's edge are kept."""
     radii = (geometry.d_vs, geometry.d_ws)
     offsets = [math.nextafter(r, side) for r in radii for side in (0, r, math.inf)]
     clients = np.vstack([state.client_pos, [[0.0, 0.0]]])
@@ -314,20 +313,6 @@ def test_target_distance_rows_match_on_generated_scenarios():
         for d_vs, d_ws in ((50.0, 100.0), (5e-324, 1e-323), (1.0, 5e153)):
             geom = SensingGeometry(d_vs, d_ws)
             _assert_same_pairs(sensing_pairs(state, geom, buffers), oracles.sensing_pairs(state, geom))
-
-
-@settings(max_examples=500, deadline=None)
-@example(r=50.0)
-@example(r=100.0)
-@example(r=1.5e154)  # its square overflows
-@given(
-    st.sampled_from(EXTREME_RADII)
-    | st.floats(5e-324, 1.3e154)
-    | st.floats(-323.3, 154.1).map(lambda e: 10.0**e)
-)
-def test_square_bound_is_the_largest_square_whose_root_stays_within(r):
-    s = _square_bound(r)
-    assert math.sqrt(s) <= r < math.sqrt(math.nextafter(s, math.inf))
 
 
 def _assert_same_status(x, y):
