@@ -26,38 +26,19 @@ PROC_UP = "comm_up"
 
 
 @dataclass(slots=True)
-class Placement:
-    """One sub-process placed on a client's grids within one window."""
-
-    client_id: str
-    process: str
-    start_col: int
-    end_col: int  # exclusive
-    b_cells: int
-    f_cells: int
-
-
-@dataclass(slots=True)
 class RoundPlan:
-    ir_index: int
-    placements: list[Placement] = field(default_factory=list)
+    placements: list[dict] = field(default_factory=list)  # timeline.csv rows
     dropped: dict[str, str] = field(default_factory=dict)
     tightened: dict[str, int] = field(default_factory=dict)  # stays empty; perfbench reads it
-    audit_violations: list[str] = field(default_factory=list)
 
-    def timeline_rows(self) -> list[dict]:
-        return [
-            {
-                "round": self.ir_index,
-                "client": p.client_id,
-                "process": p.process,
-                "start_cell": p.start_col,
-                "end_cell": p.end_col,
-                "b_cells": p.b_cells,
-                "f_cells": p.f_cells,
-            }
-            for p in self.placements
-        ]
+
+def _row(r: int, client_id: str, process: str, start: int, end: int, b: int, f: int) -> dict:
+    """The `timeline.csv` row of a sub-process placed in window `r`, in
+    columns [start, end), b frequency and f compute cells wide."""
+    return {
+        "round": r, "client": client_id, "process": process,
+        "start_cell": start, "end_cell": end, "b_cells": b, "f_cells": f,
+    }
 
 
 def rounds_to_complete(n_rounds: int, mode: str) -> int:
@@ -82,43 +63,46 @@ def cycle_length(durations: list[int], time_cells: int) -> int:
 
 def place_consumption(
     pool: SharedResourcePool,
+    r: int,
     client_id: str,
     service: str,
     decision: ScheduleDecision,
     window: int,
-) -> list[Placement]:
-    """Reserve the download/compute/upload chain inside [0, window): download
-    first, compute right after it, upload last."""
+) -> list[dict]:
+    """Reserve the download/compute/upload chain inside [0, window) of
+    window `r`: download first, compute right after it, upload last.
+    Returns the timeline rows of the legs it placed."""
     t_down = int(decision.comm_down.t)
     legs = (  # process, grid, width, start and end column
         (PROC_DOWN, "tf", int(decision.comm_down.b), 0, t_down),
         (PROC_COMP, "tc", int(decision.comp.f), t_down, t_down + int(decision.comp.t)),
         (PROC_UP, "tf", int(decision.comm_up.b), window - int(decision.comm_up.t), window),
     )
-    placements = []
+    rows = []
     for proc, grid, width, c0, c1 in legs:
         if c1 <= c0 or width == 0:
             continue
         pool.reserve(service, grid, GridRegion(0, width, c0, c1))
         b, f = (width, 0) if grid == "tf" else (0, width)
-        placements.append(Placement(client_id, proc, c0, c1, b, f))
-    return placements
+        rows.append(_row(r, client_id, proc, c0, c1, b, f))
+    return rows
 
 
 def place_generation(
     pool: SharedResourcePool,
+    r: int,
     client_id: str,
     service: str,
     decision: ScheduleDecision,
     budget: int,
-) -> list[Placement]:
-    """Reserve the sensing block: columns [0, t_vs), the top b_ws rows of
-    the frequency grid.
+) -> list[dict]:
+    """Reserve the sensing block of window `r`: columns [0, t_vs), the top
+    b_ws rows of the frequency grid.  Returns its timeline row.
 
     Raises ResourceConflictError when the block does not fit: its span
     exceeds the window budget, it is wider than the grid, or it meets a cell
     another service holds.  Visual-only sensing (zero bandwidth) occupies no
-    grid cells; the span is still recorded for timeline and ordering audits."""
+    grid cells; its span still gets a timeline row."""
     t = int(decision.gen.t_vs)
     b = int(decision.gen.b_ws)
     if t > budget:
@@ -129,26 +113,7 @@ def place_generation(
         return []
     if b:
         pool.reserve(service, "tf", GridRegion(pool.freq_cells - b, pool.freq_cells, 0, t))
-    return [Placement(client_id, PROC_SENSE, 0, t, b, 0)]
-
-
-def audit_chain_order(placements: list[Placement]) -> list[str]:
-    """Serial-order checks within a window: download before compute before
-    upload.  The sensing -> compute order across windows is structural: a
-    round's sensing finishes with its window, compute runs in the next."""
-    bad = []
-    by_client: dict[str, dict[str, Placement]] = {}
-    for p in placements:
-        by_client.setdefault(p.client_id, {})[p.process] = p
-    for cid, procs in by_client.items():
-        down, comp, up = procs.get(PROC_DOWN), procs.get(PROC_COMP), procs.get(PROC_UP)
-        if down and comp and down.end_col > comp.start_col:
-            bad.append(f"download_overruns_compute:{cid}")
-        if comp and up and comp.end_col > up.start_col:
-            bad.append(f"compute_overruns_upload:{cid}")
-        if down and up and down.end_col > up.start_col:
-            bad.append(f"download_overruns_upload:{cid}")
-    return bad
+    return [_row(r, client_id, PROC_SENSE, 0, t, b, 0)]
 
 
 def plan_round(
@@ -159,13 +124,20 @@ def plan_round(
     t_delta: int,
 ) -> RoundPlan:
     """Place the previous round's consumption and this round's sensing into
-    one shared window of `t_delta` cells, the cycle the caller budgeted
-    against (`cycle_length`, so never longer than the pools).  A client
-    whose chain misses the window, or whose sensing block `place_generation`
-    cannot reserve beside the overlapped transfers, is dropped with a
-    reason.
+    window `ir_index`, one shared window of `t_delta` cells, the cycle the
+    caller budgeted against (`cycle_length`, so never longer than the
+    pools).  A client whose chain misses the window, or whose sensing block
+    `place_generation` cannot reserve beside the overlapped transfers, is
+    dropped with a reason.
+
+    The drop also settles chain order.  `place_consumption` lays a chain
+    out back to back, download from column 0, compute right after it and
+    upload ending at the window, and truncation to whole cells only
+    shortens a leg.  So a chain whose leg times sum to at most the window
+    keeps download before compute before upload (a leg of no whole cell is
+    not placed).
     """
-    plan = RoundPlan(ir_index)
+    plan = RoundPlan()
 
     for cid in sorted(prev_consumption):
         decision = prev_consumption[cid]
@@ -173,16 +145,15 @@ def plan_round(
             plan.dropped[cid] = "consumption exceeds cycle window"
             continue
         plan.placements += place_consumption(
-            pools[cid], cid, f"ir{ir_index - 1}:{cid}", decision, t_delta
+            pools[cid], ir_index, cid, f"ir{ir_index - 1}:{cid}", decision, t_delta
         )
 
     for cid in sorted(generation):
         try:
             plan.placements += place_generation(
-                pools[cid], cid, f"ir{ir_index}:{cid}", generation[cid], t_delta
+                pools[cid], ir_index, cid, f"ir{ir_index}:{cid}", generation[cid], t_delta
             )
         except ResourceConflictError:
             plan.dropped.setdefault(cid, "sensing does not fit the shared window")
 
-    plan.audit_violations = audit_chain_order(plan.placements)
     return plan

@@ -306,12 +306,14 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     In pipelined mode a client's transfer chain shares its window with the
     client's sensing of the following round, so after the plain solve the
     transfers are re-solved with their bandwidth capped beside the sensing
-    block.  When the plain solve's transfer widths already fit under the cap,
-    the re-solve is skipped: the plain optimum is feasible under the tighter
-    box, and the problem is convex, so a box that does not bind leaves the
-    optimum unchanged.  The capped budgets are still returned, because the
-    integer realization works against them.  When the capped chain cannot
-    carry the workload, the uncapped schedule stands (a fallback).  Both
+    block.  A cap no tighter than the budgets (visual-only sensing, or a
+    one-row grid) leaves the plain solve as it is.  When the plain solve's
+    transfer widths already fit under the cap, the re-solve is skipped: the
+    plain optimum is feasible under the tighter box, and the problem is
+    convex, so a box that does not bind leaves the optimum unchanged.  The
+    capped budgets are still returned, because the integer realization
+    works against them.  When the capped chain cannot carry the workload,
+    the uncapped schedule stands (a fallback).  Both
     solves are `solver.solved` outcomes, Optimal only with a schedule of
     finite cost, so a capped chain whose cost leaves the float range is a
     fallback too.  The capped mtv decides the fallback before any re-solve:
@@ -379,8 +381,6 @@ def _policy_solve(ctx, n, at, task, budgets, bounds=None):
     if not ctx.pipelined or out.kind != OutcomeKind.OPTIMAL:
         return out, budgets, False
     sensing_width = math.ceil(out.decision.gen.b_ws - 1e-9)
-    if sensing_width <= 0:
-        return out, budgets, False
     cap = max(1.0, budgets.freq_cells - sensing_width)
     if cap >= budgets.cons_bandwidth:
         return out, budgets, False
@@ -696,8 +696,7 @@ def _place_round(ctx, record, r, clients, carried, t_delta) -> None:
     for chains, sensing in windows:
         pools = {cid: new_pool(*ctx.cells) for cid in sorted(set(chains) | set(sensing))}
         plan = plan_round(r, pools, chains, sensing, t_delta)
-        record.timeline_rows += plan.timeline_rows()
-        record.audit_violations += plan.audit_violations
+        record.timeline_rows += plan.placements
         for cid, reason in plan.dropped.items():
             if clients[cid].n > 0:
                 clients[cid].drop(reason)

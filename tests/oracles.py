@@ -669,8 +669,10 @@ def output_findings(texts, config):
       row lies inside its window, whose `t_delta_cells` the round's summary
       row gives (the trailing window's is at most the pool's time cells);
       at the start of each row, the widths of its client's rows in that
-      window fit the pool.  A serial round's `sense` rows and chain rows
-      share `round` but sit in two windows;
+      window fit the pool; and a client's chain keeps its order in its
+      window, `comm_down` ending by the start of `comp` and of `comm_up`,
+      and `comp` by the start of `comm_up`.  A serial round's `sense` rows
+      and chain rows share `round` but sit in two windows;
     - `run.json`: its totals are the summary's sums, and it lists no audit
       violation."""
     summary = list(csv.DictReader(io.StringIO(texts["summary.csv"])))
@@ -736,14 +738,18 @@ def output_findings(texts, config):
         r = int(t["round"])
         window = (r, config.mode == "serial" and t["process"] == "sense")
         groups.setdefault((window, t["client"]), []).append(
-            tuple(int(t[k]) for k in ("start_cell", "end_cell", "b_cells", "f_cells"))
+            (t["process"], *(int(t[k]) for k in ("start_cell", "end_cell", "b_cells", "f_cells")))
         )
+    chain_order = [("comm_down", "comp"), ("comp", "comm_up"), ("comm_down", "comm_up")]
     for ((r, _), cid), rows in groups.items():
         t_delta = windows.get(r, t_cells)
-        if not all(0 <= start < end <= t_delta for start, end, _, _ in rows):
+        if not all(0 <= start < end <= t_delta for _, start, end, _, _ in rows):
             bad.append(f"round{r}:window:{cid}")
-        for start, _, _, _ in rows:
-            live = [(b, f) for s, e, b, f in rows if s <= start < e]
+        spans = {proc: (start, end) for proc, start, end, _, _ in rows}
+        if any(x in spans and y in spans and spans[x][1] > spans[y][0] for x, y in chain_order):
+            bad.append(f"round{r}:chain_order:{cid}")
+        for _, start, _, _, _ in rows:
+            live = [(b, f) for _, s, e, b, f in rows if s <= start < e]
             if sum(b for b, _ in live) > b_cells or sum(f for _, f in live) > f_cells:
                 bad.append(f"round{r}:pool:{cid}")
                 break

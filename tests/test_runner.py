@@ -31,7 +31,13 @@ from mfpsim.scenario import StatusAttributes
 from mfpsim.solver import Budgets, OutcomeKind, SolveInput, fleet_bounds, mtv, mutv
 
 import mfpsim.runner as runner
-from oracles import output_hashes, policy_solve_reference, quotes_per_client, reference_run
+from oracles import (
+    output_findings,
+    output_hashes,
+    policy_solve_reference,
+    quotes_per_client,
+    reference_run,
+)
 from test_golden import CONFIGS
 
 SMALL = {"rounds": 3, "scenario": {"n_clients": 5, "n_targets": 30}, "seed": 7}
@@ -508,6 +514,29 @@ def test_capped_mtv_decides_the_fallback_as_the_resolve_did(policy, p):
     event(" then ".join(k for k, _ in itertools.groupby(kinds)))
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize(
+    "a, b, freq_cells",
+    [
+        (6.0, 0.0, 20.0),  # visual-only sensing takes no row: the cap is the whole grid
+        (0.0, 0.3, 1.0),  # a one-row grid caps the transfers at that row
+    ],
+)
+def test_a_cap_that_does_not_tighten_the_budgets_leaves_the_plain_solve(policy, a, b, freq_cells):
+    at = StatusAttributes(a=a, b=b, label_dist=None)
+    task = ConsumptionTask(1e7, 1e7, 4000.0, 10.0, 10.0)
+    budgets = Budgets(20.0, freq_cells, 5.0)
+    prices = PriceVector(time=1.0, freq=0.05, compute=0.5, sample=1.0, gain=1000.0)
+    quanta = ResourceQuanta(1.0, 1e6, 1e5)
+    bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    got = _policy_solve(ctx, 2, at, task, budgets, bounds)
+    assert got[0].kind == OutcomeKind.OPTIMAL
+    assert (math.ceil(got[0].decision.gen.b_ws - 1e-9) > 0) == (b > 0)
+    assert got[1] is budgets and not got[2]
+    assert repr(got) == repr(policy_solve_reference(ctx, 2, at, task, budgets, bounds))
+
+
 @settings(max_examples=100, deadline=None)
 @given(solve_cases())
 def test_precomputed_bounds_give_the_same_outcome(case):
@@ -909,7 +938,26 @@ def oracle_runs(draw):
 })
 def test_whole_run_equals_the_run_on_the_oracles(raw):
     config = load_config(raw)
-    assert run(config).output_texts() == reference_run(config).output_texts()
+    record = run(config)
+    texts = record.output_texts()
+    assert texts == reference_run(config).output_texts()
+    # the outputs keep their invariants too, but for two known breaches:
+    # WISCC's gain past the ceiling, as it allocates on the fleet's mean gain
+    # rate, and a server loss in a round whose workloads `saturated_load`
+    # set (every MLPG round, and a shortfall round), as it ignores server
+    # rationality
+    saturated = {
+        f"round{row['round']}" for row in record.summary_rows
+        if row["shortfall"] or POLICIES[config.policy].saturate
+    }
+
+    def expected(finding):
+        r, rule = finding.split(":")[:2]
+        return (rule == "gain_ceiling" and config.policy is Policy.WISCC) or (
+            rule == "server_rationality" and r in saturated
+        )
+
+    assert [f for f in output_findings(texts, config) if not expected(f)] == []
 
 
 @pytest.mark.parametrize("policy", [p.value for p in Policy if not POLICIES[p].saturate])
