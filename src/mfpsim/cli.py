@@ -132,7 +132,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_solve_one(args) -> int:
     quanta = ResourceQuanta(args.time_quantum, args.freq_quantum, args.compute_quantum)
-    attrs = StatusAttributes(a=args.a, b=args.b, label_dist=None)
+    attrs = StatusAttributes(a=args.a, b=args.b)
     prices = PriceVector(
         time=args.price_time, freq=args.price_freq, compute=args.price_compute
     )

@@ -225,7 +225,9 @@ def _span(gain: float, rate: float, size: int, ceiling: float, floor: float):
     return (end, i, gains[end], gains[i]) if i < end else (end, None, gains[end], None)
 
 
-def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded):
+def _block_polish(
+    quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded, side
+):
     """Coordinate-ascent improvement over whole client loads.
 
     Per-round schedule costs carry a fixed activation part (the model must
@@ -233,7 +235,8 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
     v*N - beta*c(N) is maximized at an endpoint: zero or the largest load the
     gain window leaves room for.  Unit-by-unit granting cannot see past the
     activation cost; this pass re-optimizes one client at a time, holding the
-    others, until no single-client move helps.
+    others, until no single-client move helps.  `side` names the start
+    ("greedy" or "saturated") in each move's DEBUG line.
     """
     by_id = {q.client_id: q for q in quotes}
     gain = sum(by_id[cid].gain_rate * n for cid, n in load.items())
@@ -270,7 +273,7 @@ def _block_polish(quotes, load, prices, gain_floor, ceiling, max_active, alpha, 
                 if w > best_w + 1e-9:
                     best_n, best_w = n, w
             if best_n != current:
-                _log.debug("polish %s from load %d to %d", cid, current, best_n)
+                _log.debug("%s polish %s from load %d to %d", side, cid, current, best_n)
                 load[cid] = best_n
                 active += (best_n > 0) - (current > 0)
                 gain = gain_others + q.gain_rate * best_n
@@ -565,19 +568,29 @@ def allocate_workloads(
 
         greedy_end = state()
         load = _block_polish(
-            quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
+            quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded, "greedy"
         )
         report = report_of(load)
-        alt = {q.client_id: 0 for q in quotes} | saturated_load(
-            quotes, ceiling, max_active, excluded
-        )
+        start = saturated_load(quotes, ceiling, max_active, excluded)
+        if debug:
+            loads = ", ".join(f"{cid} {n}" for cid, n in start.items())
+            _log.debug("saturated start: %s", loads or "no load")
+        alt = {q.client_id: 0 for q in quotes} | start
+        side, rival = "greedy", None  # the losing side's welfare
         if sum(by_id[c].gain_rate * n for c, n in alt.items()) >= gain_floor - _TOL:
             alt = _block_polish(
-                quotes, alt, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
+                quotes, alt, prices, gain_floor, ceiling, max_active, alpha, beta, excluded,
+                "saturated",
             )
             alt_report = report_of(alt)
+            rival = alt_report.welfare
             if alt_report.welfare > report.welfare + _TOL:
+                side, rival = "saturated", report.welfare
                 load, report = alt, alt_report
+        if debug and rival is None:
+            _log.debug("%s side decides: the saturated start misses the floor", side)
+        elif debug:
+            _log.debug("%s side decides: welfare %r against %r", side, report.welfare, rival)
 
         losers = sorted(cid for cid, p in report.client_profits.items() if p < -_TOL)
         if not losers:

@@ -514,15 +514,17 @@ def _scenario_and_quotes(
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
     pairs = sensing_pairs(state, geometry, buffers)
     global_dist = global_label_distribution(state, pairs, profile.mode)
-    statuses = status_attributes(state, pairs, geometry, channel, profile, quanta)
+    statuses, label_dists = status_attributes(state, pairs, geometry, channel, profile, quanta)
     gains, wc = server_gains(state, channel), channel.sensitivity_wc_dbm
     down = spectral_efficiency(gains, channel.tx_power_server_dbm, wc, channel, quanta)
     up = spectral_efficiency(gains, channel.tx_power_client_dbm, wc, channel, quanta)
-    return budgets, _quote_fleet(ctx, budgets, statuses, down, up, global_dist, prev_cons)
+    return budgets, _quote_fleet(
+        ctx, budgets, statuses, label_dists, down, up, global_dist, prev_cons
+    )
 
 
 def _quote_fleet(
-    ctx, budgets, statuses, eff_down, eff_up, global_dist, prev_cons
+    ctx, budgets, statuses, label_dists, eff_down, eff_up, global_dist, prev_cons
 ) -> dict[str, _ClientRound]:
     """A quote for every client: capacity bounds, quality and, under the
     market's policies, a lazy cost curve; a client whose mtv is below 1 gets
@@ -535,8 +537,10 @@ def _quote_fleet(
     market never allocates a workload the spectrum cannot host.
 
     The bounds and qualities come from one batched pass over the fleet:
-    `fleet_bounds` gives every client's (mtv, mutv), and one `qod` call
-    the quality of every client that senses a target.  Both are bitwise
+    `fleet_bounds` gives every client's (mtv, mutv), and one `qod` call over
+    `label_dists`, the (clients x classes) matrix `status_attributes` gives,
+    the quality of every client whose row is not 0, that is, that senses a
+    target; the others' quality is 0.  Both are bitwise
     equal to calling `mtv`, `mutv` and `qod` client by client, as their
     docstrings argue: numpy's `+ - * /`, `sqrt` and comparisons round as
     Python's float ops do, the squares stay libm `pow`, Python's `min` and
@@ -562,11 +566,9 @@ def _quote_fleet(
         ctx.prices, budgets, ctx.quanta,
     )
     quality = [0.0] * len(statuses)
-    sensed = [i for i, at in enumerate(statuses) if at.label_dist is not None]
-    if sensed and global_dist is not None:
-        rows = np.array([statuses[i].label_dist for i in sensed])
-        for i, q in zip(sensed, qod(rows, global_dist).tolist()):
-            quality[i] = q
+    if global_dist is not None:  # else no client senses a target
+        sensed = label_dists.any(axis=1)
+        quality = np.where(sensed, qod(label_dists, global_dist), 0.0).tolist()
 
     saturate = POLICIES[ctx.policy].saturate
     gain_factor = config.market["gain_factor"]

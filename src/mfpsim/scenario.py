@@ -87,13 +87,10 @@ class StatusAttributes:
 
     a: samples per time cell of visual sensing.
     b: samples per (time cell x frequency cell) of wireless sensing.
-    label_dist: empirical class distribution over sensed targets, or None
-    when the client senses nothing.
     """
 
     a: float
     b: float
-    label_dist: np.ndarray | None
     n_visual_targets: int = 0
     n_wireless_targets: int = 0
 
@@ -208,7 +205,9 @@ def sensing_pairs(
     axis=1)` per client c, keeping the targets at most d_ws away and
     marking those at most d_vs away:
     - the squared distances (tx - cx)**2 + (ty - cy)**2 are written into
-      the buffers with the same elementwise ops, x added before y;
+      the buffers with the same elementwise ops, x added before y, from
+      contiguous copies of the target coordinates, which numpy streams
+      faster than the strided columns;
     - every square takes its correctly rounded root in place, the same op
       per element, a pair is kept when that root is at most d_ws, and
       `visual` is the kept root at most d_vs;
@@ -217,11 +216,12 @@ def sensing_pairs(
       (client, annulus) puts each client's visual disc first without
       reordering the targets within a disc.
     """
-    cp, tp = state.client_pos, state.target_pos
+    cp = state.client_pos
+    tx, ty = np.ascontiguousarray(state.target_pos.T)
     sq, dy = buffers
-    np.subtract(tp[:, 0], cp[:, 0, None], out=sq)
+    np.subtract(tx, cp[:, 0, None], out=sq)
     sq *= sq
-    np.subtract(tp[:, 1], cp[:, 1, None], out=dy)
+    np.subtract(ty, cp[:, 1, None], out=dy)
     dy *= dy
     sq += dy
     np.sqrt(sq, out=sq)
@@ -267,14 +267,15 @@ def server_gains(state: ScenarioState, channel: ChannelParams) -> np.ndarray:
 
     The distance is bitwise equal to `np.linalg.norm(p - server_pos)` per
     client position p: the differences are one batched subtraction, the
-    same correctly rounded op per element, and each row v then takes
-    `math.sqrt(v.dot(v))`, the two steps `norm` performs on a 1-D float
-    vector (`x.dot(x)`, then a correctly rounded root).  The square sum stays
-    one `dot` per row: batched reductions such as `einsum` or `sum(axis=1)`
-    differ from it in the last bit.
+    same correctly rounded op per element, and the rows then take the two
+    steps `norm` performs on a 1-D float vector v, `v.dot(v)` and a
+    correctly rounded root.  `np.vecdot` runs the float64 `dot` loop on each
+    row, the same BLAS `ddot` call that `v.dot(v)` makes, so it warns where
+    that overflows as well.  Other batched reductions, `einsum` or
+    `sum(axis=1)`, differ from it in the last bit.
     """
     diffs = state.client_pos - state.server_pos
-    return path_gains(np.array([math.sqrt(v.dot(v)) for v in diffs]), channel)
+    return path_gains(np.sqrt(np.vecdot(diffs, diffs)), channel)
 
 
 def spectral_efficiency(
@@ -302,6 +303,22 @@ def spectral_efficiency(
     return eff
 
 
+def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of `values` whose lengths are `counts`, 0.0 for
+    an empty one, in one `np.add.reduceat` call.
+
+    Bitwise equal to `np.add.reduce(values[start:end])` per run: reduce
+    starts from its identity 0.0 and adds the pairwise sum of the slice,
+    while reduceat starts a segment from its first element and adds the
+    pairwise sum of the rest.  So each run is laid out behind a 0.0, and
+    its segment sums to 0.0 plus the pairwise sum of the run.  An empty
+    run's segment is its 0.0 alone.
+    """
+    starts = np.cumsum(counts) - counts
+    led = np.insert(values, starts, 0.0)
+    return np.add.reduceat(led, starts + np.arange(len(counts)))
+
+
 def status_attributes(
     state: ScenarioState,
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -309,9 +326,10 @@ def status_attributes(
     channel: ChannelParams,
     profile: SensingProfile,
     quanta: ResourceQuanta,
-) -> list[StatusAttributes]:
-    """Every client's sample-rate coefficients and sensed label distribution
-    for one round, in client order.
+) -> tuple[list[StatusAttributes], np.ndarray]:
+    """Every client's sample-rate coefficients for one round, in client
+    order, and the (clients x classes) matrix of their sensed label
+    distributions, whose row is 0 where a client senses nothing.
 
     a = rho * S_vs * visual_efficiency * frame_rate * time_quantum
     b = rho * (S_ws - S_vs) * wireless_efficiency * log2(1 + snr) * frame_rate * time_quantum
@@ -326,18 +344,22 @@ def status_attributes(
     - the gains come from `path_gains`, which carries its own exactness
       argument, over the pairs' distances, which `sensing_pairs` argues are
       the reference's;
-    - a client's gains are summed by `np.add.reduce` over one contiguous
-      slice, the pairwise sum `mean` takes (`np.add.reduceat` sums each
-      segment in another order).  A pairwise sum depends on element order,
-      so each slice keeps the reference order, which is the pairs' order:
-      the visual disc's targets, then the annulus's, each in target order.
-      As d_vs < d_ws, the annulus is the wireless disc minus the visual one;
-    - the SNR, its log2 and `b` stay Python float ops per client, and the
-      label counts are integers, whose order does not matter.
+    - `segment_sums` sums every client's gains as `np.add.reduce` sums its
+      slice, the pairwise sum `mean` takes.  A pairwise sum depends on
+      element order, so each segment keeps the reference order, which is
+      the pairs' order: the visual disc's targets, then the annulus's, each
+      in target order.  As d_vs < d_ws, the annulus is the wireless disc
+      minus the visual one;
+    - the mean, the SNR, `1 + snr` and `b` are numpy ops in the scalar
+      expressions' order, each correctly rounded as Python's float ops are,
+      with numpy's warnings off, as Python's `*` and `/` give inf or nan
+      without one (`load_config` keeps the noise power, the one divisor
+      that could be 0, positive).  The log2 stays a libm call looped by
+      `map`, and the label counts are integers, whose order does not matter.
     """
     n_clients, n_targets = state.n_clients, state.n_targets
     if n_targets == 0:
-        return [StatusAttributes(0.0, 0.0, None)] * n_clients
+        return [StatusAttributes(0.0, 0.0)] * n_clients, np.zeros((n_clients, state.n_classes))
 
     rho = n_targets / state.area_m**2
     a = rho * geometry.s_vs * profile.visual_efficiency * profile.frame_rate_hz * quanta.time_s
@@ -346,11 +368,18 @@ def status_attributes(
     noise_w = channel.noise_density_w_per_hz * quanta.freq_hz
 
     rows, cols, dist, visual = pairs
-    ends = np.cumsum(np.bincount(rows, minlength=n_clients)).tolist()
+    n_pairs = np.bincount(rows, minlength=n_clients)
     n_visual = np.bincount(rows[visual], minlength=n_clients)
 
-    # `vsg` reads no wireless gain
-    gains = path_gains(dist, channel) if profile.mode != "vsg" else None
+    b = np.zeros(n_clients)
+    if profile.mode != "vsg":  # `vsg` reads no wireless gain
+        sums = segment_sums(path_gains(dist, channel), n_pairs)
+        # no warnings, as Python's float ops give none; a client with no
+        # pair divides 0 by 0, and its `b` is 0
+        with np.errstate(all="ignore"):
+            snr = tx_w * (sums / n_pairs) / noise_w
+            log2 = np.fromiter(map(math.log2, (1 + snr).tolist()), float, n_clients)
+            b = np.where(n_pairs > 0, b_scale * log2 * profile.frame_rate_hz * quanta.time_s, 0.0)
 
     if profile.mode == "vsg":
         sensed = visual
@@ -362,20 +391,13 @@ def status_attributes(
         rows[sensed] * state.n_classes + state.target_class[cols[sensed]],
         minlength=n_clients * state.n_classes,
     ).reshape(n_clients, state.n_classes)
-    totals = counts.sum(axis=1)
-    label_dists = counts / np.maximum(totals, 1)[:, None]
+    label_dists = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
 
-    out = []
-    start = 0
-    for c, (end, n_vis, total) in enumerate(zip(ends, n_visual.tolist(), totals.tolist())):
-        b = 0.0
-        if end > start and profile.mode != "vsg":
-            snr = tx_w * float(np.add.reduce(gains[start:end]) / (end - start)) / noise_w
-            b = b_scale * math.log2(1 + snr) * profile.frame_rate_hz * quanta.time_s
-        label_dist = label_dists[c] if total else None
-        out.append(StatusAttributes(a, b, label_dist, n_vis, end - start - n_vis))
-        start = end
-    return out
+    statuses = [
+        StatusAttributes(a, b_c, n_vis, n - n_vis)
+        for b_c, n, n_vis in zip(b.tolist(), n_pairs.tolist(), n_visual.tolist())
+    ]
+    return statuses, label_dists
 
 
 def global_label_distribution(

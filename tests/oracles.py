@@ -329,9 +329,9 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
         costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
         return build_report(by_id, load, costs, prices, alpha, beta)
 
-    def polish(load):
+    def polish(load, side):
         return _block_polish(
-            quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded
+            quotes, load, prices, gain_floor, ceiling, max_active, alpha, beta, excluded, side
         )
 
     for _ in range(len(quotes) + 1):
@@ -371,10 +371,10 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
             load[pick[1]] += 1
             gain += by_id[pick[1]].gain_rate
 
-        load = polish(load)
+        load = polish(load, "greedy")
         alt = saturated_start()
         if sum(by_id[c].gain_rate * n for c, n in alt.items()) >= gain_floor - tol:
-            alt = polish(alt)
+            alt = polish(alt, "saturated")
             if report_of(alt).welfare > report_of(load).welfare + tol:
                 load = alt
 
@@ -849,14 +849,15 @@ def reflect_folds(pos, area, folds=8):
 
 
 def status_attributes(state, distances, geometry, channel, profile, quanta):
-    """One client's `StatusAttributes` from its `distance_row`,
-    with a scalar `channel_gain` call per target; the round-level
-    `scenario.status_attributes` must match it bit for bit."""
+    """One client's `StatusAttributes` from its `distance_row`, with a
+    scalar `channel_gain` call per target, and its sensed label
+    distribution, or None when it senses nothing; the round-level
+    `scenario.status_attributes` must match both bit for bit."""
     from mfpsim.scenario import StatusAttributes
 
     n_targets = state.n_targets
     if n_targets == 0:
-        return StatusAttributes(0.0, 0.0, None)
+        return StatusAttributes(0.0, 0.0), None
 
     rho = n_targets / state.area_m**2
     in_vsd, in_annulus = targets_in_domain(distances, geometry)
@@ -892,27 +893,31 @@ def status_attributes(state, distances, geometry, channel, profile, quanta):
         counts = np.bincount(state.target_class[sensed], minlength=state.n_classes)
         label_dist = counts / counts.sum()
 
-    return StatusAttributes(
+    attrs = StatusAttributes(
         a=a,
         b=b,
-        label_dist=label_dist,
         n_visual_targets=int(in_vsd.size),
         n_wireless_targets=int(in_annulus.size),
     )
+    return attrs, label_dist
 
 
-def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, prev_cons):
+def quotes_per_client(ctx, budgets, statuses, label_dists, eff_down, eff_up, global_dist,
+                      prev_cons):
     """The quote loop the runner ran before its batched pass, one `mtv`,
     `mutv` and `qod` call per client: client id -> (task, budgets, mtv,
-    (mutv, qod) or None when the client does not quote).  `prev_cons` holds
-    the chains the round carries, which narrow their clients' sensing band
-    (a serial round carries none).  `runner._quote_fleet` must match it by
-    `repr`."""
+    (mutv, qod) or None when the client does not quote).  A client whose
+    row of `label_dists` is 0 senses nothing, and its quality is 0.
+    `prev_cons` holds the chains the round carries, which narrow their
+    clients' sensing band (a serial round carries none).
+    `runner._quote_fleet` must match it by `repr`."""
     from mfpsim.sensing import qod
     from mfpsim.solver import mtv, mutv
 
     out = {}
-    for cid, at, down, up in zip(ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist()):
+    for cid, at, label_dist, down, up in zip(
+        ctx.client_ids, statuses, label_dists, eff_down.tolist(), eff_up.tolist()
+    ):
         task = ctx.config.task_for(down, up)
         my_budgets = budgets
         prev = prev_cons.get(cid)
@@ -925,8 +930,8 @@ def quotes_per_client(ctx, budgets, statuses, eff_down, eff_up, global_dist, pre
         if cap < 1:
             continue
         q = 0.0
-        if at.label_dist is not None and global_dist is not None:
-            q = max(0.0, qod(at.label_dist, global_dist))
+        if label_dist.any() and global_dist is not None:
+            q = max(0.0, qod(label_dist, global_dist))
         out[cid] = (task, my_budgets, cap, (mutv(at, task, ctx.prices, my_budgets, ctx.quanta), q))
     return out
 
@@ -941,7 +946,7 @@ def fleet_bounds_per_client(a, b, gen_bandwidth, eff_down, eff_up, task, prices,
     columns = (np.asarray(x, dtype=float).tolist() for x in (a, b, gen_bandwidth, eff_down, eff_up))
     out = []
     for at_a, at_b, band, down, up in zip(*columns):
-        at = StatusAttributes(at_a, at_b, None)
+        at = StatusAttributes(at_a, at_b)
         my_task = replace(task, eff_down=down, eff_up=up)
         my_budgets = replace(budgets, gen_freq_cells=band)
         cap = mtv(at, my_task, my_budgets, quanta)
@@ -1001,10 +1006,15 @@ def reference_run(config):
     import mfpsim.solver as solver
 
     def statuses(state, pairs, geometry, channel, profile, quanta):
-        return [
+        per_client = [
             status_attributes(state, distance_row(state, c), geometry, channel, profile, quanta)
             for c in range(state.n_clients)
         ]
+        blank = np.zeros(state.n_classes)
+        return (
+            [at for at, _ in per_client],
+            np.array([blank if dist is None else dist for _, dist in per_client]),
+        )
 
     oracles = [
         (runner, "allocate_workloads", allocate_workloads_reference),

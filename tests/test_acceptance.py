@@ -53,7 +53,7 @@ def _pass(cid, text):
 def attrs(a, b):
     from mfpsim.scenario import StatusAttributes
 
-    return StatusAttributes(a=a, b=b, label_dist=None)
+    return StatusAttributes(a=a, b=b)
 
 
 def random_instance(rng):
@@ -402,13 +402,13 @@ def _mode_gain(state, mode, seed):
     task = ConsumptionTask(1e8, 1e8, 500.0, 12.0, 8.0)
     pairs = sensing_pairs(state, geometry, pair_buffers(state))
     global_dist = global_label_distribution(state, pairs, mode)
-    statuses = status_attributes(state, pairs, geometry, channel, profile, quanta)
+    statuses, label_dists = status_attributes(state, pairs, geometry, channel, profile, quanta)
     quotes = []
-    for i, at in enumerate(statuses):
+    for i, (at, label_dist) in enumerate(zip(statuses, label_dists)):
         cap = mtv(at, task, budgets, quanta)
-        if cap < 1 or global_dist is None or at.label_dist is None:
+        if cap < 1 or global_dist is None or not label_dist.any():
             continue
-        q = qod(at.label_dist, global_dist)
+        q = qod(label_dist, global_dist)
         fn = lambda n, _at=at: (
             constrained_schedule(SolveInput(n, _at, task, pv, budgets, quanta)).cost, None
         )

@@ -20,7 +20,7 @@ UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
 
 def attrs(a, b):
-    return StatusAttributes(a=a, b=b, label_dist=None)
+    return StatusAttributes(a=a, b=b)
 
 
 def quote(cid, rate=0.05, mtv_=10, first_marginal=0.1):

@@ -22,7 +22,7 @@ UNIT = ResourceQuanta(time_s=1.0, freq_hz=1.0, compute_cycles_per_s=1.0)
 
 
 def attrs(a, b):
-    return StatusAttributes(a=a, b=b, label_dist=None)
+    return StatusAttributes(a=a, b=b)
 
 
 def prices(t=1.0, b=1.0, f=1.0):

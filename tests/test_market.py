@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.config import load_config
@@ -222,7 +222,7 @@ class TestAllocate:
         )
 
     def test_more_pool_capacity_never_hurts_welfare(self):
-        att = StatusAttributes(a=2.0, b=1.0, label_dist=None)
+        att = StatusAttributes(a=2.0, b=1.0)
         task = ConsumptionTask(10, 10, 1.0, 1.0, 1.0)
         pv = PriceVector(time=0.2, freq=0.1, compute=0.1, sample=1.0, gain=50.0)
 
@@ -403,7 +403,12 @@ class TestAllocate:
             alloc, report = allocate_workloads([quote], self.prices(), 0.0, 10.0, 1)
         assert alloc.workloads == {"a": 20}
         assert settlement_findings(report, 1.0, 1.0) == []
-        assert [r.getMessage() for r in caplog.records] == ["polish a from load 0 to 20"]
+        # the saturated start is the same load, so the greedy side keeps it
+        assert [r.getMessage() for r in caplog.records] == [
+            "greedy polish a from load 0 to 20",
+            "saturated start: a 20",
+            "greedy side decides: welfare 13.000000000000007 against 13.000000000000007",
+        ]
 
     def contested(self, n_clients, curve):
         """Convex curves a few samples' welfare drop apart, so the lead
@@ -470,10 +475,12 @@ class TestAllocate:
             assert outcomes[0] == outcomes[None]
             assert solves[0] <= solves[None] + 2 * n_clients
 
-    def test_rationality_passes_restore_instead_of_rescanning(self, monkeypatch):
-        # five cheap clients fill up first; ten clients with an activation
-        # cost are opened one per pass by the last grants (the cap leaves room
-        # for one more), end at a loss and are excluded: eleven passes
+    def test_rationality_passes_restore_instead_of_rescanning(self, monkeypatch, caplog):
+        # five cheap clients fill up first; the cap leaves room for one more,
+        # and the saturated start opens one of the ten clients with an
+        # activation cost to its capacity of 2 in each pass.  Its side wins on
+        # welfare, but that client ends at a loss and is excluded: eleven
+        # passes, and the greedy side decides the last
         polishes = [0]
 
         def counting_polish(*args):
@@ -493,8 +500,24 @@ class TestAllocate:
             for i in range(10)
         ]
         prices = self.prices(gain=300.0)
-        alloc, report = allocate_workloads(quotes, prices, 1.0, 100.0, 6)
+        with caplog.at_level(logging.DEBUG, logger="mfpsim"):
+            alloc, report = allocate_workloads(quotes, prices, 1.0, 100.0, 6)
         assert polishes[0] == 2 * 11
+        cheap_start = ", ".join(f"a{i} 200" for i in range(5))
+        passes = [
+            [
+                f"saturated start: {cheap_start}, b{i} 2",
+                "saturated side decides: welfare 2502.8 against 2500.0",
+                f"rationality pass excludes b{i}: resumes from grant 1000",
+            ]
+            for i in range(10)
+        ]
+        last = [f"saturated start: {cheap_start}", "greedy side decides: welfare 2500.0 against 2500.0"]
+        lines = [r.getMessage() for r in caplog.records]
+        # neither side's polish moves a load
+        assert [line for line in lines if not line.startswith(("scan grant", "streak"))] == [
+            line for lines in passes for line in lines
+        ] + last
         assert alloc.workloads == {f"a{i}": 200 for i in range(5)}
         assert settlement_findings(report, 1.0, 1.0) == []
         # one greedy pass's worth (the bound of the test above) plus 10 per
@@ -626,6 +649,45 @@ def test_endpoint_allocations_miss_the_exact_optimum_only_in_named_ways(fleet):
         assert exact is not None and ends[0] <= exact[0]
     if exact is not None and (ends is None or ends[0] < exact[0] - 1e-9):
         assert _endpoint_gap(quotes, mutvs, market_args, exact[1]) in ENDPOINT_GAPS
+
+
+def _engine_outcome(quotes, mutvs, market_args):
+    """`allocate_workloads` on a shaped fleet: its welfare report, or None
+    on a gain shortfall."""
+    price_sample, price_gain, floor, ceiling, max_active, alpha, beta = market_args
+    engine_quotes = [
+        ClientQuote(f"c{i}", 1.0, top, mutv, rate, curve_from_samples(costs))
+        for i, ((rate, top, costs), mutv) in enumerate(zip(quotes, mutvs))
+    ]
+    prices = PriceVector(sample=price_sample, gain=price_gain)
+    try:
+        return allocate_workloads(
+            engine_quotes, prices, floor, ceiling - floor, max_active, alpha, beta
+        )[1]
+    except GainShortfallError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_fleets())
+def test_engine_welfare_never_exceeds_the_exact_optimum(fleet):
+    """The engine's allocation is one of the admissible workload vectors
+    `allocation_exhaustive` searches, so its welfare is at most the exact
+    optimum's, up to rounding."""
+    quotes, mutvs, market_args = fleet
+    report = _engine_outcome(quotes, mutvs, market_args)
+    if report is None:
+        event("gain shortfall")
+        return
+    floor, ceiling = market_args[2:4]
+    # the engine's window: it admits a gain 1e-9 short of the floor, and
+    # its ceiling is floor + (ceiling - floor)
+    exact = allocation_exhaustive(
+        quotes, *market_args[:2], floor - 1e-9, floor + (ceiling - floor), *market_args[4:]
+    )
+    assert exact is not None
+    assert report.welfare <= exact[0] + 1e-9
+    event("optimal" if report.welfare >= exact[0] - 1e-9 else "below the optimum")
 
 
 def test_allocation_on_runner_quotes_equals_from_scratch_reference(monkeypatch):
@@ -806,6 +868,8 @@ def test_one_long_streak_costs_few_lookups(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare -1.2, clear lead",
         "streak a from load 1: 1999 samples, 1 probes, stopped at capacity",
+        "saturated start: a 2000",
+        "greedy side decides: welfare 3988.055728090001 against 3988.055728090001",
     ]
     # silent unless the application configures logging
     assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfpsim").handlers)
@@ -876,6 +940,8 @@ def test_plain_costs_vouch_for_no_streak(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare -1.2, clear lead",
         "streak a from load 1: 1999 samples, 0 probes, stopped at capacity",
+        "saturated start: a 2000",
+        "greedy side decides: welfare 3988.055728090001 against 3988.055728090001",
     ]
     assert not plain.in_segment(1)
     assert plain.rise_bound(1, 2000) is None
@@ -966,6 +1032,8 @@ def test_a_steep_leader_is_granted_after_one_scan(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "scan grant a at load 0: marginal welfare 0.25, clear lead",
         "streak a from load 1: 9 samples, 8 probes, stopped at capacity",
+        "saturated start: a 10",
+        "greedy side decides: welfare 2.5 against 2.5",
     ]
     assert repr(got) == repr(allocate_workloads_reference(*case))
 

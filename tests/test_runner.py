@@ -349,7 +349,7 @@ def solve_cases(
     wireless coefficients so small (down to subnormal) that their products
     with prices or cell counts underflow to 0."""
     bits = st.sampled_from([0.0, 1e7, 1e8, 4e8])
-    at = StatusAttributes(a=draw(st.floats(0.0, 60.0)), b=draw(b), label_dist=None)
+    at = StatusAttributes(a=draw(st.floats(0.0, 60.0)), b=draw(b))
     task = ConsumptionTask(
         d_down_bits=draw(bits),
         d_up_bits=draw(bits),
@@ -430,7 +430,7 @@ OBJECTIVE_POLICIES = [Policy.SISCC, Policy.MC_T, Policy.SENS_OPT, Policy.COMM_OP
 def test_runner_curve_keeps_the_cost_curve_contract(policy, p):
     # every objective but comm labels each finite point, and keeps the
     # contract within each segment
-    at = StatusAttributes(a=p["a"], b=p["b"], label_dist=None)
+    at = StatusAttributes(a=p["a"], b=p["b"])
     task = ConsumptionTask(p["down"], p["up"], p["cycles"], p["eff_down"], p["eff_up"])
     budgets = Budgets(float(p["cycle"]), float(p["freq"]), float(p["compute"]))
     prices = PriceVector(time=p["time_price"], freq=p["freq_price"], compute=p["compute_price"], sample=1.0, gain=1000.0)
@@ -461,7 +461,7 @@ def test_runner_curve_keeps_the_cost_curve_contract(policy, p):
 def test_width_curve_is_labelled_only_where_time_costs_its_solve_price():
     # the width objective's true-price cost keeps the contract only where
     # time costs at least the time price its chain is solved at
-    at = StatusAttributes(a=8.062, b=0.4252, label_dist=None)
+    at = StatusAttributes(a=8.062, b=0.4252)
     task = ConsumptionTask(1e7, 1e8, 4123.0, 30.558, 19.154)
     budgets = Budgets(4.0, 214.0, 5.0)
     quanta = ResourceQuanta(1.0, 1e6, 1e5)
@@ -477,7 +477,7 @@ def test_capped_chain_whose_cost_leaves_the_float_range_falls_back():
     # 8 sensing rows cap the transfers at 2 of 10: the download then takes
     # 1.5 of the 2 cells, and training at the compute price 1e308 in the
     # 0.5 left needs 3 cells of width, which costs inf; uncapped it fits
-    at = StatusAttributes(a=0.0, b=1.0, label_dist=None)
+    at = StatusAttributes(a=0.0, b=1.0)
     task = ConsumptionTask(3.0, 0.0, 1.5 / 16, 1.0, 1.0)
     prices = PriceVector(time=1.0, freq=1.0, compute=1e308)
     quanta, budgets = ResourceQuanta(1.0, 1.0, 1.0), Budgets(2.0, 10.0, 1e308)
@@ -494,7 +494,7 @@ def test_capped_mtv_decides_the_fallback_as_the_resolve_did(policy, p):
     # past the capped mtv the runner falls back at once; the reference takes
     # the capped (mtv, mutv) pair and re-solves, Infeasible there.  Every
     # workload of the curve, so the capped mtv itself and the one past it
-    at = StatusAttributes(a=p["a"], b=p["b"], label_dist=None)
+    at = StatusAttributes(a=p["a"], b=p["b"])
     task = ConsumptionTask(p["down"], p["up"], p["cycles"], p["eff_down"], p["eff_up"])
     budgets = Budgets(float(p["cycle"]), float(p["freq"]), float(p["compute"]))
     prices = PriceVector(time=p["time_price"], freq=p["freq_price"], compute=p["compute_price"], sample=1.0, gain=1000.0)
@@ -523,7 +523,7 @@ def test_capped_mtv_decides_the_fallback_as_the_resolve_did(policy, p):
     ],
 )
 def test_a_cap_that_does_not_tighten_the_budgets_leaves_the_plain_solve(policy, a, b, freq_cells):
-    at = StatusAttributes(a=a, b=b, label_dist=None)
+    at = StatusAttributes(a=a, b=b)
     task = ConsumptionTask(1e7, 1e7, 4000.0, 10.0, 10.0)
     budgets = Budgets(20.0, freq_cells, 5.0)
     prices = PriceVector(time=1.0, freq=0.05, compute=0.5, sample=1.0, gain=1000.0)
@@ -617,10 +617,12 @@ def _quote_inputs(fleet):
     ctx = _RunContext(config, config.policy, config.prices(), config.quanta(), None,
                       fleet["pipelined"], ids)
     time, freq, compute, cycle = fleet["cells"]
-    statuses = [
-        StatusAttributes(a, b, None if label is None else np.array(label) / sum(label))
-        for a, b, _, _, _, label in clients
-    ]
+    statuses = [StatusAttributes(a, b) for a, b, *_ in clients]
+    # a client that senses nothing has a row of 0
+    label_dists = np.array([
+        np.zeros(4) if label is None else np.array(label) / sum(label)
+        for *_, label in clients
+    ])
     prev_cons = {
         cid: ScheduleDecision(
             comm_down=TransferSchedule(1.0, c[4]), comm_up=TransferSchedule(1.0, c[4] / 2)
@@ -629,7 +631,7 @@ def _quote_inputs(fleet):
     }
     g = fleet["global_"]
     return (
-        ctx, Budgets(min(time, cycle), freq, compute), statuses,
+        ctx, Budgets(min(time, cycle), freq, compute), statuses, label_dists,
         np.array([c[2] for c in clients]), np.array([c[3] for c in clients]),
         None if g is None else np.array(g) / sum(g), prev_cons,
     )
@@ -724,6 +726,7 @@ def test_quotes_equal_the_per_client_oracle(fleet):
         n_unc, q = quote
         event(f"quote, mutv {'-1' if n_unc == -1 else type(n_unc).__name__}")
         assert repr(pair) == repr((cap, n_unc))
+        assert repr(c.quote.qod) == repr(q)
         # the quote's ints: mtv capped at 10**7, an infinite mutv at that mtv
         cap_i = int(min(cap, 10**7))
         ints = (cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i)

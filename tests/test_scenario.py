@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mfpsim.resource_pool import ResourceQuanta
@@ -17,6 +18,7 @@ from mfpsim.scenario import (
     make_scenario,
     pair_buffers,
     path_gains,
+    segment_sums,
     sensing_pairs,
     server_gains,
     spectral_efficiency,
@@ -61,10 +63,14 @@ def _assert_same_pairs(got, want):
 
 
 def _status(state, geometry, channel, profile, quanta, client=0):
-    """One client's entry of the round-level status."""
-    statuses = status_attributes(state, _pairs(state, geometry), geometry, channel, profile, quanta)
+    """One client's entry of the round-level status, and its row of the
+    label matrix."""
+    statuses, label_dists = status_attributes(
+        state, _pairs(state, geometry), geometry, channel, profile, quanta
+    )
     assert len(statuses) == state.n_clients
-    return statuses[client]
+    assert label_dists.shape == (state.n_clients, state.n_classes)
+    return statuses[client], label_dists[client]
 
 
 def test_step_mobility_zero_velocity_keeps_positions():
@@ -120,9 +126,9 @@ def test_targets_in_domain_partition():
         (0, 0), [(30, 0, 1), (70, 0, 2), (150, 0, 3)], area=500
     )
     args = (geom, ChannelParams(), SensingProfile(), ResourceQuanta())
-    attrs = _status(state, *args)
+    attrs, label_dist = _status(state, *args)
     assert (attrs.n_visual_targets, attrs.n_wireless_targets) == (1, 1)
-    assert attrs.label_dist.tolist() == [0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]
+    assert label_dist.tolist() == [0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]
     _, cols, _, visual = _pairs(state, geom)
     assert cols[visual].tolist() == [0]
     assert cols[~visual].tolist() == [1]
@@ -162,7 +168,7 @@ def test_status_attributes_visual_rate():
     profile = SensingProfile(frame_rate_hz=20, visual_efficiency=1.0)
     rows = [(i % 500, (i * 7) % 500, i % 10) for i in range(100)]
     state = single_client_state((250, 250), rows)
-    attrs = _status(state, geom, ChannelParams(), profile, ResourceQuanta())
+    attrs, _ = _status(state, geom, ChannelParams(), profile, ResourceQuanta())
     expected_a = (100 / 250_000) * math.pi * 50**2 * 1.0 * 20
     assert attrs.a == pytest.approx(expected_a)
     assert attrs.a == pytest.approx(62.83, abs=0.01)
@@ -170,37 +176,40 @@ def test_status_attributes_visual_rate():
 
 def test_status_attributes_no_targets():
     state = single_client_state((250, 250), [])
-    attrs = _status(state, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
+    attrs, label_dist = _status(
+        state, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
+    )
     assert attrs.a == 0 and attrs.b == 0
-    assert attrs.label_dist is None
+    assert not label_dist.any()
 
 
 def test_status_attributes_degenerate_annulus():
     geom = SensingGeometry(d_vs=50, d_ws=50.0000001)
     rows = [(260, 250, 4)] * 5
     state = single_client_state((250, 250), rows)
-    attrs = _status(state, geom, ChannelParams(), SensingProfile(), ResourceQuanta())
+    attrs, _ = _status(state, geom, ChannelParams(), SensingProfile(), ResourceQuanta())
     assert attrs.b == pytest.approx(0.0, abs=1e-6)
 
 
 def test_status_attributes_label_distribution_sums_to_one():
     rows = [(250 + i, 250, i % 3) for i in range(1, 40)]
     state = single_client_state((250, 250), rows)
-    attrs = _status(state, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta())
-    assert attrs.label_dist is not None
-    assert attrs.label_dist.sum() == pytest.approx(1.0, abs=1e-12)
+    _, label_dist = _status(
+        state, SensingGeometry(), ChannelParams(), SensingProfile(), ResourceQuanta()
+    )
+    assert label_dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sensing_mode_restricts_modalities():
     rows = [(260, 250, 0), (330, 250, 1)]  # one in-disc, one annulus
     state = single_client_state((250, 250), rows)
     geom, ch, q = SensingGeometry(), ChannelParams(), ResourceQuanta()
-    msg = _status(state, geom, ch, SensingProfile(mode="msg"), q)
-    vsg = _status(state, geom, ch, SensingProfile(mode="vsg"), q)
-    wsg = _status(state, geom, ch, SensingProfile(mode="wsg"), q)
+    msg, _ = _status(state, geom, ch, SensingProfile(mode="msg"), q)
+    vsg, vsg_labels = _status(state, geom, ch, SensingProfile(mode="vsg"), q)
+    wsg, wsg_labels = _status(state, geom, ch, SensingProfile(mode="wsg"), q)
     assert vsg.b == 0 and vsg.a == msg.a
     assert wsg.a == 0 and wsg.b == msg.b
-    assert vsg.label_dist[0] == 1.0 and wsg.label_dist[1] == 1.0
+    assert vsg_labels[0] == 1.0 and wsg_labels[1] == 1.0
 
 
 def test_global_label_distribution_union():
@@ -315,17 +324,19 @@ def test_target_distance_rows_match_on_generated_scenarios():
             _assert_same_pairs(sensing_pairs(state, geom, buffers), oracles.sensing_pairs(state, geom))
 
 
-def _assert_same_status(x, y):
-    """Bitwise equality of two `StatusAttributes`."""
+def _assert_same_status(got, want):
+    """Bitwise equality of a client's `StatusAttributes` and row of the
+    label matrix with the oracle's status and label distribution, None
+    where it senses nothing."""
+    (x, row), (y, label_dist) = got, want
     assert np.float64(x.a).tobytes() == np.float64(y.a).tobytes()
     assert np.float64(x.b).tobytes() == np.float64(y.b).tobytes()
     assert x.n_visual_targets == y.n_visual_targets
     assert x.n_wireless_targets == y.n_wireless_targets
-    if x.label_dist is None:
-        assert y.label_dist is None
+    if label_dist is None:
+        assert not row.any()
     else:
-        assert y.label_dist is not None
-        assert x.label_dist.tobytes() == y.label_dist.tobytes()
+        assert row.tobytes() == label_dist.tobytes()
 
 
 @st.composite
@@ -369,9 +380,9 @@ FLEET_AT_100_DB = (
 def test_round_status_equals_per_client_oracle_bitwise(state, geom, exponent, loss, mode):
     ch = ChannelParams(pathloss_exponent=exponent, reference_loss_db=loss)
     profile, q = SensingProfile(mode=mode), ResourceQuanta()
-    statuses = status_attributes(state, _pairs(state, geom), geom, ch, profile, q)
+    statuses, label_dists = status_attributes(state, _pairs(state, geom), geom, ch, profile, q)
     assert len(statuses) == state.n_clients
-    for c, got in enumerate(statuses):
+    for c, got in enumerate(zip(statuses, label_dists)):
         _assert_same_status(
             got, oracles.status_attributes(state, distance_row(state, c), geom, ch, profile, q)
         )
@@ -387,9 +398,11 @@ def test_visual_sensing_takes_no_path_gains(state, geom):
     for mode in ("vsg", "msg"):
         profile = SensingProfile(mode=mode)
         with mock.patch.object(scenario, "path_gains", wraps=path_gains) as gains:
-            statuses = status_attributes(state, _pairs(state, geom), geom, ch, profile, q)
+            statuses, label_dists = status_attributes(
+                state, _pairs(state, geom), geom, ch, profile, q
+            )
         assert gains.called == (mode == "msg" and state.n_targets > 0)
-        for c, got in enumerate(statuses):
+        for c, got in enumerate(zip(statuses, label_dists)):
             _assert_same_status(
                 got, oracles.status_attributes(state, distance_row(state, c), geom, ch, profile, q)
             )
@@ -507,3 +520,75 @@ def test_server_link_efficiencies_equal_scalar_oracle_bitwise(
         got = spectral_efficiency(gains, tx, sensitivity, ch, q)
         want = [oracles.spectral_efficiency(d, tx, sensitivity, ch, q) for d in dists]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def _outcome(fn):
+    """`fn()`'s bytes, or the class of the warning it raises as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn().tobytes()
+        except Warning as err:
+            return type(err)
+
+
+# coordinates whose squares overflow, and nan and the infinities
+EXTREME_COORDS = [1e160, -1e160, 1e300, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@example([(2.6, 30.6), (1e160, 250.0)])
+@example([(math.nan, 30.6), (math.inf, -math.inf)])
+@given(
+    st.lists(
+        st.tuples(*[st.floats(0, 500) | st.floats(-1e150, 1e150) | st.sampled_from(EXTREME_COORDS)] * 2),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_server_gains_take_the_per_row_dot(clients):
+    """The batched square sums against `v.dot(v)` per row, bit for bit, on
+    rows whose squares overflow or that hold nan or an infinity: where a
+    row's `dot` warns, the batched call warns with the same class."""
+    state, ch = server_fleet(clients), ChannelParams()
+
+    def per_row():
+        diffs = state.client_pos - state.server_pos
+        return path_gains(np.array([math.sqrt(v.dot(v)) for v in diffs]), ch)
+
+    want = _outcome(per_row)
+    event("warns" if want is RuntimeWarning else "runs")
+    assert _outcome(lambda: server_gains(state, ch)) == want
+
+
+SEGMENT_LENGTHS = [0, 1, 7, 8, 9, 127, 128, 129, 8193]  # around pairwise-sum blocks
+
+
+@st.composite
+def segmented_values(draw):
+    """Runs of gains in [0, 1] spread over many magnitudes, of the lengths
+    around numpy's 8-way unrolled, 128-element pairwise blocks or any up to
+    300, with nan, inf, 0 and the least subnormal at drawn places."""
+    counts = draw(
+        st.lists(st.sampled_from(SEGMENT_LENGTHS) | st.integers(0, 300), min_size=1, max_size=6)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(sum(counts)) ** draw(st.sampled_from([1, 8, 64]))
+    specials = st.sampled_from([math.nan, math.inf, 0.0, 5e-324])
+    for place, value in draw(st.lists(st.tuples(st.integers(0, 2**31), specials), max_size=4)):
+        if values.size:
+            values[place % values.size] = value
+    return values, np.array(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@example((np.random.default_rng(0).random(sum(SEGMENT_LENGTHS)), np.array(SEGMENT_LENGTHS)))
+@given(segmented_values())
+def test_segment_sums_equal_per_slice_reduce(case):
+    values, counts = case
+    ends = np.cumsum(counts)
+    want = [
+        np.add.reduce(values[start:end]) if end > start else 0.0
+        for start, end in zip((ends - counts).tolist(), ends.tolist())
+    ]
+    assert segment_sums(values, counts).tobytes() == np.array(want).tobytes()

@@ -50,7 +50,7 @@ ZERO_TASK = ConsumptionTask(0, 0, 0, 1, 1)
 
 
 def attrs(a, b):
-    return StatusAttributes(a=a, b=b, label_dist=None)
+    return StatusAttributes(a=a, b=b)
 
 
 def prices(t=1.0, b=1.0, f=1.0):
@@ -777,9 +777,9 @@ def test_bound_squares_that_overflow_bound_nothing():
     task = ConsumptionTask(1e7, 1e7, 50.0, 12.0, 8.0)
     cases = [
         # (a + b * band)**2 of the sensing side
-        (StatusAttributes(1.0, 1e300, None), Budgets(10.0, 400.0, 10.0)),
+        (StatusAttributes(1.0, 1e300), Budgets(10.0, 400.0, 10.0)),
         # the chain's slack squared
-        (StatusAttributes(10.0, 0.0, None), Budgets(1e200, 400.0, 10.0)),
+        (StatusAttributes(10.0, 0.0), Budgets(1e200, 400.0, 10.0)),
     ]
     for at, budgets in cases:
         n_unc = mutv(at, task, PriceVector(), budgets)
