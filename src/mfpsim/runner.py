@@ -5,19 +5,26 @@ round as five stages over it:
 
 - scenario and quotes: the scenario steps, each client's targets in range
   are found in two buffers the run allocates once, the window's cycle is
-  fixed, and each client's state becomes a quote (capacity bounds, quality,
-  and a min-cost curve under the active policy, except a saturating one,
-  which quotes no curve); a client's task is built when a stage first
-  reads it;
+  fixed, and the fleet's status columns become quotes (capacity bounds,
+  quality, and a min-cost curve under the active policy, except a
+  saturating one, which quotes no curve);
 - selection and allocation: workloads toward the gain target;
 - solve and quantize: the winners' schedules, in whole cells;
 - placement: into the shared per-window pools, next to the previous round's
   transfer chain when pipelined;
 - settlement: payments on what actually fit, and the round's rows.
 
+The fleet stays in columns (`_Fleet`).  A client's round state
+(`_ClientRound`) is built when a stage first reads the client (`_entry`):
+every quoted client's under a curve or ranked policy, only the workload
+holders' under a saturating one.  It is built, and the stages iterate, in
+client order, as that order reaches the output: the report's float sums,
+the timeline's rows and the chains handed on.
+
 The stages call the engine through this module's globals, which is where
-the benchmark's tracer wraps them.  Output rows are plain dicts so the
-CSV/JSONL writers stay trivial and byte-reproducible.
+the benchmark's tracer wraps them.  Summary and timeline rows are plain
+dicts and clients.jsonl is kept as each round's columns, so the writers
+stay trivial and byte-reproducible.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import count
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +56,7 @@ from .market import ClientQuote, CostCurve, allocate_workloads, build_report, sa
 from .resource_pool import ResourceQuanta, new_pool
 from .rounds import cycle_length, plan_round, rounds_to_complete
 from .scenario import (
+    StatusAttributes,
     global_label_distribution,
     make_scenario,
     pair_buffers,
@@ -128,7 +136,8 @@ class RunRecord:
     config_hash: str
     seed: int
     summary_rows: list[dict] = field(default_factory=list)
-    client_rows: list[dict] = field(default_factory=list)
+    # each round's clients.jsonl columns: CLIENT_COLUMNS -> a list in client order
+    client_columns: list[dict[str, list]] = field(default_factory=list)
     timeline_rows: list[dict] = field(default_factory=list)
     trajectory_rows: list[dict] = field(default_factory=list)
     audit_violations: list[str] = field(default_factory=list)
@@ -152,7 +161,7 @@ class RunRecord:
     def output_texts(self) -> dict[str, str]:
         out = {
             "summary.csv": _csv_text(SUMMARY_COLUMNS, self.summary_rows),
-            "clients.jsonl": _clients_jsonl(self.client_rows),
+            "clients.jsonl": _clients_jsonl(self.client_columns),
             "timeline.csv": _csv_text(TIMELINE_COLUMNS, self.timeline_rows),
             "run.json": self.run_json(),
         }
@@ -183,34 +192,29 @@ class RunRecord:
 _CLIENT_LINE = (
     "{" + ", ".join(f"{encode_basestring_ascii(k)}: %s" for k in CLIENT_COLUMNS) + "}\n"
 )
-# a row's values in CLIENT_COLUMNS' order; a missing key raises KeyError
-_CLIENT_VALUES = itemgetter(*CLIENT_COLUMNS)
-# rows encoded at a time: a whole record's column texts would hold about
-# a megabyte more than its lines, at a 200-client fleet's 2,000 rows
-_CLIENT_BATCH = 256
 
 
-def _clients_jsonl(rows: list[dict]) -> str:
-    """The clients.jsonl text: per row, the text of `json.dumps(row,
-    sort_keys=True)` plus a newline, for rows with exactly CLIENT_COLUMNS
-    as keys.
+def _clients_jsonl(rounds: list[dict[str, list]]) -> str:
+    """The clients.jsonl text of each round's columns: per client, the text
+    of `json.dumps(row, sort_keys=True)` plus a newline, where the row maps
+    each column's name to the client's entry, for rounds whose columns are
+    exactly CLIENT_COLUMNS, all of one length.
 
-    Each column of a batch of rows is encoded in one pass, as json's
-    encoder writes its kind: a str by `encode_basestring_ascii`, the
-    escaper `json.dumps` uses under its default ensure_ascii; an int by
-    `int.__repr__`; a float by `float.__repr__`, with nan and the
-    infinities spelled NaN, Infinity and -Infinity.  The keys are fixed
-    ASCII names, and the separators json's defaults ", " and ": ".  A row
-    with another key, or a value of another kind than its column's, raises
+    Each column is encoded in one pass, as json's encoder writes its kind:
+    a str by `encode_basestring_ascii`, the escaper `json.dumps` uses under
+    its default ensure_ascii; an int by `int.__repr__`; a float by
+    `float.__repr__`, with nan and the infinities spelled NaN, Infinity and
+    -Infinity.  The keys are fixed ASCII names, and the separators json's
+    defaults ", " and ": ".  A round with another column, columns of
+    unequal length, or a value of another kind than its column's, raises
     instead of writing other bytes.
     """
-    if any(len(row) != len(CLIENT_COLUMNS) for row in rows):
-        raise ValueError(f"a clients.jsonl row has the keys {CLIENT_COLUMNS}")
     lines = []
-    for start in range(0, len(rows), _CLIENT_BATCH):
-        columns = zip(*map(_CLIENT_VALUES, rows[start:start + _CLIENT_BATCH]))
-        texts = [encode(column) for encode, column in zip(_CLIENT_ENCODERS.values(), columns)]
-        lines += map(_CLIENT_LINE.__mod__, zip(*texts))
+    for columns in rounds:
+        if len(columns) != len(CLIENT_COLUMNS):
+            raise ValueError(f"a round's clients.jsonl columns are {CLIENT_COLUMNS}")
+        texts = [encode(columns[k]) for k, encode in _CLIENT_ENCODERS.items()]
+        lines += map(_CLIENT_LINE.__mod__, zip(*texts, strict=True))
     return "".join(lines)
 
 
@@ -256,29 +260,21 @@ def load_summary_csv(text: str) -> list[dict]:
 
 @dataclass(slots=True)
 class _ClientRound:
-    """Working state for one client inside one round."""
+    """Working state for one client inside one round, with its transfer and
+    training task, built when a stage first reads the client (`_entry`), in
+    client order: by its cost curve, which a ranked policy's selection
+    reads too, or by the workload a saturating policy gives it.  Most of a
+    large fleet quotes under a saturating policy and is never traded, so
+    most clients never get one."""
 
     cid: str
-    attrs: object
+    attrs: StatusAttributes
     quote: ClientQuote | None
     budgets: Budgets
-    config: ExperimentConfig
-    eff_down: float
-    eff_up: float
+    task: ConsumptionTask
     n: int = 0
     quantized: ScheduleDecision | None = None
     note: str = ""
-    _task: ConsumptionTask | None = None
-
-    @property
-    def task(self) -> ConsumptionTask:
-        """The client's transfer and training load, built on first read: by
-        its cost curve, the selection metrics of a ranked policy, or the
-        solve of a workload.  Most of a large fleet quotes and is never
-        traded, so most rounds never build it."""
-        if self._task is None:
-            self._task = self.config.task_for(self.eff_down, self.eff_up)
-        return self._task
 
     def drop(self, note: str) -> None:
         """Take the client out of the round, saying why."""
@@ -298,6 +294,40 @@ class _RunContext:
     cells: tuple[int, int, int]  # (time, freq, compute) pool cells after scaling
     pipelined: bool
     client_ids: tuple[str, ...]
+    positions: dict[str, int]  # each client's index in client_ids
+
+
+@dataclass(slots=True)
+class _Fleet:
+    """One round's fleet as columns in client order: the status columns
+    (a, b, n_visual, n_wireless) and link efficiencies the quotes were taken
+    from, the quotes of the clients that quote, clients.jsonl's quote
+    columns, and the `_ClientRound` of each client a stage has read so far,
+    in client order."""
+
+    budgets: Budgets
+    narrowed: dict[str, Budgets]  # the budgets of a client carrying last round's chain
+    status: tuple[list, list, list, list]
+    eff_down: list[float]
+    eff_up: list[float]
+    quotes: dict[str, ClientQuote]
+    columns: dict[str, list]  # qod, gain_rate, mtv, mutv, note
+    entries: dict[str, _ClientRound]
+
+
+def _entry(ctx, fleet, cid) -> _ClientRound:
+    """Client `cid`'s round state, with its `StatusAttributes`, built from
+    the fleet's columns on the first read."""
+    c = fleet.entries.get(cid)
+    if c is None:
+        i = ctx.positions[cid]
+        a, b, n_visual, n_wireless = fleet.status
+        c = fleet.entries[cid] = _ClientRound(
+            cid, StatusAttributes(a[i], b[i], n_visual[i], n_wireless[i]),
+            fleet.quotes.get(cid), fleet.narrowed.get(cid, fleet.budgets),
+            ctx.config.task_for(fleet.eff_down[i], fleet.eff_up[i]), note=fleet.columns["note"][i],
+        )
+    return c
 
 
 def _policy_solve(ctx, n, at, task, budgets, bounds=None):
@@ -430,9 +460,10 @@ def run(config: ExperimentConfig) -> RunRecord:
         max_speed=sc["max_speed_mps"],
     )
     buffers = pair_buffers(state)
+    ids = tuple(f"c{i:03d}" for i in range(sc["n_clients"]))
     ctx = _RunContext(
         config, config.policy, config.prices(), config.quanta(), config.scaled_cells(),
-        config.mode != "serial", tuple(f"c{i:03d}" for i in range(sc["n_clients"])),
+        config.mode != "serial", ids, {cid: i for i, cid in enumerate(ids)},
     )
     step_seeds = np.random.SeedSequence(config.seed).generate_state(max(config.rounds, 1) + 1)
     prev_cons: dict[str, ScheduleDecision] = {}
@@ -442,12 +473,12 @@ def run(config: ExperimentConfig) -> RunRecord:
         state = step_mobility(state, int(step_seeds[r - 1]), dt=ctx.cells[0] * ctx.quanta.time_s)
         if config.output["trajectories"]:
             record.trajectory_rows += _trajectory_rows(state, ctx.client_ids, r)
-        budgets, clients = _scenario_and_quotes(ctx, state, buffers, prev_cons)
+        budgets, fleet = _scenario_and_quotes(ctx, state, buffers, prev_cons)
         floor, ceiling = _round_targets(config.market, cumulative_gain)
-        shortfall = _select_and_allocate(ctx, clients, budgets, floor, ceiling)
-        _solve_and_quantize(ctx, clients)
-        _place_round(ctx, record, r, clients, prev_cons, int(budgets.time_cells))
-        gain, prev_cons = _settle(ctx, record, r, clients, budgets, floor, shortfall)
+        shortfall = _select_and_allocate(ctx, fleet, budgets, floor, ceiling)
+        _solve_and_quantize(ctx, fleet.entries)
+        _place_round(ctx, record, r, fleet.entries, prev_cons, int(budgets.time_cells))
+        gain, prev_cons = _settle(ctx, record, r, fleet, budgets, floor, shortfall)
         cumulative_gain += gain
 
     # trailing window for the last round's transfer chain, as long as the
@@ -492,9 +523,7 @@ def _trajectory_rows(state, client_ids, r):
     return rows
 
 
-def _scenario_and_quotes(
-    ctx, state, buffers, prev_cons
-) -> tuple[Budgets, dict[str, _ClientRound]]:
+def _scenario_and_quotes(ctx, state, buffers, prev_cons) -> tuple[Budgets, _Fleet]:
     """The round's budgets, and a quote for every client (`_quote_fleet`).
     The round's sensing pairs are found in `buffers`, the run's
     `pair_buffers`; `prev_cons` are the chains last round handed on.
@@ -514,87 +543,85 @@ def _scenario_and_quotes(
     geometry, channel, profile = config.geometry(), config.channel(), config.profile()
     pairs = sensing_pairs(state, geometry, buffers)
     global_dist = global_label_distribution(state, pairs, profile.mode)
-    statuses, label_dists = status_attributes(state, pairs, geometry, channel, profile, quanta)
+    status = status_attributes(state, pairs, geometry, channel, profile, quanta)
     gains, wc = server_gains(state, channel), channel.sensitivity_wc_dbm
     down = spectral_efficiency(gains, channel.tx_power_server_dbm, wc, channel, quanta)
     up = spectral_efficiency(gains, channel.tx_power_client_dbm, wc, channel, quanta)
-    return budgets, _quote_fleet(
-        ctx, budgets, statuses, label_dists, down, up, global_dist, prev_cons
-    )
+    return budgets, _quote_fleet(ctx, budgets, status, down, up, global_dist, prev_cons)
 
 
-def _quote_fleet(
-    ctx, budgets, statuses, label_dists, eff_down, eff_up, global_dist, prev_cons
-) -> dict[str, _ClientRound]:
-    """A quote for every client: capacity bounds, quality and, under the
-    market's policies, a lazy cost curve; a client whose mtv is below 1 gets
-    none.  A saturating policy's quotes carry no curve, as its allocation and
-    settlement never read one, and a client's task is built on first read
-    (`_ClientRound.task`), so a quote that is never traded builds neither.
+def _quote_fleet(ctx, budgets, status, eff_down, eff_up, global_dist, prev_cons) -> _Fleet:
+    """The round's `_Fleet`: a quote for every client whose mtv is at least
+    1, with capacity bounds, quality and, under the market's policies, a
+    lazy cost curve, from `status`, the round's `status_attributes`.  A
+    saturating policy's quotes carry no curve, as its allocation and
+    settlement never read one, so no round state is built here; a curve
+    reads its client's, so every quoted client's is, in client order.
 
     A client sharing its window with last round's transfer chain quotes
     with the sensing bandwidth already reduced by that chain's peak, so the
-    market never allocates a workload the spectrum cannot host.
+    market never allocates a workload the spectrum cannot host: it
+    overrides its entry of the band column.
 
     The bounds and qualities come from one batched pass over the fleet:
-    `fleet_bounds` gives every client's (mtv, mutv), and one `qod` call over
-    `label_dists`, the (clients x classes) matrix `status_attributes` gives,
-    the quality of every client whose row is not 0, that is, that senses a
-    target; the others' quality is 0.  Both are bitwise
-    equal to calling `mtv`, `mutv` and `qod` client by client, as their
-    docstrings argue: numpy's `+ - * /`, `sqrt` and comparisons round as
-    Python's float ops do, the squares stay libm `pow`, Python's `min` and
-    `max` keep their first argument on ties and nan, and `qod` sums each row
-    as it sums a 1-D pair.  `fleet_bounds` takes no mutv where the mtv is
-    below 1, as the per-client loop did not, so the quotes, and what raises,
-    are the per-client loop's.
+    `fleet_bounds` gives the mtv and mutv columns, and one `qod` call over
+    the (clients x classes) label matrix the quality of every client whose
+    row is not 0, that is, that senses a target; the others' quality is 0.
+    Both are bitwise equal to calling `mtv`, `mutv` and `qod` client by
+    client, as their docstrings argue: numpy's `+ - * /`, `sqrt` and
+    comparisons round as Python's float ops do, the squares stay libm
+    `pow`, Python's `min` and `max` keep their first argument on ties and
+    nan, and `qod` sums each row as it sums a 1-D pair.  `fleet_bounds`
+    takes no mutv where the mtv is below 1, as the per-client loop did not,
+    so the quotes, and what raises, are the per-client loop's.
     """
     config = ctx.config
-    per_client = []
-    for cid in ctx.client_ids:
-        my_budgets = budgets
-        prev = prev_cons.get(cid)
-        if prev is not None:
-            peak = max(prev.comm_down.b, prev.comm_up.b)
-            if peak > 0:
-                my_budgets = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
-        per_client.append(my_budgets)
-    pairs = fleet_bounds(
-        [at.a for at in statuses], [at.b for at in statuses],
-        [bg.gen_bandwidth for bg in per_client], eff_down, eff_up,
+    a, b, n_visual, n_wireless, label_dists = status
+    band = np.full(len(a), budgets.gen_bandwidth, dtype=float)
+    narrowed = {}
+    for cid, prev in prev_cons.items():
+        peak = max(prev.comm_down.b, prev.comm_up.b)
+        if peak > 0:
+            bg = narrowed[cid] = replace(budgets, gen_freq_cells=max(0.0, budgets.freq_cells - peak))
+            band[ctx.positions[cid]] = bg.gen_bandwidth
+    caps, n_uncs = fleet_bounds(
+        a, b, band, eff_down, eff_up,
         config.task_for(1.0, 1.0),  # the sizes: the efficiencies are per client
         ctx.prices, budgets, ctx.quanta,
     )
-    quality = [0.0] * len(statuses)
+    size = len(caps)
+    quality = [0.0] * size
     if global_dist is not None:  # else no client senses a target
         sensed = label_dists.any(axis=1)
         quality = np.where(sensed, qod(label_dists, global_dist), 0.0).tolist()
 
+    columns = {"qod": [0.0] * size, "gain_rate": [0.0] * size, "mtv": [-1] * size,
+               "mutv": [-1] * size, "note": ["no feasible workload"] * size}
+    fleet = _Fleet(
+        budgets, narrowed, (a.tolist(), b.tolist(), n_visual.tolist(), n_wireless.tolist()),
+        eff_down.tolist(), eff_up.tolist(), {}, columns, {},
+    )
+    qods, rates, mtvs, mutvs, notes = columns.values()
     saturate = POLICIES[ctx.policy].saturate
     gain_factor = config.market["gain_factor"]
-    clients: dict[str, _ClientRound] = {}
-    for cid, at, down, up, my_budgets, pair, q in zip(
-        ctx.client_ids, statuses, eff_down.tolist(), eff_up.tolist(),
-        per_client, pairs, quality,
-    ):
-        entry = clients[cid] = _ClientRound(cid, at, None, my_budgets, config, down, up)
-        cap, n_unc = pair
+    for i, cid, cap, n_unc, q in zip(count(), ctx.client_ids, caps, n_uncs, quality):
         if cap < 1:
-            entry.note = "no feasible workload"
             continue
         # every workload is 1 <= n <= cap_i, so the solves compare it with
         # the quote's ints as they would with the pair
         cap_i = int(min(cap, 10**7))
-        bounds = (cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i)
-        curve = None
-        if not saturate:
-            curve = CostCurve(_curve_fn(ctx, at, entry.task, my_budgets, bounds), cap_i)
-        entry.quote = ClientQuote(cid, q, *bounds, gain_factor * q, curve)
-    return clients
+        n_unc = int(n_unc) if math.isfinite(n_unc) else cap_i
+        qods[i], rates[i], mtvs[i], mutvs[i], notes[i] = q, gain_factor * q, cap_i, n_unc, ""
+        if saturate:
+            fleet.quotes[cid] = ClientQuote(cid, q, cap_i, n_unc, rates[i], None)
+            continue
+        c = _entry(ctx, fleet, cid)
+        curve = CostCurve(_curve_fn(ctx, c.attrs, c.task, c.budgets, (cap_i, n_unc)), cap_i)
+        c.quote = fleet.quotes[cid] = ClientQuote(cid, q, cap_i, n_unc, rates[i], curve)
+    return fleet
 
 
-def _selection_metrics(clients, budgets, quanta) -> dict[str, SelectionMetrics]:
-    quoted = [c for c in clients.values() if c.quote is not None]
+def _selection_metrics(quoted, budgets, quanta) -> dict[str, SelectionMetrics]:
     caps = sorted(c.quote.mtv for c in quoted)
     n_ref = max(1, caps[len(caps) // 2] if caps else 1)
     metrics = {}
@@ -621,15 +648,17 @@ def _selection_metrics(clients, budgets, quanta) -> dict[str, SelectionMetrics]:
     return metrics
 
 
-def _select_and_allocate(ctx, clients, budgets, floor, ceiling) -> bool:
-    """Set every client's workload toward the gain window [floor, ceiling).
+def _select_and_allocate(ctx, fleet, budgets, floor, ceiling) -> bool:
+    """Set the workloads toward the gain window [floor, ceiling), each on
+    its client's round state, which a saturating policy builds here.
     Returns True when the market cannot reach the floor and the saturated
     fallback allocates instead."""
     spec = POLICIES[ctx.policy]
     market = ctx.config.market
-    quotes = [c.quote for c in clients.values() if c.quote is not None]
+    quotes = list(fleet.quotes.values())
     if spec.rank is not None:
-        metrics = _selection_metrics(clients, budgets, ctx.quanta)
+        quoted = [_entry(ctx, fleet, cid) for cid in fleet.quotes]
+        metrics = _selection_metrics(quoted, budgets, ctx.quanta)
         k = min(market["max_active_clients"], len(quotes))
         chosen = set(select_clients(ctx.policy, quotes, metrics, k))
         quotes = [q for q in quotes if q.client_id in chosen]
@@ -657,8 +686,10 @@ def _select_and_allocate(ctx, clients, budgets, floor, ceiling) -> bool:
             shortfall = True
             workloads = saturated_load(quotes, ceiling, market["max_active_clients"])
 
-    for cid, n in workloads.items():
-        clients[cid].n = n
+    # in client order, not `saturated_load`'s grant order: the entries built
+    # here stay in client order
+    for cid in sorted(workloads, key=ctx.positions.__getitem__):
+        _entry(ctx, fleet, cid).n = workloads[cid]
     return shortfall
 
 
@@ -700,16 +731,17 @@ def _place_round(ctx, record, r, clients, carried, t_delta) -> None:
         plan = plan_round(r, pools, chains, sensing, t_delta)
         record.timeline_rows += plan.placements
         for cid, reason in plan.dropped.items():
-            if clients[cid].n > 0:
-                clients[cid].drop(reason)
+            c = clients.get(cid)  # a carried chain's client may have no entry
+            if c is not None and c.n > 0:
+                c.drop(reason)
 
 
-def _settle(ctx, record, r, clients, budgets, floor, shortfall):
+def _settle(ctx, record, r, fleet, budgets, floor, shortfall):
     """Pay for what actually fit, at the quantized schedules' costs, and
     record the round.  Returns the round's gain and the transfer chains the
     next window carries: none when serial, as `_place_round` ran them."""
     prices, market = ctx.prices, ctx.config.market
-    active = {cid: c for cid, c in clients.items() if c.n > 0}
+    active = {cid: c for cid, c in fleet.entries.items() if c.n > 0}
     costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
     if not POLICIES[ctx.policy].saturate:
         for cid in sorted(active):
@@ -740,23 +772,21 @@ def _settle(ctx, record, r, clients, budgets, floor, shortfall):
             "shortfall": shortfall or gain < floor - 1e-9,
         }
     )
-    for cid in ctx.client_ids:
-        c = clients[cid]
-        record.client_rows.append(
-            {
-                "round": r,
-                "client": cid,
-                "n": c.n,
-                "qod": c.quote.qod if c.quote else 0.0,
-                "gain_rate": c.quote.gain_rate if c.quote else 0.0,
-                "payment": report.client_payments.get(cid, 0.0),
-                "cost": report.client_costs.get(cid, 0.0),
-                "profit": report.client_profits.get(cid, 0.0),
-                "mtv": c.quote.mtv if c.quote else -1,
-                "mutv": c.quote.mutv if c.quote else -1,
-                "note": c.note,
-            }
-        )
+    size = len(ctx.client_ids)
+    n, payment, cost, profit = [0] * size, [0.0] * size, [0.0] * size, [0.0] * size
+    note = fleet.columns["note"]
+    for cid, c in fleet.entries.items():
+        i = ctx.positions[cid]
+        n[i], note[i] = c.n, c.note
+    for cid in active:
+        i = ctx.positions[cid]
+        payment[i] = report.client_payments[cid]
+        cost[i] = report.client_costs[cid]
+        profit[i] = report.client_profits[cid]
+    record.client_columns.append({
+        "round": [r] * size, "client": list(ctx.client_ids), "n": n, "payment": payment,
+        "cost": cost, "profit": profit, **fleet.columns,
+    })
     return gain, {cid: c.quantized for cid, c in active.items()} if ctx.pipelined else {}
 
 

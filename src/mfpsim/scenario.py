@@ -326,10 +326,13 @@ def status_attributes(
     channel: ChannelParams,
     profile: SensingProfile,
     quanta: ResourceQuanta,
-) -> tuple[list[StatusAttributes], np.ndarray]:
-    """Every client's sample-rate coefficients for one round, in client
-    order, and the (clients x classes) matrix of their sensed label
-    distributions, whose row is 0 where a client senses nothing.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The round's status columns, in client order: (a, b, n_visual,
+    n_wireless, label_dists), each client's sample-rate coefficients, the
+    counts of targets in its visual disc and in its annulus, and the
+    (clients x classes) matrix of their sensed label distributions, whose
+    row is 0 where a client senses nothing.  Client i's `StatusAttributes`
+    holds row i of the first four as Python numbers (`.tolist()`).
 
     a = rho * S_vs * visual_efficiency * frame_rate * time_quantum
     b = rho * (S_ws - S_vs) * wireless_efficiency * log2(1 + snr) * frame_rate * time_quantum
@@ -359,7 +362,8 @@ def status_attributes(
     """
     n_clients, n_targets = state.n_clients, state.n_targets
     if n_targets == 0:
-        return [StatusAttributes(0.0, 0.0)] * n_clients, np.zeros((n_clients, state.n_classes))
+        zeros, none = np.zeros(n_clients), np.zeros(n_clients, dtype=int)
+        return zeros, zeros, none, none, np.zeros((n_clients, state.n_classes))
 
     rho = n_targets / state.area_m**2
     a = rho * geometry.s_vs * profile.visual_efficiency * profile.frame_rate_hz * quanta.time_s
@@ -392,12 +396,7 @@ def status_attributes(
         minlength=n_clients * state.n_classes,
     ).reshape(n_clients, state.n_classes)
     label_dists = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
-
-    statuses = [
-        StatusAttributes(a, b_c, n_vis, n - n_vis)
-        for b_c, n, n_vis in zip(b.tolist(), n_pairs.tolist(), n_visual.tolist())
-    ]
-    return statuses, label_dists
+    return np.full(n_clients, a), b, n_visual, n_pairs - n_visual, label_dists
 
 
 def global_label_distribution(

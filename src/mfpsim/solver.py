@@ -539,15 +539,16 @@ def fleet_bounds(
     prices: PriceVector,
     budgets: Budgets,
     quanta: ResourceQuanta = ResourceQuanta(),
-) -> list[tuple[float, float | None]]:
-    """`mtv` and `mutv` of a whole fleet in one numpy pass.
+) -> tuple[list, list]:
+    """`mtv` and `mutv` of a whole fleet in one numpy pass, as two columns.
 
     Client i has coefficients a[i] and b[i], `task` with the efficiencies
     eff_down[i] and eff_up[i], and `budgets` with the sensing bandwidth
-    gen_bandwidth[i].  Its pair is (mtv, mutv) of those inputs, with the same
-    values and Python types: an int, an infinity or the -1 sentinel.  The
-    mutv is None where the mtv is below 1: such a client does not quote, so,
-    as in a per-client loop, its mutv is never taken and cannot raise.
+    gen_bandwidth[i].  Entry i of each column is its mtv and mutv of those
+    inputs, with the same values and Python types: an int, an infinity or
+    the -1 sentinel.  The mutv is None where the mtv is below 1: such a
+    client does not quote, so, as in a per-client loop, its mutv is never
+    taken and cannot raise.
 
     Bitwise equal to the scalar functions, which stay the definition:
     - the `* / + -` steps, `sqrt` and comparisons are numpy ops in the
@@ -576,10 +577,10 @@ def fleet_bounds(
         n_unc = _fleet_mutv(
             a[q], b[q], w[q], vol_down[q], vol_up[q], dead[q], task, prices, budgets, quanta
         )
-    out = [(cap, None) for cap in caps]
+    n_uncs = [None] * len(caps)
     for i, n in zip(q.tolist(), n_unc):
-        out[i] = (caps[i], n)
-    return out
+        n_uncs[i] = n
+    return caps, n_uncs
 
 
 def _fleet_volume(bits, eff, quanta):

@@ -653,6 +653,13 @@ def _off(x, y, *terms):
     return not abs(x - y) <= 1e-9 * max([1.0, *map(abs, terms)])
 
 
+def client_rows(texts):
+    """The rows of a run's `clients.jsonl`, from the texts of
+    `RunRecord.output_texts()`, read back by json: NaN and the infinities
+    come back as floats."""
+    return [json.loads(line) for line in texts["clients.jsonl"].splitlines()]
+
+
 def output_findings(texts, config):
     """The invariants a run's written outputs break, read from the texts of
     `RunRecord.output_texts()` and the run's config alone, as
@@ -676,7 +683,7 @@ def output_findings(texts, config):
     - `run.json`: its totals are the summary's sums, and it lists no audit
       violation."""
     summary = list(csv.DictReader(io.StringIO(texts["summary.csv"])))
-    clients = [json.loads(line) for line in texts["clients.jsonl"].splitlines()]
+    clients = client_rows(texts)
     timeline = list(csv.DictReader(io.StringIO(texts["timeline.csv"])))
     run_json = json.loads(texts["run.json"])
     prices, market = config.prices(), config.market
@@ -902,21 +909,44 @@ def status_attributes(state, distances, geometry, channel, profile, quanta):
     return attrs, label_dist
 
 
-def quotes_per_client(ctx, budgets, statuses, label_dists, eff_down, eff_up, global_dist,
-                      prev_cons):
+def client_statuses(status):
+    """Each client's `StatusAttributes` from the columns
+    `scenario.status_attributes` returns, in client order, with Python
+    numbers, as the runner builds a client's."""
+    from mfpsim.scenario import StatusAttributes
+
+    return [StatusAttributes(*row) for row in zip(*(column.tolist() for column in status[:4]))]
+
+
+def status_columns(per_client, n_classes):
+    """`scenario.status_attributes`' columns from one (`StatusAttributes`,
+    label distribution or None) pair per client, as `status_attributes`
+    above gives them; a client that senses nothing gets a row of 0."""
+    blank = np.zeros(n_classes)
+    return (
+        np.array([at.a for at, _ in per_client], dtype=float),
+        np.array([at.b for at, _ in per_client], dtype=float),
+        np.array([at.n_visual_targets for at, _ in per_client], dtype=int),
+        np.array([at.n_wireless_targets for at, _ in per_client], dtype=int),
+        np.array([blank if dist is None else dist for _, dist in per_client]),
+    )
+
+
+def quotes_per_client(ctx, budgets, status, eff_down, eff_up, global_dist, prev_cons):
     """The quote loop the runner ran before its batched pass, one `mtv`,
     `mutv` and `qod` call per client: client id -> (task, budgets, mtv,
-    (mutv, qod) or None when the client does not quote).  A client whose
-    row of `label_dists` is 0 senses nothing, and its quality is 0.
-    `prev_cons` holds the chains the round carries, which narrow their
-    clients' sensing band (a serial round carries none).
-    `runner._quote_fleet` must match it by `repr`."""
+    (mutv, qod) or None when the client does not quote).  `status` holds
+    `scenario.status_attributes`' columns; a client whose row of the label
+    matrix is 0 senses nothing, and its quality is 0.  `prev_cons` holds the
+    chains the round carries, which narrow their clients' sensing band (a
+    serial round carries none).  `runner._quote_fleet` must match it by
+    `repr`."""
     from mfpsim.sensing import qod
     from mfpsim.solver import mtv, mutv
 
     out = {}
     for cid, at, label_dist, down, up in zip(
-        ctx.client_ids, statuses, label_dists, eff_down.tolist(), eff_up.tolist()
+        ctx.client_ids, client_statuses(status), status[4], eff_down.tolist(), eff_up.tolist()
     ):
         task = ctx.config.task_for(down, up)
         my_budgets = budgets
@@ -937,21 +967,23 @@ def quotes_per_client(ctx, budgets, statuses, label_dists, eff_down, eff_up, glo
 
 
 def fleet_bounds_per_client(a, b, gen_bandwidth, eff_down, eff_up, task, prices, budgets, quanta):
-    """`solver.fleet_bounds` as the per-client loop it batches: client i's
-    `mtv`, and its `mutv` where that mtv is at least 1 (None below), on its
-    own coefficients, efficiencies and sensing band."""
+    """`solver.fleet_bounds` as the per-client loop it batches: the column
+    of client i's `mtv`, and the column of its `mutv` where that mtv is at
+    least 1 (None below), on its own coefficients, efficiencies and sensing
+    band."""
     from mfpsim.scenario import StatusAttributes
     from mfpsim.solver import mtv, mutv
 
     columns = (np.asarray(x, dtype=float).tolist() for x in (a, b, gen_bandwidth, eff_down, eff_up))
-    out = []
+    caps, n_uncs = [], []
     for at_a, at_b, band, down, up in zip(*columns):
         at = StatusAttributes(at_a, at_b)
         my_task = replace(task, eff_down=down, eff_up=up)
         my_budgets = replace(budgets, gen_freq_cells=band)
         cap = mtv(at, my_task, my_budgets, quanta)
-        out.append((cap, mutv(at, my_task, prices, my_budgets, quanta) if cap >= 1 else None))
-    return out
+        caps.append(cap)
+        n_uncs.append(mutv(at, my_task, prices, my_budgets, quanta) if cap >= 1 else None)
+    return caps, n_uncs
 
 
 def qod_per_row(local, global_):
@@ -1010,11 +1042,7 @@ def reference_run(config):
             status_attributes(state, distance_row(state, c), geometry, channel, profile, quanta)
             for c in range(state.n_clients)
         ]
-        blank = np.zeros(state.n_classes)
-        return (
-            [at for at, _ in per_client],
-            np.array([blank if dist is None else dist for _, dist in per_client]),
-        )
+        return status_columns(per_client, state.n_classes)
 
     oracles = [
         (runner, "allocate_workloads", allocate_workloads_reference),

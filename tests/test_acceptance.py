@@ -41,7 +41,7 @@ from mfpsim.solver import (
     mtv,
 )
 
-from oracles import consumption_grid_min, gen_grid_min, output_hashes
+from oracles import client_statuses, consumption_grid_min, gen_grid_min, output_hashes
 
 UNIT = ResourceQuanta(1.0, 1.0, 1.0)
 
@@ -402,9 +402,9 @@ def _mode_gain(state, mode, seed):
     task = ConsumptionTask(1e8, 1e8, 500.0, 12.0, 8.0)
     pairs = sensing_pairs(state, geometry, pair_buffers(state))
     global_dist = global_label_distribution(state, pairs, mode)
-    statuses, label_dists = status_attributes(state, pairs, geometry, channel, profile, quanta)
+    status = status_attributes(state, pairs, geometry, channel, profile, quanta)
     quotes = []
-    for i, (at, label_dist) in enumerate(zip(statuses, label_dists)):
+    for i, (at, label_dist) in enumerate(zip(client_statuses(status), status[4])):
         cap = mtv(at, task, budgets, quanta)
         if cap < 1 or global_dist is None or not label_dist.any():
             continue

@@ -29,7 +29,7 @@ from mfpsim.baselines import Policy
 from mfpsim.config import load_config
 from mfpsim.runner import run
 
-from oracles import output_findings, output_hashes
+from oracles import client_rows, output_findings, output_hashes
 
 TINY = {"rounds": 2, "scenario": {"n_clients": 6, "n_targets": 30}}
 # the benchmark's workloads, each with the hashes of its reference run
@@ -287,7 +287,7 @@ def test_golden_reaches_the_shortfall_fallback():
 
 @pytest.mark.parametrize("name", ["siscc_capped_quotes", "mlpg_capped_quotes"])
 def test_golden_quotes_hit_the_capacity_cap(name):
-    rows = _record(name).client_rows
+    rows = client_rows(_record(name).output_texts())
     assert rows and all(r["mtv"] == 10**7 for r in rows)
     assert any(r["n"] > 0 for r in rows)
 
@@ -300,7 +300,7 @@ def test_golden_quotes_hit_the_capacity_cap(name):
     ],
 )
 def test_golden_reaches_the_drop_path(name, note):
-    rows = _record(name).client_rows
+    rows = client_rows(_record(name).output_texts())
     assert any(r["note"] == note for r in rows)
 
 

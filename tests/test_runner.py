@@ -32,11 +32,14 @@ from mfpsim.solver import Budgets, OutcomeKind, SolveInput, fleet_bounds, mtv, m
 
 import mfpsim.runner as runner
 from oracles import (
+    client_rows,
+    client_statuses,
     output_findings,
     output_hashes,
     policy_solve_reference,
     quotes_per_client,
     reference_run,
+    status_columns,
 )
 from test_golden import CONFIGS
 
@@ -111,10 +114,25 @@ _CLIENT_KINDS = dict(zip(CLIENT_COLUMNS, [str, float, float, int, int, int, str,
 
 
 @st.composite
-def client_rows(draw):
-    """A clients.jsonl row, its keys in any order."""
+def client_rounds(draw):
+    """A round's clients.jsonl columns, in any order, of one drawn length."""
+    size = draw(st.integers(0, 4))
     keys = draw(st.permutations(CLIENT_COLUMNS))
-    return {k: draw(_KINDS[_CLIENT_KINDS[k]]) for k in keys}
+    return {k: draw(st.lists(_KINDS[_CLIENT_KINDS[k]], min_size=size, max_size=size)) for k in keys}
+
+
+def _rows_of(rounds):
+    """Each client's row of each round's columns: column name -> entry."""
+    return [
+        dict(zip(columns, values))
+        for columns in rounds
+        for values in zip(*columns.values(), strict=True)
+    ]
+
+
+def _round_of(rows):
+    """The columns of rows that share their keys."""
+    return {k: [row[k] for row in rows] for k in rows[0]}
 
 
 _GOOD_ROW = dict.fromkeys(CLIENT_COLUMNS, 0)
@@ -123,12 +141,13 @@ _NO_QOD = {k: v for k, v in _GOOD_ROW.items() if k != "qod"}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(client_rows(), max_size=4))
+@given(st.lists(client_rounds(), max_size=4))
 # the payments and profits of a settlement that overflows, which
 # load_config rejects: json writes Infinity, NaN and -Infinity
-@example([{**_GOOD_ROW, "payment": math.inf, "profit": math.nan, "cost": -math.inf}])
-def test_client_line_is_the_sorted_json_dump(rows):
-    assert _clients_jsonl(rows) == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+@example([_round_of([{**_GOOD_ROW, "payment": math.inf, "profit": math.nan, "cost": -math.inf}])])
+def test_client_line_is_the_sorted_json_dump(rounds):
+    rows = _rows_of(rounds)
+    assert _clients_jsonl(rounds) == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -150,14 +169,24 @@ def test_client_line_is_the_sorted_json_dump(rows):
     ],
 )
 def test_client_line_refuses_rows_it_would_write_otherwise(row):
-    good = [_GOOD_ROW] * 3
-    assert _clients_jsonl(good) == "".join(json.dumps(r, sort_keys=True) + "\n" for r in good)
-    # alone, and in the middle of a record whose other rows are good, also
-    # past the first batch of rows the writer encodes
-    many = [_GOOD_ROW] * 300
-    for rows in ([row], [_GOOD_ROW, row, _GOOD_ROW], many + [row] + many):
+    good = _round_of([_GOOD_ROW] * 3)
+    assert _clients_jsonl([good]) == "".join(
+        json.dumps(r, sort_keys=True) + "\n" for r in [_GOOD_ROW] * 3
+    )
+    # alone, and in the middle of a round whose other rows are good, also
+    # in a round past the first of the record
+    amid = {k: [_GOOD_ROW.get(k, v), v, _GOOD_ROW.get(k, v)] for k, v in row.items()}
+    for rounds in ([_round_of([row])], [amid], [good] * 3 + [amid] + [good] * 3):
         with pytest.raises((TypeError, ValueError, KeyError)):
-            _clients_jsonl(rows)
+            _clients_jsonl(rounds)
+
+
+@pytest.mark.parametrize("column", CLIENT_COLUMNS)
+def test_client_line_refuses_columns_of_unequal_length(column):
+    good = _round_of([_GOOD_ROW] * 3)
+    for short in ({**good, column: good[column][:2]}, {**good, column: good[column] * 2}):
+        with pytest.raises(ValueError):
+            _clients_jsonl([good, short])
 
 
 @pytest.mark.parametrize(
@@ -169,15 +198,18 @@ def test_clients_jsonl_equals_the_per_row_json_dump(raw):
     # ExperimentConfig checks the schema alone, so it takes the sample
     # price whose payments load_config refuses as overflowing
     rec = run(ExperimentConfig(_deep_merge(load_config({**SMALL, "rounds": 2}).raw, raw)))
-    assert all(tuple(sorted(row)) == CLIENT_COLUMNS for row in rec.client_rows)
+    assert all(tuple(sorted(columns)) == CLIENT_COLUMNS for columns in rec.client_columns)
+    rows = _rows_of(rec.client_columns)
+    assert len(rows) == 2 * SMALL["scenario"]["n_clients"]
     text = rec.output_texts()["clients.jsonl"]
-    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rec.client_rows)
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     if "prices" in raw:  # a payment of inf is written as json writes it
         assert '"payment": Infinity' in text
 
 
 def test_client_rows_cover_population(small_record):
-    per_round = [r for r in small_record.client_rows if r["round"] == 1]
+    rows = client_rows(small_record.output_texts())
+    per_round = [r for r in rows if r["round"] == 1]
     assert len(per_round) == 5
     assert {r["client"] for r in per_round} == {f"c{i:03d}" for i in range(5)}
 
@@ -302,9 +334,9 @@ def test_only_a_pipelined_round_hands_on_its_chains(monkeypatch, mode):
         carried.append(prev_cons)
         return quote(ctx, state, buffers, prev_cons)
 
-    def settle_spy(ctx, record, r, clients, *args):
-        out = settle(ctx, record, r, clients, *args)
-        settled.append({cid: c.quantized for cid, c in clients.items() if c.n > 0})
+    def settle_spy(ctx, record, r, fleet, *args):
+        out = settle(ctx, record, r, fleet, *args)
+        settled.append({cid: c.quantized for cid, c in fleet.entries.items() if c.n > 0})
         return out
 
     monkeypatch.setattr(runner, "_scenario_and_quotes", quote_spy)
@@ -391,7 +423,7 @@ def test_capped_resolve_skip_matches_forced_resolve(policy, case):
     assume(sensing_width > 0 and cap < budgets.cons_bandwidth)
     assume(max(plain.decision.comm_down.b, plain.decision.comm_up.b) <= cap)
 
-    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=(), positions={})
     out, used, _ = _policy_solve(ctx, n, at, task, budgets)
     capped = replace(budgets, cons_freq_cells=cap)
     forced = schedule_with_policy(policy, SolveInput(n, at, task, prices, capped, quanta))
@@ -438,7 +470,7 @@ def test_runner_curve_keeps_the_cost_curve_contract(policy, p):
     cap = mtv(at, task, budgets, quanta)
     assume(cap >= 1)
     bounds = (cap, mutv(at, task, prices, budgets, quanta))
-    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=(), positions={})
     _, used, fell_back = _policy_solve(ctx, int(cap), at, task, budgets, bounds)
     assume(fell_back or used is not budgets)  # the sensing cap binds at capacity
     fn = _curve_fn(ctx, at, task, budgets, bounds)
@@ -468,7 +500,9 @@ def test_width_curve_is_labelled_only_where_time_costs_its_solve_price():
     for time_price, labelled in ((WIDTH_TIME_PRICE, True), (WIDTH_TIME_PRICE / 2, False)):
         prices = PriceVector(time=time_price, freq=0.448, compute=0.841, sample=1.0, gain=1000.0)
         bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
-        ctx = _RunContext(None, Policy.MC_FC, prices, quanta, None, pipelined=True, client_ids=())
+        ctx = _RunContext(
+            None, Policy.MC_FC, prices, quanta, None, pipelined=True, client_ids=(), positions={}
+        )
         cost, seg = _curve_fn(ctx, at, task, budgets, bounds)(1)
         assert math.isfinite(cost) and (seg is not None) == labelled
 
@@ -482,7 +516,7 @@ def test_capped_chain_whose_cost_leaves_the_float_range_falls_back():
     prices = PriceVector(time=1.0, freq=1.0, compute=1e308)
     quanta, budgets = ResourceQuanta(1.0, 1.0, 1.0), Budgets(2.0, 10.0, 1e308)
     bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
-    ctx = _RunContext(None, Policy.SISCC, prices, quanta, None, pipelined=True, client_ids=())
+    ctx = _RunContext(None, Policy.SISCC, prices, quanta, None, pipelined=True, client_ids=(), positions={})
     out, used, fell_back = _policy_solve(ctx, 16, at, task, budgets, bounds)
     assert (out.kind, used, fell_back) == (OutcomeKind.OPTIMAL, budgets, True)
     assert math.isfinite(out.cost) and out.decision.comm_down.b == 10.0
@@ -502,7 +536,7 @@ def test_capped_mtv_decides_the_fallback_as_the_resolve_did(policy, p):
     cap = mtv(at, task, budgets, quanta)
     assume(cap >= 1)
     bounds = (cap, mutv(at, task, prices, budgets, quanta))
-    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=(), positions={})
     _, used, fell_back = policy_solve_reference(ctx, int(cap), at, task, budgets, bounds)
     assume(fell_back or used is not budgets)  # the sensing cap binds at capacity
     kinds = []
@@ -529,7 +563,7 @@ def test_a_cap_that_does_not_tighten_the_budgets_leaves_the_plain_solve(policy, 
     prices = PriceVector(time=1.0, freq=0.05, compute=0.5, sample=1.0, gain=1000.0)
     quanta = ResourceQuanta(1.0, 1e6, 1e5)
     bounds = (mtv(at, task, budgets, quanta), mutv(at, task, prices, budgets, quanta))
-    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=())
+    ctx = _RunContext(None, policy, prices, quanta, None, pipelined=True, client_ids=(), positions={})
     got = _policy_solve(ctx, 2, at, task, budgets, bounds)
     assert got[0].kind == OutcomeKind.OPTIMAL
     assert (math.ceil(got[0].decision.gen.b_ws - 1e-9) > 0) == (b > 0)
@@ -615,14 +649,13 @@ def _quote_inputs(fleet):
     clients = fleet["clients"]
     ids = tuple(f"c{i:03d}" for i in range(len(clients)))
     ctx = _RunContext(config, config.policy, config.prices(), config.quanta(), None,
-                      fleet["pipelined"], ids)
+                      fleet["pipelined"], ids, {cid: i for i, cid in enumerate(ids)})
     time, freq, compute, cycle = fleet["cells"]
-    statuses = [StatusAttributes(a, b) for a, b, *_ in clients]
     # a client that senses nothing has a row of 0
-    label_dists = np.array([
-        np.zeros(4) if label is None else np.array(label) / sum(label)
-        for *_, label in clients
-    ])
+    status = status_columns([
+        (StatusAttributes(a, b), None if label is None else np.array(label) / sum(label))
+        for a, b, *_, label in clients
+    ], 4)
     prev_cons = {
         cid: ScheduleDecision(
             comm_down=TransferSchedule(1.0, c[4]), comm_up=TransferSchedule(1.0, c[4] / 2)
@@ -631,7 +664,7 @@ def _quote_inputs(fleet):
     }
     g = fleet["global_"]
     return (
-        ctx, Budgets(min(time, cycle), freq, compute), statuses, label_dists,
+        ctx, Budgets(min(time, cycle), freq, compute), status,
         np.array([c[2] for c in clients]), np.array([c[3] for c in clients]),
         None if g is None else np.array(g) / sum(g), prev_cons,
     )
@@ -694,6 +727,7 @@ NAN_BAND_BOUND = _fleet((1.0, 1e308, 12.0, 8.0, None, None), prices=(5.0, 0.05, 
 @example(NAN_BAND_BOUND)
 def test_quotes_equal_the_per_client_oracle(fleet):
     args = _quote_inputs(fleet)
+    ctx, status = args[0], args[2]
     errors = (OverflowError, ZeroDivisionError, ValueError)
     try:
         expected = quotes_per_client(*args)
@@ -706,32 +740,52 @@ def test_quotes_equal_the_per_client_oracle(fleet):
     pairs = []  # what the batched pass gave every client, quoting or not
 
     def kernel(*a, **k):
-        pairs.extend(fleet_bounds(*a, **k))
-        return pairs
+        caps, n_uncs = fleet_bounds(*a, **k)
+        pairs.extend(zip(caps, n_uncs, strict=True))
+        return caps, n_uncs
 
-    with mock.patch.object(runner, "fleet_bounds", kernel):
-        clients = runner._quote_fleet(*args)
-    assert list(clients) == list(expected)
-    for (cid, (task, budgets, cap, quote)), pair in zip(expected.items(), pairs):
-        c = clients[cid]
-        # the cost-objective policy's curve read the task of each quoted client
-        assert (c._task is not None) == (quote is not None)
+    task_for = mock.patch.object(
+        ExperimentConfig, "task_for", autospec=True, side_effect=ExperimentConfig.task_for
+    )
+    with mock.patch.object(runner, "fleet_bounds", kernel), task_for as tasks:
+        quoted = runner._quote_fleet(*args)
+    # the cost-objective policy's curves built the round state, and the
+    # task, of each quoted client alone, in client order; the fleet's sizes
+    # took one task more
+    assert list(quoted.entries) == [cid for cid, (*_, quote) in expected.items() if quote]
+    assert tasks.call_count == 1 + len(quoted.entries)
+    assert list(quoted.quotes) == list(quoted.entries)
+    columns = quoted.columns
+    assert [len(column) for column in columns.values()] == [len(expected)] * 5
+    for i, ((cid, (task, budgets, cap, quote)), pair, at) in enumerate(
+        zip(expected.items(), pairs, client_statuses(status), strict=True)
+    ):
+        c = runner._entry(ctx, quoted, cid)  # built here for a client that does not quote
+        assert repr(c.attrs) == repr(at)
         assert repr(c.task) == repr(task)
         assert repr(c.budgets) == repr(budgets)
         if quote is None:
             event("no quote")
             assert repr(pair) == repr((cap, None))
             assert (c.quote, c.note) == (None, "no feasible workload")
+            assert cid not in quoted.quotes
+            assert [columns[k][i] for k in ("qod", "gain_rate", "mtv", "mutv", "note")] == [
+                0.0, 0.0, -1, -1, "no feasible workload"
+            ]
             continue
         n_unc, q = quote
         event(f"quote, mutv {'-1' if n_unc == -1 else type(n_unc).__name__}")
         assert repr(pair) == repr((cap, n_unc))
         assert repr(c.quote.qod) == repr(q)
+        assert c.quote is quoted.quotes[cid] and c.note == ""
         # the quote's ints: mtv capped at 10**7, an infinite mutv at that mtv
         cap_i = int(min(cap, 10**7))
         ints = (cap_i, int(n_unc) if math.isfinite(n_unc) else cap_i)
         assert repr((c.quote.mtv, c.quote.mutv)) == repr(ints)
         assert repr(c.quote.qod) == repr(q)
+        assert repr([columns[k][i] for k in ("qod", "gain_rate", "mtv", "mutv", "note")]) == repr(
+            [q, c.quote.gain_rate, *ints, ""]
+        )
 
 
 @pytest.mark.parametrize("policy", ["SISCC", "MLPG"])
@@ -768,26 +822,41 @@ def test_settlement_solves_no_curve_point(monkeypatch):
 
 @pytest.mark.parametrize("policy", ["SISCC", "ML_CC"])
 def test_market_policies_quote_every_client_a_curve(monkeypatch, policy):
-    # ranked or not, the market reads a curve for every quote it sees
-    seen = []
-    select = runner._select_and_allocate
+    # ranked or not, the market reads a curve for every quote it sees, so
+    # the quote pass builds the round state of every quoted client, in
+    # client order, and no other stage builds one
+    seen, built, rounds = [], [], []
+    select, entry_cls = runner._select_and_allocate, runner._ClientRound
 
-    def spy(ctx, clients, *args):
-        seen.extend(c.quote for c in clients.values() if c.quote is not None)
-        return select(ctx, clients, *args)
+    def counted_entry(cid, *args, **kwargs):
+        built.append(cid)
+        return entry_cls(cid, *args, **kwargs)
 
+    def spy(ctx, fleet, *args):
+        seen.extend(fleet.quotes.values())
+        rounds.append((list(fleet.quotes), built[:]))
+        built.clear()
+        return select(ctx, fleet, *args)
+
+    monkeypatch.setattr(runner, "_ClientRound", counted_entry)
     monkeypatch.setattr(runner, "_select_and_allocate", spy)
     run(load_config(CONFIGS["mlpg"], {"policy": policy}))
     assert seen
     assert all(isinstance(q.curve, runner.CostCurve) and q.curve.mtv == q.mtv for q in seen)
+    assert len(rounds) == CONFIGS["mlpg"]["rounds"]
+    assert all(quoted and built == quoted for quoted, built in rounds), rounds
+    assert built == []
 
 
 def test_mlpg_builds_no_curve_and_tasks_only_for_workloads(monkeypatch):
     # a quoted client that is never traded builds neither a curve nor a
-    # task: per round, the quote pass asks `task_for` once, for the fleet's
-    # sizes, and the solve once per client with a workload
-    curves, tasks, rounds = [], [], []
+    # task, nor its round state: per round, the quote pass asks `task_for`
+    # once, for the fleet's sizes, and the allocation builds the round
+    # state, and the task, of each client with a workload, in client order
+    # whatever order `saturated_load` grants in
+    curves, tasks, built, rounds = [], [], [], []
     task_for, curve_cls, solve = ExperimentConfig.task_for, runner.CostCurve, runner._solve_and_quantize
+    select, entry_cls = runner._select_and_allocate, runner._ClientRound
 
     def counted_task_for(config, eff_down, eff_up):
         tasks.append((eff_down, eff_up))
@@ -797,18 +866,32 @@ def test_mlpg_builds_no_curve_and_tasks_only_for_workloads(monkeypatch):
         curves.append(mtv)
         return curve_cls(cost_fn, mtv)
 
-    def spy(ctx, clients):
-        quoted = sum(c.quote is not None for c in clients.values())
-        assert all(c.quote.curve is None for c in clients.values() if c.quote is not None)
-        held = [(c.eff_down, c.eff_up) for _, c in sorted(clients.items()) if c.n > 0]
+    def counted_entry(cid, *args, **kwargs):
+        built.append(cid)
+        return entry_cls(cid, *args, **kwargs)
+
+    def select_spy(ctx, fleet, *args):
+        assert fleet.entries == {} and built == []
         assert tasks == [(1.0, 1.0)]
+        rounds.append([len(fleet.quotes)])
+        assert all(q.curve is None for q in fleet.quotes.values())
+        return select(ctx, fleet, *args)
+
+    def spy(ctx, clients):
+        held = [(c.task.eff_down, c.task.eff_up) for c in clients.values() if c.n > 0]
+        assert tasks[1:] == held
+        assert list(clients) == built == sorted(built, key=ctx.positions.__getitem__)
+        assert all(c.n > 0 for c in clients.values())
         solve(ctx, clients)
         assert tasks[1:] == held
-        rounds.append((quoted, len(held)))
+        rounds[-1].append(len(held))
         tasks.clear()
+        built.clear()
 
     monkeypatch.setattr(ExperimentConfig, "task_for", counted_task_for)
     monkeypatch.setattr(runner, "CostCurve", counted_curve)
+    monkeypatch.setattr(runner, "_ClientRound", counted_entry)
+    monkeypatch.setattr(runner, "_select_and_allocate", select_spy)
     monkeypatch.setattr(runner, "_solve_and_quantize", spy)
     run(load_config(CONFIGS["mlpg"], {"market": {"max_active_clients": 2}}))
     assert curves == []
@@ -893,10 +976,11 @@ def test_whole_run_properties(raw):
     rounds = config.rounds
     windows = rounds + 1 if config.mode == "zeros" else 2 * rounds
     assert plan.call_count == rec.cr_count == windows
+    rows = client_rows(rec.output_texts())
     if config.policy != Policy.MLPG:
-        assert all(row["profit"] >= -1e-9 for row in rec.client_rows)
+        assert all(row["profit"] >= -1e-9 for row in rows)
     # quotes size sensing beside last round's chain, so every block fits
-    assert all(row["note"] != "sensing does not fit the shared window" for row in rec.client_rows)
+    assert all(row["note"] != "sensing does not fit the shared window" for row in rows)
 
 
 @st.composite

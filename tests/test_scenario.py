@@ -62,14 +62,21 @@ def _assert_same_pairs(got, want):
     assert visual.tolist() == want[3].tolist()
 
 
-def _status(state, geometry, channel, profile, quanta, client=0):
-    """One client's entry of the round-level status, and its row of the
-    label matrix."""
-    statuses, label_dists = status_attributes(
-        state, _pairs(state, geometry), geometry, channel, profile, quanta
-    )
-    assert len(statuses) == state.n_clients
+def _columns(state, geometry, channel, profile, quanta):
+    """The round-level status columns, checked for their shapes and kinds,
+    and each client's `StatusAttributes` as the runner builds it from them."""
+    status = status_attributes(state, _pairs(state, geometry), geometry, channel, profile, quanta)
+    *columns, label_dists = status
+    assert [column.shape for column in columns] == [(state.n_clients,)] * 4
+    assert [column.dtype.kind for column in columns] == ["f", "f", "i", "i"]
     assert label_dists.shape == (state.n_clients, state.n_classes)
+    return oracles.client_statuses(status), label_dists
+
+
+def _status(state, geometry, channel, profile, quanta, client=0):
+    """One client's `StatusAttributes` from the round-level status
+    columns, and its row of the label matrix."""
+    statuses, label_dists = _columns(state, geometry, channel, profile, quanta)
     return statuses[client], label_dists[client]
 
 
@@ -380,8 +387,7 @@ FLEET_AT_100_DB = (
 def test_round_status_equals_per_client_oracle_bitwise(state, geom, exponent, loss, mode):
     ch = ChannelParams(pathloss_exponent=exponent, reference_loss_db=loss)
     profile, q = SensingProfile(mode=mode), ResourceQuanta()
-    statuses, label_dists = status_attributes(state, _pairs(state, geom), geom, ch, profile, q)
-    assert len(statuses) == state.n_clients
+    statuses, label_dists = _columns(state, geom, ch, profile, q)
     for c, got in enumerate(zip(statuses, label_dists)):
         _assert_same_status(
             got, oracles.status_attributes(state, distance_row(state, c), geom, ch, profile, q)
@@ -398,9 +404,7 @@ def test_visual_sensing_takes_no_path_gains(state, geom):
     for mode in ("vsg", "msg"):
         profile = SensingProfile(mode=mode)
         with mock.patch.object(scenario, "path_gains", wraps=path_gains) as gains:
-            statuses, label_dists = status_attributes(
-                state, _pairs(state, geom), geom, ch, profile, q
-            )
+            statuses, label_dists = _columns(state, geom, ch, profile, q)
         assert gains.called == (mode == "msg" and state.n_targets > 0)
         for c, got in enumerate(zip(statuses, label_dists)):
             _assert_same_status(
