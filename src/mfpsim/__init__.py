@@ -29,16 +29,7 @@ from .errors import (
     LinkUnusableError,
     ResourceConflictError,
 )
-from .market import (
-    Allocation,
-    ClientQuote,
-    CostCurve,
-    WelfareReport,
-    allocate_workloads,
-    app_payment,
-    client_payment,
-    social_welfare,
-)
+from .market import Allocation, ClientQuote, CostCurve, WelfareReport, allocate_workloads
 from .resource_pool import (
     GridRegion,
     ResourceQuanta,

@@ -33,14 +33,16 @@ _COUNT_MAX = (2**63 - 1) // 16
 _COUNT = {"type": "integer", "minimum": 1, "maximum": _COUNT_MAX}
 # 10 ** ((p - 30) / 10) watts overflows a float near 3110 dBm
 _TX_POWER = {"type": "number", "maximum": 300}
+# the most samples a client quotes for one round
+QUOTE_CAP = 10**7
 
 
-def _obj(properties: dict, required: list[str] | None = None) -> dict:
+def _obj(properties: dict) -> dict:
     return {
         "type": "object",
         "properties": properties,
         "additionalProperties": False,
-        "required": required or sorted(properties),
+        "required": sorted(properties),
     }
 
 
@@ -367,11 +369,11 @@ def load_config(
             " the cycles per sample underflow to 0",
             "task/cycles_per_sample",
         )
-    # a round pays at most this many clients for at most 10**7 samples each
-    # (the quote cap in runner._quote_fleet), each sample worth at most
-    # gain_factor of gain (quality is at most 1): settlement stays finite
+    # a round pays at most this many clients for at most QUOTE_CAP samples
+    # each, each sample worth at most gain_factor of gain (quality is at
+    # most 1): settlement stays finite
     paid = min(sc["n_clients"], m["max_active_clients"])
-    payments, gains = p["sample"] * paid * 10**7, p["gain"] * m["gain_factor"] * paid * 10**7
+    payments, gains = p["sample"] * paid * QUOTE_CAP, p["gain"] * m["gain_factor"] * paid * QUOTE_CAP
     if math.isinf(payments):
         raise ConfigError(
             "times the paid clients and the 10**7 quote cap, a round's payments overflow",

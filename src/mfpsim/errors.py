@@ -14,16 +14,17 @@ class InfeasibleError(ValueError):
 
 
 class GainShortfallError(RuntimeError):
-    """The requested gain interval cannot be reached by any feasible allocation.
+    """The market found no allocation that reaches the gain floor within the
+    window and keeps every client and the platform rational.
 
-    Carries the best achievable gain so callers can record partial progress
-    instead of aborting a whole simulation.
+    `reason` names the check that stopped it: "floor out of reach", "server
+    rationality" or "rationality loop failed to settle".  The runner then
+    loads the saturated fallback instead.
     """
 
-    def __init__(self, reason: str, max_gain: float):
-        super().__init__(f"gain target unreachable ({reason}); max achievable {max_gain:.6g}")
+    def __init__(self, reason: str):
+        super().__init__(f"gain target unreachable ({reason})")
         self.reason = reason
-        self.max_gain = max_gain
 
 
 class ConfigError(ValueError):

@@ -66,10 +66,6 @@ class CostCurve:
             self._cache[n] = float(cost)
         return self._cache[n]
 
-    def marginal(self, n: int) -> float:
-        """Cost of the (n+1)-th sample."""
-        return self.cost(n + 1) - self.cost(n)
-
     def in_segment(self, n: int) -> bool:
         """Whether the contract covers the sampled workload n: its cost
         came with a segment."""
@@ -101,8 +97,9 @@ class CostCurve:
 
 @dataclass(slots=True)
 class ClientQuote:
-    """One client's offer for the round: data quality, capacity bounds,
-    min-cost curve, and the gain each of its samples contributes.
+    """One client's offer for the round: capacity bounds, min-cost curve,
+    and the gain each of its samples contributes (its data quality, the
+    `qod` column of clients.jsonl, enters only through that rate).
 
     `curve` is None under a saturating policy: `saturated_load` loads by gain
     rate and capacity, and settlement pays the quantized schedules, so no
@@ -111,7 +108,6 @@ class ClientQuote:
     """
 
     client_id: str
-    qod: float
     mtv: int
     mutv: int
     gain_rate: float
@@ -140,26 +136,17 @@ class WelfareReport:
     client_profits: dict[str, float]
     server_profit: float
     welfare: float
+    # the sums of client_payments and client_costs, in their order
+    payments_total: float
+    costs_total: float
 
 
-def app_payment(gain: float, price_gain: float) -> float:
-    """What the application pays the platform for one round's learning gain."""
-    if gain < 0:
-        raise ValueError("gain must be nonnegative")
-    return price_gain * gain
-
-
-def client_payment(n_samples: int, price_sample: float) -> float:
-    """What the platform pays a client for its delivered samples."""
-    if n_samples < 0:
-        raise ValueError("sample count must be nonnegative")
-    return price_sample * n_samples
-
-
-def social_welfare(server_profit: float, client_profit_sum: float, alpha: float, beta: float) -> float:
-    if alpha < 0 or beta < 0:
-        raise ValueError("welfare weights must be nonnegative")
-    return alpha * server_profit + beta * client_profit_sum
+def loses(n: int, cost: float, prices: PriceVector) -> bool:
+    """Client rationality: whether `n` samples at resource cost `cost` leave
+    their client at a loss, beyond the tolerance.  The allocation's polish
+    and rationality pass and the settlement of the quantized schedules all
+    apply this one rule."""
+    return prices.sample * n - cost < -_TOL
 
 
 def build_report(
@@ -174,14 +161,16 @@ def build_report(
 
     `costs` holds the resource cost of each client with a nonzero workload:
     its curve cost while the market allocates, its quantized schedule's cost
-    at settlement.  Welfare takes the clients' side as total payment minus
-    total cost.
+    at settlement.  The application pays `prices.gain` per unit of gain,
+    each client earns `prices.sample` per sample, and welfare weighs the
+    platform's profit by `alpha` and the clients' side, total payment minus
+    total cost, by `beta`.
     """
     gain = sum(quotes[cid].gain_rate * n for cid, n in workloads.items())
-    payments = {cid: client_payment(n, prices.sample) for cid, n in workloads.items() if n > 0}
+    payments = {cid: prices.sample * n for cid, n in workloads.items() if n > 0}
     profits = {cid: payments[cid] - costs[cid] for cid in payments}
-    p_app = app_payment(gain, prices.gain)
-    paid = sum(payments.values())
+    p_app = prices.gain * gain
+    paid, spent = sum(payments.values()), sum(costs.values())
     server = p_app - paid
     return WelfareReport(
         gain=gain,
@@ -190,7 +179,9 @@ def build_report(
         client_costs=costs,
         client_profits=profits,
         server_profit=server,
-        welfare=social_welfare(server, paid - sum(costs.values()), alpha, beta),
+        welfare=alpha * server + beta * (paid - spent),
+        payments_total=paid,
+        costs_total=spent,
     )
 
 
@@ -201,10 +192,6 @@ def _welfare_of(quote: ClientQuote, marginal_cost: float, prices: PriceVector, a
     return alpha * (prices.gain * quote.gain_rate - prices.sample) + beta * (
         prices.sample - marginal_cost
     )
-
-
-def _marginal_welfare(quote: ClientQuote, n: int, prices: PriceVector, alpha: float, beta: float) -> float:
-    return _welfare_of(quote, quote.curve.marginal(n), prices, alpha, beta)
 
 
 def _span(gain: float, rate: float, size: int, ceiling: float, floor: float):
@@ -267,7 +254,7 @@ def _block_polish(
                     continue
                 if gain_others + q.gain_rate * n < gain_floor - _TOL:
                     continue
-                if n > 0 and prices.sample * n - q.curve.cost(n) < -_TOL:
+                if n > 0 and loses(n, q.curve.cost(n), prices):
                     continue
                 w = contribution(q, n)
                 if w > best_w + 1e-9:
@@ -329,7 +316,7 @@ def allocate_workloads(
     a gain-saturated start; the better outcome wins).  Clients that would end
     up with a negative profit are removed and their load re-auctioned.
     Raises GainShortfallError when the floor is unreachable within capacity,
-    the cap, the window ceiling, or rationality.
+    the cap, the window ceiling, or rationality (`loses`).
 
     Each grant goes to the client an id-ordered scan picks: the scan keeps
     the first open client unless a later one beats the current best by more
@@ -408,13 +395,6 @@ def allocate_workloads(
     ceiling = gain_floor + gain_window
     excluded: set[str] = set()
 
-    def max_achievable(blocked: set[str]) -> float:
-        rates = sorted(
-            (q.gain_rate * q.mtv for q in quotes if q.client_id not in blocked and q.mtv > 0),
-            reverse=True,
-        )
-        return sum(rates[:max_active])
-
     def report_of(load: dict[str, int]) -> WelfareReport:
         costs = {cid: by_id[cid].curve.cost(n) for cid, n in load.items() if n > 0}
         return build_report(by_id, load, costs, prices, alpha, beta)
@@ -448,7 +428,9 @@ def allocate_workloads(
             n = load[q.client_id]
             at, delta = marginal.get(q.client_id, (None, 0.0))
             if at != n:
-                delta = _marginal_welfare(q, n, prices, alpha, beta)
+                # the cost of the (n+1)-th sample
+                rise = q.curve.cost(n + 1) - q.curve.cost(n)
+                delta = _welfare_of(q, rise, prices, alpha, beta)
                 marginal[q.client_id] = (n, delta)
             return delta
 
@@ -560,11 +542,7 @@ def allocate_workloads(
             if pick[2] is not None:
                 streak(*pick)
         if gain < gain_floor - _TOL:
-            reach = max_achievable(excluded)
-            reason = (
-                "gain step overshoots the window" if reach + _TOL >= gain_floor else "capacity exhausted"
-            )
-            raise GainShortfallError(reason, reach)
+            raise GainShortfallError("floor out of reach")
 
         greedy_end = state()
         load = _block_polish(
@@ -592,10 +570,10 @@ def allocate_workloads(
         elif debug:
             _log.debug("%s side decides: welfare %r against %r", side, report.welfare, rival)
 
-        losers = sorted(cid for cid, p in report.client_profits.items() if p < -_TOL)
+        losers = sorted(c for c, cost in report.client_costs.items() if loses(load[c], cost, prices))
         if not losers:
             if report.server_profit < -_TOL:
-                raise GainShortfallError("server rationality", max_achievable(excluded))
+                raise GainShortfallError("server rationality")
             workloads = {cid: n for cid, n in load.items() if n > 0}
             allocation = Allocation(workloads=workloads)
             return allocation, report
@@ -605,4 +583,4 @@ def allocate_workloads(
         if debug:
             _log.debug("rationality pass excludes %s: resumes from grant %d", ", ".join(losers), resume[0])
         first_led = {c: s for c, s in first_led.items() if s[0] < resume[0]}
-    raise GainShortfallError("rationality loop failed to settle", max_achievable(excluded))
+    raise GainShortfallError("rationality loop failed to settle")

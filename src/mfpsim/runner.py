@@ -6,7 +6,7 @@ round as five stages over it:
 - scenario and quotes: the scenario steps, each client's targets in range
   are found in two buffers the run allocates once, the window's cycle is
   fixed, and the fleet's status columns become quotes (capacity bounds,
-  quality, and a min-cost curve under the active policy, except a
+  gain rate, and a min-cost curve under the active policy, except a
   saturating one, which quotes no curve);
 - selection and allocation: workloads toward the gain target;
 - solve and quantize: the winners' schedules, in whole cells;
@@ -49,10 +49,10 @@ from .baselines import (
     schedule_with_policy,
     select_clients,
 )
-from .config import ExperimentConfig, config_hash, load_config
+from .config import QUOTE_CAP, ExperimentConfig, config_hash, load_config
 from .costs import ConsumptionTask, PriceVector, ScheduleDecision
 from .errors import GainShortfallError
-from .market import ClientQuote, CostCurve, allocate_workloads, build_report, saturated_load
+from .market import ClientQuote, CostCurve, allocate_workloads, build_report, loses, saturated_load
 from .resource_pool import ResourceQuanta, new_pool
 from .rounds import cycle_length, plan_round, rounds_to_complete
 from .scenario import (
@@ -330,7 +330,7 @@ def _entry(ctx, fleet, cid) -> _ClientRound:
     return c
 
 
-def _policy_solve(ctx, n, at, task, budgets, bounds=None):
+def _policy_solve(ctx, n, at, task, budgets, bounds):
     """Policy solve with the spectrum split internalized.
 
     In pipelined mode a client's transfer chain shares its window with the
@@ -552,7 +552,8 @@ def _scenario_and_quotes(ctx, state, buffers, prev_cons) -> tuple[Budgets, _Flee
 
 def _quote_fleet(ctx, budgets, status, eff_down, eff_up, global_dist, prev_cons) -> _Fleet:
     """The round's `_Fleet`: a quote for every client whose mtv is at least
-    1, with capacity bounds, quality and, under the market's policies, a
+    1, with capacity bounds, gain rate (`gain_factor` times its quality,
+    which only the `qod` column keeps) and, under the market's policies, a
     lazy cost curve, from `status`, the round's `status_attributes`.  A
     saturating policy's quotes carry no curve, as its allocation and
     settlement never read one, so no round state is built here; a curve
@@ -609,15 +610,15 @@ def _quote_fleet(ctx, budgets, status, eff_down, eff_up, global_dist, prev_cons)
             continue
         # every workload is 1 <= n <= cap_i, so the solves compare it with
         # the quote's ints as they would with the pair
-        cap_i = int(min(cap, 10**7))
+        cap_i = int(min(cap, QUOTE_CAP))
         n_unc = int(n_unc) if math.isfinite(n_unc) else cap_i
         qods[i], rates[i], mtvs[i], mutvs[i], notes[i] = q, gain_factor * q, cap_i, n_unc, ""
         if saturate:
-            fleet.quotes[cid] = ClientQuote(cid, q, cap_i, n_unc, rates[i], None)
+            fleet.quotes[cid] = ClientQuote(cid, cap_i, n_unc, rates[i], None)
             continue
         c = _entry(ctx, fleet, cid)
         curve = CostCurve(_curve_fn(ctx, c.attrs, c.task, c.budgets, (cap_i, n_unc)), cap_i)
-        c.quote = fleet.quotes[cid] = ClientQuote(cid, q, cap_i, n_unc, rates[i], curve)
+        c.quote = fleet.quotes[cid] = ClientQuote(cid, cap_i, n_unc, rates[i], curve)
     return fleet
 
 
@@ -672,10 +673,7 @@ def _select_and_allocate(ctx, fleet, budgets, floor, ceiling) -> bool:
         alloc_quotes = quotes
         if spec.mean_rate and quotes:
             mean_rate = sum(q.gain_rate for q in quotes) / len(quotes)
-            alloc_quotes = [
-                ClientQuote(q.client_id, q.qod, q.mtv, q.mutv, mean_rate, q.curve)
-                for q in quotes
-            ]
+            alloc_quotes = [replace(q, gain_rate=mean_rate) for q in quotes]
         try:
             allocation, _ = allocate_workloads(
                 alloc_quotes, ctx.prices, floor, ceiling - floor,
@@ -745,7 +743,7 @@ def _settle(ctx, record, r, fleet, budgets, floor, shortfall):
     costs = {cid: c.quantized.cost(prices) for cid, c in active.items()}
     if not POLICIES[ctx.policy].saturate:
         for cid in sorted(active):
-            if prices.sample * active[cid].n - costs[cid] < -1e-9:
+            if loses(active[cid].n, costs[cid], prices):
                 active.pop(cid).drop("unprofitable after quantization")
                 del costs[cid]
     # the report reads the quotes of the clients with a workload alone
@@ -755,17 +753,15 @@ def _settle(ctx, record, r, fleet, budgets, floor, shortfall):
     )
 
     gain = report.gain
-    payments_total = sum(report.client_payments.values())
-    costs_total = sum(report.client_costs.values())
     record.summary_rows.append(
         {
             "round": r,
             "gain": gain,
             "app_payment": report.app_payment,
-            "payments_total": payments_total,
-            "costs_total": costs_total,
+            "payments_total": report.payments_total,
+            "costs_total": report.costs_total,
             "server_profit": report.server_profit,
-            "client_profits_total": payments_total - costs_total,
+            "client_profits_total": report.payments_total - report.costs_total,
             "welfare": report.welfare,
             "active_count": len(active),
             "t_delta_cells": int(budgets.time_cells),

@@ -292,7 +292,7 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
     The block polish, the saturated start and the report are the engine's
     own: the fast path leaves them as they are."""
     from mfpsim.errors import GainShortfallError
-    from mfpsim.market import Allocation, _block_polish, _marginal_welfare, build_report
+    from mfpsim.market import Allocation, _block_polish, _welfare_of, build_report
 
     tol = 1e-9
     if gain_window <= 0:
@@ -303,13 +303,6 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
     by_id = {q.client_id: q for q in quotes}
     ceiling = gain_floor + gain_window
     excluded = set()
-
-    def max_achievable():
-        rates = sorted(
-            (q.gain_rate * q.mtv for q in quotes if q.client_id not in excluded and q.mtv > 0),
-            reverse=True,
-        )
-        return sum(rates[:max_active])
 
     def saturated_start():
         load = {q.client_id: 0 for q in quotes}
@@ -349,7 +342,8 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
                     continue
                 if gain + q.gain_rate >= ceiling - tol:
                     continue
-                delta = _marginal_welfare(q, load[cid], prices, alpha, beta)
+                n = load[cid]
+                delta = _welfare_of(q, q.curve.cost(n + 1) - q.curve.cost(n), prices, alpha, beta)
                 if require_positive and delta <= tol:
                     continue
                 if best is None or delta > best[0] + tol:
@@ -359,12 +353,7 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
         while gain < gain_floor - tol:
             pick = grantable(False)
             if pick is None:
-                reason = (
-                    "gain step overshoots the window"
-                    if max_achievable() + tol >= gain_floor
-                    else "capacity exhausted"
-                )
-                raise GainShortfallError(reason, max_achievable())
+                raise GainShortfallError("floor out of reach")
             load[pick[1]] += 1
             gain += by_id[pick[1]].gain_rate
         while (pick := grantable(True)) is not None:
@@ -382,11 +371,11 @@ def allocate_workloads_reference(quotes, prices, gain_floor, gain_window, max_ac
         losers = sorted(cid for cid, p in report.client_profits.items() if p < -tol)
         if not losers:
             if report.server_profit < -tol:
-                raise GainShortfallError("server rationality", max_achievable())
+                raise GainShortfallError("server rationality")
             workloads = {cid: n for cid, n in load.items() if n > 0}
             return Allocation(workloads=workloads), report
         excluded.update(losers)
-    raise GainShortfallError("rationality loop failed to settle", max_achievable())
+    raise GainShortfallError("rationality loop failed to settle")
 
 
 def streak_span_reference(gain, rate, size, ceiling, floor):
@@ -993,7 +982,7 @@ def qod_per_row(local, global_):
     return np.array([qod(row, global_) for row in local])
 
 
-def policy_solve_reference(ctx, n, at, task, budgets, bounds=None):
+def policy_solve_reference(ctx, n, at, task, budgets, bounds):
     """`runner._policy_solve` as it ran before the capped mtv decided its
     fallback: every cap the plain solve's transfers pass takes the capped
     (mtv, mutv) pair and a second solve, which is Infeasible above that mtv.

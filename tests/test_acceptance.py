@@ -412,7 +412,7 @@ def _mode_gain(state, mode, seed):
         fn = lambda n, _at=at: (
             constrained_schedule(SolveInput(n, _at, task, pv, budgets, quanta)).cost, None
         )
-        quotes.append(ClientQuote(f"c{i}", q, int(cap), 0, 0.01 * q, CostCurve(fn, int(cap))))
+        quotes.append(ClientQuote(f"c{i}", int(cap), 0, 0.01 * q, CostCurve(fn, int(cap))))
     if not quotes:
         return 0.0
     _, report = allocate_workloads(quotes, pv, 0.0, 1e9, 2)

@@ -2,6 +2,7 @@ import collections
 import itertools
 import logging
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -19,10 +20,9 @@ from mfpsim.market import (
     ClientQuote,
     CostCurve,
     allocate_workloads,
-    app_payment,
-    client_payment,
+    build_report,
+    loses,
     saturated_load,
-    social_welfare,
     _CHUNK,
     _span,
 )
@@ -57,7 +57,6 @@ def certified_curve(samples):
 def quote(cid, rate, samples):
     return ClientQuote(
         client_id=cid,
-        qod=1.0,
         mtv=len(samples) - 1,
         mutv=len(samples) - 1,
         gain_rate=rate,
@@ -85,21 +84,49 @@ def quadratic_curve(mtv, lin, quad):
 
 
 class TestPayments:
+    def report(self, workloads, costs, sample=2.0, gain=10.0, alpha=1.0, beta=1.0):
+        quotes = {"a": quote("a", 0.5, [0.0] * 101), "b": quote("b", 0.25, [0.0] * 101)}
+        return build_report(quotes, workloads, costs, PriceVector(sample=sample, gain=gain), alpha, beta)
+
     def test_app_payment(self):
-        assert app_payment(0.0, 10.0) == 0.0
-        assert app_payment(2.5, 10.0) == pytest.approx(25.0)
-        assert app_payment(2.5, 20.0) == pytest.approx(50.0)
+        assert self.report({}, {}).app_payment == 0.0
+        assert self.report({"a": 5}, {"a": 0.0}).app_payment == pytest.approx(25.0)
+        assert self.report({"a": 5}, {"a": 0.0}, gain=20.0).app_payment == pytest.approx(50.0)
 
     def test_client_payment(self):
-        assert client_payment(0, 2.0) == 0.0
-        assert client_payment(100, 2.0) == pytest.approx(200.0)
-        with pytest.raises(ValueError):
-            client_payment(-1, 2.0)
+        report = self.report({"a": 100, "b": 0}, {"a": 30.0})
+        assert report.client_payments == {"a": pytest.approx(200.0)}
+        assert report.client_profits == {"a": pytest.approx(170.0)}
 
     def test_social_welfare(self):
-        assert social_welfare(3.0, 2.0, 1.0, 1.0) == pytest.approx(5.0)
-        assert social_welfare(3.0, 2.0, 1.0, 0.0) == pytest.approx(3.0)
-        assert social_welfare(0.0, 0.0, 1.0, 1.0) == 0.0
+        # gain 2.5 pays 25, the client earns 10 at cost 8: server 15, clients 2
+        report = self.report({"a": 5}, {"a": 8.0})
+        assert report.welfare == pytest.approx(17.0)
+        assert self.report({"a": 5}, {"a": 8.0}, beta=0.0).welfare == pytest.approx(15.0)
+        assert self.report({}, {}).welfare == 0.0
+
+    def test_totals_are_the_sums_in_dict_order(self):
+        costs = {"b": 0.1, "a": 0.2}
+        report = self.report({"b": 3, "a": 7}, costs, sample=0.1)
+        assert report.payments_total == sum(report.client_payments.values())
+        assert report.costs_total == sum(costs.values())
+        assert report.welfare == report.server_profit + (report.payments_total - report.costs_total)
+
+
+@pytest.mark.parametrize(
+    "n, cost, loss",
+    [
+        (4, 1.0, False),
+        (4, 0.5, False),
+        (4, 1.5, True),
+        # no sample at cost -p leaves the profit p exactly
+        (0, 0.0, False),
+        (0, 1e-9, False),
+        (0, -math.nextafter(-1e-9, -math.inf), True),
+    ],
+)
+def test_loses_is_a_loss_beyond_the_tolerance(n, cost, loss):
+    assert loses(n, cost, PriceVector(sample=0.25, gain=1.0)) is loss
 
 
 class TestAllocate:
@@ -133,11 +160,11 @@ class TestAllocate:
         assert alloc.workloads == {}
         assert report.welfare == 0.0
 
-    def test_floor_unreachable_raises_with_max_gain(self):
+    def test_floor_unreachable_raises(self):
         q = quote("a", 0.1, quadratic_curve(5, 0.1, 0.0))
         with pytest.raises(GainShortfallError) as err:
             allocate_workloads([q], self.prices(), gain_floor=10.0, gain_window=1.0, max_active=1)
-        assert err.value.max_gain == pytest.approx(0.5)
+        assert err.value.reason == "floor out of reach"
 
     def test_window_overshoot_is_error(self):
         # each grant adds 1.0 gain; the window [0.5, 0.9) can never be hit
@@ -233,7 +260,7 @@ class TestAllocate:
             fn = lambda n: (
                 constrained_schedule(SolveInput(n, att, task, pv, budgets, UNIT)).cost, None
             )
-            return ClientQuote(cid, 1.0, cap, 0, 0.05, CostCurve(fn, cap))
+            return ClientQuote(cid, cap, 0, 0.05, CostCurve(fn, cap))
 
         small = [solver_quote("a", Budgets(6, 4, 4))]
         big = [solver_quote("a", Budgets(12, 8, 8))]
@@ -270,7 +297,7 @@ class TestAllocate:
         costs = [0.0]
         for m in marginals:
             costs.append(costs[-1] + m)
-        return ClientQuote(cid, 1.0, len(marginals), len(marginals), rate, curve(costs))
+        return ClientQuote(cid, len(marginals), len(marginals), rate, curve(costs))
 
     def test_leader_within_the_tie_window_of_its_runner_up_yields_to_the_scan(self):
         # b leads a (welfare 0.9 against 0.5) for 10 samples; then b's marginal
@@ -361,7 +388,7 @@ class TestAllocate:
         quotes = [
             self.plain("a", 0.01, [1.6] * 50, certified_curve),
             self.plain("b", 0.01, [1.5] * 50, certified_curve),
-            ClientQuote("c", 1.0, 100, 100, 0.01, CountingCurve([0.1 * n for n in range(101)], lookups)),
+            ClientQuote("c", 100, 100, 0.01, CountingCurve([0.1 * n for n in range(101)], lookups)),
             self.plain("d", 0.01, [2.5] + [0.5] * 49, certified_curve),
         ]
         case = (quotes, self.prices(gain=200.0), 1.2, 0.5, 2)
@@ -417,7 +444,7 @@ class TestAllocate:
         changes hands every few grants."""
         return [
             ClientQuote(
-                f"c{i:02d}", 1.0, 400, 400, 0.01,
+                f"c{i:02d}", 400, 400, 0.01,
                 curve(quadratic_curve(400, 0.1 + 0.01 * i, 0.002 + 1e-4 * i)),
             )
             for i in range(n_clients)
@@ -442,12 +469,15 @@ class TestAllocate:
         # segment None) or streaks
         priced = collections.Counter()
 
-        def counting(q, n, *args):
-            priced[q.client_id, n] += 1
-            return welfare(q, n, *args)
+        def counting(q, *args):
+            # the scan's pricing of a marginal, keyed by the load it prices
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "priced":
+                priced[q.client_id, caller.f_locals["n"]] += 1
+            return welfare(q, *args)
 
-        welfare = market._marginal_welfare
-        monkeypatch.setattr(market, "_marginal_welfare", counting)
+        welfare = market._welfare_of
+        monkeypatch.setattr(market, "_welfare_of", counting)
         quotes = self.contested(30, lambda c: CountingCurve(c, [0], segment=segment))
         alloc, report = allocate_workloads(quotes, self.prices(), 5.0, 100.0, 30)
         assert len(alloc.workloads) == 30  # nobody excluded: one greedy pass
@@ -495,10 +525,10 @@ class TestAllocate:
         cheap = [0.5 * n for n in range(201)]
         dear = [0.0, 3.1, 3.2]
         quotes = [
-            ClientQuote(f"a{i}", 1.0, 200, 200, 0.01, CountingCurve(cheap, lookups))
+            ClientQuote(f"a{i}", 200, 200, 0.01, CountingCurve(cheap, lookups))
             for i in range(5)
         ] + [
-            ClientQuote(f"b{i}", 1.0, 2, 2, 0.01, CountingCurve(dear, lookups))
+            ClientQuote(f"b{i}", 2, 2, 0.01, CountingCurve(dear, lookups))
             for i in range(10)
         ]
         prices = self.prices(gain=300.0)
@@ -560,7 +590,7 @@ def _outcome(allocate, case):
     try:
         return allocate(*case)
     except GainShortfallError as err:
-        return type(err), err.reason, err.max_gain
+        return type(err), err.reason
 
 
 @settings(max_examples=400, deadline=None)
@@ -658,7 +688,7 @@ def _engine_outcome(quotes, mutvs, market_args):
     on a gain shortfall."""
     price_sample, price_gain, floor, ceiling, max_active, alpha, beta = market_args
     engine_quotes = [
-        ClientQuote(f"c{i}", 1.0, top, mutv, rate, curve_from_samples(costs))
+        ClientQuote(f"c{i}", top, mutv, rate, curve_from_samples(costs))
         for i, ((rate, top, costs), mutv) in enumerate(zip(quotes, mutvs))
     ]
     prices = PriceVector(sample=price_sample, gain=price_gain)
@@ -868,7 +898,7 @@ def streak_curve(shape, cap, act, scale, tilt=0.0, stop=None, bump=None, drop=No
 
 
 def streak_quote(cid, rate, curve):
-    return ClientQuote(cid, 1.0, curve.mtv, curve.mtv, rate, curve)
+    return ClientQuote(cid, curve.mtv, curve.mtv, rate, curve)
 
 
 @st.composite
@@ -951,7 +981,7 @@ def test_one_long_streak_costs_few_lookups(caplog):
     # them all, and a concave curve keeps its marginal welfare rising
     lookups = [0]
     costs = [0.0] + [3.0 + 0.2 * math.sqrt(n) for n in range(1, 2001)]
-    quotes = [ClientQuote("a", 1.0, 2000, 2000, 0.01, CountingCurve(costs, lookups))]
+    quotes = [ClientQuote("a", 2000, 2000, 0.01, CountingCurve(costs, lookups))]
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         alloc, report = allocate_workloads(quotes, PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
     assert alloc.workloads == {"a": 2000}
@@ -987,7 +1017,7 @@ def test_streak_batches_are_sized_from_the_rise_budget():
     leader = ProbedCurve([0.01 * n for n in range(201)], lookups, probes)
     rival = CountingCurve([0.21 * n for n in range(201)], [0])
     case = (
-        [ClientQuote("a", 1.0, 200, 200, 0.01, leader), ClientQuote("b", 1.0, 200, 200, 0.01, rival)],
+        [ClientQuote("a", 200, 200, 0.01, leader), ClientQuote("b", 200, 200, 0.01, rival)],
         PriceVector(sample=1.0, gain=200.0), 0.5, 10.0, 2,
     )
     got = allocate_workloads(*case)
@@ -1009,7 +1039,7 @@ def test_a_failed_batch_shrinks_to_its_secant_and_none_straddles_mutv():
     leader = ProbedCurve(costs, [0], probes, segment=lambda n: n > 30)
     rival = CountingCurve([0.45 * n for n in range(121)], [0])
     case = (
-        [ClientQuote("a", 1.0, 60, 30, 0.01, leader), ClientQuote("b", 1.0, 120, 120, 0.01, rival)],
+        [ClientQuote("a", 60, 30, 0.01, leader), ClientQuote("b", 120, 120, 0.01, rival)],
         PriceVector(sample=1.0, gain=200.0), 0.5, 10.0, 2,
     )
     got = allocate_workloads(*case)
@@ -1024,7 +1054,7 @@ def test_plain_costs_vouch_for_no_streak(caplog):
     # does not decrease, so every grant is a unit grant, to the same outcome
     costs = [0.0] + [3.0 + 0.2 * math.sqrt(n) for n in range(1, 2001)]
     plain = curve_from_samples(costs)
-    case = ([ClientQuote("a", 1.0, 2000, 2000, 0.01, plain)], PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
+    case = ([ClientQuote("a", 2000, 2000, 0.01, plain)], PriceVector(sample=1.0, gain=200.0), 19.999, 5.0, 1)
     with caplog.at_level(logging.DEBUG, logger="mfpsim"):
         got = allocate_workloads(*case)
     # the first grant's scan makes a clear lead, whose streak takes every
@@ -1193,7 +1223,7 @@ def test_a_long_streak_holds_bounded_memory():
     # the first is free, so the only bidder takes all 2 * 10**5 in one
     # streak, whose batches are clipped at _CHUNK grants
     mtv = 2 * 10**5
-    quote = ClientQuote("a", 1.0, mtv, mtv, 1e-3, CostCurve(lambda n: (0.1 if n else 0.0, 0), mtv))
+    quote = ClientQuote("a", mtv, mtv, 1e-3, CostCurve(lambda n: (0.1 if n else 0.0, 0), mtv))
     sizes = []
 
     def recorded(gain, rate, size, ceiling, floor):
